@@ -7,7 +7,9 @@ if the outputs ever diverge.  Run:
     python3 benchmarks/bench_kernels.py [--repeats 5]
 
 The compiled flavor is only present when numba is importable and
-WHENTOPOST_NUMBA is not 0/false/off.
+WHENTOPOST_NUMBA is not 0/false/off.  The controller's fallback is a
+vectorized twin of its loop, so the script also times that loop run as
+plain Python against the fallback: that speed-up shows without numba.
 """
 
 import time
@@ -15,7 +17,7 @@ import time
 import click
 import numpy as np
 
-from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED
+from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop
 
 
 def hawkes_workload():
@@ -83,6 +85,17 @@ def main(repeats):
         click.echo(
             f"{name:<22} {t_base * 1e3:>10.2f}ms {t_fast * 1e3:>10.2f}ms {t_base / t_fast:>8.1f}x"
         )
+    run = WORKLOADS["redqueen_posts"]
+    base = IMPLEMENTATIONS["redqueen_posts"]["fallback"]
+    if run(_redqueen_posts_loop, 7).tobytes() != run(base, 7).tobytes():
+        raise SystemExit("redqueen_posts: the fallback disagrees with the loop on identical input")
+    t_loop = best_time(lambda: run(_redqueen_posts_loop, 7), repeats)
+    t_base = best_time(lambda: run(base, 7), repeats)
+    click.echo(f"\n{'kernel':<22} {'python loop':>12} {'fallback':>12} {'speedup':>9}")
+    click.echo(
+        f"{'redqueen_posts':<22} {t_loop * 1e3:>10.2f}ms {t_base * 1e3:>10.2f}ms "
+        f"{t_loop / t_base:>8.1f}x"
+    )
 
 
 if __name__ == "__main__":

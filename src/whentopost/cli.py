@@ -37,9 +37,8 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (data_io.DataFormatError, scenarios.ScenarioError) as exc:
-            _fail(type(exc).__name__, str(exc))
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, LookupError, ArithmeticError, TypeError, RuntimeError,
+                MemoryError, OSError) as exc:
             _fail(type(exc).__name__, str(exc))
 
     wrapper.__name__ = fn.__name__

@@ -237,7 +237,14 @@ def run_redqueen_fast(
     initial_ranks=None,
     max_posts: int = 2**62,
 ) -> np.ndarray:
-    """Post times from the compiled fast path (same draws as the controller)."""
+    """Post times from the kernel fast path (same draws as the controller).
+
+    Without numba the kernel is the vectorized NumPy fallback, which draws
+    its exponentials in bulk: the posts match the controller's bit for
+    bit, but ``rng`` may end further along than the controller leaves it.
+    Pass a generator used for this run only, as every caller in the
+    package does (a fresh ``policy_rng(seed)`` per call).
+    """
     n = len(feeds)
     if initial_ranks is None:
         initial_ranks = np.zeros(n, dtype=np.int64)
@@ -295,8 +302,8 @@ def tune_q(
     Post counts fall as q rises.  When the target is unreachable the
     search stops at a bracket bound and reports ``converged=False``.
     """
-    if target_posts <= 0:
-        raise ValueError("target_posts must be positive")
+    if not 0 < target_posts < math.inf:
+        raise ValueError(f"target_posts must be positive and finite, got {target_posts!r}")
     evals = 0
 
     def close(c):

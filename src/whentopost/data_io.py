@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +86,12 @@ def load_events(path) -> EventStream:
             times.append(t)
             sources.append(src)
     times = np.asarray(times, dtype=np.float64)
+    # NaN propagates through min and max, and +-inf shows in one of them
+    if times.size and not (math.isfinite(times.min()) and math.isfinite(times.max())):
+        bad = int(np.flatnonzero(~np.isfinite(times))[0])
+        raise DataFormatError(
+            f"{path}:{_event_lineno(path, bad)}: event time must be finite, got {times[bad]!r}"
+        )
     sources = np.asarray(sources, dtype=object)
     if times.shape[0] > 1:
         diffs = np.diff(times)
@@ -100,6 +108,13 @@ def load_events(path) -> EventStream:
             )
             times = fixed
     return EventStream(times, sources)
+
+
+def _event_lineno(path, index: int) -> int:
+    """Line number of the ``index``-th event (blank lines skipped) in ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        linenos = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(linenos, index, None))
 
 
 def save_events(stream: EventStream, path) -> None:
@@ -143,6 +158,9 @@ class Manifest:
     broadcaster: str
 
     def __post_init__(self):
+        for key in ("epoch", "t0", "tf"):
+            if not math.isfinite(getattr(self, key)):
+                raise DataFormatError(f"manifest {key} must be finite, got {getattr(self, key)!r}")
         if self.tf <= self.t0:
             raise DataFormatError("manifest window must have tf > t0")
 
@@ -151,6 +169,7 @@ def load_manifest(path) -> Manifest:
     """Parse ``key = value`` lines; paths resolve relative to the manifest."""
     path = Path(path)
     fields: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -160,21 +179,27 @@ def load_manifest(path) -> Manifest:
                 raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
+            linenos[key.strip()] = lineno
     required = ("events", "network", "epoch", "t0", "tf", "broadcaster")
     missing = [k for k in required if k not in fields]
     if missing:
         raise DataFormatError(f"{path}: manifest is missing {', '.join(missing)}")
-    try:
-        return Manifest(
-            events_path=(path.parent / fields["events"]).resolve(),
-            network_path=(path.parent / fields["network"]).resolve(),
-            epoch=float(fields["epoch"]),
-            t0=float(fields["t0"]),
-            tf=float(fields["tf"]),
-            broadcaster=fields["broadcaster"],
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    numbers = {}
+    for key in ("epoch", "t0", "tf"):
+        try:
+            numbers[key] = float(fields[key])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{linenos[key]}: {exc}") from exc
+        if not math.isfinite(numbers[key]):
+            raise DataFormatError(
+                f"{path}:{linenos[key]}: {key} must be finite, got {fields[key]!r}"
+            )
+    return Manifest(
+        events_path=(path.parent / fields["events"]).resolve(),
+        network_path=(path.parent / fields["network"]).resolve(),
+        broadcaster=fields["broadcaster"],
+        **numbers,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +246,22 @@ def build_replay_dataset(
             f"(started with {len(followers)}; followee cap {max_followees})"
         )
     windowed = events.window(t0, tf)
-    feeds = []
-    for f in retained:
-        sources = set(network.followees_of.get(f, ())) - {broadcaster}
-        feeds.append(windowed.from_sources(sources))
-    true_posts = windowed.from_sources({broadcaster})
+    # code the windowed sources once; each feed is then one table lookup
+    code_of: dict = {}
+    codes = np.fromiter(
+        (code_of.setdefault(s, len(code_of)) for s in windowed.sources), np.int32, len(windowed)
+    )
+
+    def from_sources(wanted) -> EventStream:
+        table = np.zeros(len(code_of), bool)
+        table[[code_of[s] for s in wanted if s in code_of]] = True
+        mask = table[codes]
+        return EventStream(windowed.times[mask], windowed.sources[mask])
+
+    feeds = [
+        from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained
+    ]
+    true_posts = from_sources({broadcaster})
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,

@@ -5,12 +5,18 @@ Every kernel exists in two selectable flavors:
 * a loop implementation written in nopython-compatible Python, compiled
   with ``numba.njit`` when numba is importable and the ``WHENTOPOST_NUMBA``
   environment variable is not ``0``/``false``/``off``;
-* a pure NumPy/Python fallback used otherwise.
+* a fallback used otherwise.  For the online controller and the backward
+  induction it is a vectorized NumPy twin of the loop; the feed sampler
+  falls back to the loop itself, run as plain Python.
 
-Both flavors consume ``numpy.random.Generator`` streams and draw in the
-same order, so for a given seed they return bitwise-identical results.
-The flag therefore only changes speed, never output.  The benchmark in
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Both flavors consume ``numpy.random.Generator`` streams and draw the same
+values in the same order, so for a given seed they return
+bitwise-identical results.  The flag therefore only changes speed, never
+output.  One difference remains: the vectorized controller draws its
+exponentials in bulk, a chunk of feed events at a time, so it can leave
+the generator further along than the loop does.  Its callers pass a fresh
+generator per run and never reuse it.  The benchmark in
+``benchmarks/bench_kernels.py`` times the flavors against each other.
 """
 
 from __future__ import annotations
@@ -213,6 +219,106 @@ def _redqueen_posts_loop(
     return posts[:n_posted].copy()
 
 
+#: Feed events per bulk draw in :func:`_redqueen_posts_numpy`.  Bounds its
+#: temporaries and the ticks computed past an early stop (``max_posts``).
+_REDQUEEN_CHUNK = 1 << 12
+
+
+def _clock_first_times(tau, rows, mult, knots, clock_rates, tf, e_draw):
+    """Array twin of :func:`_clock_first_time`, one clock per element.
+
+    Clock ``n`` is spawned at ``tau[n]`` for follower ``rows[n]`` with
+    multiplicity ``mult`` (a scalar, or one value per clock) and unit
+    draw ``e_draw[n]``.  Each pass of the loop advances every clock that
+    has not ticked by one rate segment, through the scalar version's
+    float operations in the same order, so every tick has the same bits.
+    """
+    nseg = clock_rates.shape[1]
+    out = np.full(tau.shape[0], math.inf)
+    seg = np.clip(np.searchsorted(knots, tau, side="right") - 1, 0, nseg - 1)
+    live = np.arange(tau.shape[0])
+    t = tau
+    rem = e_draw
+    while live.shape[0]:
+        seg_end = np.minimum(knots[seg + 1], tf)
+        rate = clock_rates[rows, seg] * mult
+        cap = rate * (seg_end - t)
+        pos = rate > 0.0
+        hit = pos & (rem <= cap)
+        out[live[hit]] = t[hit] + rem[hit] / rate[hit]
+        rem = np.where(pos, rem - cap, rem)
+        going = ~hit & ~(seg_end >= tf)
+        live = live[going]
+        t = seg_end[going]
+        seg = seg[going] + 1
+        rem = rem[going]
+        rows = rows[going]
+        if np.ndim(mult):
+            mult = mult[going]
+    return out
+
+
+def _redqueen_posts_numpy(
+    feed_times,
+    feed_followers,
+    init_ranks,
+    knots,
+    clock_rates,
+    t0,
+    tf,
+    max_posts,
+    rng,
+):
+    """Vectorized twin of :func:`_redqueen_posts_loop` (same bits out).
+
+    Exponentials are drawn in bulk, first the initial-rank clocks and
+    then the feed clocks chunk by chunk: the same stream in the same
+    order as the loop's scalar draws.  Ticks come from
+    :func:`_clock_first_times`; a plain scan over the feed then applies
+    the loop's commit rule.  Since a whole chunk is drawn before it is
+    scanned, a run that ends inside a chunk leaves the generator further
+    along than the loop leaves it; callers must not reuse it.
+    """
+    feed_times = np.asarray(feed_times, np.float64)
+    feed_followers = np.asarray(feed_followers, np.int64)
+    init_ranks = np.asarray(init_ranks)
+    knots = np.asarray(knots, np.float64)
+    clock_rates = np.asarray(clock_rates, np.float64)
+    inf = math.inf
+    cand = inf
+    starters = np.flatnonzero(init_ranks[: clock_rates.shape[0]] > 0)
+    if starters.shape[0]:
+        e = rng.standard_exponential(starters.shape[0])
+        tau = np.full(starters.shape[0], t0, np.float64)
+        mult = init_ranks[starters].astype(np.float64)
+        for tick in _clock_first_times(tau, starters, mult, knots, clock_rates, tf, e).tolist():
+            if tick < cand:
+                cand = tick
+    posts = []
+    m = feed_times.shape[0]
+    for lo in range(0, m, _REDQUEEN_CHUNK):
+        times = feed_times[lo : lo + _REDQUEEN_CHUNK]
+        e = rng.standard_exponential(times.shape[0])
+        ticks = _clock_first_times(
+            times, feed_followers[lo : lo + _REDQUEEN_CHUNK], 1.0, knots, clock_rates, tf, e
+        )
+        for t_feed, tick in zip(times.tolist(), ticks.tolist()):
+            if cand <= t_feed:
+                if cand > tf or cand == inf:
+                    return np.array(posts, np.float64)
+                posts.append(cand)
+                cand = inf
+                if len(posts) >= max_posts:
+                    return np.array(posts, np.float64)
+            if t_feed > tf or t_feed == inf:
+                return np.array(posts, np.float64)
+            if tick < cand:
+                cand = tick
+    if cand <= tf and cand != inf:
+        posts.append(cand)
+    return np.array(posts, np.float64)
+
+
 # ---------------------------------------------------------------------------
 # Clairvoyant schedule (backward induction over the revealed feed)
 # ---------------------------------------------------------------------------
@@ -290,11 +396,12 @@ def _oracle_decisions_numpy(widths, r0, q, s):
 
 sample_hawkes_times = _maybe_jit(_sample_hawkes_loop)
 _clock_first_time = _maybe_jit(_clock_first_time)
-redqueen_posts = _maybe_jit(_redqueen_posts_loop)
 
 if NUMBA_ENABLED:
+    redqueen_posts = _njit(cache=True)(_redqueen_posts_loop)
     oracle_decisions = _njit(cache=True)(_oracle_decisions_loop)
 else:
+    redqueen_posts = _redqueen_posts_numpy
     oracle_decisions = _oracle_decisions_numpy
 
 #: Both flavors of every kernel, keyed by kernel name then flavor name.
@@ -307,7 +414,7 @@ IMPLEMENTATIONS = {
     },
     "redqueen_posts": {
         "numba": redqueen_posts if NUMBA_ENABLED else None,
-        "fallback": _redqueen_posts_loop,
+        "fallback": _redqueen_posts_numpy,
     },
     "oracle_decisions": {
         "numba": oracle_decisions if NUMBA_ENABLED else None,

@@ -14,6 +14,7 @@ a Thursday.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +58,29 @@ def bucket_index(abs_seconds, granularity: str):
     raise ValueError(f"unknown granularity {granularity!r}; choose from {GRANULARITIES}")
 
 
+def _check_laplace(laplace: float) -> None:
+    if not (0 <= laplace < math.inf):
+        raise ValueError("laplace smoothing must be finite and nonnegative")
+
+
+def _normalize_counts(counts: np.ndarray, laplace: float) -> np.ndarray:
+    """Turn one follower's float64 bucket counts into weights, in place.
+
+    Laplace-smoothed frequencies, divided by their maximum.  An all-zero
+    row is an empty activity log: it becomes the flat profile, with a
+    warning.
+    """
+    total = counts.sum()
+    if total == 0:
+        warnings.warn("empty activity log: falling back to a flat profile", stacklevel=3)
+        counts[:] = 1.0
+        return counts
+    counts += laplace
+    counts /= total + laplace * counts.shape[0]
+    counts /= counts.max()
+    return counts
+
+
 def bucket_weights(
     times: np.ndarray,
     epoch: float,
@@ -69,17 +93,11 @@ def bucket_weights(
     unvisited bucket is exactly 0 (useful for hard quiet periods); an
     entirely empty log yields a flat all-ones profile with a warning.
     """
-    if laplace < 0:
-        raise ValueError("laplace smoothing cannot be negative")
+    _check_laplace(laplace)
     b = bucket_count(granularity)
     times = np.asarray(times, dtype=np.float64)
-    counts = np.bincount(bucket_index(epoch + times, granularity), minlength=b).astype(np.float64)
-    total = counts.sum()
-    if total == 0:
-        warnings.warn("empty activity log: falling back to a flat profile", stacklevel=2)
-        return np.ones(b)
-    weights = (counts + laplace) / (total + laplace * b)
-    return weights / weights.max()
+    counts = np.bincount(bucket_index(epoch + times, granularity), minlength=b)
+    return _normalize_counts(counts.astype(np.float64), laplace)
 
 
 @dataclass(frozen=True)
@@ -133,6 +151,11 @@ class SignificanceProfile:
         return StepSchedule(knots, values)
 
 
+#: Log events bucketed per pass in :func:`estimate_significance`; bounds
+#: the temporaries to a fixed size whatever the log length.
+_CHUNK = 1 << 13
+
+
 def estimate_significance(
     events,
     follower_ids,
@@ -145,11 +168,34 @@ def estimate_significance(
     ``events`` is an :class:`~whentopost.point_process.EventStream`
     whose sources include the followers' own activity.  A follower with
     no events gets the flat fallback (with a warning).
+
+    One pass over the log counts every follower at once: each event's
+    source maps to its follower's row of one count table, and
+    ``row * b + bucket`` indexes the cell to increment.  The log goes
+    through in fixed-size chunks, and the counts go straight into the
+    table (``np.add.at``), since a ``np.bincount`` per chunk would be
+    another table-sized temporary.  The counts are exact integers, and
+    each row then goes through the same arithmetic as
+    :func:`bucket_weights` on that follower's events alone.
     """
-    values = {}
+    _check_laplace(laplace)
+    if not math.isfinite(epoch):
+        raise ValueError(f"epoch must be finite, got {epoch!r}")
+    b = bucket_count(granularity)
+    row_of = {}
     for fid in follower_ids:
-        times = events.times[events.sources == fid]
-        values[fid] = bucket_weights(times, epoch, granularity, laplace)
+        row_of.setdefault(fid, len(row_of))
+    table = np.zeros((len(row_of), b), np.int32)
+    flat = table.reshape(-1)
+    for lo in range(0, events.times.shape[0], _CHUNK):
+        sources = events.sources[lo : lo + _CHUNK].tolist()
+        rows = np.fromiter((row_of.get(s, -1) for s in sources), np.int64, len(sources))
+        keep = rows >= 0
+        buckets = bucket_index(epoch + events.times[lo : lo + _CHUNK][keep], granularity)
+        np.add.at(flat, rows[keep] * b + buckets, 1)
+    values = {}
+    for fid, row in row_of.items():
+        values[fid] = _normalize_counts(table[row].astype(np.float64), laplace)
     return SignificanceProfile(
         granularity=granularity,
         epoch=float(epoch),

@@ -199,3 +199,75 @@ def test_estimate_significance_follower_filter(tmp_path):
     profile = read_profile_csv(out)
     assert set(profile.values) == {"wire"}
     assert profile.laplace == 0.0
+
+
+def run_failing(args):
+    """Invoke a command expected to fail; return its one-line JSON error."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+def test_non_finite_event_time_fails_with_line_number(tmp_path, bad):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 1.0, "src": "a"}\n{"t": %s, "src": "b"}\n' % bad, encoding="utf-8")
+    err = run_failing([
+        "estimate-significance", "--events", str(events), "--epoch", "0.0",
+        "--out", str(tmp_path / "profile.csv"),
+    ])
+    assert err["error"] == "DataFormatError"
+    assert f"{events}:2: event time must be finite" in err["message"]
+    assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("epoch", ["inf", "nan"])
+def test_non_finite_epoch_flag_fails(tmp_path, epoch):
+    err = run_failing([
+        "estimate-significance", "--events", str(FIXTURE / "events.jsonl"),
+        "--epoch", epoch, "--out", str(tmp_path / "profile.csv"),
+    ])
+    assert err["error"] == "ValueError"
+    assert "epoch must be finite" in err["message"]
+    assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_non_finite_target_posts_fails(tmp_path, target):
+    err = run_failing([
+        "replay", "--manifest", str(FIXTURE / "manifest.txt"), "--seeds", "0",
+        "--target-posts", target, "--out", str(tmp_path / "r.csv"),
+    ])
+    assert err["error"] == "ValueError"
+    assert "target_posts must be positive and finite" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_non_finite_manifest_window_fails_with_line_number(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    text = (FIXTURE / "manifest.txt").read_text(encoding="utf-8")
+    manifest.write_text(text.replace("tf = 240.0", "tf = inf"), encoding="utf-8")
+    for name in ("events.jsonl", "network.csv"):
+        (tmp_path / name).write_bytes((FIXTURE / name).read_bytes())
+    err = run_failing([
+        "replay", "--manifest", str(manifest), "--seeds", "0", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert err["error"] == "DataFormatError"
+    assert f"{manifest}:6: tf must be finite" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, RuntimeError, MemoryError])
+def test_unexpected_errors_keep_the_json_error_contract(tmp_path, monkeypatch, exc_type):
+    def broken(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr("whentopost.cli.estimate_significance", broken)
+    err = run_failing([
+        "estimate-significance", "--events", str(FIXTURE / "events.jsonl"),
+        "--epoch", "0.0", "--out", str(tmp_path / "profile.csv"),
+    ])
+    assert err == {"error": exc_type.__name__, "message": "boom"}

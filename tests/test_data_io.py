@@ -208,6 +208,52 @@ def test_build_replay_dataset_window_clips_events():
     assert np.array_equal(feeds["f1"].times, [3.0, 5.0, 7.0, 8.0])
 
 
+def test_build_replay_dataset_matches_per_follower_from_sources():
+    from whentopost.feed_sim import Network
+
+    rng = np.random.default_rng(5)
+    accounts = np.array([f"a{i}" for i in range(40)], dtype=object)
+    n = 5000
+    log = EventStream(np.sort(rng.uniform(0.0, 1000.0, n)), accounts[rng.integers(0, 40, n)])
+    edges = [("a0", f"f{k}") for k in range(20)]
+    for k in range(20):
+        followees = rng.choice(list(accounts) + ["ghost"], size=int(rng.integers(0, 12)))
+        edges += [(str(a), f"f{k}") for a in followees]
+    net = Network.from_edges(edges)
+    dataset = build_replay_dataset(log, net, "a0", 0.0, 100.0, 700.0, max_followees=9)
+    assert 0 < len(dataset.follower_ids) < 20
+    windowed = log.window(100.0, 700.0)
+    for fid, feed in zip(dataset.follower_ids, dataset.feeds):
+        want = windowed.from_sources(set(net.followees_of[fid]) - {"a0"})
+        assert feed.times.tobytes() == want.times.tobytes()
+        assert feed.sources.tolist() == want.sources.tolist()
+    want = windowed.from_sources({"a0"})
+    assert dataset.true_posts.times.tobytes() == want.times.tobytes()
+    assert dataset.true_posts.sources.tolist() == want.sources.tolist()
+
+
+def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
+    p = tmp_path / "events.jsonl"
+    for bad in ("Infinity", "-Infinity", "NaN", '"inf"'):
+        write_lines(p, ['{"t": 1.0, "src": "a"}', "", '{"t": %s, "src": "b"}' % bad])
+        with pytest.raises(DataFormatError, match=r":3: event time must be finite"):
+            load_events(p)
+
+
+def test_manifest_rejects_non_finite_numbers_with_line_number(tmp_path):
+    m = tmp_path / "manifest.txt"
+    for key in ("epoch", "t0", "tf"):
+        fields = {"epoch": "0", "t0": "0", "tf": "1"}
+        fields[key] = "inf" if key != "t0" else "nan"
+        write_lines(m, [
+            "# replay window", "events = e", "network = n",
+            *(f"{k} = {v}" for k, v in fields.items()), "broadcaster = b",
+        ])
+        lineno = 4 + list(fields).index(key)
+        with pytest.raises(DataFormatError, match=rf":{lineno}: {key} must be finite"):
+            load_manifest(m)
+
+
 def sample_reports():
     return [
         MetricsReport("runB", 1, "p2", 4, 2.5, 0.5, None, None),

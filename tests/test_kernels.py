@@ -151,3 +151,100 @@ def test_env_flag_selects_flavor_and_output_is_flag_invariant():
         enabled, got_hex = run_with_flag(flag)
         assert enabled == want_enabled, f"flag={flag!r}"
         assert got_hex == expected, f"flag={flag!r}"
+
+
+def fuzz_redqueen_case(rng):
+    """Random controller input: schedule, feed, initial ranks, post cap, price."""
+    n = int(rng.integers(1, 5))
+    nseg = int(rng.integers(1, 49))
+    t0 = float(rng.uniform(-10.0, 10.0))
+    tf = t0 + float(rng.uniform(0.5, 200.0))
+    knots = np.concatenate([[t0], np.sort(rng.uniform(t0, tf, nseg - 1)), [tf]])
+    if rng.random() < 0.2:  # schedule reaching past the window
+        knots[-1] = tf + float(rng.uniform(0.1, 50.0))
+    values = rng.uniform(0.0, 1.0, (n, nseg))
+    values[rng.random((n, nseg)) < 0.3] = 0.0  # zero-rate segments
+    log_q = float(rng.choice([-280.0, 280.0])) if rng.random() < 0.3 else rng.uniform(-6, 6)
+    m = 0 if rng.random() < 0.15 else int(rng.integers(1, 200))
+    hi = tf + float(rng.uniform(0.0, 20.0)) if rng.random() < 0.2 else tf
+    feed_times = np.sort(rng.uniform(t0, hi, m))
+    if rng.random() < 0.3:  # ties, as when two followers follow one account
+        feed_times = np.ceil(feed_times)
+    if m and rng.random() < 0.3:  # an event at tf spawns a clock with no mass left
+        feed_times[-1] = tf
+    return dict(
+        feed_times=feed_times,
+        feed_followers=rng.integers(0, n, m),
+        init_ranks=rng.integers(0, 5, n) * (rng.random(n) < 0.5),
+        knots=knots,
+        clock_rates=np.sqrt(values / 10.0**log_q),
+        t0=t0,
+        tf=tf,
+        max_posts=[1, 3, 2**62][int(rng.integers(3))],
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_vectorized_controller_matches_python_loop(monkeypatch, chunk):
+    # runs without numba: the loop is the plain-Python reference
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_REDQUEEN_CHUNK", chunk)
+    rng = np.random.default_rng(2024 + (chunk or 0))
+    seen = dict(posted=0, capped=0, empty_feed=0, extreme_q=0, many_segments=0)
+    for seed in range(120):
+        args = fuzz_redqueen_case(rng)
+        want = kernels._redqueen_posts_loop(rng=np.random.default_rng(seed), **args)
+        got = kernels._redqueen_posts_numpy(rng=np.random.default_rng(seed), **args)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), f"case {seed}"
+        seen["posted"] += len(want) > 0
+        seen["capped"] += args["max_posts"] <= 3 and len(want) == args["max_posts"]
+        seen["empty_feed"] += args["feed_times"].shape[0] == 0
+        rates = args["clock_rates"][args["clock_rates"] > 0]
+        seen["extreme_q"] += rates.size > 0 and not (1e-100 < rates.max() < 1e100)
+        seen["many_segments"] += args["clock_rates"].shape[1] > 24
+    assert min(seen.values()) >= 5, seen
+
+
+def test_controller_fallback_is_the_vectorized_twin():
+    impls = kernels.IMPLEMENTATIONS["redqueen_posts"]
+    assert impls["fallback"] is kernels._redqueen_posts_numpy
+    if not kernels.NUMBA_ENABLED:
+        assert kernels.redqueen_posts is kernels._redqueen_posts_numpy
+
+
+class ScriptedExponentials:
+    """Stands in for a Generator: hands out the given unit exponentials in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_exponential(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "feed, draws, want",
+    [
+        ([2.0], [3.0], [5.0]),  # the tick lands exactly on tf: it still posts
+        ([2.0, 3.0], [1.0, 0.5], [3.0, 3.5]),  # a tick tied with the next event posts first
+        ([2.0, 4.0], [3.5, 2.0], []),  # ticks past tf never post
+    ],
+)
+def test_controller_boundaries_on_exact_draws(feed, draws, want):
+    args = dict(
+        feed_times=np.array(feed),
+        feed_followers=np.zeros(len(feed), np.int64),
+        init_ranks=np.array([0]),
+        knots=np.array([0.0, 5.0]),
+        clock_rates=np.array([[1.0]]),
+        t0=0.0,
+        tf=5.0,
+        max_posts=2**62,
+    )
+    for kernel in (kernels._redqueen_posts_loop, kernels._redqueen_posts_numpy):
+        got = kernel(rng=ScriptedExponentials(draws), **args)
+        assert got.tolist() == want, kernel.__name__

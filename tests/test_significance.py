@@ -1,6 +1,7 @@
 """Calendar-bucket attention profiles and their use as posting weights."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,42 @@ def test_estimate_significance_per_follower():
     assert profile.values["b"][1] == 1.0
     assert profile.granularity == "weekday"
     assert "weekday" in GRANULARITIES
+
+
+def test_estimate_significance_matches_per_follower_bucket_weights():
+    # one counting pass over the log, row by row the same bits as profiling
+    # each follower's own events alone
+    rng = np.random.default_rng(21)
+    names = np.array([f"u{i}" for i in range(30)], dtype=object)
+    n = 20_000  # several counting chunks
+    stream = EventStream(
+        np.sort(rng.uniform(0.0, 3 * 7 * DAY, n)),
+        names[np.minimum(rng.zipf(1.5, n), 30) - 1],
+    )
+    ids = list(names[:25]) + ["ghost", "u3", "ghost2"]  # absent and repeated ids
+    for granularity in GRANULARITIES:
+        for laplace in (0.0, 0.5, 1.0):
+            epoch = float(rng.uniform(0.0, 1e9))
+            with pytest.warns(UserWarning, match="empty activity log") as caught:
+                profile = estimate_significance(stream, ids, epoch, granularity, laplace)
+            assert len(caught) == 2  # one per absent follower
+            assert list(profile.values) == list(dict.fromkeys(ids))
+            for fid in ids:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = bucket_weights(
+                        stream.times[stream.sources == fid], epoch, granularity, laplace
+                    )
+                assert profile.values[fid].tobytes() == want.tobytes(), (fid, granularity)
+
+
+def test_non_finite_smoothing_rejected():
+    stream = EventStream(np.array([1.0]), np.array(["a"], dtype=object))
+    for laplace in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            estimate_significance(stream, ["a"], 0.0, laplace=laplace)
+        with pytest.raises(ValueError):
+            bucket_weights(np.array([0.0]), 0.0, "weekday", laplace=laplace)
 
 
 def test_profile_validation():
