@@ -16,10 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import click
-import numpy as np
 
 from . import data_io, scenarios
 from .metrics import aggregate
@@ -126,38 +124,26 @@ def _add_options(options):
     return deco
 
 
-def _build_scenario_config(scenario, seeds, policies, budget, q, **kw):
+def _run_scenario(scenario, seeds, policies, budget, q, **kw):
+    """Run one synthetic scenario: ``(config, reports, details)``."""
+    common = dict(seeds=seeds, policies=policies, budget=budget, q=q, tune_tol=kw["tune_tol"])
     if scenario == "one-follower-hawkes":
-        return scenarios.HawkesScenarioConfig(
-            seeds=seeds,
-            policies=policies,
-            budget=budget,
-            q=q,
+        cfg = scenarios.HawkesScenarioConfig(
             lambda0=kw["feed_lambda0"],
             alpha=kw["feed_alpha"],
             w=kw["feed_w"],
             target_feed_events=kw["feed_events"],
-            tune_tol=kw["tune_tol"],
             offline_segments=kw["offline_segments"],
+            **common,
         )
-    if scenario == "multi-follower-sinusoid":
-        return scenarios.SinusoidScenarioConfig(
-            seeds=seeds,
-            policies=policies,
-            budget=budget,
-            q=q,
-            followers=kw["followers"],
-            peak_per_hour=kw["peak_per_hour"],
-            horizon=kw["horizon"],
-            tune_tol=kw["tune_tol"],
-        )
-    raise scenarios.ScenarioError(f"unknown scenario {scenario!r}")
-
-
-def _run_scenario(cfg):
-    if isinstance(cfg, scenarios.HawkesScenarioConfig):
-        return scenarios.run_one_follower_hawkes(cfg)
-    return scenarios.run_multi_follower_sinusoid(cfg)
+        return cfg, *scenarios.run_one_follower_hawkes(cfg)
+    cfg = scenarios.SinusoidScenarioConfig(
+        followers=kw["followers"],
+        peak_per_hour=kw["peak_per_hour"],
+        horizon=kw["horizon"],
+        **common,
+    )
+    return cfg, *scenarios.run_multi_follower_sinusoid(cfg)
 
 
 @main.command()
@@ -178,8 +164,7 @@ def simulate(scenario, policies, budget, q, out, seeds, **kw):
     reports = []
     infos = {}
     for b in budgets:
-        cfg = _build_scenario_config(scenario, seed_list, tuple(policies), b, q, **kw)
-        got, details = _run_scenario(cfg)
+        cfg, got, details = _run_scenario(scenario, seed_list, tuple(policies), b, q, **kw)
         reports.extend(got)
         infos[cfg.run_label] = _tune_payload(details)
     data_io.write_report_csv(reports, out)
@@ -197,8 +182,7 @@ def tune_q_cmd(scenario, target, tol, seeds, **kw):
     """Search the post price q whose mean post count matches the target."""
     seed_list = _parse_seeds(seeds)
     kw["tune_tol"] = tol
-    cfg = _build_scenario_config(scenario, seed_list, ("redqueen",), target, None, **kw)
-    _, details = _run_scenario(cfg)
+    _, _, details = _run_scenario(scenario, seed_list, ("redqueen",), target, None, **kw)
     tuned = details["redqueen_tune"]
     payload = dataclasses.asdict(tuned)
     payload["realized_budget"] = details["realized_budget"]

@@ -20,7 +20,7 @@ causal.  State per follower is O(1): the rank and the shared candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +95,19 @@ class RedQueenParams:
         if not (self.q > 0) or not math.isfinite(self.q):
             raise ValueError("q must be positive and finite")
 
+    def clocks(self, n_followers: int, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
+        """Knots and per-follower clock rates ``sqrt(s_i / q)`` between them."""
+        sched = self.significance
+        if sched is None:
+            knots = np.array([t0, tf], dtype=np.float64)
+            values = np.ones((n_followers, 1))
+        else:
+            if sched.n_followers != n_followers:
+                raise ValueError("significance schedule covers the wrong follower count")
+            knots = sched.knots
+            values = sched.values
+        return knots, np.sqrt(values / self.q)
+
 
 def optimal_intensity(ranks, params: RedQueenParams, t: float = 0.0) -> float:
     """Posting intensity sum_i sqrt(s_i(t)/q) * r_i(t) for the given ranks."""
@@ -141,17 +154,7 @@ class RedQueenController:
     def start(self, t0: float, tf: float, n_followers: int, initial_ranks) -> None:
         self.t0 = float(t0)
         self.tf = float(tf)
-        sched = self.params.significance
-        if sched is None:
-            knots = np.array([t0, tf], dtype=np.float64)
-            values = np.ones((n_followers, 1))
-        else:
-            if sched.n_followers != n_followers:
-                raise ValueError("significance schedule covers the wrong follower count")
-            knots = sched.knots
-            values = sched.values
-        self._knots = knots
-        self._clock_rates = np.sqrt(values / self.params.q)
+        self._knots, self._clock_rates = self.params.clocks(n_followers, t0, tf)
         self.ranks = np.asarray(initial_ranks, dtype=np.int64).copy()
         self._candidate = math.inf
         self._winner = (math.nan, math.nan)  # (spawn time, delta) of the min tick
@@ -249,16 +252,7 @@ def run_redqueen_fast(
     if initial_ranks is None:
         initial_ranks = np.zeros(n, dtype=np.int64)
     initial_ranks = np.asarray(initial_ranks, dtype=np.int64)
-    sched = params.significance
-    if sched is None:
-        knots = np.array([t0, tf], dtype=np.float64)
-        values = np.ones((n, 1))
-    else:
-        if sched.n_followers != n:
-            raise ValueError("significance schedule covers the wrong follower count")
-        knots = sched.knots
-        values = sched.values
-    clock_rates = np.sqrt(values / params.q)
+    knots, clock_rates = params.clocks(n, t0, tf)
     feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in feeds])
     return redqueen_posts(
         feed_t,
@@ -304,6 +298,8 @@ def tune_q(
     """
     if not 0 < target_posts < math.inf:
         raise ValueError(f"target_posts must be positive and finite, got {target_posts!r}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     evals = 0
 
     def close(c):

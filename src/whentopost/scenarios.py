@@ -1,28 +1,38 @@
 """Canned experiment setups: synthetic feeds and log replays.
 
-Each runner takes a config dataclass, executes every requested policy
-over every seed, and returns per-run metric reports plus a details dict
-(tuned prices, realized budgets).  Randomness discipline: the feed for
-(seed, follower j) comes from generator ``[seed, 1, j]``, the posting
-policy for a seed from ``[seed, 2]``, and feed-blind baselines from
-``[seed, 3]`` - separate streams, so changing the policy can never
-perturb the traffic it reacts to.
+Each runner takes a config dataclass, checks the requested policies
+against the ones its scenario allows and builds its feeds (sampled, or
+cut from a recorded log); one driver, ``_compete``, then runs every
+policy over every seed and returns per-run metric reports plus a details
+dict (tuned prices, realized budgets).  ``POLICIES`` maps each policy
+name to the function placing its posts for one seed.  A replay also
+brings its significance schedule, initial ranks and recorded posts,
+which every replayed report is normalized against.
+
+Randomness discipline: the feed for (seed, follower j) comes from
+generator ``[seed, 1, j]``, the posting policy for a seed from
+``[seed, 2]``, and feed-blind baselines from ``[seed, 3]`` - separate
+streams, so changing the policy can never perturb the traffic it reacts
+to.
 
 Budgets follow the competition protocol: the online controller's price
 q is tuned so its mean post count hits the budget, its realized mean
 then becomes the budget every baseline must match.  The clairvoyant
-schedule gets its own price search against the same budget.
+schedule gets its own price search against the same budget.  A replay
+requesting none of ``redqueen``, ``uniform`` and ``segment-offline``
+runs no controller; its budget is the recorded post count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
-from .control_online import RedQueenParams, run_redqueen_fast, tune_q
+from .control_online import RedQueenParams, StepSchedule, run_redqueen_fast, tune_q
 from .control_oracle import decisions_to_post_times, instance_from_feed, oracle_schedule
 from .data_io import ReplayDataset
 from .feed_sim import trajectory_from_posts
@@ -42,8 +52,6 @@ __all__ = [
     "run_multi_follower_sinusoid",
     "run_replay",
 ]
-
-POLICIES = ("redqueen", "oracle", "uniform", "segment-offline", "true-posts")
 
 _FEED_TAG = 1
 _POLICY_TAG = 2
@@ -66,36 +74,32 @@ class ScenarioError(ValueError):
     """The requested scenario/policy combination cannot run."""
 
 
+#: Domains of the numeric config fields, whichever configs have them.
+_POSITIVE = ("budget", "q", "target_posts", "lambda0", "w", "target_feed_events", "horizon")
+_NONNEGATIVE = ("alpha", "peak_per_hour", "tune_tol")
+_LEAST = {"offline_segments": 1, "segments_per_day": 1, "initial_rank": 0}
+
+
+def _check_domain(cfg) -> None:
+    """Reject the first numeric field of ``cfg`` outside its domain, by name."""
+    for f in fields(cfg):
+        name, value = f.name, getattr(cfg, f.name)
+        if value is None:
+            continue
+        if name in _POSITIVE and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if name in _NONNEGATIVE and not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if name in _LEAST and value < _LEAST[name]:
+            raise ValueError(f"{name} must be at least {_LEAST[name]}, got {value!r}")
+
+
 def _check_policies(policies, allowed, scenario: str):
     for p in policies:
         if p not in POLICIES:
             raise ScenarioError(f"unknown policy {p!r}; choose from {', '.join(POLICIES)}")
         if p not in allowed:
             raise ScenarioError(f"policy {p!r} is not available in the {scenario} scenario")
-
-
-def _tune_redqueen(feeds_by_seed, t0, tf, target, tol, seeds, significance=None, max_iter=60):
-    def mean_posts(q: float) -> float:
-        params = RedQueenParams(q=q, significance=significance)
-        total = 0
-        for seed in seeds:
-            posts = run_redqueen_fast(feeds_by_seed[seed], params, policy_rng(seed), t0, tf)
-            total += posts.shape[0]
-        return total / len(seeds)
-
-    return tune_q(target, mean_posts, tolerance=tol, max_iter=max_iter)
-
-
-def _tune_oracle(feeds_by_seed, t0, tf, target, tol, seeds, max_iter=60):
-    def mean_posts(q: float) -> float:
-        total = 0
-        for seed in seeds:
-            feed = feeds_by_seed[seed][0]
-            inst = instance_from_feed(feed.times, t0, tf, q=q)
-            total += oracle_schedule(inst).post_count
-        return total / len(seeds)
-
-    return tune_q(target, mean_posts, tolerance=tol, max_iter=max_iter)
 
 
 def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRate]:
@@ -107,19 +111,148 @@ def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRa
     return out
 
 
-def _oracle_post_times(feed: EventStream, t0, tf, q) -> np.ndarray:
-    inst = instance_from_feed(feed.times, t0, tf, q=q)
-    sched = oracle_schedule(inst)
-    return decisions_to_post_times(sched.decisions, feed.times, t0)
+# ---------------------------------------------------------------------------
+# the competition driver and its policy table
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Competition:
+    """One scenario's feeds, and the budgets and prices the driver settles.
+
+    ``feeds(seed)`` gives one stream per follower; ``offline_rates(seed)``
+    the per-follower rates the segment-offline planner is told.
+    """
+
+    label: str
+    t0: float
+    tf: float
+    feeds: Callable
+    offline_rates: Callable
+    significance: StepSchedule | None = None
+    initial_ranks: np.ndarray | None = None
+    recorded: EventStream | None = None  # replay only: the broadcaster's true posts
+    realized: float = 0.0  # the budget every baseline matches
+    rq_posts: dict = field(default_factory=dict)
+    oracle_q: float = math.nan
+
+
+#: Policy name -> post times for one seed of a competition.  Entries look
+#: their functions up as module globals at call time, so a rebound module
+#: attribute (a tracer's wrapper, say) sees every call.
+POLICIES = {
+    "redqueen": lambda c, seed: c.rq_posts[seed],
+    "oracle": lambda c, seed: decisions_to_post_times(
+        oracle_schedule(instance_from_feed(c.feeds(seed)[0].times, c.t0, c.tf, q=c.oracle_q)).decisions,
+        c.feeds(seed)[0].times,
+        c.t0,
+    ),
+    "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
+    "segment-offline": lambda c, seed: segment_offline_posts(
+        c.offline_rates(seed), int(round(c.realized)), c.t0, c.tf
+    ),
+    "true-posts": lambda c, seed: true_posts_playback(c.recorded),
+}
+
+
+def _tune(cfg, target: float, count):
+    """Price whose mean of ``count(q, seed)`` over the seeds hits ``target``."""
+    return tune_q(
+        target,
+        lambda q: sum(count(q, seed) for seed in cfg.seeds) / len(cfg.seeds),
+        tolerance=cfg.tune_tol,
+        max_iter=cfg.tune_max_iter,
+    )
+
+
+def _compete(cfg, comp: _Competition, details: dict, target: float | None):
+    """Settle the budgets, then report every policy on every seed.
+
+    The controller runs with ``cfg.q``, or with the price tuned so its
+    mean post count hits ``target``; synthetic scenarios always run it.
+    """
+    n_recorded = 0 if comp.recorded is None else len(comp.recorded)
+    comp.realized = float(n_recorded)
+    budgeted = any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies)
+    if comp.recorded is None or budgeted:
+
+        def rq_posts(q, seed):
+            params = RedQueenParams(q=q, significance=comp.significance)
+            return run_redqueen_fast(
+                comp.feeds(seed), params, policy_rng(seed), comp.t0, comp.tf,
+                initial_ranks=comp.initial_ranks,
+            )
+
+        q = cfg.q
+        if q is None:
+            if target <= 0:
+                raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
+            tuned = details["redqueen_tune"] = _tune(cfg, target, lambda q, s: rq_posts(q, s).shape[0])
+            q = tuned.q
+        comp.rq_posts = {seed: rq_posts(q, seed) for seed in cfg.seeds}
+        comp.realized = float(np.mean([p.shape[0] for p in comp.rq_posts.values()]))
+        details["redqueen_q"] = q
+        details["realized_budget"] = comp.realized
+
+    if "oracle" in cfg.policies:
+        oracle_target = comp.realized if comp.realized > 0 else float(max(n_recorded, 1))
+        tuned = details["oracle_tune"] = _tune(
+            cfg,
+            oracle_target,
+            lambda q, s: oracle_schedule(
+                instance_from_feed(comp.feeds(s)[0].times, comp.t0, comp.tf, q=q)
+            ).post_count,
+        )
+        comp.oracle_q = tuned.q
+
+    def play(seed, policy):
+        posts = POLICIES[policy](comp, seed)
+        traj = trajectory_from_posts(
+            comp.feeds(seed), posts, comp.t0, comp.tf, initial_ranks=comp.initial_ranks
+        )
+        return report_from_trajectory(traj, comp.label, seed, policy)
+
+    reference = None if comp.recorded is None else play(0, "true-posts")
+    reports = []
+    for seed in cfg.seeds:
+        for policy in cfg.policies:
+            report = play(seed, policy)
+            reports.append(report if reference is None else normalize_report(report, reference))
+    return reports, details
 
 
 # ---------------------------------------------------------------------------
-# one follower, self-exciting feed
+# synthetic scenarios
 # ---------------------------------------------------------------------------
+
+
+class _SyntheticConfig:
+    """The ``budget``/``q``/``seeds`` checks and run label both synthetic configs share."""
+
+    def __post_init__(self):
+        if (self.budget is None) == (self.q is None):
+            raise ScenarioError("set exactly one of budget or q")
+        if not self.seeds:
+            raise ScenarioError("need at least one seed")
+        _check_domain(self)
+
+    @property
+    def run_label(self) -> str:
+        knob = f"budget={self.budget:g}" if self.budget is not None else f"q={self.q:g}"
+        return f"{self._scenario}:{knob}"
+
+
+def _synthetic_details(feeds_by_seed: dict, tf: float) -> dict:
+    return {
+        "horizon": tf,
+        "mean_feed_events": float(
+            np.mean([sum(len(f) for f in feeds) for feeds in feeds_by_seed.values()])
+        ),
+    }
 
 
 @dataclass(frozen=True)
-class HawkesScenarioConfig:
+class HawkesScenarioConfig(_SyntheticConfig):
     """Single follower whose feed excites itself (bursty traffic)."""
 
     seeds: tuple
@@ -134,21 +267,12 @@ class HawkesScenarioConfig:
     tune_max_iter: int = 60
     offline_segments: int = 10
 
-    def __post_init__(self):
-        if (self.budget is None) == (self.q is None):
-            raise ScenarioError("set exactly one of budget or q")
-        if not self.seeds:
-            raise ScenarioError("need at least one seed")
+    _scenario = "one-follower-hawkes"
 
     @property
     def horizon(self) -> float:
         params = HawkesParams(self.lambda0, self.alpha, self.w)
         return self.target_feed_events / params.stationary_rate()
-
-    @property
-    def run_label(self) -> str:
-        knob = f"budget={self.budget:g}" if self.budget is not None else f"q={self.q:g}"
-        return f"one-follower-hawkes:{knob}"
 
 
 def run_one_follower_hawkes(cfg: HawkesScenarioConfig):
@@ -160,59 +284,15 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig):
     feeds_by_seed = {
         seed: [sample_hawkes(params, t0, tf, feed_rng(seed, 0))] for seed in cfg.seeds
     }
-    details: dict = {"horizon": tf, "mean_feed_events": float(np.mean([len(f[0]) for f in feeds_by_seed.values()]))}
-
-    if cfg.q is not None:
-        rq_q = cfg.q
-    else:
-        tuned = _tune_redqueen(
-            feeds_by_seed, t0, tf, cfg.budget, cfg.tune_tol, cfg.seeds, max_iter=cfg.tune_max_iter
-        )
-        details["redqueen_tune"] = tuned
-        rq_q = tuned.q
-
-    rq_posts = {
-        seed: run_redqueen_fast(feeds_by_seed[seed], RedQueenParams(q=rq_q), policy_rng(seed), t0, tf)
-        for seed in cfg.seeds
-    }
-    realized = float(np.mean([p.shape[0] for p in rq_posts.values()]))
-    details["redqueen_q"] = rq_q
-    details["realized_budget"] = realized
-
-    oracle_q = None
-    if "oracle" in cfg.policies:
-        tuned = _tune_oracle(
-            feeds_by_seed, t0, tf, realized if realized > 0 else 1.0, cfg.tune_tol, cfg.seeds,
-            max_iter=cfg.tune_max_iter,
-        )
-        details["oracle_tune"] = tuned
-        oracle_q = tuned.q
-
-    reports = []
-    for seed in cfg.seeds:
-        feed = feeds_by_seed[seed]
-        for policy in cfg.policies:
-            if policy == "redqueen":
-                posts = rq_posts[seed]
-            elif policy == "oracle":
-                posts = _oracle_post_times(feed[0], t0, tf, oracle_q)
-            elif policy == "uniform":
-                posts = uniform_poisson_posts(realized, t0, tf, baseline_rng(seed))
-            elif policy == "segment-offline":
-                rates = _empirical_segment_rates(feed, t0, tf, cfg.offline_segments)
-                posts = segment_offline_posts(rates, int(round(realized)), t0, tf)
-            traj = trajectory_from_posts(feed, posts, t0, tf)
-            reports.append(report_from_trajectory(traj, cfg.run_label, seed, policy))
-    return reports, details
-
-
-# ---------------------------------------------------------------------------
-# many followers, daily half-sinusoid feeds
-# ---------------------------------------------------------------------------
+    comp = _Competition(
+        cfg.run_label, t0, tf, feeds_by_seed.__getitem__,
+        lambda seed: _empirical_segment_rates(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
+    )
+    return _compete(cfg, comp, _synthetic_details(feeds_by_seed, tf), cfg.budget)
 
 
 @dataclass(frozen=True)
-class SinusoidScenarioConfig:
+class SinusoidScenarioConfig(_SyntheticConfig):
     """N followers with phase-shifted half-sinusoid daily activity."""
 
     seeds: tuple
@@ -227,17 +307,13 @@ class SinusoidScenarioConfig:
     tune_max_iter: int = 60
 
     def __post_init__(self):
-        if (self.budget is None) == (self.q is None):
-            raise ScenarioError("set exactly one of budget or q")
+        super().__post_init__()
         if self.followers < 1:
             raise ScenarioError("need at least one follower")
-        if not self.seeds:
-            raise ScenarioError("need at least one seed")
 
     @property
-    def run_label(self) -> str:
-        knob = f"budget={self.budget:g}" if self.budget is not None else f"q={self.q:g}"
-        return f"multi-follower-sinusoid:followers={self.followers}:{knob}"
+    def _scenario(self) -> str:
+        return f"multi-follower-sinusoid:followers={self.followers}"
 
 
 def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> PiecewiseRate:
@@ -271,43 +347,9 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig):
             feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
         rates_by_seed[seed] = rates
         feeds_by_seed[seed] = feeds
-    details: dict = {
-        "horizon": tf,
-        "mean_feed_events": float(
-            np.mean([sum(len(f) for f in feeds) for feeds in feeds_by_seed.values()])
-        ),
-    }
-
-    if cfg.q is not None:
-        rq_q = cfg.q
-    else:
-        tuned = _tune_redqueen(
-            feeds_by_seed, t0, tf, cfg.budget, cfg.tune_tol, cfg.seeds, max_iter=cfg.tune_max_iter
-        )
-        details["redqueen_tune"] = tuned
-        rq_q = tuned.q
-
-    rq_posts = {
-        seed: run_redqueen_fast(feeds_by_seed[seed], RedQueenParams(q=rq_q), policy_rng(seed), t0, tf)
-        for seed in cfg.seeds
-    }
-    realized = float(np.mean([p.shape[0] for p in rq_posts.values()]))
-    details["redqueen_q"] = rq_q
-    details["realized_budget"] = realized
-
-    reports = []
-    for seed in cfg.seeds:
-        feeds = feeds_by_seed[seed]
-        for policy in cfg.policies:
-            if policy == "redqueen":
-                posts = rq_posts[seed]
-            elif policy == "uniform":
-                posts = uniform_poisson_posts(realized, t0, tf, baseline_rng(seed))
-            elif policy == "segment-offline":
-                posts = segment_offline_posts(rates_by_seed[seed], int(round(realized)), t0, tf)
-            traj = trajectory_from_posts(feeds, posts, t0, tf)
-            reports.append(report_from_trajectory(traj, cfg.run_label, seed, policy))
-    return reports, details
+    # the offline planner is told the true rates here
+    comp = _Competition(cfg.run_label, t0, tf, feeds_by_seed.__getitem__, rates_by_seed.__getitem__)
+    return _compete(cfg, comp, _synthetic_details(feeds_by_seed, tf), cfg.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +377,13 @@ class ReplayConfig:
             raise ScenarioError("need at least one seed")
         if self.q is not None and self.target_posts is not None:
             raise ScenarioError("set at most one of q and target_posts")
+        _check_domain(self)
 
 
 def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
     _check_policies(cfg.policies, POLICIES, "replay")
     t0, tf = dataset.t0, dataset.tf
     n = len(dataset.follower_ids)
-    run_label = f"replay:{dataset.broadcaster}"
     if "oracle" in cfg.policies and n != 1:
         raise ScenarioError(
             "the clairvoyant schedule solves a single follower; this replay has "
@@ -360,68 +402,12 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
         )
         significance = profile.step_schedule(dataset.follower_ids, t0, tf)
 
-    init = np.full(n, cfg.initial_rank, dtype=np.int64)
-    feeds_by_seed = {seed: dataset.feeds for seed in cfg.seeds}
-
-    needs_rq = any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies)
-    rq_q = None
-    realized = float(len(dataset.true_posts))
-    if needs_rq:
-        if cfg.q is not None:
-            rq_q = cfg.q
-        else:
-            target = cfg.target_posts if cfg.target_posts is not None else float(len(dataset.true_posts))
-            if target <= 0:
-                raise ScenarioError(
-                    "no recorded posts to match: pass q or target_posts explicitly"
-                )
-            tuned = _tune_redqueen(
-                feeds_by_seed, t0, tf, target, cfg.tune_tol, cfg.seeds,
-                significance=significance, max_iter=cfg.tune_max_iter,
-            )
-            details["redqueen_tune"] = tuned
-            rq_q = tuned.q
-        params = RedQueenParams(q=rq_q, significance=significance)
-        rq_posts = {
-            seed: run_redqueen_fast(dataset.feeds, params, policy_rng(seed), t0, tf, initial_ranks=init)
-            for seed in cfg.seeds
-        }
-        realized = float(np.mean([p.shape[0] for p in rq_posts.values()]))
-        details["redqueen_q"] = rq_q
-        details["realized_budget"] = realized
-
-    oracle_q = None
-    if "oracle" in cfg.policies:
-        target = realized if realized > 0 else float(max(len(dataset.true_posts), 1))
-        tuned = _tune_oracle(feeds_by_seed, t0, tf, target, cfg.tune_tol, cfg.seeds,
-                             max_iter=cfg.tune_max_iter)
-        details["oracle_tune"] = tuned
-        oracle_q = tuned.q
-
-    reference = report_from_trajectory(
-        trajectory_from_posts(
-            dataset.feeds, true_posts_playback(dataset.true_posts), t0, tf, initial_ranks=init
-        ),
-        run_label,
-        0,
-        "true-posts",
+    comp = _Competition(
+        f"replay:{dataset.broadcaster}", t0, tf, lambda seed: dataset.feeds,
+        lambda seed: _empirical_segment_rates(dataset.feeds, t0, tf, cfg.offline_segments),
+        significance=significance,
+        initial_ranks=np.full(n, cfg.initial_rank, dtype=np.int64),
+        recorded=dataset.true_posts,
     )
-
-    reports = []
-    for seed in cfg.seeds:
-        for policy in cfg.policies:
-            if policy == "redqueen":
-                posts = rq_posts[seed]
-            elif policy == "oracle":
-                posts = _oracle_post_times(dataset.feeds[0], t0, tf, oracle_q)
-            elif policy == "uniform":
-                posts = uniform_poisson_posts(realized, t0, tf, baseline_rng(seed))
-            elif policy == "segment-offline":
-                rates = _empirical_segment_rates(dataset.feeds, t0, tf, cfg.offline_segments)
-                posts = segment_offline_posts(rates, int(round(realized)), t0, tf)
-            elif policy == "true-posts":
-                posts = true_posts_playback(dataset.true_posts)
-            traj = trajectory_from_posts(dataset.feeds, posts, t0, tf, initial_ranks=init)
-            report = report_from_trajectory(traj, run_label, seed, policy)
-            reports.append(normalize_report(report, reference))
-    return reports, details
+    target = cfg.target_posts if cfg.target_posts is not None else float(len(dataset.true_posts))
+    return _compete(cfg, comp, details, target)

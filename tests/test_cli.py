@@ -271,3 +271,48 @@ def test_unexpected_errors_keep_the_json_error_contract(tmp_path, monkeypatch, e
         "--epoch", "0.0", "--out", str(tmp_path / "profile.csv"),
     ])
     assert err == {"error": exc_type.__name__, "message": "boom"}
+
+
+REPLAY = ["replay", "--manifest", str(FIXTURE / "manifest.txt"), "--seeds", "0"]
+SIM_BUDGET = [
+    "simulate", "--scenario", "one-follower-hawkes", "--budget", "4", "--seeds", "0",
+    "--feed-events", "40",
+]
+SIM_SINUSOID = [
+    "simulate", "--scenario", "multi-follower-sinusoid", "--q", "1e9", "--seeds", "0",
+    "--followers", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (REPLAY + ["--initial-rank", "-1"], "initial_rank must be at least 0, got -1"),
+        (REPLAY + ["--target-posts", "-3"], "target_posts must be positive and finite, got -3.0"),
+        (REPLAY + ["--tune-tol", "nan"], "tune_tol must be finite and nonnegative, got nan"),
+        (REPLAY + ["--offline-segments", "0"], "offline_segments must be at least 1, got 0"),
+        (SIM_BUDGET + ["--tune-tol", "nan"], "tune_tol must be finite and nonnegative, got nan"),
+        (SIM_BUDGET + ["--tune-tol", "-1"], "tune_tol must be finite and nonnegative, got -1.0"),
+        (SIM_BUDGET + ["--feed-events", "nan"], "target_feed_events must be positive and finite, got nan"),
+        (SIM_BUDGET + ["--feed-events", "inf"], "target_feed_events must be positive and finite, got inf"),
+        (SIM_BUDGET + ["--feed-lambda0", "nan"], "lambda0 must be positive and finite, got nan"),
+        (SIM_BUDGET + ["--offline-segments", "0"], "offline_segments must be at least 1, got 0"),
+        (SIM_SINUSOID + ["--horizon", "nan"], "horizon must be positive and finite, got nan"),
+        (SIM_SINUSOID + ["--horizon", "inf"], "horizon must be positive and finite, got inf"),
+        (["tune-q", "--scenario", "one-follower-hawkes", "--target", "4", "--tol", "nan"],
+         "tune_tol must be finite and nonnegative, got nan"),
+    ],
+    ids=[
+        "replay-initial-rank", "replay-target-posts", "replay-tune-tol", "replay-offline-segments",
+        "simulate-tune-tol-nan", "simulate-tune-tol-negative", "simulate-feed-events-nan",
+        "simulate-feed-events-inf", "simulate-feed-lambda0-nan", "simulate-offline-segments",
+        "simulate-horizon-nan", "simulate-horizon-inf", "tune-q-tol-nan",
+    ],
+)
+def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):
+    out = tmp_path / "r.csv"
+    if args[0] != "tune-q":
+        args = args + ["--out", str(out)]
+    err = run_failing(args)
+    assert err == {"error": "ValueError", "message": message}
+    assert not out.exists()

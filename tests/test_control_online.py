@@ -269,3 +269,12 @@ def test_tune_q_on_simulated_posts():
 def test_tune_q_rejects_bad_target():
     with pytest.raises(ValueError):
         tune_q(0.0, lambda q: 1.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.1])
+def test_tune_q_rejects_bad_tolerance_before_any_evaluation(tolerance):
+    def never(q):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        tune_q(5.0, never, tolerance=tolerance)
