@@ -10,14 +10,29 @@ The compiled flavor is only present when numba is importable and
 WHENTOPOST_NUMBA is not 0/false/off.  The controller's fallback is a
 vectorized twin of its loop, so the script also times that loop run as
 plain Python against the fallback: that speed-up shows without numba.
+
+An I/O section then writes a 100k-event log with ``save_events`` and
+times ``load_events`` (canonical lines parsed a chunk at a time) against
+its per-line ``json.loads`` path, and ``write_profile_csv`` (a follower's
+rows at a time) against one ``csv.writerow`` per row.  It fails if the
+times, sources or file bytes differ.
 """
 
+import contextlib
+import csv
+import re
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 import click
 import numpy as np
 
+from whentopost import data_io
 from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop
+from whentopost.point_process import EventStream
+from whentopost.significance import estimate_significance
 
 
 def hawkes_workload():
@@ -63,6 +78,66 @@ def best_time(call, repeats):
     return best
 
 
+def synthetic_log():
+    """100k events from 1000 accounts over about a week, from a fixed seed."""
+    rng = np.random.default_rng(56)
+    times = np.cumsum(rng.exponential(6.0, 100_000))  # strictly increasing
+    accounts = np.array([f"u{i:05d}" for i in range(1000)], dtype=object)
+    return EventStream(times, accounts[rng.integers(0, 1000, times.shape[0])])
+
+
+def write_profile_csv_by_rows(profile, path):
+    """``write_profile_csv`` as one ``csv.writerow`` and one ``repr`` per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# granularity = {profile.granularity}\n")
+        fh.write(f"# epoch = {float(profile.epoch)!r}\n")
+        fh.write(f"# laplace = {float(profile.laplace)!r}\n")
+        fh.write(
+            f"# normalization = {profile.normalization} "
+            "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
+        )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["follower_id", "bucket_index", "value"])
+        for fid, vec in profile.values.items():
+            for b in range(vec.shape[0]):
+                writer.writerow([fid, b, repr(float(vec[b]))])
+
+
+@contextlib.contextmanager
+def per_line_events():
+    """Make ``load_events`` read every line with ``json.loads``."""
+    with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
+        yield
+
+
+def bench_io(repeats):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events.jsonl"
+        data_io.save_events(synthetic_log(), log)
+        with per_line_events():
+            t_lines = best_time(lambda: data_io.load_events(log), repeats)
+            want = data_io.load_events(log)
+        t_chunks = best_time(lambda: data_io.load_events(log), repeats)
+        got = data_io.load_events(log)
+        if got.times.tobytes() != want.times.tobytes() or got.sources.tolist() != want.sources.tolist():
+            raise SystemExit("load_events: the chunked path disagrees with the per-line path")
+
+        ids = sorted(set(got.sources))
+        profile = estimate_significance(got, ids, epoch=0.0, granularity="weekday-hour")
+        rows, chunked = Path(tmp) / "rows.csv", Path(tmp) / "chunked.csv"
+        t_rows = best_time(lambda: write_profile_csv_by_rows(profile, rows), repeats)
+        t_write = best_time(lambda: data_io.write_profile_csv(profile, chunked), repeats)
+        if rows.read_bytes() != chunked.read_bytes():
+            raise SystemExit("write_profile_csv: bytes differ from the row-by-row writer")
+
+    click.echo(f"\n{'io (100k events)':<22} {'per line/row':>12} {'chunked':>12} {'speedup':>9}")
+    for name, slow, fast in (
+        ("load_events", t_lines, t_chunks),
+        ("write_profile_csv", t_rows, t_write),
+    ):
+        click.echo(f"{name:<22} {slow * 1e3:>10.2f}ms {fast * 1e3:>10.2f}ms {slow / fast:>8.1f}x")
+
+
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
 def main(repeats):
@@ -96,6 +171,7 @@ def main(repeats):
         f"{'redqueen_posts':<22} {t_loop * 1e3:>10.2f}ms {t_base * 1e3:>10.2f}ms "
         f"{t_loop / t_base:>8.1f}x"
     )
+    bench_io(repeats)
 
 
 if __name__ == "__main__":

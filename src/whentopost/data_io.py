@@ -1,14 +1,20 @@
 """File formats: event logs, follower graphs, manifests, reports, profiles.
 
 * Events: JSON lines, one object per event: ``{"t": <seconds>, "src": "<id>"}``.
-  Times are seconds relative to the manifest's epoch.
+  Times are seconds relative to the manifest's epoch.  Lines in exactly
+  the form ``save_events`` writes (that spacing and key order, a string id
+  without escapes) are read a chunk at a time by one regular-expression
+  pass; a chunk holding any other line is read with one ``json.loads`` a
+  line.  Both give the same times, ids, warnings and ``file:line`` errors.
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
 * Reports: CSV with the fixed header
   ``run,seed,policy,posts,position_over_time,time_at_top,normalized_position,normalized_time_at_top``.
 * Profiles: CSV of ``follower_id,bucket_index,value`` rows, preceded by
-  ``#``-comment metadata lines (granularity, epoch, normalization).
+  ``#``-comment metadata lines (granularity, epoch, normalization).  Each
+  follower's rows are built as one string, with the id quoted once as
+  ``csv`` quotes it, so the bytes equal one ``writerow`` per row.
 
 Floats are written with ``repr``, which round-trips exactly, so loading
 what was saved reproduces the original values bit for bit.
@@ -21,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,34 +70,44 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Size hint, in characters, for the lines ``load_events`` parses at a time.
+_CHUNK_CHARS = 1 << 18
+
+#: The line ``save_events`` writes: a JSON number and a string with no escape
+#: or control character, so the captured text is the value JSON would read.
+_CANONICAL_EVENT = re.compile(
+    r'^\{"t": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    r'"src": "([^"\\\x00-\x1f]*)"\}$',
+    re.M,
+)
+
+
 def load_events(path) -> EventStream:
     """Read a JSON-lines event log.
 
     Out-of-order lines are sorted with a warning; coincident times are
     nudged one float step apart with a warning, so every event keeps a
     distinct timestamp.  Malformed lines fail with their line number.
+    Each account's id is kept as one shared string, however many events
+    it has.
     """
-    times = []
-    sources = []
+    parts = []
+    sources: list = []
+    interned: dict = {}
+    lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                t = float(obj["t"])
-                src = str(obj["src"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad event line ({exc})") from exc
-            times.append(t)
-            sources.append(src)
-    times = np.asarray(times, dtype=np.float64)
+        while lines := fh.readlines(_CHUNK_CHARS):
+            times, ids = _parse_chunk(lines, path, lineno)
+            parts.append(times)
+            sources.extend(map(interned.setdefault, ids, ids))
+            lineno += len(lines)
+    times = np.concatenate(parts) if parts else np.empty(0)
     # NaN propagates through min and max, and +-inf shows in one of them
     if times.size and not (math.isfinite(times.min()) and math.isfinite(times.max())):
         bad = int(np.flatnonzero(~np.isfinite(times))[0])
         raise DataFormatError(
-            f"{path}:{_event_lineno(path, bad)}: event time must be finite, got {times[bad]!r}"
+            f"{path}:{_event_lineno(path, bad)}: event time must be finite, "
+            f"got {float(times[bad])!r}"
         )
     sources = np.asarray(sources, dtype=object)
     if times.shape[0] > 1:
@@ -108,6 +125,41 @@ def load_events(path) -> EventStream:
             )
             times = fixed
     return EventStream(times, sources)
+
+
+def _parse_chunk(lines, path, first_lineno) -> tuple[np.ndarray, list]:
+    """Times and source ids of ``lines``, which start at line ``first_lineno``.
+
+    When every line is canonical one regex pass reads them all; any other
+    chunk is read line by line, with the same result for canonical lines.
+    """
+    matches = _CANONICAL_EVENT.findall("".join(lines))
+    if len(matches) == len(lines):  # one match per line at most: all canonical
+        times = np.fromiter((float(t) for t, _ in matches), np.float64, len(matches))
+        # JSON reads the integer token -0 as 0, and an integer too large for a
+        # float fails, where float() gives -0.0 and inf: such chunks go per line
+        if np.isfinite(times).all() and not np.signbit(times[times == 0.0]).any():
+            return times, [s for _, s in matches]
+    return _parse_lines(lines, path, first_lineno)
+
+
+def _parse_lines(lines, path, first_lineno) -> tuple[np.ndarray, list]:
+    """``_parse_chunk`` with one ``json.loads`` a line; blank lines are skipped."""
+    times = []
+    ids = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            t = float(obj["t"])
+            src = str(obj["src"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad event line ({exc})") from exc
+        times.append(t)
+        ids.append(src)
+    return np.array(times, dtype=np.float64), ids
 
 
 def _event_lineno(path, index: int) -> int:
@@ -351,10 +403,22 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["follower_id", "bucket_index", "value"])
-        for fid in profile.values:
-            vec = profile.values[fid]
-            for b in range(vec.shape[0]):
-                writer.writerow([fid, b, _fmt(vec[b])])
+        middles = [f",{b}," for b in range(bucket_count(profile.granularity))]
+        quoted = io.StringIO()
+        quote = csv.writer(quoted, lineterminator="\n")
+        for fid, vec in profile.values.items():
+            # the id cell exactly as writerow would quote it, then its rows in one write
+            quoted.seek(0)
+            quoted.truncate()
+            quote.writerow([fid, ""])
+            head = quoted.getvalue()[:-2]
+            vec = np.asarray(vec, dtype=np.float64)
+            reprs: dict = {}  # keyed by bits, so 0.0 and -0.0 stay apart
+            cells = [
+                reprs.get(bits) or reprs.setdefault(bits, repr(x))
+                for bits, x in zip(vec.view(np.int64).tolist(), vec.tolist())
+            ]
+            fh.write("".join([head + mid + cell + "\n" for mid, cell in zip(middles, cells)]))
 
 
 def read_profile_csv(path) -> SignificanceProfile:

@@ -43,6 +43,8 @@ def _dedupe_increasing(times: np.ndarray) -> tuple[np.ndarray, int]:
     array and the number of nudged entries.
     """
     times = np.array(times, dtype=np.float64, copy=True)
+    if np.all(np.diff(times) > 0):
+        return times, 0
     nudged = 0
     for i in range(1, times.shape[0]):
         if times[i] <= times[i - 1]:

@@ -1,11 +1,17 @@
 """Log, graph, manifest, report and profile serialization round trips."""
 
+import contextlib
+import csv
 import json
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from whentopost import data_io
 from whentopost.data_io import (
     DataFormatError,
     REPORT_HEADER,
@@ -234,9 +240,10 @@ def test_build_replay_dataset_matches_per_follower_from_sources():
 
 def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
     p = tmp_path / "events.jsonl"
-    for bad in ("Infinity", "-Infinity", "NaN", '"inf"'):
+    shown = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan", '"inf"': "inf"}
+    for bad in shown:
         write_lines(p, ['{"t": 1.0, "src": "a"}', "", '{"t": %s, "src": "b"}' % bad])
-        with pytest.raises(DataFormatError, match=r":3: event time must be finite"):
+        with pytest.raises(DataFormatError, match=rf":3: event time must be finite, got {shown[bad]}$"):
             load_events(p)
 
 
@@ -321,6 +328,46 @@ def test_profile_csv_round_trip(tmp_path):
         assert np.array_equal(back.values[fid], profile.values[fid])
 
 
+def write_profile_csv_by_rows(profile, path):
+    """The one-``writerow``-per-row writer; ``write_profile_csv`` must match its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# granularity = {profile.granularity}\n")
+        fh.write(f"# epoch = {float(profile.epoch)!r}\n")
+        fh.write(f"# laplace = {float(profile.laplace)!r}\n")
+        fh.write(
+            f"# normalization = {profile.normalization} "
+            "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
+        )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["follower_id", "bucket_index", "value"])
+        for fid in profile.values:
+            vec = profile.values[fid]
+            for b in range(vec.shape[0]):
+                writer.writerow([fid, b, repr(float(vec[b]))])
+
+
+def test_profile_csv_matches_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    special = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 0.1, 1 / 3]
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rx", "", " pad ", "é", 7]
+    for granularity, width in (("weekday", 7), ("weekday-hour", 168)):
+        values = {}
+        for fid in ids:
+            vec = rng.uniform(0.0, 1.0, width)
+            vec[rng.integers(0, width, width // 2)] = rng.choice(special, width // 2)
+            values[fid] = vec
+        values["zeros"] = np.zeros(width)
+        values["negzeros"] = -np.zeros(width)
+        profile = SignificanceProfile(granularity, epoch=1.5e9, laplace=0.5, values=values)
+        write_profile_csv(profile, tmp_path / "new.csv")
+        write_profile_csv_by_rows(profile, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    empty = SignificanceProfile("weekday", epoch=0.0, laplace=1.0, values={})
+    write_profile_csv(empty, tmp_path / "new.csv")
+    write_profile_csv_by_rows(empty, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_profile_csv_requires_metadata(tmp_path):
     p = tmp_path / "profile.csv"
     p.write_text("follower_id,bucket_index,value\nf,0,1.0\n", encoding="utf-8")
@@ -348,3 +395,190 @@ def test_trajectory_round_trip(tmp_path):
     p2 = tmp_path / "again.json"
     save_trajectory(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# load_events: the canonical-line fast path against the per-line path
+# ---------------------------------------------------------------------------
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: times bytes, sources and warnings, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stream = load_events(path)
+        except DataFormatError as exc:
+            return ("error", str(exc))
+    return (stream.times.tobytes(), stream.sources.tolist(), [str(w.message) for w in caught])
+
+
+@contextlib.contextmanager
+def per_line_only():
+    """Read every chunk line by line, as if no line were canonical."""
+    with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
+        yield
+
+
+def load_both_ways(path, chunk_chars=1 << 18):
+    """``load_outcome`` with and without the fast path; both must agree."""
+    with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
+        fast = load_outcome(path)
+        with per_line_only():
+            slow = load_outcome(path)
+    assert fast == slow
+    return fast
+
+
+def fuzz_time(rng):
+    kind = int(rng.integers(0, 7))
+    if kind == 0:
+        return str(int(rng.integers(-10**6, 10**6)))  # integer token
+    if kind == 1:
+        return "%de%d" % (rng.integers(1, 99), rng.integers(-3, 4))  # exponent, no point
+    if kind == 2:
+        return "%.3fE+%d" % (rng.uniform(0, 9), rng.integers(0, 3))
+    if kind == 3:
+        return str(rng.choice(["-0", "-0.0", "0", "0.0", "0e0", "-0E-0", "-0.000e5"]))
+    if kind == 4:
+        return repr(float(rng.integers(0, 20)))  # a small pool: ties and disorder
+    return repr(float(rng.uniform(-1e6, 1e6)))
+
+
+FUZZ_SOURCES = ["u1", "u2", "a,b", "qé", "sp ace", "del\x7f", "line\u2028sep", ""]
+
+
+def fuzz_line(rng):
+    t = fuzz_time(rng)
+    src = str(rng.choice(FUZZ_SOURCES))
+    kind = int(rng.integers(0, 30))
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "  \t"
+    if kind == 2:
+        return '{"src": %s, "t": %s}' % (json.dumps(src), t)  # keys reordered
+    if kind == 3:
+        return ' { "t" :%s ,  "src":%s } ' % (t, json.dumps(src))  # extra spaces
+    if kind == 4:
+        return '{"t": %s, "src": %s}' % (t, json.dumps(src + '"\\'))  # escaped src
+    if kind == 5:
+        return '{"t": %s, "src": %s}' % (t, json.dumps(src, ensure_ascii=True))
+    if kind == 6:
+        return '{"t": 99, "src": "dup", "t": %s, "src": %s}' % (t, json.dumps(src))
+    if kind == 7:
+        return '{"t": "%s", "src": %s}' % (t, json.dumps(src))  # time as a string
+    if kind == 8 and rng.random() < 0.1:
+        return '{"t": %s, "src": "x"}' % rng.choice(["NaN", "Infinity", "1e999", "1" + "0" * 400])
+    if kind == 9 and rng.random() < 0.1:
+        return str(rng.choice(['{"t": 01, "src": "x"}', '{"t": 1.0, "src": "x"', '{"t": 1.0}']))
+    return '{"t": %s, "src": %s}' % (t, json.dumps(src, ensure_ascii=False))
+
+
+def test_load_events_fast_path_matches_per_line_path(tmp_path):
+    rng = np.random.default_rng(2024)
+    p = tmp_path / "events.jsonl"
+    calls = {"_parse_chunk": 0, "_parse_lines": 0}
+
+    def counted(name):
+        real = getattr(data_io, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return mock.patch.object(data_io, name, wrapper)
+
+    outcomes = set()
+    mixed_loads = 0
+    for _ in range(400):
+        lines = [fuzz_line(rng) for _ in range(int(rng.integers(0, 40)))]
+        text = "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")  # no final newline
+        p.write_bytes(text.encode("utf-8"))
+        before = dict(calls)
+        with mock.patch.object(data_io, "_CHUNK_CHARS", int(rng.choice([1, 60, 300, 1 << 18]))):
+            with counted("_parse_chunk"), counted("_parse_lines"):
+                fast = load_outcome(p)
+            with per_line_only():
+                slow = load_outcome(p)
+        assert fast == slow, text
+        per_line = calls["_parse_lines"] - before["_parse_lines"]
+        mixed_loads += 0 < per_line < calls["_parse_chunk"] - before["_parse_chunk"]
+        outcomes.add("error" if fast[0] == "error" else "warned" if fast[2] else "clean")
+    assert outcomes == {"error", "warned", "clean"}
+    assert mixed_loads >= 100
+
+
+NEAR_CANONICAL = [
+    '{"t": 01, "src": "x"}', '{"t": 1., "src": "x"}', '{"t": .5, "src": "x"}',
+    '{"t": +1, "src": "x"}', '{"t": 1e, "src": "x"}', '{"t": 1_0, "src": "x"}',
+    '{"t": 1\u0661, "src": "x"}', '{"t": 0.\u0661, "src": "x"}', '{"t": -, "src": "x"}',
+    '{"t": 1.0, "src": "x"}}', '{"t": 1.0, "src": "x"} x', '{"t": 1.0, "src": "x"} ',
+    '{"t": 1.0, "src": "x"}\x0c',
+    '{"t": 1.0, "src": "\tx"}', '{"t": 1.0, "src": "a\\"b"}', '{"t": 1.0, "src": "x\\u0041"}',
+    '{"t": 1.0, "src": "x\\\\"}', '\ufeff{"t": 1.0, "src": "x"}', '{"t": NaN, "src": "x"}',
+    '{"t": -Infinity, "src": "x"}', '{"t": 1e999, "src": "x"}', '{"t": -0, "src": "x"}',
+    '{"t": 1.0, "src": "x", "src": "y"}', '{"t": 1.0, "src": 5}', '{"t": true, "src": "x"}',
+]
+
+
+def test_load_events_near_canonical_lines_agree(tmp_path):
+    p = tmp_path / "events.jsonl"
+    for line in NEAR_CANONICAL:
+        write_lines(p, ['{"t": -1.5, "src": "a"}', line, '{"t": 2.5, "src": "b"}'])
+        for chunk_chars in (1, 1 << 18):
+            load_both_ways(p, chunk_chars)
+
+
+def test_load_events_bad_line_in_a_later_chunk(tmp_path):
+    p = tmp_path / "events.jsonl"
+    good = ['{"t": %r, "src": "u%d"}' % (k + 0.5, k % 3) for k in range(60)]
+    for bad, message in (
+        ("not json", ":41: bad event line"),
+        ('{"t": Infinity, "src": "u1"}', ":41: event time must be finite, got inf"),
+        ('{"t": 1%s, "src": "u1"}' % ("0" * 400), ":41: bad event line (int too large"),
+    ):
+        write_lines(p, good[:40] + [bad] + good[40:])
+        for chunk_chars in (100, 1000, 1 << 18):
+            outcome = load_both_ways(p, chunk_chars)
+            assert outcome[0] == "error" and message in outcome[1]
+
+
+def test_load_events_oversized_integer_time_fails_with_line_number(tmp_path):
+    p = tmp_path / "events.jsonl"
+    huge = "1" + "0" * 400
+    want = f"{p}:2: bad event line (int too large to convert to float)"
+    for bad in ('{"t": %s, "src": "b"}' % huge, '{"t":%s,"src":"b"}' % huge):  # fast, per line
+        write_lines(p, ['{"t": 1.0, "src": "a"}', bad])
+        for loader in (contextlib.nullcontext, per_line_only):
+            with loader(), pytest.raises(DataFormatError) as err:
+                load_events(p)
+            assert str(err.value) == want
+
+
+def test_load_events_reads_integer_minus_zero_as_positive_zero(tmp_path):
+    p = tmp_path / "events.jsonl"
+    for token, negative in (("-0", False), ("-0.0", True), ("-0e3", True), ("0", False)):
+        write_lines(p, ['{"t": %s, "src": "a"}' % token])
+        times = load_events(p).times
+        assert times[0] == 0.0 and bool(np.signbit(times[0])) is negative
+
+
+def test_load_events_keeps_one_string_per_account(tmp_path):
+    p = tmp_path / "events.jsonl"
+    write_lines(p, ['{"t": %d.5, "src": "u%d"}' % (k, k % 4) for k in range(50)])
+    for loader in (contextlib.nullcontext, per_line_only):
+        with loader():
+            sources = load_events(p).sources
+        assert len({id(s) for s in sources}) == 4
+
+
+def test_load_events_warnings_agree_on_shuffled_and_tied_logs(tmp_path):
+    p = tmp_path / "events.jsonl"
+    write_lines(p, ['{"t": %r, "src": "u%d"}' % (float(t), t % 3) for t in [5, 3, 3, 9, 1, 9, 9]])
+    times, sources, caught = load_both_ways(p)
+    assert len(caught) == 2
+    assert "out of order" in caught[0] and "nudged 3 coincident" in caught[1]
+    assert sources == ["u1", "u0", "u0", "u2", "u0", "u0", "u0"]

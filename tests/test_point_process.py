@@ -232,6 +232,24 @@ def test_superpose_tie_nudged_with_warning():
     assert merged.times[2] == np.nextafter(2.0, math.inf)
 
 
+def test_dedupe_increasing_returns_a_copy_and_nudges_only_ties():
+    from whentopost.point_process import _dedupe_increasing
+
+    up = np.nextafter(1.0, 2.0)
+    for times, want, nudged in (
+        ([], [], 0),
+        ([3.0], [3.0], 0),
+        ([1.0, 2.0, 5.0], [1.0, 2.0, 5.0], 0),
+        ([1.0, 1.0, 1.0, 4.0], [1.0, up, np.nextafter(up, 2.0), 4.0], 2),
+        ([-0.0, 0.0], [-0.0, 5e-324], 1),
+    ):
+        times = np.asarray(times, dtype=np.float64)
+        fixed, count = _dedupe_increasing(times)
+        assert count == nudged
+        assert fixed.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        assert not np.shares_memory(fixed, times)
+
+
 def test_superpose_of_poisson_streams_has_summed_rate():
     # five independent Poisson(2) feeds superpose to Poisson(10)
     rng = np.random.default_rng(12)
