@@ -11,6 +11,11 @@ WHENTOPOST_NUMBA is not 0/false/off.  The controller's fallback is a
 vectorized twin of its loop, so the script also times that loop run as
 plain Python against the fallback: that speed-up shows without numba.
 
+An oracle section times the backward induction at 3k, 20k and 100k
+stages, at a low and a high price, and prints each call's
+``tracemalloc`` peak.  It fails if a schedule costs more than holding
+throughout or posting at every stage.
+
 An I/O section then writes a 100k-event log with ``save_events`` and
 times ``load_events`` (canonical lines parsed a chunk at a time) against
 its per-line ``json.loads`` path, and ``write_profile_csv`` (a follower's
@@ -23,6 +28,7 @@ import csv
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +36,8 @@ import click
 import numpy as np
 
 from whentopost import data_io
-from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop
+from whentopost.control_oracle import OracleInstance, schedule_cost
+from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop, oracle_decisions
 from whentopost.point_process import EventStream
 from whentopost.significance import estimate_significance
 
@@ -76,6 +83,31 @@ def best_time(call, repeats):
         call()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def bench_oracle(repeats):
+    """Time the induction at three scales; check each schedule against two trivial ones."""
+    rng = np.random.default_rng(78)
+    click.echo(f"\n{'oracle_decisions':<22} {'q':>10} {'time':>12} {'peak':>10} {'posts':>7}")
+    for stages in (3_000, 20_000, 100_000):
+        widths = rng.exponential(0.09, stages)  # the hawkes-oracle feed's mean gap
+        for q in (16.0, 2.0**24):  # the tunes for 400 and 5 posts on 3k stages end near these
+            t = best_time(lambda: oracle_decisions(widths, 0, q, 1.0), repeats)
+            tracemalloc.start()
+            try:
+                decisions = oracle_decisions(widths, 0, q, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            inst = OracleInstance(0, widths, q)
+            cost = schedule_cost(decisions, inst)
+            for name, fill in (("all-hold", 0), ("all-post", 1)):
+                if cost > schedule_cost(np.full(stages, fill, np.int8), inst):
+                    raise SystemExit(f"oracle_decisions: {stages} stages, q={q}: costs more than {name}")
+            click.echo(
+                f"{f'{stages} stages':<22} {q:>10.3g} {t * 1e3:>10.2f}ms "
+                f"{peak / 2**20:>7.2f}MiB {int(decisions.sum()):>7}"
+            )
 
 
 def synthetic_log():
@@ -171,6 +203,7 @@ def main(repeats):
         f"{'redqueen_posts':<22} {t_loop * 1e3:>10.2f}ms {t_base * 1e3:>10.2f}ms "
         f"{t_loop / t_base:>8.1f}x"
     )
+    bench_oracle(repeats)
     bench_io(repeats)
 
 

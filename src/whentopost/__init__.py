@@ -27,7 +27,6 @@ from .control_oracle import (
     OracleInstance,
     OracleSchedule,
     brute_force_schedule,
-    brute_force_schedule_multi,
     decisions_to_post_times,
     instance_from_feed,
     oracle_schedule,
@@ -106,7 +105,6 @@ __all__ = [
     "OracleSchedule",
     "oracle_schedule",
     "brute_force_schedule",
-    "brute_force_schedule_multi",
     "schedule_cost",
     "instance_from_feed",
     "decisions_to_post_times",

@@ -12,16 +12,18 @@ bump applies at stage 0 too, so the model behaves as if one story
 arrived the moment the window opened; r0 is the rank just before.  The
 objective charges 0.5*s*widths[k]*r_{k+1}^2 per interval, 0.5*q per
 post, and 0.5*r_{m+1}^2 at the horizon.  ``oracle_schedule`` solves it
-by backward induction (ties hold); ``brute_force_schedule`` enumerates
+by backward induction (ties hold).  Each stage posts iff its rank
+reaches a threshold, so the induction keeps O(m) values instead of a
+quadratic table; its time stays quadratic in the worst case, which
+``MAX_ORACLE_STAGES`` bounds.  ``brute_force_schedule`` enumerates
 every decision vector and exists to cross-check the induction.  Both
-report the cost through the same forward evaluator.
+report the cost through the same forward evaluator, ``schedule_cost``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -35,7 +37,6 @@ __all__ = [
     "brute_force_schedule",
     "instance_from_feed",
     "decisions_to_post_times",
-    "brute_force_schedule_multi",
 ]
 
 MAX_BRUTE_FORCE_STAGES = 22
@@ -57,8 +58,14 @@ class OracleInstance:
             raise ValueError("need at least one interval width")
         if np.any(widths < 0):
             raise ValueError("interval widths cannot be negative")
+        if not np.all(np.isfinite(widths)):
+            k = int(np.flatnonzero(~np.isfinite(widths))[0])
+            raise ValueError(f"widths must be finite, got {float(widths[k])} at stage {k}")
         if self.r0 < 0:
             raise ValueError("initial rank cannot be negative")
+        for name, price in (("q", self.q), ("s", self.s)):
+            if not math.isfinite(price):
+                raise ValueError(f"{name} must be finite, got {float(price)}")
         if self.q < 0 or self.s < 0:
             raise ValueError("prices cannot be negative")
         object.__setattr__(self, "widths", widths)
@@ -81,12 +88,24 @@ class OracleSchedule:
 
 
 def schedule_cost(decisions, inst: OracleInstance) -> float:
-    """Forward objective of one decision vector (the shared evaluator)."""
-    return float(schedule_cost_batch(np.asarray(decisions, np.float64)[None, :], inst)[0])
+    """Forward objective of one decision vector (the shared evaluator).
+
+    One scalar pass with :func:`schedule_cost_batch`'s float expressions,
+    so the two agree bit for bit.
+    """
+    u = np.asarray(decisions, dtype=np.float64)
+    if u.shape != (inst.n_stages,):
+        raise ValueError("need exactly one decision per stage")
+    r = float(inst.r0)
+    cost = 0.0
+    for w, uk in zip(inst.widths.tolist(), u.tolist()):
+        r = (r + 1.0) * (1.0 - uk)
+        cost += 0.5 * inst.s * w * (r * r) + 0.5 * inst.q * uk
+    return cost + 0.5 * (r * r)
 
 
 def schedule_cost_batch(decisions: np.ndarray, inst: OracleInstance) -> np.ndarray:
-    """Forward objective of each row of a 0/1 decision matrix."""
+    """Forward objective of each row of a 0/1 decision matrix (brute force's enumerator)."""
     u = np.asarray(decisions, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != inst.n_stages:
         raise ValueError("decision rows must have one entry per stage")
@@ -103,9 +122,9 @@ def oracle_schedule(inst: OracleInstance) -> OracleSchedule:
     """Optimal decisions by backward induction; cost via the forward evaluator."""
     if inst.n_stages > MAX_ORACLE_STAGES:
         raise ValueError(
-            f"{inst.n_stages} stages needs a quadratic table; the induction is "
-            f"capped at {MAX_ORACLE_STAGES} stages - shrink the window or "
-            "thin the feed"
+            f"{inst.n_stages} stages: the induction's worst-case work grows "
+            f"with the square of the stage count and is capped at "
+            f"{MAX_ORACLE_STAGES} stages - shrink the window or thin the feed"
         )
     decisions = oracle_decisions(inst.widths, int(inst.r0), float(inst.q), float(inst.s))
     return OracleSchedule(decisions, schedule_cost(decisions, inst))
@@ -155,49 +174,3 @@ def decisions_to_post_times(decisions, feed_times, t0: float) -> np.ndarray:
             times.append(np.nextafter(feed_times[k], math.inf))
     return np.asarray(times, dtype=np.float64)
 
-
-def brute_force_schedule_multi(
-    feeds: list[np.ndarray],
-    t0: float,
-    tf: float,
-    q: float,
-    s=1.0,
-    r0s=None,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive schedule search with one rank per follower (tiny scale).
-
-    Decision stages sit at the window start and after each merged feed
-    event; ranks evolve physically (a stage only bumps the followers
-    whose feeds fired there).  Returns the best 0/1 decision vector and
-    its cost 0.5*sum_i s_i*integral(r_i^2) + 0.5*q*posts +
-    0.5*sum_i r_i(tf)^2.
-    """
-    n = len(feeds)
-    feeds = [np.asarray(f, dtype=np.float64) for f in feeds]
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n,))
-    r0s = np.zeros(n) if r0s is None else np.asarray(r0s, dtype=np.float64)
-    merged = np.concatenate(feeds) if n else np.empty(0)
-    merged = np.unique(merged[(merged > t0) & (merged <= tf)])
-    stages = merged.shape[0] + 1
-    if stages > MAX_BRUTE_FORCE_STAGES:
-        raise ValueError(f"brute force is capped at {MAX_BRUTE_FORCE_STAGES} stages")
-    # bumps[i, k]: how many events follower i's feed got at stage k >= 1
-    bumps = np.zeros((n, stages), dtype=np.float64)
-    for i, f in enumerate(feeds):
-        f = f[(f > t0) & (f <= tf)]
-        idx = np.searchsorted(merged, f)
-        np.add.at(bumps[i], idx + 1, 1.0)
-    widths = np.diff(np.concatenate([[t0], merged, [tf]]))
-    best_cost = math.inf
-    best = None
-    for dec in product((0.0, 1.0), repeat=stages):
-        r = r0s.copy()
-        cost = 0.0
-        for k in range(stages):
-            r = (r + bumps[:, k]) * (1.0 - dec[k])
-            cost += 0.5 * widths[k] * float(np.sum(s * r * r)) + 0.5 * q * dec[k]
-        cost += 0.5 * float(np.sum(r * r))
-        if cost < best_cost:
-            best_cost = cost
-            best = dec
-    return np.asarray(best, dtype=np.int8), float(best_cost)

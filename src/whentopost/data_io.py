@@ -155,7 +155,9 @@ def _parse_lines(lines, path, first_lineno) -> tuple[np.ndarray, list]:
             obj = json.loads(line)
             t = float(obj["t"])
             src = str(obj["src"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (
+            json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+        ) as exc:  # RecursionError: a deeply nested line
             raise DataFormatError(f"{path}:{lineno}: bad event line ({exc})") from exc
         times.append(t)
         ids.append(src)

@@ -88,9 +88,20 @@ def rank_step(state: RankState, t: float, follower: int | None) -> RankState:
     ranks = state.ranks.copy()
     if follower is None:
         ranks[:] = 0
-        return RankState(ranks, t, t)
+        return _trusted_state(ranks, t, t)
     ranks[follower] += 1
-    return RankState(ranks, t, state.last_own_post)
+    return _trusted_state(ranks, t, state.last_own_post)
+
+
+def _trusted_state(ranks: np.ndarray, as_of: float, last_own_post) -> RankState:
+    """A :class:`RankState` built without ``__post_init__``.
+
+    For ranks already known to be a non-negative int64 array, such as
+    the ones :func:`rank_step` derives from a valid state.
+    """
+    state = object.__new__(RankState)
+    state.__dict__.update(ranks=ranks, as_of=as_of, last_own_post=last_own_post)
+    return state
 
 
 def rank_from_history(

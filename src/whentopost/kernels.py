@@ -1,21 +1,20 @@
 """Hot numeric kernels, compiled with numba when available.
 
-Every kernel exists in two selectable flavors:
+Every kernel is written once in nopython-compatible Python and compiled
+with ``numba.njit`` when numba is importable and the ``WHENTOPOST_NUMBA``
+environment variable is not ``0``/``false``/``off``.  Otherwise the
+same source runs as plain Python: the feed sampler as a scalar loop,
+the backward induction through NumPy slices.  Only the online
+controller keeps a separate fallback, a vectorized NumPy twin of its
+loop.
 
-* a loop implementation written in nopython-compatible Python, compiled
-  with ``numba.njit`` when numba is importable and the ``WHENTOPOST_NUMBA``
-  environment variable is not ``0``/``false``/``off``;
-* a fallback used otherwise.  For the online controller and the backward
-  induction it is a vectorized NumPy twin of the loop; the feed sampler
-  falls back to the loop itself, run as plain Python.
-
-Both flavors consume ``numpy.random.Generator`` streams and draw the same
-values in the same order, so for a given seed they return
-bitwise-identical results.  The flag therefore only changes speed, never
-output.  One difference remains: the vectorized controller draws its
-exponentials in bulk, a chunk of feed events at a time, so it can leave
-the generator further along than the loop does.  Its callers pass a fresh
-generator per run and never reuse it.  The benchmark in
+The controller's flavors consume ``numpy.random.Generator`` streams and
+draw the same values in the same order, so for a given seed they
+return bitwise-identical results.  The flag therefore only changes
+speed, never output.  One difference remains: the vectorized controller
+draws its exponentials in bulk, a chunk of feed events at a time, so it
+can leave the generator further along than the loop does.  Its callers
+pass a fresh generator per run and never reuse it.  The benchmark in
 ``benchmarks/bench_kernels.py`` times the flavors against each other.
 """
 
@@ -324,7 +323,7 @@ def _redqueen_posts_numpy(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_decisions_loop(widths, r0, q, s):
+def _oracle_decisions(widths, r0, q, s):
     """Backward induction over post/hold decisions on a revealed feed.
 
     Decision stages k = 0..m sit at the window start and after each of
@@ -334,59 +333,58 @@ def _oracle_decisions_loop(widths, r0, q, s):
     ``0.5 * s * widths[k] * r_{k+1}**2 + 0.5 * q * u_k`` and terminal
     cost ``0.5 * r_{m+1}**2``.  Returns the 0/1 decision vector; ties
     resolve to holding.
+
+    For finite inputs the value function ``V_k`` is nondecreasing in
+    rank, and float ``+``, ``*`` and ``<`` are monotone, so each stage
+    posts iff ``r >= T_k`` and ``V_k(r)`` is the stage's post cost from
+    ``T_k`` on.  Two swapped buffers hold a prefix of ``V_{k+1}``: its
+    values below ``T_{k+1}``, then its post cost, written out on demand
+    in doubling chunks.  Memory is O(r0 + m) and a stage costs
+    O(T_k + T_{k+1}), at worst O(r0 + m).  The float expressions are
+    those of the full ``(m+2) x (r0+m+2)`` value table, so the decisions
+    match it bit for bit.
     """
     mp1 = widths.shape[0]  # m + 1 decision stages
     size = r0 + mp1 + 1  # ranks 0 .. r0+m+1 at the terminal stage
-    table = np.empty((mp1 + 1, size), np.float64)
-    for r in range(size):
-        table[mp1, r] = 0.5 * r * r
-    for k in range(mp1 - 1, -1, -1):
-        post = 0.5 * q + table[k + 1, 0]
-        for r in range(r0 + k + 1):
-            bumped = r + 1.0
-            bumped_sq = bumped * bumped
-            hold = 0.5 * s * widths[k] * bumped_sq + table[k + 1, r + 1]
-            table[k, r] = post if post < hold else hold
-    decisions = np.zeros(mp1, np.int8)
-    r = r0
-    for k in range(mp1):
-        post = 0.5 * q + table[k + 1, 0]
-        bumped = r + 1.0
-        bumped_sq = bumped * bumped
-        hold = 0.5 * s * widths[k] * bumped_sq + table[k + 1, r + 1]
-        if post < hold:
-            decisions[k] = 1
-            r = 0
-        else:
-            r = r + 1
-    return decisions
-
-
-def _oracle_decisions_numpy(widths, r0, q, s):
-    """Vectorized twin of :func:`_oracle_decisions_loop` (same bits out).
-
-    Elementwise expressions are kept identical so both flavors agree
-    bitwise, not just approximately.
-    """
-    widths = np.asarray(widths, np.float64)
-    mp1 = widths.shape[0]
-    size = r0 + mp1 + 1
-    table = np.empty((mp1 + 1, size), np.float64)
-    ranks = np.arange(size, dtype=np.float64)
-    table[mp1] = 0.5 * ranks * ranks
+    ranks = np.arange(size).astype(np.float64)
     bumped_sq = (ranks + 1.0) * (ranks + 1.0)
+    nxt = 0.5 * ranks * ranks  # terminal cost: no post region
+    cur = np.empty(size, np.float64)
+    n_nxt = size  # nxt[:n_nxt] holds V_{k+1}
+    post_nxt = 0.0  # V_{k+1}(r) past its threshold
+    thresholds = np.empty(mp1, np.int64)
     for k in range(mp1 - 1, -1, -1):
-        post = 0.5 * q + table[k + 1, 0]
-        top = r0 + k + 1
-        hold = 0.5 * s * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
-        table[k, :top] = np.minimum(post, hold)
+        a = 0.5 * s * widths[k]
+        post = 0.5 * q + nxt[0]
+        top = r0 + k + 1  # ranks 0 .. r0+k are reachable at stage k
+        lo = 0
+        hi = min(n_nxt - 1, top)
+        while True:
+            # holding from rank r costs a*(r+1)^2 + V_{k+1}(r+1); below
+            # the threshold that is V_k(r), past it cur is overwritten
+            hold = cur[lo:hi]
+            np.multiply(a, bumped_sq[lo:hi], hold)
+            np.add(hold, nxt[lo + 1 : hi + 1], hold)
+            t = lo + np.searchsorted(hold, post, side="right")
+            if t < hi or hi == top:
+                break
+            grown = min(2 * n_nxt, size)
+            nxt[n_nxt:grown] = post_nxt
+            n_nxt = grown
+            lo = hi
+            hi = min(n_nxt - 1, top)
+        thresholds[k] = t
+        # V_k(r) = post for r >= t; writing some of it out keeps cur[0]
+        # valid when t == 0
+        grown = min(t + 64, size)
+        cur[t:grown] = post
+        nxt, cur = cur, nxt
+        n_nxt = grown
+        post_nxt = post
     decisions = np.zeros(mp1, np.int8)
     r = r0
     for k in range(mp1):
-        post = 0.5 * q + table[k + 1, 0]
-        bumped = r + 1.0
-        hold = 0.5 * s * widths[k] * (bumped * bumped) + table[k + 1, r + 1]
-        if post < hold:
+        if r >= thresholds[k]:
             decisions[k] = 1
             r = 0
         else:
@@ -397,12 +395,12 @@ def _oracle_decisions_numpy(widths, r0, q, s):
 sample_hawkes_times = _maybe_jit(_sample_hawkes_loop)
 _clock_first_time = _maybe_jit(_clock_first_time)
 
+oracle_decisions = _maybe_jit(_oracle_decisions)
+
 if NUMBA_ENABLED:
     redqueen_posts = _njit(cache=True)(_redqueen_posts_loop)
-    oracle_decisions = _njit(cache=True)(_oracle_decisions_loop)
 else:
     redqueen_posts = _redqueen_posts_numpy
-    oracle_decisions = _oracle_decisions_numpy
 
 #: Both flavors of every kernel, keyed by kernel name then flavor name.
 #: The fallback flavor is always callable; the "numba" flavor is None when
@@ -418,6 +416,6 @@ IMPLEMENTATIONS = {
     },
     "oracle_decisions": {
         "numba": oracle_decisions if NUMBA_ENABLED else None,
-        "fallback": _oracle_decisions_numpy,
+        "fallback": _oracle_decisions,
     },
 }

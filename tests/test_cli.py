@@ -236,6 +236,18 @@ def test_oversized_integer_event_time_fails_with_line_number(tmp_path, line):
     assert err["message"] == f"{events}:2: bad event line (int too large to convert to float)"
 
 
+def test_deeply_nested_event_line_fails_with_line_number(tmp_path):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 1.0, "src": "a"}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    err = run_failing([
+        "estimate-significance", "--events", str(events), "--epoch", "0.0",
+        "--out", str(tmp_path / "profile.csv"),
+    ])
+    assert err["error"] == "DataFormatError"
+    assert err["message"].startswith(f"{events}:2: bad event line (maximum recursion depth")
+    assert not (tmp_path / "profile.csv").exists()
+
+
 @pytest.mark.parametrize("epoch", ["inf", "nan"])
 def test_non_finite_epoch_flag_fails(tmp_path, epoch):
     err = run_failing([

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from reference import brute_force_schedule_multi
 
 from whentopost.control_oracle import (
     MAX_BRUTE_FORCE_STAGES,
     MAX_ORACLE_STAGES,
     OracleInstance,
     brute_force_schedule,
-    brute_force_schedule_multi,
     decisions_to_post_times,
     instance_from_feed,
     oracle_schedule,
     schedule_cost,
+    schedule_cost_batch,
 )
 from whentopost.feed_sim import trajectory_from_posts
 from whentopost.metrics import quadratic_control_cost
@@ -174,6 +175,48 @@ def test_validation_rejects_bad_instances():
         OracleInstance(r0=0, widths=np.array([1.0]), q=-1.0)
     with pytest.raises(ValueError):
         OracleInstance(r0=0, widths=np.empty(0), q=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("q", math.nan, "q must be finite, got nan"),
+        ("q", math.inf, "q must be finite, got inf"),
+        ("s", math.nan, "s must be finite, got nan"),
+        ("widths", np.array([1.0, math.nan]), "widths must be finite, got nan at stage 1"),
+        ("widths", np.array([math.inf, 1.0]), "widths must be finite, got inf at stage 0"),
+    ],
+)
+def test_validation_rejects_non_finite_inputs(field, value, message):
+    kwargs = dict(r0=0, widths=np.array([1.0, 1.0]), q=1.0, s=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OracleInstance(**kwargs)
+
+
+def test_scalar_cost_equals_batch_cost_bitwise():
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        m1 = int(rng.integers(1, 400))
+        widths = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), m1))
+        widths[rng.random(m1) < 0.1] = 0.0
+        q = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e8))))
+        s = [0.0, 1, float(rng.uniform(0.01, 100.0))][case % 3]
+        inst = OracleInstance(int(rng.integers(0, 20)), widths, q, s)
+        rows = np.stack([rng.random(m1) < p for p in (0.0, 0.05, 0.5, 1.0)])
+        rows = np.vstack([rows, oracle_schedule(inst).decisions])
+        batch = schedule_cost_batch(rows.astype(np.float64), inst)
+        for row, want in zip(rows, batch):
+            got = schedule_cost(row.astype(np.int8), inst)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), f"case {case}"
+
+
+def test_schedule_cost_rejects_wrong_length():
+    inst = OracleInstance(0, np.array([1.0, 1.0]), 1.0)
+    for bad in ([0], [0, 1, 0], [[0, 1]]):
+        with pytest.raises(ValueError, match="one decision per stage"):
+            schedule_cost(bad, inst)
 
 
 def test_stage_caps_are_enforced():

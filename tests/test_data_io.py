@@ -558,6 +558,15 @@ def test_load_events_oversized_integer_time_fails_with_line_number(tmp_path):
             assert str(err.value) == want
 
 
+def test_load_events_deeply_nested_line_fails_with_line_number(tmp_path):
+    p = tmp_path / "events.jsonl"
+    write_lines(p, ['{"t": 1.0, "src": "a"}', "[" * 100_000 + "]" * 100_000])
+    for loader in (contextlib.nullcontext, per_line_only):
+        with loader(), pytest.raises(DataFormatError) as err:
+            load_events(p)
+        assert str(err.value).startswith(f"{p}:2: bad event line (maximum recursion depth")
+
+
 def test_load_events_reads_integer_minus_zero_as_positive_zero(tmp_path):
     p = tmp_path / "events.jsonl"
     for token, negative in (("-0", False), ("-0.0", True), ("-0e3", True), ("0", False)):

@@ -77,6 +77,21 @@ def test_rank_state_rejects_negative_rank():
         RankState(np.array([-1]), 0.0)
 
 
+def test_rank_step_states_equal_checked_states():
+    # rank_step skips RankState's check; what it builds must not tell
+    state = RankState([2, 0], 0.0)
+    for t, follower in [(1.0, 0), (2.0, None), (3.0, 1), (3.0, 1)]:
+        state = rank_step(state, t, follower)
+        checked = RankState(state.ranks.copy(), state.as_of, state.last_own_post)
+        assert type(state) is RankState and state.ranks.dtype == np.int64
+        assert (state.ranks.tolist(), state.as_of, state.last_own_post) == (
+            checked.ranks.tolist(), checked.as_of, checked.last_own_post
+        )
+    assert state.ranks.tolist() == [0, 2] and state.last_own_post == 2.0
+    with pytest.raises(AttributeError):
+        state.as_of = 4.0  # still frozen
+
+
 def test_rank_from_history_counts_after_last_post():
     assert rank_from_history(np.array([2.0]), np.array([1.0, 2.5, 3.7]), 4.0) == 2
 

@@ -3,11 +3,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference import oracle_decisions_table
 
 from whentopost import kernels
+from whentopost.control_oracle import instance_from_feed
+from whentopost.point_process import HawkesParams, sample_hawkes
+from whentopost.scenarios import HawkesScenarioConfig, feed_rng
 
 needs_numba = pytest.mark.skipif(
     not kernels.NUMBA_ENABLED, reason="numba flavor disabled in this process"
@@ -248,3 +253,72 @@ def test_controller_boundaries_on_exact_draws(feed, draws, want):
     for kernel in (kernels._redqueen_posts_loop, kernels._redqueen_posts_numpy):
         got = kernel(rng=ScriptedExponentials(draws), **args)
         assert got.tolist() == want, kernel.__name__
+
+
+def random_oracle_case(rng):
+    """Backward-induction input: zero widths, s = 0 and q from 0 to 1e8 included."""
+    m = int(np.exp(rng.uniform(0.0, np.log(401.0)))) - 1  # 0 .. 400 stages, small ones often
+    widths = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), m + 1))
+    widths[rng.random(m + 1) < rng.choice([0.0, 0.1, 0.5])] = 0.0
+    q = 0.0 if rng.random() < 0.05 else float(np.exp(rng.uniform(np.log(1e-3), np.log(1e8))))
+    s = 0.0 if rng.random() < 0.05 else float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+    return widths, int(rng.integers(0, 20)), q, s
+
+
+def test_oracle_kernel_matches_table_reference():
+    rng = np.random.default_rng(61)
+    seen = dict(mixed=0, no_post=0, back_to_back=0, q_zero=0, s_zero=0, zero_width=0, long=0)
+    for case in range(2000):
+        widths, r0, q, s = random_oracle_case(rng)
+        want = oracle_decisions_table(widths, r0, q, s)
+        got = kernels.oracle_decisions(widths, r0, q, s)
+        assert got.dtype == np.int8
+        assert got.tobytes() == want.tobytes(), f"case {case}"
+        seen["mixed"] += 0 < want.sum() < want.shape[0]
+        seen["no_post"] += want.sum() == 0
+        seen["back_to_back"] += bool(np.any(want[1:] & want[:-1]))
+        seen["q_zero"] += q == 0.0
+        seen["s_zero"] += s == 0.0
+        seen["zero_width"] += bool(np.any(widths == 0.0))
+        seen["long"] += widths.shape[0] > 200
+    assert min(seen.values()) >= 20, seen
+
+
+def hawkes_feed(seed):
+    """The seeded feed of ``simulate --scenario one-follower-hawkes --feed-events 3000``."""
+    cfg = HawkesScenarioConfig(seeds=(seed,), budget=5.0, target_feed_events=3000.0)
+    params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
+    return sample_hawkes(params, 0.0, cfg.horizon, feed_rng(seed, 0)).times, cfg.horizon
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_kernel_matches_table_on_hawkes_feeds(seed):
+    # q = 16 and q = 2**23 are where the oracle tunes settle for budgets
+    # 400 and 5 on seed 0; q = 1 starts every tune
+    times, tf = hawkes_feed(seed)
+    for q in (1.0, 16.0, 2.0**23):
+        inst = instance_from_feed(times, 0.0, tf, q=q)
+        assert inst.n_stages > 2900
+        want = oracle_decisions_table(inst.widths, inst.r0, inst.q, inst.s)
+        got = kernels.oracle_decisions(inst.widths, inst.r0, inst.q, inst.s)
+        assert got.tobytes() == want.tobytes(), f"q={q}"
+
+
+def test_oracle_kernel_memory_is_linear_in_stages():
+    # 50k stages: the full value table would take ~19 GiB
+    widths = np.random.default_rng(8).uniform(0.0, 0.2, 50_001)
+    tracemalloc.start()
+    try:
+        decisions = kernels.oracle_decisions(widths, 3, 25.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert 0 < decisions.sum() < decisions.shape[0]
+
+
+def test_oracle_fallback_is_the_one_kernel():
+    impls = kernels.IMPLEMENTATIONS["oracle_decisions"]
+    assert impls["fallback"] is kernels._oracle_decisions
+    if not kernels.NUMBA_ENABLED:
+        assert kernels.oracle_decisions is kernels._oracle_decisions
