@@ -16,6 +16,13 @@ stages, at a low and a high price, and prints each call's
 ``tracemalloc`` peak.  It fails if a schedule costs more than holding
 throughout or posting at every stage.
 
+A sweep section runs the benchmark's ``hawkes-oracle`` command (budgets
+100, 200 and 400 on a 3000-event feed, seed 0) in this process.  It
+prints the command's best time next to the three single-budget commands
+it replaces, and the oracle and controller call counts next to the
+number of distinct (q, seed) pairs.  It fails if the sweep's report
+bytes differ from the single-budget reports.
+
 An I/O section then writes a 100k-event log with ``save_events`` and
 times ``load_events`` (canonical lines parsed a chunk at a time) against
 its per-line ``json.loads`` path, and ``write_profile_csv`` (a follower's
@@ -23,6 +30,7 @@ rows at a time) against one ``csv.writerow`` per row.  It fails if the
 times, sources or file bytes differ.
 """
 
+import collections
 import contextlib
 import csv
 import re
@@ -34,8 +42,9 @@ from unittest import mock
 
 import click
 import numpy as np
+from click.testing import CliRunner
 
-from whentopost import data_io
+from whentopost import cli, data_io, scenarios
 from whentopost.control_oracle import OracleInstance, schedule_cost
 from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop, oracle_decisions
 from whentopost.point_process import EventStream
@@ -108,6 +117,65 @@ def bench_oracle(repeats):
                 f"{f'{stages} stages':<22} {q:>10.3g} {t * 1e3:>10.2f}ms "
                 f"{peak / 2**20:>7.2f}MiB {int(decisions.sum()):>7}"
             )
+
+
+SWEEP_ARGV = [
+    "simulate", "--scenario", "one-follower-hawkes", "--policy", "redqueen", "--policy", "oracle",
+    "--policy", "uniform", "--policy", "segment-offline", "--feed-events", "3000", "--seeds", "0",
+]
+SWEEP_BUDGETS = ("100", "200", "400")
+
+
+def simulate(budget, out):
+    result = CliRunner().invoke(cli.main, SWEEP_ARGV + ["--budget", budget, "--out", str(out)])
+    if result.exit_code:
+        raise SystemExit(f"simulate --budget {budget} failed: {result.output}")
+    return out.read_bytes()
+
+
+@contextlib.contextmanager
+def counted_evaluations():
+    """Count the oracle and controller calls by (policy, q, feed), rebinding ``scenarios``."""
+    calls = collections.Counter()
+    oracle, controller = scenarios.oracle_schedule, scenarios.run_redqueen_fast
+
+    def counted_oracle(inst):
+        calls["oracle", inst.q, inst.widths.tobytes()] += 1
+        return oracle(inst)
+
+    def counted_controller(feeds, params, *args, **kwargs):
+        calls["redqueen", params.q, feeds[0].times.tobytes()] += 1
+        return controller(feeds, params, *args, **kwargs)
+
+    with mock.patch.object(scenarios, "oracle_schedule", counted_oracle), \
+            mock.patch.object(scenarios, "run_redqueen_fast", counted_controller):
+        yield calls
+
+
+def bench_sweep(repeats):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.csv"
+        sweep = ",".join(SWEEP_BUDGETS)
+        t_sweep = best_time(lambda: simulate(sweep, out), repeats)
+        t_singles = best_time(lambda: [simulate(b, out) for b in SWEEP_BUDGETS], repeats)
+        with counted_evaluations() as calls:
+            got = simulate(sweep, out)
+        with counted_evaluations() as single_calls:
+            singles = sorted(simulate(b, out) for b in SWEEP_BUDGETS)  # rows sort by run label
+        header = singles[0].splitlines(keepends=True)[0]
+        if got != header + b"".join(data[len(header):] for data in singles):
+            raise SystemExit("simulate: the sweep's report differs from the single-budget reports")
+
+    click.echo(f"\n{'sweep (hawkes-oracle)':<22} {'3 commands':>12} {'1 sweep':>12} {'speedup':>9}")
+    click.echo(
+        f"{'simulate':<22} {t_singles * 1e3:>10.2f}ms {t_sweep * 1e3:>10.2f}ms "
+        f"{t_singles / t_sweep:>8.1f}x"
+    )
+    click.echo(f"{'calls':<22} {'3 commands':>12} {'1 sweep':>12} {'(q, seed)':>10}")
+    for policy, name in (("oracle", "oracle_schedule"), ("redqueen", "run_redqueen_fast")):
+        singles_n, sweep_n = (sum(n for k, n in c.items() if k[0] == policy) for c in (single_calls, calls))
+        distinct = sum(k[0] == policy for k in calls)
+        click.echo(f"{name:<22} {singles_n:>12} {sweep_n:>12} {distinct:>10}")
 
 
 def synthetic_log():
@@ -204,6 +272,7 @@ def main(repeats):
         f"{t_loop / t_base:>8.1f}x"
     )
     bench_oracle(repeats)
+    bench_sweep(repeats)
     bench_io(repeats)
 
 

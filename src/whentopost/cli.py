@@ -124,8 +124,13 @@ def _add_options(options):
     return deco
 
 
-def _run_scenario(scenario, seeds, policies, budget, q, **kw):
-    """Run one synthetic scenario: ``(config, reports, details)``."""
+def _run_scenario(scenario, seeds, policies, budgets, q, **kw):
+    """Run one synthetic scenario once per budget, or once at price ``q``.
+
+    Returns one ``(config, reports, details)`` per run; the runs of a
+    budget sweep share one competition (feeds and evaluations).
+    """
+    budget = None if budgets is None else budgets[0]
     common = dict(seeds=seeds, policies=policies, budget=budget, q=q, tune_tol=kw["tune_tol"])
     if scenario == "one-follower-hawkes":
         cfg = scenarios.HawkesScenarioConfig(
@@ -136,14 +141,18 @@ def _run_scenario(scenario, seeds, policies, budget, q, **kw):
             offline_segments=kw["offline_segments"],
             **common,
         )
-        return cfg, *scenarios.run_one_follower_hawkes(cfg)
-    cfg = scenarios.SinusoidScenarioConfig(
-        followers=kw["followers"],
-        peak_per_hour=kw["peak_per_hour"],
-        horizon=kw["horizon"],
-        **common,
-    )
-    return cfg, *scenarios.run_multi_follower_sinusoid(cfg)
+        run = scenarios.run_one_follower_hawkes
+    else:
+        cfg = scenarios.SinusoidScenarioConfig(
+            followers=kw["followers"],
+            peak_per_hour=kw["peak_per_hour"],
+            horizon=kw["horizon"],
+            **common,
+        )
+        run = scenarios.run_multi_follower_sinusoid
+    if budgets is None:
+        return [(cfg, *run(cfg))]
+    return run(cfg, budgets)
 
 
 @main.command()
@@ -158,13 +167,12 @@ def _run_scenario(scenario, seeds, policies, budget, q, **kw):
 def simulate(scenario, policies, budget, q, out, seeds, **kw):
     """Run a synthetic scenario and write one metrics row per policy and seed."""
     seed_list = _parse_seeds(seeds)
-    budgets = _parse_budgets(budget) if budget is not None else (None,)
+    budgets = _parse_budgets(budget) if budget is not None else None
     if budget is not None and q is not None:
         raise scenarios.ScenarioError("set exactly one of --budget and --q")
     reports = []
     infos = {}
-    for b in budgets:
-        cfg, got, details = _run_scenario(scenario, seed_list, tuple(policies), b, q, **kw)
+    for cfg, got, details in _run_scenario(scenario, seed_list, tuple(policies), budgets, q, **kw):
         reports.extend(got)
         infos[cfg.run_label] = _tune_payload(details)
     data_io.write_report_csv(reports, out)
@@ -182,7 +190,7 @@ def tune_q_cmd(scenario, target, tol, seeds, **kw):
     """Search the post price q whose mean post count matches the target."""
     seed_list = _parse_seeds(seeds)
     kw["tune_tol"] = tol
-    _, _, details = _run_scenario(scenario, seed_list, ("redqueen",), target, None, **kw)
+    [(_, _, details)] = _run_scenario(scenario, seed_list, ("redqueen",), (target,), None, **kw)
     tuned = details["redqueen_tune"]
     payload = dataclasses.asdict(tuned)
     payload["realized_budget"] = details["realized_budget"]

@@ -231,6 +231,11 @@ def next_post_time(
     return ctl._decision(decided_at=tf)
 
 
+def merge_window(feeds: list[EventStream], t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
+    """The followers' events on (t0, tf] as one time-ordered ``(times, follower)`` pair."""
+    return merge_feeds([f.window(t0, tf) for f in feeds])
+
+
 def run_redqueen_fast(
     feeds: list[EventStream],
     params: RedQueenParams,
@@ -239,8 +244,14 @@ def run_redqueen_fast(
     tf: float,
     initial_ranks=None,
     max_posts: int = 2**62,
+    merged: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Post times from the kernel fast path (same draws as the controller).
+
+    The kernel reads the feeds as one time-ordered stream,
+    ``merge_window(feeds, t0, tf)``.  A caller that runs the same feeds at
+    many prices builds it once and passes it as ``merged``; otherwise
+    every call windows and merges ``feeds`` itself.
 
     Without numba the kernel is the vectorized NumPy fallback, which draws
     its exponentials in bulk: the posts match the controller's bit for
@@ -253,7 +264,7 @@ def run_redqueen_fast(
         initial_ranks = np.zeros(n, dtype=np.int64)
     initial_ranks = np.asarray(initial_ranks, dtype=np.int64)
     knots, clock_rates = params.clocks(n, t0, tf)
-    feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in feeds])
+    feed_t, feed_j = merge_window(feeds, t0, tf) if merged is None else merged
     return redqueen_posts(
         feed_t,
         feed_j,

@@ -30,6 +30,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -171,10 +172,26 @@ def _event_lineno(path, index: int) -> int:
         return next(itertools.islice(linenos, index, None))
 
 
+#: Events ``save_events`` formats and writes at a time.
+_SAVE_CHUNK = 1 << 16
+
+
 def save_events(stream: EventStream, path) -> None:
+    """Write ``stream`` as JSON lines, ``json.dumps({"t": float(t), "src": str(src)})`` each.
+
+    A chunk of events is formatted in one pass and written with one call.
+    A finite time is its float ``repr``, which is what ``json.dumps``
+    writes; a chunk holding a non-finite time has ``json.dumps`` spell
+    its times (``NaN``, ``Infinity``).  Ids are escaped as ``json.dumps``
+    escapes them (ASCII only).
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, src in zip(stream.times, stream.sources):
-            fh.write(json.dumps({"t": float(t), "src": str(src)}) + "\n")
+        for lo in range(0, len(stream), _SAVE_CHUNK):
+            times = stream.times[lo : lo + _SAVE_CHUNK]
+            spell = float.__repr__ if np.isfinite(times).all() else json.dumps
+            ts = map(spell, times.tolist())
+            ids = map(encode_basestring_ascii, map(str, stream.sources[lo : lo + _SAVE_CHUNK].tolist()))
+            fh.write("".join(map('{{"t": {}, "src": {}}}\n'.format, ts, ids)))
 
 
 # ---------------------------------------------------------------------------

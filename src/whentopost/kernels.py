@@ -62,7 +62,7 @@ def _maybe_jit(fn):
 # ---------------------------------------------------------------------------
 
 
-def _sample_hawkes_loop(t0, tf, knots, rates, alpha, w, rng, cap_hint):
+def _sample_hawkes_loop(t0, tf, knots, rates, alpha, w, rng, cap_hint, max_events=2**62):
     """Sample event times of a self-exciting process on (t0, tf].
 
     Baseline rate is piecewise constant: ``rates[k]`` on
@@ -74,6 +74,10 @@ def _sample_hawkes_loop(t0, tf, knots, rates, alpha, w, rng, cap_hint):
     non-increasing between events, so the intensity just after the last
     event (or segment entry) is a valid bound.  The bound is refreshed
     at segment knots because the baseline may step up there.
+
+    Sampling stops at the event after the ``max_events``-th: a result
+    longer than ``max_events`` means the window held more events than
+    that, and is cut short.
     """
     nseg = rates.shape[0]
     cap = cap_hint if cap_hint > 16 else 16
@@ -115,6 +119,8 @@ def _sample_hawkes_loop(t0, tf, knots, rates, alpha, w, rng, cap_hint):
                 cap *= 2
             out[n] = t
             n += 1
+            if n > max_events:
+                break
             excite += alpha
     return out[:n].copy()
 

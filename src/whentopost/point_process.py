@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+#: Most events one ``sample_hawkes`` draw may hold (40 MB of times).  An
+#: explosive feed (``alpha >= w``) outgrows any window, so it stops here.
+MAX_HAWKES_EVENTS = 5_000_000
+
+
 def _dedupe_increasing(times: np.ndarray) -> tuple[np.ndarray, int]:
     """Nudge equal neighbors up by one ulp so the array strictly increases.
 
@@ -238,7 +243,8 @@ def sample_hawkes(
 
     Deterministic in ``rng``: the same generator state yields the same
     stream.  The intensity starts at the baseline (no pre-window
-    excitation).
+    excitation).  A window holding more than ``MAX_HAWKES_EVENTS`` events
+    fails with ``ValueError``.
     """
     if tf < t0:
         raise ValueError("tf must not precede t0")
@@ -249,10 +255,16 @@ def sample_hawkes(
         mean_rate = float(np.max(rates)) / (1.0 - params.alpha / params.w)
     else:
         mean_rate = float(np.max(rates)) * 4.0
-    cap_hint = int(mean_rate * (tf - t0) * 1.5) + 16
+    cap_hint = min(int(mean_rate * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
     times = sample_hawkes_times(
-        float(t0), float(tf), knots, rates, float(params.alpha), float(params.w), rng, cap_hint
+        float(t0), float(tf), knots, rates, float(params.alpha), float(params.w), rng, cap_hint,
+        MAX_HAWKES_EVENTS,
     )
+    if times.shape[0] > MAX_HAWKES_EVENTS:
+        raise ValueError(
+            f"the feed on ({t0!r}, {tf!r}] holds more than MAX_HAWKES_EVENTS = {MAX_HAWKES_EVENTS} "
+            f"events (alpha = {params.alpha!r}, w = {params.w!r}) - shorten the window or lower alpha"
+        )
     return EventStream.from_times(times, source)
 
 

@@ -2,12 +2,12 @@
 
 Each runner takes a config dataclass, checks the requested policies
 against the ones its scenario allows and builds its feeds (sampled, or
-cut from a recorded log); one driver, ``_compete``, then runs every
-policy over every seed and returns per-run metric reports plus a details
-dict (tuned prices, realized budgets).  ``POLICIES`` maps each policy
-name to the function placing its posts for one seed.  A replay also
-brings its significance schedule, initial ranks and recorded posts,
-which every replayed report is normalized against.
+cut from a recorded log) into one competition; one driver, ``_compete``,
+then runs every policy over every seed and returns per-run metric
+reports plus a details dict (tuned prices, realized budgets).
+``POLICIES`` maps each policy name to the function placing its posts for
+one seed.  A replay also brings its significance schedule, initial ranks
+and recorded posts, which every replayed report is normalized against.
 
 Randomness discipline: the feed for (seed, follower j) comes from
 generator ``[seed, 1, j]``, the posting policy for a seed from
@@ -21,10 +21,22 @@ then becomes the budget every baseline must match.  The clairvoyant
 schedule gets its own price search against the same budget.  A replay
 requesting none of ``redqueen``, ``uniform`` and ``segment-offline``
 runs no controller; its budget is the recorded post count.
+
+A synthetic runner given ``budgets`` settles every budget of the sweep
+on one competition: each seed's feeds are sampled once, and merged once
+into the stream the controller reads.  The competition also computes
+each evaluation once: the controller's posts and the clairvoyant
+schedule are kept per ``(policy, q, seed)``, and the price searches, the
+run at the settled price and every later budget read them back.  That
+changes no output: each controller run draws from a fresh
+``policy_rng(seed)`` and the backward induction is deterministic, so a
+second run at the same price would repeat the first bit for bit.  The
+memo lives and dies with its competition, one command's worth.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -32,8 +44,13 @@ from typing import Callable
 import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
-from .control_online import RedQueenParams, StepSchedule, run_redqueen_fast, tune_q
-from .control_oracle import decisions_to_post_times, instance_from_feed, oracle_schedule
+from .control_online import RedQueenParams, StepSchedule, merge_window, run_redqueen_fast, tune_q
+from .control_oracle import (
+    OracleSchedule,
+    decisions_to_post_times,
+    instance_from_feed,
+    oracle_schedule,
+)
 from .data_io import ReplayDataset
 from .feed_sim import trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
@@ -118,13 +135,16 @@ def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRa
 
 @dataclass
 class _Competition:
-    """One scenario's feeds, and the budgets and prices the driver settles.
+    """One scenario's feeds, every evaluation made on them, and one budget's prices.
 
     ``feeds(seed)`` gives one stream per follower; ``offline_rates(seed)``
     the per-follower rates the segment-offline planner is told.
+    ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
+    ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
+    settles ``realized``, ``redqueen_q`` and ``oracle_q`` for one budget
+    at a time.
     """
 
-    label: str
     t0: float
     tf: float
     feeds: Callable
@@ -133,19 +153,54 @@ class _Competition:
     initial_ranks: np.ndarray | None = None
     recorded: EventStream | None = None  # replay only: the broadcaster's true posts
     realized: float = 0.0  # the budget every baseline matches
-    rq_posts: dict = field(default_factory=dict)
+    redqueen_q: float = math.nan
     oracle_q: float = math.nan
+    memo: dict = field(default_factory=dict)
+
+    def _once(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def merged_feed(self, seed):
+        """``seed``'s feeds on (t0, tf] as the controller reads them, merged once."""
+        return self._once(("feed", seed), lambda: merge_window(self.feeds(seed), self.t0, self.tf))
+
+    def redqueen(self, q: float, seed: int) -> np.ndarray:
+        """The controller's post times at price ``q`` on ``seed``'s feeds."""
+
+        def run():
+            params = RedQueenParams(q=q, significance=self.significance)
+            posts = run_redqueen_fast(
+                self.feeds(seed), params, policy_rng(seed), self.t0, self.tf,
+                initial_ranks=self.initial_ranks, merged=self.merged_feed(seed),
+            )
+            posts.flags.writeable = False  # shared by every reader of the memo
+            return posts
+
+        return self._once(("redqueen", q, seed), run)
+
+    def oracle(self, q: float, seed: int) -> OracleSchedule:
+        """The clairvoyant schedule at price ``q`` on ``seed``'s (single) feed."""
+
+        def run():
+            inst = instance_from_feed(self.feeds(seed)[0].times, self.t0, self.tf, q=q)
+            schedule = oracle_schedule(inst)
+            schedule.decisions.flags.writeable = False
+            return schedule
+
+        return self._once(("oracle", q, seed), run)
 
 
-#: Policy name -> post times for one seed of a competition.  Entries look
-#: their functions up as module globals at call time, so a rebound module
-#: attribute (a tracer's wrapper, say) sees every call.
+#: Policy name -> post times for one seed of a competition.  The controller
+#: and the clairvoyant schedule come from the competition's memo, whose
+#: misses (like every other entry) look their functions up as module
+#: globals at call time, so a rebound module attribute (a tracer's
+#: wrapper, say) sees every call.
 POLICIES = {
-    "redqueen": lambda c, seed: c.rq_posts[seed],
+    "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
     "oracle": lambda c, seed: decisions_to_post_times(
-        oracle_schedule(instance_from_feed(c.feeds(seed)[0].times, c.t0, c.tf, q=c.oracle_q)).decisions,
-        c.feeds(seed)[0].times,
-        c.t0,
+        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed)[0].times, c.t0
     ),
     "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
     "segment-offline": lambda c, seed: segment_offline_posts(
@@ -165,43 +220,36 @@ def _tune(cfg, target: float, count):
     )
 
 
-def _compete(cfg, comp: _Competition, details: dict, target: float | None):
-    """Settle the budgets, then report every policy on every seed.
+def _compete(cfg, comp: _Competition, label: str, details: dict, target: float | None):
+    """Settle one budget's prices on ``comp``, then report every policy on every seed.
 
     The controller runs with ``cfg.q``, or with the price tuned so its
     mean post count hits ``target``; synthetic scenarios always run it.
     """
     n_recorded = 0 if comp.recorded is None else len(comp.recorded)
     comp.realized = float(n_recorded)
+    comp.redqueen_q = comp.oracle_q = math.nan
     budgeted = any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies)
     if comp.recorded is None or budgeted:
-
-        def rq_posts(q, seed):
-            params = RedQueenParams(q=q, significance=comp.significance)
-            return run_redqueen_fast(
-                comp.feeds(seed), params, policy_rng(seed), comp.t0, comp.tf,
-                initial_ranks=comp.initial_ranks,
-            )
-
         q = cfg.q
         if q is None:
             if target <= 0:
                 raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
-            tuned = details["redqueen_tune"] = _tune(cfg, target, lambda q, s: rq_posts(q, s).shape[0])
+            tuned = details["redqueen_tune"] = _tune(
+                cfg, target, lambda q, s: comp.redqueen(q, s).shape[0]
+            )
             q = tuned.q
-        comp.rq_posts = {seed: rq_posts(q, seed) for seed in cfg.seeds}
-        comp.realized = float(np.mean([p.shape[0] for p in comp.rq_posts.values()]))
+        comp.redqueen_q = q
+        comp.realized = float(
+            np.mean([comp.redqueen(q, seed).shape[0] for seed in dict.fromkeys(cfg.seeds)])
+        )
         details["redqueen_q"] = q
         details["realized_budget"] = comp.realized
 
     if "oracle" in cfg.policies:
         oracle_target = comp.realized if comp.realized > 0 else float(max(n_recorded, 1))
         tuned = details["oracle_tune"] = _tune(
-            cfg,
-            oracle_target,
-            lambda q, s: oracle_schedule(
-                instance_from_feed(comp.feeds(s)[0].times, comp.t0, comp.tf, q=q)
-            ).post_count,
+            cfg, oracle_target, lambda q, s: comp.oracle(q, s).post_count
         )
         comp.oracle_q = tuned.q
 
@@ -210,7 +258,7 @@ def _compete(cfg, comp: _Competition, details: dict, target: float | None):
         traj = trajectory_from_posts(
             comp.feeds(seed), posts, comp.t0, comp.tf, initial_ranks=comp.initial_ranks
         )
-        return report_from_trajectory(traj, comp.label, seed, policy)
+        return report_from_trajectory(traj, label, seed, policy)
 
     reference = None if comp.recorded is None else play(0, "true-posts")
     reports = []
@@ -219,6 +267,18 @@ def _compete(cfg, comp: _Competition, details: dict, target: float | None):
             report = play(seed, policy)
             reports.append(report if reference is None else normalize_report(report, reference))
     return reports, details
+
+
+def _sweep(cfg, comp: _Competition, details: dict, budgets):
+    """``_compete`` on ``cfg``; with ``budgets``, once per budget on the one competition.
+
+    A sweep checks every budget's config before it runs any, and returns
+    one ``(config, reports, details)`` per budget, in order.
+    """
+    if budgets is None:
+        return _compete(cfg, comp, cfg.run_label, details, cfg.budget)
+    configs = [dataclasses.replace(cfg, budget=b) for b in budgets]
+    return [(c, *_compete(c, comp, c.run_label, dict(details), c.budget)) for c in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +335,13 @@ class HawkesScenarioConfig(_SyntheticConfig):
         return self.target_feed_events / params.stationary_rate()
 
 
-def run_one_follower_hawkes(cfg: HawkesScenarioConfig):
+def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
+    """``(reports, details)`` of ``cfg``.
+
+    With ``budgets`` the run is a sweep over one set of feeds: one
+    ``(config, reports, details)`` per budget, each config being ``cfg``
+    with that budget.
+    """
     _check_policies(
         cfg.policies, ("redqueen", "oracle", "uniform", "segment-offline"), "one-follower-hawkes"
     )
@@ -285,10 +351,10 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig):
         seed: [sample_hawkes(params, t0, tf, feed_rng(seed, 0))] for seed in cfg.seeds
     }
     comp = _Competition(
-        cfg.run_label, t0, tf, feeds_by_seed.__getitem__,
+        t0, tf, feeds_by_seed.__getitem__,
         lambda seed: _empirical_segment_rates(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
     )
-    return _compete(cfg, comp, _synthetic_details(feeds_by_seed, tf), cfg.budget)
+    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
 
 
 @dataclass(frozen=True)
@@ -329,7 +395,8 @@ def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> PiecewiseRate:
     return PiecewiseRate(knots, rates)
 
 
-def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig):
+def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
+    """``(reports, details)`` of ``cfg``; a sweep over ``budgets`` as in ``run_one_follower_hawkes``."""
     _check_policies(
         cfg.policies, ("redqueen", "uniform", "segment-offline"), "multi-follower-sinusoid"
     )
@@ -348,8 +415,8 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig):
         rates_by_seed[seed] = rates
         feeds_by_seed[seed] = feeds
     # the offline planner is told the true rates here
-    comp = _Competition(cfg.run_label, t0, tf, feeds_by_seed.__getitem__, rates_by_seed.__getitem__)
-    return _compete(cfg, comp, _synthetic_details(feeds_by_seed, tf), cfg.budget)
+    comp = _Competition(t0, tf, feeds_by_seed.__getitem__, rates_by_seed.__getitem__)
+    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +470,11 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
         significance = profile.step_schedule(dataset.follower_ids, t0, tf)
 
     comp = _Competition(
-        f"replay:{dataset.broadcaster}", t0, tf, lambda seed: dataset.feeds,
+        t0, tf, lambda seed: dataset.feeds,
         lambda seed: _empirical_segment_rates(dataset.feeds, t0, tf, cfg.offline_segments),
         significance=significance,
         initial_ranks=np.full(n, cfg.initial_rank, dtype=np.int64),
         recorded=dataset.true_posts,
     )
     target = cfg.target_posts if cfg.target_posts is not None else float(len(dataset.true_posts))
-    return _compete(cfg, comp, details, target)
+    return _compete(cfg, comp, f"replay:{dataset.broadcaster}", details, target)

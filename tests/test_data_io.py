@@ -106,6 +106,42 @@ def test_events_round_trip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def save_events_per_event(stream, path):
+    """``save_events`` as one ``json.dumps`` per event."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, src in zip(stream.times, stream.sources):
+            fh.write(json.dumps({"t": float(t), "src": str(src)}) + "\n")
+
+
+AWKWARD_IDS = ['say "hi"', "back\\slash", "tab\tnew\nline", "nul\x00", "caf\u00e9", "\U0001f600",
+               "\u2028", "plain", "", "'", "\x7f"]
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_save_events_writes_json_dumps_lines(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_io, "_SAVE_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    times = np.concatenate([[-1e300, -5e-324, 0.0, 5e-324, 1e-7, 0.1, 1.0, 2.5e15, 1e16],
+                            np.sort(rng.uniform(1e16, 1e17, 40)), [1e300]])
+    sources = np.array(AWKWARD_IDS, dtype=object)[rng.integers(0, len(AWKWARD_IDS), times.shape[0])]
+    sources[:len(AWKWARD_IDS)] = AWKWARD_IDS
+    streams = {
+        "finite": EventStream(times, sources),
+        "numpy-str": EventStream(times[:5], np.array(["a", 'b"', "c\\", "d", "\u00e9"])),
+        "empty": EventStream.empty(),
+    }
+    for t in (math.inf, -math.inf, math.nan):  # one event: no order to break
+        streams[repr(t)] = EventStream(np.array([t]), np.array(["x"], dtype=object))
+    for name, stream in streams.items():
+        got, want = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-want.jsonl"
+        save_events(stream, got)
+        save_events_per_event(stream, want)
+        assert got.read_bytes() == want.read_bytes(), name
+    back = load_events(tmp_path / "finite.jsonl")
+    assert back.times.tobytes() == times.tobytes()
+    assert back.sources.tolist() == sources.tolist()
+
+
 def test_load_network_empty_and_dedup(tmp_path):
     p = tmp_path / "net.csv"
     p.write_text("", encoding="utf-8")

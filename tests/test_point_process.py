@@ -1,11 +1,15 @@
 """Feed primitives: decay law, jumps, thinning sampler, superposition."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from whentopost import kernels, point_process
+from whentopost.cli import main
 from whentopost.point_process import (
     EventStream,
     HawkesParams,
@@ -291,3 +295,43 @@ def test_piecewise_rate_lookup_and_domain():
         PiecewiseRate(np.array([0.0, 1.0]), np.array([-2.0]))
     with pytest.raises(ValueError):
         PiecewiseRate(np.array([1.0, 0.0]), np.array([2.0]))
+
+
+def test_explosive_sampling_stops_at_the_event_cap(monkeypatch):
+    monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", 2_000)
+    explosive = HawkesParams(baseline=1.0, alpha=3.0, w=1.0, allow_unstable=True)
+    with pytest.raises(ValueError, match=r"holds more than MAX_HAWKES_EVENTS = 2000 events \(alpha = 3.0"):
+        sample_hawkes(explosive, 0.0, 1e9, np.random.default_rng(0))
+
+
+def test_the_event_cap_leaves_stable_samples_unchanged(monkeypatch):
+    knots, rates = np.array([0.0, 200.0]), np.array([10.0])
+    for seed in range(3):
+        stream = sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))
+        # the kernel with no cap, as sample_hawkes called it before the cap
+        # (the buffer size hint, 16 here, does not change the draws)
+        uncapped = kernels.IMPLEMENTATIONS["sample_hawkes_times"]["fallback"](
+            0.0, 200.0, knots, rates, 1.0, 10.0, np.random.default_rng(seed), 16
+        )
+        assert stream.times.tobytes() == uncapped.tobytes()
+        n = len(stream)
+        monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", n)  # exactly full: still drawn
+        assert sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed)).times.tobytes() == uncapped.tobytes()
+        monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", n - 1)
+        with pytest.raises(ValueError, match=f"MAX_HAWKES_EVENTS = {n - 1} events"):
+            sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))
+        monkeypatch.undo()
+
+
+def test_the_event_cap_fails_a_command_with_the_json_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", 100)
+    result = CliRunner().invoke(main, [
+        "simulate", "--scenario", "one-follower-hawkes", "--q", "1", "--seeds", "0",
+        "--feed-events", "1000", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValueError"
+    assert "MAX_HAWKES_EVENTS = 100 events" in error["message"]
+    assert not (tmp_path / "r.csv").exists()

@@ -1,13 +1,24 @@
 """Policy dispatch and the competition protocol of the scenario runners."""
 
+import dataclasses
+import json
 import math
 import shutil
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from whentopost import scenarios
+from whentopost.cli import main
+from whentopost.control_online import RedQueenParams, merge_window, run_redqueen_fast
 from whentopost.data_io import build_replay_dataset, load_events, load_network
+from whentopost.feed_sim import merge_feeds
+from whentopost.kernels import redqueen_posts
+from whentopost.point_process import EventStream
+from whentopost.significance import estimate_significance
 from whentopost.scenarios import (
     HawkesScenarioConfig,
     ReplayConfig,
@@ -169,3 +180,144 @@ def test_config_combination_errors_keep_their_messages():
         SinusoidScenarioConfig(seeds=(0,), q=1.0, followers=0)
     with pytest.raises(ScenarioError, match="set at most one of q and target_posts"):
         ReplayConfig(seeds=(0,), q=1.0, target_posts=3.0)
+
+
+# ---------------------------------------------------------------------------
+# one competition per sweep: every (policy, q, seed) evaluated once
+# ---------------------------------------------------------------------------
+
+SWEEP = ["simulate", "--scenario", "one-follower-hawkes", "--seeds", "0-1", "--feed-events", "60",
+         "--policy", "redqueen", "--policy", "oracle", "--policy", "uniform", "--policy", "segment-offline"]
+
+
+def counted_cli_run(monkeypatch, argv, out):
+    """Run the CLI with counting wrappers on the controller and the oracle.
+
+    Like the benchmark's tracer, the wrappers rebind the ``scenarios``
+    module attributes, so they see every evaluation the competition runs.
+    Returns the stdout status and a Counter of ``(policy, q, feed bytes)``.
+    """
+    calls = Counter()
+    oracle, controller = scenarios.oracle_schedule, scenarios.run_redqueen_fast
+
+    def counted_oracle(inst):
+        calls["oracle", inst.q, inst.widths.tobytes()] += 1
+        return oracle(inst)
+
+    def counted_controller(feeds, params, *args, **kwargs):
+        calls["redqueen", params.q, feeds[0].times.tobytes()] += 1
+        return controller(feeds, params, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "oracle_schedule", counted_oracle)
+        m.setattr(scenarios, "run_redqueen_fast", counted_controller)
+        result = CliRunner().invoke(main, argv + ["--out", str(out)], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return json.loads(result.stdout), calls
+
+
+def test_a_budget_sweep_evaluates_each_policy_price_and_seed_once(tmp_path, monkeypatch):
+    status, calls = counted_cli_run(monkeypatch, SWEEP + ["--budget", "3,6,12"], tmp_path / "sweep.csv")
+    assert set(calls.values()) == {1}
+
+    singles, single_calls = [], Counter()
+    for b in ("3", "6", "12"):
+        out = tmp_path / f"budget-{b}.csv"
+        single_status, got = counted_cli_run(monkeypatch, SWEEP + ["--budget", b], out)
+        singles.append((out.read_bytes(), single_status["details"]))
+        single_calls.update(got)
+    # the sweep runs exactly the evaluations the single-budget runs need, once each
+    assert set(calls) == set(single_calls)
+    assert sum(single_calls.values()) > sum(calls.values())
+    for policy in ("redqueen", "oracle"):
+        assert any(n > 1 for (p, *_), n in single_calls.items() if p == policy)
+
+    # and writes the three runs' reports and details, unchanged; the report
+    # file orders its rows by run label, so the runs concatenate in that order
+    singles.sort(key=lambda single: list(single[1]))
+    header = singles[0][0].splitlines(keepends=True)[0]
+    expected = header + b"".join(data[len(header):] for data, _ in singles)
+    assert (tmp_path / "sweep.csv").read_bytes() == expected
+    assert status["details"] == {k: v for _, details in singles for k, v in details.items()}
+
+
+def test_a_library_sweep_matches_single_budget_runs():
+    cfg = HawkesScenarioConfig(seeds=(0, 1), budget=3.0, target_feed_events=60.0,
+                               policies=("redqueen", "oracle", "uniform"))
+    runs = run_one_follower_hawkes(cfg, budgets=(3.0, 6.0))
+    assert [c.budget for c, _, _ in runs] == [3.0, 6.0]
+    for c, reports, details in runs:
+        assert c == dataclasses.replace(cfg, budget=c.budget)
+        assert (reports, details) == run_one_follower_hawkes(c)
+
+
+def test_a_sweep_checks_every_budget_before_it_runs(monkeypatch):
+    def no_controller(*args, **kwargs):
+        raise AssertionError("the controller ran")
+
+    monkeypatch.setattr(scenarios, "run_redqueen_fast", no_controller)
+    cfg = SinusoidScenarioConfig(seeds=(0,), budget=3.0, followers=2, horizon=7200.0)
+    with pytest.raises(ValueError, match="budget must be positive and finite, got nan"):
+        run_multi_follower_sinusoid(cfg, budgets=(3.0, math.nan))
+
+
+def test_the_memo_is_read_only_and_per_competition():
+    feeds = [EventStream.from_times([1.0, 2.0, 3.0])]
+
+    def competition():
+        return scenarios._Competition(0.0, 4.0, lambda seed: feeds, lambda seed: None)
+
+    comp = competition()
+    posts = comp.redqueen(0.5, 0)
+    assert posts.shape[0] > 0
+    assert comp.redqueen(0.5, 0) is posts
+    assert not posts.flags.writeable
+    assert not comp.oracle(0.5, 0).decisions.flags.writeable
+    other = competition()
+    assert other.memo == {}
+    assert other.redqueen(0.5, 0) is not posts
+    assert other.redqueen(0.5, 0).tobytes() == posts.tobytes()
+
+
+def weekday_replay_setup():
+    """Three followers over four days, their weekday weights and initial ranks."""
+    rng = np.random.default_rng(17)
+    t0, tf = 3_600.0, 4 * 86_400.0
+    feeds = [EventStream.from_times(np.sort(rng.uniform(0.0, tf + 7_200.0, 400))) for _ in range(3)]
+    ids = ["a", "b", "c"]
+    own = np.sort(rng.uniform(-8 * 86_400.0, 0.0, 600))
+    log = EventStream(own, np.array(ids, dtype=object)[rng.integers(0, 3, own.shape[0])])
+    epoch = 1_700_000_000.0
+    schedule = estimate_significance(log, ids, epoch=epoch, granularity="weekday").step_schedule(ids, t0, tf)
+    assert schedule.knots.shape[0] > 3  # day edges inside the window
+    return feeds, t0, tf, schedule, np.array([0, 2, 5], dtype=np.int64)
+
+
+def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
+    feeds, t0, tf, schedule, ranks = weekday_replay_setup()
+    merges = []
+    merge = scenarios.merge_window
+
+    def counted_merge(feeds, t0, tf):
+        merges.append(len(feeds))
+        return merge(feeds, t0, tf)
+
+    monkeypatch.setattr(scenarios, "merge_window", counted_merge)
+    comp = scenarios._Competition(
+        t0, tf, lambda seed: feeds, lambda seed: None, significance=schedule, initial_ranks=ranks
+    )
+    for seed in (0, 1):
+        for q in (0.25, 4.0, 64.0):
+            params = RedQueenParams(q=q, significance=schedule)
+            knots, clock_rates = params.clocks(len(feeds), t0, tf)
+            # the per-call path: window and merge the followers' feeds on every run
+            feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in feeds])
+            want = redqueen_posts(feed_t, feed_j, ranks, knots, clock_rates, t0, tf, 2**62,
+                                  scenarios.policy_rng(seed))
+            assert want.shape[0] > 0
+            assert comp.redqueen(q, seed).tobytes() == want.tobytes()
+            merged = merge_window(feeds, t0, tf)
+            direct = run_redqueen_fast(feeds, params, scenarios.policy_rng(seed), t0, tf,
+                                       initial_ranks=ranks, merged=merged)
+            assert direct.tobytes() == want.tobytes()
+    assert merges == [3, 3]  # once per seed, not once per price
