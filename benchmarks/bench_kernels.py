@@ -11,10 +11,12 @@ WHENTOPOST_NUMBA is not 0/false/off.  The controller's fallback is a
 vectorized twin of its loop, so the script also times that loop run as
 plain Python against the fallback: that speed-up shows without numba.
 
-An oracle section times the backward induction at 3k, 20k and 100k
-stages, at a low and a high price, and prints each call's
-``tracemalloc`` peak.  It fails if a schedule costs more than holding
-throughout or posting at every stage.
+An oracle section times the backward induction's fallback at 3k, 20k
+and 100k stages, at a low and a high price, and prints each call's
+``tracemalloc`` peak.  Next to it, wherever that finishes in seconds,
+it times the scalar loop numba compiles, run as plain Python.  It fails
+if the two return different decision bytes, or if a schedule costs more
+than holding throughout or posting at every stage.
 
 A sweep section runs the benchmark's ``hawkes-oracle`` command (budgets
 100, 200 and 400 on a 3000-event feed, seed 0) in this process.  It
@@ -46,7 +48,12 @@ from click.testing import CliRunner
 
 from whentopost import cli, data_io, scenarios
 from whentopost.control_oracle import OracleInstance, schedule_cost
-from whentopost.kernels import IMPLEMENTATIONS, NUMBA_ENABLED, _redqueen_posts_loop, oracle_decisions
+from whentopost.kernels import (
+    IMPLEMENTATIONS,
+    NUMBA_ENABLED,
+    _oracle_decisions_loop,
+    _redqueen_posts_loop,
+)
 from whentopost.point_process import EventStream
 from whentopost.significance import estimate_significance
 
@@ -95,26 +102,41 @@ def best_time(call, repeats):
 
 
 def bench_oracle(repeats):
-    """Time the induction at three scales; check each schedule against two trivial ones."""
+    """Time the induction at three scales; check each schedule against the loop and two trivial ones."""
+    fallback = IMPLEMENTATIONS["oracle_decisions"]["fallback"]
     rng = np.random.default_rng(78)
-    click.echo(f"\n{'oracle_decisions':<22} {'q':>10} {'time':>12} {'peak':>10} {'posts':>7}")
+    click.echo(
+        f"\n{'oracle_decisions':<22} {'q':>10} {'python loop':>12} {'fallback':>12} {'speedup':>9} "
+        f"{'peak':>10} {'posts':>7}"
+    )
     for stages in (3_000, 20_000, 100_000):
         widths = rng.exponential(0.09, stages)  # the hawkes-oracle feed's mean gap
         for q in (16.0, 2.0**24):  # the tunes for 400 and 5 posts on 3k stages end near these
-            t = best_time(lambda: oracle_decisions(widths, 0, q, 1.0), repeats)
+            t = best_time(lambda: fallback(widths, 0, q, 1.0), repeats)
             tracemalloc.start()
             try:
-                decisions = oracle_decisions(widths, 0, q, 1.0)
+                decisions = fallback(widths, 0, q, 1.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            loop = speedup = "-"
+            # the loop costs the sum of the thresholds: ~1 s at 100k stages
+            # and q = 16, but ~11 s at 20k stages and q = 2**24
+            if q <= 16.0 or stages <= 3_000:
+                if _oracle_decisions_loop(widths, 0, q, 1.0).tobytes() != decisions.tobytes():
+                    raise SystemExit(
+                        f"oracle_decisions: {stages} stages, q={q}: the fallback disagrees with the loop"
+                    )
+                t_loop = best_time(lambda: _oracle_decisions_loop(widths, 0, q, 1.0), repeats)
+                loop = f"{t_loop * 1e3:.2f}ms"
+                speedup = f"{t_loop / t:.1f}x"
             inst = OracleInstance(0, widths, q)
             cost = schedule_cost(decisions, inst)
             for name, fill in (("all-hold", 0), ("all-post", 1)):
                 if cost > schedule_cost(np.full(stages, fill, np.int8), inst):
                     raise SystemExit(f"oracle_decisions: {stages} stages, q={q}: costs more than {name}")
             click.echo(
-                f"{f'{stages} stages':<22} {q:>10.3g} {t * 1e3:>10.2f}ms "
+                f"{f'{stages} stages':<22} {q:>10.3g} {loop:>12} {t * 1e3:>10.2f}ms {speedup:>9} "
                 f"{peak / 2**20:>7.2f}MiB {int(decisions.sum()):>7}"
             )
 

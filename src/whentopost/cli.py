@@ -65,7 +65,8 @@ def _parse_seeds(text: str) -> tuple:
 
 
 def _parse_budgets(text: str) -> tuple:
-    values = tuple(float(p) for p in text.split(",") if p.strip())
+    """'5,400,5' -> (5.0, 400.0): repeats dropped, first order kept."""
+    values = tuple(dict.fromkeys(float(p) for p in text.split(",") if p.strip()))
     if not values or any(v <= 0 for v in values):
         raise ValueError("budgets must be positive numbers")
     return values

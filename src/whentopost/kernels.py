@@ -1,20 +1,22 @@
 """Hot numeric kernels, compiled with numba when available.
 
-Every kernel is written once in nopython-compatible Python and compiled
-with ``numba.njit`` when numba is importable and the ``WHENTOPOST_NUMBA``
-environment variable is not ``0``/``false``/``off``.  Otherwise the
-same source runs as plain Python: the feed sampler as a scalar loop,
-the backward induction through NumPy slices.  Only the online
-controller keeps a separate fallback, a vectorized NumPy twin of its
-loop.
+Every kernel is written once as a scalar loop in nopython-compatible
+Python and compiled with ``numba.njit`` when numba is importable and
+the ``WHENTOPOST_NUMBA`` environment variable is not
+``0``/``false``/``off``.  Otherwise a fallback runs.  The feed
+sampler's fallback is its loop run as plain Python.  The online
+controller and the backward induction keep separate fallbacks, since
+their loops are slow in plain Python: the controller's is a vectorized
+NumPy twin, and the induction's scans short stages in plain Python and
+long ones in NumPy slices.  Tests hold both to their loops.
 
-The controller's flavors consume ``numpy.random.Generator`` streams and
-draw the same values in the same order, so for a given seed they
-return bitwise-identical results.  The flag therefore only changes
-speed, never output.  One difference remains: the vectorized controller
-draws its exponentials in bulk, a chunk of feed events at a time, so it
-can leave the generator further along than the loop does.  Its callers
-pass a fresh generator per run and never reuse it.  The benchmark in
+Both flavors of a kernel return bitwise-identical results; the
+controller's consume ``numpy.random.Generator`` streams and draw the
+same values in the same order.  The flag therefore only changes speed,
+never output.  One difference remains: the vectorized controller draws
+its exponentials in bulk, a chunk of feed events at a time, so it can
+leave the generator further along than the loop does.  Its callers pass
+a fresh generator per run and never reuse it.  The benchmark in
 ``benchmarks/bench_kernels.py`` times the flavors against each other.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -329,7 +332,7 @@ def _redqueen_posts_numpy(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_decisions(widths, r0, q, s):
+def _oracle_decisions_loop(widths, r0, q, s):
     """Backward induction over post/hold decisions on a revealed feed.
 
     Decision stages k = 0..m sit at the window start and after each of
@@ -342,36 +345,145 @@ def _oracle_decisions(widths, r0, q, s):
 
     For finite inputs the value function ``V_k`` is nondecreasing in
     rank, and float ``+``, ``*`` and ``<`` are monotone, so each stage
-    posts iff ``r >= T_k`` and ``V_k(r)`` is the stage's post cost from
-    ``T_k`` on.  Two swapped buffers hold a prefix of ``V_{k+1}``: its
-    values below ``T_{k+1}``, then its post cost, written out on demand
-    in doubling chunks.  Memory is O(r0 + m) and a stage costs
-    O(T_k + T_{k+1}), at worst O(r0 + m).  The float expressions are
-    those of the full ``(m+2) x (r0+m+2)`` value table, so the decisions
-    match it bit for bit.
+    posts iff ``r >= T_k`` and ``V_k(r)`` is the stage's post cost
+    ``0.5*q + V_{k+1}(0)`` from ``T_k`` on.  Holding from rank r costs
+    ``a*(r+1)^2 + V_{k+1}(r+1)`` with ``a = 0.5*s*widths[k]``; a stage
+    scans ranks upward and ``T_k`` is the first whose hold cost exceeds
+    the post cost.  Two swapped buffers hold ``V_{k+1}`` below
+    ``T_{k+1}``.  Memory is O(r0 + m) and a stage costs O(T_k), at
+    worst O(r0 + m).  The float expressions are those of the full
+    ``(m+2) x (r0+m+2)`` value table, so the decisions match it bit for
+    bit.
+
+    This scalar loop is what numba compiles, and run as plain Python it
+    is the reference :func:`_oracle_decisions_numpy` is tested against.
     """
     mp1 = widths.shape[0]  # m + 1 decision stages
     size = r0 + mp1 + 1  # ranks 0 .. r0+m+1 at the terminal stage
-    ranks = np.arange(size).astype(np.float64)
-    bumped_sq = (ranks + 1.0) * (ranks + 1.0)
-    nxt = 0.5 * ranks * ranks  # terminal cost: no post region
+    nxt = np.empty(size, np.float64)
+    for r in range(size):
+        nxt[r] = 0.5 * float(r) * float(r)  # terminal cost: no post region
     cur = np.empty(size, np.float64)
-    n_nxt = size  # nxt[:n_nxt] holds V_{k+1}
-    post_nxt = 0.0  # V_{k+1}(r) past its threshold
+    n_nxt = size  # V_{k+1}(r) = nxt[r] for r < n_nxt, else post_nxt
+    post_nxt = 0.0
     thresholds = np.empty(mp1, np.int64)
     for k in range(mp1 - 1, -1, -1):
         a = 0.5 * s * widths[k]
-        post = 0.5 * q + nxt[0]
+        post = 0.5 * q + (nxt[0] if n_nxt > 0 else post_nxt)
         top = r0 + k + 1  # ranks 0 .. r0+k are reachable at stage k
+        t = top
+        for r in range(top):
+            bumped = r + 1.0
+            hold = a * (bumped * bumped) + (nxt[r + 1] if r + 1 < n_nxt else post_nxt)
+            if post < hold:
+                t = r
+                break
+            cur[r] = hold
+        thresholds[k] = t
+        nxt, cur = cur, nxt
+        n_nxt = t
+        post_nxt = post
+    decisions = np.zeros(mp1, np.int8)
+    r = r0
+    for k in range(mp1):
+        if r >= thresholds[k]:
+            decisions[k] = 1
+            r = 0
+        else:
+            r = r + 1
+    return decisions
+
+
+#: Stages whose successor's threshold is below this many ranks scan in
+#: plain Python; the rest take NumPy slices, whose ~10 us of dispatch per
+#: stage only pays off on long scans.
+_ORACLE_SCALAR_RANKS = 128
+
+
+def _oracle_decisions_numpy(widths, r0, q, s):
+    """:func:`_oracle_decisions_loop` with long stages done in NumPy slices.
+
+    The recursion, the stage order and every float expression are the
+    loop's.  A stage takes one of two paths, picked by the threshold
+    ``T_{k+1}`` of the stage after it, which ``T_k`` usually stays near:
+
+    * below ``_ORACLE_SCALAR_RANKS``, it scans ranks one by one in
+      Python floats, with the values of ``V_{k+1}`` below ``T_{k+1}`` in
+      a list.  A scan that reaches ``_ORACLE_SCALAR_RANKS`` ranks
+      without finding the threshold is dropped and the stage redone as
+      below;
+    * otherwise it computes the hold costs of a run of ranks with two
+      ufunc calls and finds the threshold with ``searchsorted``.  Two
+      swapped buffers hold ``V_{k+1}``: its values below ``T_{k+1}``,
+      then its post cost, written out on demand in doubling chunks.
+
+    A stage costs O(T_k + T_{k+1}) on either path: the scan ~0.1 us a
+    rank, the slices ~10 us of call overhead.  The values below the
+    threshold move between list and buffer only when the path changes.
+    Both paths are bitwise equal to the loop: each hold cost is the same
+    product and sum of the same float64 values, rounded once per
+    operation (``np.multiply`` then ``np.add`` fuse nothing), and since
+    the hold costs are nondecreasing, ``searchsorted(post, "right")``
+    lands on the first rank whose hold cost exceeds ``post``, which is
+    where the scan stops.  Memory is O(r0 + m), as in the loop.
+    """
+    mp1 = widths.shape[0]
+    size = r0 + mp1 + 1
+    ranks = np.arange(size).astype(np.float64)
+    bumped_sq = (ranks + 1.0) * (ranks + 1.0)
+    cut = _ORACLE_SCALAR_RANKS
+    sq = bumped_sq[:cut].tolist()
+    nxt = 0.5 * ranks * ranks
+    cur = np.empty(size, np.float64)
+    n_nxt = size  # nxt[:n_nxt] holds V_{k+1} while vals is None
+    vals = None  # else V_{k+1} below T_{k+1}, as a list
+    post_nxt = 0.0  # V_{k+1}(r) past its threshold
+    t = size  # T_{k+1}; the terminal stage never posts
+    half_q, half_s = 0.5 * q, 0.5 * s
+    widths = memoryview(np.asarray(widths, np.float64))  # Python floats, no copy
+    thresholds = memoryview(np.empty(mp1, np.int64))  # Python ints in and out
+    for k in range(mp1 - 1, -1, -1):
+        a = half_s * widths[k]
+        top = r0 + k + 1
+        if t < cut:
+            if vals is None:
+                vals = nxt[:t].tolist()
+            post = half_q + (vals[0] if vals else post_nxt)
+            limit = top if top < cut else cut
+            holds = []
+            for b, v in zip(sq, vals[1 : limit + 1]):
+                hold = a * b + v
+                if post < hold:
+                    break
+                holds.append(hold)
+            else:
+                for b in islice(sq, len(holds), limit):
+                    hold = a * b + post_nxt
+                    if post < hold:
+                        break
+                    holds.append(hold)
+            t = len(holds)
+            if t < limit or limit == top:
+                thresholds[k] = t
+                vals = holds
+                post_nxt = post
+                continue
+        if vals is not None:
+            n = len(vals)
+            nxt[:n] = vals
+            n_nxt = min(n + 64, size)
+            nxt[n:n_nxt] = post_nxt
+            vals = None
+        post = half_q + float(nxt[0])
         lo = 0
         hi = min(n_nxt - 1, top)
         while True:
-            # holding from rank r costs a*(r+1)^2 + V_{k+1}(r+1); below
-            # the threshold that is V_k(r), past it cur is overwritten
+            # below the threshold the hold cost is V_k(r); past it cur is
+            # overwritten
             hold = cur[lo:hi]
             np.multiply(a, bumped_sq[lo:hi], hold)
             np.add(hold, nxt[lo + 1 : hi + 1], hold)
-            t = lo + np.searchsorted(hold, post, side="right")
+            t = lo + int(hold.searchsorted(post, "right"))
             if t < hi or hi == top:
                 break
             grown = min(2 * n_nxt, size)
@@ -387,26 +499,26 @@ def _oracle_decisions(widths, r0, q, s):
         nxt, cur = cur, nxt
         n_nxt = grown
         post_nxt = post
-    decisions = np.zeros(mp1, np.int8)
+    decisions = bytearray(mp1)
     r = r0
-    for k in range(mp1):
-        if r >= thresholds[k]:
+    for k, t in enumerate(thresholds):
+        if r >= t:
             decisions[k] = 1
             r = 0
         else:
-            r = r + 1
-    return decisions
+            r += 1
+    return np.frombuffer(decisions, np.int8)
 
 
 sample_hawkes_times = _maybe_jit(_sample_hawkes_loop)
 _clock_first_time = _maybe_jit(_clock_first_time)
 
-oracle_decisions = _maybe_jit(_oracle_decisions)
-
 if NUMBA_ENABLED:
     redqueen_posts = _njit(cache=True)(_redqueen_posts_loop)
+    oracle_decisions = _njit(cache=True)(_oracle_decisions_loop)
 else:
     redqueen_posts = _redqueen_posts_numpy
+    oracle_decisions = _oracle_decisions_numpy
 
 #: Both flavors of every kernel, keyed by kernel name then flavor name.
 #: The fallback flavor is always callable; the "numba" flavor is None when
@@ -422,6 +534,6 @@ IMPLEMENTATIONS = {
     },
     "oracle_decisions": {
         "numba": oracle_decisions if NUMBA_ENABLED else None,
-        "fallback": _oracle_decisions,
+        "fallback": _oracle_decisions_numpy,
     },
 }

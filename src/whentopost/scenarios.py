@@ -329,6 +329,15 @@ class HawkesScenarioConfig(_SyntheticConfig):
 
     _scenario = "one-follower-hawkes"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon = target_feed_events / stationary feed rate must be positive and "
+                f"finite, got {self.horizon!r} (lambda0={self.lambda0!r}, "
+                f"target_feed_events={self.target_feed_events!r})"
+            )
+
     @property
     def horizon(self) -> float:
         params = HawkesParams(self.lambda0, self.alpha, self.w)

@@ -8,15 +8,8 @@ import numpy as np
 from whentopost.control_oracle import MAX_BRUTE_FORCE_STAGES
 
 
-def oracle_decisions_table(widths, r0, q, s):
-    """Backward induction over the full ``(m+2) x (r0+m+2)`` value table.
-
-    Same problem and tie rule as ``kernels.oracle_decisions``, solved
-    without the threshold argument: every reachable rank of every stage
-    gets its value.  Memory is quadratic in the number of stages, so
-    this serves as a reference only.
-    """
-    widths = np.asarray(widths, np.float64)
+def _value_table(widths, r0, q, s):
+    """The full ``(m+2) x (r0+m+2)`` value table, one row per stage."""
     mp1 = widths.shape[0]
     size = r0 + mp1 + 1
     table = np.empty((mp1 + 1, size), np.float64)
@@ -28,6 +21,20 @@ def oracle_decisions_table(widths, r0, q, s):
         top = r0 + k + 1
         hold = 0.5 * s * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
         table[k, :top] = np.minimum(post, hold)
+    return table
+
+
+def oracle_decisions_table(widths, r0, q, s):
+    """Backward induction over the full ``(m+2) x (r0+m+2)`` value table.
+
+    Same problem and tie rule as ``kernels.oracle_decisions``, solved
+    without the threshold argument: every reachable rank of every stage
+    gets its value.  Memory is quadratic in the number of stages, so
+    this serves as a reference only.
+    """
+    widths = np.asarray(widths, np.float64)
+    mp1 = widths.shape[0]
+    table = _value_table(widths, r0, q, s)
     decisions = np.zeros(mp1, np.int8)
     r = r0
     for k in range(mp1):
@@ -40,6 +47,25 @@ def oracle_decisions_table(widths, r0, q, s):
         else:
             r = r + 1
     return decisions
+
+
+def oracle_thresholds_table(widths, r0, q, s):
+    """Each stage's threshold ``T_k`` read off the full value table.
+
+    ``T_k`` is the first reachable rank whose hold cost exceeds the
+    post cost, or ``r0 + k + 1`` when no reachable rank posts.
+    """
+    widths = np.asarray(widths, np.float64)
+    table = _value_table(widths, r0, q, s)
+    ranks = np.arange(table.shape[1], dtype=np.float64)
+    bumped_sq = (ranks + 1.0) * (ranks + 1.0)
+    thresholds = []
+    for k in range(widths.shape[0]):
+        top = r0 + k + 1
+        hold = 0.5 * s * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
+        posts = np.flatnonzero(0.5 * q + table[k + 1, 0] < hold)
+        thresholds.append(int(posts[0]) if posts.size else top)
+    return thresholds
 
 
 def brute_force_schedule_multi(

@@ -56,6 +56,16 @@ def test_simulate_rejects_budget_with_q(tmp_path):
     assert "exactly one" in err["message"]
 
 
+def test_simulate_repeated_budget_writes_one_row(tmp_path):
+    out = tmp_path / "r.csv"
+    result = run_ok([
+        "simulate", "--scenario", "one-follower-hawkes", "--policy", "redqueen",
+        "--budget", "3,3.0,3", "--feed-events", "40", "--seeds", "0", "--out", str(out),
+    ])
+    assert json.loads(result.output)["rows"] == 1
+    assert [r.run for r in read_report_csv(out)] == ["one-follower-hawkes:budget=3"]
+
+
 def test_simulate_rejects_bad_seed_range(tmp_path):
     result = CliRunner().invoke(
         main, SMALL_SIM + ["--seeds", "5-2", "--out", str(tmp_path / "r.csv")]
@@ -321,6 +331,9 @@ SIM_SINUSOID = [
         (SIM_BUDGET + ["--feed-events", "inf"], "target_feed_events must be positive and finite, got inf"),
         (SIM_BUDGET + ["--feed-lambda0", "nan"], "lambda0 must be positive and finite, got nan"),
         (SIM_BUDGET + ["--offline-segments", "0"], "offline_segments must be at least 1, got 0"),
+        (SIM_BUDGET + ["--feed-lambda0", "1e-320"],
+         "horizon = target_feed_events / stationary feed rate must be positive and finite, "
+         "got inf (lambda0=1e-320, target_feed_events=40.0)"),
         (SIM_SINUSOID + ["--horizon", "nan"], "horizon must be positive and finite, got nan"),
         (SIM_SINUSOID + ["--horizon", "inf"], "horizon must be positive and finite, got inf"),
         (["tune-q", "--scenario", "one-follower-hawkes", "--target", "4", "--tol", "nan"],
@@ -330,6 +343,7 @@ SIM_SINUSOID = [
         "replay-initial-rank", "replay-target-posts", "replay-tune-tol", "replay-offline-segments",
         "simulate-tune-tol-nan", "simulate-tune-tol-negative", "simulate-feed-events-nan",
         "simulate-feed-events-inf", "simulate-feed-lambda0-nan", "simulate-offline-segments",
+        "simulate-feed-lambda0-tiny",
         "simulate-horizon-nan", "simulate-horizon-inf", "tune-q-tol-nan",
     ],
 )

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import oracle_decisions_table
+from reference import oracle_decisions_table, oracle_thresholds_table
 
 from whentopost import kernels
 from whentopost.control_oracle import instance_from_feed
@@ -304,6 +304,93 @@ def test_oracle_kernel_matches_table_on_hawkes_feeds(seed):
         assert got.tobytes() == want.tobytes(), f"q={q}"
 
 
+def oracle_case(name):
+    """A named backward-induction input ``(widths, r0, q, s)``."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "path-switches":
+        # wide stages post from rank ~19 on; narrow ones never post, so
+        # their thresholds climb with the stage index, past the cutoff in
+        # the run at stages 300-399
+        wide, narrow = np.full(100, 1.0), np.full(100, 1e-4)
+        return np.concatenate([wide, narrow, wide, narrow, wide]), 0, 4096.0, 1.0
+    if name == "r0-above-cutoff":
+        return rng.uniform(0.0, 2.0, 300), 3 * kernels._ORACLE_SCALAR_RANKS, 64.0, 1.0
+    if name == "r0-above-cutoff-no-posts":
+        return np.full(200, 1e-4), 3 * kernels._ORACLE_SCALAR_RANKS, 2.0**20, 1.0
+    if name == "q-zero":
+        return rng.uniform(0.0, 2.0, 200), 5, 0.0, 1.0
+    if name == "s-zero":
+        return rng.uniform(0.0, 2.0, 200), 5, 10.0, 0.0
+    if name == "zero-widths":
+        widths = rng.uniform(0.0, 2.0, 300)
+        widths[rng.random(300) < 0.5] = 0.0
+        return widths, 2, 100.0, 1.0
+    if name == "all-zero-widths":
+        return np.zeros(150), 0, 1.0, 1.0
+    if name == "single-stage":
+        return np.array([0.7]), 0, 1.0, 1.0
+    if name == "single-stage-high-rank":
+        return np.array([0.7]), 200, 1.0, 1.0
+    if name == "single-zero-stage":
+        return np.array([0.0]), 3, 1.0, 1.0
+    raise KeyError(name)
+
+
+ORACLE_CASES = [
+    "path-switches", "r0-above-cutoff", "r0-above-cutoff-no-posts", "q-zero", "s-zero",
+    "zero-widths", "all-zero-widths", "single-stage", "single-stage-high-rank", "single-zero-stage",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_fallback_matches_loop_and_table(name):
+    # without numba the loop runs as plain Python, the fallback's reference
+    widths, r0, q, s = oracle_case(name)
+    want = oracle_decisions_table(widths, r0, q, s)
+    assert kernels._oracle_decisions_loop(widths, r0, q, s).tobytes() == want.tobytes()
+    got = kernels._oracle_decisions_numpy(widths, r0, q, s)
+    assert got.dtype == np.int8
+    assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_path_switch_case_crosses_the_cutoff_both_ways():
+    # a stage scans in Python iff the next stage's threshold is below the
+    # cutoff; this case must take both turns and rerun failed scans
+    cut = kernels._ORACLE_SCALAR_RANKS
+    thresholds = oracle_thresholds_table(*oracle_case("path-switches"))
+    below = [t < cut for t in thresholds]
+    pairs = list(zip(below[1:], below[:-1]))  # (stage k+1, stage k)
+    assert (True, False) in pairs  # a scan reaches the cutoff: rerun as slices
+    assert (False, True) in pairs  # slices hand back to the scan
+    assert 0 < min(thresholds) and max(thresholds) > 2 * cut
+
+
+@pytest.mark.parametrize("cut", [1, 4, 128])
+def test_oracle_fallback_matches_loop_at_any_cutoff(monkeypatch, cut):
+    monkeypatch.setattr(kernels, "_ORACLE_SCALAR_RANKS", cut)
+    rng = np.random.default_rng(90 + cut)
+    for case in range(150):
+        widths, r0, q, s = random_oracle_case(rng)
+        want = kernels._oracle_decisions_loop(widths, r0, q, s)
+        got = kernels._oracle_decisions_numpy(widths, r0, q, s)
+        assert got.tobytes() == want.tobytes(), f"case {case}"
+    for name in ORACLE_CASES:
+        widths, r0, q, s = oracle_case(name)
+        want = oracle_decisions_table(widths, r0, q, s)
+        assert kernels._oracle_decisions_numpy(widths, r0, q, s).tobytes() == want.tobytes(), name
+
+
+def test_oracle_fallback_matches_loop_on_a_hawkes_feed():
+    # q = 2**23: thresholds grow to thousands of ranks, so long stages take
+    # the slice path and the plain-Python loop takes about a second
+    times, tf = hawkes_feed(0)
+    inst = instance_from_feed(times, 0.0, tf, q=2.0**23)
+    want = kernels._oracle_decisions_loop(inst.widths, inst.r0, inst.q, inst.s)
+    got = kernels._oracle_decisions_numpy(inst.widths, inst.r0, inst.q, inst.s)
+    assert got.tobytes() == want.tobytes()
+    assert 0 < want.sum() < 20
+
+
 def test_oracle_kernel_memory_is_linear_in_stages():
     # 50k stages: the full value table would take ~19 GiB
     widths = np.random.default_rng(8).uniform(0.0, 0.2, 50_001)
@@ -317,8 +404,8 @@ def test_oracle_kernel_memory_is_linear_in_stages():
     assert 0 < decisions.sum() < decisions.shape[0]
 
 
-def test_oracle_fallback_is_the_one_kernel():
+def test_oracle_fallback_is_the_numpy_kernel():
     impls = kernels.IMPLEMENTATIONS["oracle_decisions"]
-    assert impls["fallback"] is kernels._oracle_decisions
+    assert impls["fallback"] is kernels._oracle_decisions_numpy
     if not kernels.NUMBA_ENABLED:
-        assert kernels.oracle_decisions is kernels._oracle_decisions
+        assert kernels.oracle_decisions is kernels._oracle_decisions_numpy
