@@ -27,18 +27,32 @@ bytes differ from the single-budget reports.
 
 An I/O section then writes a 100k-event log with ``save_events`` and
 times ``load_events`` (canonical lines parsed a chunk at a time) against
-its per-line ``json.loads`` path, and ``write_profile_csv`` (a follower's
-rows at a time) against one ``csv.writerow`` per row.  It fails if the
-times, sources or file bytes differ.
+its per-line ``json.loads`` path, ``estimate_significance`` (one count
+table for every follower), and ``write_profile_csv`` (a block of
+followers at a time) against one ``csv.writerow`` per row.  It fails if
+the times, sources or file bytes differ, or if any follower's weights
+differ in a bit from ``bucket_weights`` on that follower's events alone.
+
+``--json PATH`` also writes the I/O section's timings to PATH, with the
+kernel flavor, ``nproc``, the git SHA of the package's checkout, and the
+Python and NumPy versions.  The package is imported from ``PYTHONPATH``,
+so the same script times another checkout's ``src/``:
+
+    PYTHONPATH=OTHER/src python3 benchmarks/bench_kernels.py --json BENCH.json
 """
 
 import collections
 import contextlib
 import csv
+import json
+import os
+import platform
 import re
+import subprocess
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +60,7 @@ import click
 import numpy as np
 from click.testing import CliRunner
 
+import whentopost
 from whentopost import cli, data_io, scenarios
 from whentopost.control_oracle import OracleInstance, schedule_cost
 from whentopost.kernels import (
@@ -55,7 +70,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.point_process import EventStream
-from whentopost.significance import estimate_significance
+from whentopost.significance import bucket_weights, estimate_significance
 
 
 def hawkes_workload():
@@ -232,7 +247,20 @@ def per_line_events():
         yield
 
 
+def check_significance(stream, profile):
+    """Exit unless every follower's weights are ``bucket_weights`` of its own events, bit for bit."""
+    order = np.argsort(stream.sources, kind="stable")
+    sources = stream.sources[order]
+    bounds = np.flatnonzero(sources[1:] != sources[:-1]) + 1
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(sources)]])):
+        fid = sources[lo]
+        want = bucket_weights(stream.times[order[lo:hi]], profile.epoch, profile.granularity, profile.laplace)
+        if profile.values[fid].tobytes() != want.tobytes():
+            raise SystemExit(f"estimate_significance: {fid!r} differs from its own bucket_weights")
+
+
 def bench_io(repeats):
+    """Time and check the profile path's three calls; return the timings in seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "events.jsonl"
         data_io.save_events(synthetic_log(), log)
@@ -245,7 +273,12 @@ def bench_io(repeats):
             raise SystemExit("load_events: the chunked path disagrees with the per-line path")
 
         ids = sorted(set(got.sources))
-        profile = estimate_significance(got, ids, epoch=0.0, granularity="weekday-hour")
+        estimate = lambda: estimate_significance(got, ids, epoch=0.0, granularity="weekday-hour")
+        t_estimate = best_time(estimate, repeats)
+        profile = estimate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # every account has events: no flat fallback
+            check_significance(got, profile)
         rows, chunked = Path(tmp) / "rows.csv", Path(tmp) / "chunked.csv"
         t_rows = best_time(lambda: write_profile_csv_by_rows(profile, rows), repeats)
         t_write = best_time(lambda: data_io.write_profile_csv(profile, chunked), repeats)
@@ -258,11 +291,50 @@ def bench_io(repeats):
         ("write_profile_csv", t_rows, t_write),
     ):
         click.echo(f"{name:<22} {slow * 1e3:>10.2f}ms {fast * 1e3:>10.2f}ms {slow / fast:>8.1f}x")
+    click.echo(f"{'estimate_significance':<22} {'-':>12} {t_estimate * 1e3:>10.2f}ms {'-':>9}")
+    return {
+        "load_events": t_chunks,
+        "load_events_per_line": t_lines,
+        "estimate_significance": t_estimate,
+        "write_profile_csv": t_write,
+        "write_profile_csv_by_rows": t_rows,
+    }
+
+
+def git_sha():
+    """SHA of the checkout the imported package lives in, and whether it has edits."""
+    here = Path(whentopost.__file__).resolve().parent
+
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=here, capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
+
+
+def write_json(path, repeats, timings):
+    sha, dirty = git_sha()
+    record = {
+        "section": "io",
+        "workload": "synthetic_log(): 100k events, 1000 accounts, weekday-hour profiles",
+        "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
+        "nproc": len(os.sched_getaffinity(0)),
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repeats": repeats,
+        "statistic": "best of repeats",
+        "seconds": timings,
+    }
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
-def main(repeats):
+@click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None,
+              help="Also write the I/O section's timings and the run's environment here.")
+def main(repeats, json_path):
     if not NUMBA_ENABLED:
         click.echo("compiled flavor disabled (numba missing or WHENTOPOST_NUMBA off); "
                    "timing the fallback only")
@@ -295,7 +367,9 @@ def main(repeats):
     )
     bench_oracle(repeats)
     bench_sweep(repeats)
-    bench_io(repeats)
+    timings = bench_io(repeats)
+    if json_path:
+        write_json(json_path, repeats, timings)
 
 
 if __name__ == "__main__":

@@ -279,7 +279,7 @@ def _write_summary(reports, path):
 def estimate_significance_cmd(events_path, epoch, granularity, laplace, followers, out):
     """Estimate per-follower activity profiles from an event log."""
     events = data_io.load_events(events_path)
-    ids = list(followers) if followers else sorted(set(str(s) for s in events.sources))
+    ids = list(followers) if followers else sorted(set(map(str, events.sources.tolist())))
     if not ids:
         raise scenarios.ScenarioError("the event log is empty; nothing to profile")
     profile = estimate_significance(events, ids, epoch=epoch, granularity=granularity, laplace=laplace)

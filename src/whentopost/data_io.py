@@ -1,20 +1,25 @@
 """File formats: event logs, follower graphs, manifests, reports, profiles.
 
 * Events: JSON lines, one object per event: ``{"t": <seconds>, "src": "<id>"}``.
-  Times are seconds relative to the manifest's epoch.  Lines in exactly
-  the form ``save_events`` writes (that spacing and key order, a string id
-  without escapes) are read a chunk at a time by one regular-expression
-  pass; a chunk holding any other line is read with one ``json.loads`` a
-  line.  Both give the same times, ids, warnings and ``file:line`` errors.
+  Times are seconds relative to the manifest's epoch.  The log is read
+  about 32k characters at a time.  A chunk whose lines are all in
+  exactly the form ``save_events`` writes (that spacing and key order, a
+  string id without escapes) passes one regular-expression ``fullmatch``;
+  two string passes then cut out its times and ids, and one NumPy call
+  reads the times.  A chunk holding any other line is read with one
+  ``json.loads`` a line.  Both give the same times, ids, warnings and
+  ``file:line`` errors.
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
 * Reports: CSV with the fixed header
   ``run,seed,policy,posts,position_over_time,time_at_top,normalized_position,normalized_time_at_top``.
 * Profiles: CSV of ``follower_id,bucket_index,value`` rows, preceded by
-  ``#``-comment metadata lines (granularity, epoch, normalization).  Each
-  follower's rows are built as one string, with the id quoted once as
-  ``csv`` quotes it, so the bytes equal one ``writerow`` per row.
+  ``#``-comment metadata lines (granularity, epoch, normalization).  The
+  rows of 64 followers are built as one string: each id is quoted once
+  as ``csv`` quotes it, each distinct value is spelled once, and one
+  ``%`` formatting fills them in, so the bytes equal one ``writerow`` per
+  row while the scratch stays bounded.
 
 Floats are written with ``repr``, which round-trips exactly, so loading
 what was saved reproduces the original values bit for bit.
@@ -71,16 +76,22 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: Size hint, in characters, for the lines ``load_events`` parses at a time.
-_CHUNK_CHARS = 1 << 18
+#: Size hint, in characters, for the text ``load_events`` parses at a time.
+#: The ``fullmatch`` of a chunk keeps a backtracking entry per line (up to
+#: ~0.7 KiB), so a chunk of ~750 lines bounds that scratch near 0.5 MiB.
+_CHUNK_CHARS = 1 << 15
 
 #: The line ``save_events`` writes: a JSON number and a string with no escape
-#: or control character, so the captured text is the value JSON would read.
-_CANONICAL_EVENT = re.compile(
-    r'^\{"t": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
-    r'"src": "([^"\\\x00-\x1f]*)"\}$',
-    re.M,
+#: or control character, so the text is the value JSON would read.
+_CANONICAL_LINE = (
+    r'\{"t": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?, '
+    r'"src": "[^"\\\x00-\x1f]*"\}'
 )
+#: A chunk of canonical lines, the last one with or without its newline.
+_CANONICAL_EVENT = re.compile(f"(?:{_CANONICAL_LINE}\n)*{_CANONICAL_LINE}\n?")
+#: What joins a line's time to its id, and one line's id to the next time.
+_SRC_SEP = ', "src": "'
+_LINE_SEP = '"}\n{"t": '
 
 
 def load_events(path) -> EventStream:
@@ -97,11 +108,13 @@ def load_events(path) -> EventStream:
     interned: dict = {}
     lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(_CHUNK_CHARS):
-            times, ids = _parse_chunk(lines, path, lineno)
+        while text := fh.read(_CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # finish the chunk's last line
+            times, ids = _parse_chunk(text, path, lineno)
             parts.append(times)
             sources.extend(map(interned.setdefault, ids, ids))
-            lineno += len(lines)
+            lineno += text.count("\n")  # only the last chunk can end without one
     times = np.concatenate(parts) if parts else np.empty(0)
     # NaN propagates through min and max, and +-inf shows in one of them
     if times.size and not (math.isfinite(times.min()) and math.isfinite(times.max())):
@@ -128,20 +141,23 @@ def load_events(path) -> EventStream:
     return EventStream(times, sources)
 
 
-def _parse_chunk(lines, path, first_lineno) -> tuple[np.ndarray, list]:
-    """Times and source ids of ``lines``, which start at line ``first_lineno``.
+def _parse_chunk(text, path, first_lineno) -> tuple[np.ndarray, list]:
+    """Times and source ids of the lines in ``text``, which start at line ``first_lineno``.
 
-    When every line is canonical one regex pass reads them all; any other
-    chunk is read line by line, with the same result for canonical lines.
+    When every line is canonical, one ``fullmatch`` checks them all, two
+    string passes cut out the times and ids, and one NumPy call reads the
+    times.  Any other chunk is read line by line, with the same result for
+    canonical lines.
     """
-    matches = _CANONICAL_EVENT.findall("".join(lines))
-    if len(matches) == len(lines):  # one match per line at most: all canonical
-        times = np.fromiter((float(t) for t, _ in matches), np.float64, len(matches))
+    if _CANONICAL_EVENT.fullmatch(text):
+        body = text[len('{"t": ') : -3 if text.endswith("\n") else -2]
+        tokens = body.replace(_LINE_SEP, _SRC_SEP).split(_SRC_SEP)
+        times = np.array(tokens[0::2], dtype=np.float64)
         # JSON reads the integer token -0 as 0, and an integer too large for a
-        # float fails, where float() gives -0.0 and inf: such chunks go per line
+        # float fails, where NumPy gives -0.0 and inf: such chunks go per line
         if np.isfinite(times).all() and not np.signbit(times[times == 0.0]).any():
-            return times, [s for _, s in matches]
-    return _parse_lines(lines, path, first_lineno)
+            return times, tokens[1::2]
+    return _parse_lines(text.split("\n"), path, first_lineno)
 
 
 def _parse_lines(lines, path, first_lineno) -> tuple[np.ndarray, list]:
@@ -411,7 +427,19 @@ def read_report_csv(path) -> list[MetricsReport]:
 # ---------------------------------------------------------------------------
 
 
+#: Followers ``write_profile_csv`` formats at a time; bounds its scratch
+#: strings whatever the number of followers.
+_PROFILE_BLOCK = 64
+
+
 def write_profile_csv(profile: SignificanceProfile, path) -> None:
+    """Write ``profile``; the bytes equal one ``csv.writerow`` per row.
+
+    A block of followers is formatted at a time: each distinct value is
+    spelled (``repr``) once per block, each follower's id is quoted once
+    as ``csv`` quotes it, and the block's rows come out of one ``%``
+    formatting of a template built from the quoted ids.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# granularity = {profile.granularity}\n")
         fh.write(f"# epoch = {_fmt(profile.epoch)}\n")
@@ -422,22 +450,25 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["follower_id", "bucket_index", "value"])
-        middles = [f",{b}," for b in range(bucket_count(profile.granularity))]
+        rows = [f",{b},%s\n" for b in range(bucket_count(profile.granularity))]
         quoted = io.StringIO()
         quote = csv.writer(quoted, lineterminator="\n")
-        for fid, vec in profile.values.items():
-            # the id cell exactly as writerow would quote it, then its rows in one write
-            quoted.seek(0)
-            quoted.truncate()
-            quote.writerow([fid, ""])
-            head = quoted.getvalue()[:-2]
-            vec = np.asarray(vec, dtype=np.float64)
-            reprs: dict = {}  # keyed by bits, so 0.0 and -0.0 stay apart
-            cells = [
-                reprs.get(bits) or reprs.setdefault(bits, repr(x))
-                for bits, x in zip(vec.view(np.int64).tolist(), vec.tolist())
-            ]
-            fh.write("".join([head + mid + cell + "\n" for mid, cell in zip(middles, cells)]))
+        fids = list(profile.values)
+        for lo in range(0, len(fids), _PROFILE_BLOCK):
+            block = fids[lo : lo + _PROFILE_BLOCK]
+            template = []
+            for fid in block:
+                # the id cell exactly as writerow would quote it, before each row
+                quoted.seek(0)
+                quoted.truncate()
+                quote.writerow([fid, ""])
+                head = quoted.getvalue()[:-2].replace("%", "%%")
+                template.append(head + head.join(rows))
+            vecs = np.stack([profile.values[fid] for fid in block])
+            # keyed by bits, so 0.0 and -0.0 stay apart
+            distinct, cell = np.unique(vecs.view(np.int64), return_inverse=True)
+            spelled = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), object)
+            fh.write("".join(template) % tuple(spelled[cell.reshape(-1)].tolist()))
 
 
 def read_profile_csv(path) -> SignificanceProfile:

@@ -298,8 +298,18 @@ class _SyntheticConfig:
 
     @property
     def run_label(self) -> str:
-        knob = f"budget={self.budget:g}" if self.budget is not None else f"q={self.q:g}"
+        knob = f"budget={_spell(self.budget)}" if self.budget is not None else f"q={_spell(self.q)}"
         return f"{self._scenario}:{knob}"
+
+
+def _spell(x: float) -> str:
+    """``x`` in ``:g`` form when that reads back as ``x``, else its ``repr``.
+
+    Distinct budgets or prices then get distinct run labels, while every
+    label ``:g`` spells exactly stays as it was.
+    """
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def _synthetic_details(feeds_by_seed: dict, tf: float) -> dict:

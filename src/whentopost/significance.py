@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +82,27 @@ def _normalize_counts(counts: np.ndarray, laplace: float) -> np.ndarray:
     return counts
 
 
+def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
+    """:func:`_normalize_counts` of every row of an integer count table at once.
+
+    The counts are exact integers, so each row's sum and maximum are the
+    bits the row-by-row arithmetic gives.  Each all-zero row warns once and
+    becomes flat; its divisions are skipped, so ``laplace=0`` divides no
+    zero by zero.
+    """
+    weights = table.astype(np.float64)
+    totals = weights.sum(axis=1)
+    empty = totals == 0
+    for _ in range(int(empty.sum())):
+        warnings.warn("empty activity log: falling back to a flat profile", stacklevel=3)
+    full = ~empty[:, None]
+    weights += laplace
+    np.divide(weights, (totals + laplace * table.shape[1])[:, None], out=weights, where=full)
+    weights[empty] = 1.0
+    weights /= weights.max(axis=1, keepdims=True)
+    return weights
+
+
 def bucket_weights(
     times: np.ndarray,
     epoch: float,
@@ -100,6 +122,10 @@ def bucket_weights(
     return _normalize_counts(counts.astype(np.float64), laplace)
 
 
+#: Followers whose range :class:`SignificanceProfile` checks at a time.
+_CHECK_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class SignificanceProfile:
     """Per-follower bucket weights plus the calendar anchoring them.
@@ -116,14 +142,20 @@ class SignificanceProfile:
     normalization: str = "max"
 
     def __post_init__(self):
+        # the range of a block of followers is checked at a time, up to the
+        # first with the wrong shape; the first follower to fail is named
         b = bucket_count(self.granularity)
-        for fid, vec in self.values.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (b,):
-                raise ValueError(f"profile for {fid!r} needs {b} buckets")
-            if np.any(vec < 0) or np.any(vec > 1):
-                raise ValueError(f"profile for {fid!r} must lie in [0, 1]")
-            self.values[fid] = vec
+        fids = list(self.values)
+        vecs = [np.asarray(vec, dtype=np.float64) for vec in self.values.values()]
+        shaped = next((i for i, vec in enumerate(vecs) if vec.shape != (b,)), len(vecs))
+        for lo in range(0, shaped, _CHECK_BLOCK):
+            block = np.concatenate(vecs[lo : min(lo + _CHECK_BLOCK, shaped)]).reshape(-1, b)
+            outside = np.flatnonzero(((block < 0) | (block > 1)).any(axis=1))
+            if outside.size:
+                raise ValueError(f"profile for {fids[lo + outside[0]]!r} must lie in [0, 1]")
+        if shaped < len(vecs):
+            raise ValueError(f"profile for {fids[shaped]!r} needs {b} buckets")
+        self.values.update(zip(fids, vecs))
 
     def follower_ids(self) -> list:
         return list(self.values.keys())
@@ -174,8 +206,10 @@ def estimate_significance(
     ``row * b + bucket`` indexes the cell to increment.  The log goes
     through in fixed-size chunks, and the counts go straight into the
     table (``np.add.at``), since a ``np.bincount`` per chunk would be
-    another table-sized temporary.  The counts are exact integers, and
-    each row then goes through the same arithmetic as
+    another table-sized temporary.  Each source's row is looked up by a
+    ``map`` of ``dict.get``, with no Python frame per event.  The counts
+    are exact integers, and the whole table is then normalized at once,
+    each row with the same arithmetic, and so the same bits, as
     :func:`bucket_weights` on that follower's events alone.
     """
     _check_laplace(laplace)
@@ -189,13 +223,12 @@ def estimate_significance(
     flat = table.reshape(-1)
     for lo in range(0, events.times.shape[0], _CHUNK):
         sources = events.sources[lo : lo + _CHUNK].tolist()
-        rows = np.fromiter((row_of.get(s, -1) for s in sources), np.int64, len(sources))
+        rows = np.fromiter(map(row_of.get, sources, repeat(-1)), np.int64, len(sources))
         keep = rows >= 0
         buckets = bucket_index(epoch + events.times[lo : lo + _CHUNK][keep], granularity)
         np.add.at(flat, rows[keep] * b + buckets, 1)
-    values = {}
-    for fid, row in row_of.items():
-        values[fid] = _normalize_counts(table[row].astype(np.float64), laplace)
+    weights = _normalize_table(table, laplace)
+    values = dict(zip(row_of, weights))
     return SignificanceProfile(
         granularity=granularity,
         epoch=float(epoch),

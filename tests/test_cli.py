@@ -66,6 +66,20 @@ def test_simulate_repeated_budget_writes_one_row(tmp_path):
     assert [r.run for r in read_report_csv(out)] == ["one-follower-hawkes:budget=3"]
 
 
+def test_simulate_budgets_close_together_get_distinct_labels(tmp_path):
+    # 3 and 3.0000001 both print as 3 with :g; each keeps its own row and tune
+    out = tmp_path / "r.csv"
+    result = run_ok([
+        "simulate", "--scenario", "one-follower-hawkes", "--policy", "redqueen",
+        "--budget", "3,3.0000001", "--feed-events", "40", "--seeds", "0", "--out", str(out),
+    ])
+    labels = ["one-follower-hawkes:budget=3", "one-follower-hawkes:budget=3.0000001"]
+    assert [r.run for r in read_report_csv(out)] == labels
+    details = json.loads(result.output)["details"]
+    assert sorted(details) == labels
+    assert [details[label]["redqueen_tune"]["target"] for label in labels] == [3.0, 3.0000001]
+
+
 def test_simulate_rejects_bad_seed_range(tmp_path):
     result = CliRunner().invoke(
         main, SMALL_SIM + ["--seeds", "5-2", "--out", str(tmp_path / "r.csv")]

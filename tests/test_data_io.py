@@ -404,6 +404,35 @@ def test_profile_csv_matches_row_by_row_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("followers", [1, 64, 65, 130])
+def test_profile_csv_blocks_match_row_by_row_writer(tmp_path, followers):
+    # follower counts on both sides of the block size; ids csv must quote or
+    # that hold a template's %, signed zeros, and values followers share
+    rng = np.random.default_rng(followers)
+    shared = rng.uniform(0.0, 1.0, 5)
+    odd_ids = ["a,b", 'say "hi"', "two\nlines", "cr\rx", "100%", "%s%%", "%(x)s", ""]
+    values = {}
+    for k in range(followers):
+        vec = rng.choice(np.concatenate([shared, [0.0, -0.0, 1.0]]), 168)
+        values[odd_ids[k] if k < len(odd_ids) else f"u{k}"] = vec
+    profile = SignificanceProfile("weekday-hour", epoch=1.5e9, laplace=1.0, values=values)
+    assert sum(np.signbit(v[v == 0.0]).any() for v in profile.values.values()) > 0
+    write_profile_csv(profile, tmp_path / "new.csv")
+    write_profile_csv_by_rows(profile, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_profile_csv_block_size_does_not_change_bytes(tmp_path):
+    rng = np.random.default_rng(9)
+    values = {f"f{k}": rng.uniform(0.0, 1.0, 7) for k in range(10)}
+    profile = SignificanceProfile("weekday", epoch=0.0, laplace=1.0, values=values)
+    write_profile_csv_by_rows(profile, tmp_path / "old.csv")
+    for block in (1, 3, 10, 11):
+        with mock.patch.object(data_io, "_PROFILE_BLOCK", block):
+            write_profile_csv(profile, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_profile_csv_requires_metadata(tmp_path):
     p = tmp_path / "profile.csv"
     p.write_text("follower_id,bucket_index,value\nf,0,1.0\n", encoding="utf-8")
@@ -566,6 +595,25 @@ def test_load_events_near_canonical_lines_agree(tmp_path):
         write_lines(p, ['{"t": -1.5, "src": "a"}', line, '{"t": 2.5, "src": "b"}'])
         for chunk_chars in (1, 1 << 18):
             load_both_ways(p, chunk_chars)
+
+
+def test_load_events_long_and_exponent_times_agree(tmp_path):
+    # times with more digits than a double holds, and at the edges of its
+    # range, read as the per-line json.loads path reads them
+    rng = np.random.default_rng(77)
+    tokens = ["0.1000000000000000055511151231257827", "9007199254740993", "123456789012345678901234",
+              "2.4703282292062328e-324", "2.4703282292062327e-324", "1.7976931348623158e308",
+              "4.9e-324", "1e-400", "0.0", "0e-5"]
+    for _ in range(200):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 30)))))
+        tokens.append("%d.%se%d" % (rng.integers(1, 10), digits, rng.integers(-320, 300)))
+    p = tmp_path / "events.jsonl"
+    write_lines(p, ['{"t": %s, "src": "u%d"}' % (t, k % 5) for k, t in enumerate(tokens)])
+    for chunk_chars in (50, 1 << 18):
+        load_both_ways(p, chunk_chars)
+        with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(data_io, "_parse_lines", side_effect=AssertionError("per line")):
+            load_outcome(p)  # every chunk took the fast path
 
 
 def test_load_events_bad_line_in_a_later_chunk(tmp_path):

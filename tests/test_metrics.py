@@ -1,6 +1,8 @@
 """Exact rank-path metrics and their dense-integration oracle."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -177,3 +179,20 @@ def test_aggregate_summary_stats():
     assert math.isclose(out["stderr"], np.std([1, 2, 3, 4], ddof=1) / 2.0)
     single = aggregate([5.0])
     assert single["stderr"] == 0.0
+
+
+def test_aggregate_order_statistics_match_numpy_bitwise():
+    # median and quartiles come from partitions without numpy.ma; they must be
+    # np.median's and np.percentile's bits, signed zeros, infinities and NaN too
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 0.1])
+    bits = lambda x: struct.pack("<d", float(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf inside NumPy's own lerp
+        for k in range(3000):
+            n = int(rng.integers(1, 12))
+            arr = rng.choice(pool if k % 3 == 0 else pool[:2], n) if k % 3 < 2 else rng.normal(size=n)
+            got = aggregate(arr)
+            assert bits(got["median"]) == bits(np.median(arr)), arr
+            assert bits(got["q25"]) == bits(np.percentile(arr, 25)), arr
+            assert bits(got["q75"]) == bits(np.percentile(arr, 75)), arr

@@ -140,6 +140,32 @@ def test_profile_validation():
         SignificanceProfile("weekday", 0.0, {"a": np.full(7, 2.0)})
 
 
+def test_profile_validation_names_the_first_bad_follower():
+    good = {f"f{k}": np.full(7, 0.5) for k in range(200)}
+    for bad in ("f37", "f80", "f150"):  # the followers are checked in blocks
+        for bad_vec, message in ((np.full(7, 1.5), "must lie in"), (-np.ones(7), "must lie in"),
+                                 (np.ones(6), "needs 7 buckets")):
+            values = dict(good)
+            values[bad] = bad_vec
+            values["f199"] = np.full(7, 2.0)  # a later bad follower is not the one named
+            with pytest.raises(ValueError, match=f"^profile for '{bad}' {message}"):
+                SignificanceProfile("weekday", 0.0, values)
+    # a range error before a shape error is the one reported, and the reverse
+    values = dict(good, f10=np.full(7, 2.0), f20=np.ones(5))
+    with pytest.raises(ValueError, match="^profile for 'f10' must lie in"):
+        SignificanceProfile("weekday", 0.0, values)
+    values = dict(good, f10=np.ones(5), f20=np.full(7, 2.0))
+    with pytest.raises(ValueError, match="^profile for 'f10' needs 7 buckets"):
+        SignificanceProfile("weekday", 0.0, values)
+
+
+def test_profile_validation_converts_every_follower():
+    profile = SignificanceProfile("weekday", 0.0, {"a": [1, 0, 0, 0, 0, 0, 0], "b": np.ones(7, np.float32)})
+    for vec in profile.values.values():
+        assert vec.dtype == np.float64 and vec.shape == (7,)
+    assert SignificanceProfile("weekday", 0.0, {}).values == {}
+
+
 def test_step_schedule_unrolls_buckets_onto_window():
     vec = np.array([1.0, 0.5, 0.0, 0.25, 1.0, 0.75, 0.125])
     profile = SignificanceProfile("weekday", epoch=MONDAY, values={"f": vec})
