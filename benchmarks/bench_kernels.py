@@ -25,18 +25,28 @@ it replaces, and the oracle and controller call counts next to the
 number of distinct (q, seed) pairs.  It fails if the sweep's report
 bytes differ from the single-budget reports.
 
-An I/O section then writes a 100k-event log with ``save_events`` and
-times ``load_events`` (canonical lines parsed a chunk at a time) against
-its per-line ``json.loads`` path, ``estimate_significance`` (one count
-table for every follower), and ``write_profile_csv`` (a block of
-followers at a time) against one ``csv.writerow`` per row.  It fails if
-the times, sources or file bytes differ, or if any follower's weights
+An I/O section then writes 100k-event and 1M-event logs with
+``save_events`` and times ``load_events`` on each: as one byte range
+parsed in this process, and as it runs by default, up to one range per
+usable CPU with forked children parsing all but the first.  Where two
+CPUs are usable it also times what a child's range costs beyond its
+parse (forking, reaping and reading an empty range), sets that against
+the one-range parse's cost per byte to give the range size that breaks
+even, and times a 20k-event log, below the size the read splits at, as
+one range and forced into two.  At 100k events it
+also times the per-line ``json.loads`` path, ``estimate_significance``
+(one count table for every follower), and ``write_profile_csv`` (a block
+of followers at a time) against one ``csv.writerow`` per row.  It fails
+if any two reads differ in times, sources or their sharing of one
+string per id, if the file bytes differ, or if any follower's weights
 differ in a bit from ``bucket_weights`` on that follower's events alone.
 
 ``--json PATH`` also writes the I/O section's timings to PATH, with the
-kernel flavor, ``nproc``, the git SHA of the package's checkout, and the
-Python and NumPy versions.  The package is imported from ``PYTHONPATH``,
-so the same script times another checkout's ``src/``:
+kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
+SHA of the package's checkout, and the Python and NumPy versions.  The
+package is imported from ``PYTHONPATH``, so the same script times
+another checkout's ``src/`` (one that always reads one range times the
+same read twice):
 
     PYTHONPATH=OTHER/src python3 benchmarks/bench_kernels.py --json BENCH.json
 """
@@ -44,6 +54,7 @@ so the same script times another checkout's ``src/``:
 import collections
 import contextlib
 import csv
+import io
 import json
 import os
 import platform
@@ -215,16 +226,20 @@ def bench_sweep(repeats):
         click.echo(f"{name:<22} {singles_n:>12} {sweep_n:>12} {distinct:>10}")
 
 
-def synthetic_log():
-    """100k events from 1000 accounts over about a week, from a fixed seed."""
+def synthetic_log(n=100_000):
+    """``n`` events from 1000 accounts, about a week per 100k, from a fixed seed."""
     rng = np.random.default_rng(56)
-    times = np.cumsum(rng.exponential(6.0, 100_000))  # strictly increasing
+    times = np.cumsum(rng.exponential(6.0, n))  # strictly increasing
     accounts = np.array([f"u{i:05d}" for i in range(1000)], dtype=object)
     return EventStream(times, accounts[rng.integers(0, 1000, times.shape[0])])
 
 
 def write_profile_csv_by_rows(profile, path):
-    """``write_profile_csv`` as one ``csv.writerow`` and one ``repr`` per row."""
+    """``write_profile_csv`` as one ``csv.writerow`` and one ``repr`` per row.
+
+    Each row is written with a ``"\\r\\n"`` terminator, so that csv quotes
+    an id holding ``"\\r"``, and is then ended with ``"\\n"``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# granularity = {profile.granularity}\n")
         fh.write(f"# epoch = {float(profile.epoch)!r}\n")
@@ -233,11 +248,19 @@ def write_profile_csv_by_rows(profile, path):
             f"# normalization = {profile.normalization} "
             "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["follower_id", "bucket_index", "value"])
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\r\n")
+
+        def writerow(cells):
+            row.seek(0)
+            row.truncate()
+            writer.writerow(cells)
+            fh.write(row.getvalue()[:-2] + "\n")
+
+        writerow(["follower_id", "bucket_index", "value"])
         for fid, vec in profile.values.items():
             for b in range(vec.shape[0]):
-                writer.writerow([fid, b, repr(float(vec[b]))])
+                writerow([fid, b, repr(float(vec[b]))])
 
 
 @contextlib.contextmanager
@@ -245,6 +268,29 @@ def per_line_events():
     """Make ``load_events`` read every line with ``json.loads``."""
     with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
         yield
+
+
+@contextlib.contextmanager
+def one_range():
+    """Make ``load_events`` read the log as one range in this process."""
+    if not hasattr(data_io, "_usable_cpus"):  # a checkout that always does
+        yield
+        return
+    with mock.patch.object(data_io, "_usable_cpus", lambda: 1):
+        yield
+
+
+def usable_cpus():
+    """The CPUs ``load_events`` splits a large log across."""
+    return data_io._usable_cpus() if hasattr(data_io, "_usable_cpus") else 1
+
+
+def check_same_read(name, got, want):
+    """Exit unless two reads of a log agree in times, sources and one string per id."""
+    if got.times.tobytes() != want.times.tobytes() or got.sources.tolist() != want.sources.tolist():
+        raise SystemExit(f"load_events: {name} disagrees with the one-range read")
+    if len({id(s) for s in got.sources}) != len(set(got.sources)):
+        raise SystemExit(f"load_events: {name} keeps more than one string per id")
 
 
 def check_significance(stream, profile):
@@ -259,18 +305,65 @@ def check_significance(stream, profile):
             raise SystemExit(f"estimate_significance: {fid!r} differs from its own bucket_weights")
 
 
+def bench_load(log, repeats, per_line):
+    """Time and check ``load_events`` on ``log``; return the read and its timings in seconds."""
+    timings = {}
+    with one_range():
+        timings["load_events_one_range"] = best_time(lambda: data_io.load_events(log), repeats)
+        want = data_io.load_events(log)
+        if per_line:
+            with per_line_events():
+                timings["load_events_per_line"] = best_time(lambda: data_io.load_events(log), repeats)
+                check_same_read("the per-line path", data_io.load_events(log), want)
+    timings["load_events"] = best_time(lambda: data_io.load_events(log), repeats)
+    got = data_io.load_events(log)
+    check_same_read("the default read", got, want)
+    return got, timings
+
+
+def bench_split_cost(log, repeats, per_byte):
+    """Time a child's fixed cost and a log too small to split; return seconds (none if it never splits)."""
+    if not hasattr(data_io, "_MIN_RANGE_BYTES") or usable_cpus() < 2:
+        return {}
+    empty = [(0, 0), (0, 0)]  # this process and one child each parse no byte
+    fork = best_time(lambda: data_io._parse_ranges(log, empty), repeats)
+    small = log.with_name("events_20k.jsonl")
+    data_io.save_events(synthetic_log(20_000), small)
+    size = small.stat().st_size
+    if len(data_io._ranges(small)) != 1:
+        raise SystemExit("load_events: the 20k-event log is not below the size the read splits at")
+    one = best_time(lambda: data_io.load_events(small), repeats)
+    want = data_io.load_events(small)
+    with mock.patch.object(data_io, "_MIN_RANGE_BYTES", size // 2):
+        two = best_time(lambda: data_io.load_events(small), repeats)
+        check_same_read("the 20k-event log in two ranges", data_io.load_events(small), want)
+
+    click.echo(f"\n{'load_events split cost':<22} {'fork+reap':>12} {'parse/byte':>12} {'break-even':>11} {'min range':>10}")
+    click.echo(
+        f"{'empty child range':<22} {fork * 1e3:>10.2f}ms {per_byte * 1e9:>10.1f}ns "
+        f"{fork / per_byte / 1024:>7.0f} KiB {data_io._MIN_RANGE_BYTES / 1024:>6.0f} KiB"
+    )
+    click.echo(f"{f'20k events ({size / 1024:.0f} KiB)':<22} {'one range':>12} {'two ranges':>12}")
+    click.echo(f"{'':<22} {one * 1e3:>10.2f}ms {two * 1e3:>10.2f}ms")
+    return {
+        "fork_empty_range": fork,
+        "parse_per_byte": per_byte,
+        "load_events_20k": one,
+        "load_events_20k_two_ranges": two,
+    }
+
+
 def bench_io(repeats):
-    """Time and check the profile path's three calls; return the timings in seconds."""
+    """Time and check the profile path's three calls and the log read at two sizes; return seconds."""
     with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events_1m.jsonl"
+        data_io.save_events(synthetic_log(1_000_000), log)
+        _, timings_1m = bench_load(log, repeats, per_line=False)
+        log.unlink()
         log = Path(tmp) / "events.jsonl"
         data_io.save_events(synthetic_log(), log)
-        with per_line_events():
-            t_lines = best_time(lambda: data_io.load_events(log), repeats)
-            want = data_io.load_events(log)
-        t_chunks = best_time(lambda: data_io.load_events(log), repeats)
-        got = data_io.load_events(log)
-        if got.times.tobytes() != want.times.tobytes() or got.sources.tolist() != want.sources.tolist():
-            raise SystemExit("load_events: the chunked path disagrees with the per-line path")
+        got, timings = bench_load(log, repeats, per_line=True)
+        timings.update(bench_split_cost(log, repeats, timings["load_events_one_range"] / log.stat().st_size))
 
         ids = sorted(set(got.sources))
         estimate = lambda: estimate_significance(got, ids, epoch=0.0, granularity="weekday-hour")
@@ -287,18 +380,20 @@ def bench_io(repeats):
 
     click.echo(f"\n{'io (100k events)':<22} {'per line/row':>12} {'chunked':>12} {'speedup':>9}")
     for name, slow, fast in (
-        ("load_events", t_lines, t_chunks),
+        ("load_events", timings["load_events_per_line"], timings["load_events_one_range"]),
         ("write_profile_csv", t_rows, t_write),
     ):
         click.echo(f"{name:<22} {slow * 1e3:>10.2f}ms {fast * 1e3:>10.2f}ms {slow / fast:>8.1f}x")
     click.echo(f"{'estimate_significance':<22} {'-':>12} {t_estimate * 1e3:>10.2f}ms {'-':>9}")
-    return {
-        "load_events": t_chunks,
-        "load_events_per_line": t_lines,
-        "estimate_significance": t_estimate,
-        "write_profile_csv": t_write,
-        "write_profile_csv_by_rows": t_rows,
-    }
+    click.echo(f"\n{f'load_events ({usable_cpus()} cpus)':<22} {'one range':>12} {'default':>12} {'speedup':>9}")
+    for scale, t in (("100k events", timings), ("1M events", timings_1m)):
+        one, default = t["load_events_one_range"], t["load_events"]
+        click.echo(f"{scale:<22} {one * 1e3:>10.2f}ms {default * 1e3:>10.2f}ms {one / default:>8.1f}x")
+    timings.update({f"{name}_1m": t for name, t in timings_1m.items()})
+    timings.update(
+        {"estimate_significance": t_estimate, "write_profile_csv": t_write, "write_profile_csv_by_rows": t_rows}
+    )
+    return timings
 
 
 def git_sha():
@@ -316,9 +411,11 @@ def write_json(path, repeats, timings):
     sha, dirty = git_sha()
     record = {
         "section": "io",
-        "workload": "synthetic_log(): 100k events, 1000 accounts, weekday-hour profiles",
+        "workload": "synthetic_log(): 100k events (1M for the _1m reads, 20k for the _20k ones), 1000 accounts, "
+                    "weekday-hour profiles",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
+        "cpus_usable": usable_cpus(),
         "git_sha": sha,
         "git_dirty": dirty,
         "python": platform.python_version(),

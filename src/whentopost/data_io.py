@@ -2,13 +2,25 @@
 
 * Events: JSON lines, one object per event: ``{"t": <seconds>, "src": "<id>"}``.
   Times are seconds relative to the manifest's epoch.  The log is read
-  about 32k characters at a time.  A chunk whose lines are all in
-  exactly the form ``save_events`` writes (that spacing and key order, a
-  string id without escapes) passes one regular-expression ``fullmatch``;
-  two string passes then cut out its times and ids, and one NumPy call
-  reads the times.  A chunk holding any other line is read with one
-  ``json.loads`` a line.  Both give the same times, ids, warnings and
-  ``file:line`` errors.
+  about 32 KiB at a time, as UTF-8 with universal newlines.  A chunk
+  whose lines are all in exactly the form ``save_events`` writes (that
+  spacing and key order, a string id without escapes) passes one
+  regular-expression ``fullmatch``; two string passes then cut out its
+  times and ids, and one NumPy call reads the times.  A chunk holding any
+  other line is read with one ``json.loads`` a line.  Both give the same
+  times, ids, warnings and ``file:line`` errors.
+
+  Where ``os.fork`` exists and two or more CPUs are usable, a regular
+  file of at least 1 MiB is cut into byte ranges of at least 0.5 MiB, at
+  most one per usable CPU, each starting after a newline.  This process
+  parses the first range, and a forked child parses each other one; the
+  parse's text and scratch then live in the child, and only 12 bytes an
+  event (the time, and the id's code in the child's list of distinct
+  ids) come back through a pipe.  The ranges are joined in file order,
+  so times, ids, warnings and errors are those of one range.  Python 3.12
+  and later warn when a process that runs threads forks, and importing
+  NumPy starts OpenBLAS threads: the read ignores that warning, since the
+  children only parse text and run no BLAS.
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
@@ -32,6 +44,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -76,10 +89,17 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: Size hint, in characters, for the text ``load_events`` parses at a time.
+#: Size hint, in bytes, for the text ``load_events`` parses at a time.
 #: The ``fullmatch`` of a chunk keeps a backtracking entry per line (up to
 #: ~0.7 KiB), so a chunk of ~750 lines bounds that scratch near 0.5 MiB.
-_CHUNK_CHARS = 1 << 15
+_CHUNK_BYTES = 1 << 15
+
+#: Smallest byte range ``load_events`` parses on its own CPU.  A range pays
+#: for its fork once its parse takes longer than the fork: on a 2-CPU
+#: x86-64 host, ``benchmarks/bench_kernels.py`` times forking, reaping and
+#: reading an empty range at 6-8 ms and the parse at 27-40 ns a byte, so
+#: a range of ~0.2 MiB breaks even.  Ranges are at least twice that.
+_MIN_RANGE_BYTES = 1 << 19
 
 #: The line ``save_events`` writes: a JSON number and a string with no escape
 #: or control character, so the text is the value JSON would read.
@@ -101,21 +121,12 @@ def load_events(path) -> EventStream:
     nudged one float step apart with a warning, so every event keeps a
     distinct timestamp.  Malformed lines fail with their line number.
     Each account's id is kept as one shared string, however many events
-    it has.
+    it has.  A large log is parsed in byte ranges on up to one CPU each
+    (see :func:`_ranges`); the result is the same as from one range.
     """
-    parts = []
-    sources: list = []
-    interned: dict = {}
-    lineno = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        while text := fh.read(_CHUNK_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()  # finish the chunk's last line
-            times, ids = _parse_chunk(text, path, lineno)
-            parts.append(times)
-            sources.extend(map(interned.setdefault, ids, ids))
-            lineno += text.count("\n")  # only the last chunk can end without one
-    times = np.concatenate(parts) if parts else np.empty(0)
+    parts = _parse_ranges(path, _ranges(path))
+    times = np.concatenate([part[0] for part in parts])
+    sources = _join_ids(parts)
     # NaN propagates through min and max, and +-inf shows in one of them
     if times.size and not (math.isfinite(times.min()) and math.isfinite(times.max())):
         bad = int(np.flatnonzero(~np.isfinite(times))[0])
@@ -123,7 +134,6 @@ def load_events(path) -> EventStream:
             f"{path}:{_event_lineno(path, bad)}: event time must be finite, "
             f"got {float(times[bad])!r}"
         )
-    sources = np.asarray(sources, dtype=object)
     if times.shape[0] > 1:
         diffs = np.diff(times)
         if np.any(diffs < 0):
@@ -139,6 +149,200 @@ def load_events(path) -> EventStream:
             )
             times = fixed
     return EventStream(times, sources)
+
+
+def _join_ids(parts) -> np.ndarray:
+    """The ids of ``_parse_ranges``'s ``parts`` in order, one shared string per distinct id.
+
+    Empties ``parts``, freeing each range's buffers once its ids are filled in.
+    """
+    sources = np.empty(sum(part[2].shape[0] for part in parts), dtype=object)
+    interned: dict = {}
+    lo = 0
+    while parts:
+        _, vocab, codes = parts.pop(0)
+        table = np.array(list(map(interned.setdefault, vocab, vocab)), dtype=object)
+        np.take(table, codes, out=sources[lo : lo + codes.shape[0]])
+        lo += codes.shape[0]
+    return sources
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or see its affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _ranges(path) -> list[tuple]:
+    """The byte ranges ``(start, stop)`` to parse ``path`` in; ``stop=None`` is the end.
+
+    ``min(usable CPUs, size // _MIN_RANGE_BYTES)`` ranges of about equal
+    size, each starting just after a ``\\n``, when ``path`` is a regular
+    file; one range otherwise, or when that count is below two.
+    """
+    cpus = _usable_cpus()
+    size = os.path.getsize(path) if cpus > 1 and os.path.isfile(path) else 0
+    n = min(cpus, size // _MIN_RANGE_BYTES)
+    if n < 2:
+        return [(0, None)]
+    starts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, n):
+            fh.seek(max(size * k // n, 1) - 1)
+            fh.readline()  # to just after the next "\n"
+            if starts[-1] < fh.tell() < size:
+                starts.append(fh.tell())
+    return list(zip(starts, starts[1:] + [None]))
+
+
+def _parse_ranges(path, ranges) -> list[tuple]:
+    """``_parse_range`` of each range in ``ranges``, in order, without its line count.
+
+    This process parses the first range; a forked child parses each other
+    one and sends back its times and codes as raw bytes and its distinct
+    ids as JSON.  A child does not know the line its range starts on, so
+    when it fails (or cannot be forked, or sends a short payload) this
+    process parses its range again, counting lines from the ranges before
+    it: a bad line fails with the same ``file:line`` error as in one range.
+    Every child is reaped before this returns or raises, and killed first
+    when it raises.
+    """
+    children: dict = {}
+    done = False
+    try:
+        for k, (start, stop) in enumerate(ranges[1:], start=1):
+            try:
+                children[k] = _fork_parser(path, start, stop)
+            except OSError:  # e.g. EAGAIN: this range is parsed here
+                pass
+        parts = []
+        lineno = 1
+        for k, (start, stop) in enumerate(ranges):
+            part = None
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    part = _receive(pipe)
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                if status != 0:
+                    part = None
+            if part is None:
+                part = _parse_range(path, start, stop, lineno)
+            lineno += part[3]
+            parts.append(part[:3])
+        done = True
+        return parts
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            if not done:
+                import signal  # only a raising read needs it
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_parser(path, start, stop) -> tuple:
+    """Fork a child that sends ``_parse_range(path, start, stop, 1)`` down a pipe.
+
+    Returns the child's pid and the pipe's read end.  The child writes
+    nothing else, runs no BLAS and always ends with ``os._exit``: nonzero
+    if anything raised, so its output buffers and exit handlers never run.
+    Python 3.12 and later warn after forking a process that runs threads
+    (importing NumPy starts OpenBLAS threads); that warning is ignored,
+    since the child takes no lock another thread could hold, and an error
+    filter would raise it here with the child's pid lost.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            times, vocab, codes, lines = _parse_range(path, start, stop, 1)
+            vocab = json.dumps(vocab).encode("ascii")
+            with open(wfd, "wb") as out:
+                out.write(np.array([times.shape[0], lines, len(vocab)], np.int64).tobytes())
+                out.write(times)
+                out.write(codes)
+                out.write(vocab)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _receive(pipe):
+    """The ``_parse_range`` result a child wrote to ``pipe``, or None if it is short."""
+    head = pipe.read(24)
+    if len(head) < 24:
+        return None
+    n, lines, vocab_bytes = np.frombuffer(head, np.int64).tolist()
+    body = pipe.read(12 * n + vocab_bytes)
+    if len(body) < 12 * n + vocab_bytes:
+        return None
+    times = np.frombuffer(body, np.float64, n)
+    codes = np.frombuffer(body, np.int32, n, 8 * n)
+    return times, json.loads(body[12 * n :]), codes, lines
+
+
+def _parse_range(path, start, stop, first_lineno) -> tuple:
+    """Times, ids and line count of the bytes ``[start, stop)`` of ``path``.
+
+    ``start`` is 0 or just after a ``\\n``, and ``stop`` is just after one,
+    or None for the end of the file.  The bytes are read about
+    ``_CHUNK_BYTES`` at a time (finishing the last line), decoded as
+    UTF-8, with ``\\r\\n`` and a bare ``\\r`` read as ``\\n``, as a text-mode
+    read does, and each chunk goes to ``_parse_chunk``; the first line is
+    line ``first_lineno``.  Returns ``(times, vocab, codes, lines)``: the
+    ``i``-th event's id is ``vocab[codes[i]]``, and ``lines`` counts the
+    newlines read.
+    """
+    times = []
+    codes = []
+    code_of = _Codes()
+    lineno = first_lineno
+    pos = start
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        while data := fh.read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - pos)):
+            if not data.endswith(b"\n"):
+                data += fh.readline(-1 if stop is None else stop - pos - len(data))
+            pos += len(data)
+            text = data.decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            part, ids = _parse_chunk(text, path, lineno)
+            times.append(part)
+            codes.append(np.fromiter(map(code_of.__getitem__, ids), np.int32, len(ids)))
+            lineno += text.count("\n")  # only the last chunk can end without one
+    if not times:
+        return np.empty(0), [], np.empty(0, np.int32), 0
+    return np.concatenate(times), list(code_of), np.concatenate(codes), lineno - first_lineno
+
+
+class _Codes(dict):
+    """Id -> code, numbering ids in order of first lookup.
+
+    A lookup that finds its id is ``dict``'s own, so ``map`` of
+    ``__getitem__`` codes a list of ids with no Python frame but one per
+    new id.
+    """
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
 
 
 def _parse_chunk(text, path, first_lineno) -> tuple[np.ndarray, list]:
@@ -334,10 +538,8 @@ def build_replay_dataset(
         )
     windowed = events.window(t0, tf)
     # code the windowed sources once; each feed is then one table lookup
-    code_of: dict = {}
-    codes = np.fromiter(
-        (code_of.setdefault(s, len(code_of)) for s in windowed.sources), np.int32, len(windowed)
-    )
+    code_of = _Codes()
+    codes = np.fromiter(map(code_of.__getitem__, windowed.sources.tolist()), np.int32, len(windowed))
 
     def from_sources(wanted) -> EventStream:
         table = np.zeros(len(code_of), bool)
@@ -452,7 +654,8 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
         writer.writerow(["follower_id", "bucket_index", "value"])
         rows = [f",{b},%s\n" for b in range(bucket_count(profile.granularity))]
         quoted = io.StringIO()
-        quote = csv.writer(quoted, lineterminator="\n")
+        # a "\r\n" terminator makes csv quote an id holding "\r" as well as "\n"
+        quote = csv.writer(quoted, lineterminator="\r\n")
         fids = list(profile.values)
         for lo in range(0, len(fids), _PROFILE_BLOCK):
             block = fids[lo : lo + _PROFILE_BLOCK]
@@ -462,7 +665,7 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
                 quoted.seek(0)
                 quoted.truncate()
                 quote.writerow([fid, ""])
-                head = quoted.getvalue()[:-2].replace("%", "%%")
+                head = quoted.getvalue()[:-3].replace("%", "%%")
                 template.append(head + head.join(rows))
             vecs = np.stack([profile.values[fid] for fid in block])
             # keyed by bits, so 0.0 and -0.0 stay apart
@@ -472,31 +675,30 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
 
 
 def read_profile_csv(path) -> SignificanceProfile:
+    """Read a profile ``write_profile_csv`` wrote; the ``#`` lines before the header are its metadata."""
     meta: dict[str, str] = {}
-    body = io.StringIO()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip().split(" ")[0] if value else ""
-            else:
-                body.write(line)
-    for key in ("granularity", "epoch", "laplace"):
-        if key not in meta:
-            raise DataFormatError(f"{path}: profile metadata is missing {key!r}")
-    body.seek(0)
-    reader = csv.reader(body)
-    header = next(reader, None)
-    if header != ["follower_id", "bucket_index", "value"]:
-        raise DataFormatError(f"{path}: unexpected profile header {header}")
-    granularity = meta["granularity"]
-    b = bucket_count(granularity)
-    values: dict = {}
-    for row in reader:
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: bad profile row {row}")
-        fid, idx, val = row[0], int(row[1]), float(row[2])
-        values.setdefault(fid, np.zeros(b))[idx] = val
+    # newline="": a quoted id keeps its "\r" and "\n"
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip().split(" ")[0] if value else ""
+            line = fh.readline()
+        for key in ("granularity", "epoch", "laplace"):
+            if key not in meta:
+                raise DataFormatError(f"{path}: profile metadata is missing {key!r}")
+        reader = csv.reader(itertools.chain([line], fh))
+        header = next(reader, None)
+        if header != ["follower_id", "bucket_index", "value"]:
+            raise DataFormatError(f"{path}: unexpected profile header {header}")
+        granularity = meta["granularity"]
+        b = bucket_count(granularity)
+        values: dict = {}
+        for row in reader:
+            if len(row) != 3:
+                raise DataFormatError(f"{path}: bad profile row {row}")
+            fid, idx, val = row[0], int(row[1]), float(row[2])
+            values.setdefault(fid, np.zeros(b))[idx] = val
     return SignificanceProfile(
         granularity=granularity,
         epoch=float(meta["epoch"]),

@@ -150,7 +150,8 @@ class SignificanceProfile:
         shaped = next((i for i, vec in enumerate(vecs) if vec.shape != (b,)), len(vecs))
         for lo in range(0, shaped, _CHECK_BLOCK):
             block = np.concatenate(vecs[lo : min(lo + _CHECK_BLOCK, shaped)]).reshape(-1, b)
-            outside = np.flatnonzero(((block < 0) | (block > 1)).any(axis=1))
+            # written so that NaN is outside too
+            outside = np.flatnonzero((~((block >= 0) & (block <= 1))).any(axis=1))
             if outside.size:
                 raise ValueError(f"profile for {fids[lo + outside[0]]!r} must lie in [0, 1]")
         if shaped < len(vecs):
@@ -204,9 +205,10 @@ def estimate_significance(
     One pass over the log counts every follower at once: each event's
     source maps to its follower's row of one count table, and
     ``row * b + bucket`` indexes the cell to increment.  The log goes
-    through in fixed-size chunks, and the counts go straight into the
-    table (``np.add.at``), since a ``np.bincount`` per chunk would be
-    another table-sized temporary.  Each source's row is looked up by a
+    through in fixed-size chunks; a sort (``np.unique``) counts each
+    chunk's distinct cells, and the counts are added to the table by
+    those cells, with no table-sized temporary such as a ``np.bincount``
+    per chunk would make.  Each source's row is looked up by a
     ``map`` of ``dict.get``, with no Python frame per event.  The counts
     are exact integers, and the whole table is then normalized at once,
     each row with the same arithmetic, and so the same bits, as
@@ -226,7 +228,8 @@ def estimate_significance(
         rows = np.fromiter(map(row_of.get, sources, repeat(-1)), np.int64, len(sources))
         keep = rows >= 0
         buckets = bucket_index(epoch + events.times[lo : lo + _CHUNK][keep], granularity)
-        np.add.at(flat, rows[keep] * b + buckets, 1)
+        cells, counts = np.unique(rows[keep] * b + buckets, return_counts=True)
+        flat[cells] += counts
     weights = _normalize_table(table, laplace)
     values = dict(zip(row_of, weights))
     return SignificanceProfile(

@@ -2,9 +2,13 @@
 
 import contextlib
 import csv
+import errno
+import io
 import json
 import math
+import os
 import re
+import time
 import warnings
 from unittest import mock
 
@@ -365,7 +369,11 @@ def test_profile_csv_round_trip(tmp_path):
 
 
 def write_profile_csv_by_rows(profile, path):
-    """The one-``writerow``-per-row writer; ``write_profile_csv`` must match its bytes."""
+    """The one-``writerow``-per-row writer; ``write_profile_csv`` must match its bytes.
+
+    Each row is written with a ``"\\r\\n"`` terminator, so that csv quotes
+    an id holding ``"\\r"``, and is then ended with ``"\\n"``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# granularity = {profile.granularity}\n")
         fh.write(f"# epoch = {float(profile.epoch)!r}\n")
@@ -374,12 +382,20 @@ def write_profile_csv_by_rows(profile, path):
             f"# normalization = {profile.normalization} "
             "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["follower_id", "bucket_index", "value"])
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\r\n")
+
+        def writerow(cells):
+            row.seek(0)
+            row.truncate()
+            writer.writerow(cells)
+            fh.write(row.getvalue()[:-2] + "\n")
+
+        writerow(["follower_id", "bucket_index", "value"])
         for fid in profile.values:
             vec = profile.values[fid]
             for b in range(vec.shape[0]):
-                writer.writerow([fid, b, repr(float(vec[b]))])
+                writerow([fid, b, repr(float(vec[b]))])
 
 
 def test_profile_csv_matches_row_by_row_writer(tmp_path):
@@ -433,6 +449,33 @@ def test_profile_csv_block_size_does_not_change_bytes(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+
+def test_profile_csv_round_trips_ids_csv_must_quote(tmp_path):
+    ids = ["cr\rx", "\r", "x\r", "lf\ny", "crlf\r\nz", "\n#not metadata", 'say "hi"', "a,b",
+           '"\r,\n"', "#lead", "", "plain"]
+    rng = np.random.default_rng(3)
+    profile = SignificanceProfile("weekday", epoch=1.5e9, laplace=1.0,
+                                  values={fid: rng.uniform(0.0, 1.0, 7) for fid in ids})
+    p = tmp_path / "profile.csv"
+    write_profile_csv(profile, p)
+    write_profile_csv_by_rows(profile, tmp_path / "rows.csv")
+    assert p.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert b'"cr\rx",0,' in p.read_bytes()
+    back = read_profile_csv(p)
+    assert list(back.values) == ids
+    for fid in ids:
+        assert back.values[fid].tobytes() == profile.values[fid].tobytes()
+
+
+def test_profile_csv_rejects_a_nan_cell_by_follower(tmp_path):
+    profile = SignificanceProfile("weekday", epoch=0.0, laplace=1.0,
+                                  values={"f1": np.ones(7), "f2": np.full(7, 0.5)})
+    p = tmp_path / "profile.csv"
+    write_profile_csv(profile, p)
+    p.write_text(p.read_text(encoding="utf-8").replace("f2,3,0.5", "f2,3,nan"), encoding="utf-8")
+    with pytest.raises(ValueError, match="^profile for 'f2' must lie in"):
+        read_profile_csv(p)
+
 def test_profile_csv_requires_metadata(tmp_path):
     p = tmp_path / "profile.csv"
     p.write_text("follower_id,bucket_index,value\nf,0,1.0\n", encoding="utf-8")
@@ -485,9 +528,9 @@ def per_line_only():
         yield
 
 
-def load_both_ways(path, chunk_chars=1 << 18):
+def load_both_ways(path, chunk_bytes=1 << 18):
     """``load_outcome`` with and without the fast path; both must agree."""
-    with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(data_io, "_CHUNK_BYTES", chunk_bytes):
         fast = load_outcome(path)
         with per_line_only():
             slow = load_outcome(path)
@@ -563,7 +606,7 @@ def test_load_events_fast_path_matches_per_line_path(tmp_path):
             text = text.rstrip("\r\n")  # no final newline
         p.write_bytes(text.encode("utf-8"))
         before = dict(calls)
-        with mock.patch.object(data_io, "_CHUNK_CHARS", int(rng.choice([1, 60, 300, 1 << 18]))):
+        with mock.patch.object(data_io, "_CHUNK_BYTES", int(rng.choice([1, 60, 300, 1 << 18]))):
             with counted("_parse_chunk"), counted("_parse_lines"):
                 fast = load_outcome(p)
             with per_line_only():
@@ -593,8 +636,8 @@ def test_load_events_near_canonical_lines_agree(tmp_path):
     p = tmp_path / "events.jsonl"
     for line in NEAR_CANONICAL:
         write_lines(p, ['{"t": -1.5, "src": "a"}', line, '{"t": 2.5, "src": "b"}'])
-        for chunk_chars in (1, 1 << 18):
-            load_both_ways(p, chunk_chars)
+        for chunk_bytes in (1, 1 << 18):
+            load_both_ways(p, chunk_bytes)
 
 
 def test_load_events_long_and_exponent_times_agree(tmp_path):
@@ -609,9 +652,9 @@ def test_load_events_long_and_exponent_times_agree(tmp_path):
         tokens.append("%d.%se%d" % (rng.integers(1, 10), digits, rng.integers(-320, 300)))
     p = tmp_path / "events.jsonl"
     write_lines(p, ['{"t": %s, "src": "u%d"}' % (t, k % 5) for k, t in enumerate(tokens)])
-    for chunk_chars in (50, 1 << 18):
-        load_both_ways(p, chunk_chars)
-        with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars), \
+    for chunk_bytes in (50, 1 << 18):
+        load_both_ways(p, chunk_bytes)
+        with mock.patch.object(data_io, "_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(data_io, "_parse_lines", side_effect=AssertionError("per line")):
             load_outcome(p)  # every chunk took the fast path
 
@@ -625,8 +668,8 @@ def test_load_events_bad_line_in_a_later_chunk(tmp_path):
         ('{"t": 1%s, "src": "u1"}' % ("0" * 400), ":41: bad event line (int too large"),
     ):
         write_lines(p, good[:40] + [bad] + good[40:])
-        for chunk_chars in (100, 1000, 1 << 18):
-            outcome = load_both_ways(p, chunk_chars)
+        for chunk_bytes in (100, 1000, 1 << 18):
+            outcome = load_both_ways(p, chunk_bytes)
             assert outcome[0] == "error" and message in outcome[1]
 
 
@@ -675,3 +718,307 @@ def test_load_events_warnings_agree_on_shuffled_and_tied_logs(tmp_path):
     assert len(caught) == 2
     assert "out of order" in caught[0] and "nudged 3 coincident" in caught[1]
     assert sources == ["u1", "u0", "u0", "u2", "u0", "u0", "u0"]
+
+
+# ---------------------------------------------------------------------------
+# load_events: byte ranges parsed by forked children against one range
+# ---------------------------------------------------------------------------
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_into(cpus):
+    """Cut every log into up to ``cpus`` ranges, however small it is."""
+    with mock.patch.object(data_io, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(data_io, "_usable_cpus", lambda: cpus):
+        yield
+
+
+def load_split_and_whole(path, cpus=(2, 3)):
+    """``load_outcome`` of one range, which each split read must equal, leaving no child behind."""
+    with split_into(1):
+        want = load_outcome(path)
+    for n in cpus:
+        with split_into(n):
+            got = load_outcome(path)
+        no_children_left()
+        assert got == want, n
+    return want
+
+
+def first_line_of_range(path, k, cpus=2):
+    """The line range ``k`` of ``path`` starts on when cut into ``cpus`` ranges."""
+    with split_into(cpus):
+        start = data_io._ranges(path)[k][0]
+    return path.read_bytes()[:start].count(b"\n") + 1
+
+
+def test_ranges_start_after_a_newline_and_cover_the_file(tmp_path):
+    p = tmp_path / "events.jsonl"
+    p.write_bytes(b'{"t": 1.0, "src": "a"}\r\n\n\n' * 50 + b"no final newline")
+    data = p.read_bytes()
+    for cpus in (1, 2, 3, 7):
+        with split_into(cpus):
+            ranges = data_io._ranges(p)
+        assert len(ranges) == cpus
+        assert ranges[0][0] == 0 and ranges[-1][1] is None
+        for (start, stop), (after, _) in zip(ranges, ranges[1:]):
+            assert start < stop == after and data[stop - 1 : stop] == b"\n"
+    # a small log, one usable CPU, or no "\n" to cut after: one range
+    with mock.patch.object(data_io, "_usable_cpus", lambda: 8):
+        assert data_io._ranges(p) == [(0, None)]
+        # ranges of at least _MIN_RANGE_BYTES, no more than the usable CPUs
+        for least, count in ((len(data) // 3, 3), (len(data) // 2 + 1, 1), (len(data), 1), (1, 8)):
+            with mock.patch.object(data_io, "_MIN_RANGE_BYTES", least):
+                assert len(data_io._ranges(p)) == count, least
+    with mock.patch.object(data_io, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+        assert data_io._ranges(p) == [(0, None)]
+    p.write_bytes(b'{"t": 1.0, "src": "a"}\r' * 100)
+    with split_into(4):
+        assert data_io._ranges(p) == [(0, None)]
+    p.write_bytes(b'{"t": 1.0, "src": "a"}\n')
+    with split_into(4):
+        assert data_io._ranges(p) == [(0, None)]
+
+
+def test_split_read_matches_one_range_on_canonical_logs(tmp_path):
+    rng = np.random.default_rng(10)
+    p = tmp_path / "events.jsonl"
+    accounts = np.array([f"u{k}" for k in range(30)] + ["a,b", "qé", "line sep", ""], dtype=object)
+    for n in (0, 1, 2, 5, 300):
+        times = np.cumsum(rng.exponential(1.0, n))
+        save_events(EventStream(times, accounts[rng.integers(0, len(accounts), n)]), p)
+        times_bytes, sources, caught = load_split_and_whole(p, cpus=(2, 3, 4))
+        assert times_bytes == times.tobytes() and not caught
+        with split_into(3):
+            stream = load_events(p)
+        assert len({id(s) for s in stream.sources}) == len(set(stream.sources))  # one string per id
+
+
+def test_split_read_matches_one_range_on_fuzzed_logs(tmp_path):
+    # non-canonical, malformed and non-finite lines, disorder and ties, and
+    # "\n", "\r\n" and bare "\r" line ends, on either side of every split
+    rng = np.random.default_rng(11)
+    p = tmp_path / "events.jsonl"
+    outcomes = set()
+    for _ in range(60):
+        lines = [fuzz_line(rng) for _ in range(int(rng.integers(0, 40)))]
+        text = "".join(line + str(rng.choice(["\n", "\r\n", "\r"], p=[0.7, 0.2, 0.1])) for line in lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")  # no final newline
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data_io, "_CHUNK_BYTES", int(rng.choice([1, 60, 1 << 15]))):
+            outcome = load_split_and_whole(p)
+        outcomes.add("error" if outcome[0] == "error" else "warned" if outcome[2] else "clean")
+    assert outcomes == {"error", "warned", "clean"}
+
+
+def test_range_parse_reads_line_ends_as_text_mode_does(tmp_path):
+    rng = np.random.default_rng(12)
+    p = tmp_path / "events.jsonl"
+    for _ in range(150):
+        lines = [fuzz_line(rng) for _ in range(int(rng.integers(0, 30)))]
+        text = "".join(line + str(rng.choice(["\n", "\r\n", "\r", "\r\r\n"])) for line in lines)
+        p.write_bytes(text[: len(text) - int(rng.integers(0, 2))].encode("utf-8"))
+        with open(p, "r", encoding="utf-8") as fh:
+            read = fh.read()
+        try:
+            times, ids = data_io._parse_lines(read.split("\n"), p, 1)
+            want = (times.tobytes(), ids, read.count("\n"))
+        except DataFormatError as exc:
+            want = str(exc)
+        for chunk_bytes in (1, 60, 1 << 15):
+            with mock.patch.object(data_io, "_CHUNK_BYTES", chunk_bytes):
+                try:
+                    times, vocab, codes, lines_read = data_io._parse_range(p, 0, None, 1)
+                    got = (times.tobytes(), [vocab[c] for c in codes], lines_read)
+                except DataFormatError as exc:
+                    got = str(exc)
+            assert got == want, text
+
+
+def test_split_read_reports_the_first_bad_line(tmp_path):
+    p = tmp_path / "events.jsonl"
+    good = ['{"t": %r, "src": "u%d"}' % (k + 0.5, k % 3) for k in range(60)]
+
+    def write(bad):
+        write_lines(p, [bad.get(k, line) for k, line in enumerate(good)])
+
+    write({50: "not json"})  # in the child's range only
+    assert first_line_of_range(p, 1) <= 51
+    assert load_split_and_whole(p) == (
+        "error", f"{p}:51: bad event line (Expecting value: line 1 column 1 (char 0))"
+    )
+    write({10: '{"t": 1.0}', 50: "not json"})  # in both ranges: the first wins
+    assert load_split_and_whole(p)[1].startswith(f"{p}:11: bad event line ('src')")
+    write({25: '{"t": 1.0}', 50: "not json"})  # in two children's ranges
+    assert first_line_of_range(p, 1, 3) <= 26 < first_line_of_range(p, 2, 3) <= 51
+    assert load_split_and_whole(p, cpus=(3,))[1].startswith(f"{p}:26: bad event line ('src')")
+    write({50: '{"t": NaN, "src": "u1"}'})  # a non-finite time in the child's range
+    assert load_split_and_whole(p) == ("error", f"{p}:51: event time must be finite, got nan")
+
+
+def test_split_read_sorts_and_nudges_across_the_split(tmp_path):
+    p = tmp_path / "events.jsonl"
+    times = [float(k) for k in range(40)]
+    times[5], times[35], times[10] = 30.0, 2.0, 25.0  # disorder and ties across the split
+    write_lines(p, ['{"t": %r, "src": "u%d"}' % (t, k % 4) for k, t in enumerate(times)])
+    assert 11 < first_line_of_range(p, 1) < 36
+    times_bytes, sources, caught = load_split_and_whole(p)
+    assert len(caught) == 2
+    assert "out of order" in caught[0] and "nudged 3 coincident" in caught[1]
+
+
+@pytest.mark.parametrize("sep, breaks", [("\r\n", 1), ("\r", 1), ("\n\n\n", 3), ("\r\n\r\n", 2)])
+def test_split_read_keeps_line_ends_and_blank_lines(tmp_path, sep, breaks):
+    p = tmp_path / "events.jsonl"
+    lines = ['{"t": %d.5, "src": "u%d"}' % (k, k % 3) for k in range(40)]
+    p.write_bytes(sep.join(lines).encode("utf-8"))  # blank lines at every split, no final newline
+    times_bytes, sources, caught = load_split_and_whole(p, cpus=(2, 3, 4))
+    assert times_bytes == (np.arange(40.0) + 0.5).tobytes() and not caught
+    lines[30] = "oops"
+    p.write_bytes(sep.join(lines).encode("utf-8"))
+    assert load_split_and_whole(p, cpus=(2, 3, 4))[1].startswith(f"{p}:{30 * breaks + 1}: bad event line")
+
+
+def test_split_read_fails_on_bad_utf8_in_a_childs_range(tmp_path):
+    p = tmp_path / "events.jsonl"
+    data = b"".join(b'{"t": %d.5, "src": "u"}\n' % k for k in range(40))
+    p.write_bytes(data[: len(data) * 3 // 4] + b"\xff" + data[len(data) * 3 // 4 :])
+    for cpus in (1, 2, 3):
+        with split_into(cpus), pytest.raises(UnicodeDecodeError):
+            load_events(p)
+        no_children_left()
+
+
+@pytest.fixture
+def log_300(tmp_path):
+    rng = np.random.default_rng(13)
+    p = tmp_path / "events.jsonl"
+    save_events(EventStream(np.cumsum(rng.exponential(1.0, 300)), np.array(["a", "b", "c"], object)[rng.integers(0, 3, 300)]), p)
+    return p
+
+
+@contextlib.contextmanager
+def counted_forks():
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    with mock.patch.object(os, "fork", fork):
+        yield forks
+
+
+def test_split_read_forks_at_most_one_child_per_extra_cpu(log_300):
+    for cpus in (1, 2, 4):
+        with split_into(cpus), counted_forks() as forks:
+            load_events(log_300)
+        assert len(forks) == cpus - 1
+    with mock.patch.object(data_io, "_MIN_RANGE_BYTES", 1), counted_forks() as forks:
+        load_events(log_300)
+    assert len(forks) <= len(os.sched_getaffinity(0)) - 1
+    no_children_left()
+
+
+def test_split_read_reaps_its_children_when_fork_warnings_are_errors(log_300):
+    # Python 3.12+ warns in the parent after forking a process that runs threads
+    with split_into(1):
+        want = load_outcome(log_300)
+    real = os.fork
+    forks = []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return pid
+
+    with split_into(3), mock.patch.object(os, "fork", fork), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = load_events(log_300)
+    assert (stream.times.tobytes(), stream.sources.tolist(), []) == want
+    assert len(forks) == 2
+    no_children_left()
+
+
+def test_split_read_parses_here_when_fork_fails(log_300):
+    with split_into(1):
+        want = load_outcome(log_300)
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    with split_into(3), mock.patch.object(os, "fork", fork):
+        assert load_outcome(log_300) == want
+    log_300.write_text(log_300.read_text(encoding="utf-8") + "oops\n", encoding="utf-8")
+    with split_into(3), mock.patch.object(os, "fork", fork):
+        assert load_outcome(log_300) == ("error", f"{log_300}:301: bad event line (Expecting value: line 1 column 1 (char 0))")
+
+
+def test_split_read_parses_a_failed_childs_range_here(log_300):
+    with split_into(1):
+        want = load_outcome(log_300)
+    parent = os.getpid()
+    real = data_io._parse_range
+
+    def in_children(act):
+        def fake(*args):
+            if os.getpid() == parent:
+                parsed_here.append(args[1])
+                return real(*args)
+            return act(*args)
+
+        return fake
+
+    def failing(*args):  # the child exits nonzero
+        raise MemoryError
+
+    def silent(*args):  # the child sends nothing
+        os._exit(0)
+
+    def truncated(*args):  # writing the codes fails once the header and times went out
+        times, vocab, codes, lines = real(*args)
+        return times, vocab, codes.tolist(), lines
+
+    def exits_nonzero(*args):  # a whole payload, then exit status 3
+        real_exit = os._exit
+        os._exit = lambda code: real_exit(3)
+        return real(*args)
+
+    for act in (failing, silent, truncated, exits_nonzero):
+        parsed_here = []
+        with split_into(3), mock.patch.object(data_io, "_parse_range", in_children(act)), \
+                counted_forks() as forks:
+            assert load_outcome(log_300) == want
+        assert len(forks) == 2
+        assert len(parsed_here) == 3  # its own range, then each child's again
+        no_children_left()
+
+
+def test_a_raising_read_kills_and_reaps_its_children(log_300):
+    lines = log_300.read_text(encoding="utf-8").splitlines()
+    lines[1] = "oops"
+    write_lines(log_300, lines)
+    parent = os.getpid()
+    real = data_io._parse_range
+
+    def slow(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(*args)
+
+    start = time.monotonic()
+    with split_into(3), mock.patch.object(data_io, "_parse_range", slow):
+        with pytest.raises(DataFormatError, match=":2: bad event line"):
+            load_events(log_300)
+    assert time.monotonic() - start < 30
+    no_children_left()

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from whentopost import significance
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
 from whentopost.point_process import EventStream
 from whentopost.significance import (
@@ -124,6 +125,21 @@ def test_estimate_significance_matches_per_follower_bucket_weights():
                 assert profile.values[fid].tobytes() == want.tobytes(), (fid, granularity)
 
 
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_estimate_significance_counts_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # many events in one cell within a chunk, and cells that recur across chunks
+    rng = np.random.default_rng(chunk)
+    times = np.unique(np.concatenate([MONDAY + 10.0 + np.arange(50.0), rng.uniform(0.0, 2 * 7 * DAY, 300)]))
+    stream = EventStream(times, np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, times.shape[0])])
+    with pytest.warns(UserWarning, match="empty activity log"):  # "d" has no events
+        want = estimate_significance(stream, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
+    monkeypatch.setattr(significance, "_CHUNK", chunk)
+    with pytest.warns(UserWarning, match="empty activity log"):
+        got = estimate_significance(stream, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
+    for fid in "abcd":
+        assert got.values[fid].tobytes() == want.values[fid].tobytes()
+
 def test_non_finite_smoothing_rejected():
     stream = EventStream(np.array([1.0]), np.array(["a"], dtype=object))
     for laplace in (-1.0, math.inf, math.nan):
@@ -158,6 +174,15 @@ def test_profile_validation_names_the_first_bad_follower():
     with pytest.raises(ValueError, match="^profile for 'f10' needs 7 buckets"):
         SignificanceProfile("weekday", 0.0, values)
 
+
+
+def test_profile_validation_rejects_nan_weights_by_follower():
+    good = {f"f{k}": np.full(7, 0.5) for k in range(100)}
+    for bad_vec in (np.full(7, np.nan), np.array([1.0, np.nan, 0, 0, 0, 0, 0])):
+        with pytest.raises(ValueError, match="^profile for 'f70' must lie in"):
+            SignificanceProfile("weekday", 0.0, dict(good, f70=bad_vec))
+    with pytest.raises(ValueError, match="^profile for 'a' must lie in"):
+        SignificanceProfile("weekday", 0.0, {"a": np.full(7, np.nan)})
 
 def test_profile_validation_converts_every_follower():
     profile = SignificanceProfile("weekday", 0.0, {"a": [1, 0, 0, 0, 0, 0, 0], "b": np.ones(7, np.float32)})
