@@ -25,6 +25,16 @@ it replaces, and the oracle and controller call counts next to the
 number of distinct (q, seed) pairs.  It fails if the sweep's report
 bytes differ from the single-budget reports.
 
+A tune section replays the benchmark's ``replay-week`` log (``genlog``,
+seed 0, weekday significance) at 60 followers and at 900, by patching
+``genlog``'s constants here, and times the controller kernel over the
+replay's price search as the package runs it (most evaluations decided
+by capped runs) and with ``tune_q`` given no lower bounds.  It prints the
+evaluations, the capped runs and the whole runs made again at a price
+and seed a capped run had seen.  It fails if a capped run differs from
+the first posts of the same run uncapped, or if the two searches give
+different ``TuneResult``s or report bytes.
+
 An I/O section then writes 100k-event and 1M-event logs with
 ``save_events`` and times ``load_events`` on each: as one byte range
 parsed in this process, and as it runs by default, up to one range per
@@ -41,8 +51,8 @@ if any two reads differ in times, sources or their sharing of one
 string per id, if the file bytes differ, or if any follower's weights
 differ in a bit from ``bucket_weights`` on that follower's events alone.
 
-``--json PATH`` also writes the I/O section's timings to PATH, with the
-kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
+``--json PATH`` also writes the I/O and tune sections' numbers to PATH,
+with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
 SHA of the package's checkout, and the Python and NumPy versions.  The
 package is imported from ``PYTHONPATH``, so the same script times
 another checkout's ``src/`` (one that always reads one range times the
@@ -53,6 +63,7 @@ same read twice):
 
 import collections
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -60,6 +71,7 @@ import os
 import platform
 import re
 import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -72,7 +84,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import whentopost
-from whentopost import cli, data_io, scenarios
+from whentopost import cli, control_online, data_io, scenarios
 from whentopost.control_oracle import OracleInstance, schedule_cost
 from whentopost.kernels import (
     IMPLEMENTATIONS,
@@ -82,6 +94,9 @@ from whentopost.kernels import (
 )
 from whentopost.point_process import EventStream
 from whentopost.significance import bucket_weights, estimate_significance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import genlog  # noqa: E402  (the benchmark's log generator, read as is)
 
 
 def hawkes_workload():
@@ -224,6 +239,116 @@ def bench_sweep(repeats):
         singles_n, sweep_n = (sum(n for k, n in c.items() if k[0] == policy) for c in (single_calls, calls))
         distinct = sum(k[0] == policy for k in calls)
         click.echo(f"{name:<22} {singles_n:>12} {sweep_n:>12} {distinct:>10}")
+
+
+#: Followers of the replayed broadcaster in the tune section's two logs: the
+#: ``replay-week`` benchmark's ``genlog`` log, and one with 15 times as many.
+TUNE_FOLLOWERS = (60, 900)
+TUNE_CONFIG = scenarios.ReplayConfig(seeds=(0,), policies=("redqueen", "true-posts"), significance="weekday")
+
+
+def replay_dataset(followers, workdir):
+    """The seed-0 ``genlog`` replay with ``followers`` followers (and twice as many accounts, at least 1000)."""
+    with mock.patch.multiple(genlog, FOLLOWERS=followers, ACCOUNTS=max(genlog.ACCOUNTS, 2 * followers)):
+        genlog.generate(0, workdir)
+    man = data_io.load_manifest(Path(workdir) / "manifest.txt")
+    return data_io.build_replay_dataset(
+        data_io.load_events(man.events_path), data_io.load_network(man.network_path),
+        man.broadcaster, man.epoch, man.t0, man.tf,
+    )
+
+
+def uncapped_tune_q(target, mean_posts_fn, **kwargs):
+    """``tune_q`` without the capped runs' lower bounds: every evaluation runs whole."""
+    kwargs.pop("lower_bound_fn", None)
+    return control_online.tune_q(target, mean_posts_fn, **kwargs)
+
+
+@contextlib.contextmanager
+def kernel_runs(check):
+    """Time every controller kernel call; with ``check``, test each capped run against the whole run.
+
+    Yields a list that gets one ``(seconds, capped, key)`` per call, ``key``
+    naming the price (by its clock rates) and the seed (by its generator's
+    state).  The check reruns a capped run uncapped from a copy of its
+    generator and fails unless the capped posts are the whole run's first ones.
+    """
+    runs = []
+    kernel = control_online.redqueen_posts
+
+    def timed(*args):
+        *rest, max_posts, rng = args
+        capped = max_posts < 2**62
+        key = (args[4].tobytes(), str(rng.bit_generator.state))
+        spare = copy.deepcopy(rng) if check else None
+        start = time.perf_counter()
+        posts = kernel(*args)
+        runs.append((time.perf_counter() - start, capped, key))
+        if check and capped and posts.tobytes() != kernel(*rest, 2**62, spare)[:max_posts].tobytes():
+            raise SystemExit(f"redqueen_posts: a run capped at {max_posts} posts is not the whole run's prefix")
+        return posts
+
+    with mock.patch.object(control_online, "redqueen_posts", timed):
+        yield runs
+
+
+def tune_counts(runs):
+    """Kernel calls, capped ones, and whole runs at a (price, seed) that a capped run had seen."""
+    capped = {key for _, is_capped, key in runs if is_capped}
+    return {
+        "kernel_calls": len(runs),
+        "capped_calls": sum(is_capped for _, is_capped, _ in runs),
+        "exact_reruns": sum(not is_capped and key in capped for _, is_capped, key in runs),
+    }
+
+
+def report_bytes(reports):
+    buffer = io.StringIO()
+    data_io.write_report_csv(reports, buffer)
+    return buffer.getvalue()
+
+
+def bench_tune(repeats):
+    """Time the replay's price search as the package runs it and with every run whole; return numbers."""
+    results = {}
+    click.echo(
+        f"\n{'tune (replay, seed 0)':<22} {'evals':>6} {'uncapped':>12} {'package':>12} {'speedup':>9} "
+        f"{'capped':>7} {'reruns':>7}"
+    )
+    for followers in TUNE_FOLLOWERS:
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = replay_dataset(followers, tmp)
+        modes = {
+            "package": contextlib.nullcontext(),
+            "uncapped": mock.patch.object(scenarios, "tune_q", uncapped_tune_q),
+        }
+        out = {}
+        for mode, patch in modes.items():
+            with patch:
+                with kernel_runs(check=True) as runs:
+                    reports, details = scenarios.run_replay(TUNE_CONFIG, dataset)
+                best = float("inf")
+                for _ in range(repeats):
+                    with kernel_runs(check=False) as timed_runs:
+                        scenarios.run_replay(TUNE_CONFIG, dataset)
+                    best = min(best, sum(t for t, _, _ in timed_runs))
+            out[mode] = (reports, details["redqueen_tune"], best, tune_counts(runs))
+        (reports, tuned, t_pkg, counts), (reports_whole, tuned_whole, t_whole, _) = out["package"], out["uncapped"]
+        if tuned != tuned_whole:
+            raise SystemExit(f"tune_q: {followers} followers: {tuned} with capped runs, {tuned_whole} without")
+        if report_bytes(reports) != report_bytes(reports_whole):
+            raise SystemExit(f"run_replay: {followers} followers: the reports differ with capped runs")
+        click.echo(
+            f"{f'{followers} followers':<22} {tuned.iterations:>6} {t_whole * 1e3:>10.2f}ms {t_pkg * 1e3:>10.2f}ms "
+            f"{t_whole / t_pkg:>8.1f}x {counts['capped_calls']:>7} {counts['exact_reruns']:>7}"
+        )
+        results[f"{followers}_followers"] = {
+            "evaluations": tuned.iterations,
+            "kernel_s": t_pkg,
+            "kernel_s_uncapped": t_whole,
+            **counts,
+        }
+    return results
 
 
 def synthetic_log(n=100_000):
@@ -407,12 +532,17 @@ def git_sha():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def write_json(path, repeats, timings):
+def write_json(path, repeats, timings, tune):
     sha, dirty = git_sha()
     record = {
-        "section": "io",
+        "section": ["io", "tune"],
         "workload": "synthetic_log(): 100k events (1M for the _1m reads, 20k for the _20k ones), 1000 accounts, "
                     "weekday-hour profiles",
+        "tune": tune,
+        "tune_workload": f"run_replay of the seed-0 genlog log at {' and '.join(map(str, TUNE_FOLLOWERS))} "
+                         "followers, policies redqueen and true-posts, weekday significance; kernel_s sums "
+                         "the controller kernel's calls (best of repeats), kernel_s_uncapped the same with "
+                         "tune_q given no lower bounds",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
         "cpus_usable": usable_cpus(),
@@ -430,7 +560,7 @@ def write_json(path, repeats, timings):
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the I/O section's timings and the run's environment here.")
+              help="Also write the I/O and tune sections' numbers and the run's environment here.")
 def main(repeats, json_path):
     if not NUMBA_ENABLED:
         click.echo("compiled flavor disabled (numba missing or WHENTOPOST_NUMBA off); "
@@ -464,9 +594,10 @@ def main(repeats, json_path):
     )
     bench_oracle(repeats)
     bench_sweep(repeats)
+    tune = bench_tune(repeats)
     timings = bench_io(repeats)
     if json_path:
-        write_json(json_path, repeats, timings)
+        write_json(json_path, repeats, timings, tune)
 
 
 if __name__ == "__main__":

@@ -298,6 +298,7 @@ def tune_q(
     max_iter: int = 60,
     q_min: float = 1e-12,
     q_max: float = 1e15,
+    lower_bound_fn=None,
 ) -> TuneResult:
     """Find q whose mean post count hits ``target_posts`` within tolerance.
 
@@ -306,75 +307,93 @@ def tune_q(
     seeds), which makes the bracketing/bisection on log q well behaved.
     Post counts fall as q rises.  When the target is unreachable the
     search stops at a bracket bound and reports ``converged=False``.
+
+    ``lower_bound_fn(q)``, if given, returns a cheaper value no greater
+    than ``mean_posts_fn(q)``, such as the mean of post counts capped a
+    little above the target.  A bound above the target and outside the
+    tolerance band decides the evaluation: the exact mean lies at least
+    as far above the band (``abs(c - target)`` rises with ``c`` above the
+    target, in floats too), so the search takes the same step.  Any other
+    bound is dropped and ``mean_posts_fn`` called.  Bounds never reach
+    the result: the "unreachable up to q_max" return makes the last
+    bracket bound exact, and the ``max_iter`` return makes every bound
+    exact before picking the first closest evaluation.  The result,
+    ``iterations`` included, is the same as without ``lower_bound_fn``;
+    an exact re-evaluation is not an iteration.
     """
     if not 0 < target_posts < math.inf:
         raise ValueError(f"target_posts must be positive and finite, got {target_posts!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    evals = 0
+    trace = []  # [q, mean posts or its lower bound, exact?] per evaluation, in order
 
     def close(c):
         return abs(c - target_posts) <= tolerance * target_posts
 
+    def evaluate(q):
+        if lower_bound_fn is not None:
+            c = lower_bound_fn(q)
+            if c > target_posts and not close(c):
+                trace.append([q, c, False])
+                return c
+        c = mean_posts_fn(q)
+        trace.append([q, c, True])
+        return c
+
+    def exact(entry):
+        if not entry[2]:
+            entry[1:] = mean_posts_fn(entry[0]), True
+        return entry[1]
+
     q = float(q0)
-    c = mean_posts_fn(q)
-    evals += 1
-    best = (abs(c - target_posts), q, c)
+    c = evaluate(q)
     if close(c):
-        return TuneResult(q, c, target_posts, True, evals)
+        return TuneResult(q, c, target_posts, True, len(trace))
     if c > target_posts:
-        q_lo, c_lo = q, c
+        q_lo = q
         while True:
             q = q * 4.0
             if q > q_max:
                 return TuneResult(
-                    q_lo, c_lo, target_posts, False, evals,
+                    q_lo, exact(trace[-1]), target_posts, False, len(trace),
                     "target unreachable: post count stays above target up to q_max",
                 )
-            c = mean_posts_fn(q)
-            evals += 1
-            if abs(c - target_posts) < best[0]:
-                best = (abs(c - target_posts), q, c)
+            c = evaluate(q)
             if close(c):
-                return TuneResult(q, c, target_posts, True, evals)
+                return TuneResult(q, c, target_posts, True, len(trace))
             if c <= target_posts:
-                q_hi, c_hi = q, c
+                q_hi = q
                 break
-            q_lo, c_lo = q, c
+            q_lo = q
     else:
         q_hi, c_hi = q, c
         while True:
             q = q / 4.0
             if q < q_min:
                 return TuneResult(
-                    q_hi, c_hi, target_posts, False, evals,
+                    q_hi, c_hi, target_posts, False, len(trace),
                     "target unreachable: post count stays below target down to q_min",
                 )
-            c = mean_posts_fn(q)
-            evals += 1
-            if abs(c - target_posts) < best[0]:
-                best = (abs(c - target_posts), q, c)
+            c = evaluate(q)
             if close(c):
-                return TuneResult(q, c, target_posts, True, evals)
+                return TuneResult(q, c, target_posts, True, len(trace))
             if c >= target_posts:
-                q_lo, c_lo = q, c
+                q_lo = q
                 break
             q_hi, c_hi = q, c
 
-    while evals < max_iter:
+    while len(trace) < max_iter:
         q = math.sqrt(q_lo * q_hi)
-        c = mean_posts_fn(q)
-        evals += 1
-        if abs(c - target_posts) < best[0]:
-            best = (abs(c - target_posts), q, c)
+        c = evaluate(q)
         if close(c):
-            return TuneResult(q, c, target_posts, True, evals)
+            return TuneResult(q, c, target_posts, True, len(trace))
         if c > target_posts:
             q_lo = q
         else:
             q_hi = q
-    _, q_best, c_best = best
+    # the first evaluation closest to the target, as strict-< updates in order pick it
+    q_best, c_best, _ = min(trace, key=lambda entry: abs(exact(entry) - target_posts))
     return TuneResult(
-        q_best, c_best, target_posts, False, evals,
+        q_best, c_best, target_posts, False, len(trace),
         "no q within tolerance after max_iter evaluations; returning closest",
     )

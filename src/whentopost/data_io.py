@@ -302,11 +302,11 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
     ``start`` is 0 or just after a ``\\n``, and ``stop`` is just after one,
     or None for the end of the file.  The bytes are read about
     ``_CHUNK_BYTES`` at a time (finishing the last line), decoded as
-    UTF-8, with ``\\r\\n`` and a bare ``\\r`` read as ``\\n``, as a text-mode
-    read does, and each chunk goes to ``_parse_chunk``; the first line is
-    line ``first_lineno``.  Returns ``(times, vocab, codes, lines)``: the
-    ``i``-th event's id is ``vocab[codes[i]]``, and ``lines`` counts the
-    newlines read.
+    UTF-8 (invalid bytes fail with their line), with ``\\r\\n`` and a bare
+    ``\\r`` read as ``\\n``, as a text-mode read does, and each chunk goes to
+    ``_parse_chunk``; the first line is line ``first_lineno``.  Returns
+    ``(times, vocab, codes, lines)``: the ``i``-th event's id is
+    ``vocab[codes[i]]``, and ``lines`` counts the newlines read.
     """
     times = []
     codes = []
@@ -320,9 +320,14 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
             if not data.endswith(b"\n"):
                 data += fh.readline(-1 if stop is None else stop - pos - len(data))
             pos += len(data)
-            text = data.decode("utf-8")
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            try:
+                text = _text_mode(data.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                head = _text_mode(data[: exc.start].decode("utf-8"))
+                line, column = lineno + head.count("\n"), len(head) - head.rfind("\n")
+                raise DataFormatError(
+                    f"{path}:{line}: bad event line (invalid UTF-8 at column {column}: {exc.reason})"
+                ) from exc
             part, ids = _parse_chunk(text, path, lineno)
             times.append(part)
             codes.append(np.fromiter(map(code_of.__getitem__, ids), np.int32, len(ids)))
@@ -330,6 +335,11 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
     if not times:
         return np.empty(0), [], np.empty(0, np.int32), 0
     return np.concatenate(times), list(code_of), np.concatenate(codes), lineno - first_lineno
+
+
+def _text_mode(text: str) -> str:
+    """``text`` with ``\\r\\n`` and a bare ``\\r`` read as ``\\n``, as a text-mode read does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class _Codes(dict):
@@ -537,15 +547,17 @@ def build_replay_dataset(
             f"(started with {len(followers)}; followee cap {max_followees})"
         )
     windowed = events.window(t0, tf)
-    # code the windowed sources once; each feed is then one table lookup
+    # code the windowed sources and sort the codes once: an account's events
+    # are then one run of ``order``, and a feed merges its followees' runs
     code_of = _Codes()
     codes = np.fromiter(map(code_of.__getitem__, windowed.sources.tolist()), np.int32, len(windowed))
+    order = np.argsort(codes, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(code_of)))))
 
     def from_sources(wanted) -> EventStream:
-        table = np.zeros(len(code_of), bool)
-        table[[code_of[s] for s in wanted if s in code_of]] = True
-        mask = table[codes]
-        return EventStream(windowed.times[mask], windowed.sources[mask])
+        runs = [order[bounds[c] : bounds[c + 1]] for c in map(code_of.get, wanted) if c is not None]
+        index = np.sort(np.concatenate([order[:0], *runs]))
+        return EventStream(windowed.times[index], windowed.sources[index])
 
     feeds = [
         from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained

@@ -227,9 +227,16 @@ def _redqueen_posts_loop(
     return posts[:n_posted].copy()
 
 
-#: Feed events per bulk draw in :func:`_redqueen_posts_numpy`.  Bounds its
-#: temporaries and the ticks computed past an early stop (``max_posts``).
+#: Feed events per bulk draw in :func:`_redqueen_posts_numpy`, which bounds
+#: its temporaries.  A run that ``max_posts`` may stop early (one with fewer
+#: allowed posts than feed events) draws ``_REDQUEEN_FIRST_CHUNK`` events
+#: first: a price search caps its runs a little above the target's posts,
+#: and a cheap price reaches that cap within tens to hundreds of events, so
+#: a full first chunk would compute thousands of ticks past the stop.  A
+#: capped run that does not stop pays one more draw.  Either way the draws
+#: are one stream, whatever the chunk sizes.
 _REDQUEEN_CHUNK = 1 << 12
+_REDQUEEN_FIRST_CHUNK = 1 << 10
 
 
 def _clock_first_times(tau, rows, mult, knots, clock_rates, tf, e_draw):
@@ -304,12 +311,13 @@ def _redqueen_posts_numpy(
                 cand = tick
     posts = []
     m = feed_times.shape[0]
-    for lo in range(0, m, _REDQUEEN_CHUNK):
-        times = feed_times[lo : lo + _REDQUEEN_CHUNK]
+    lo = 0
+    hi = _REDQUEEN_FIRST_CHUNK if max_posts < m else _REDQUEEN_CHUNK
+    while lo < m:
+        times = feed_times[lo:hi]
         e = rng.standard_exponential(times.shape[0])
-        ticks = _clock_first_times(
-            times, feed_followers[lo : lo + _REDQUEEN_CHUNK], 1.0, knots, clock_rates, tf, e
-        )
+        ticks = _clock_first_times(times, feed_followers[lo:hi], 1.0, knots, clock_rates, tf, e)
+        lo, hi = hi, hi + _REDQUEEN_CHUNK
         for t_feed, tick in zip(times.tolist(), ticks.tolist()):
             if cand <= t_feed:
                 if cand > tf or cand == inf:

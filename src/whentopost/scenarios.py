@@ -31,7 +31,11 @@ run at the settled price and every later budget read them back.  That
 changes no output: each controller run draws from a fresh
 ``policy_rng(seed)`` and the backward induction is deterministic, so a
 second run at the same price would repeat the first bit for bit.  The
-memo lives and dies with its competition, one command's worth.
+memo lives and dies with its competition, one command's worth.  A price
+search runs the controller capped a little above the largest budget
+tuned on the competition: a run that reaches the cap shows the price
+too cheap without its exact count, and one that ends short of it is the
+whole run, kept for every later reader.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ class _Competition:
     ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
     ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
     settles ``realized``, ``redqueen_q`` and ``oracle_q`` for one budget
-    at a time.
+    at a time; a sweep sets ``ceiling`` first, so that every budget's
+    search caps its runs alike and reads the same runs back.
     """
 
     t0: float
@@ -153,6 +158,7 @@ class _Competition:
     initial_ranks: np.ndarray | None = None
     recorded: EventStream | None = None  # replay only: the broadcaster's true posts
     realized: float = 0.0  # the budget every baseline matches
+    ceiling: float = 0.0  # the largest budget tuned to on this competition, for a sweep
     redqueen_q: float = math.nan
     oracle_q: float = math.nan
     memo: dict = field(default_factory=dict)
@@ -166,19 +172,25 @@ class _Competition:
         """``seed``'s feeds on (t0, tf] as the controller reads them, merged once."""
         return self._once(("feed", seed), lambda: merge_window(self.feeds(seed), self.t0, self.tf))
 
-    def redqueen(self, q: float, seed: int) -> np.ndarray:
-        """The controller's post times at price ``q`` on ``seed``'s feeds."""
+    def redqueen(self, q: float, seed: int, cap: int = 2**62) -> np.ndarray:
+        """The controller's post times at price ``q`` on ``seed``'s feeds.
 
-        def run():
+        With ``cap``, a run stopped at ``cap`` posts will do unless the whole
+        run is known: either way the first ``cap`` posts, or every post.  A
+        stopped run is kept under its own key; one that ends with fewer
+        posts is the whole run, kept as such, and never runs again.
+        """
+        key = ("redqueen", q, seed)
+        if key not in self.memo and key + (cap,) not in self.memo:
             params = RedQueenParams(q=q, significance=self.significance)
             posts = run_redqueen_fast(
                 self.feeds(seed), params, policy_rng(seed), self.t0, self.tf,
-                initial_ranks=self.initial_ranks, merged=self.merged_feed(seed),
+                initial_ranks=self.initial_ranks, max_posts=cap, merged=self.merged_feed(seed),
             )
             posts.flags.writeable = False  # shared by every reader of the memo
-            return posts
-
-        return self._once(("redqueen", q, seed), run)
+            self.memo[key if posts.shape[0] < cap else key + (cap,)] = posts
+        whole = self.memo.get(key)
+        return whole if whole is not None else self.memo[key + (cap,)]
 
     def oracle(self, q: float, seed: int) -> OracleSchedule:
         """The clairvoyant schedule at price ``q`` on ``seed``'s (single) feed."""
@@ -210,13 +222,22 @@ POLICIES = {
 }
 
 
-def _tune(cfg, target: float, count):
-    """Price whose mean of ``count(q, seed)`` over the seeds hits ``target``."""
+def _tune(cfg, target: float, count, at_most=None):
+    """Price whose mean of ``count(q, seed)`` over the seeds hits ``target``.
+
+    ``at_most(q, seed)``, if given, is no more than ``count(q, seed)`` and
+    cheaper to get; its mean is ``tune_q``'s ``lower_bound_fn``.
+    """
+
+    def mean(count):
+        return lambda q: sum(count(q, seed) for seed in cfg.seeds) / len(cfg.seeds)
+
     return tune_q(
         target,
-        lambda q: sum(count(q, seed) for seed in cfg.seeds) / len(cfg.seeds),
+        mean(count),
         tolerance=cfg.tune_tol,
         max_iter=cfg.tune_max_iter,
+        lower_bound_fn=None if at_most is None else mean(at_most),
     )
 
 
@@ -235,8 +256,13 @@ def _compete(cfg, comp: _Competition, label: str, details: dict, target: float |
         if q is None:
             if target <= 0:
                 raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
+            # a seed that reaches ``cap`` posts puts the mean above the
+            # tolerance band of every budget tuned on this competition
+            band = len(cfg.seeds) * max(target, comp.ceiling) * (1 + cfg.tune_tol)
+            cap = math.floor(min(band, 2.0**62)) + 1
             tuned = details["redqueen_tune"] = _tune(
-                cfg, target, lambda q, s: comp.redqueen(q, s).shape[0]
+                cfg, target, lambda q, s: comp.redqueen(q, s).shape[0],
+                lambda q, s: min(comp.redqueen(q, s, cap).shape[0], cap),
             )
             q = tuned.q
         comp.redqueen_q = q
@@ -278,6 +304,7 @@ def _sweep(cfg, comp: _Competition, details: dict, budgets):
     if budgets is None:
         return _compete(cfg, comp, cfg.run_label, details, cfg.budget)
     configs = [dataclasses.replace(cfg, budget=b) for b in budgets]
+    comp.ceiling = max(c.budget for c in configs)
     return [(c, *_compete(c, comp, c.run_label, dict(details), c.budget)) for c in configs]
 
 

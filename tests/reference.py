@@ -113,3 +113,29 @@ def brute_force_schedule_multi(
             best_cost = cost
             best = dec
     return np.asarray(best, dtype=np.int8), float(best_cost)
+
+
+def replay_feeds_by_mask(events, network, broadcaster, t0, tf, max_followees=500):
+    """``build_replay_dataset``'s feeds and true posts, one boolean mask over the window per feed.
+
+    Each feed masks the windowed log with a table of its followees' codes:
+    a full pass over the window per follower.
+    """
+    from whentopost.point_process import EventStream
+
+    windowed = events.window(t0, tf)
+    code_of: dict = {}
+    codes = np.array([code_of.setdefault(s, len(code_of)) for s in windowed.sources.tolist()], np.int64)
+
+    def from_sources(wanted):
+        table = np.zeros(len(code_of), bool)
+        table[[code_of[s] for s in wanted if s in code_of]] = True
+        mask = table[codes]
+        return EventStream(windowed.times[mask], windowed.sources[mask])
+
+    retained = [
+        f for f in network.followers(broadcaster)
+        if len(network.followees_of.get(f, ())) <= max_followees
+    ]
+    feeds = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
+    return feeds, from_sources({broadcaster})

@@ -278,3 +278,114 @@ def test_tune_q_rejects_bad_tolerance_before_any_evaluation(tolerance):
 
     with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
         tune_q(5.0, never, tolerance=tolerance)
+
+
+# ---------------------------------------------------------------------------
+# tune_q decided by lower bounds: the same result as from exact means
+# ---------------------------------------------------------------------------
+
+
+def tune_with_and_without_bounds(target, mean_posts_fn, lower_bound_fn, **kwargs):
+    """``tune_q`` with and without ``lower_bound_fn``, which must agree; the result and exact calls."""
+    exact_calls = []
+
+    def counted(q):
+        exact_calls.append(q)
+        return mean_posts_fn(q)
+
+    want = tune_q(target, mean_posts_fn, **kwargs)
+    got = tune_q(target, counted, lower_bound_fn=lower_bound_fn, **kwargs)
+    assert got == want
+    return got, exact_calls
+
+
+def capped_curve(curve, target, tolerance=0.1):
+    """``curve`` read through a cap one above ``target * (1 + tolerance)``, as one capped seed would."""
+    cap = math.floor(target * (1 + tolerance)) + 1
+    return lambda q: min(curve(q), cap)
+
+
+def step_curve(high, low, edge=256.0):
+    return lambda q: high if q <= edge else low
+
+
+ANALYTIC_TUNES = {
+    # name: (target, curve, kwargs, converged, message part)
+    "first evaluation": (100.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
+    "after upward bracketing": (10.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
+    "within upward bracketing": (12.5, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
+    "after downward bracketing": (300.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
+    # every count is capped to 1, and the reported c_lo is the exact 5
+    "unreachable at q_max": (0.001, lambda q: max(5.0, 100.0 / math.sqrt(q)), {}, False, "q_max"),
+    "unreachable at q_min": (50.0, lambda q: min(5.0, 100.0 / (1.0 + math.sqrt(q))), {}, False, "q_min"),
+    # never within tolerance: 13 (capped to 12) below the edge, 1 above it;
+    # the closest is the first exact 13
+    "out of max_iter": (10.0, step_curve(13.0, 1.0), {"max_iter": 30}, False, "max_iter"),
+    # a capped 12 would win against every exact 100 and 1; the closest is 1
+    "out of max_iter, capped closer": (10.0, step_curve(100.0, 1.0), {"max_iter": 30}, False, "max_iter"),
+    # bracketing does not stop at max_iter: the search returns right after it
+    "out of max_iter before bisecting": (10.0, step_curve(100.0, 1.0), {"max_iter": 3}, False, "max_iter"),
+}
+
+
+@pytest.mark.parametrize("case", ANALYTIC_TUNES)
+def test_tune_q_with_lower_bounds_matches_exact_means_on_analytic_curves(case):
+    target, curve, kwargs, converged, message = ANALYTIC_TUNES[case]
+    result, exact_calls = tune_with_and_without_bounds(target, curve, capped_curve(curve, target), **kwargs)
+    assert result.converged is converged and message in result.message
+    if case == "first evaluation":
+        assert result.iterations == 1
+    if case == "unreachable at q_max":  # every price decided by its bound, c_lo made exact
+        assert exact_calls == [result.q] and result.mean_posts == 5.0
+    if case.startswith("out of max_iter"):
+        assert result.mean_posts == (13.0 if case == "out of max_iter" else 1.0)
+    if "bracketing" in case or case == "unreachable at q_max":
+        assert len(exact_calls) < result.iterations  # the bounds decided some evaluations
+
+
+def test_tune_q_discards_bounds_that_decide_nothing():
+    curve = lambda q: 100.0 / math.sqrt(q)  # noqa: E731
+    for bound in (lambda q: 0.0, lambda q: 10.5, curve):  # below, inside the band, exact
+        result, exact_calls = tune_with_and_without_bounds(10.0, curve, bound)
+        assert result.converged
+    assert len(exact_calls) < result.iterations  # an exact bound above the band decides
+
+
+def simulated_curves(feeds_by_seed, target, tolerance=0.1):
+    """The exact mean post count over the seeds, and the mean of counts capped as ``scenarios`` caps them."""
+    cap = math.floor(len(feeds_by_seed) * target * (1 + tolerance)) + 1
+
+    def capped(q):
+        total = 0
+        for seed, feeds in feeds_by_seed.items():
+            posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed), 0.0, 60.0,
+                                      max_posts=cap)
+            total += min(len(posts), cap)
+        return total / len(feeds_by_seed)
+
+    return lambda q: mean_posts_over_seeds(q, feeds_by_seed, 0.0, 60.0), capped
+
+
+def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts():
+    rng_feed = np.random.default_rng(29)
+    feeds_by_seed = {
+        seed: [EventStream.from_times(np.sort(rng_feed.uniform(0, 60, size=200)))]
+        for seed in range(4)
+    }
+    at_q0 = mean_posts_over_seeds(1.0, feeds_by_seed, 0.0, 60.0)
+    cases = {
+        "first evaluation": (at_q0, {}, "", True),
+        "upward bracketing": (at_q0 / 8.0, {}, "", True),
+        "downward bracketing": (at_q0 * 1.5, {}, "", True),
+        "unreachable at q_min": (1000.0, {}, "q_min", False),
+        # means move in steps of 1/4: none within 1e-4 of 0.001
+        "out of max_iter": (0.001, {"max_iter": 25}, "max_iter", False),
+    }
+    for name, (target, kwargs, message, converged) in cases.items():
+        exact, capped = simulated_curves(feeds_by_seed, target)
+        result, exact_calls = tune_with_and_without_bounds(target, exact, capped, **kwargs)
+        assert result.converged is converged and message in result.message, name
+        if name == "first evaluation":
+            assert result.iterations == 1
+        if name == "upward bracketing":
+            assert len(exact_calls) < result.iterations

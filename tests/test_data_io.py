@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import reference
 
 from whentopost import data_io
 from whentopost.data_io import (
@@ -276,6 +277,37 @@ def test_build_replay_dataset_matches_per_follower_from_sources():
     want = windowed.from_sources({"a0"})
     assert dataset.true_posts.times.tobytes() == want.times.tobytes()
     assert dataset.true_posts.sources.tolist() == want.sources.tolist()
+
+
+def assert_same_streams(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.times.dtype == w.times.dtype and g.sources.dtype == w.sources.dtype
+        assert g.times.tobytes() == w.times.tobytes()
+        assert g.sources.tolist() == w.sources.tolist()
+
+
+def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
+    from whentopost.feed_sim import Network
+
+    man = load_manifest(genlog_manifest)
+    log, net = load_events(man.events_path), load_network(man.network_path)
+    cases = [(log, net, man.broadcaster, man.t0, man.tf)]
+    # the broadcaster among the followees, followees with no event in the
+    # window (or none at all), and windows with one event or none
+    rng = np.random.default_rng(8)
+    accounts = np.array([f"a{i}" for i in range(12)], dtype=object)
+    small = EventStream(np.sort(rng.uniform(0.0, 100.0, 400)), accounts[rng.integers(0, 9, 400)])
+    edges = [("a0", f"f{k}") for k in range(8)] + [("a0", "f0"), ("a9", "f1"), ("ghost", "f2")]
+    edges += [(str(a), f"f{k}") for k in range(8) for a in rng.choice(accounts, 4)]
+    small_net = Network.from_edges(edges)
+    for t0, tf in ((10.0, 90.0), (0.0, 100.0), (101.0, 200.0), (small.times[5] - 1e-9, small.times[5])):
+        cases.append((small, small_net, "a0", t0, tf))
+    for events, network, broadcaster, t0, tf in cases:
+        dataset = build_replay_dataset(events, network, broadcaster, 0.0, t0, tf)
+        feeds, true_posts = reference.replay_feeds_by_mask(events, network, broadcaster, t0, tf)
+        assert_same_streams(dataset.feeds, feeds)
+        assert_same_streams([dataset.true_posts], [true_posts])
 
 
 def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
@@ -889,11 +921,33 @@ def test_split_read_keeps_line_ends_and_blank_lines(tmp_path, sep, breaks):
 def test_split_read_fails_on_bad_utf8_in_a_childs_range(tmp_path):
     p = tmp_path / "events.jsonl"
     data = b"".join(b'{"t": %d.5, "src": "u"}\n' % k for k in range(40))
-    p.write_bytes(data[: len(data) * 3 // 4] + b"\xff" + data[len(data) * 3 // 4 :])
-    for cpus in (1, 2, 3):
-        with split_into(cpus), pytest.raises(UnicodeDecodeError):
-            load_events(p)
+    cut = len(data) * 3 // 4
+    p.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    line = data[:cut].count(b"\n") + 1
+    column = cut - data.rfind(b"\n", 0, cut)
+    assert first_line_of_range(p, 1) <= line
+    assert load_split_and_whole(p) == (
+        "error", f"{p}:{line}: bad event line (invalid UTF-8 at column {column}: invalid start byte)"
+    )
+
+
+def test_bad_utf8_fails_with_its_line_in_either_range_of_a_large_log(tmp_path):
+    # two ranges at the real range size: bytes not UTF-8 (a stray byte, a
+    # cut sequence) in the parent's range or the child's give one message
+    p = tmp_path / "events.jsonl"
+    lines = [b'{"t": %d.5, "src": "u%d"}' % (k, k % 7) for k in range(2 * data_io._MIN_RANGE_BYTES // 22)]
+    assert len(b"\n".join(lines)) >= 2 * data_io._MIN_RANGE_BYTES
+    cases = ((10, b"\xff", "invalid start byte"), (len(lines) - 10, b"\xc3(", "invalid continuation byte"))
+    for k, bad, reason in cases:
+        p.write_bytes(b"\n".join(lines[:k] + [lines[k][:-2] + bad + lines[k][-2:]] + lines[k + 1 :]))
+        with mock.patch.object(data_io, "_usable_cpus", lambda: 2):
+            assert len(data_io._ranges(p)) == 2
+            split = load_outcome(p)
+        with mock.patch.object(data_io, "_usable_cpus", lambda: 1):
+            assert split == load_outcome(p)
         no_children_left()
+        column = len(lines[k]) - 1
+        assert split == ("error", f"{p}:{k + 1}: bad event line (invalid UTF-8 at column {column}: {reason})")
 
 
 @pytest.fixture

@@ -211,6 +211,30 @@ def test_vectorized_controller_matches_python_loop(monkeypatch, chunk):
     assert min(seen.values()) >= 5, seen
 
 
+@pytest.mark.parametrize("first_chunk, chunk", [(1, 7), (5, 3), (64, None), (None, None)])
+def test_a_capped_controller_run_is_the_whole_runs_prefix(monkeypatch, first_chunk, chunk):
+    # a run capped at K posts is what tune_q's lower bounds read: it must be
+    # the first K posts of the uncapped run, whatever the chunk sizes
+    if first_chunk is not None:
+        monkeypatch.setattr(kernels, "_REDQUEEN_FIRST_CHUNK", first_chunk)
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_REDQUEEN_CHUNK", chunk)
+    flavors = [f for f in kernels.IMPLEMENTATIONS["redqueen_posts"].values() if f is not None]
+    rng = np.random.default_rng(77 + (first_chunk or 0))
+    stopped = 0
+    for seed in range(60):
+        args = fuzz_redqueen_case(rng)
+        args["max_posts"] = 2**62
+        whole = kernels._redqueen_posts_loop(rng=np.random.default_rng(seed), **args)
+        for cap in sorted({1, 2, 5, 17, max(len(whole) - 1, 1), len(whole) + 1}):
+            args["max_posts"] = cap
+            for flavor in flavors:
+                got = flavor(rng=np.random.default_rng(seed), **args)
+                assert got.tobytes() == whole[:cap].tobytes(), (seed, cap, flavor.__name__)
+            stopped += cap < len(whole)
+    assert stopped >= 50
+
+
 def test_controller_fallback_is_the_vectorized_twin():
     impls = kernels.IMPLEMENTATIONS["redqueen_posts"]
     assert impls["fallback"] is kernels._redqueen_posts_numpy

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from whentopost import scenarios
 from whentopost.cli import main
-from whentopost.control_online import RedQueenParams, merge_window, run_redqueen_fast
+from whentopost.control_online import RedQueenParams, merge_window, run_redqueen_fast, tune_q
 from whentopost.data_io import build_replay_dataset, load_events, load_network
 from whentopost.feed_sim import merge_feeds
 from whentopost.kernels import redqueen_posts
@@ -321,3 +321,46 @@ def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
                                        initial_ranks=ranks, merged=merged)
             assert direct.tobytes() == want.tobytes()
     assert merges == [3, 3]  # once per seed, not once per price
+
+
+# ---------------------------------------------------------------------------
+# price searches decided by capped controller runs
+# ---------------------------------------------------------------------------
+
+REPLAY_WEEK = ["replay", "--significance", "weekday", "--seeds", "0-2",
+               "--policy", "redqueen", "--policy", "uniform", "--policy", "true-posts"]
+
+
+def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, tmp_path, monkeypatch):
+    runs = Counter()
+    controller = scenarios.run_redqueen_fast
+
+    def counted(feeds, params, rng, *args, max_posts=2**62, **kwargs):
+        runs[params.q, str(rng.bit_generator.state), max_posts < 2**62] += 1
+        return controller(feeds, params, rng, *args, max_posts=max_posts, **kwargs)
+
+    def replay(out):
+        argv = REPLAY_WEEK + ["--manifest", str(genlog_manifest), "--out", str(out)]
+        result = CliRunner().invoke(main, argv, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout)["details"], out.read_bytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "run_redqueen_fast", counted)
+        details, report = replay(tmp_path / "capped.csv")
+    tuned = details["redqueen_tune"]
+    assert tuned["converged"] and tuned["iterations"] > 3
+    # one run per price the search tried and seed, capped or whole, and no
+    # other: the settled price's capped runs were whole, and the reports
+    # read them back
+    assert set(runs.values()) == {1}
+    assert len({key[:2] for key in runs}) == len(runs) == 3 * tuned["iterations"]
+    assert sum(key[0] == tuned["q"] for key in runs) == 3
+    assert all(capped for _, _, capped in runs)
+
+    # and a search given no lower bounds prints the same tune and writes the same report
+    def exact_only(target, mean_posts_fn, lower_bound_fn, **kwargs):
+        return tune_q(target, mean_posts_fn, **kwargs)
+
+    monkeypatch.setattr(scenarios, "tune_q", exact_only)
+    assert replay(tmp_path / "exact.csv") == (details, report)
