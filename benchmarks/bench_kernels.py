@@ -49,7 +49,8 @@ also times the per-line ``json.loads`` path, ``estimate_significance``
 of followers at a time) against one ``csv.writerow`` per row.  It fails
 if any two reads differ in times, sources or their sharing of one
 string per id, if the file bytes differ, or if any follower's weights
-differ in a bit from ``bucket_weights`` on that follower's events alone.
+differ in a bit from ``bucket_weights`` (the reference in
+``tests/reference.py``) on that follower's events alone.
 
 ``--json PATH`` also writes the I/O and tune sections' numbers to PATH,
 with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
@@ -93,10 +94,12 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.point_process import EventStream
-from whentopost.significance import bucket_weights, estimate_significance
+from whentopost.significance import estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import genlog  # noqa: E402  (the benchmark's log generator, read as is)
+from reference import bucket_weights  # noqa: E402  (the per-follower profile the tests check against)
 
 
 def hawkes_workload():

@@ -20,7 +20,6 @@ __all__ = [
     "uniform_poisson_posts",
     "true_posts_playback",
     "segment_offline_posts",
-    "segment_cost_model",
 ]
 
 
@@ -44,18 +43,6 @@ def true_posts_playback(recorded: EventStream) -> np.ndarray:
     return recorded.times.copy()
 
 
-def segment_cost_model(total_rates: np.ndarray, lengths: np.ndarray, alloc: np.ndarray) -> float:
-    """Expected position-over-time under the planner's model.
-
-    Within a segment of length L and aggregate feed rate R, n posts cut
-    it into n+1 spans; a span of length g accrues R * g^2 / 2 rank-time
-    (rank grows linearly from each reset).  Even spacing is optimal, so
-    a segment scores R * L^2 / (2 * (n + 1)).
-    """
-    alloc = np.asarray(alloc, dtype=np.float64)
-    return float(np.sum(total_rates * lengths * lengths / (2.0 * (alloc + 1.0))))
-
-
 def segment_offline_posts(
     rates: list[PiecewiseRate],
     budget: int,
@@ -66,7 +53,10 @@ def segment_offline_posts(
 
     ``rates`` holds one piecewise rate per follower on a shared grid
     covering the window.  Each budget unit goes to the segment whose
-    modeled cost drops the most (ties: earliest segment).  A segment
+    modeled cost drops the most (ties: earliest segment); a segment of
+    length L and total feed rate R modeled with n evenly spaced posts
+    costs R * L^2 / (2 * (n + 1)) (``segment_cost_model`` in
+    ``tests/reference.py``).  A segment
     given n posts places them at its start and every L/n thereafter.
     Deterministic; scaling all rates by one constant changes nothing.
     """

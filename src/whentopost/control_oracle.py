@@ -15,9 +15,10 @@ post, and 0.5*r_{m+1}^2 at the horizon.  ``oracle_schedule`` solves it
 by backward induction (ties hold).  Each stage posts iff its rank
 reaches a threshold, so the induction keeps O(m) values instead of a
 quadratic table; its time stays quadratic in the worst case, which
-``MAX_ORACLE_STAGES`` bounds.  ``brute_force_schedule`` enumerates
-every decision vector and exists to cross-check the induction.  Both
-report the cost through the same forward evaluator, ``schedule_cost``.
+``MAX_ORACLE_STAGES`` bounds.  ``brute_force_schedule`` in
+``tests/reference.py`` enumerates every decision vector to cross-check
+the induction; both report the cost through the same forward
+evaluator, ``schedule_cost``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ __all__ = [
     "OracleSchedule",
     "schedule_cost",
     "oracle_schedule",
-    "brute_force_schedule",
     "instance_from_feed",
     "decisions_to_post_times",
 ]
 
-MAX_BRUTE_FORCE_STAGES = 22
 MAX_ORACLE_STAGES = 20_000
 
 
@@ -90,8 +89,8 @@ class OracleSchedule:
 def schedule_cost(decisions, inst: OracleInstance) -> float:
     """Forward objective of one decision vector (the shared evaluator).
 
-    One scalar pass with :func:`schedule_cost_batch`'s float expressions,
-    so the two agree bit for bit.
+    One scalar pass with the float expressions of ``schedule_cost_batch``
+    (``tests/reference.py``), so the two agree bit for bit.
     """
     u = np.asarray(decisions, dtype=np.float64)
     if u.shape != (inst.n_stages,):
@@ -104,20 +103,6 @@ def schedule_cost(decisions, inst: OracleInstance) -> float:
     return cost + 0.5 * (r * r)
 
 
-def schedule_cost_batch(decisions: np.ndarray, inst: OracleInstance) -> np.ndarray:
-    """Forward objective of each row of a 0/1 decision matrix (brute force's enumerator)."""
-    u = np.asarray(decisions, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != inst.n_stages:
-        raise ValueError("decision rows must have one entry per stage")
-    r = np.full(u.shape[0], float(inst.r0))
-    cost = np.zeros(u.shape[0])
-    for k in range(inst.n_stages):
-        r = (r + 1.0) * (1.0 - u[:, k])
-        cost += 0.5 * inst.s * inst.widths[k] * (r * r) + 0.5 * inst.q * u[:, k]
-    cost += 0.5 * (r * r)
-    return cost
-
-
 def oracle_schedule(inst: OracleInstance) -> OracleSchedule:
     """Optimal decisions by backward induction; cost via the forward evaluator."""
     if inst.n_stages > MAX_ORACLE_STAGES:
@@ -127,19 +112,6 @@ def oracle_schedule(inst: OracleInstance) -> OracleSchedule:
             f"{MAX_ORACLE_STAGES} stages - shrink the window or thin the feed"
         )
     decisions = oracle_decisions(inst.widths, int(inst.r0), float(inst.q), float(inst.s))
-    return OracleSchedule(decisions, schedule_cost(decisions, inst))
-
-
-def brute_force_schedule(inst: OracleInstance) -> OracleSchedule:
-    """Exhaustive minimum over all 2^(m+1) decision vectors (small m only)."""
-    m1 = inst.n_stages
-    if m1 > MAX_BRUTE_FORCE_STAGES:
-        raise ValueError(f"brute force is capped at {MAX_BRUTE_FORCE_STAGES} stages")
-    n = 1 << m1
-    rows = (np.arange(n, dtype=np.int64)[:, None] >> np.arange(m1)) & 1
-    costs = schedule_cost_batch(rows.astype(np.float64), inst)
-    best = int(np.argmin(costs))
-    decisions = rows[best].astype(np.int8)
     return OracleSchedule(decisions, schedule_cost(decisions, inst))
 
 
@@ -173,4 +145,3 @@ def decisions_to_post_times(decisions, feed_times, t0: float) -> np.ndarray:
         if decisions[k + 1]:
             times.append(np.nextafter(feed_times[k], math.inf))
     return np.asarray(times, dtype=np.float64)
-

@@ -24,6 +24,9 @@
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
+
+  All three inputs are read as UTF-8 with universal newlines, and a byte
+  that is not UTF-8 fails with its ``file:line`` and column.
 * Reports: CSV with the fixed header
   ``run,seed,policy,posts,position_over_time,time_at_top,normalized_position,normalized_time_at_top``.
 * Profiles: CSV of ``follower_id,bucket_index,value`` rows, preceded by
@@ -33,8 +36,9 @@
   ``%`` formatting fills them in, so the bytes equal one ``writerow`` per
   row while the scratch stays bounded.
 
-Floats are written with ``repr``, which round-trips exactly, so loading
-what was saved reproduces the original values bit for bit.
+Floats are written with ``repr``, which round-trips exactly: an event log
+that ``save_events`` wrote loads back bit for bit, and so do reports and
+profiles read back as ``tests/reference.py`` reads them.
 """
 
 from __future__ import annotations
@@ -53,14 +57,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .feed_sim import Network
-from .metrics import MetricsReport
 from .point_process import EventStream, _dedupe_increasing
 from .significance import SignificanceProfile, bucket_count
 
 __all__ = [
     "load_events",
     "save_events",
+    "Network",
     "load_network",
     "Manifest",
     "load_manifest",
@@ -68,11 +71,7 @@ __all__ = [
     "build_replay_dataset",
     "REPORT_HEADER",
     "write_report_csv",
-    "read_report_csv",
     "write_profile_csv",
-    "read_profile_csv",
-    "save_trajectory",
-    "load_trajectory",
 ]
 
 
@@ -320,14 +319,7 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
             if not data.endswith(b"\n"):
                 data += fh.readline(-1 if stop is None else stop - pos - len(data))
             pos += len(data)
-            try:
-                text = _text_mode(data.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                head = _text_mode(data[: exc.start].decode("utf-8"))
-                line, column = lineno + head.count("\n"), len(head) - head.rfind("\n")
-                raise DataFormatError(
-                    f"{path}:{line}: bad event line (invalid UTF-8 at column {column}: {exc.reason})"
-                ) from exc
+            text = _decode(data, path, lineno, "bad event line")
             part, ids = _parse_chunk(text, path, lineno)
             times.append(part)
             codes.append(np.fromiter(map(code_of.__getitem__, ids), np.int32, len(ids)))
@@ -335,6 +327,22 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
     if not times:
         return np.empty(0), [], np.empty(0, np.int32), 0
     return np.concatenate(times), list(code_of), np.concatenate(codes), lineno - first_lineno
+
+
+def _decode(data: bytes, path, first_lineno: int, what: str) -> str:
+    """``data`` as a text-mode read gives it: UTF-8, with ``\\r\\n`` and a bare ``\\r`` read as ``\\n``.
+
+    ``data`` starts at line ``first_lineno`` of ``path``.  A byte that is not
+    UTF-8 fails as ``what`` on its line, naming its column.
+    """
+    try:
+        return _text_mode(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        head = _text_mode(data[: exc.start].decode("utf-8"))
+        line, column = first_lineno + head.count("\n"), len(head) - head.rfind("\n")
+        raise DataFormatError(
+            f"{path}:{line}: {what} (invalid UTF-8 at column {column}: {exc.reason})"
+        ) from exc
 
 
 def _text_mode(text: str) -> str:
@@ -429,16 +437,41 @@ def save_events(stream: EventStream, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Network:
+    """Who-follows-whom, as two adjacency maps over string ids."""
+
+    followers_of: dict
+    followees_of: dict
+
+    @classmethod
+    def from_edges(cls, edges) -> "Network":
+        """Build from (broadcaster_id, follower_id) pairs; duplicates collapse."""
+        followers_of: dict[str, set] = {}
+        followees_of: dict[str, set] = {}
+        for b, f in edges:
+            followers_of.setdefault(b, set()).add(f)
+            followees_of.setdefault(f, set()).add(b)
+        return cls(followers_of, followees_of)
+
+    def followers(self, broadcaster: str) -> list:
+        return sorted(self.followers_of.get(broadcaster, ()))
+
+    def followees(self, follower: str) -> list:
+        return sorted(self.followees_of.get(follower, ()))
+
+
 def load_network(path) -> Network:
     """Read a headerless broadcaster_id,follower_id edge list; duplicates collapse."""
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path, 1, "bad network line")
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise DataFormatError(f"{path}:{lineno}: expected broadcaster_id,follower_id")
-            edges.append((row[0].strip(), row[1].strip()))
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
+            raise DataFormatError(f"{path}:{lineno}: expected broadcaster_id,follower_id")
+        edges.append((row[0].strip(), row[1].strip()))
     return Network.from_edges(edges)
 
 
@@ -471,16 +504,17 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-            linenos[key.strip()] = lineno
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path, 1, "bad manifest line")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
+        linenos[key.strip()] = lineno
     required = ("events", "network", "epoch", "t0", "tf", "broadcaster")
     missing = [k for k in required if k not in fields]
     if missing:
@@ -611,31 +645,6 @@ def write_report_csv(reports, path_or_buffer) -> None:
             fh.close()
 
 
-def read_report_csv(path) -> list[MetricsReport]:
-    reports = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != REPORT_HEADER.split(","):
-            raise DataFormatError(f"{path}: unexpected report header {header}")
-        for row in reader:
-            if len(row) != 8:
-                raise DataFormatError(f"{path}: bad report row {row}")
-            reports.append(
-                MetricsReport(
-                    run=row[0],
-                    seed=int(row[1]),
-                    policy=row[2],
-                    posts=int(row[3]),
-                    position_over_time=float(row[4]),
-                    time_at_top=float(row[5]),
-                    normalized_position=float(row[6]) if row[6] else None,
-                    normalized_time_at_top=float(row[7]) if row[7] else None,
-                )
-            )
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # significance profiles
 # ---------------------------------------------------------------------------
@@ -685,76 +694,3 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
             spelled = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), object)
             fh.write("".join(template) % tuple(spelled[cell.reshape(-1)].tolist()))
 
-
-def read_profile_csv(path) -> SignificanceProfile:
-    """Read a profile ``write_profile_csv`` wrote; the ``#`` lines before the header are its metadata."""
-    meta: dict[str, str] = {}
-    # newline="": a quoted id keeps its "\r" and "\n"
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip().split(" ")[0] if value else ""
-            line = fh.readline()
-        for key in ("granularity", "epoch", "laplace"):
-            if key not in meta:
-                raise DataFormatError(f"{path}: profile metadata is missing {key!r}")
-        reader = csv.reader(itertools.chain([line], fh))
-        header = next(reader, None)
-        if header != ["follower_id", "bucket_index", "value"]:
-            raise DataFormatError(f"{path}: unexpected profile header {header}")
-        granularity = meta["granularity"]
-        b = bucket_count(granularity)
-        values: dict = {}
-        for row in reader:
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: bad profile row {row}")
-            fid, idx, val = row[0], int(row[1]), float(row[2])
-            values.setdefault(fid, np.zeros(b))[idx] = val
-    return SignificanceProfile(
-        granularity=granularity,
-        epoch=float(meta["epoch"]),
-        values=values,
-        laplace=float(meta["laplace"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-
-def save_trajectory(trajectory, path) -> None:
-    """JSON dump of a trajectory; floats survive the round trip exactly."""
-    payload = {
-        "t0": trajectory.t0,
-        "tf": trajectory.tf,
-        "own_posts": [float(t) for t in trajectory.own_posts],
-        "feeds": [
-            {"times": [float(t) for t in f.times], "sources": [str(s) for s in f.sources]}
-            for f in trajectory.feeds
-        ],
-        "rank_times": [[float(t) for t in ts] for ts in trajectory.rank_times],
-        "rank_values": [[int(v) for v in vs] for vs in trajectory.rank_values],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_trajectory(path):
-    from .feed_sim import SimulationTrajectory
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SimulationTrajectory(
-        t0=float(payload["t0"]),
-        tf=float(payload["tf"]),
-        own_posts=np.asarray(payload["own_posts"], dtype=np.float64),
-        feeds=[
-            EventStream(np.asarray(f["times"], np.float64), np.asarray(f["sources"], object))
-            for f in payload["feeds"]
-        ],
-        rank_times=[np.asarray(ts, np.float64) for ts in payload["rank_times"]],
-        rank_values=[np.asarray(vs, np.int64) for vs in payload["rank_values"]],
-    )

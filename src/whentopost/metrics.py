@@ -20,10 +20,8 @@ __all__ = [
     "MetricsReport",
     "position_over_time",
     "time_at_top",
-    "average_position",
     "report_from_trajectory",
     "normalize_report",
-    "quadratic_control_cost",
     "aggregate",
 ]
 
@@ -53,17 +51,6 @@ def time_at_top(times: np.ndarray, values: np.ndarray, tf: float) -> float:
         raise ValueError("tf precedes the last change point")
     lengths = _segment_lengths(times, tf)
     return float(np.sum(lengths[values < 1]))
-
-
-def average_position(trajectory) -> float:
-    """Time-averaged rank, averaged over followers."""
-    total = 0.0
-    horizon = trajectory.tf - trajectory.t0
-    if horizon <= 0:
-        raise ValueError("empty window has no average position")
-    for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
-        total += position_over_time(ts, vs, trajectory.tf)
-    return total / (trajectory.n_followers * horizon)
 
 
 @dataclass(frozen=True)
@@ -113,24 +100,6 @@ def normalize_report(report: MetricsReport, reference: MetricsReport) -> Metrics
     return replace(report, normalized_position=norm_pos, normalized_time_at_top=norm_tat)
 
 
-def quadratic_control_cost(trajectory, q: float, s=1.0) -> float:
-    """0.5*sum_i s_i*integral(r_i^2) + 0.5*q*posts + 0.5*sum_i r_i(tf)^2.
-
-    The quadratic loss the posting policies trade off, evaluated on the
-    realized trajectory.  Exact: rank paths are step functions.
-    """
-    n = trajectory.n_followers
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n,))
-    total = 0.0
-    for i, (ts, vs) in enumerate(zip(trajectory.rank_times, trajectory.rank_values)):
-        vs = np.asarray(vs, dtype=np.float64)
-        lengths = _segment_lengths(np.asarray(ts, np.float64), trajectory.tf)
-        total += 0.5 * s[i] * float(np.sum(vs * vs * lengths))
-        total += 0.5 * float(vs[-1] * vs[-1])
-    total += 0.5 * q * trajectory.post_count
-    return total
-
-
 def aggregate(values) -> dict:
     """Mean, standard error, median and quartiles of a metric across runs."""
     arr = np.asarray(list(values), dtype=np.float64)
@@ -178,4 +147,3 @@ def _percentile(arr: np.ndarray, q: float):
     t = index - below
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,8 @@ __all__ = [
     "EventStream",
     "PiecewiseRate",
     "HawkesParams",
-    "IntensityState",
-    "decay_intensity",
-    "apply_jump",
     "sample_hawkes",
     "sample_piecewise_poisson",
-    "superpose",
 ]
 
 
@@ -191,39 +187,6 @@ class HawkesParams:
         return float(self.baseline) / (1.0 - self.alpha / self.w)
 
 
-@dataclass(frozen=True)
-class IntensityState:
-    """Intensity ``current`` at time ``as_of``; never below the baseline."""
-
-    current: float
-    as_of: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.current) or self.current < 0:
-            raise ValueError("intensity must be finite and nonnegative")
-
-
-def decay_intensity(state: IntensityState, params: HawkesParams, t: float) -> IntensityState:
-    """Relax the intensity from ``state.as_of`` to ``t`` with no events between.
-
-    The excitation above the baseline decays by ``exp(-w * dt)``; the
-    baseline itself is re-read at ``t``, so baseline steps pass straight
-    through to the intensity.
-    """
-    if t < state.as_of:
-        raise ValueError("cannot decay backwards in time")
-    excite = state.current - params.baseline_at(state.as_of)
-    if excite < 0:
-        raise ValueError("intensity below baseline: state is inconsistent")
-    new = params.baseline_at(t) + excite * math.exp(-params.w * (t - state.as_of))
-    return IntensityState(new, t)
-
-
-def apply_jump(state: IntensityState, params: HawkesParams) -> IntensityState:
-    """Add one event's excitation ``alpha`` at the state's own time."""
-    return IntensityState(state.current + params.alpha, state.as_of)
-
-
 def _baseline_arrays(params: HawkesParams, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(params.baseline, PiecewiseRate):
         if not params.baseline.covers(t0, tf):
@@ -302,24 +265,3 @@ def sample_piecewise_poisson(
     if nudged:
         warnings.warn(f"nudged {nudged} coincident sample(s) apart", stacklevel=2)
     return EventStream.from_times(times, source)
-
-
-def superpose(streams) -> EventStream:
-    """Merge streams into one, keeping per-event sources.
-
-    Exact time ties across streams are nudged apart by one float step
-    (later stream wins the later slot) with a warning; each input is
-    already strictly increasing, so the result is too.
-    """
-    streams = list(streams)
-    if not streams:
-        return EventStream.empty()
-    times = np.concatenate([s.times for s in streams])
-    sources = np.concatenate([s.sources for s in streams]) if times.shape[0] else np.empty(0, object)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    sources = sources[order]
-    times, nudged = _dedupe_increasing(times)
-    if nudged:
-        warnings.warn(f"nudged {nudged} coincident event(s) apart", stacklevel=2)
-    return EventStream(times, sources)

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
-from .control_online import RedQueenParams, StepSchedule, merge_window, run_redqueen_fast, tune_q
+from .control_online import RedQueenParams, merge_window, run_redqueen_fast, tune_q
 from .control_oracle import (
     OracleSchedule,
     decisions_to_post_times,
@@ -59,7 +59,7 @@ from .data_io import ReplayDataset
 from .feed_sim import trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
 from .point_process import EventStream, HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
-from .significance import estimate_significance
+from .significance import StepSchedule, estimate_significance
 
 __all__ = [
     "POLICIES",

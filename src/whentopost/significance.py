@@ -5,7 +5,9 @@ weekday-hour (168).  Bucket values are Laplace-smoothed frequencies,
 then divided by the largest bucket so every profile peaks at exactly 1.
 That max-normalization is a reporting choice, not a probability claim,
 and is stamped into the profile (and its serialized form) so nobody
-mistakes the values for calibrated probabilities.
+mistakes the values for calibrated probabilities.  A profile unrolls
+into a :class:`StepSchedule`, the per-follower weights over a window
+that the controller reads.
 
 Event times are seconds relative to an epoch (itself UNIX seconds), so
 calendar arithmetic is plain integer math on days-since-1970, which was
@@ -21,14 +23,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .control_online import StepSchedule
-
 __all__ = [
     "GRANULARITIES",
     "bucket_count",
     "bucket_index",
+    "StepSchedule",
     "SignificanceProfile",
-    "bucket_weights",
     "estimate_significance",
 ]
 
@@ -64,31 +64,14 @@ def _check_laplace(laplace: float) -> None:
         raise ValueError("laplace smoothing must be finite and nonnegative")
 
 
-def _normalize_counts(counts: np.ndarray, laplace: float) -> np.ndarray:
-    """Turn one follower's float64 bucket counts into weights, in place.
-
-    Laplace-smoothed frequencies, divided by their maximum.  An all-zero
-    row is an empty activity log: it becomes the flat profile, with a
-    warning.
-    """
-    total = counts.sum()
-    if total == 0:
-        warnings.warn("empty activity log: falling back to a flat profile", stacklevel=3)
-        counts[:] = 1.0
-        return counts
-    counts += laplace
-    counts /= total + laplace * counts.shape[0]
-    counts /= counts.max()
-    return counts
-
-
 def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
-    """:func:`_normalize_counts` of every row of an integer count table at once.
+    """Weights of every row of an integer count table at once.
 
-    The counts are exact integers, so each row's sum and maximum are the
-    bits the row-by-row arithmetic gives.  Each all-zero row warns once and
-    becomes flat; its divisions are skipped, so ``laplace=0`` divides no
-    zero by zero.
+    Each row's weights are its Laplace-smoothed frequencies, divided by
+    their maximum.  The counts are exact integers, so each row's sum and
+    maximum are the bits the row-by-row arithmetic gives.  Each all-zero
+    row warns once and becomes flat; its divisions are skipped, so
+    ``laplace=0`` divides no zero by zero.
     """
     weights = table.astype(np.float64)
     totals = weights.sum(axis=1)
@@ -103,23 +86,42 @@ def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
     return weights
 
 
-def bucket_weights(
-    times: np.ndarray,
-    epoch: float,
-    granularity: str,
-    laplace: float = 1.0,
-) -> np.ndarray:
-    """Max-normalized smoothed bucket frequencies of one activity log.
+@dataclass(frozen=True)
+class StepSchedule:
+    """Per-follower piecewise-constant weights on a shared time grid.
 
-    ``times`` are seconds relative to ``epoch``.  With ``laplace=0`` an
-    unvisited bucket is exactly 0 (useful for hard quiet periods); an
-    entirely empty log yields a flat all-ones profile with a warning.
+    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.
     """
-    _check_laplace(laplace)
-    b = bucket_count(granularity)
-    times = np.asarray(times, dtype=np.float64)
-    counts = np.bincount(bucket_index(epoch + times, granularity), minlength=b)
-    return _normalize_counts(counts.astype(np.float64), laplace)
+
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if knots.ndim != 1 or values.ndim != 2:
+            raise ValueError("knots must be 1-d and values 2-d")
+        if knots.shape[0] != values.shape[1] + 1:
+            raise ValueError("need one more knot than value columns")
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("knots must be strictly increasing")
+        if np.any(values < 0):
+            raise ValueError("weights must be nonnegative")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def constant(cls, value: float, n_followers: int, t0: float, tf: float) -> "StepSchedule":
+        return cls(np.array([t0, tf]), np.full((n_followers, 1), float(value)))
+
+    @property
+    def n_followers(self) -> int:
+        return int(self.values.shape[0])
+
+    def value_at(self, i: int, t: float) -> float:
+        k = int(np.searchsorted(self.knots, t, side="right")) - 1
+        k = min(max(k, 0), self.values.shape[1] - 1)
+        return float(self.values[i, k])
 
 
 #: Followers whose range :class:`SignificanceProfile` checks at a time.
@@ -212,7 +214,8 @@ def estimate_significance(
     ``map`` of ``dict.get``, with no Python frame per event.  The counts
     are exact integers, and the whole table is then normalized at once,
     each row with the same arithmetic, and so the same bits, as
-    :func:`bucket_weights` on that follower's events alone.
+    ``bucket_weights`` (``tests/reference.py``) on that follower's events
+    alone.
     """
     _check_laplace(laplace)
     if not math.isfinite(epoch):

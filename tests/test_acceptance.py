@@ -15,33 +15,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from reference import (
+    IntensityState,
+    RankState,
+    brute_force_schedule,
+    decay_intensity,
+    next_post_time,
+    rank_from_history,
+    rank_step,
+)
 from scipy import stats
 
 from whentopost.cli import main as cli_main
-from whentopost.control_online import (
-    RedQueenParams,
-    next_post_time,
-    run_redqueen_fast,
-    tune_q,
-)
-from whentopost.control_oracle import (
-    OracleInstance,
-    brute_force_schedule,
-    oracle_schedule,
-)
+from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
+from whentopost.control_oracle import OracleInstance, oracle_schedule
 from whentopost.data_io import (
     build_replay_dataset,
     load_events,
     load_network,
 )
-from whentopost.feed_sim import RankState, rank_from_history, rank_step, trajectory_from_posts
+from whentopost.feed_sim import trajectory_from_posts
 from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import (
     EventStream,
     HawkesParams,
-    IntensityState,
     PiecewiseRate,
-    decay_intensity,
     sample_hawkes,
     sample_piecewise_poisson,
 )

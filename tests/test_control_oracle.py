@@ -4,21 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from reference import brute_force_schedule_multi
+from reference import (
+    MAX_BRUTE_FORCE_STAGES,
+    brute_force_schedule,
+    brute_force_schedule_multi,
+    quadratic_control_cost,
+    schedule_cost_batch,
+)
 
 from whentopost.control_oracle import (
-    MAX_BRUTE_FORCE_STAGES,
     MAX_ORACLE_STAGES,
     OracleInstance,
-    brute_force_schedule,
     decisions_to_post_times,
     instance_from_feed,
     oracle_schedule,
     schedule_cost,
-    schedule_cost_batch,
 )
 from whentopost.feed_sim import trajectory_from_posts
-from whentopost.metrics import quadratic_control_cost
 from whentopost.point_process import EventStream
 
 

@@ -15,24 +15,21 @@ from unittest import mock
 import numpy as np
 import pytest
 import reference
+from reference import read_profile_csv, read_report_csv
 
 from whentopost import data_io
 from whentopost.data_io import (
     DataFormatError,
     REPORT_HEADER,
+    Network,
     build_replay_dataset,
     load_events,
     load_manifest,
     load_network,
-    load_trajectory,
-    read_profile_csv,
-    read_report_csv,
     save_events,
-    save_trajectory,
     write_profile_csv,
     write_report_csv,
 )
-from whentopost.feed_sim import trajectory_from_posts
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import EventStream
 from whentopost.significance import SignificanceProfile
@@ -209,8 +206,6 @@ def small_log():
 
 
 def small_network():
-    from whentopost.feed_sim import Network
-
     return Network.from_edges([
         ("b", "f1"), ("x", "f1"), ("y", "f1"),
         ("b", "f2"), ("z", "f2"),
@@ -237,8 +232,6 @@ def test_build_replay_dataset_excludes_broadcaster_everywhere():
 
 
 def test_build_replay_dataset_followee_cap():
-    from whentopost.feed_sim import Network
-
     edges = [("b", "f1"), ("b", "f2"), ("x", "f2")]
     edges += [(f"fan{k}", "f1") for k in range(3)]  # f1 follows 4 total
     net = Network.from_edges(edges)
@@ -256,8 +249,6 @@ def test_build_replay_dataset_window_clips_events():
 
 
 def test_build_replay_dataset_matches_per_follower_from_sources():
-    from whentopost.feed_sim import Network
-
     rng = np.random.default_rng(5)
     accounts = np.array([f"a{i}" for i in range(40)], dtype=object)
     n = 5000
@@ -288,8 +279,6 @@ def assert_same_streams(got, want):
 
 
 def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
-    from whentopost.feed_sim import Network
-
     man = load_manifest(genlog_manifest)
     log, net = load_events(man.events_path), load_network(man.network_path)
     cases = [(log, net, man.broadcaster, man.t0, man.tf)]
@@ -513,28 +502,6 @@ def test_profile_csv_requires_metadata(tmp_path):
     p.write_text("follower_id,bucket_index,value\nf,0,1.0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="metadata"):
         read_profile_csv(p)
-
-
-def test_trajectory_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    feeds = [
-        EventStream.from_times(np.sort(rng.uniform(0, 10, size=12)), "x"),
-        EventStream.from_times(np.sort(rng.uniform(0, 10, size=5)), "y"),
-    ]
-    traj = trajectory_from_posts(feeds, np.sort(rng.uniform(0, 10, size=3)), 0.0, 10.0)
-    p = tmp_path / "trajectory.json"
-    save_trajectory(traj, p)
-    back = load_trajectory(p)
-    assert back.t0 == traj.t0 and back.tf == traj.tf
-    assert np.array_equal(back.own_posts, traj.own_posts)
-    for j in range(2):
-        assert np.array_equal(back.feeds[j].times, traj.feeds[j].times)
-        assert np.array_equal(back.rank_times[j], traj.rank_times[j])
-        assert np.array_equal(back.rank_values[j], traj.rank_values[j])
-    # saving the loaded copy reproduces the file exactly
-    p2 = tmp_path / "again.json"
-    save_trajectory(back, p2)
-    assert p.read_bytes() == p2.read_bytes()
 
 
 # ---------------------------------------------------------------------------

