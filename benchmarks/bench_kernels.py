@@ -94,7 +94,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.point_process import EventStream
-from whentopost.significance import estimate_significance
+from whentopost.significance import NORMALIZATION, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -373,7 +373,7 @@ def write_profile_csv_by_rows(profile, path):
         fh.write(f"# epoch = {float(profile.epoch)!r}\n")
         fh.write(f"# laplace = {float(profile.laplace)!r}\n")
         fh.write(
-            f"# normalization = {profile.normalization} "
+            f"# normalization = {NORMALIZATION} "
             "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
         )
         row = io.StringIO()

@@ -115,6 +115,12 @@ def run_redqueen_fast(
     )
 
 
+#: ``tune_q``'s first price, and the prices past which it calls a target unreachable.
+Q_START = 1.0
+Q_MIN = 1e-12
+Q_MAX = 1e15
+
+
 @dataclass(frozen=True)
 class TuneResult:
     """Outcome of a budget search over q."""
@@ -131,10 +137,7 @@ def tune_q(
     target_posts: float,
     mean_posts_fn,
     tolerance: float = 0.1,
-    q0: float = 1.0,
     max_iter: int = 60,
-    q_min: float = 1e-12,
-    q_max: float = 1e15,
     lower_bound_fn=None,
 ) -> TuneResult:
     """Find q whose mean post count hits ``target_posts`` within tolerance.
@@ -142,8 +145,9 @@ def tune_q(
     ``mean_posts_fn(q)`` must average enough seeded runs to be stable;
     calling it with the same q must return the same value (use common
     seeds), which makes the bracketing/bisection on log q well behaved.
-    Post counts fall as q rises.  When the target is unreachable the
-    search stops at a bracket bound and reports ``converged=False``.
+    Post counts fall as q rises.  The search starts at ``Q_START``; when
+    the target is unreachable within ``[Q_MIN, Q_MAX]`` it stops at a
+    bracket bound and reports ``converged=False``.
 
     ``lower_bound_fn(q)``, if given, returns a cheaper value no greater
     than ``mean_posts_fn(q)``, such as the mean of post counts capped a
@@ -182,7 +186,7 @@ def tune_q(
             entry[1:] = mean_posts_fn(entry[0]), True
         return entry[1]
 
-    q = float(q0)
+    q = Q_START
     c = evaluate(q)
     if close(c):
         return TuneResult(q, c, target_posts, True, len(trace))
@@ -190,7 +194,7 @@ def tune_q(
         q_lo = q
         while True:
             q = q * 4.0
-            if q > q_max:
+            if q > Q_MAX:
                 return TuneResult(
                     q_lo, exact(trace[-1]), target_posts, False, len(trace),
                     "target unreachable: post count stays above target up to q_max",
@@ -206,7 +210,7 @@ def tune_q(
         q_hi, c_hi = q, c
         while True:
             q = q / 4.0
-            if q < q_min:
+            if q < Q_MIN:
                 return TuneResult(
                     q_hi, c_hi, target_posts, False, len(trace),
                     "target unreachable: post count stays below target down to q_min",

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -58,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .point_process import EventStream, _dedupe_increasing
-from .significance import SignificanceProfile, bucket_count
+from .significance import NORMALIZATION, SignificanceProfile, bucket_count
 
 __all__ = [
     "load_events",
@@ -118,7 +117,8 @@ def load_events(path) -> EventStream:
 
     Out-of-order lines are sorted with a warning; coincident times are
     nudged one float step apart with a warning, so every event keeps a
-    distinct timestamp.  Malformed lines fail with their line number.
+    distinct timestamp.  Malformed lines and non-finite times fail with
+    their line number.
     Each account's id is kept as one shared string, however many events
     it has.  A large log is parsed in byte ranges on up to one CPU each
     (see :func:`_ranges`); the result is the same as from one range.
@@ -126,13 +126,6 @@ def load_events(path) -> EventStream:
     parts = _parse_ranges(path, _ranges(path))
     times = np.concatenate([part[0] for part in parts])
     sources = _join_ids(parts)
-    # NaN propagates through min and max, and +-inf shows in one of them
-    if times.size and not (math.isfinite(times.min()) and math.isfinite(times.max())):
-        bad = int(np.flatnonzero(~np.isfinite(times))[0])
-        raise DataFormatError(
-            f"{path}:{_event_lineno(path, bad)}: event time must be finite, "
-            f"got {float(times[bad])!r}"
-        )
     if times.shape[0] > 1:
         diffs = np.diff(times)
         if np.any(diffs < 0):
@@ -166,11 +159,28 @@ def _join_ids(parts) -> np.ndarray:
     return sources
 
 
+def _read_cpu_max() -> str | None:
+    """cgroup v2's ``"<quota> <period>"`` (``"max <period>"``: none); None if unreadable."""
+    try:
+        with open("/sys/fs/cgroup/cpu.max", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or see its affinity."""
+    """CPUs this process may run on; 1 where it cannot fork or see its affinity.
+
+    The affinity count, lowered to ``max(1, quota // period)`` CPUs when a
+    cgroup v2 ``cpu.max`` sets a quota.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    quota, _, period = (_read_cpu_max() or "max").strip().partition(" ")
+    if quota.isdigit() and period.isdigit() and int(period) > 0:
+        cpus = min(cpus, max(1, int(quota) // int(period)))
+    return cpus
 
 
 def _ranges(path) -> list[tuple]:
@@ -376,7 +386,8 @@ def _parse_chunk(text, path, first_lineno) -> tuple[np.ndarray, list]:
         tokens = body.replace(_LINE_SEP, _SRC_SEP).split(_SRC_SEP)
         times = np.array(tokens[0::2], dtype=np.float64)
         # JSON reads the integer token -0 as 0, and an integer too large for a
-        # float fails, where NumPy gives -0.0 and inf: such chunks go per line
+        # float fails, where NumPy gives -0.0 and inf: such chunks go per line,
+        # as does one with a non-finite time, which fails there with its line
         if np.isfinite(times).all() and not np.signbit(times[times == 0.0]).any():
             return times, tokens[1::2]
     return _parse_lines(text.split("\n"), path, first_lineno)
@@ -398,16 +409,11 @@ def _parse_lines(lines, path, first_lineno) -> tuple[np.ndarray, list]:
             json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
         ) as exc:  # RecursionError: a deeply nested line
             raise DataFormatError(f"{path}:{lineno}: bad event line ({exc})") from exc
+        if not math.isfinite(t):
+            raise DataFormatError(f"{path}:{lineno}: event time must be finite, got {t!r}")
         times.append(t)
         ids.append(src)
     return np.array(times, dtype=np.float64), ids
-
-
-def _event_lineno(path, index: int) -> int:
-    """Line number of the ``index``-th event (blank lines skipped) in ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        linenos = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(linenos, index, None))
 
 
 #: Events ``save_events`` formats and writes at a time.
@@ -456,9 +462,6 @@ class Network:
 
     def followers(self, broadcaster: str) -> list:
         return sorted(self.followers_of.get(broadcaster, ()))
-
-    def followees(self, follower: str) -> list:
-        return sorted(self.followees_of.get(follower, ()))
 
 
 def load_network(path) -> Network:
@@ -668,7 +671,7 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
         fh.write(f"# epoch = {_fmt(profile.epoch)}\n")
         fh.write(f"# laplace = {_fmt(profile.laplace)}\n")
         fh.write(
-            f"# normalization = {profile.normalization} "
+            f"# normalization = {NORMALIZATION} "
             "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
         )
         writer = csv.writer(fh, lineterminator="\n")

@@ -17,7 +17,7 @@ loop that folds one event at a time (``simulate``) is the reference in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class SimulationTrajectory:
     feeds: list
     rank_times: list
     rank_values: list
-    decisions: list = field(default_factory=list)
 
     @property
     def n_followers(self) -> int:
@@ -110,9 +109,6 @@ class SimulationTrajectory:
     @property
     def post_count(self) -> int:
         return int(self.own_posts.shape[0])
-
-    def final_ranks(self) -> np.ndarray:
-        return np.array([v[-1] for v in self.rank_values], dtype=np.int64)
 
 
 def trajectory_from_posts(

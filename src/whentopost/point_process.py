@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 
-#: Most events one ``sample_hawkes`` draw may hold (40 MB of times).  An
-#: explosive feed (``alpha >= w``) outgrows any window, so it stops here.
+#: Most events one ``sample_hawkes`` draw may hold (40 MB of times); a long
+#: enough window outgrows any memory, so the draw stops here.
 MAX_HAWKES_EVENTS = 5_000_000
 
 
@@ -59,7 +59,7 @@ class EventStream:
     """A strictly increasing sequence of timestamped events.
 
     ``sources`` carries a parallel id per event ("who produced it");
-    synthetic streams default every source to a single label.
+    synthetic streams label every event ``"feed"``.
     """
 
     times: np.ndarray
@@ -78,9 +78,9 @@ class EventStream:
         object.__setattr__(self, "sources", sources)
 
     @classmethod
-    def from_times(cls, times, source: str = "feed") -> "EventStream":
+    def from_times(cls, times) -> "EventStream":
         times = np.asarray(times, dtype=np.float64)
-        return cls(times, np.full(times.shape, source, dtype=object))
+        return cls(times, np.full(times.shape, "feed", dtype=object))
 
     @classmethod
     def empty(cls) -> "EventStream":
@@ -92,10 +92,6 @@ class EventStream:
     def window(self, t0: float, tf: float) -> "EventStream":
         """Events with t0 < t <= tf."""
         mask = (self.times > t0) & (self.times <= tf)
-        return EventStream(self.times[mask], self.sources[mask])
-
-    def from_sources(self, wanted) -> "EventStream":
-        mask = np.isin(self.sources, list(wanted))
         return EventStream(self.times[mask], self.sources[mask])
 
 
@@ -120,23 +116,16 @@ class PiecewiseRate:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "rates", rates)
 
-    @classmethod
-    def constant(cls, rate: float, t0: float, tf: float) -> "PiecewiseRate":
-        return cls(np.array([t0, tf]), np.array([float(rate)]))
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
-
-    def segment_index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return min(max(idx, 0), self.rates.shape[0] - 1)
 
     def rate_at(self, t: float) -> float:
         lo, hi = self.domain
         if t < lo or t > hi:
             raise ValueError(f"time {t} outside rate domain [{lo}, {hi}]")
-        return float(self.rates[self.segment_index(t)])
+        k = int(np.searchsorted(self.knots, t, side="right")) - 1  # >= 0, as t >= lo
+        return float(self.rates[min(k, self.rates.shape[0] - 1)])
 
     def covers(self, t0: float, tf: float) -> bool:
         lo, hi = self.domain
@@ -149,14 +138,12 @@ class HawkesParams:
 
     ``baseline`` is a constant rate or a :class:`PiecewiseRate`;
     ``alpha`` is the per-event intensity jump and ``w`` the relaxation
-    speed.  Stability (a finite long-run rate) requires ``alpha < w``;
-    pass ``allow_unstable=True`` to experiment past that point.
+    speed.  Stability (a finite long-run rate) requires ``alpha < w``.
     """
 
     baseline: float | PiecewiseRate
     alpha: float
     w: float
-    allow_unstable: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -167,23 +154,13 @@ class HawkesParams:
             pass
         elif self.baseline < 0:
             raise ValueError("baseline rate must be nonnegative")
-        if self.alpha >= self.w and not self.allow_unstable:
-            raise ValueError(
-                "alpha >= w gives an explosive feed; pass allow_unstable=True "
-                "if that is intended"
-            )
-
-    def baseline_at(self, t: float) -> float:
-        if isinstance(self.baseline, PiecewiseRate):
-            return self.baseline.rate_at(t)
-        return float(self.baseline)
+        if self.alpha >= self.w:
+            raise ValueError("alpha >= w gives an explosive feed")
 
     def stationary_rate(self) -> float:
         """Long-run mean rate ``lam0 / (1 - alpha / w)`` for a constant baseline."""
         if isinstance(self.baseline, PiecewiseRate):
             raise ValueError("stationary rate is defined for constant baselines")
-        if self.alpha >= self.w:
-            raise ValueError("no stationary rate: alpha >= w")
         return float(self.baseline) / (1.0 - self.alpha / self.w)
 
 
@@ -200,7 +177,6 @@ def sample_hawkes(
     t0: float,
     tf: float,
     rng: np.random.Generator,
-    source: str = "feed",
 ) -> EventStream:
     """Draw one feed realization on (t0, tf] by thinning.
 
@@ -214,10 +190,7 @@ def sample_hawkes(
     if tf == t0:
         return EventStream.empty()
     knots, rates = _baseline_arrays(params, t0, tf)
-    if params.alpha < params.w:
-        mean_rate = float(np.max(rates)) / (1.0 - params.alpha / params.w)
-    else:
-        mean_rate = float(np.max(rates)) * 4.0
+    mean_rate = float(np.max(rates)) / (1.0 - params.alpha / params.w)
     cap_hint = min(int(mean_rate * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
     times = sample_hawkes_times(
         float(t0), float(tf), knots, rates, float(params.alpha), float(params.w), rng, cap_hint,
@@ -228,7 +201,7 @@ def sample_hawkes(
             f"the feed on ({t0!r}, {tf!r}] holds more than MAX_HAWKES_EVENTS = {MAX_HAWKES_EVENTS} "
             f"events (alpha = {params.alpha!r}, w = {params.w!r}) - shorten the window or lower alpha"
         )
-    return EventStream.from_times(times, source)
+    return EventStream.from_times(times)
 
 
 def sample_piecewise_poisson(
@@ -236,7 +209,6 @@ def sample_piecewise_poisson(
     t0: float,
     tf: float,
     rng: np.random.Generator,
-    source: str = "feed",
 ) -> EventStream:
     """Draw an inhomogeneous Poisson stream on (t0, tf].
 
@@ -264,4 +236,4 @@ def sample_piecewise_poisson(
     times, nudged = _dedupe_increasing(times)
     if nudged:
         warnings.warn(f"nudged {nudged} coincident sample(s) apart", stacklevel=2)
-    return EventStream.from_times(times, source)
+    return EventStream.from_times(times)

@@ -98,7 +98,7 @@ class ScenarioError(ValueError):
 #: Domains of the numeric config fields, whichever configs have them.
 _POSITIVE = ("budget", "q", "target_posts", "lambda0", "w", "target_feed_events", "horizon")
 _NONNEGATIVE = ("alpha", "peak_per_hour", "tune_tol")
-_LEAST = {"offline_segments": 1, "segments_per_day": 1, "initial_rank": 0}
+_LEAST = {"offline_segments": 1, "initial_rank": 0}
 
 
 def _check_domain(cfg) -> None:
@@ -193,10 +193,14 @@ class _Competition:
         return whole if whole is not None else self.memo[key + (cap,)]
 
     def oracle(self, q: float, seed: int) -> OracleSchedule:
-        """The clairvoyant schedule at price ``q`` on ``seed``'s (single) feed."""
+        """The clairvoyant schedule at price ``q`` on ``seed``'s (single) feed.
+
+        It starts from the follower's initial rank, as the controller does.
+        """
 
         def run():
-            inst = instance_from_feed(self.feeds(seed)[0].times, self.t0, self.tf, q=q)
+            r0 = 0 if self.initial_ranks is None else int(self.initial_ranks[0])
+            inst = instance_from_feed(self.feeds(seed)[0].times, self.t0, self.tf, q=q, r0=r0)
             schedule = oracle_schedule(inst)
             schedule.decisions.flags.writeable = False
             return schedule
@@ -236,7 +240,6 @@ def _tune(cfg, target: float, count, at_most=None):
         target,
         mean(count),
         tolerance=cfg.tune_tol,
-        max_iter=cfg.tune_max_iter,
         lower_bound_fn=None if at_most is None else mean(at_most),
     )
 
@@ -361,7 +364,6 @@ class HawkesScenarioConfig(_SyntheticConfig):
     w: float = 10.0
     target_feed_events: float = 1000.0
     tune_tol: float = 0.1
-    tune_max_iter: int = 60
     offline_segments: int = 10
 
     _scenario = "one-follower-hawkes"
@@ -414,9 +416,7 @@ class SinusoidScenarioConfig(_SyntheticConfig):
     q: float | None = None
     peak_per_hour: float = 10.0
     horizon: float = 86_400.0
-    segments_per_day: int = 24
     tune_tol: float = 0.1
-    tune_max_iter: int = 60
 
     def __post_init__(self):
         super().__post_init__()
@@ -428,16 +428,19 @@ class SinusoidScenarioConfig(_SyntheticConfig):
         return f"multi-follower-sinusoid:followers={self.followers}"
 
 
+#: Segments of one day in the sinusoid scenario's piecewise rates: hours.
+_SEGMENTS_PER_DAY = 24
+
+
 def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> PiecewiseRate:
     """Hourly piecewise rate tracing one day's half sinusoid from ``phase``."""
-    nseg = cfg.segments_per_day
-    seg_len = 86_400.0 / nseg
+    seg_len = 86_400.0 / _SEGMENTS_PER_DAY
     n_total = int(math.ceil(cfg.horizon / seg_len))
     knots = np.arange(n_total + 1) * seg_len
     knots[-1] = max(knots[-1], cfg.horizon)
     peak = cfg.peak_per_hour / 3600.0
-    segs = (np.arange(n_total) + phase) % nseg
-    rates = peak * np.sin(math.pi * segs / nseg)
+    segs = (np.arange(n_total) + phase) % _SEGMENTS_PER_DAY
+    rates = peak * np.sin(math.pi * segs / _SEGMENTS_PER_DAY)
     return PiecewiseRate(knots, rates)
 
 
@@ -454,7 +457,7 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
         feeds = []
         for j in range(cfg.followers):
             rng = feed_rng(seed, j)
-            phase = rng.uniform(0.0, cfg.segments_per_day)
+            phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
             rates.append(rate)
             feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
@@ -481,7 +484,6 @@ class ReplayConfig:
     significance: str | None = None  # None, "weekday" or "weekday-hour"
     laplace: float = 1.0
     tune_tol: float = 0.1
-    tune_max_iter: int = 60
     offline_segments: int = 10
     initial_rank: int = 0
 

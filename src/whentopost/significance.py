@@ -3,8 +3,8 @@
 A follower's own activity is bucketed by weekday (7 buckets) or by
 weekday-hour (168).  Bucket values are Laplace-smoothed frequencies,
 then divided by the largest bucket so every profile peaks at exactly 1.
-That max-normalization is a reporting choice, not a probability claim,
-and is stamped into the profile (and its serialized form) so nobody
+That max-normalization (``NORMALIZATION``) is a reporting choice, not a
+probability claim, and is stamped into every serialized profile so nobody
 mistakes the values for calibrated probabilities.  A profile unrolls
 into a :class:`StepSchedule`, the per-follower weights over a window
 that the controller reads.
@@ -36,6 +36,8 @@ GRANULARITIES = ("weekday", "weekday-hour")
 _SECONDS_PER_DAY = 86_400
 _SECONDS_PER_HOUR = 3_600
 _EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; Monday is 0
+#: How every profile is scaled: each follower's peak bucket is 1.
+NORMALIZATION = "max"
 
 
 def bucket_count(granularity: str) -> int:
@@ -110,18 +112,9 @@ class StepSchedule:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def constant(cls, value: float, n_followers: int, t0: float, tf: float) -> "StepSchedule":
-        return cls(np.array([t0, tf]), np.full((n_followers, 1), float(value)))
-
     @property
     def n_followers(self) -> int:
         return int(self.values.shape[0])
-
-    def value_at(self, i: int, t: float) -> float:
-        k = int(np.searchsorted(self.knots, t, side="right")) - 1
-        k = min(max(k, 0), self.values.shape[1] - 1)
-        return float(self.values[i, k])
 
 
 #: Followers whose range :class:`SignificanceProfile` checks at a time.
@@ -133,15 +126,13 @@ class SignificanceProfile:
     """Per-follower bucket weights plus the calendar anchoring them.
 
     ``values[follower_id]`` is a vector of ``bucket_count(granularity)``
-    weights in [0, 1], peaking at 1.  ``normalization`` documents that
-    scaling and travels with the profile through serialization.
+    weights in [0, 1], peaking at 1 (``NORMALIZATION``).
     """
 
     granularity: str
     epoch: float
     values: dict
     laplace: float = 1.0
-    normalization: str = "max"
 
     def __post_init__(self):
         # the range of a block of followers is checked at a time, up to the
@@ -159,9 +150,6 @@ class SignificanceProfile:
         if shaped < len(vecs):
             raise ValueError(f"profile for {fids[shaped]!r} needs {b} buckets")
         self.values.update(zip(fids, vecs))
-
-    def follower_ids(self) -> list:
-        return list(self.values.keys())
 
     def step_schedule(self, follower_ids, t0: float, tf: float) -> StepSchedule:
         """Unroll bucket weights into window-time step functions.

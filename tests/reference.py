@@ -4,7 +4,10 @@ No command runs this code.  Each piece computes what a production path
 in ``src/whentopost`` computes, by another route or one step at a time
 (the causal simulation loop and its controller class, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles), or
-reads back a file a command writes.
+reads back a file a command writes.  A few constructors and lookups that
+only tests need (a stream with a named source, a constant rate or
+schedule, a schedule's value at a time) live here too, so every setting
+and method in the package is one a command uses.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from whentopost.point_process import (
     sample_hawkes,
     sample_piecewise_poisson,
 )
-from whentopost.significance import SignificanceProfile, _check_laplace, bucket_count, bucket_index
+from whentopost.significance import (
+    SignificanceProfile,
+    StepSchedule,
+    _check_laplace,
+    bucket_count,
+    bucket_index,
+)
 
 
 # The oracle: kernels.oracle_decisions and control_oracle.schedule_cost.
@@ -380,7 +389,6 @@ def simulate(
         feeds=realized,
         rank_times=[np.asarray(ts, dtype=np.float64) for ts in rank_times],
         rank_values=[np.asarray(vs, dtype=np.int64) for vs in rank_values],
-        decisions=list(getattr(controller, "decisions", [])),
     )
 
 
@@ -393,7 +401,7 @@ def optimal_intensity(ranks, params: RedQueenParams, t: float = 0.0) -> float:
     if params.significance is None:
         s = np.ones(ranks.shape[0])
     else:
-        s = np.array([params.significance.value_at(i, t) for i in range(ranks.shape[0])])
+        s = np.array([value_at(params.significance, i, t) for i in range(ranks.shape[0])])
     return float(np.sum(np.sqrt(s / params.q) * ranks))
 
 
@@ -509,6 +517,44 @@ def next_post_time(
     return ctl._decision(decided_at=tf)
 
 
+# Constructors and lookups that only tests use: streams, rates, schedules, networks.
+
+
+def labelled_stream(times, source: str) -> EventStream:
+    """``EventStream.from_times`` with every event from ``source`` rather than ``"feed"``."""
+    times = np.asarray(times, dtype=np.float64)
+    return EventStream(times, np.full(times.shape, source, dtype=object))
+
+
+def from_sources(stream: EventStream, wanted) -> EventStream:
+    mask = np.isin(stream.sources, list(wanted))
+    return EventStream(stream.times[mask], stream.sources[mask])
+
+
+def constant_rate(rate: float, t0: float, tf: float) -> PiecewiseRate:
+    return PiecewiseRate(np.array([t0, tf]), np.array([float(rate)]))
+
+
+def baseline_at(params: HawkesParams, t: float) -> float:
+    if isinstance(params.baseline, PiecewiseRate):
+        return params.baseline.rate_at(t)
+    return float(params.baseline)
+
+
+def constant_schedule(value: float, n_followers: int, t0: float, tf: float) -> StepSchedule:
+    return StepSchedule(np.array([t0, tf]), np.full((n_followers, 1), float(value)))
+
+
+def value_at(schedule: StepSchedule, i: int, t: float) -> float:
+    k = int(np.searchsorted(schedule.knots, t, side="right")) - 1
+    k = min(max(k, 0), schedule.values.shape[1] - 1)
+    return float(schedule.values[i, k])
+
+
+def followees(network, follower: str) -> list:
+    return sorted(network.followees_of.get(follower, ()))
+
+
 # Intensity state and merged streams: point_process.
 
 
@@ -533,10 +579,10 @@ def decay_intensity(state: IntensityState, params: HawkesParams, t: float) -> In
     """
     if t < state.as_of:
         raise ValueError("cannot decay backwards in time")
-    excite = state.current - params.baseline_at(state.as_of)
+    excite = state.current - baseline_at(params, state.as_of)
     if excite < 0:
         raise ValueError("intensity below baseline: state is inconsistent")
-    new = params.baseline_at(t) + excite * math.exp(-params.w * (t - state.as_of))
+    new = baseline_at(params, t) + excite * math.exp(-params.w * (t - state.as_of))
     return IntensityState(new, t)
 
 

@@ -19,7 +19,9 @@ from reference import (
     IntensityState,
     RankState,
     brute_force_schedule,
+    constant_rate,
     decay_intensity,
+    labelled_stream,
     next_post_time,
     rank_from_history,
     rank_step,
@@ -39,7 +41,6 @@ from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import (
     EventStream,
     HawkesParams,
-    PiecewiseRate,
     sample_hawkes,
     sample_piecewise_poisson,
 )
@@ -267,14 +268,14 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
         if bucket_index(abs_day, "weekday") < 5:
             activity.extend(abs_day + 3600.0 * h for h in (9.0, 13.0, 17.0))
     profile = estimate_significance(
-        EventStream.from_times(np.asarray(activity), source="f"), ["f"],
+        labelled_stream(np.asarray(activity), "f"), ["f"],
         epoch=0.0, granularity="weekday", laplace=0.0,
     )
     assert np.all(profile.values["f"][5:] == 0.0)
 
     t0, tf = MONDAY, MONDAY + 7 * DAY
     schedule = profile.step_schedule(["f"], t0, tf)
-    rate = PiecewiseRate.constant(0.002, t0, tf)  # feed active all week
+    rate = constant_rate(0.002, t0, tf)  # feed active all week
     total = 0
     weekend_hits = 0
     for seed in range(50):

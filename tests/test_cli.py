@@ -1,12 +1,15 @@
 """End-to-end command line checks on tiny workloads."""
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from reference import read_profile_csv, read_report_csv
 
+from whentopost import scenarios
 from whentopost.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
@@ -386,3 +389,44 @@ def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):
     err = run_failing(args)
     assert err == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("HawkesScenarioConfig", SIM_BUDGET), ("SinusoidScenarioConfig", SIM_SINUSOID), ("ReplayConfig", REPLAY)],
+)
+def test_every_config_field_is_set_by_its_command(tmp_path, monkeypatch, name, args):
+    # a field no command sets is a setting nobody can change
+    real = getattr(scenarios, name)
+    calls = []
+
+    def recorder(**kwargs):
+        calls.append(set(kwargs))
+        return real(**kwargs)
+
+    monkeypatch.setattr(scenarios, name, recorder)
+    run_ok(args + ["--out", str(tmp_path / "r.csv")])
+    assert calls == [{f.name for f in dataclasses.fields(real)}]
+
+
+def test_replay_oracle_plans_from_the_initial_rank(tmp_path):
+    # the fixture window with bob as alice's only follower; the clairvoyant
+    # schedule starts from the rank the controller and the scores start from
+    for name in ("events.jsonl", "manifest.txt"):
+        shutil.copy(FIXTURE / name, tmp_path / name)
+    (tmp_path / "network.csv").write_text("alice,bob\nwire,bob\nlocal1,bob\n", encoding="utf-8")
+    runs = {}
+    for rank in (0, 5):
+        out = tmp_path / f"rank{rank}.csv"
+        result = run_ok([
+            "replay", "--manifest", str(tmp_path / "manifest.txt"), "--seeds", "0",
+            "--policy", "oracle", "--policy", "true-posts", "--initial-rank", str(rank), "--out", str(out),
+        ])
+        [oracle] = [r for r in read_report_csv(out) if r.policy == "oracle"]
+        runs[rank] = json.loads(result.output)["details"]["oracle_tune"]["q"], oracle
+    q0, at0 = runs[0]
+    q5, at5 = runs[5]
+    assert (q0, at0.posts, at0.position_over_time) == (152.2185107203483, 4, 150.00000000000017)
+    # planned from rank 0, the four posts would score 376.25 from rank 5
+    assert (q5, at5.posts) == (256.0, 4)
+    assert at5.position_over_time == pytest.approx(227.0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import segment_cost_model
+from reference import labelled_stream, segment_cost_model
 
 from whentopost.control_baselines import (
     segment_offline_posts,
@@ -40,7 +40,7 @@ def test_uniform_rejects_negative_budget():
 
 
 def test_playback_is_identity():
-    recorded = EventStream.from_times([1.0, 5.0, 9.0], "me")
+    recorded = labelled_stream([1.0, 5.0, 9.0], "me")
     assert np.array_equal(true_posts_playback(recorded), [1.0, 5.0, 9.0])
     assert true_posts_playback(EventStream.empty()).shape == (0,)
 

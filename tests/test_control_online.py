@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from reference import PolicyDecision, RedQueenController, next_post_time, optimal_intensity, simulate
+from reference import (
+    PolicyDecision,
+    RedQueenController,
+    constant_schedule,
+    next_post_time,
+    optimal_intensity,
+    simulate,
+    value_at,
+)
 from scipy import stats
 
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
@@ -51,9 +59,9 @@ def test_step_schedule_validation():
         StepSchedule(np.array([1.0, 0.0]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         StepSchedule(np.array([0.0, 1.0]), np.array([[-1.0]]))
-    sched = StepSchedule.constant(2.0, 3, 0.0, 5.0)
+    sched = constant_schedule(2.0, 3, 0.0, 5.0)
     assert sched.n_followers == 3
-    assert sched.value_at(1, 2.5) == 2.0
+    assert value_at(sched, 1, 2.5) == 2.0
 
 
 def test_next_post_time_keeps_silence_with_no_rank():
@@ -101,8 +109,8 @@ def test_scale_invariance_of_significance_and_price():
     # u* depends on s/q only: scaling both leaves every draw's use identical
     feed = EventStream.from_times(np.linspace(0.5, 9.5, 19))
     for c in (0.25, 4.0):
-        base = RedQueenParams(q=2.0, significance=StepSchedule.constant(1.0, 1, 0.0, 10.0))
-        scaled = RedQueenParams(q=2.0 * c, significance=StepSchedule.constant(c, 1, 0.0, 10.0))
+        base = RedQueenParams(q=2.0, significance=constant_schedule(1.0, 1, 0.0, 10.0))
+        scaled = RedQueenParams(q=2.0 * c, significance=constant_schedule(c, 1, 0.0, 10.0))
         a = next_post_time(feed, base, np.random.default_rng(3), 0.0, 10.0)
         b = next_post_time(feed, scaled, np.random.default_rng(3), 0.0, 10.0)
         assert a.post_time == b.post_time
@@ -227,7 +235,7 @@ def test_tune_q_converges_on_analytic_curve():
 
 
 def test_tune_q_already_at_target():
-    result = tune_q(100.0, lambda q: 100.0 / math.sqrt(q), q0=1.0)
+    result = tune_q(100.0, lambda q: 100.0 / math.sqrt(q))
     assert result.converged
     assert result.iterations == 1
 

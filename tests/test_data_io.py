@@ -32,7 +32,7 @@ from whentopost.data_io import (
 )
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import EventStream
-from whentopost.significance import SignificanceProfile
+from whentopost.significance import NORMALIZATION, SignificanceProfile
 
 
 def write_lines(path, lines):
@@ -152,7 +152,7 @@ def test_load_network_empty_and_dedup(tmp_path):
     write_lines(p, ["b,f1", "b,f2", "b,f1", "c,f1"])
     net = load_network(p)
     assert net.followers("b") == ["f1", "f2"]
-    assert net.followees("f1") == ["b", "c"]
+    assert reference.followees(net, "f1") == ["b", "c"]
 
 
 def test_load_network_rejects_malformed(tmp_path):
@@ -262,10 +262,10 @@ def test_build_replay_dataset_matches_per_follower_from_sources():
     assert 0 < len(dataset.follower_ids) < 20
     windowed = log.window(100.0, 700.0)
     for fid, feed in zip(dataset.follower_ids, dataset.feeds):
-        want = windowed.from_sources(set(net.followees_of[fid]) - {"a0"})
+        want = reference.from_sources(windowed, set(net.followees_of[fid]) - {"a0"})
         assert feed.times.tobytes() == want.times.tobytes()
         assert feed.sources.tolist() == want.sources.tolist()
-    want = windowed.from_sources({"a0"})
+    want = reference.from_sources(windowed, {"a0"})
     assert dataset.true_posts.times.tobytes() == want.times.tobytes()
     assert dataset.true_posts.sources.tolist() == want.sources.tolist()
 
@@ -306,6 +306,20 @@ def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
         write_lines(p, ['{"t": 1.0, "src": "a"}', "", '{"t": %s, "src": "b"}' % bad])
         with pytest.raises(DataFormatError, match=rf":3: event time must be finite, got {shown[bad]}$"):
             load_events(p)
+
+
+def test_load_events_reports_whichever_bad_line_comes_first(tmp_path):
+    # a non-finite time fails on the line that holds it, as a malformed line does
+    p = tmp_path / "events.jsonl"
+    good = '{"t": 1.0, "src": "a"}'
+    for lines, want in (
+        ([good, '{"t": 1e999, "src": "b"}', good, "not json"], ":2: event time must be finite, got inf"),
+        ([good, "not json", good, '{"t": NaN, "src": "b"}'], ":2: bad event line"),
+    ):
+        write_lines(p, lines)
+        for chunk_bytes in (30, 1 << 18):
+            outcome = load_both_ways(p, chunk_bytes)
+            assert outcome[0] == "error" and outcome[1].startswith(f"{p}{want}"), outcome
 
 
 def test_manifest_rejects_non_finite_numbers_with_line_number(tmp_path):
@@ -400,7 +414,7 @@ def write_profile_csv_by_rows(profile, path):
         fh.write(f"# epoch = {float(profile.epoch)!r}\n")
         fh.write(f"# laplace = {float(profile.laplace)!r}\n")
         fh.write(
-            f"# normalization = {profile.normalization} "
+            f"# normalization = {NORMALIZATION} "
             "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
         )
         row = io.StringIO()
@@ -915,6 +929,18 @@ def test_bad_utf8_fails_with_its_line_in_either_range_of_a_large_log(tmp_path):
         no_children_left()
         column = len(lines[k]) - 1
         assert split == ("error", f"{p}:{k + 1}: bad event line (invalid UTF-8 at column {column}: {reason})")
+
+
+def test_usable_cpus_respect_a_cgroup_v2_quota():
+    # cpu.max holds "<quota> <period>", or "max <period>" for no quota
+    cases = (
+        ("max 100000\n", 4), ("250000 100000\n", 2), ("50000 100000\n", 1),
+        ("800000 100000\n", 4), ("not a quota\n", 4), (None, 4),
+    )
+    for text, want in cases:
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+                mock.patch.object(data_io, "_read_cpu_max", lambda: text):
+            assert data_io._usable_cpus() == want, text
 
 
 @pytest.fixture

@@ -156,7 +156,6 @@ DOMAIN_ERRORS = [
     (HawkesScenarioConfig, {"q": 1.0, "alpha": math.nan}, "alpha must be finite and nonnegative"),
     (HawkesScenarioConfig, {"q": 1.0, "w": math.inf}, "w must be positive and finite"),
     (SinusoidScenarioConfig, {"q": 1.0, "peak_per_hour": -1.0}, "peak_per_hour must be finite and nonnegative"),
-    (SinusoidScenarioConfig, {"q": 1.0, "segments_per_day": 0}, "segments_per_day must be at least 1"),
     (SinusoidScenarioConfig, {"budget": 3.0, "tune_tol": math.inf}, "tune_tol must be finite and nonnegative"),
     (ReplayConfig, {"offline_segments": 0}, "offline_segments must be at least 1"),
     (ReplayConfig, {"q": math.nan}, "q must be positive and finite"),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import bucket_weights
+from reference import bucket_weights, labelled_stream
 
 from whentopost import significance
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
@@ -241,7 +241,7 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
         if day < 5:
             weekday_times.append(t)
         t += float(rng.exponential(3 * 3600.0))
-    activity = EventStream.from_times(np.array(weekday_times), source="f")
+    activity = labelled_stream(np.array(weekday_times), "f")
     profile = estimate_significance(activity, ["f"], epoch=MONDAY, laplace=1.0)
     sched = profile.step_schedule(["f"], 0.0, 28 * DAY)
 
