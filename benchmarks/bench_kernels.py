@@ -35,6 +35,14 @@ and seed a capped run had seen.  It fails if a capped run differs from
 the first posts of the same run uncapped, or if the two searches give
 different ``TuneResult``s or report bytes.
 
+A rank_metrics section scores policies on the same two replays: the
+recorded posts and segment-offline's plan (the recorded count, 10
+segments), each through ``trajectory_from_posts`` and
+``report_from_trajectory`` as one replay policy is scored.  It times
+that scoring and segment-offline's planning (rate estimates included),
+and fails unless each report's bytes equal those of the reference loop
+``simulate`` scored follower by follower (``tests/reference.py``).
+
 An I/O section then writes 100k-event and 1M-event logs with
 ``save_events`` and times ``load_events`` on each: as one byte range
 parsed in this process, and as it runs by default, up to one range per
@@ -52,7 +60,7 @@ string per id, if the file bytes differ, or if any follower's weights
 differ in a bit from ``bucket_weights`` (the reference in
 ``tests/reference.py``) on that follower's events alone.
 
-``--json PATH`` also writes the I/O and tune sections' numbers to PATH,
+``--json PATH`` also writes the I/O, tune and rank_metrics sections' numbers to PATH,
 with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
 SHA of the package's checkout, and the Python and NumPy versions.  The
 package is imported from ``PYTHONPATH``, so the same script times
@@ -86,20 +94,28 @@ from click.testing import CliRunner
 
 import whentopost
 from whentopost import cli, control_online, data_io, scenarios
+from whentopost.control_baselines import segment_offline_posts
 from whentopost.control_oracle import OracleInstance, schedule_cost
+from whentopost.feed_sim import trajectory_from_posts
 from whentopost.kernels import (
     IMPLEMENTATIONS,
     NUMBA_ENABLED,
     _oracle_decisions_loop,
     _redqueen_posts_loop,
 )
+from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import EventStream
 from whentopost.significance import NORMALIZATION, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import genlog  # noqa: E402  (the benchmark's log generator, read as is)
-from reference import bucket_weights  # noqa: E402  (the per-follower profile the tests check against)
+from reference import (  # noqa: E402  (the per-follower references the tests check against)
+    ScheduledController,
+    bucket_weights,
+    report_by_follower,
+)
+from reference import simulate as simulate_loop  # noqa: E402  (``simulate`` here runs the CLI command)
 
 
 def hawkes_workload():
@@ -354,6 +370,59 @@ def bench_tune(repeats):
     return results
 
 
+#: Segments of segment-offline's plan in the rank_metrics section: the replay command's default.
+OFFLINE_SEGMENTS = 10
+
+
+def bench_rank_metrics(repeats):
+    """Time one policy's scoring and segment-offline's plan on the two replays; return seconds."""
+    results = {}
+    click.echo(
+        f"\n{'rank_metrics (replay)':<22} {'events':>7} {'posts':>6} {'trajectory':>11} {'report':>9} "
+        f"{'scoring':>9} {'offline':>9}"
+    )
+    for followers in TUNE_FOLLOWERS:
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = replay_dataset(followers, tmp)
+        feeds, t0, tf = dataset.feeds, dataset.t0, dataset.tf
+        budget = len(dataset.true_posts)
+
+        def plan():
+            rates = scenarios._empirical_segment_rates(feeds, t0, tf, OFFLINE_SEGMENTS)
+            return segment_offline_posts(rates, budget, t0, tf)
+
+        policies = {"true-posts": dataset.true_posts.times, "segment-offline": plan()}
+        for policy, posts in policies.items():
+            traj = trajectory_from_posts(feeds, posts, t0, tf)
+            got = report_from_trajectory(traj, "bench", 0, policy)
+            loop = simulate_loop(feeds, ScheduledController(posts), t0, tf)
+            if report_bytes([got]) != report_bytes([report_by_follower(loop, "bench", 0, policy)]):
+                raise SystemExit(f"report_from_trajectory: {followers} followers, {policy}: differs from the loop")
+        posts = policies["true-posts"]
+        traj = trajectory_from_posts(feeds, posts, t0, tf)
+        t_traj = best_time(lambda: trajectory_from_posts(feeds, posts, t0, tf), repeats)
+        t_report = best_time(lambda: report_from_trajectory(traj, "bench", 0, "true-posts"), repeats)
+        t_score = best_time(
+            lambda: report_from_trajectory(trajectory_from_posts(feeds, posts, t0, tf), "bench", 0, "true-posts"),
+            repeats,
+        )
+        t_plan = best_time(plan, repeats)
+        events = sum(len(f) for f in feeds)
+        click.echo(
+            f"{f'{followers} followers':<22} {events:>7} {posts.shape[0]:>6} {t_traj * 1e3:>9.2f}ms "
+            f"{t_report * 1e3:>7.2f}ms {t_score * 1e3:>7.2f}ms {t_plan * 1e3:>7.2f}ms"
+        )
+        results[f"{followers}_followers"] = {
+            "feed_events": events,
+            "posts": int(posts.shape[0]),
+            "trajectory_s": t_traj,
+            "report_s": t_report,
+            "score_s": t_score,
+            "segment_offline_s": t_plan,
+        }
+    return results
+
+
 def synthetic_log(n=100_000):
     """``n`` events from 1000 accounts, about a week per 100k, from a fixed seed."""
     rng = np.random.default_rng(56)
@@ -535,10 +604,10 @@ def git_sha():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def write_json(path, repeats, timings, tune):
+def write_json(path, repeats, timings, tune, rank_metrics):
     sha, dirty = git_sha()
     record = {
-        "section": ["io", "tune"],
+        "section": ["io", "tune", "rank_metrics"],
         "workload": "synthetic_log(): 100k events (1M for the _1m reads, 20k for the _20k ones), 1000 accounts, "
                     "weekday-hour profiles",
         "tune": tune,
@@ -546,6 +615,12 @@ def write_json(path, repeats, timings, tune):
                          "followers, policies redqueen and true-posts, weekday significance; kernel_s sums "
                          "the controller kernel's calls (best of repeats), kernel_s_uncapped the same with "
                          "tune_q given no lower bounds",
+        "rank_metrics": rank_metrics,
+        "rank_metrics_workload": f"the tune section's replays at {' and '.join(map(str, TUNE_FOLLOWERS))} "
+                                 "followers: trajectory_s is trajectory_from_posts on the recorded posts, "
+                                 "report_s report_from_trajectory on its trajectory, score_s both (one "
+                                 "policy's scoring), segment_offline_s the empirical segment rates and "
+                                 f"segment_offline_posts ({OFFLINE_SEGMENTS} segments, the recorded count)",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
         "cpus_usable": usable_cpus(),
@@ -563,7 +638,7 @@ def write_json(path, repeats, timings, tune):
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the I/O and tune sections' numbers and the run's environment here.")
+              help="Also write the I/O, tune and rank_metrics sections' numbers and the run's environment here.")
 def main(repeats, json_path):
     if not NUMBA_ENABLED:
         click.echo("compiled flavor disabled (numba missing or WHENTOPOST_NUMBA off); "
@@ -598,9 +673,10 @@ def main(repeats, json_path):
     bench_oracle(repeats)
     bench_sweep(repeats)
     tune = bench_tune(repeats)
+    rank_metrics = bench_rank_metrics(repeats)
     timings = bench_io(repeats)
     if json_path:
-        write_json(json_path, repeats, timings, tune)
+        write_json(json_path, repeats, timings, tune, rank_metrics)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,20 @@ def true_posts_playback(recorded: EventStream) -> np.ndarray:
     return recorded.times.copy()
 
 
+def _segment_totals(rates: list[PiecewiseRate], edges: np.ndarray) -> np.ndarray:
+    """The followers' summed rate on each segment ``[edges[k], edges[k+1])``.
+
+    ``edges`` lies inside the rates' shared grid.  Each segment's place on
+    the grid is looked up once; the rates are added follower by follower.
+    """
+    knots = rates[0].knots
+    seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
+    total = np.zeros(edges.shape[0] - 1)
+    for r in rates:
+        total += r.rates[seg]
+    return total
+
+
 def segment_offline_posts(
     rates: list[PiecewiseRate],
     budget: int,
@@ -74,10 +88,7 @@ def segment_offline_posts(
     inner = knots[(knots > t0) & (knots < tf)]
     edges = np.concatenate([[t0], inner, [tf]])
     lengths = np.diff(edges)
-    total = np.zeros(lengths.shape[0])
-    for r in rates:
-        for k in range(lengths.shape[0]):
-            total[k] += r.rate_at(edges[k])
+    total = _segment_totals(rates, edges)
     nseg = lengths.shape[0]
     alloc = np.zeros(nseg, dtype=np.int64)
     # max-heap on marginal gain; index breaks ties toward earlier segments

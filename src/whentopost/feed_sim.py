@@ -9,10 +9,18 @@ post at or before ``t`` (counting from the window start, plus any
 initial rank, if there is no such post).
 
 Once a policy has placed its posts, ``trajectory_from_posts`` computes
-every follower's rank path at once with ``rank_path``; ``merge_feeds``
-gives the controller the followers' events as one timeline.  The causal
-loop that folds one event at a time (``simulate``) is the reference in
-``tests/reference.py``.
+every follower's rank path in one pass over the window's feed events,
+laid out follower after follower: a fixed number of NumPy calls per
+policy, whatever the number of followers, no sort, and arrays the size
+of the feed events plus the followers, whatever the number of posts.  A
+feed event's rank is its index in its feed, less the follower's feed
+events at or before the last post.  A post only enters a follower's
+path where it can take the rank back to 0: the window's first post, and
+the first post after each of the follower's feed events.  Each path
+comes out as a view into one flat array.  ``rank_path`` is the same pass
+for one follower.  ``merge_feeds`` gives the controller the followers'
+events as one timeline.  The causal loop that folds one event at a time
+(``simulate``) is the reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,95 @@ __all__ = [
 ]
 
 
+def _rank_paths(feed_times, counts, posts, t0, initial_ranks):
+    """Every follower's rank step function in one pass.
+
+    ``feed_times`` holds each follower's feed events on ``(t0, tf]``,
+    strictly increasing, follower after follower, ``counts[j]`` of them
+    follower ``j``'s; ``posts`` the sorted posts on ``[t0, tf]``.  Returns
+    ``(times, values, bounds)``: follower ``j``'s path is
+    ``times[bounds[j]:bounds[j + 1]]`` (and the same slice of ``values``),
+    the step function ``rank_path`` describes.
+    """
+    times, values, heads = _merged_entries(feed_times, counts, posts, t0, initial_ranks)
+    # collapse runs where the value did not change (e.g. a post at rank 0)
+    keep = np.empty(times.shape[0], bool)
+    keep[1:] = values[1:] != values[:-1]
+    keep[heads] = True
+    bounds = np.zeros(counts.shape[0] + 1, np.int64)
+    np.cumsum(np.add.reduceat(keep, heads, dtype=np.int64), out=bounds[1:])
+    return times[keep], values[keep], bounds
+
+
+def _merged_entries(feed_times, counts, posts, t0, initial_ranks):
+    """Every follower's entries before equal neighbours collapse: ``(times, values, heads)``.
+
+    Follower ``j``'s entries start at ``heads[j]`` with its head
+    ``(t0, r0)``, then before each of its feed events and after the last
+    one a slot for the first post after the event before (the first post
+    of the window, for the first slot).  A slot holds that post, at rank
+    0, if it comes no later than the next event; otherwise, or past the
+    last post, it repeats the entry before it.  The collapse drops those
+    repeats, as it drops every later post before the next event, which a
+    slot never holds: each is at rank 0 after a post at rank 0.  A post
+    at an event's own time lands in the slot before the event instead of
+    after it, but both entries are then at that time at rank 0, so the
+    collapse keeps the same one either way.
+    """
+    n = counts.shape[0]
+    m = posts.shape[0]
+    e = feed_times.shape[0]
+    first = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=first[1:])
+    nonempty = counts > 0
+    starts = first[:-1][nonempty]  # each nonempty follower's first event
+    follower = np.repeat(np.arange(n, dtype=np.int64), counts)
+    index = np.arange(e, dtype=np.int64)
+    rank, upto = _feed_ranks(feed_times, follower, index, starts, posts, initial_ranks)
+
+    heads = 2 * (first[:-1] + np.arange(n))
+    feed_slot = 2 * (index + follower) + 2  # the slot before each event is feed_slot - 1
+    ends = heads + 2 * counts + 1  # the slot after each follower's last event, its last entry
+    after = np.zeros(e, np.int64)  # the first post after the event before
+    after[1:] = upto[:-1]
+    after[starts] = 0
+    last = np.zeros(n, np.int64)
+    last[nonempty] = upto[first[1:][nonempty] - 1]
+    padded = np.append(posts, np.nan)  # a slot past the last post is dropped, whatever its time
+
+    times = np.empty(2 * (e + n), np.float64)
+    values = np.empty(2 * (e + n), np.int64)
+    times[heads] = t0
+    values[heads] = initial_ranks
+    times[feed_slot] = feed_times
+    values[feed_slot] = rank
+    times[feed_slot - 1] = padded[after]
+    values[feed_slot - 1] = np.where(upto > after, 0, values[feed_slot - 2])
+    times[ends] = padded[last]
+    values[ends] = np.where(last < m, 0, values[ends - 1])
+    return times, values, heads
+
+
+def _feed_ranks(feed_times, follower, index, starts, posts, initial_ranks):
+    """Each feed event's rank, and the posts at or before it.
+
+    The rank is the follower's events since its first one after the same
+    last post (plus ``r0`` before any post), or 0 at a post of the event's
+    own time.
+    """
+    before = np.searchsorted(posts, feed_times, "left")  # posts strictly before each event
+    upto = np.searchsorted(posts, feed_times, "right")
+    run = np.empty(feed_times.shape[0], bool)
+    np.not_equal(before[1:], before[:-1], out=run[1:])
+    run[starts] = True
+    since = np.where(run, index, 0)
+    np.maximum.accumulate(since, out=since)
+    rank = index + 1 - since
+    rank += np.where(upto == 0, initial_ranks[follower], 0)
+    rank[upto > before] = 0
+    return rank, upto
+
+
 def rank_path(
     feed_times: np.ndarray,
     own_posts: np.ndarray,
@@ -44,32 +141,17 @@ def rank_path(
     ``values[k]`` on ``[times[k], times[k+1])`` and on the final
     ``[times[-1], tf]``.  Vectorized; equivalent to folding
     ``rank_step`` (``tests/reference.py``) over the merged event
-    sequence.  Assumes no own post shares a timestamp with a feed event
-    (loaders and samplers keep all times distinct).
+    sequence, a feed event before an own post at the same time.  Feed
+    times must be strictly increasing and own posts sorted.
     """
     feed_times = np.asarray(feed_times, dtype=np.float64)
     own_posts = np.asarray(own_posts, dtype=np.float64)
     feed_times = feed_times[(feed_times > t0) & (feed_times <= tf)]
     own_posts = own_posts[(own_posts >= t0) & (own_posts <= tf)]
-    change = np.concatenate([feed_times, own_posts])
-    order = np.argsort(change, kind="stable")
-    change = change[order]
-    if change.shape[0] == 0:
-        return np.array([t0]), np.array([initial_rank], dtype=np.int64)
-    # side="right": a post at exactly t has already reset the rank at t
-    post_idx = np.searchsorted(own_posts, change, side="right")
-    feed_upto = np.searchsorted(feed_times, change, side="right")
-    values = np.empty(change.shape[0], dtype=np.int64)
-    no_post = post_idx == 0
-    values[no_post] = initial_rank + feed_upto[no_post]
-    has = ~no_post
-    tau = own_posts[post_idx[has] - 1]
-    values[has] = feed_upto[has] - np.searchsorted(feed_times, tau, side="right")
-    times = np.concatenate([[t0], change])
-    values = np.concatenate([[initial_rank], values])
-    # collapse runs where the value did not change (e.g. post at rank 0)
-    keep = np.concatenate([[True], values[1:] != values[:-1]])
-    return times[keep], values[keep]
+    times, values, _ = _rank_paths(
+        feed_times, np.array([feed_times.shape[0]]), own_posts, t0, np.array([initial_rank], np.int64)
+    )
+    return times, values
 
 
 def merge_feeds(feeds: list[EventStream]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,22 +202,40 @@ def trajectory_from_posts(
 ) -> SimulationTrajectory:
     """Build a trajectory for known post times without running the loop.
 
-    Uses the vectorized :func:`rank_path` per follower; equivalent to the
-    reference loop ``simulate`` with a ``ScheduledController`` as long as
-    no post shares a timestamp with a feed event.
+    Computes every follower's rank path in one pass (see the module
+    docstring); equivalent to the reference loop ``simulate`` with a
+    ``ScheduledController`` as long as no post shares a timestamp with a
+    feed event.  ``initial_ranks`` holds one nonnegative rank per feed
+    (default all 0).  A feed that already lies inside ``(t0, tf]`` is the
+    trajectory's feed as it is; only the others are cut to the window.
     """
     n = len(feeds)
     if initial_ranks is None:
         initial_ranks = np.zeros(n, dtype=np.int64)
+    initial_ranks = np.asarray(initial_ranks)
+    if initial_ranks.shape != (n,):
+        raise ValueError(f"need one initial rank per feed ({n}), got shape {initial_ranks.shape}")
+    if not np.all(initial_ranks >= 0):
+        raise ValueError("initial ranks must be nonnegative")
     posts = np.asarray(post_times, dtype=np.float64)
     posts = np.sort(posts[(posts >= t0) & (posts <= tf)])
-    realized = [f.window(t0, tf) for f in feeds]
+    realized = list(feeds)
     rank_times = []
     rank_values = []
-    for j in range(n):
-        ts, vs = rank_path(realized[j].times, posts, t0, tf, int(initial_ranks[j]))
-        rank_times.append(ts)
-        rank_values.append(vs)
+    if n:
+        feed_times = np.concatenate([f.times for f in feeds])
+        counts = np.array([f.times.shape[0] for f in feeds], np.int64)
+        inside = (feed_times > t0) & (feed_times <= tf)
+        if not inside.all():
+            follower = np.repeat(np.arange(n), counts)
+            for j in np.unique(follower[~inside]).tolist():
+                realized[j] = feeds[j].window(t0, tf)
+            feed_times = feed_times[inside]
+            counts = np.bincount(follower[inside], minlength=n)
+        times, values, bounds = _rank_paths(feed_times, counts, posts, t0, initial_ranks.astype(np.int64))
+        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        rank_times = [times[a:b] for a, b in spans]
+        rank_values = [values[a:b] for a, b in spans]
     return SimulationTrajectory(
         t0=t0,
         tf=tf,

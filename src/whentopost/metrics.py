@@ -6,7 +6,13 @@ approximation error beyond float arithmetic.
 
 For runs with several followers the reported position-over-time and
 time-at-top are per-follower means, so the numbers stay comparable as
-the audience grows.
+the audience grows.  ``report_from_trajectory`` computes every
+follower's segment lengths and weighted ranks with whole-array
+operations, then reduces each follower's slice with ``np.add.reduce``
+and adds the per-follower sums in follower order: the same floats, in
+the same order, as summing each follower on its own, so every bit of the
+report stays.  The per-follower functions (``position_over_time``,
+``time_at_top``) are the reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,39 +24,10 @@ import numpy as np
 
 __all__ = [
     "MetricsReport",
-    "position_over_time",
-    "time_at_top",
     "report_from_trajectory",
     "normalize_report",
     "aggregate",
 ]
-
-
-def _segment_lengths(times: np.ndarray, tf: float) -> np.ndarray:
-    return np.diff(np.concatenate([times, [tf]]))
-
-
-def position_over_time(times: np.ndarray, values: np.ndarray, tf: float) -> float:
-    """Integral of the rank step function from its start through ``tf``."""
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.shape != values.shape or times.ndim != 1 or times.shape[0] == 0:
-        raise ValueError("need parallel non-empty times and values")
-    if tf < times[-1]:
-        raise ValueError("tf precedes the last change point")
-    return float(np.sum(values * _segment_lengths(times, tf)))
-
-
-def time_at_top(times: np.ndarray, values: np.ndarray, tf: float) -> float:
-    """Total time the rank step function spends strictly below 1."""
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.shape != values.shape or times.ndim != 1 or times.shape[0] == 0:
-        raise ValueError("need parallel non-empty times and values")
-    if tf < times[-1]:
-        raise ValueError("tf precedes the last change point")
-    lengths = _segment_lengths(times, tf)
-    return float(np.sum(lengths[values < 1]))
 
 
 @dataclass(frozen=True)
@@ -70,15 +47,42 @@ class MetricsReport:
 
 
 def report_from_trajectory(trajectory, run: str, seed: int, policy: str) -> MetricsReport:
-    """Per-follower mean position-over-time and time-at-top for one run."""
+    """Per-follower mean position-over-time and time-at-top for one run.
+
+    Every follower's path is scored in one pass over the concatenated
+    paths; only the per-follower sums run follower by follower, each the
+    NumPy reduction of that follower's own segments, added up in follower
+    order.
+    """
     n = trajectory.n_followers
     if n == 0:
         raise ValueError("trajectory has no followers")
+    tf = trajectory.tf
+    sizes = [len(ts) for ts in trajectory.rank_times]
+    if sizes != [len(vs) for vs in trajectory.rank_values] or 0 in sizes:
+        raise ValueError("need parallel non-empty times and values")
+    times = np.concatenate(trajectory.rank_times, dtype=np.float64)
+    values = np.concatenate(trajectory.rank_values, dtype=np.float64)
+    ends = np.cumsum(sizes)
+    last = ends - 1
+    if np.any(times[last] > tf):
+        raise ValueError("tf precedes the last change point")
+    # each segment runs to the next change point of its follower, the last to tf
+    following = np.empty_like(times)
+    following[:-1] = times[1:]
+    following[last] = tf
+    lengths = following - times
+    weighted = values * lengths
+    at_top = np.flatnonzero(values < 1)
+    top = lengths[at_top]
+    top_ends = np.searchsorted(at_top, ends)
     pot = 0.0
     tat = 0.0
-    for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
-        pot += position_over_time(ts, vs, trajectory.tf)
-        tat += time_at_top(ts, vs, trajectory.tf)
+    lo = top_lo = 0
+    for hi, top_hi in zip(ends.tolist(), top_ends.tolist()):
+        pot += float(np.add.reduce(weighted[lo:hi]))
+        tat += float(np.add.reduce(top[top_lo:top_hi]))
+        lo, top_lo = hi, top_hi
     return MetricsReport(
         run=run,
         seed=seed,

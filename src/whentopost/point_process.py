@@ -120,13 +120,6 @@ class PiecewiseRate:
     def domain(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
 
-    def rate_at(self, t: float) -> float:
-        lo, hi = self.domain
-        if t < lo or t > hi:
-            raise ValueError(f"time {t} outside rate domain [{lo}, {hi}]")
-        k = int(np.searchsorted(self.knots, t, side="right")) - 1  # >= 0, as t >= lo
-        return float(self.rates[min(k, self.rates.shape[0] - 1)])
-
     def covers(self, t0: float, tf: float) -> bool:
         lo, hi = self.domain
         return lo <= t0 and tf <= hi

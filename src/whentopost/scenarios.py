@@ -124,11 +124,20 @@ def _check_policies(policies, allowed, scenario: str):
 
 
 def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRate]:
+    """Each feed's event count per segment of ``n_segments`` equal ones, over the segment's length.
+
+    The counts are the ones ``np.histogram(times, bins=knots)`` gives a
+    sorted feed, from the two ``searchsorted`` calls it makes: the last
+    segment includes its right edge.
+    """
     knots = np.linspace(t0, tf, n_segments + 1)
+    widths = np.diff(knots)
     out = []
     for f in feeds:
-        counts, _ = np.histogram(f.times, bins=knots)
-        out.append(PiecewiseRate(knots, counts / np.diff(knots)))
+        upto = np.concatenate(
+            [np.searchsorted(f.times, knots[:-1], "left"), np.searchsorted(f.times, knots[-1:], "right")]
+        )
+        out.append(PiecewiseRate(knots, np.diff(upto) / widths))
     return out
 
 
@@ -289,11 +298,16 @@ def _compete(cfg, comp: _Competition, label: str, details: dict, target: float |
         )
         return report_from_trajectory(traj, label, seed, policy)
 
+    # a replay's feeds and recorded posts are the same for every seed, so
+    # its true-posts report is the reference's on each seed
     reference = None if comp.recorded is None else play(0, "true-posts")
     reports = []
     for seed in cfg.seeds:
         for policy in cfg.policies:
-            report = play(seed, policy)
+            if reference is not None and policy == "true-posts":
+                report = dataclasses.replace(reference, seed=seed)
+            else:
+                report = play(seed, policy)
             reports.append(report if reference is None else normalize_report(report, reference))
     return reports, details
 

@@ -3,11 +3,11 @@
 No command runs this code.  Each piece computes what a production path
 in ``src/whentopost`` computes, by another route or one step at a time
 (the causal simulation loop and its controller class, rank folding, the
-oracle's value table and exhaustive search, per-follower profiles), or
-reads back a file a command writes.  A few constructors and lookups that
-only tests need (a stream with a named source, a constant rate or
-schedule, a schedule's value at a time) live here too, so every setting
-and method in the package is one a command uses.
+oracle's value table and exhaustive search, per-follower profiles and
+metrics), or reads back a file a command writes.  A few constructors and
+lookups that only tests need (a stream with a named source, a constant
+rate or schedule, a rate's or schedule's value at a time) live here too,
+so every setting and method in the package is one a command uses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from whentopost.control_oracle import OracleInstance, OracleSchedule, schedule_c
 from whentopost.data_io import REPORT_HEADER, DataFormatError
 from whentopost.feed_sim import SimulationTrajectory, merge_feeds
 from whentopost.kernels import _clock_first_time
-from whentopost.metrics import MetricsReport, _segment_lengths, position_over_time
+from whentopost.metrics import MetricsReport
 from whentopost.point_process import (
     EventStream,
     HawkesParams,
@@ -535,9 +535,17 @@ def constant_rate(rate: float, t0: float, tf: float) -> PiecewiseRate:
     return PiecewiseRate(np.array([t0, tf]), np.array([float(rate)]))
 
 
+def rate_at(rate: PiecewiseRate, t: float) -> float:
+    lo, hi = rate.domain
+    if t < lo or t > hi:
+        raise ValueError(f"time {t} outside rate domain [{lo}, {hi}]")
+    k = int(np.searchsorted(rate.knots, t, side="right")) - 1  # >= 0, as t >= lo
+    return float(rate.rates[min(k, rate.rates.shape[0] - 1)])
+
+
 def baseline_at(params: HawkesParams, t: float) -> float:
     if isinstance(params.baseline, PiecewiseRate):
-        return params.baseline.rate_at(t)
+        return rate_at(params.baseline, t)
     return float(params.baseline)
 
 
@@ -612,7 +620,50 @@ def superpose(streams) -> EventStream:
     return EventStream(times, sources)
 
 
-# Metrics, baselines and profiles.
+# Metrics, baselines and profiles.  Per follower: metrics.report_from_trajectory.
+
+
+def _segment_lengths(times: np.ndarray, tf: float) -> np.ndarray:
+    return np.diff(np.concatenate([times, [tf]]))
+
+
+def position_over_time(times: np.ndarray, values: np.ndarray, tf: float) -> float:
+    """Integral of the rank step function from its start through ``tf``."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.shape != values.shape or times.ndim != 1 or times.shape[0] == 0:
+        raise ValueError("need parallel non-empty times and values")
+    if tf < times[-1]:
+        raise ValueError("tf precedes the last change point")
+    return float(np.sum(values * _segment_lengths(times, tf)))
+
+
+def time_at_top(times: np.ndarray, values: np.ndarray, tf: float) -> float:
+    """Total time the rank step function spends strictly below 1."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.shape != values.shape or times.ndim != 1 or times.shape[0] == 0:
+        raise ValueError("need parallel non-empty times and values")
+    if tf < times[-1]:
+        raise ValueError("tf precedes the last change point")
+    lengths = _segment_lengths(times, tf)
+    return float(np.sum(lengths[values < 1]))
+
+
+def report_by_follower(trajectory, run: str, seed: int, policy: str) -> MetricsReport:
+    """``report_from_trajectory`` one follower at a time: the sums in follower order."""
+    n = trajectory.n_followers
+    if n == 0:
+        raise ValueError("trajectory has no followers")
+    pot = 0.0
+    tat = 0.0
+    for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
+        pot += position_over_time(ts, vs, trajectory.tf)
+        tat += time_at_top(ts, vs, trajectory.tf)
+    return MetricsReport(
+        run=run, seed=seed, policy=policy, posts=trajectory.post_count,
+        position_over_time=pot / n, time_at_top=tat / n,
+    )
 
 
 def average_position(trajectory) -> float:
@@ -642,6 +693,21 @@ def quadratic_control_cost(trajectory, q: float, s=1.0) -> float:
         total += 0.5 * float(vs[-1] * vs[-1])
     total += 0.5 * q * trajectory.post_count
     return total
+
+
+def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
+    """control_baselines._segment_totals: one ``rate_at`` per follower and segment."""
+    total = np.zeros(edges.shape[0] - 1)
+    for r in rates:
+        for k in range(total.shape[0]):
+            total[k] += rate_at(r, edges[k])
+    return total
+
+
+def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments: int) -> list:
+    """scenarios._empirical_segment_rates with ``np.histogram`` counting each feed."""
+    knots = np.linspace(t0, tf, n_segments + 1)
+    return [PiecewiseRate(knots, np.histogram(f.times, bins=knots)[0] / np.diff(knots)) for f in feeds]
 
 
 def segment_cost_model(total_rates: np.ndarray, lengths: np.ndarray, alloc: np.ndarray) -> float:

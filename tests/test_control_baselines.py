@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from reference import labelled_stream, segment_cost_model
+from reference import labelled_stream, segment_cost_model, segment_totals_by_rate_at
 
 from whentopost.control_baselines import (
+    _segment_totals,
     segment_offline_posts,
     true_posts_playback,
     uniform_poisson_posts,
@@ -160,3 +161,18 @@ def test_offline_validation():
     ]
     with pytest.raises(ValueError):
         segment_offline_posts(mixed, 1, 0.0, 10.0)
+
+
+def test_offline_segment_totals_match_one_rate_lookup_per_follower_and_segment():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        knots = np.cumsum(rng.uniform(0.1, 5.0, size=int(rng.integers(2, 12))))
+        rates = [
+            PiecewiseRate(knots, rng.uniform(0.0, 3.0, knots.shape[0] - 1)) for _ in range(rng.integers(1, 9))
+        ]
+        # windows from the whole grid to a slice inside one segment, edges on knots and off them
+        pool = np.concatenate([knots, rng.uniform(knots[0], knots[-1], 4)])
+        lo, hi = np.sort(rng.choice(pool, 2, replace=False))
+        inner = knots[(knots > lo) & (knots < hi)]
+        edges = np.concatenate([[lo], inner, [hi]])
+        assert _segment_totals(rates, edges).tobytes() == segment_totals_by_rate_at(rates, edges).tobytes()

@@ -248,3 +248,115 @@ def test_trajectory_final_ranks():
     feeds = [EventStream.from_times([1.0, 2.0, 3.0])]
     traj = trajectory_from_posts(feeds, np.array([2.5]), 0.0, 10.0)
     assert traj.rank_values[0][-1] == 1
+
+
+def grid_case(rng, n, t0, tf, r0_max):
+    """``n`` feeds and a post list on a coarse grid, so posts tie with feed events and with each other.
+
+    Some followers get no event inside the window; posts may sit at ``t0``
+    and ``tf`` and repeat.
+    """
+    grid = np.linspace(0.0, 10.0, 41)
+    feeds = []
+    for _ in range(n):
+        size = int(rng.integers(0, 25)) if rng.random() < 0.8 else 0
+        feeds.append(EventStream.from_times(np.sort(rng.choice(grid, size=size, replace=False))))
+    posts = rng.choice(grid, size=int(rng.integers(0, 12)))
+    if rng.random() < 0.3:
+        posts = np.concatenate([posts, [t0, tf, t0]])
+    r0 = rng.integers(0, r0_max + 1, size=n)
+    return feeds, posts, r0
+
+
+def assert_direct_counts(times, values, feed, posts, t0, tf, r0):
+    """The path opens at ``(t0, r0)``, changes value at every step, and holds the direct count."""
+    assert times[0] == t0 and values[0] == r0
+    assert np.all(np.diff(times) >= 0) and np.all(values[1:] != values[:-1])
+    ends = np.append(times[1:], tf)
+    for k in range(len(times)):
+        if ends[k] == times[k] and k + 1 < len(times):
+            continue  # superseded at the same instant
+        assert values[k] == rank_from_history(posts, feed, times[k], r0)
+        if ends[k] > times[k]:
+            assert values[k] == rank_from_history(posts, feed, (times[k] + ends[k]) / 2, r0)
+
+
+def test_one_pass_trajectory_matches_simulate_for_many_followers():
+    # distinct times throughout, where the loop and the one pass order events alike
+    rng = np.random.default_rng(11)
+    for trial in range(80):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 9))
+        times = rng.permutation(np.arange(1, 400)) * 0.025
+        feeds, used = [], 0
+        for _ in range(n):
+            size = int(rng.integers(0, 30)) if rng.random() < 0.8 else 0
+            feeds.append(EventStream.from_times(np.sort(times[used : used + size])))
+            used += size
+        posts = np.sort(times[used : used + int(rng.integers(0, 10))])
+        r0 = rng.integers(0, 6, size=n)
+        via_loop = simulate(feeds, ScheduledController(posts), 0.0, 10.0, initial_ranks=r0)
+        direct = trajectory_from_posts(feeds, posts, 0.0, 10.0, initial_ranks=r0)
+        assert direct.own_posts.tobytes() == via_loop.own_posts.tobytes()
+        for j in range(n):
+            assert direct.rank_times[j].tobytes() == via_loop.rank_times[j].tobytes()
+            assert direct.rank_values[j].dtype == np.int64
+            assert direct.rank_values[j].tobytes() == via_loop.rank_values[j].tobytes()
+
+
+@pytest.mark.parametrize("r0_max", [0, 5])
+@pytest.mark.parametrize("window", [(0.0, 10.0), (2.5, 7.5)])
+def test_one_pass_trajectory_with_ties_matches_direct_counts_and_one_follower_paths(r0_max, window):
+    t0, tf = window
+    rng = np.random.default_rng(12 + r0_max)
+    for trial in range(60):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 8))
+        feeds, posts, r0 = grid_case(rng, n, t0, tf, r0_max)
+        traj = trajectory_from_posts(feeds, posts, t0, tf, initial_ranks=r0)
+        kept = np.sort(posts[(posts >= t0) & (posts <= tf)])
+        assert traj.own_posts.tobytes() == kept.tobytes()
+        for j in range(n):
+            feed = feeds[j].times[(feeds[j].times > t0) & (feeds[j].times <= tf)]
+            assert traj.feeds[j].times.tobytes() == feed.tobytes()
+            times, values = traj.rank_times[j], traj.rank_values[j]
+            assert_direct_counts(times, values, feed, kept, t0, tf, int(r0[j]))
+            alone = rank_path(feeds[j].times, kept, t0, tf, int(r0[j]))
+            assert alone[0].tobytes() == times.tobytes() and alone[1].tobytes() == values.tobytes()
+        # every path is a view into one array of times and one of values
+        for paths in (traj.rank_times, traj.rank_values):
+            assert paths[0].base is not None and all(p.base is paths[0].base for p in paths)
+
+
+def test_one_pass_trajectory_edge_cases():
+    feeds = [EventStream.from_times([1.0, 2.0]), EventStream.empty(), EventStream.from_times([2.0, 3.0])]
+    # no posts: each path counts up from its initial rank
+    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0, initial_ranks=[1, 2, 0])
+    assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 1.0, 2.0], [0.0], [0.0, 2.0, 3.0]]
+    assert [vs.tolist() for vs in traj.rank_values] == [[1, 2, 3], [2], [0, 1, 2]]
+    # a post at t0 resets a nonzero initial rank at once; a post tied with a
+    # feed event leaves rank 0; a repeated post adds nothing
+    traj = trajectory_from_posts(feeds, np.array([0.0, 2.0, 2.0]), 0.0, 4.0, initial_ranks=[3, 0, 1])
+    assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 0.0, 1.0, 2.0], [0.0], [0.0, 0.0, 3.0]]
+    assert [vs.tolist() for vs in traj.rank_values] == [[3, 0, 1, 0], [0], [1, 0, 1]]
+    # a post at tf closes the path at rank 0
+    traj = trajectory_from_posts(feeds[:1], np.array([4.0]), 0.0, 4.0)
+    assert traj.rank_times[0].tolist() == [0.0, 1.0, 2.0, 4.0]
+    assert traj.rank_values[0].tolist() == [0, 1, 2, 0]
+    # no followers
+    empty = trajectory_from_posts([], np.array([1.0]), 0.0, 4.0)
+    assert empty.rank_times == [] and empty.rank_values == [] and empty.post_count == 1
+
+
+def test_trajectory_keeps_a_feed_inside_the_window_and_cuts_the_others():
+    inside = EventStream.from_times([1.0, 2.0])
+    outside = EventStream.from_times([0.0, 1.0, 5.0])
+    traj = trajectory_from_posts([inside, outside], np.empty(0), 0.0, 4.0)
+    assert traj.feeds[0] is inside
+    assert traj.feeds[1].times.tolist() == [1.0]
+    assert [vs.tolist() for vs in traj.rank_values] == [[0, 1, 2], [0, 1]]
+
+
+@pytest.mark.parametrize("initial_ranks", [[0], [0, 0, 0], [0, -1], np.zeros((2, 1), np.int64)])
+def test_trajectory_rejects_initial_ranks_not_one_nonnegative_per_feed(initial_ranks):
+    feeds = [EventStream.from_times([1.0]), EventStream.from_times([2.0])]
+    with pytest.raises(ValueError, match="initial rank"):
+        trajectory_from_posts(feeds, np.array([1.5]), 0.0, 4.0, initial_ranks=initial_ranks)

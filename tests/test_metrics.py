@@ -6,16 +6,22 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import average_position, quadratic_control_cost
+from reference import (
+    ScheduledController,
+    average_position,
+    position_over_time,
+    quadratic_control_cost,
+    report_by_follower,
+    simulate,
+    time_at_top,
+)
 
 from whentopost.feed_sim import trajectory_from_posts
 from whentopost.metrics import (
     MetricsReport,
     aggregate,
     normalize_report,
-    position_over_time,
     report_from_trajectory,
-    time_at_top,
 )
 from whentopost.point_process import EventStream
 
@@ -195,3 +201,58 @@ def test_aggregate_order_statistics_match_numpy_bitwise():
             assert bits(got["median"]) == bits(np.median(arr)), arr
             assert bits(got["q25"]) == bits(np.percentile(arr, 25)), arr
             assert bits(got["q75"]) == bits(np.percentile(arr, 75)), arr
+
+
+def bits(report):
+    return [x.hex() if isinstance(x, float) else x for x in vars(report).values()]
+
+
+def test_report_matches_per_follower_sums_bit_for_bit():
+    # ties, repeated posts, posts at t0 and tf, initial ranks, empty feeds,
+    # one follower and many: the one-pass report adds the same floats in
+    # the same order as summing each follower on its own
+    rng = np.random.default_rng(21)
+    grid = np.linspace(0.0, 50.0, 401)
+    for trial in range(150):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 12))
+        t0, tf = (0.0, 50.0) if trial % 3 else (7.3, 41.9)
+        feeds = [
+            EventStream.from_times(np.sort(rng.choice(grid, size=int(rng.integers(0, 60)), replace=False)))
+            for _ in range(n)
+        ]
+        posts = rng.choice(np.concatenate([grid, rng.uniform(0.0, 50.0, 50)]), size=int(rng.integers(0, 30)))
+        if trial % 4 == 0:
+            posts = np.concatenate([posts, [t0, tf, tf]])
+        r0 = rng.integers(0, 6, size=n) if trial % 2 else None
+        traj = trajectory_from_posts(feeds, posts, t0, tf, initial_ranks=r0)
+        want = report_by_follower(traj, "r", trial, "p")
+        assert bits(report_from_trajectory(traj, "r", trial, "p")) == bits(want)
+
+
+def test_report_scores_list_built_trajectories_like_the_one_pass():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        times = rng.permutation(np.arange(1, 300)) * 0.1
+        feeds = [EventStream.from_times(np.sort(times[10 * j : 10 * j + 10])) for j in range(4)]
+        posts = np.sort(times[40:48])
+        via_loop = simulate(feeds, ScheduledController(posts), 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
+        direct = trajectory_from_posts(feeds, posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
+        got = bits(report_from_trajectory(via_loop, "r", 0, "p"))
+        assert got == bits(report_by_follower(via_loop, "r", 0, "p"))
+        assert got == bits(report_from_trajectory(direct, "r", 0, "p"))
+
+
+def test_report_rejects_paths_it_cannot_score():
+    traj = trajectory_from_posts([EventStream.from_times([1.0])], np.empty(0), 0.0, 4.0)
+    for times, values in (
+        ([np.array([0.0, 1.0])], [np.array([0])]),  # not parallel
+        ([np.empty(0)], [np.empty(0, np.int64)]),  # empty
+        ([np.array([0.0, 5.0])], [np.array([0, 1])]),  # past tf
+    ):
+        bad = trajectory_from_posts([EventStream.from_times([1.0])], np.empty(0), 0.0, 4.0)
+        bad.rank_times, bad.rank_values = times, values
+        with pytest.raises(ValueError):
+            report_from_trajectory(bad, "r", 0, "p")
+    assert report_from_trajectory(traj, "r", 0, "p").position_over_time == 3.0
+    with pytest.raises(ValueError, match="no followers"):
+        report_from_trajectory(trajectory_from_posts([], np.empty(0), 0.0, 4.0), "r", 0, "p")

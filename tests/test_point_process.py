@@ -13,6 +13,7 @@ from reference import (
     constant_rate,
     decay_intensity,
     labelled_stream,
+    rate_at,
     superpose,
 )
 
@@ -283,16 +284,16 @@ def test_event_stream_window_is_left_open_right_closed():
 
 def test_piecewise_rate_lookup_and_domain():
     rate = PiecewiseRate(np.array([0.0, 1.0, 3.0]), np.array([5.0, 7.0]))
-    assert rate.rate_at(0.0) == 5.0
-    assert rate.rate_at(0.999) == 5.0
-    assert rate.rate_at(1.0) == 7.0
-    assert rate.rate_at(3.0) == 7.0
+    assert rate_at(rate, 0.0) == 5.0
+    assert rate_at(rate, 0.999) == 5.0
+    assert rate_at(rate, 1.0) == 7.0
+    assert rate_at(rate, 3.0) == 7.0
     assert rate.covers(0.0, 3.0)
     assert not rate.covers(0.0, 3.5)
     with pytest.raises(ValueError):
-        rate.rate_at(-0.1)
+        rate_at(rate, -0.1)
     with pytest.raises(ValueError):
-        rate.rate_at(3.1)
+        rate_at(rate, 3.1)
     with pytest.raises(ValueError):
         PiecewiseRate(np.array([0.0, 1.0]), np.array([-2.0]))
     with pytest.raises(ValueError):

@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from reference import empirical_segment_rates_by_histogram
 
-from whentopost import scenarios
+from whentopost import feed_sim, scenarios
 from whentopost.cli import main
 from whentopost.control_online import RedQueenParams, merge_window, run_redqueen_fast, tune_q
 from whentopost.data_io import build_replay_dataset, load_events, load_network
 from whentopost.feed_sim import merge_feeds
 from whentopost.kernels import redqueen_posts
+from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import EventStream
 from whentopost.significance import estimate_significance
 from whentopost.scenarios import (
@@ -363,3 +365,42 @@ def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, t
 
     monkeypatch.setattr(scenarios, "tune_q", exact_only)
     assert replay(tmp_path / "exact.csv") == (details, report)
+
+
+def test_empirical_segment_rates_count_like_a_histogram():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
+        segments = int(rng.integers(1, 12))
+        knots = np.linspace(t0, tf, segments + 1)
+        # events on the knots (both ends included) and between them
+        pool = np.concatenate([knots, rng.uniform(t0, tf, 40)])
+        feeds = [EventStream.from_times(np.unique(rng.choice(pool, int(rng.integers(0, 30))))) for _ in range(3)]
+        got = scenarios._empirical_segment_rates(feeds, t0, tf, segments)
+        want = empirical_segment_rates_by_histogram(feeds, t0, tf, segments)
+        for g, w in zip(got, want):
+            assert g.knots.tobytes() == w.knots.tobytes() and g.rates.tobytes() == w.rates.tobytes()
+
+
+def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
+    calls = []
+    scored = feed_sim.trajectory_from_posts
+
+    def counted(feeds, posts, *args, **kwargs):
+        calls.append(posts.tobytes())
+        return scored(feeds, posts, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "trajectory_from_posts", counted)
+    seeds = (0, 1, 2)
+    cfg = ReplayConfig(seeds=seeds, policies=("true-posts", "uniform"), q=100.0)
+    dataset = fixture_dataset()
+    reports, _ = run_replay(cfg, dataset)
+    recorded = dataset.true_posts.times.tobytes()
+    assert calls.count(recorded) == 1 and len(calls) == 1 + len(seeds)
+    reference = report_from_trajectory(scored(dataset.feeds, dataset.true_posts.times, 0.0, 240.0), "", 0, "")
+    for seed, report in zip(seeds, (r for r in reports if r.policy == "true-posts")):
+        assert report.seed == seed
+        assert (report.position_over_time, report.time_at_top) == (
+            reference.position_over_time, reference.time_at_top
+        )
+        assert report.normalized_position == report.normalized_time_at_top == 1.0
