@@ -39,9 +39,12 @@ A rank_metrics section scores policies on the same two replays: the
 recorded posts and segment-offline's plan (the recorded count, 10
 segments), each through ``trajectory_from_posts`` and
 ``report_from_trajectory`` as one replay policy is scored.  It times
-that scoring and segment-offline's planning (rate estimates included),
-and fails unless each report's bytes equal those of the reference loop
-``simulate`` scored follower by follower (``tests/reference.py``).
+that scoring and segment-offline's planning (estimating the followers'
+summed rate included).  It fails unless the plan's bytes equal a plan from
+the per-follower histogram rates summed one ``rate_at`` at a time, and
+each report's bytes equal those of the reference loop ``simulate``
+scored follower by follower (all three references in
+``tests/reference.py``).
 
 An I/O section then writes 100k-event and 1M-event logs with
 ``save_events`` and times ``load_events`` on each: as one byte range
@@ -104,7 +107,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.metrics import report_from_trajectory
-from whentopost.point_process import EventStream
+from whentopost.point_process import EventStream, PiecewiseRate
 from whentopost.significance import NORMALIZATION, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -113,15 +116,15 @@ import genlog  # noqa: E402  (the benchmark's log generator, read as is)
 from reference import (  # noqa: E402  (the per-follower references the tests check against)
     ScheduledController,
     bucket_weights,
+    empirical_segment_rates_by_histogram,
     report_by_follower,
+    segment_totals_by_rate_at,
 )
 from reference import simulate as simulate_loop  # noqa: E402  (``simulate`` here runs the CLI command)
 
 
 def hawkes_workload():
-    knots = np.array([0.0, 500.0, 1200.0, 2000.0])
-    rates = np.array([10.0, 6.0, 12.0])
-    args = (0.0, 2000.0, knots, rates, 1.0, 10.0)
+    args = (0.0, 2000.0, 10.0, 1.0, 10.0)
     return lambda fn, seed: fn(*args, np.random.default_rng(seed), 40_000)
 
 
@@ -388,9 +391,13 @@ def bench_rank_metrics(repeats):
         budget = len(dataset.true_posts)
 
         def plan():
-            rates = scenarios._empirical_segment_rates(feeds, t0, tf, OFFLINE_SEGMENTS)
-            return segment_offline_posts(rates, budget, t0, tf)
+            rate = scenarios._empirical_segment_rate(feeds, t0, tf, OFFLINE_SEGMENTS)
+            return segment_offline_posts(rate, budget, t0, tf)
 
+        knots = np.linspace(t0, tf, OFFLINE_SEGMENTS + 1)
+        summed = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
+        if plan().tobytes() != segment_offline_posts(PiecewiseRate(knots, summed), budget, t0, tf).tobytes():
+            raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
         policies = {"true-posts": dataset.true_posts.times, "segment-offline": plan()}
         for policy, posts in policies.items():
             traj = trajectory_from_posts(feeds, posts, t0, tf)
@@ -619,7 +626,7 @@ def write_json(path, repeats, timings, tune, rank_metrics):
         "rank_metrics_workload": f"the tune section's replays at {' and '.join(map(str, TUNE_FOLLOWERS))} "
                                  "followers: trajectory_s is trajectory_from_posts on the recorded posts, "
                                  "report_s report_from_trajectory on its trajectory, score_s both (one "
-                                 "policy's scoring), segment_offline_s the empirical segment rates and "
+                                 "policy's scoring), segment_offline_s the followers' summed segment rate and "
                                  f"segment_offline_posts ({OFFLINE_SEGMENTS} segments, the recorded count)",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),

@@ -3,9 +3,10 @@
 * ``uniform_poisson_posts``: a homogeneous Poisson poster whose expected
   count matches the budget - feed-blind.
 * ``true_posts_playback``: replay the broadcaster's recorded posts.
-* ``segment_offline_posts``: an offline planner that knows per-segment
-  feed rates, splits an integer budget across segments by greedy
-  marginal gain, and spaces posts evenly inside each segment.
+* ``segment_offline_posts``: an offline planner that knows the
+  followers' summed feed rate on each segment, splits an integer budget
+  across segments by greedy marginal gain, and spaces posts evenly
+  inside each segment.
 """
 
 from __future__ import annotations
@@ -43,52 +44,33 @@ def true_posts_playback(recorded: EventStream) -> np.ndarray:
     return recorded.times.copy()
 
 
-def _segment_totals(rates: list[PiecewiseRate], edges: np.ndarray) -> np.ndarray:
-    """The followers' summed rate on each segment ``[edges[k], edges[k+1])``.
-
-    ``edges`` lies inside the rates' shared grid.  Each segment's place on
-    the grid is looked up once; the rates are added follower by follower.
-    """
-    knots = rates[0].knots
-    seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
-    total = np.zeros(edges.shape[0] - 1)
-    for r in rates:
-        total += r.rates[seg]
-    return total
-
-
 def segment_offline_posts(
-    rates: list[PiecewiseRate],
+    rate: PiecewiseRate,
     budget: int,
     t0: float,
     tf: float,
 ) -> np.ndarray:
     """Greedy budget split across segments, posts evenly spaced within each.
 
-    ``rates`` holds one piecewise rate per follower on a shared grid
-    covering the window.  Each budget unit goes to the segment whose
-    modeled cost drops the most (ties: earliest segment); a segment of
-    length L and total feed rate R modeled with n evenly spaced posts
-    costs R * L^2 / (2 * (n + 1)) (``segment_cost_model`` in
-    ``tests/reference.py``).  A segment
-    given n posts places them at its start and every L/n thereafter.
+    ``rate`` is the followers' summed feed rate, covering the window.
+    Each budget unit goes to the segment whose modeled cost drops the
+    most (ties: earliest segment); a segment of length L and total feed
+    rate R modeled with n evenly spaced posts costs R * L^2 / (2 * (n + 1))
+    (``segment_cost_model`` in ``tests/reference.py``).  A segment given
+    n posts places them at its start and every L/n thereafter.
     Deterministic; scaling all rates by one constant changes nothing.
     """
     if budget < 0:
         raise ValueError("budget cannot be negative")
-    if not rates:
-        raise ValueError("need at least one follower rate")
-    knots = rates[0].knots
-    for r in rates[1:]:
-        if not np.array_equal(r.knots, knots):
-            raise ValueError("follower rates must share one segment grid")
-    if not rates[0].covers(t0, tf):
-        raise ValueError("rates do not cover the posting window")
-    # clip the shared grid to the window
+    if not rate.covers(t0, tf):
+        raise ValueError("rate does not cover the posting window")
+    # clip the grid to the window; each segment reads the rate it starts in
+    knots = rate.knots
     inner = knots[(knots > t0) & (knots < tf)]
     edges = np.concatenate([[t0], inner, [tf]])
     lengths = np.diff(edges)
-    total = _segment_totals(rates, edges)
+    seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
+    total = rate.rates[seg]
     nseg = lengths.shape[0]
     alloc = np.zeros(nseg, dtype=np.int64)
     # max-heap on marginal gain; index breaks ties toward earlier segments

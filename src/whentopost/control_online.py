@@ -115,10 +115,12 @@ def run_redqueen_fast(
     )
 
 
-#: ``tune_q``'s first price, and the prices past which it calls a target unreachable.
+#: ``tune_q``'s first price, the prices past which it calls a target
+#: unreachable, and the evaluations after which it returns the closest.
 Q_START = 1.0
 Q_MIN = 1e-12
 Q_MAX = 1e15
+MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,6 @@ def tune_q(
     target_posts: float,
     mean_posts_fn,
     tolerance: float = 0.1,
-    max_iter: int = 60,
     lower_bound_fn=None,
 ) -> TuneResult:
     """Find q whose mean post count hits ``target_posts`` within tolerance.
@@ -157,7 +158,7 @@ def tune_q(
     target, in floats too), so the search takes the same step.  Any other
     bound is dropped and ``mean_posts_fn`` called.  Bounds never reach
     the result: the "unreachable up to q_max" return makes the last
-    bracket bound exact, and the ``max_iter`` return makes every bound
+    bracket bound exact, and the ``MAX_ITER`` return makes every bound
     exact before picking the first closest evaluation.  The result,
     ``iterations`` included, is the same as without ``lower_bound_fn``;
     an exact re-evaluation is not an iteration.
@@ -223,7 +224,7 @@ def tune_q(
                 break
             q_hi, c_hi = q, c
 
-    while len(trace) < max_iter:
+    while len(trace) < MAX_ITER:
         q = math.sqrt(q_lo * q_hi)
         c = evaluate(q)
         if close(c):

@@ -130,10 +130,11 @@ def instance_from_feed(
     return OracleInstance(r0=r0, widths=widths, q=q, s=s)
 
 
-def decisions_to_post_times(decisions, feed_times, t0: float) -> np.ndarray:
+def decisions_to_post_times(decisions, feed_times, t0: float, tf: float) -> np.ndarray:
     """Post times for a decision vector: stage 0 posts at the window start,
     stage k >= 1 one float step after the k-th feed event (so the post
-    lands on the far side of the event it reacts to)."""
+    lands on the far side of the event it reacts to), or at ``tf`` when
+    that event is at ``tf``, so the post stays in the window (t0, tf]."""
     decisions = np.asarray(decisions)
     feed_times = np.asarray(feed_times, dtype=np.float64)
     if decisions.shape[0] != feed_times.shape[0] + 1:
@@ -143,5 +144,5 @@ def decisions_to_post_times(decisions, feed_times, t0: float) -> np.ndarray:
         times.append(t0)
     for k in range(feed_times.shape[0]):
         if decisions[k + 1]:
-            times.append(np.nextafter(feed_times[k], math.inf))
+            times.append(min(np.nextafter(feed_times[k], math.inf), tf))
     return np.asarray(times, dtype=np.float64)

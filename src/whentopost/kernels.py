@@ -4,7 +4,8 @@ Every kernel is written once as a scalar loop in nopython-compatible
 Python and compiled with ``numba.njit`` when numba is importable and
 the ``WHENTOPOST_NUMBA`` environment variable is not
 ``0``/``false``/``off``.  Otherwise a fallback runs.  The feed
-sampler's fallback is its loop run as plain Python.  The online
+sampler (a self-exciting feed with a constant baseline, by thinning)
+falls back to its loop run as plain Python.  The online
 controller and the backward induction keep separate fallbacks, since
 their loops are slow in plain Python: the controller's is a vectorized
 NumPy twin, and the induction's scans short stages in plain Python and
@@ -65,56 +66,38 @@ def _maybe_jit(fn):
 # ---------------------------------------------------------------------------
 
 
-def _sample_hawkes_loop(t0, tf, knots, rates, alpha, w, rng, cap_hint, max_events=2**62):
+def _sample_hawkes_loop(t0, tf, lam0, alpha, w, rng, cap_hint, max_events=2**62):
     """Sample event times of a self-exciting process on (t0, tf].
 
-    Baseline rate is piecewise constant: ``rates[k]`` on
-    ``[knots[k], knots[k+1])``; the knots must cover the window.  Each
-    accepted event adds ``alpha`` to the intensity, which then relaxes
-    toward the baseline at speed ``w``.
+    The intensity starts at the constant baseline ``lam0``; each accepted
+    event adds ``alpha`` to it, and it relaxes toward ``lam0`` at speed
+    ``w``.
 
-    Thinning proposal: within one baseline segment the intensity is
-    non-increasing between events, so the intensity just after the last
-    event (or segment entry) is a valid bound.  The bound is refreshed
-    at segment knots because the baseline may step up there.
+    Thinning proposal: the intensity is non-increasing between events,
+    so the intensity just after the last event (or at ``t0``) is a valid
+    bound.
 
     Sampling stops at the event after the ``max_events``-th: a result
     longer than ``max_events`` means the window held more events than
     that, and is cut short.
     """
-    nseg = rates.shape[0]
     cap = cap_hint if cap_hint > 16 else 16
     out = np.empty(cap, np.float64)
     n = 0
-    seg = 0
-    while seg + 1 < nseg and knots[seg + 1] <= t0:
-        seg += 1
     t = t0
     excite = 0.0  # alpha-weighted sum of exp(-w (t - t_i)) over past events
     while True:
-        seg_end = knots[seg + 1]
-        if seg_end > tf:
-            seg_end = tf
-        lam_bar = rates[seg] + excite
+        lam_bar = lam0 + excite
         if lam_bar <= 0.0:
-            if seg_end >= tf:
-                break
-            t = seg_end
-            seg += 1
-            continue
+            break
         delta = rng.exponential(1.0 / lam_bar)
         if delta <= 0.0:  # underflow guard: keeps times strictly increasing
             continue
-        if t + delta >= seg_end:
-            if seg_end >= tf:
-                break
-            excite *= math.exp(-w * (seg_end - t))
-            t = seg_end
-            seg += 1
-            continue
+        if t + delta >= tf:
+            break
         t = t + delta
         excite *= math.exp(-w * delta)
-        if rng.random() * lam_bar <= rates[seg] + excite:
+        if rng.random() * lam_bar <= lam0 + excite:
             if n == cap:
                 grown = np.empty(cap * 2, np.float64)
                 grown[:n] = out[:n]

@@ -8,9 +8,12 @@ float step (with a warning), so downstream consumers never see ties.
 The self-exciting feed model keeps a single scalar of excitation state.
 Its intensity obeys a jump-decay law: each event lifts the intensity by
 ``alpha`` and between events the intensity relaxes exponentially toward
-the (possibly piecewise-constant) baseline at speed ``w``:
+the constant baseline ``lam0`` at speed ``w``:
 
-    lam(t) = lam0(t) + (lam(s) - lam0(s)) * exp(-w * (t - s))
+    lam(t) = lam0 + (lam(s) - lam0) * exp(-w * (t - s))
+
+A :class:`PiecewiseRate` drives the inhomogeneous Poisson feeds of
+``sample_piecewise_poisson``.
 """
 
 from __future__ import annotations
@@ -129,12 +132,12 @@ class PiecewiseRate:
 class HawkesParams:
     """Self-exciting feed parameters.
 
-    ``baseline`` is a constant rate or a :class:`PiecewiseRate`;
+    ``baseline`` is the constant rate the intensity relaxes to;
     ``alpha`` is the per-event intensity jump and ``w`` the relaxation
     speed.  Stability (a finite long-run rate) requires ``alpha < w``.
     """
 
-    baseline: float | PiecewiseRate
+    baseline: float
     alpha: float
     w: float
 
@@ -143,26 +146,14 @@ class HawkesParams:
             raise ValueError("alpha must be nonnegative")
         if self.w <= 0:
             raise ValueError("w must be positive")
-        if isinstance(self.baseline, PiecewiseRate):
-            pass
-        elif self.baseline < 0:
+        if self.baseline < 0:
             raise ValueError("baseline rate must be nonnegative")
         if self.alpha >= self.w:
             raise ValueError("alpha >= w gives an explosive feed")
 
     def stationary_rate(self) -> float:
-        """Long-run mean rate ``lam0 / (1 - alpha / w)`` for a constant baseline."""
-        if isinstance(self.baseline, PiecewiseRate):
-            raise ValueError("stationary rate is defined for constant baselines")
+        """Long-run mean rate ``lam0 / (1 - alpha / w)``."""
         return float(self.baseline) / (1.0 - self.alpha / self.w)
-
-
-def _baseline_arrays(params: HawkesParams, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(params.baseline, PiecewiseRate):
-        if not params.baseline.covers(t0, tf):
-            raise ValueError("baseline rate does not cover the sampling window")
-        return params.baseline.knots, params.baseline.rates
-    return np.array([t0, tf], np.float64), np.array([float(params.baseline)], np.float64)
 
 
 def sample_hawkes(
@@ -182,12 +173,11 @@ def sample_hawkes(
         raise ValueError("tf must not precede t0")
     if tf == t0:
         return EventStream.empty()
-    knots, rates = _baseline_arrays(params, t0, tf)
-    mean_rate = float(np.max(rates)) / (1.0 - params.alpha / params.w)
+    lam0 = float(params.baseline)
+    mean_rate = lam0 / (1.0 - params.alpha / params.w)
     cap_hint = min(int(mean_rate * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
     times = sample_hawkes_times(
-        float(t0), float(tf), knots, rates, float(params.alpha), float(params.w), rng, cap_hint,
-        MAX_HAWKES_EVENTS,
+        float(t0), float(tf), lam0, float(params.alpha), float(params.w), rng, cap_hint, MAX_HAWKES_EVENTS
     )
     if times.shape[0] > MAX_HAWKES_EVENTS:
         raise ValueError(

@@ -123,22 +123,24 @@ def _check_policies(policies, allowed, scenario: str):
             raise ScenarioError(f"policy {p!r} is not available in the {scenario} scenario")
 
 
-def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRate]:
-    """Each feed's event count per segment of ``n_segments`` equal ones, over the segment's length.
+def _empirical_segment_rate(feeds, t0, tf, n_segments: int) -> PiecewiseRate:
+    """The feeds' summed event rate on ``n_segments`` equal segments of the window.
 
-    The counts are the ones ``np.histogram(times, bins=knots)`` gives a
-    sorted feed, from the two ``searchsorted`` calls it makes: the last
-    segment includes its right edge.
+    Each feed's rate on a segment is its event count there over the
+    segment's length, with the counts ``np.histogram(times, bins=knots)``
+    gives a sorted feed (the last segment includes its right edge).  The
+    rates are added follower by follower from zero, one float add per
+    follower and segment in follower order.
     """
     knots = np.linspace(t0, tf, n_segments + 1)
     widths = np.diff(knots)
-    out = []
+    total = np.zeros(n_segments)
     for f in feeds:
         upto = np.concatenate(
             [np.searchsorted(f.times, knots[:-1], "left"), np.searchsorted(f.times, knots[-1:], "right")]
         )
-        out.append(PiecewiseRate(knots, np.diff(upto) / widths))
-    return out
+        total += np.diff(upto) / widths
+    return PiecewiseRate(knots, total)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +152,8 @@ def _empirical_segment_rates(feeds, t0, tf, n_segments: int) -> list[PiecewiseRa
 class _Competition:
     """One scenario's feeds, every evaluation made on them, and one budget's prices.
 
-    ``feeds(seed)`` gives one stream per follower; ``offline_rates(seed)``
-    the per-follower rates the segment-offline planner is told.
+    ``feeds(seed)`` gives one stream per follower; ``offline_rate(seed)``
+    the followers' summed rate the segment-offline planner is told.
     ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
     ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
     settles ``realized``, ``redqueen_q`` and ``oracle_q`` for one budget
@@ -162,7 +164,7 @@ class _Competition:
     t0: float
     tf: float
     feeds: Callable
-    offline_rates: Callable
+    offline_rate: Callable
     significance: StepSchedule | None = None
     initial_ranks: np.ndarray | None = None
     recorded: EventStream | None = None  # replay only: the broadcaster's true posts
@@ -225,11 +227,11 @@ class _Competition:
 POLICIES = {
     "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
     "oracle": lambda c, seed: decisions_to_post_times(
-        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed)[0].times, c.t0
+        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed)[0].times, c.t0, c.tf
     ),
     "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
     "segment-offline": lambda c, seed: segment_offline_posts(
-        c.offline_rates(seed), int(round(c.realized)), c.t0, c.tf
+        c.offline_rate(seed), int(round(c.realized)), c.t0, c.tf
     ),
     "true-posts": lambda c, seed: true_posts_playback(c.recorded),
 }
@@ -414,7 +416,7 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
     }
     comp = _Competition(
         t0, tf, feeds_by_seed.__getitem__,
-        lambda seed: _empirical_segment_rates(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
+        lambda seed: _empirical_segment_rate(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
     )
     return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
 
@@ -464,21 +466,21 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
         cfg.policies, ("redqueen", "uniform", "segment-offline"), "multi-follower-sinusoid"
     )
     t0, tf = 0.0, cfg.horizon
-    rates_by_seed = {}
+    rate_by_seed = {}
     feeds_by_seed = {}
     for seed in cfg.seeds:
-        rates = []
+        total = 0.0
         feeds = []
         for j in range(cfg.followers):
             rng = feed_rng(seed, j)
             phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
-            rates.append(rate)
+            total = total + rate.rates  # follower by follower, as _empirical_segment_rate adds
             feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
-        rates_by_seed[seed] = rates
+        # the offline planner is told the followers' true summed rate here
+        rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
         feeds_by_seed[seed] = feeds
-    # the offline planner is told the true rates here
-    comp = _Competition(t0, tf, feeds_by_seed.__getitem__, rates_by_seed.__getitem__)
+    comp = _Competition(t0, tf, feeds_by_seed.__getitem__, rate_by_seed.__getitem__)
     return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
 
 
@@ -533,7 +535,7 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
 
     comp = _Competition(
         t0, tf, lambda seed: dataset.feeds,
-        lambda seed: _empirical_segment_rates(dataset.feeds, t0, tf, cfg.offline_segments),
+        lambda seed: _empirical_segment_rate(dataset.feeds, t0, tf, cfg.offline_segments),
         significance=significance,
         initial_ranks=np.full(n, cfg.initial_rank, dtype=np.int64),
         recorded=dataset.true_posts,

@@ -543,12 +543,6 @@ def rate_at(rate: PiecewiseRate, t: float) -> float:
     return float(rate.rates[min(k, rate.rates.shape[0] - 1)])
 
 
-def baseline_at(params: HawkesParams, t: float) -> float:
-    if isinstance(params.baseline, PiecewiseRate):
-        return rate_at(params.baseline, t)
-    return float(params.baseline)
-
-
 def constant_schedule(value: float, n_followers: int, t0: float, tf: float) -> StepSchedule:
     return StepSchedule(np.array([t0, tf]), np.full((n_followers, 1), float(value)))
 
@@ -581,16 +575,14 @@ class IntensityState:
 def decay_intensity(state: IntensityState, params: HawkesParams, t: float) -> IntensityState:
     """Relax the intensity from ``state.as_of`` to ``t`` with no events between.
 
-    The excitation above the baseline decays by ``exp(-w * dt)``; the
-    baseline itself is re-read at ``t``, so baseline steps pass straight
-    through to the intensity.
+    The excitation above the constant baseline decays by ``exp(-w * dt)``.
     """
     if t < state.as_of:
         raise ValueError("cannot decay backwards in time")
-    excite = state.current - baseline_at(params, state.as_of)
+    excite = state.current - params.baseline
     if excite < 0:
         raise ValueError("intensity below baseline: state is inconsistent")
-    new = baseline_at(params, t) + excite * math.exp(-params.w * (t - state.as_of))
+    new = params.baseline + excite * math.exp(-params.w * (t - state.as_of))
     return IntensityState(new, t)
 
 
@@ -696,7 +688,11 @@ def quadratic_control_cost(trajectory, q: float, s=1.0) -> float:
 
 
 def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
-    """control_baselines._segment_totals: one ``rate_at`` per follower and segment."""
+    """The rates' sum on each segment ``[edges[k], edges[k+1])``: one ``rate_at`` per rate and segment.
+
+    Added rate by rate from zero, as ``scenarios._empirical_segment_rate``
+    adds its followers' rates.
+    """
     total = np.zeros(edges.shape[0] - 1)
     for r in rates:
         for k in range(total.shape[0]):
@@ -705,7 +701,10 @@ def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
 
 
 def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments: int) -> list:
-    """scenarios._empirical_segment_rates with ``np.histogram`` counting each feed."""
+    """Each feed's rate on ``n_segments`` equal segments, by ``np.histogram`` counts.
+
+    ``scenarios._empirical_segment_rate`` is their sum.
+    """
     knots = np.linspace(t0, tf, n_segments + 1)
     return [PiecewiseRate(knots, np.histogram(f.times, bins=knots)[0] / np.diff(knots)) for f in feeds]
 

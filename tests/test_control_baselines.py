@@ -8,12 +8,12 @@ import pytest
 from reference import labelled_stream, segment_cost_model, segment_totals_by_rate_at
 
 from whentopost.control_baselines import (
-    _segment_totals,
     segment_offline_posts,
     true_posts_playback,
     uniform_poisson_posts,
 )
 from whentopost.point_process import EventStream, PiecewiseRate
+from whentopost.scenarios import _empirical_segment_rate
 
 
 def test_uniform_zero_budget_is_empty():
@@ -53,23 +53,22 @@ def test_playback_returns_a_copy():
     assert recorded.times[0] == 1.0
 
 
-def flat_rates(n_followers, rate, knots):
-    return [PiecewiseRate(knots, np.full(len(knots) - 1, rate)) for _ in range(n_followers)]
+def flat_rate(rate, knots):
+    return PiecewiseRate(knots, np.full(len(knots) - 1, rate))
 
 
 def test_offline_zero_budget_is_empty():
-    rates = flat_rates(1, 2.0, np.array([0.0, 10.0]))
-    assert segment_offline_posts(rates, 0, 0.0, 10.0).shape == (0,)
+    assert segment_offline_posts(flat_rate(2.0, np.array([0.0, 10.0])), 0, 0.0, 10.0).shape == (0,)
 
 
 def test_offline_equal_rates_spread_evenly():
     # four identical segments, four posts: one per segment at its start
     knots = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
-    rates = flat_rates(2, 3.0, knots)
-    posts = segment_offline_posts(rates, 4, 0.0, 40.0)
+    rate = flat_rate(6.0, knots)
+    posts = segment_offline_posts(rate, 4, 0.0, 40.0)
     assert np.array_equal(posts, [0.0, 10.0, 20.0, 30.0])
     # eight posts: two per segment, evenly spaced inside
-    posts = segment_offline_posts(rates, 8, 0.0, 40.0)
+    posts = segment_offline_posts(rate, 8, 0.0, 40.0)
     assert np.array_equal(posts, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0])
 
 
@@ -80,8 +79,7 @@ def test_offline_single_post_lands_on_enumerated_argmin():
     lengths = np.diff(knots)
     for _ in range(25):
         seg_rates = rng.uniform(0.1, 10.0, size=4)
-        rates = [PiecewiseRate(knots, seg_rates)]
-        posts = segment_offline_posts(rates, 1, 0.0, 32.0)
+        posts = segment_offline_posts(PiecewiseRate(knots, seg_rates), 1, 0.0, 32.0)
         assert len(posts) == 1
         costs = [
             segment_cost_model(seg_rates, lengths, np.eye(4, dtype=int)[k])
@@ -93,8 +91,7 @@ def test_offline_single_post_lands_on_enumerated_argmin():
 
 def test_offline_dominant_segment_attracts_single_post():
     knots = np.array([0.0, 10.0, 20.0, 30.0])
-    rates = [PiecewiseRate(knots, np.array([1.0, 100.0, 1.0]))]
-    posts = segment_offline_posts(rates, 1, 0.0, 30.0)
+    posts = segment_offline_posts(PiecewiseRate(knots, np.array([1.0, 100.0, 1.0])), 1, 0.0, 30.0)
     assert np.array_equal(posts, [10.0])
 
 
@@ -107,7 +104,7 @@ def test_offline_allocation_is_optimal_under_its_model():
     for _ in range(20):
         seg_rates = rng.uniform(0.1, 10.0, size=3)
         budget = int(rng.integers(1, 7))
-        posts = segment_offline_posts([PiecewiseRate(knots, seg_rates)], budget, 0.0, 17.0)
+        posts = segment_offline_posts(PiecewiseRate(knots, seg_rates), budget, 0.0, 17.0)
         greedy_alloc = np.array([
             np.sum((posts >= knots[k]) & (posts < knots[k + 1])) for k in range(3)
         ])
@@ -123,56 +120,51 @@ def test_offline_allocation_is_optimal_under_its_model():
 def test_offline_scale_invariant_in_rates():
     knots = np.array([0.0, 3.0, 11.0, 20.0])
     seg_rates = np.array([2.0, 5.0, 1.0])
-    a = segment_offline_posts([PiecewiseRate(knots, seg_rates)], 5, 0.0, 20.0)
-    b = segment_offline_posts([PiecewiseRate(knots, seg_rates * 37.0)], 5, 0.0, 20.0)
+    a = segment_offline_posts(PiecewiseRate(knots, seg_rates), 5, 0.0, 20.0)
+    b = segment_offline_posts(PiecewiseRate(knots, seg_rates * 37.0), 5, 0.0, 20.0)
     assert np.array_equal(a, b)
 
 
 def test_offline_sums_rates_across_followers():
-    # follower weight moves the post toward the busier joint segment
-    knots = np.array([0.0, 10.0, 20.0])
-    rates = [
-        PiecewiseRate(knots, np.array([3.0, 2.0])),
-        PiecewiseRate(knots, np.array([0.5, 4.0])),
+    # follower weight moves the post toward the busier joint segment:
+    # 6 + 1 events on [0, 10), 4 + 8 on [10, 20]
+    feeds = [
+        EventStream.from_times([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 11.0, 12.0, 13.0, 14.0]),
+        EventStream.from_times([1.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0]),
     ]
-    posts = segment_offline_posts(rates, 1, 0.0, 20.0)
-    assert np.array_equal(posts, [10.0])  # 2 + 4 > 3 + 0.5
+    rate = _empirical_segment_rate(feeds, 0.0, 20.0, 2)
+    assert np.allclose(rate.rates, [0.7, 1.2])
+    assert np.array_equal(segment_offline_posts(rate, 1, 0.0, 20.0), [10.0])
 
 
 def test_offline_clips_grid_to_window():
     knots = np.array([0.0, 10.0, 20.0, 30.0])
-    rates = [PiecewiseRate(knots, np.array([1.0, 1.0, 1.0]))]
-    posts = segment_offline_posts(rates, 2, 5.0, 25.0)
+    posts = segment_offline_posts(flat_rate(1.0, knots), 2, 5.0, 25.0)
     assert np.all(posts >= 5.0)
     assert np.all(posts < 25.0)
 
 
 def test_offline_validation():
     knots = np.array([0.0, 10.0])
-    with pytest.raises(ValueError):
-        segment_offline_posts([], 1, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        segment_offline_posts(flat_rates(1, 1.0, knots), -1, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        segment_offline_posts(flat_rates(1, 1.0, knots), 1, 0.0, 20.0)
-    mixed = [
-        PiecewiseRate(np.array([0.0, 10.0]), np.array([1.0])),
-        PiecewiseRate(np.array([0.0, 5.0, 10.0]), np.array([1.0, 1.0])),
-    ]
-    with pytest.raises(ValueError):
-        segment_offline_posts(mixed, 1, 0.0, 10.0)
+    with pytest.raises(ValueError, match="budget cannot be negative"):
+        segment_offline_posts(flat_rate(1.0, knots), -1, 0.0, 10.0)
+    with pytest.raises(ValueError, match="does not cover the posting window"):
+        segment_offline_posts(flat_rate(1.0, knots), 1, 0.0, 20.0)
 
 
-def test_offline_segment_totals_match_one_rate_lookup_per_follower_and_segment():
+def test_offline_plan_reads_one_rate_lookup_per_segment():
+    # a window clipped from the grid plans as the clipped grid with each
+    # segment's rate read by rate_at at its start
     rng = np.random.default_rng(31)
     for _ in range(200):
         knots = np.cumsum(rng.uniform(0.1, 5.0, size=int(rng.integers(2, 12))))
-        rates = [
-            PiecewiseRate(knots, rng.uniform(0.0, 3.0, knots.shape[0] - 1)) for _ in range(rng.integers(1, 9))
-        ]
+        rate = PiecewiseRate(knots, rng.uniform(0.0, 3.0, knots.shape[0] - 1))
         # windows from the whole grid to a slice inside one segment, edges on knots and off them
         pool = np.concatenate([knots, rng.uniform(knots[0], knots[-1], 4)])
         lo, hi = np.sort(rng.choice(pool, 2, replace=False))
         inner = knots[(knots > lo) & (knots < hi)]
         edges = np.concatenate([[lo], inner, [hi]])
-        assert _segment_totals(rates, edges).tobytes() == segment_totals_by_rate_at(rates, edges).tobytes()
+        clipped = PiecewiseRate(edges, segment_totals_by_rate_at([rate], edges))
+        budget = int(rng.integers(0, 12))
+        got = segment_offline_posts(rate, budget, lo, hi)
+        assert got.tobytes() == segment_offline_posts(clipped, budget, lo, hi).tobytes()

@@ -15,6 +15,7 @@ from reference import (
 )
 from scipy import stats
 
+from whentopost import control_online
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
 from whentopost.point_process import EventStream
 from whentopost.significance import StepSchedule
@@ -285,7 +286,7 @@ def test_tune_q_rejects_bad_tolerance_before_any_evaluation(tolerance):
 # ---------------------------------------------------------------------------
 
 
-def tune_with_and_without_bounds(target, mean_posts_fn, lower_bound_fn, **kwargs):
+def tune_with_and_without_bounds(target, mean_posts_fn, lower_bound_fn):
     """``tune_q`` with and without ``lower_bound_fn``, which must agree; the result and exact calls."""
     exact_calls = []
 
@@ -293,8 +294,8 @@ def tune_with_and_without_bounds(target, mean_posts_fn, lower_bound_fn, **kwargs
         exact_calls.append(q)
         return mean_posts_fn(q)
 
-    want = tune_q(target, mean_posts_fn, **kwargs)
-    got = tune_q(target, counted, lower_bound_fn=lower_bound_fn, **kwargs)
+    want = tune_q(target, mean_posts_fn)
+    got = tune_q(target, counted, lower_bound_fn=lower_bound_fn)
     assert got == want
     return got, exact_calls
 
@@ -310,28 +311,30 @@ def step_curve(high, low, edge=256.0):
 
 
 ANALYTIC_TUNES = {
-    # name: (target, curve, kwargs, converged, message part)
-    "first evaluation": (100.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
-    "after upward bracketing": (10.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
-    "within upward bracketing": (12.5, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
-    "after downward bracketing": (300.0, lambda q: 100.0 / math.sqrt(q), {}, True, ""),
+    # name: (target, curve, MAX_ITER or None for the default, converged, message part)
+    "first evaluation": (100.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
+    "after upward bracketing": (10.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
+    "within upward bracketing": (12.5, lambda q: 100.0 / math.sqrt(q), None, True, ""),
+    "after downward bracketing": (300.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
     # every count is capped to 1, and the reported c_lo is the exact 5
-    "unreachable at q_max": (0.001, lambda q: max(5.0, 100.0 / math.sqrt(q)), {}, False, "q_max"),
-    "unreachable at q_min": (50.0, lambda q: min(5.0, 100.0 / (1.0 + math.sqrt(q))), {}, False, "q_min"),
+    "unreachable at q_max": (0.001, lambda q: max(5.0, 100.0 / math.sqrt(q)), None, False, "q_max"),
+    "unreachable at q_min": (50.0, lambda q: min(5.0, 100.0 / (1.0 + math.sqrt(q))), None, False, "q_min"),
     # never within tolerance: 13 (capped to 12) below the edge, 1 above it;
     # the closest is the first exact 13
-    "out of max_iter": (10.0, step_curve(13.0, 1.0), {"max_iter": 30}, False, "max_iter"),
+    "out of max_iter": (10.0, step_curve(13.0, 1.0), 30, False, "max_iter"),
     # a capped 12 would win against every exact 100 and 1; the closest is 1
-    "out of max_iter, capped closer": (10.0, step_curve(100.0, 1.0), {"max_iter": 30}, False, "max_iter"),
-    # bracketing does not stop at max_iter: the search returns right after it
-    "out of max_iter before bisecting": (10.0, step_curve(100.0, 1.0), {"max_iter": 3}, False, "max_iter"),
+    "out of max_iter, capped closer": (10.0, step_curve(100.0, 1.0), 30, False, "max_iter"),
+    # bracketing does not stop at MAX_ITER: the search returns right after it
+    "out of max_iter before bisecting": (10.0, step_curve(100.0, 1.0), 3, False, "max_iter"),
 }
 
 
 @pytest.mark.parametrize("case", ANALYTIC_TUNES)
-def test_tune_q_with_lower_bounds_matches_exact_means_on_analytic_curves(case):
-    target, curve, kwargs, converged, message = ANALYTIC_TUNES[case]
-    result, exact_calls = tune_with_and_without_bounds(target, curve, capped_curve(curve, target), **kwargs)
+def test_tune_q_with_lower_bounds_matches_exact_means_on_analytic_curves(case, monkeypatch):
+    target, curve, max_iter, converged, message = ANALYTIC_TUNES[case]
+    if max_iter is not None:
+        monkeypatch.setattr(control_online, "MAX_ITER", max_iter)
+    result, exact_calls = tune_with_and_without_bounds(target, curve, capped_curve(curve, target))
     assert result.converged is converged and message in result.message
     if case == "first evaluation":
         assert result.iterations == 1
@@ -366,7 +369,7 @@ def simulated_curves(feeds_by_seed, target, tolerance=0.1):
     return lambda q: mean_posts_over_seeds(q, feeds_by_seed, 0.0, 60.0), capped
 
 
-def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts():
+def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts(monkeypatch):
     rng_feed = np.random.default_rng(29)
     feeds_by_seed = {
         seed: [EventStream.from_times(np.sort(rng_feed.uniform(0, 60, size=200)))]
@@ -374,16 +377,18 @@ def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts():
     }
     at_q0 = mean_posts_over_seeds(1.0, feeds_by_seed, 0.0, 60.0)
     cases = {
-        "first evaluation": (at_q0, {}, "", True),
-        "upward bracketing": (at_q0 / 8.0, {}, "", True),
-        "downward bracketing": (at_q0 * 1.5, {}, "", True),
-        "unreachable at q_min": (1000.0, {}, "q_min", False),
+        "first evaluation": (at_q0, None, "", True),
+        "upward bracketing": (at_q0 / 8.0, None, "", True),
+        "downward bracketing": (at_q0 * 1.5, None, "", True),
+        "unreachable at q_min": (1000.0, None, "q_min", False),
         # means move in steps of 1/4: none within 1e-4 of 0.001
-        "out of max_iter": (0.001, {"max_iter": 25}, "max_iter", False),
+        "out of max_iter": (0.001, 25, "max_iter", False),
     }
-    for name, (target, kwargs, message, converged) in cases.items():
+    for name, (target, max_iter, message, converged) in cases.items():
+        if max_iter is not None:
+            monkeypatch.setattr(control_online, "MAX_ITER", max_iter)
         exact, capped = simulated_curves(feeds_by_seed, target)
-        result, exact_calls = tune_with_and_without_bounds(target, exact, capped, **kwargs)
+        result, exact_calls = tune_with_and_without_bounds(target, exact, capped)
         assert result.converged is converged and message in result.message, name
         if name == "first evaluation":
             assert result.iterations == 1

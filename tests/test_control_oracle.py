@@ -142,11 +142,23 @@ def test_instance_from_feed_builds_gap_widths():
 
 def test_decisions_to_post_times_lands_after_events():
     feed = np.array([1.0, 4.0])
-    times = decisions_to_post_times([1, 0, 1], feed, t0=0.0)
+    times = decisions_to_post_times([1, 0, 1], feed, t0=0.0, tf=5.0)
     assert times[0] == 0.0
     assert times[1] == np.nextafter(4.0, math.inf)
     with pytest.raises(ValueError):
-        decisions_to_post_times([1, 0], feed, t0=0.0)
+        decisions_to_post_times([1, 0], feed, t0=0.0, tf=5.0)
+
+
+def test_a_post_after_a_feed_event_at_tf_stays_in_the_window():
+    # the window (0, 10] holds an event at tf, and the schedule posts after it
+    feed = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
+    schedule = oracle_schedule(instance_from_feed(feed, 0.0, 10.0, q=0.5))
+    assert schedule.post_count == 6 and schedule.decisions[-1] == 1
+    posts = decisions_to_post_times(schedule.decisions, feed, 0.0, 10.0)
+    assert posts[-1] == 10.0
+    traj = trajectory_from_posts([EventStream.from_times(feed)], posts, 0.0, 10.0)
+    assert traj.post_count == 6
+    assert traj.rank_values[0][-1] == 0
 
 
 def test_schedule_cost_matches_trajectory_cost():
@@ -254,7 +266,7 @@ def test_multi_follower_enumeration_matches_trajectory_cost():
         merged = np.unique(np.concatenate(feeds))
         q = float(rng.uniform(0.1, 5.0))
         dec, cost = brute_force_schedule_multi(feeds, 0.0, 8.0, q=q)
-        posts = decisions_to_post_times(dec, merged, 0.0)
+        posts = decisions_to_post_times(dec, merged, 0.0, 8.0)
         traj = trajectory_from_posts([EventStream.from_times(f) for f in feeds],
                                      posts, 0.0, 8.0)
         assert math.isclose(quadratic_control_cost(traj, q=q), cost,

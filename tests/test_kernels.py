@@ -20,9 +20,7 @@ needs_numba = pytest.mark.skipif(
 
 
 def hawkes_args():
-    knots = np.array([0.0, 30.0, 70.0, 100.0])
-    rates = np.array([8.0, 0.0, 12.0])
-    return dict(t0=0.0, tf=100.0, knots=knots, rates=rates, alpha=0.8, w=5.0, cap_hint=64)
+    return dict(t0=0.0, tf=100.0, lam0=8.0, alpha=0.8, w=5.0, cap_hint=64)
 
 
 def redqueen_args(rng):
@@ -97,11 +95,7 @@ import numpy as np
 from whentopost import kernels
 
 print(int(kernels.NUMBA_ENABLED))
-knots = np.array([0.0, 30.0, 70.0, 100.0])
-rates = np.array([8.0, 0.0, 12.0])
-out = kernels.sample_hawkes_times(
-    0.0, 100.0, knots, rates, 0.8, 5.0, np.random.default_rng(42), 64
-)
+out = kernels.sample_hawkes_times(0.0, 100.0, 8.0, 0.8, 5.0, np.random.default_rng(42), 64)
 print(out.tobytes().hex())
 """
 
@@ -143,14 +137,7 @@ def test_env_flag_selects_flavor_and_output_is_flag_invariant():
     # the compiled flavor runs iff the flag is on and numba imports
     on = int(numba_importable())
     expected = kernels.IMPLEMENTATIONS["sample_hawkes_times"]["fallback"](
-        0.0,
-        100.0,
-        np.array([0.0, 30.0, 70.0, 100.0]),
-        np.array([8.0, 0.0, 12.0]),
-        0.8,
-        5.0,
-        np.random.default_rng(42),
-        64,
+        0.0, 100.0, 8.0, 0.8, 5.0, np.random.default_rng(42), 64
     ).tobytes().hex()
     for flag, want_enabled in [("0", 0), ("off", 0), ("false", 0), ("1", on), (None, on)]:
         enabled, got_hex = run_with_flag(flag)

@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from reference import (
     IntensityState,
     apply_jump,
-    baseline_at,
     constant_rate,
     decay_intensity,
     labelled_stream,
@@ -73,15 +72,6 @@ def test_decay_rejects_backward_time():
         decay_intensity(state, PARAMS, 4.0)
 
 
-def test_decay_tracks_piecewise_baseline_steps():
-    # baseline jumps 10 -> 4 at t=1; the excitation decays, the baseline re-reads
-    base = PiecewiseRate(np.array([0.0, 1.0, 2.0]), np.array([10.0, 4.0]))
-    params = HawkesParams(baseline=base, alpha=1.0, w=10.0)
-    state = IntensityState(12.0, 0.5)
-    out = decay_intensity(state, params, 1.5)
-    assert math.isclose(out.current, 4.0 + 2.0 * math.exp(-10.0), rel_tol=1e-12)
-
-
 def test_apply_jump_adds_alpha():
     state = IntensityState(10.0, 0.0)
     assert apply_jump(state, PARAMS).current == 11.0
@@ -91,7 +81,7 @@ def test_apply_jump_adds_alpha():
 
 
 def test_initial_state_at_baseline_stays_there():
-    state = IntensityState(baseline_at(PARAMS, 0.0), 0.0)
+    state = IntensityState(PARAMS.baseline, 0.0)
     for t in (0.0, 0.3, 2.0, 50.0):
         assert decay_intensity(state, PARAMS, t).current == 10.0
 
@@ -155,17 +145,6 @@ def test_sample_hawkes_events_inside_window_and_increasing():
         assert np.all(stream.times > 2.0)
         assert np.all(stream.times <= 12.0)
         assert np.all(np.diff(stream.times) > 0)
-
-
-def test_sample_hawkes_piecewise_baseline_counts():
-    # two-level baseline with no excitation: per-segment Poisson counts
-    base = PiecewiseRate(np.array([0.0, 100.0, 200.0]), np.array([3.0, 9.0]))
-    params = HawkesParams(baseline=base, alpha=0.0, w=10.0)
-    stream = sample_hawkes(params, 0.0, 200.0, np.random.default_rng(11))
-    n1 = int(np.sum(stream.times <= 100.0))
-    n2 = len(stream) - n1
-    assert abs(n1 - 300) <= 3 * math.sqrt(300)
-    assert abs(n2 - 900) <= 3 * math.sqrt(900)
 
 
 def test_sample_piecewise_poisson_zero_rate_empty():
@@ -301,13 +280,12 @@ def test_piecewise_rate_lookup_and_domain():
 
 
 def test_the_event_cap_leaves_stable_samples_unchanged(monkeypatch):
-    knots, rates = np.array([0.0, 200.0]), np.array([10.0])
     for seed in range(3):
         stream = sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))
         # the kernel with no cap, as sample_hawkes called it before the cap
         # (the buffer size hint, 16 here, does not change the draws)
         uncapped = kernels.IMPLEMENTATIONS["sample_hawkes_times"]["fallback"](
-            0.0, 200.0, knots, rates, 1.0, 10.0, np.random.default_rng(seed), 16
+            0.0, 200.0, 10.0, 1.0, 10.0, np.random.default_rng(seed), 16
         )
         assert stream.times.tobytes() == uncapped.tobytes()
         n = len(stream)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from reference import empirical_segment_rates_by_histogram
+from reference import empirical_segment_rates_by_histogram, segment_totals_by_rate_at
 
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
@@ -367,19 +367,26 @@ def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, t
     assert replay(tmp_path / "exact.csv") == (details, report)
 
 
-def test_empirical_segment_rates_count_like_a_histogram():
+def test_empirical_segment_rate_is_the_per_follower_reference_sum():
+    # the histogram rate of each feed, summed one rate_at per follower and
+    # segment in follower order
     rng = np.random.default_rng(41)
-    for _ in range(100):
-        t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
-        segments = int(rng.integers(1, 12))
-        knots = np.linspace(t0, tf, segments + 1)
-        # events on the knots (both ends included) and between them
-        pool = np.concatenate([knots, rng.uniform(t0, tf, 40)])
-        feeds = [EventStream.from_times(np.unique(rng.choice(pool, int(rng.integers(0, 30))))) for _ in range(3)]
-        got = scenarios._empirical_segment_rates(feeds, t0, tf, segments)
-        want = empirical_segment_rates_by_histogram(feeds, t0, tf, segments)
-        for g, w in zip(got, want):
-            assert g.knots.tobytes() == w.knots.tobytes() and g.rates.tobytes() == w.rates.tobytes()
+    for n_followers in (1, 2, 60):
+        for i in range(40):
+            t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
+            segments = 1 if i % 4 == 0 else int(rng.integers(2, 40))
+            knots = np.linspace(t0, tf, segments + 1)
+            # events on the knots (both ends included) and between them; some feeds empty
+            pool = np.concatenate([knots, rng.uniform(t0, tf, 40)])
+            feeds = [
+                EventStream.from_times(np.unique(rng.choice(pool, int(rng.integers(0, 30)))))
+                for _ in range(n_followers)
+            ]
+            if i % 3 == 0:
+                feeds[0] = EventStream.empty()
+            got = scenarios._empirical_segment_rate(feeds, t0, tf, segments)
+            want = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
+            assert got.knots.tobytes() == knots.tobytes() and got.rates.tobytes() == want.tobytes()
 
 
 def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
