@@ -38,13 +38,20 @@ different ``TuneResult``s or report bytes.
 A rank_metrics section scores policies on the same two replays: the
 recorded posts and segment-offline's plan (the recorded count, 10
 segments), each through ``trajectory_from_posts`` and
-``report_from_trajectory`` as one replay policy is scored.  It times
-that scoring and segment-offline's planning (estimating the followers'
-summed rate included).  It fails unless the plan's bytes equal a plan from
-the per-follower histogram rates summed one ``rate_at`` at a time, and
-each report's bytes equal those of the reference loop ``simulate``
-scored follower by follower (all three references in
-``tests/reference.py``).
+``report_from_trajectory`` as one replay policy is scored, from the
+dataset's ``Feeds``.  It times that scoring and segment-offline's
+planning (estimating the followers' summed rate included).  It fails
+unless the plan's bytes equal a plan from the per-follower histogram
+rates summed one ``rate_at`` at a time, the merged timeline's bytes equal
+``merge_feeds`` of one stream per follower, and each report's bytes equal
+those of the reference loop ``simulate`` scored follower by follower
+(all four references in ``tests/reference.py``).
+
+A replay section runs the 900-follower replay in this process as the
+``replay`` command runs it (policies redqueen, uniform, segment-offline
+and true-posts, weekday significance) at seeds ``0-0`` and at the
+command's default ``0-9``, best of at most 3, and prints the line count
+of each module in ``src/whentopost``.
 
 An I/O section then writes 100k-event and 1M-event logs with
 ``save_events`` and times ``load_events`` on each: as one byte range
@@ -63,7 +70,7 @@ string per id, if the file bytes differ, or if any follower's weights
 differ in a bit from ``bucket_weights`` (the reference in
 ``tests/reference.py``) on that follower's events alone.
 
-``--json PATH`` also writes the I/O, tune and rank_metrics sections' numbers to PATH,
+``--json PATH`` also writes the I/O, tune, rank_metrics and replay sections' numbers to PATH,
 with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
 SHA of the package's checkout, and the Python and NumPy versions.  The
 package is imported from ``PYTHONPATH``, so the same script times
@@ -77,6 +84,7 @@ import collections
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -99,7 +107,7 @@ import whentopost
 from whentopost import cli, control_online, data_io, scenarios
 from whentopost.control_baselines import segment_offline_posts
 from whentopost.control_oracle import OracleInstance, schedule_cost
-from whentopost.feed_sim import trajectory_from_posts
+from whentopost.feed_sim import Feeds, trajectory_from_posts
 from whentopost.kernels import (
     IMPLEMENTATIONS,
     NUMBA_ENABLED,
@@ -117,6 +125,7 @@ from reference import (  # noqa: E402  (the per-follower references the tests ch
     ScheduledController,
     bucket_weights,
     empirical_segment_rates_by_histogram,
+    merge_feeds,
     report_by_follower,
     segment_totals_by_rate_at,
 )
@@ -229,7 +238,7 @@ def counted_evaluations():
         return oracle(inst)
 
     def counted_controller(feeds, params, *args, **kwargs):
-        calls["redqueen", params.q, feeds[0].times.tobytes()] += 1
+        calls["redqueen", params.q, feeds.times.tobytes()] += 1
         return controller(feeds, params, *args, **kwargs)
 
     with mock.patch.object(scenarios, "oracle_schedule", counted_oracle), \
@@ -398,11 +407,15 @@ def bench_rank_metrics(repeats):
         summed = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
         if plan().tobytes() != segment_offline_posts(PiecewiseRate(knots, summed), budget, t0, tf).tobytes():
             raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
+        streams = [EventStream.from_times(f) for f in feeds]
+        merged = Feeds(feeds.times, feeds.bounds).merged  # a fresh object: the dataset's may be merged already
+        if any(g.tobytes() != w.tobytes() for g, w in zip(merged, merge_feeds(streams))):
+            raise SystemExit(f"Feeds.merged: {followers} followers: differs from merge_feeds")
         policies = {"true-posts": dataset.true_posts.times, "segment-offline": plan()}
         for policy, posts in policies.items():
             traj = trajectory_from_posts(feeds, posts, t0, tf)
             got = report_from_trajectory(traj, "bench", 0, policy)
-            loop = simulate_loop(feeds, ScheduledController(posts), t0, tf)
+            loop = simulate_loop(streams, ScheduledController(posts), t0, tf)
             if report_bytes([got]) != report_bytes([report_by_follower(loop, "bench", 0, policy)]):
                 raise SystemExit(f"report_from_trajectory: {followers} followers, {policy}: differs from the loop")
         posts = policies["true-posts"]
@@ -414,7 +427,7 @@ def bench_rank_metrics(repeats):
             repeats,
         )
         t_plan = best_time(plan, repeats)
-        events = sum(len(f) for f in feeds)
+        events = feeds.times.shape[0]
         click.echo(
             f"{f'{followers} followers':<22} {events:>7} {posts.shape[0]:>6} {t_traj * 1e3:>9.2f}ms "
             f"{t_report * 1e3:>7.2f}ms {t_score * 1e3:>7.2f}ms {t_plan * 1e3:>7.2f}ms"
@@ -427,6 +440,43 @@ def bench_rank_metrics(repeats):
             "score_s": t_score,
             "segment_offline_s": t_plan,
         }
+    return results
+
+
+#: The replay section's runs: the ``replay`` command's policies and significance
+#: in the ``replay-week`` benchmark, at one seed and at the command's default seeds.
+REPLAY_POLICIES = ("redqueen", "uniform", "segment-offline", "true-posts")
+REPLAY_SEEDS = {"0-0": (0,), "0-9": tuple(range(10))}
+
+
+def source_lines():
+    """Line count of each module of the imported package."""
+    here = Path(whentopost.__file__).resolve().parent
+    return {p.name: len(p.read_bytes().splitlines()) for p in sorted(here.glob("*.py"))}
+
+
+def bench_replay(repeats):
+    """Time the 900-follower replay at one seed and at ten, and count the package's lines; return both."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = replay_dataset(TUNE_FOLLOWERS[-1], tmp)
+
+    def fresh():
+        """The dataset with a new ``Feeds``, which no earlier run has merged."""
+        return dataclasses.replace(dataset, feeds=Feeds(dataset.feeds.times, dataset.feeds.bounds))
+
+    results = {}
+    click.echo(f"\n{f'replay ({TUNE_FOLLOWERS[-1]} followers)':<22} {'seeds':>7} {'best':>10}")
+    for label, seeds in REPLAY_SEEDS.items():
+        cfg = scenarios.ReplayConfig(seeds=seeds, policies=REPLAY_POLICIES, significance="weekday")
+        best = best_time(lambda: scenarios.run_replay(cfg, fresh()), min(repeats, 3))
+        click.echo(f"{'run_replay':<22} {label:>7} {best * 1e3:>8.1f}ms")
+        results[f"seeds_{label}_s"] = best
+    lines = source_lines()
+    click.echo(f"\n{'src/whentopost':<22} {'lines':>7}")
+    for name, count in lines.items():
+        click.echo(f"{name:<22} {count:>7}")
+    click.echo(f"{'total':<22} {sum(lines.values()):>7}")
+    results["src_lines"] = {**lines, "total": sum(lines.values())}
     return results
 
 
@@ -611,10 +661,10 @@ def git_sha():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def write_json(path, repeats, timings, tune, rank_metrics):
+def write_json(path, repeats, timings, tune, rank_metrics, replay):
     sha, dirty = git_sha()
     record = {
-        "section": ["io", "tune", "rank_metrics"],
+        "section": ["io", "tune", "rank_metrics", "replay"],
         "workload": "synthetic_log(): 100k events (1M for the _1m reads, 20k for the _20k ones), 1000 accounts, "
                     "weekday-hour profiles",
         "tune": tune,
@@ -628,6 +678,10 @@ def write_json(path, repeats, timings, tune, rank_metrics):
                                  "report_s report_from_trajectory on its trajectory, score_s both (one "
                                  "policy's scoring), segment_offline_s the followers' summed segment rate and "
                                  f"segment_offline_posts ({OFFLINE_SEGMENTS} segments, the recorded count)",
+        "replay": replay,
+        "replay_workload": f"run_replay of the seed-0 genlog log at {TUNE_FOLLOWERS[-1]} followers, policies "
+                           f"{', '.join(REPLAY_POLICIES)}, weekday significance, at seeds 0-0 and 0-9 (best of "
+                           "at most 3, a fresh Feeds per run); src_lines counts each module's lines",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
         "cpus_usable": usable_cpus(),
@@ -645,7 +699,7 @@ def write_json(path, repeats, timings, tune, rank_metrics):
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the I/O, tune and rank_metrics sections' numbers and the run's environment here.")
+              help="Also write the I/O, tune, rank_metrics and replay sections' numbers and the run's environment here.")
 def main(repeats, json_path):
     if not NUMBA_ENABLED:
         click.echo("compiled flavor disabled (numba missing or WHENTOPOST_NUMBA off); "
@@ -681,9 +735,10 @@ def main(repeats, json_path):
     bench_sweep(repeats)
     tune = bench_tune(repeats)
     rank_metrics = bench_rank_metrics(repeats)
+    replay = bench_replay(repeats)
     timings = bench_io(repeats)
     if json_path:
-        write_json(json_path, repeats, timings, tune, rank_metrics)
+        write_json(json_path, repeats, timings, tune, rank_metrics, replay)
 
 
 if __name__ == "__main__":

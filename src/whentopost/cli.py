@@ -44,24 +44,24 @@ def _guarded(fn):
     return wrapper
 
 
+#: Most seeds a seed list may name, repeats included, counted before any list is built.
+MAX_SEEDS = 100_000
+
+
 def _parse_seeds(text: str) -> tuple:
     """'0-4,7' -> (0, 1, 2, 3, 4, 7)"""
-    seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part[1:]:
-            lo, _, hi = part.partition("-")
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise ValueError(f"bad seed range {part!r}")
-            seeds.extend(range(lo_i, hi_i + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
+    spans = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        lo, _, hi = part.partition("-") if "-" in part[1:] else (part, "", part)
+        spans.append((int(lo), int(hi)))
+        if spans[-1][1] < spans[-1][0]:
+            raise ValueError(f"bad seed range {part!r}")
+    count = sum(hi - lo + 1 for lo, hi in spans)
+    if not count:
         raise ValueError("no seeds given")
-    return tuple(dict.fromkeys(seeds))
+    if count > MAX_SEEDS:
+        raise ValueError(f"the seed list names {count} seeds, more than MAX_SEEDS = {MAX_SEEDS}")
+    return tuple(dict.fromkeys(s for lo, hi in spans for s in range(lo, hi + 1)))
 
 
 def _parse_budgets(text: str) -> tuple:
@@ -98,8 +98,8 @@ def main(ctx, config):
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             _fail("ConfigError", f"{config}: {exc}")
-        if not isinstance(loaded, dict):
-            _fail("ConfigError", f"{config}: top level must be an object keyed by command")
+        if not isinstance(loaded, dict) or not all(isinstance(v, dict) for v in loaded.values()):
+            _fail("ConfigError", f"{config}: must be an object keyed by command, of objects of flag defaults")
         ctx.default_map = loaded
 
 

@@ -15,6 +15,8 @@ rate).  Posting resets all ranks, so it also discards every clock.
 A candidate commits once the next feed event falls at or after it: no
 clock spawned later can tick earlier, so the decision is final and
 causal.  State per follower is O(1): the rank and the shared candidate.
+It reads the followers' events as one timeline, ``Feeds.merged``, which
+each :class:`~whentopost.feed_sim.Feeds` computes once for every run.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feed_sim import Feeds
 from .kernels import redqueen_posts
-from .point_process import EventStream
-from .feed_sim import merge_feeds
 from .significance import StepSchedule
 
 __all__ = [
@@ -67,27 +68,19 @@ class RedQueenParams:
         return knots, np.sqrt(values / self.q)
 
 
-def merge_window(feeds: list[EventStream], t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
-    """The followers' events on (t0, tf] as one time-ordered ``(times, follower)`` pair."""
-    return merge_feeds([f.window(t0, tf) for f in feeds])
-
-
 def run_redqueen_fast(
-    feeds: list[EventStream],
+    feeds: Feeds,
     params: RedQueenParams,
     rng: np.random.Generator,
     t0: float,
     tf: float,
     initial_ranks=None,
     max_posts: int = 2**62,
-    merged: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Post times from the kernel fast path (same draws as ``RedQueenController``).
 
-    The kernel reads the feeds as one time-ordered stream,
-    ``merge_window(feeds, t0, tf)``.  A caller that runs the same feeds at
-    many prices builds it once and passes it as ``merged``; otherwise
-    every call windows and merges ``feeds`` itself.
+    The kernel reads ``feeds.merged``, the feeds (on ``(t0, tf]``) as one
+    time-ordered stream.
 
     Without numba the kernel is the vectorized NumPy fallback, which draws
     its exponentials in bulk: the posts match the controller's (in
@@ -97,11 +90,10 @@ def run_redqueen_fast(
     package does (a fresh ``policy_rng(seed)`` per call).
     """
     n = len(feeds)
-    if initial_ranks is None:
-        initial_ranks = np.zeros(n, dtype=np.int64)
-    initial_ranks = np.asarray(initial_ranks, dtype=np.int64)
+    initial_ranks = np.zeros(n, np.int64) if initial_ranks is None else np.asarray(initial_ranks, np.int64)
     knots, clock_rates = params.clocks(n, t0, tf)
-    feed_t, feed_j = merge_window(feeds, t0, tf) if merged is None else merged
+    feeds.check_window(t0, tf)
+    feed_t, feed_j = feeds.merged
     return redqueen_posts(
         feed_t,
         feed_j,

@@ -123,10 +123,8 @@ def instance_from_feed(
     s: float = 1.0,
     r0: int = 0,
 ) -> OracleInstance:
-    """Build the stage widths for a revealed feed on (t0, tf]."""
-    ts = np.asarray(feed_times, dtype=np.float64)
-    ts = ts[(ts > t0) & (ts <= tf)]
-    widths = np.diff(np.concatenate([[t0], ts, [tf]]))
+    """Build the stage widths for a revealed feed, strictly increasing on (t0, tf]."""
+    widths = np.diff(np.concatenate([[t0], feed_times, [tf]]))
     return OracleInstance(r0=r0, widths=widths, q=q, s=s)
 
 

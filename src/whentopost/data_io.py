@@ -56,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .feed_sim import Feeds
 from .point_process import EventStream, _dedupe_increasing
 from .significance import NORMALIZATION, SignificanceProfile, bucket_count
 
@@ -551,7 +552,7 @@ class ReplayDataset:
 
     broadcaster: str
     follower_ids: list
-    feeds: list  # EventStream per follower, broadcaster's own posts excluded
+    feeds: Feeds  # one per follower, on (t0, tf], broadcaster's own posts excluded
     true_posts: EventStream
     epoch: float
     t0: float
@@ -591,15 +592,14 @@ def build_replay_dataset(
     order = np.argsort(codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(code_of)))))
 
-    def from_sources(wanted) -> EventStream:
+    def from_sources(wanted) -> np.ndarray:  # the window's indices of their events, in time order
         runs = [order[bounds[c] : bounds[c + 1]] for c in map(code_of.get, wanted) if c is not None]
-        index = np.sort(np.concatenate([order[:0], *runs]))
-        return EventStream(windowed.times[index], windowed.sources[index])
+        return np.sort(np.concatenate([order[:0], *runs]))
 
-    feeds = [
-        from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained
-    ]
-    true_posts = from_sources({broadcaster})
+    index = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
+    feeds = Feeds(windowed.times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]))
+    own = from_sources({broadcaster})
+    true_posts = EventStream(windowed.times[own], windowed.sources[own])
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,

@@ -18,48 +18,105 @@ events at or before the last post.  A post only enters a follower's
 path where it can take the rank back to 0: the window's first post, and
 the first post after each of the follower's feed events.  Each path
 comes out as a view into one flat array.  ``rank_path`` is the same pass
-for one follower.  ``merge_feeds`` gives the controller the followers'
-events as one timeline.  The causal loop that folds one event at a time
+for one follower.  The causal loop that folds one event at a time
 (``simulate``) is the reference in ``tests/reference.py``.
+
+Every layer reads the feeds as one :class:`Feeds`, made once per feed
+realization; ``Feeds.cut`` is the one place a feed is cut to the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .point_process import EventStream
-
 __all__ = [
+    "Feeds",
     "rank_path",
     "SimulationTrajectory",
-    "merge_feeds",
     "trajectory_from_posts",
 ]
 
 
-def _rank_paths(feed_times, counts, posts, t0, initial_ranks):
+@dataclass(frozen=True, eq=False)
+class Feeds:
+    """Every follower's feed events on the window, follower after follower.
+
+    Follower ``j`` owns ``times[bounds[j]:bounds[j + 1]]``, strictly
+    increasing.  ``len`` is the follower count, and iterating yields each
+    follower's times in order.
+    """
+
+    times: np.ndarray
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
+        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=np.int64))
+        times, b = self.times, self.bounds
+        if times.ndim != 1 or b.ndim != 1 or b[:1].tolist() != [0] or b[-1] != times.shape[0] or np.any(b[1:] < b[:-1]):
+            raise ValueError("feeds need 1-d times, and bounds rising from 0 to the event count")
+        if not np.all((np.diff(times) > 0) | (np.diff(self.follower) > 0)):
+            raise ValueError("each follower's event times must be strictly increasing")
+
+    @classmethod
+    def cut(cls, streams, t0: float, tf: float) -> "Feeds":
+        """The events on ``(t0, tf]`` of one strictly increasing times array per follower."""
+        streams = [np.asarray(s, dtype=np.float64) for s in streams]
+        times = np.concatenate([np.empty(0), *streams])
+        inside = (times > t0) & (times <= tf)
+        follower = np.repeat(np.arange(len(streams)), [s.shape[0] for s in streams])[inside]
+        return cls(times[inside], np.append(0, np.cumsum(np.bincount(follower, minlength=len(streams)))))
+
+    def __len__(self) -> int:
+        return self.bounds.shape[0] - 1
+
+    def __iter__(self):
+        edges = self.bounds.tolist()
+        return (self.times[a:b] for a, b in zip(edges[:-1], edges[1:]))
+
+    @property
+    def follower(self) -> np.ndarray:
+        """Each event's follower."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.bounds))
+
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every event as one timeline, ``(times, follower)`` in time order; computed once.
+
+        One upstream event can land in several feeds: such ties keep follower order.
+        """
+        order = np.argsort(self.times, kind="stable")
+        return self.times[order], self.follower[order]
+
+    def check_window(self, t0: float, tf: float) -> None:
+        """Raise ``ValueError`` unless every event lies in ``(t0, tf]``."""
+        if self.times.shape[0] and not (t0 < self.times.min() and self.times.max() <= tf):
+            raise ValueError(f"feed events must lie in the window ({t0!r}, {tf!r}]; cut them with Feeds.cut")
+
+
+def _rank_paths(feeds, posts, t0, initial_ranks):
     """Every follower's rank step function in one pass.
 
-    ``feed_times`` holds each follower's feed events on ``(t0, tf]``,
-    strictly increasing, follower after follower, ``counts[j]`` of them
-    follower ``j``'s; ``posts`` the sorted posts on ``[t0, tf]``.  Returns
+    ``feeds`` holds each follower's feed events on ``(t0, tf]``; ``posts``
+    the sorted posts on ``[t0, tf]``.  Returns
     ``(times, values, bounds)``: follower ``j``'s path is
     ``times[bounds[j]:bounds[j + 1]]`` (and the same slice of ``values``),
     the step function ``rank_path`` describes.
     """
-    times, values, heads = _merged_entries(feed_times, counts, posts, t0, initial_ranks)
+    times, values, heads = _merged_entries(feeds, posts, t0, initial_ranks)
     # collapse runs where the value did not change (e.g. a post at rank 0)
     keep = np.empty(times.shape[0], bool)
     keep[1:] = values[1:] != values[:-1]
     keep[heads] = True
-    bounds = np.zeros(counts.shape[0] + 1, np.int64)
+    bounds = np.zeros(len(feeds) + 1, np.int64)
     np.cumsum(np.add.reduceat(keep, heads, dtype=np.int64), out=bounds[1:])
     return times[keep], values[keep], bounds
 
 
-def _merged_entries(feed_times, counts, posts, t0, initial_ranks):
+def _merged_entries(feeds, posts, t0, initial_ranks):
     """Every follower's entries before equal neighbours collapse: ``(times, values, heads)``.
 
     Follower ``j``'s entries start at ``heads[j]`` with its head
@@ -74,14 +131,13 @@ def _merged_entries(feed_times, counts, posts, t0, initial_ranks):
     after it, but both entries are then at that time at rank 0, so the
     collapse keeps the same one either way.
     """
-    n = counts.shape[0]
+    feed_times, first, follower = feeds.times, feeds.bounds, feeds.follower
+    counts = np.diff(first)
+    n = len(feeds)
     m = posts.shape[0]
     e = feed_times.shape[0]
-    first = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=first[1:])
     nonempty = counts > 0
     starts = first[:-1][nonempty]  # each nonempty follower's first event
-    follower = np.repeat(np.arange(n, dtype=np.int64), counts)
     index = np.arange(e, dtype=np.int64)
     rank, upto = _feed_ranks(feed_times, follower, index, starts, posts, initial_ranks)
 
@@ -144,28 +200,8 @@ def rank_path(
     sequence, a feed event before an own post at the same time.  Feed
     times must be strictly increasing and own posts sorted.
     """
-    feed_times = np.asarray(feed_times, dtype=np.float64)
-    own_posts = np.asarray(own_posts, dtype=np.float64)
-    feed_times = feed_times[(feed_times > t0) & (feed_times <= tf)]
-    own_posts = own_posts[(own_posts >= t0) & (own_posts <= tf)]
-    times, values, _ = _rank_paths(
-        feed_times, np.array([feed_times.shape[0]]), own_posts, t0, np.array([initial_rank], np.int64)
-    )
-    return times, values
-
-
-def merge_feeds(feeds: list[EventStream]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-follower streams into (times, follower_index) arrays.
-
-    Cross-follower ties are legitimate simultaneity (one upstream event
-    can land in several feeds) and are kept, ordered by follower index.
-    """
-    if not feeds:
-        return np.empty(0, np.float64), np.empty(0, np.int64)
-    times = np.concatenate([f.times for f in feeds])
-    idx = np.concatenate([np.full(len(f), j, dtype=np.int64) for j, f in enumerate(feeds)])
-    order = np.argsort(times, kind="stable")
-    return times[order], idx[order]
+    traj = trajectory_from_posts(Feeds.cut([feed_times], t0, tf), own_posts, t0, tf, [initial_rank])
+    return traj.rank_times[0], traj.rank_values[0]
 
 
 @dataclass
@@ -180,7 +216,7 @@ class SimulationTrajectory:
     t0: float
     tf: float
     own_posts: np.ndarray
-    feeds: list
+    feeds: Feeds
     rank_times: list
     rank_values: list
 
@@ -194,7 +230,7 @@ class SimulationTrajectory:
 
 
 def trajectory_from_posts(
-    feeds: list[EventStream],
+    feeds: Feeds,
     post_times: np.ndarray,
     t0: float,
     tf: float,
@@ -205,42 +241,25 @@ def trajectory_from_posts(
     Computes every follower's rank path in one pass (see the module
     docstring); equivalent to the reference loop ``simulate`` with a
     ``ScheduledController`` as long as no post shares a timestamp with a
-    feed event.  ``initial_ranks`` holds one nonnegative rank per feed
-    (default all 0).  A feed that already lies inside ``(t0, tf]`` is the
-    trajectory's feed as it is; only the others are cut to the window.
+    feed event.  ``feeds`` must lie in ``(t0, tf]``; ``initial_ranks``
+    holds one nonnegative rank per follower (default all 0).
     """
     n = len(feeds)
-    if initial_ranks is None:
-        initial_ranks = np.zeros(n, dtype=np.int64)
-    initial_ranks = np.asarray(initial_ranks)
+    initial_ranks = np.zeros(n, np.int64) if initial_ranks is None else np.asarray(initial_ranks)
     if initial_ranks.shape != (n,):
         raise ValueError(f"need one initial rank per feed ({n}), got shape {initial_ranks.shape}")
     if not np.all(initial_ranks >= 0):
         raise ValueError("initial ranks must be nonnegative")
+    feeds.check_window(t0, tf)
     posts = np.asarray(post_times, dtype=np.float64)
     posts = np.sort(posts[(posts >= t0) & (posts <= tf)])
-    realized = list(feeds)
-    rank_times = []
-    rank_values = []
-    if n:
-        feed_times = np.concatenate([f.times for f in feeds])
-        counts = np.array([f.times.shape[0] for f in feeds], np.int64)
-        inside = (feed_times > t0) & (feed_times <= tf)
-        if not inside.all():
-            follower = np.repeat(np.arange(n), counts)
-            for j in np.unique(follower[~inside]).tolist():
-                realized[j] = feeds[j].window(t0, tf)
-            feed_times = feed_times[inside]
-            counts = np.bincount(follower[inside], minlength=n)
-        times, values, bounds = _rank_paths(feed_times, counts, posts, t0, initial_ranks.astype(np.int64))
-        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        rank_times = [times[a:b] for a, b in spans]
-        rank_values = [values[a:b] for a, b in spans]
+    times, values, bounds = _rank_paths(feeds, posts, t0, initial_ranks.astype(np.int64))
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     return SimulationTrajectory(
         t0=t0,
         tf=tf,
         own_posts=posts,
-        feeds=realized,
-        rank_times=rank_times,
-        rank_values=rank_values,
+        feeds=feeds,
+        rank_times=[times[a:b] for a, b in spans],
+        rank_values=[values[a:b] for a, b in spans],
     )

@@ -22,9 +22,11 @@ schedule gets its own price search against the same budget.  A replay
 requesting none of ``redqueen``, ``uniform`` and ``segment-offline``
 runs no controller; its budget is the recorded post count.
 
-A synthetic runner given ``budgets`` settles every budget of the sweep
-on one competition: each seed's feeds are sampled once, and merged once
-into the stream the controller reads.  The competition also computes
+A synthetic runner samples each seed's feeds into one
+:class:`~whentopost.feed_sim.Feeds`; a replay's one ``Feeds`` serves
+every seed, so it is merged, and its segment rate built, once.  A
+runner given ``budgets`` settles every budget of the sweep on one
+competition.  The competition also computes
 each evaluation once: the controller's posts and the clairvoyant
 schedule are kept per ``(policy, q, seed)``, and the price searches, the
 run at the settled price and every later budget read them back.  That
@@ -48,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
-from .control_online import RedQueenParams, merge_window, run_redqueen_fast, tune_q
+from .control_online import RedQueenParams, run_redqueen_fast, tune_q
 from .control_oracle import (
     OracleSchedule,
     decisions_to_post_times,
@@ -56,7 +58,7 @@ from .control_oracle import (
     oracle_schedule,
 )
 from .data_io import ReplayDataset
-from .feed_sim import trajectory_from_posts
+from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
 from .point_process import EventStream, HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
 from .significance import StepSchedule, estimate_significance
@@ -123,24 +125,23 @@ def _check_policies(policies, allowed, scenario: str):
             raise ScenarioError(f"policy {p!r} is not available in the {scenario} scenario")
 
 
-def _empirical_segment_rate(feeds, t0, tf, n_segments: int) -> PiecewiseRate:
+def _empirical_segment_rate(feeds: Feeds, t0, tf, n_segments: int) -> PiecewiseRate:
     """The feeds' summed event rate on ``n_segments`` equal segments of the window.
 
     Each feed's rate on a segment is its event count there over the
     segment's length, with the counts ``np.histogram(times, bins=knots)``
     gives a sorted feed (the last segment includes its right edge).  The
-    rates are added follower by follower from zero, one float add per
-    follower and segment in follower order.
+    rates are added follower by follower from zero: ``np.unique`` lists
+    the (follower, segment) cells holding events in follower order, and
+    ``np.bincount`` adds weights one at a time in that order.  A cell
+    without events would add 0.0, which changes no sum of such rates.
     """
     knots = np.linspace(t0, tf, n_segments + 1)
-    widths = np.diff(knots)
-    total = np.zeros(n_segments)
-    for f in feeds:
-        upto = np.concatenate(
-            [np.searchsorted(f.times, knots[:-1], "left"), np.searchsorted(f.times, knots[-1:], "right")]
-        )
-        total += np.diff(upto) / widths
-    return PiecewiseRate(knots, total)
+    segment = np.searchsorted(knots[1:-1], feeds.times, "right")
+    cell, count = np.unique(feeds.follower * n_segments + segment, return_counts=True)
+    segment = cell % n_segments
+    rates = count / np.diff(knots)[segment]
+    return PiecewiseRate(knots, np.bincount(segment, weights=rates, minlength=n_segments))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def _empirical_segment_rate(feeds, t0, tf, n_segments: int) -> PiecewiseRate:
 class _Competition:
     """One scenario's feeds, every evaluation made on them, and one budget's prices.
 
-    ``feeds(seed)`` gives one stream per follower; ``offline_rate(seed)``
+    ``feeds(seed)`` gives the followers' :class:`Feeds`; ``offline_rate(seed)``
     the followers' summed rate the segment-offline planner is told.
     ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
     ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
@@ -174,15 +175,6 @@ class _Competition:
     oracle_q: float = math.nan
     memo: dict = field(default_factory=dict)
 
-    def _once(self, key, compute):
-        if key not in self.memo:
-            self.memo[key] = compute()
-        return self.memo[key]
-
-    def merged_feed(self, seed):
-        """``seed``'s feeds on (t0, tf] as the controller reads them, merged once."""
-        return self._once(("feed", seed), lambda: merge_window(self.feeds(seed), self.t0, self.tf))
-
     def redqueen(self, q: float, seed: int, cap: int = 2**62) -> np.ndarray:
         """The controller's post times at price ``q`` on ``seed``'s feeds.
 
@@ -196,7 +188,7 @@ class _Competition:
             params = RedQueenParams(q=q, significance=self.significance)
             posts = run_redqueen_fast(
                 self.feeds(seed), params, policy_rng(seed), self.t0, self.tf,
-                initial_ranks=self.initial_ranks, max_posts=cap, merged=self.merged_feed(seed),
+                initial_ranks=self.initial_ranks, max_posts=cap,
             )
             posts.flags.writeable = False  # shared by every reader of the memo
             self.memo[key if posts.shape[0] < cap else key + (cap,)] = posts
@@ -208,15 +200,13 @@ class _Competition:
 
         It starts from the follower's initial rank, as the controller does.
         """
-
-        def run():
+        key = ("oracle", q, seed)
+        if key not in self.memo:
             r0 = 0 if self.initial_ranks is None else int(self.initial_ranks[0])
-            inst = instance_from_feed(self.feeds(seed)[0].times, self.t0, self.tf, q=q, r0=r0)
-            schedule = oracle_schedule(inst)
-            schedule.decisions.flags.writeable = False
-            return schedule
-
-        return self._once(("oracle", q, seed), run)
+            inst = instance_from_feed(self.feeds(seed).times, self.t0, self.tf, q=q, r0=r0)
+            self.memo[key] = oracle_schedule(inst)
+            self.memo[key].decisions.flags.writeable = False
+        return self.memo[key]
 
 
 #: Policy name -> post times for one seed of a competition.  The controller
@@ -227,7 +217,7 @@ class _Competition:
 POLICIES = {
     "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
     "oracle": lambda c, seed: decisions_to_post_times(
-        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed)[0].times, c.t0, c.tf
+        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed).times, c.t0, c.tf
     ),
     "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
     "segment-offline": lambda c, seed: segment_offline_posts(
@@ -361,9 +351,7 @@ def _spell(x: float) -> str:
 def _synthetic_details(feeds_by_seed: dict, tf: float) -> dict:
     return {
         "horizon": tf,
-        "mean_feed_events": float(
-            np.mean([sum(len(f) for f in feeds) for feeds in feeds_by_seed.values()])
-        ),
+        "mean_feed_events": float(np.mean([feeds.times.shape[0] for feeds in feeds_by_seed.values()])),
     }
 
 
@@ -411,9 +399,8 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
     )
     params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
     t0, tf = 0.0, cfg.horizon
-    feeds_by_seed = {
-        seed: [sample_hawkes(params, t0, tf, feed_rng(seed, 0))] for seed in cfg.seeds
-    }
+    streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)).times for seed in cfg.seeds}
+    feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
     comp = _Competition(
         t0, tf, feeds_by_seed.__getitem__,
         lambda seed: _empirical_segment_rate(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
@@ -476,10 +463,10 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
             phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
             total = total + rate.rates  # follower by follower, as _empirical_segment_rate adds
-            feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
+            feeds.append(sample_piecewise_poisson(rate, t0, tf, rng).times)
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
-        feeds_by_seed[seed] = feeds
+        feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)
     comp = _Competition(t0, tf, feeds_by_seed.__getitem__, rate_by_seed.__getitem__)
     return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
 
@@ -533,9 +520,11 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
         )
         significance = profile.step_schedule(dataset.follower_ids, t0, tf)
 
+    # the feeds are the same on every seed, and so is their segment rate
+    wanted = "segment-offline" in cfg.policies
+    rate = _empirical_segment_rate(dataset.feeds, t0, tf, cfg.offline_segments) if wanted else None
     comp = _Competition(
-        t0, tf, lambda seed: dataset.feeds,
-        lambda seed: _empirical_segment_rate(dataset.feeds, t0, tf, cfg.offline_segments),
+        t0, tf, lambda seed: dataset.feeds, lambda seed: rate,
         significance=significance,
         initial_ranks=np.full(n, cfg.initial_rank, dtype=np.int64),
         recorded=dataset.true_posts,

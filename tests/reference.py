@@ -2,7 +2,8 @@
 
 No command runs this code.  Each piece computes what a production path
 in ``src/whentopost`` computes, by another route or one step at a time
-(the causal simulation loop and its controller class, rank folding, the
+(the causal simulation loop and its controller class, the merge of
+per-follower streams into one timeline, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles and
 metrics), or reads back a file a command writes.  A few constructors and
 lookups that only tests need (a stream with a named source, a constant
@@ -24,7 +25,7 @@ import numpy as np
 from whentopost.control_online import RedQueenParams
 from whentopost.control_oracle import OracleInstance, OracleSchedule, schedule_cost
 from whentopost.data_io import REPORT_HEADER, DataFormatError
-from whentopost.feed_sim import SimulationTrajectory, merge_feeds
+from whentopost.feed_sim import Feeds, SimulationTrajectory
 from whentopost.kernels import _clock_first_time
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import (
@@ -301,6 +302,25 @@ class ScheduledController:
         self._next += 1
 
 
+def merge_feeds(feeds: list[EventStream]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge per-follower streams into (times, follower_index) arrays.
+
+    Cross-follower ties are legitimate simultaneity (one upstream event
+    can land in several feeds) and are kept, ordered by follower index.
+    """
+    if not feeds:
+        return np.empty(0, np.float64), np.empty(0, np.int64)
+    times = np.concatenate([f.times for f in feeds])
+    idx = np.concatenate([np.full(len(f), j, dtype=np.int64) for j, f in enumerate(feeds)])
+    order = np.argsort(times, kind="stable")
+    return times[order], idx[order]
+
+
+def cut_streams(streams, t0: float, tf: float) -> Feeds:
+    """``Feeds.cut`` of one :class:`EventStream` per follower."""
+    return Feeds.cut([s.times for s in streams], t0, tf)
+
+
 def _materialize_feed(feed, t0: float, tf: float, rng: np.random.Generator) -> EventStream:
     if isinstance(feed, EventStream):
         return feed.window(t0, tf)
@@ -386,7 +406,7 @@ def simulate(
         t0=t0,
         tf=tf,
         own_posts=np.asarray(posts, dtype=np.float64),
-        feeds=realized,
+        feeds=cut_streams(realized, t0, tf),
         rank_times=[np.asarray(ts, dtype=np.float64) for ts in rank_times],
         rank_values=[np.asarray(vs, dtype=np.int64) for vs in rank_values],
     )
@@ -703,10 +723,11 @@ def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
 def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments: int) -> list:
     """Each feed's rate on ``n_segments`` equal segments, by ``np.histogram`` counts.
 
+    ``feeds`` yields one times array per follower (a ``Feeds`` does);
     ``scenarios._empirical_segment_rate`` is their sum.
     """
     knots = np.linspace(t0, tf, n_segments + 1)
-    return [PiecewiseRate(knots, np.histogram(f.times, bins=knots)[0] / np.diff(knots)) for f in feeds]
+    return [PiecewiseRate(knots, np.histogram(times, bins=knots)[0] / np.diff(knots)) for times in feeds]
 
 
 def segment_cost_model(total_rates: np.ndarray, lengths: np.ndarray, alloc: np.ndarray) -> float:

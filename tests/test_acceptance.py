@@ -36,7 +36,7 @@ from whentopost.data_io import (
     load_events,
     load_network,
 )
-from whentopost.feed_sim import trajectory_from_posts
+from whentopost.feed_sim import Feeds, trajectory_from_posts
 from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import (
     EventStream,
@@ -183,8 +183,9 @@ def test_05_backward_induction_matches_exhaustive_search():
 
 
 def _hawkes_feed(seed):
-    return [sample_hawkes(HawkesParams(10.0, 1.0, 10.0), 0.0, 90.0,
-                          np.random.default_rng(np.random.SeedSequence([606, 1, seed])))]
+    feed = sample_hawkes(HawkesParams(10.0, 1.0, 10.0), 0.0, 90.0,
+                         np.random.default_rng(np.random.SeedSequence([606, 1, seed])))
+    return Feeds.cut([feed.times], 0.0, 90.0)
 
 
 def _mean_posts(q, seeds):
@@ -281,7 +282,7 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
     for seed in range(50):
         feed = sample_piecewise_poisson(rate, t0, tf, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
         posts = run_redqueen_fast(
-            [feed], RedQueenParams(q=1000.0, significance=schedule),
+            Feeds.cut([feed.times], t0, tf), RedQueenParams(q=1000.0, significance=schedule),
             np.random.default_rng(np.random.SeedSequence([909, 2, seed])),
             t0, tf, initial_ranks=np.array([2]),
         )
@@ -308,7 +309,7 @@ def test_10_replayed_posts_normalize_to_one_and_online_policy_beats_them():
         return report_from_trajectory(traj, "probe", 0, "probe").position_over_time
 
     true_pot = mean_position(dataset.true_posts.times)
-    merged = np.unique(np.concatenate([f.times for f in dataset.feeds]))
+    merged = np.unique(dataset.feeds.times)
     candidates = np.concatenate([[np.nextafter(0.0, math.inf)],
                                  np.nextafter(merged, math.inf)])
     best_pot = min(

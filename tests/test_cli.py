@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from reference import read_profile_csv, read_report_csv
 
-from whentopost import scenarios
+from whentopost import cli, scenarios
 from whentopost.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
@@ -83,13 +83,28 @@ def test_simulate_budgets_close_together_get_distinct_labels(tmp_path):
     assert [details[label]["redqueen_tune"]["target"] for label in labels] == [3.0, 3.0000001]
 
 
-def test_simulate_rejects_bad_seed_range(tmp_path):
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ("5-2", "bad seed range '5-2'"),
+        # rejected by its count, before a list of that size is built
+        ("0-99999999999", "the seed list names 100000000000 seeds, more than MAX_SEEDS = 100000"),
+        ("0-60000,0-60000", "names 120002 seeds"),  # repeats count
+    ],
+)
+def test_simulate_rejects_bad_seed_range(tmp_path, seeds, message):
     result = CliRunner().invoke(
-        main, SMALL_SIM + ["--seeds", "5-2", "--out", str(tmp_path / "r.csv")]
+        main, SMALL_SIM + ["--seeds", seeds, "--out", str(tmp_path / "r.csv")]
     )
     assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
     err = json.loads(result.stderr)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_seed_list_may_name_max_seeds():
+    assert cli._parse_seeds(f"0-{cli.MAX_SEEDS - 1}") == tuple(range(cli.MAX_SEEDS))
 
 
 def test_config_file_matches_explicit_flags(tmp_path):
@@ -111,14 +126,20 @@ def test_config_file_matches_explicit_flags(tmp_path):
     assert out_flags.read_bytes() == out_config.read_bytes()
 
 
-def test_config_rejects_non_object(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "must be an object keyed by command"), ('{"simulate": 3}', "of objects of flag defaults")],
+)
+def test_config_rejects_non_object(tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text("[1, 2]", encoding="utf-8")
+    cfg_path.write_text(text, encoding="utf-8")
     result = CliRunner().invoke(main, ["--config", str(cfg_path), "simulate",
                                        "--scenario", "one-follower-hawkes",
                                        "--out", str(tmp_path / "r.csv")])
     assert result.exit_code == 2
-    assert json.loads(result.stderr)["error"] == "ConfigError"
+    assert result.stderr.count("\n") == 1
+    err = json.loads(result.stderr)
+    assert err["error"] == "ConfigError" and message in err["message"]
 
 
 def test_tune_q_converges_on_small_scenario():

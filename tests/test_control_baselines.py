@@ -12,6 +12,7 @@ from whentopost.control_baselines import (
     true_posts_playback,
     uniform_poisson_posts,
 )
+from whentopost.feed_sim import Feeds
 from whentopost.point_process import EventStream, PiecewiseRate
 from whentopost.scenarios import _empirical_segment_rate
 
@@ -128,10 +129,10 @@ def test_offline_scale_invariant_in_rates():
 def test_offline_sums_rates_across_followers():
     # follower weight moves the post toward the busier joint segment:
     # 6 + 1 events on [0, 10), 4 + 8 on [10, 20]
-    feeds = [
-        EventStream.from_times([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 11.0, 12.0, 13.0, 14.0]),
-        EventStream.from_times([1.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0]),
-    ]
+    feeds = Feeds.cut([
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 11.0, 12.0, 13.0, 14.0],
+        [1.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0],
+    ], 0.0, 20.0)
     rate = _empirical_segment_rate(feeds, 0.0, 20.0, 2)
     assert np.allclose(rate.rates, [0.7, 1.2])
     assert np.array_equal(segment_offline_posts(rate, 1, 0.0, 20.0), [10.0])

@@ -8,6 +8,7 @@ from reference import (
     PolicyDecision,
     RedQueenController,
     constant_schedule,
+    cut_streams,
     next_post_time,
     optimal_intensity,
     simulate,
@@ -17,6 +18,7 @@ from scipy import stats
 
 from whentopost import control_online
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
+from whentopost.feed_sim import Feeds
 from whentopost.point_process import EventStream
 from whentopost.significance import StepSchedule
 
@@ -129,7 +131,7 @@ def test_controller_matches_fast_path_exactly():
     ranks0 = np.array([2, 0])
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(5)),
                     0.0, 40.0, initial_ranks=ranks0)
-    fast = run_redqueen_fast(feeds, params, np.random.default_rng(5), 0.0, 40.0,
+    fast = run_redqueen_fast(cut_streams(feeds, 0.0, 40.0), params, np.random.default_rng(5), 0.0, 40.0,
                              initial_ranks=ranks0)
     assert np.array_equal(slow.own_posts, fast)
     assert len(fast) > 0
@@ -145,7 +147,7 @@ def test_controller_matches_fast_path_with_significance():
         EventStream.from_times(np.sort(rng_feed.uniform(0, 30, size=40))),
     ]
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(9)), 0.0, 30.0)
-    fast = run_redqueen_fast(feeds, params, np.random.default_rng(9), 0.0, 30.0)
+    fast = run_redqueen_fast(cut_streams(feeds, 0.0, 30.0), params, np.random.default_rng(9), 0.0, 30.0)
     assert np.array_equal(slow.own_posts, fast)
 
 
@@ -156,7 +158,7 @@ def test_zero_significance_segments_get_zero_posts():
     params = RedQueenParams(q=100.0, significance=sched)
     landed_after_gap = 0
     for seed in range(200):
-        posts = run_redqueen_fast([EventStream.empty()], params,
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
                                   np.random.default_rng(seed), 0.0, 15.0,
                                   initial_ranks=[3], max_posts=1)
         for p in posts:
@@ -170,7 +172,7 @@ def test_posting_resets_clocks():
     # with no feed events after the reset, rank stays 0: exactly one post
     params = RedQueenParams(q=0.5)
     for seed in range(50):
-        posts = run_redqueen_fast([EventStream.empty()], params,
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
                                   np.random.default_rng(seed), 0.0, 1e9,
                                   initial_ranks=[4])
         assert len(posts) == 1
@@ -217,7 +219,7 @@ def mean_posts_over_seeds(q, feeds_by_seed, t0, tf):
 def test_post_count_nonincreasing_in_q():
     rng_feed = np.random.default_rng(23)
     feeds_by_seed = {
-        seed: [EventStream.from_times(np.sort(rng_feed.uniform(0, 60, size=200)))]
+        seed: Feeds.cut([np.sort(rng_feed.uniform(0, 60, size=200))], 0.0, 60.0)
         for seed in range(10)
     }
     for q in (0.05, 0.2, 1.0, 5.0):
@@ -258,7 +260,7 @@ def test_tune_q_unreachable_high_target():
 def test_tune_q_on_simulated_posts():
     rng_feed = np.random.default_rng(29)
     feeds_by_seed = {
-        seed: [EventStream.from_times(np.sort(rng_feed.uniform(0, 60, size=200)))]
+        seed: Feeds.cut([np.sort(rng_feed.uniform(0, 60, size=200))], 0.0, 60.0)
         for seed in range(8)
     }
     target = 25.0
@@ -372,7 +374,7 @@ def simulated_curves(feeds_by_seed, target, tolerance=0.1):
 def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts(monkeypatch):
     rng_feed = np.random.default_rng(29)
     feeds_by_seed = {
-        seed: [EventStream.from_times(np.sort(rng_feed.uniform(0, 60, size=200)))]
+        seed: Feeds.cut([np.sort(rng_feed.uniform(0, 60, size=200))], 0.0, 60.0)
         for seed in range(4)
     }
     at_q0 = mean_posts_over_seeds(1.0, feeds_by_seed, 0.0, 60.0)

@@ -20,8 +20,7 @@ from whentopost.control_oracle import (
     oracle_schedule,
     schedule_cost,
 )
-from whentopost.feed_sim import trajectory_from_posts
-from whentopost.point_process import EventStream
+from whentopost.feed_sim import Feeds, trajectory_from_posts
 
 
 def random_instance(rng, max_stages=12):
@@ -136,8 +135,10 @@ def test_instance_from_feed_builds_gap_widths():
     assert np.array_equal(inst.widths, [1.0, 3.0, 6.0])
     empty = instance_from_feed(np.array([]), 0.0, 10.0, q=1.0)
     assert np.array_equal(empty.widths, [10.0])
-    clipped = instance_from_feed(np.array([-1.0, 1.0, 11.0]), 0.0, 10.0, q=1.0)
-    assert np.array_equal(clipped.widths, [1.0, 9.0])
+    # a feed must be cut to the window first: an event outside it leaves a negative width
+    for outside in ([-1.0, 1.0], [1.0, 11.0]):
+        with pytest.raises(ValueError, match="negative"):
+            instance_from_feed(np.array(outside), 0.0, 10.0, q=1.0)
 
 
 def test_decisions_to_post_times_lands_after_events():
@@ -156,7 +157,7 @@ def test_a_post_after_a_feed_event_at_tf_stays_in_the_window():
     assert schedule.post_count == 6 and schedule.decisions[-1] == 1
     posts = decisions_to_post_times(schedule.decisions, feed, 0.0, 10.0)
     assert posts[-1] == 10.0
-    traj = trajectory_from_posts([EventStream.from_times(feed)], posts, 0.0, 10.0)
+    traj = trajectory_from_posts(Feeds.cut([feed], 0.0, 10.0), posts, 0.0, 10.0)
     assert traj.post_count == 6
     assert traj.rank_values[0][-1] == 0
 
@@ -175,7 +176,7 @@ def test_schedule_cost_matches_trajectory_cost():
             np.nextafter(twin_events[k], math.inf)
             for k in range(len(twin_events)) if sched.decisions[k]
         ])
-        traj = trajectory_from_posts([EventStream.from_times(twin_events)], posts, 0.0, 10.0)
+        traj = trajectory_from_posts(Feeds.cut([twin_events], 0.0, 10.0), posts, 0.0, 10.0)
         cost = quadratic_control_cost(traj, q=inst.q, s=inst.s)
         assert math.isclose(cost, sched.cost, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -267,7 +268,6 @@ def test_multi_follower_enumeration_matches_trajectory_cost():
         q = float(rng.uniform(0.1, 5.0))
         dec, cost = brute_force_schedule_multi(feeds, 0.0, 8.0, q=q)
         posts = decisions_to_post_times(dec, merged, 0.0, 8.0)
-        traj = trajectory_from_posts([EventStream.from_times(f) for f in feeds],
-                                     posts, 0.0, 8.0)
+        traj = trajectory_from_posts(Feeds.cut(feeds, 0.0, 8.0), posts, 0.0, 8.0)
         assert math.isclose(quadratic_control_cost(traj, q=q), cost,
                             rel_tol=1e-9, abs_tol=1e-9)

@@ -6,15 +6,17 @@ from reference import (
     RankState,
     ScheduledController,
     constant_rate,
+    cut_streams,
     followees,
-    labelled_stream,
+    merge_feeds,
     rank_from_history,
     rank_step,
     simulate,
 )
 
+from whentopost.control_online import RedQueenParams, run_redqueen_fast
 from whentopost.data_io import Network
-from whentopost.feed_sim import merge_feeds, rank_path, trajectory_from_posts
+from whentopost.feed_sim import Feeds, rank_path, trajectory_from_posts
 from whentopost.point_process import EventStream, HawkesParams
 
 
@@ -138,12 +140,41 @@ def test_rank_path_ignores_events_outside_window():
     assert np.array_equal(values, [0])
 
 
-def test_merge_feeds_orders_and_labels():
-    a = labelled_stream([1.0, 4.0], "a")
-    b = labelled_stream([2.0, 3.0], "b")
-    times, idx = merge_feeds([a, b])
+def test_feeds_merge_orders_and_labels_once():
+    feeds = Feeds.cut([[1.0, 4.0], [2.0, 3.0]], 0.0, 5.0)
+    times, idx = feeds.merged
     assert np.array_equal(times, [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(idx, [0, 1, 1, 0])
+    assert feeds.merged is feeds.merged
+    want = merge_feeds([EventStream.from_times([1.0, 4.0]), EventStream.from_times([2.0, 3.0])])
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(feeds.merged, want))
+
+
+def test_feeds_lay_followers_out_one_after_another():
+    feeds = Feeds.cut([[0.0, 1.0, 5.0], [], [2.0, 4.0]], 0.0, 4.0)
+    assert feeds.times.tolist() == [1.0, 2.0, 4.0] and feeds.bounds.tolist() == [0, 1, 1, 3]
+    assert len(feeds) == 3 and feeds.follower.tolist() == [0, 2, 2]
+    assert [f.tolist() for f in feeds] == [[1.0], [], [2.0, 4.0]]
+    # one follower's events may tie with or precede another's
+    assert Feeds(np.array([2.0, 3.0, 1.0, 2.0]), [0, 2, 2, 4]).follower.tolist() == [0, 0, 2, 2]
+    assert len(Feeds.cut([], 0.0, 4.0)) == 0
+
+
+@pytest.mark.parametrize(
+    "times, bounds, message",
+    [
+        ([1.0, 1.0], [0, 2], "strictly increasing"),
+        ([1.0, 2.0, 0.5], [0, 3], "strictly increasing"),
+        ([1.0, 2.0], [0, 1], "bounds"),
+        ([1.0, 2.0], [1, 2], "bounds"),
+        ([1.0, 2.0], [0, 2, 1, 2], "bounds"),
+        ([1.0], [], "bound"),
+        ([[1.0]], [0, 1], "1-d"),
+    ],
+)
+def test_feeds_reject_a_layout_they_cannot_hold(times, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        Feeds(np.asarray(times), np.asarray(bounds, np.int64))
 
 
 def test_network_edges_dedup_and_lookup():
@@ -159,7 +190,7 @@ def test_scheduled_playback_matches_vectorized_trajectory():
         feed, own = random_histories(rng)
         feeds = [EventStream.from_times(feed)]
         via_loop = simulate(feeds, ScheduledController(own), 0.0, 100.0)
-        direct = trajectory_from_posts(feeds, own, 0.0, 100.0)
+        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 100.0), own, 0.0, 100.0)
         assert np.array_equal(via_loop.own_posts, direct.own_posts)
         assert np.array_equal(via_loop.rank_times[0], direct.rank_times[0])
         assert np.array_equal(via_loop.rank_values[0], direct.rank_values[0])
@@ -209,7 +240,7 @@ def test_simulate_conserves_events():
     feed, own = random_histories(rng)
     feeds = [EventStream.from_times(feed)]
     traj = simulate(feeds, ScheduledController(own), 0.0, 100.0)
-    assert len(traj.feeds[0]) == len(feed)
+    assert traj.feeds.times.tobytes() == feed.tobytes()
     assert traj.post_count == len(own)
     change_points = set(traj.rank_times[0][1:])
     assert change_points <= (set(feed) | set(own))
@@ -227,7 +258,7 @@ def test_simulate_generative_feed_volume():
             90.0,
             feed_rngs=[np.random.default_rng(seed)],
         )
-        counts.append(len(traj.feeds[0]))
+        counts.append(len(traj.feeds.times))
     mean = np.mean(counts)
     assert abs(mean - 1000.0) < 100.0
 
@@ -236,8 +267,8 @@ def test_simulate_piecewise_feed_and_window_check():
     rate = constant_rate(2.0, 0.0, 10.0)
     traj = simulate([rate], ScheduledController([]), 0.0, 10.0,
                     feed_rngs=[np.random.default_rng(0)])
-    assert np.all(traj.feeds[0].times > 0.0)
-    assert np.all(traj.feeds[0].times <= 10.0)
+    assert np.all(traj.feeds.times > 0.0)
+    assert np.all(traj.feeds.times <= 10.0)
     with pytest.raises(ValueError):
         simulate([rate], ScheduledController([]), 10.0, 0.0)
     with pytest.raises(ValueError):
@@ -245,7 +276,7 @@ def test_simulate_piecewise_feed_and_window_check():
 
 
 def test_trajectory_final_ranks():
-    feeds = [EventStream.from_times([1.0, 2.0, 3.0])]
+    feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 10.0)
     traj = trajectory_from_posts(feeds, np.array([2.5]), 0.0, 10.0)
     assert traj.rank_values[0][-1] == 1
 
@@ -260,7 +291,7 @@ def grid_case(rng, n, t0, tf, r0_max):
     feeds = []
     for _ in range(n):
         size = int(rng.integers(0, 25)) if rng.random() < 0.8 else 0
-        feeds.append(EventStream.from_times(np.sort(rng.choice(grid, size=size, replace=False))))
+        feeds.append(np.sort(rng.choice(grid, size=size, replace=False)))
     posts = rng.choice(grid, size=int(rng.integers(0, 12)))
     if rng.random() < 0.3:
         posts = np.concatenate([posts, [t0, tf, t0]])
@@ -295,7 +326,7 @@ def test_one_pass_trajectory_matches_simulate_for_many_followers():
         posts = np.sort(times[used : used + int(rng.integers(0, 10))])
         r0 = rng.integers(0, 6, size=n)
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 10.0, initial_ranks=r0)
-        direct = trajectory_from_posts(feeds, posts, 0.0, 10.0, initial_ranks=r0)
+        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 10.0), posts, 0.0, 10.0, initial_ranks=r0)
         assert direct.own_posts.tobytes() == via_loop.own_posts.tobytes()
         for j in range(n):
             assert direct.rank_times[j].tobytes() == via_loop.rank_times[j].tobytes()
@@ -311,15 +342,15 @@ def test_one_pass_trajectory_with_ties_matches_direct_counts_and_one_follower_pa
     for trial in range(60):
         n = 1 if trial % 10 == 0 else int(rng.integers(2, 8))
         feeds, posts, r0 = grid_case(rng, n, t0, tf, r0_max)
-        traj = trajectory_from_posts(feeds, posts, t0, tf, initial_ranks=r0)
+        traj = trajectory_from_posts(Feeds.cut(feeds, t0, tf), posts, t0, tf, initial_ranks=r0)
         kept = np.sort(posts[(posts >= t0) & (posts <= tf)])
         assert traj.own_posts.tobytes() == kept.tobytes()
-        for j in range(n):
-            feed = feeds[j].times[(feeds[j].times > t0) & (feeds[j].times <= tf)]
-            assert traj.feeds[j].times.tobytes() == feed.tobytes()
+        for j, got in enumerate(traj.feeds):
+            feed = feeds[j][(feeds[j] > t0) & (feeds[j] <= tf)]
+            assert got.tobytes() == feed.tobytes()
             times, values = traj.rank_times[j], traj.rank_values[j]
             assert_direct_counts(times, values, feed, kept, t0, tf, int(r0[j]))
-            alone = rank_path(feeds[j].times, kept, t0, tf, int(r0[j]))
+            alone = rank_path(feeds[j], kept, t0, tf, int(r0[j]))
             assert alone[0].tobytes() == times.tobytes() and alone[1].tobytes() == values.tobytes()
         # every path is a view into one array of times and one of values
         for paths in (traj.rank_times, traj.rank_values):
@@ -327,7 +358,7 @@ def test_one_pass_trajectory_with_ties_matches_direct_counts_and_one_follower_pa
 
 
 def test_one_pass_trajectory_edge_cases():
-    feeds = [EventStream.from_times([1.0, 2.0]), EventStream.empty(), EventStream.from_times([2.0, 3.0])]
+    feeds = Feeds.cut([[1.0, 2.0], [], [2.0, 3.0]], 0.0, 4.0)
     # no posts: each path counts up from its initial rank
     traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0, initial_ranks=[1, 2, 0])
     assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 1.0, 2.0], [0.0], [0.0, 2.0, 3.0]]
@@ -338,25 +369,29 @@ def test_one_pass_trajectory_edge_cases():
     assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 0.0, 1.0, 2.0], [0.0], [0.0, 0.0, 3.0]]
     assert [vs.tolist() for vs in traj.rank_values] == [[3, 0, 1, 0], [0], [1, 0, 1]]
     # a post at tf closes the path at rank 0
-    traj = trajectory_from_posts(feeds[:1], np.array([4.0]), 0.0, 4.0)
+    traj = trajectory_from_posts(Feeds.cut([[1.0, 2.0]], 0.0, 4.0), np.array([4.0]), 0.0, 4.0)
     assert traj.rank_times[0].tolist() == [0.0, 1.0, 2.0, 4.0]
     assert traj.rank_values[0].tolist() == [0, 1, 2, 0]
     # no followers
-    empty = trajectory_from_posts([], np.array([1.0]), 0.0, 4.0)
+    empty = trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.array([1.0]), 0.0, 4.0)
     assert empty.rank_times == [] and empty.rank_values == [] and empty.post_count == 1
 
 
-def test_trajectory_keeps_a_feed_inside_the_window_and_cuts_the_others():
-    inside = EventStream.from_times([1.0, 2.0])
-    outside = EventStream.from_times([0.0, 1.0, 5.0])
-    traj = trajectory_from_posts([inside, outside], np.empty(0), 0.0, 4.0)
-    assert traj.feeds[0] is inside
-    assert traj.feeds[1].times.tolist() == [1.0]
+def test_trajectory_and_controller_read_only_feeds_cut_to_their_window():
+    feeds = Feeds.cut([[1.0, 2.0], [0.0, 1.0, 5.0]], 0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
+    assert traj.feeds is feeds
+    assert [f.tolist() for f in traj.feeds] == [[1.0, 2.0], [1.0]]
     assert [vs.tolist() for vs in traj.rank_values] == [[0, 1, 2], [0, 1]]
+    for t0, tf in ((1.0, 4.0), (0.0, 1.5), (0.5, 1.0)):
+        with pytest.raises(ValueError, match="window"):
+            trajectory_from_posts(feeds, np.empty(0), t0, tf)
+        with pytest.raises(ValueError, match="window"):
+            run_redqueen_fast(feeds, RedQueenParams(q=1.0), np.random.default_rng(0), t0, tf)
 
 
 @pytest.mark.parametrize("initial_ranks", [[0], [0, 0, 0], [0, -1], np.zeros((2, 1), np.int64)])
 def test_trajectory_rejects_initial_ranks_not_one_nonnegative_per_feed(initial_ranks):
-    feeds = [EventStream.from_times([1.0]), EventStream.from_times([2.0])]
+    feeds = Feeds.cut([[1.0], [2.0]], 0.0, 4.0)
     with pytest.raises(ValueError, match="initial rank"):
         trajectory_from_posts(feeds, np.array([1.5]), 0.0, 4.0, initial_ranks=initial_ranks)

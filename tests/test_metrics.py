@@ -9,6 +9,7 @@ import pytest
 from reference import (
     ScheduledController,
     average_position,
+    cut_streams,
     position_over_time,
     quadratic_control_cost,
     report_by_follower,
@@ -16,7 +17,7 @@ from reference import (
     time_at_top,
 )
 
-from whentopost.feed_sim import trajectory_from_posts
+from whentopost.feed_sim import Feeds, trajectory_from_posts
 from whentopost.metrics import (
     MetricsReport,
     aggregate,
@@ -120,7 +121,7 @@ def test_path_must_cover_horizon():
 
 
 def test_report_from_trajectory_single_follower():
-    feeds = [EventStream.from_times([1.0, 2.0])]
+    feeds = Feeds.cut([[1.0, 2.0]], 0.0, 4.0)
     traj = trajectory_from_posts(feeds, np.array([3.0]), 0.0, 4.0)
     rep = report_from_trajectory(traj, run="r", seed=0, policy="p")
     # rank: 0 on [0,1), 1 on [1,2), 2 on [2,3), 0 on [3,4]
@@ -131,10 +132,10 @@ def test_report_from_trajectory_single_follower():
 
 
 def test_identical_followers_average_to_single_follower_values():
-    feed = EventStream.from_times([1.0, 2.0, 3.5])
+    feed = [1.0, 2.0, 3.5]
     posts = np.array([2.5])
-    one = trajectory_from_posts([feed], posts, 0.0, 5.0)
-    two = trajectory_from_posts([feed, feed], posts, 0.0, 5.0)
+    one = trajectory_from_posts(Feeds.cut([feed], 0.0, 5.0), posts, 0.0, 5.0)
+    two = trajectory_from_posts(Feeds.cut([feed, feed], 0.0, 5.0), posts, 0.0, 5.0)
     rep1 = report_from_trajectory(one, "r", 0, "p")
     rep2 = report_from_trajectory(two, "r", 0, "p")
     assert rep1.position_over_time == rep2.position_over_time
@@ -143,7 +144,7 @@ def test_identical_followers_average_to_single_follower_values():
 
 
 def test_average_position_is_time_mean():
-    feeds = [EventStream.from_times([1.0, 2.0])]
+    feeds = Feeds.cut([[1.0, 2.0]], 0.0, 4.0)
     traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
     # ranks 0,1,2 over [0,1),[1,2),[2,4]: integral 0+1+4=5 over length 4
     assert average_position(traj) == 5.0 / 4.0
@@ -164,7 +165,7 @@ def test_normalize_report_ratios_and_guard():
 
 
 def test_quadratic_control_cost_hand_check():
-    feeds = [EventStream.from_times([1.0])]
+    feeds = Feeds.cut([[1.0]], 0.0, 3.0)
     traj = trajectory_from_posts(feeds, np.array([2.0]), 0.0, 3.0)
     # rank 0 on [0,1), 1 on [1,2), 0 after; integral r^2 = 1
     cost = quadratic_control_cost(traj, q=4.0)
@@ -216,10 +217,9 @@ def test_report_matches_per_follower_sums_bit_for_bit():
     for trial in range(150):
         n = 1 if trial % 10 == 0 else int(rng.integers(2, 12))
         t0, tf = (0.0, 50.0) if trial % 3 else (7.3, 41.9)
-        feeds = [
-            EventStream.from_times(np.sort(rng.choice(grid, size=int(rng.integers(0, 60)), replace=False)))
-            for _ in range(n)
-        ]
+        feeds = Feeds.cut(
+            [np.sort(rng.choice(grid, size=int(rng.integers(0, 60)), replace=False)) for _ in range(n)], t0, tf
+        )
         posts = rng.choice(np.concatenate([grid, rng.uniform(0.0, 50.0, 50)]), size=int(rng.integers(0, 30)))
         if trial % 4 == 0:
             posts = np.concatenate([posts, [t0, tf, tf]])
@@ -236,23 +236,24 @@ def test_report_scores_list_built_trajectories_like_the_one_pass():
         feeds = [EventStream.from_times(np.sort(times[10 * j : 10 * j + 10])) for j in range(4)]
         posts = np.sort(times[40:48])
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
-        direct = trajectory_from_posts(feeds, posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
+        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 30.0), posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
         got = bits(report_from_trajectory(via_loop, "r", 0, "p"))
         assert got == bits(report_by_follower(via_loop, "r", 0, "p"))
         assert got == bits(report_from_trajectory(direct, "r", 0, "p"))
 
 
 def test_report_rejects_paths_it_cannot_score():
-    traj = trajectory_from_posts([EventStream.from_times([1.0])], np.empty(0), 0.0, 4.0)
+    feeds = Feeds.cut([[1.0]], 0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
     for times, values in (
         ([np.array([0.0, 1.0])], [np.array([0])]),  # not parallel
         ([np.empty(0)], [np.empty(0, np.int64)]),  # empty
         ([np.array([0.0, 5.0])], [np.array([0, 1])]),  # past tf
     ):
-        bad = trajectory_from_posts([EventStream.from_times([1.0])], np.empty(0), 0.0, 4.0)
+        bad = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
         bad.rank_times, bad.rank_values = times, values
         with pytest.raises(ValueError):
             report_from_trajectory(bad, "r", 0, "p")
     assert report_from_trajectory(traj, "r", 0, "p").position_over_time == 3.0
     with pytest.raises(ValueError, match="no followers"):
-        report_from_trajectory(trajectory_from_posts([], np.empty(0), 0.0, 4.0), "r", 0, "p")
+        report_from_trajectory(trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.empty(0), 0.0, 4.0), "r", 0, "p")

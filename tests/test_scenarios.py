@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from reference import empirical_segment_rates_by_histogram, segment_totals_by_rate_at
+from reference import empirical_segment_rates_by_histogram, merge_feeds, segment_totals_by_rate_at
 
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
-from whentopost.control_online import RedQueenParams, merge_window, run_redqueen_fast, tune_q
+from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
 from whentopost.data_io import build_replay_dataset, load_events, load_network
-from whentopost.feed_sim import merge_feeds
+from whentopost.feed_sim import Feeds
 from whentopost.kernels import redqueen_posts
 from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import EventStream
@@ -206,7 +206,7 @@ def counted_cli_run(monkeypatch, argv, out):
         return oracle(inst)
 
     def counted_controller(feeds, params, *args, **kwargs):
-        calls["redqueen", params.q, feeds[0].times.tobytes()] += 1
+        calls["redqueen", params.q, feeds.times.tobytes()] += 1
         return controller(feeds, params, *args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -263,7 +263,7 @@ def test_a_sweep_checks_every_budget_before_it_runs(monkeypatch):
 
 
 def test_the_memo_is_read_only_and_per_competition():
-    feeds = [EventStream.from_times([1.0, 2.0, 3.0])]
+    feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 4.0)
 
     def competition():
         return scenarios._Competition(0.0, 4.0, lambda seed: feeds, lambda seed: None)
@@ -294,34 +294,60 @@ def weekday_replay_setup():
     return feeds, t0, tf, schedule, np.array([0, 2, 5], dtype=np.int64)
 
 
-def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
-    feeds, t0, tf, schedule, ranks = weekday_replay_setup()
+def count_merges(monkeypatch) -> list:
+    """Record every ``Feeds`` whose merged timeline is computed, once per computation."""
     merges = []
-    merge = scenarios.merge_window
+    merge = feed_sim.Feeds.merged.func
 
-    def counted_merge(feeds, t0, tf):
-        merges.append(len(feeds))
-        return merge(feeds, t0, tf)
+    def counted(feeds):
+        merges.append(feeds)
+        return merge(feeds)
 
-    monkeypatch.setattr(scenarios, "merge_window", counted_merge)
+    monkeypatch.setattr(feed_sim.Feeds.merged, "func", counted)
+    return merges
+
+
+def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
+    streams, t0, tf, schedule, ranks = weekday_replay_setup()
+    merges = count_merges(monkeypatch)
+    feeds_by_seed = {seed: Feeds.cut([f.times for f in streams], t0, tf) for seed in (0, 1)}
     comp = scenarios._Competition(
-        t0, tf, lambda seed: feeds, lambda seed: None, significance=schedule, initial_ranks=ranks
+        t0, tf, feeds_by_seed.__getitem__, lambda seed: None, significance=schedule, initial_ranks=ranks
     )
     for seed in (0, 1):
         for q in (0.25, 4.0, 64.0):
             params = RedQueenParams(q=q, significance=schedule)
-            knots, clock_rates = params.clocks(len(feeds), t0, tf)
-            # the per-call path: window and merge the followers' feeds on every run
-            feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in feeds])
+            knots, clock_rates = params.clocks(len(streams), t0, tf)
+            # the per-call path: window and merge the followers' streams on every run
+            feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in streams])
             want = redqueen_posts(feed_t, feed_j, ranks, knots, clock_rates, t0, tf, 2**62,
                                   scenarios.policy_rng(seed))
             assert want.shape[0] > 0
             assert comp.redqueen(q, seed).tobytes() == want.tobytes()
-            merged = merge_window(feeds, t0, tf)
-            direct = run_redqueen_fast(feeds, params, scenarios.policy_rng(seed), t0, tf,
-                                       initial_ranks=ranks, merged=merged)
+            direct = run_redqueen_fast(feeds_by_seed[seed], params, scenarios.policy_rng(seed), t0, tf,
+                                       initial_ranks=ranks)
             assert direct.tobytes() == want.tobytes()
-    assert merges == [3, 3]  # once per seed, not once per price
+    # once per Feeds, not once per price
+    assert len(merges) == 2 and all(m is feeds_by_seed[seed] for m, seed in zip(merges, (0, 1)))
+
+
+def test_a_replay_merges_its_feeds_and_builds_their_segment_rate_once(monkeypatch):
+    merges = count_merges(monkeypatch)
+    rates = []
+    rate = scenarios._empirical_segment_rate
+
+    def counted_rate(feeds, *args):
+        rates.append(feeds)
+        return rate(feeds, *args)
+
+    monkeypatch.setattr(scenarios, "_empirical_segment_rate", counted_rate)
+    dataset = fixture_dataset()
+    cfg = ReplayConfig(seeds=(0, 1, 2), policies=("redqueen", "segment-offline", "true-posts"))
+    reports, details = run_replay(cfg, dataset)
+    assert details["redqueen_tune"].iterations > 1
+    assert [r.policy for r in reports].count("segment-offline") == 3
+    assert len(merges) == 1 and merges[0] is dataset.feeds
+    assert len(rates) == 1 and rates[0] is dataset.feeds
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +393,29 @@ def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, t
     assert replay(tmp_path / "exact.csv") == (details, report)
 
 
-def test_empirical_segment_rate_is_the_per_follower_reference_sum():
-    # the histogram rate of each feed, summed one rate_at per follower and
-    # segment in follower order
-    rng = np.random.default_rng(41)
-    for n_followers in (1, 2, 60):
-        for i in range(40):
-            t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
-            segments = 1 if i % 4 == 0 else int(rng.integers(2, 40))
-            knots = np.linspace(t0, tf, segments + 1)
-            # events on the knots (both ends included) and between them; some feeds empty
-            pool = np.concatenate([knots, rng.uniform(t0, tf, 40)])
-            feeds = [
-                EventStream.from_times(np.unique(rng.choice(pool, int(rng.integers(0, 30)))))
-                for _ in range(n_followers)
-            ]
-            if i % 3 == 0:
-                feeds[0] = EventStream.empty()
-            got = scenarios._empirical_segment_rate(feeds, t0, tf, segments)
-            want = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
-            assert got.knots.tobytes() == knots.tobytes() and got.rates.tobytes() == want.tobytes()
+@pytest.mark.parametrize("n_followers", [0, 1, 2, 60])
+def test_feeds_merge_and_segment_rate_match_the_per_follower_references(n_followers):
+    # the merged timeline is the reference merge of one stream per follower;
+    # the segment rate is the histogram rate of each feed, summed one
+    # rate_at per follower and segment in follower order
+    rng = np.random.default_rng(41 + n_followers)
+    for i in range(40):
+        t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
+        segments = 1 if i % 4 == 0 else int(rng.integers(2, 40))
+        knots = np.linspace(t0, tf, segments + 1)
+        # events on the knots (both ends, so at t0 too, which the cut drops, and
+        # at tf) and between them, tied across followers; some feeds empty
+        pool = np.concatenate([knots, rng.uniform(t0, tf, 40)])
+        streams = [np.unique(rng.choice(pool, int(rng.integers(0, 30)))) for _ in range(n_followers)]
+        if i % 3 == 0 and n_followers:
+            streams[0] = np.empty(0)
+        feeds = Feeds.cut(streams, t0, tf)
+        want_t, want_j = merge_feeds([EventStream.from_times(f) for f in feeds])
+        got_t, got_j = feeds.merged
+        assert got_t.tobytes() == want_t.tobytes() and got_j.tobytes() == want_j.tobytes()
+        got = scenarios._empirical_segment_rate(feeds, t0, tf, segments)
+        want = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
+        assert got.knots.tobytes() == knots.tobytes() and got.rates.tobytes() == want.tobytes()
 
 
 def test_a_replay_scores_its_recorded_posts_once(monkeypatch):

@@ -9,6 +9,7 @@ from reference import bucket_weights, labelled_stream
 
 from whentopost import significance
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
+from whentopost.feed_sim import Feeds
 from whentopost.point_process import EventStream
 from whentopost.significance import (
     GRANULARITIES,
@@ -218,7 +219,7 @@ def test_weekend_silence_under_zero_weight():
     weekend_hits = 0
     total = 0
     for seed in range(100):
-        posts = run_redqueen_fast([EventStream.empty()], params,
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
                                   np.random.default_rng(seed), 0.0, 14 * DAY,
                                   initial_ranks=[2])
         for p in posts:
@@ -246,7 +247,7 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
     sched = profile.step_schedule(["f"], 0.0, 28 * DAY)
 
     feed_times = np.sort(rng.uniform(0.0, 28 * DAY, size=600))
-    feeds = [EventStream.from_times(feed_times)]
+    feeds = Feeds.cut([feed_times], 0.0, 28 * DAY)
 
     def weekend_share(params, seed):
         posts = run_redqueen_fast(feeds, params, np.random.default_rng(seed),
