@@ -43,7 +43,7 @@ dataset's ``Feeds``.  It times that scoring and segment-offline's
 planning (estimating the followers' summed rate included).  It fails
 unless the plan's bytes equal a plan from the per-follower histogram
 rates summed one ``rate_at`` at a time, the merged timeline's bytes equal
-``merge_feeds`` of one stream per follower, and each report's bytes equal
+``merge_feeds`` of one times array per follower, and each report's bytes equal
 those of the reference loop ``simulate`` scored follower by follower
 (all four references in ``tests/reference.py``).
 
@@ -65,8 +65,8 @@ one range and forced into two.  At 100k events it
 also times the per-line ``json.loads`` path, ``estimate_significance``
 (one count table for every follower), and ``write_profile_csv`` (a block
 of followers at a time) against one ``csv.writerow`` per row.  It fails
-if any two reads differ in times, sources or their sharing of one
-string per id, if the file bytes differ, or if any follower's weights
+if any two reads differ in times, ids or codes, if a read repeats an
+id or codes outside its ids, if the file bytes differ, or if any follower's weights
 differ in a bit from ``bucket_weights`` (the reference in
 ``tests/reference.py``) on that follower's events alone.
 
@@ -115,7 +115,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.metrics import report_from_trajectory
-from whentopost.point_process import EventStream, PiecewiseRate
+from whentopost.point_process import PiecewiseRate
 from whentopost.significance import NORMALIZATION, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -154,7 +154,7 @@ def redqueen_workload():
 def oracle_workload():
     rng = np.random.default_rng(34)
     widths = rng.uniform(0.05, 2.0, size=5001)
-    return lambda fn, seed: fn(widths, 0, 25.0, 1.0)
+    return lambda fn, seed: fn(widths, 0, 25.0)
 
 
 WORKLOADS = {
@@ -184,10 +184,10 @@ def bench_oracle(repeats):
     for stages in (3_000, 20_000, 100_000):
         widths = rng.exponential(0.09, stages)  # the hawkes-oracle feed's mean gap
         for q in (16.0, 2.0**24):  # the tunes for 400 and 5 posts on 3k stages end near these
-            t = best_time(lambda: fallback(widths, 0, q, 1.0), repeats)
+            t = best_time(lambda: fallback(widths, 0, q), repeats)
             tracemalloc.start()
             try:
-                decisions = fallback(widths, 0, q, 1.0)
+                decisions = fallback(widths, 0, q)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -195,11 +195,11 @@ def bench_oracle(repeats):
             # the loop costs the sum of the thresholds: ~1 s at 100k stages
             # and q = 16, but ~11 s at 20k stages and q = 2**24
             if q <= 16.0 or stages <= 3_000:
-                if _oracle_decisions_loop(widths, 0, q, 1.0).tobytes() != decisions.tobytes():
+                if _oracle_decisions_loop(widths, 0, q).tobytes() != decisions.tobytes():
                     raise SystemExit(
                         f"oracle_decisions: {stages} stages, q={q}: the fallback disagrees with the loop"
                     )
-                t_loop = best_time(lambda: _oracle_decisions_loop(widths, 0, q, 1.0), repeats)
+                t_loop = best_time(lambda: _oracle_decisions_loop(widths, 0, q), repeats)
                 loop = f"{t_loop * 1e3:.2f}ms"
                 speedup = f"{t_loop / t:.1f}x"
             inst = OracleInstance(0, widths, q)
@@ -407,11 +407,11 @@ def bench_rank_metrics(repeats):
         summed = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
         if plan().tobytes() != segment_offline_posts(PiecewiseRate(knots, summed), budget, t0, tf).tobytes():
             raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
-        streams = [EventStream.from_times(f) for f in feeds]
+        streams = list(feeds)  # one times array per follower
         merged = Feeds(feeds.times, feeds.bounds).merged  # a fresh object: the dataset's may be merged already
         if any(g.tobytes() != w.tobytes() for g, w in zip(merged, merge_feeds(streams))):
             raise SystemExit(f"Feeds.merged: {followers} followers: differs from merge_feeds")
-        policies = {"true-posts": dataset.true_posts.times, "segment-offline": plan()}
+        policies = {"true-posts": dataset.true_posts, "segment-offline": plan()}
         for policy, posts in policies.items():
             traj = trajectory_from_posts(feeds, posts, t0, tf)
             got = report_from_trajectory(traj, "bench", 0, policy)
@@ -485,7 +485,9 @@ def synthetic_log(n=100_000):
     rng = np.random.default_rng(56)
     times = np.cumsum(rng.exponential(6.0, n))  # strictly increasing
     accounts = np.array([f"u{i:05d}" for i in range(1000)], dtype=object)
-    return EventStream(times, accounts[rng.integers(0, 1000, times.shape[0])])
+    codes = rng.integers(0, 1000, times.shape[0])
+    used = np.unique(codes)  # the accounts with events, as a parsed log lists them
+    return data_io.EventLog(times, np.searchsorted(used, codes), accounts[used])
 
 
 def write_profile_csv_by_rows(profile, path):
@@ -540,21 +542,23 @@ def usable_cpus():
 
 
 def check_same_read(name, got, want):
-    """Exit unless two reads of a log agree in times, sources and one string per id."""
-    if got.times.tobytes() != want.times.tobytes() or got.sources.tolist() != want.sources.tolist():
+    """Exit unless two reads of a log agree in times, ids and codes, with distinct ids and codes in range."""
+    if (got.times.tobytes() != want.times.tobytes() or got.ids.tolist() != want.ids.tolist()
+            or got.codes.tobytes() != want.codes.tobytes()):
         raise SystemExit(f"load_events: {name} disagrees with the one-range read")
-    if len({id(s) for s in got.sources}) != len(set(got.sources)):
-        raise SystemExit(f"load_events: {name} keeps more than one string per id")
+    ids = got.ids.tolist()
+    if len(set(ids)) != len(ids) or (len(got) and not 0 <= got.codes.min() <= got.codes.max() < len(ids)):
+        raise SystemExit(f"load_events: {name} repeats an id or codes outside its ids")
 
 
-def check_significance(stream, profile):
+def check_significance(log, profile):
     """Exit unless every follower's weights are ``bucket_weights`` of its own events, bit for bit."""
-    order = np.argsort(stream.sources, kind="stable")
-    sources = stream.sources[order]
-    bounds = np.flatnonzero(sources[1:] != sources[:-1]) + 1
-    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(sources)]])):
-        fid = sources[lo]
-        want = bucket_weights(stream.times[order[lo:hi]], profile.epoch, profile.granularity, profile.laplace)
+    order = np.argsort(log.codes, kind="stable")
+    codes = log.codes[order]
+    bounds = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(codes)]])):
+        fid = log.ids[codes[lo]]
+        want = bucket_weights(log.times[order[lo:hi]], profile.epoch, profile.granularity, profile.laplace)
         if profile.values[fid].tobytes() != want.tobytes():
             raise SystemExit(f"estimate_significance: {fid!r} differs from its own bucket_weights")
 
@@ -619,7 +623,7 @@ def bench_io(repeats):
         got, timings = bench_load(log, repeats, per_line=True)
         timings.update(bench_split_cost(log, repeats, timings["load_events_one_range"] / log.stat().st_size))
 
-        ids = sorted(set(got.sources))
+        ids = sorted(got.ids.tolist())
         estimate = lambda: estimate_significance(got, ids, epoch=0.0, granularity="weekday-hour")
         t_estimate = best_time(estimate, repeats)
         profile = estimate()

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from whentopost.data_io import save_events
-from whentopost.point_process import EventStream
+from whentopost.data_io import EventLog, save_events
 
 HERE = Path(__file__).resolve().parent
 
@@ -47,18 +46,17 @@ broadcaster = alice
 """
 
 
+def event_log() -> EventLog:
+    """``SOURCES`` as one log in time order, its ids in ``SOURCES``'s order."""
+    ids = list(SOURCES)
+    times = np.concatenate([SOURCES[i] for i in ids])
+    codes = np.repeat(np.arange(len(ids)), [len(SOURCES[i]) for i in ids])
+    order = np.argsort(times, kind="stable")
+    return EventLog(times[order], codes[order], np.array(ids, dtype=object))
+
+
 def main():
-    times = []
-    sources = []
-    for src, ts in SOURCES.items():
-        times.extend(ts)
-        sources.extend([src] * len(ts))
-    order = np.argsort(np.asarray(times), kind="stable")
-    stream = EventStream(
-        np.asarray(times, dtype=np.float64)[order],
-        np.asarray(sources, dtype=object)[order],
-    )
-    save_events(stream, HERE / "events.jsonl")
+    save_events(event_log(), HERE / "events.jsonl")
     with open(HERE / "network.csv", "w", encoding="utf-8") as fh:
         for followee, follower in EDGES:
             fh.write(f"{followee},{follower}\n")

@@ -82,7 +82,27 @@ def _tune_payload(details: dict) -> dict:
     return out
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: a usage error (a bad type or choice, an unknown or
+    missing option or command, a missing file) fails with ``_fail``'s JSON
+    line, exit code 2, and an interrupt with exit code 1.  Asked for no
+    standalone mode, it raises click's exceptions as click does."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        try:
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except (click.UsageError, click.Abort) as exc:
+            if not standalone_mode:
+                raise
+            if isinstance(exc, click.Abort):
+                _fail("Abort", "interrupted", 1)
+            _fail(type(exc).__name__, exc.format_message())
+        if standalone_mode:
+            sys.exit(code)
+        return code
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 @click.option(
     "--config",
     type=click.Path(exists=True, dir_okay=False),
@@ -279,7 +299,7 @@ def _write_summary(reports, path):
 def estimate_significance_cmd(events_path, epoch, granularity, laplace, followers, out):
     """Estimate per-follower activity profiles from an event log."""
     events = data_io.load_events(events_path)
-    ids = list(followers) if followers else sorted(set(map(str, events.sources.tolist())))
+    ids = list(followers) if followers else sorted(events.ids.tolist())
     if not ids:
         raise scenarios.ScenarioError("the event log is empty; nothing to profile")
     profile = estimate_significance(events, ids, epoch=epoch, granularity=granularity, laplace=laplace)

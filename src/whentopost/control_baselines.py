@@ -15,7 +15,7 @@ import heapq
 
 import numpy as np
 
-from .point_process import EventStream, PiecewiseRate
+from .point_process import PiecewiseRate
 
 __all__ = [
     "uniform_poisson_posts",
@@ -39,9 +39,9 @@ def uniform_poisson_posts(
     return np.sort(t0 + rng.random(count) * (tf - t0))
 
 
-def true_posts_playback(recorded: EventStream) -> np.ndarray:
-    """The recorded posting times, unchanged."""
-    return recorded.times.copy()
+def true_posts_playback(recorded: np.ndarray) -> np.ndarray:
+    """A copy of the recorded posting times, unchanged."""
+    return np.array(recorded, dtype=np.float64)
 
 
 def segment_offline_posts(

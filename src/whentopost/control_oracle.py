@@ -10,7 +10,7 @@ The controlled rank recursion is r_{k+1} = (r_k + 1)(1 - u_k): the
 stage's rank is bumped, then cleared if the decision was to post.  The
 bump applies at stage 0 too, so the model behaves as if one story
 arrived the moment the window opened; r0 is the rank just before.  The
-objective charges 0.5*s*widths[k]*r_{k+1}^2 per interval, 0.5*q per
+objective charges 0.5*widths[k]*r_{k+1}^2 per interval, 0.5*q per
 post, and 0.5*r_{m+1}^2 at the horizon.  ``oracle_schedule`` solves it
 by backward induction (ties hold).  Each stage posts iff its rank
 reaches a threshold, so the induction keeps O(m) values instead of a
@@ -44,12 +44,11 @@ MAX_ORACLE_STAGES = 20_000
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One revealed single-follower feed: initial rank, interval widths, prices."""
+    """One revealed single-follower feed: initial rank, interval widths, post price."""
 
     r0: int
     widths: np.ndarray
     q: float
-    s: float = 1.0
 
     def __post_init__(self):
         widths = np.asarray(self.widths, dtype=np.float64)
@@ -62,11 +61,10 @@ class OracleInstance:
             raise ValueError(f"widths must be finite, got {float(widths[k])} at stage {k}")
         if self.r0 < 0:
             raise ValueError("initial rank cannot be negative")
-        for name, price in (("q", self.q), ("s", self.s)):
-            if not math.isfinite(price):
-                raise ValueError(f"{name} must be finite, got {float(price)}")
-        if self.q < 0 or self.s < 0:
-            raise ValueError("prices cannot be negative")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {float(self.q)}")
+        if self.q < 0:
+            raise ValueError("q cannot be negative")
         object.__setattr__(self, "widths", widths)
 
     @property
@@ -99,7 +97,7 @@ def schedule_cost(decisions, inst: OracleInstance) -> float:
     cost = 0.0
     for w, uk in zip(inst.widths.tolist(), u.tolist()):
         r = (r + 1.0) * (1.0 - uk)
-        cost += 0.5 * inst.s * w * (r * r) + 0.5 * inst.q * uk
+        cost += 0.5 * w * (r * r) + 0.5 * inst.q * uk
     return cost + 0.5 * (r * r)
 
 
@@ -111,7 +109,7 @@ def oracle_schedule(inst: OracleInstance) -> OracleSchedule:
             f"with the square of the stage count and is capped at "
             f"{MAX_ORACLE_STAGES} stages - shrink the window or thin the feed"
         )
-    decisions = oracle_decisions(inst.widths, int(inst.r0), float(inst.q), float(inst.s))
+    decisions = oracle_decisions(inst.widths, int(inst.r0), float(inst.q))
     return OracleSchedule(decisions, schedule_cost(decisions, inst))
 
 
@@ -120,12 +118,11 @@ def instance_from_feed(
     t0: float,
     tf: float,
     q: float,
-    s: float = 1.0,
     r0: int = 0,
 ) -> OracleInstance:
     """Build the stage widths for a revealed feed, strictly increasing on (t0, tf]."""
     widths = np.diff(np.concatenate([[t0], feed_times, [tf]]))
-    return OracleInstance(r0=r0, widths=widths, q=q, s=s)
+    return OracleInstance(r0=r0, widths=widths, q=q)
 
 
 def decisions_to_post_times(decisions, feed_times, t0: float, tf: float) -> np.ndarray:

@@ -17,10 +17,12 @@
   parse's text and scratch then live in the child, and only 12 bytes an
   event (the time, and the id's code in the child's list of distinct
   ids) come back through a pipe.  The ranges are joined in file order,
-  so times, ids, warnings and errors are those of one range.  Python 3.12
-  and later warn when a process that runs threads forks, and importing
-  NumPy starts OpenBLAS threads: the read ignores that warning, since the
-  children only parse text and run no BLAS.
+  each range's codes remapped through one table of the ids in order of
+  first appearance, so times, codes, ids, warnings and errors are those
+  of one range.  Python 3.12 and later warn when a process that runs
+  threads forks, and importing NumPy starts OpenBLAS threads: the read
+  ignores that warning, since the children only parse text and run no
+  BLAS.
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
@@ -57,10 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from .feed_sim import Feeds
-from .point_process import EventStream, _dedupe_increasing
+from .point_process import _dedupe_increasing
 from .significance import NORMALIZATION, SignificanceProfile, bucket_count
 
 __all__ = [
+    "EventLog",
     "load_events",
     "save_events",
     "Network",
@@ -113,27 +116,61 @@ _SRC_SEP = ', "src": "'
 _LINE_SEP = '"}\n{"t": '
 
 
-def load_events(path) -> EventStream:
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A parsed log: event ``i`` at ``times[i]`` (strictly increasing), from ``ids[codes[i]]``.
+
+    ``codes`` is ``int32`` and ``ids`` the distinct ids, an object array.
+    Logs compare by identity: a generated ``__eq__`` over arrays raises.
+    """
+
+    times: np.ndarray
+    codes: np.ndarray
+    ids: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=np.float64)
+        codes = np.asarray(self.codes)
+        ids = np.asarray(self.ids, dtype=object)
+        if times.ndim != 1 or codes.shape != times.shape or ids.ndim != 1:
+            raise ValueError("times and codes must be parallel 1-d arrays, and ids 1-d")
+        if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError("event times must be strictly increasing")
+        if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= ids.shape[0]):
+            raise ValueError(f"source codes must be integers in [0, {ids.shape[0]})")
+        if len(set(ids.tolist())) != ids.shape[0]:
+            raise ValueError("ids must be distinct")
+        self.__dict__.update(times=times, codes=codes.astype(np.int32, copy=False), ids=ids)
+
+    def __len__(self) -> int:
+        return int(self.times.shape[0])
+
+
+def load_events(path) -> EventLog:
     """Read a JSON-lines event log.
 
     Out-of-order lines are sorted with a warning; coincident times are
     nudged one float step apart with a warning, so every event keeps a
     distinct timestamp.  Malformed lines and non-finite times fail with
     their line number.
-    Each account's id is kept as one shared string, however many events
-    it has.  A large log is parsed in byte ranges on up to one CPU each
-    (see :func:`_ranges`); the result is the same as from one range.
+    Each event's source is a code into the log's distinct ids, which are
+    listed in order of first appearance in the file.  A large log is
+    parsed in byte ranges on up to one CPU each (see :func:`_ranges`);
+    each range's codes are remapped through one table of the ids, so the
+    result is the same as from one range.
     """
     parts = _parse_ranges(path, _ranges(path))
     times = np.concatenate([part[0] for part in parts])
-    sources = _join_ids(parts)
+    code_of = _Codes()  # each range's codes through one table of every range's ids
+    codes = np.concatenate(
+        [np.fromiter(map(code_of.__getitem__, vocab), np.int32, len(vocab))[part] for _, vocab, part in parts]
+    )
     if times.shape[0] > 1:
-        diffs = np.diff(times)
-        if np.any(diffs < 0):
+        if np.any(np.diff(times) < 0):
             warnings.warn(f"{path}: events out of order; sorting", stacklevel=2)
             order = np.argsort(times, kind="stable")
             times = times[order]
-            sources = sources[order]
+            codes = codes[order]
         fixed, nudged = _dedupe_increasing(times)
         if nudged:
             warnings.warn(
@@ -141,23 +178,7 @@ def load_events(path) -> EventStream:
                 stacklevel=2,
             )
             times = fixed
-    return EventStream(times, sources)
-
-
-def _join_ids(parts) -> np.ndarray:
-    """The ids of ``_parse_ranges``'s ``parts`` in order, one shared string per distinct id.
-
-    Empties ``parts``, freeing each range's buffers once its ids are filled in.
-    """
-    sources = np.empty(sum(part[2].shape[0] for part in parts), dtype=object)
-    interned: dict = {}
-    lo = 0
-    while parts:
-        _, vocab, codes = parts.pop(0)
-        table = np.array(list(map(interned.setdefault, vocab, vocab)), dtype=object)
-        np.take(table, codes, out=sources[lo : lo + codes.shape[0]])
-        lo += codes.shape[0]
-    return sources
+    return EventLog(times, codes, np.array(list(code_of), dtype=object))
 
 
 def _read_cpu_max() -> str | None:
@@ -421,21 +442,23 @@ def _parse_lines(lines, path, first_lineno) -> tuple[np.ndarray, list]:
 _SAVE_CHUNK = 1 << 16
 
 
-def save_events(stream: EventStream, path) -> None:
-    """Write ``stream`` as JSON lines, ``json.dumps({"t": float(t), "src": str(src)})`` each.
+def save_events(log: EventLog, path) -> None:
+    """Write ``log`` as JSON lines, ``json.dumps({"t": float(t), "src": str(src)})`` each.
 
-    A chunk of events is formatted in one pass and written with one call.
-    A finite time is its float ``repr``, which is what ``json.dumps``
-    writes; a chunk holding a non-finite time has ``json.dumps`` spell
-    its times (``NaN``, ``Infinity``).  Ids are escaped as ``json.dumps``
-    escapes them (ASCII only).
+    Each event's id is ``ids[codes]``, escaped as ``json.dumps`` escapes
+    it (ASCII only); each distinct id is escaped once.  A chunk of events
+    is formatted in one pass and written with one call.  A finite time is
+    its float ``repr``, which is what ``json.dumps`` writes; a chunk
+    holding a non-finite time has ``json.dumps`` spell its times
+    (``NaN``, ``Infinity``).
     """
+    spelled = np.array([encode_basestring_ascii(str(i)) for i in log.ids.tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(stream), _SAVE_CHUNK):
-            times = stream.times[lo : lo + _SAVE_CHUNK]
+        for lo in range(0, len(log), _SAVE_CHUNK):
+            times = log.times[lo : lo + _SAVE_CHUNK]
             spell = float.__repr__ if np.isfinite(times).all() else json.dumps
             ts = map(spell, times.tolist())
-            ids = map(encode_basestring_ascii, map(str, stream.sources[lo : lo + _SAVE_CHUNK].tolist()))
+            ids = spelled[log.codes[lo : lo + _SAVE_CHUNK]].tolist()
             fh.write("".join(map('{{"t": {}, "src": {}}}\n'.format, ts, ids)))
 
 
@@ -546,22 +569,22 @@ def load_manifest(path) -> Manifest:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplayDataset:
-    """Everything a replay run needs, cut out of one event log."""
+    """Everything a replay run needs, cut out of one event log; compares by identity."""
 
     broadcaster: str
     follower_ids: list
     feeds: Feeds  # one per follower, on (t0, tf], broadcaster's own posts excluded
-    true_posts: EventStream
+    true_posts: np.ndarray  # the broadcaster's post times on (t0, tf]
     epoch: float
     t0: float
     tf: float
-    events: EventStream  # the full log, for significance estimation
+    events: EventLog  # the full log, for significance estimation
 
 
 def build_replay_dataset(
-    events: EventStream,
+    events: EventLog,
     network: Network,
     broadcaster: str,
     epoch: float,
@@ -584,27 +607,25 @@ def build_replay_dataset(
             f"broadcaster {broadcaster!r} has no retained followers "
             f"(started with {len(followers)}; followee cap {max_followees})"
         )
-    windowed = events.window(t0, tf)
-    # code the windowed sources and sort the codes once: an account's events
-    # are then one run of ``order``, and a feed merges its followees' runs
-    code_of = _Codes()
-    codes = np.fromiter(map(code_of.__getitem__, windowed.sources.tolist()), np.int32, len(windowed))
+    lo, hi = events.times.searchsorted([t0, tf], "right")  # the events on (t0, tf]
+    times, codes = events.times[lo:hi], events.codes[lo:hi]
+    # sort the window's codes once: an account's events are then one run
+    # of ``order``, and a feed merges its followees' runs
     order = np.argsort(codes, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(code_of)))))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(events.ids)))))
+    code_of = dict(zip(events.ids.tolist(), range(len(events.ids))))
 
     def from_sources(wanted) -> np.ndarray:  # the window's indices of their events, in time order
         runs = [order[bounds[c] : bounds[c + 1]] for c in map(code_of.get, wanted) if c is not None]
         return np.sort(np.concatenate([order[:0], *runs]))
 
     index = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
-    feeds = Feeds(windowed.times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]))
-    own = from_sources({broadcaster})
-    true_posts = EventStream(windowed.times[own], windowed.sources[own])
+    feeds = Feeds(times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]))
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,
         feeds=feeds,
-        true_posts=true_posts,
+        true_posts=times[from_sources({broadcaster})],
         epoch=epoch,
         t0=t0,
         tf=tf,

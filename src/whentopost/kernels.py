@@ -323,14 +323,14 @@ def _redqueen_posts_numpy(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_decisions_loop(widths, r0, q, s):
+def _oracle_decisions_loop(widths, r0, q):
     """Backward induction over post/hold decisions on a revealed feed.
 
     Decision stages k = 0..m sit at the window start and after each of
     the m feed events; ``widths[k]`` is the length of the interval that
     follows stage k.  The controlled rank recursion is
     ``r_{k+1} = (r_k + 1) * (1 - u_k)`` with stage cost
-    ``0.5 * s * widths[k] * r_{k+1}**2 + 0.5 * q * u_k`` and terminal
+    ``0.5 * widths[k] * r_{k+1}**2 + 0.5 * q * u_k`` and terminal
     cost ``0.5 * r_{m+1}**2``.  Returns the 0/1 decision vector; ties
     resolve to holding.
 
@@ -338,7 +338,7 @@ def _oracle_decisions_loop(widths, r0, q, s):
     rank, and float ``+``, ``*`` and ``<`` are monotone, so each stage
     posts iff ``r >= T_k`` and ``V_k(r)`` is the stage's post cost
     ``0.5*q + V_{k+1}(0)`` from ``T_k`` on.  Holding from rank r costs
-    ``a*(r+1)^2 + V_{k+1}(r+1)`` with ``a = 0.5*s*widths[k]``; a stage
+    ``a*(r+1)^2 + V_{k+1}(r+1)`` with ``a = 0.5*widths[k]``; a stage
     scans ranks upward and ``T_k`` is the first whose hold cost exceeds
     the post cost.  Two swapped buffers hold ``V_{k+1}`` below
     ``T_{k+1}``.  Memory is O(r0 + m) and a stage costs O(T_k), at
@@ -359,7 +359,7 @@ def _oracle_decisions_loop(widths, r0, q, s):
     post_nxt = 0.0
     thresholds = np.empty(mp1, np.int64)
     for k in range(mp1 - 1, -1, -1):
-        a = 0.5 * s * widths[k]
+        a = 0.5 * widths[k]
         post = 0.5 * q + (nxt[0] if n_nxt > 0 else post_nxt)
         top = r0 + k + 1  # ranks 0 .. r0+k are reachable at stage k
         t = top
@@ -391,7 +391,7 @@ def _oracle_decisions_loop(widths, r0, q, s):
 _ORACLE_SCALAR_RANKS = 128
 
 
-def _oracle_decisions_numpy(widths, r0, q, s):
+def _oracle_decisions_numpy(widths, r0, q):
     """:func:`_oracle_decisions_loop` with long stages done in NumPy slices.
 
     The recursion, the stage order and every float expression are the
@@ -430,11 +430,11 @@ def _oracle_decisions_numpy(widths, r0, q, s):
     vals = None  # else V_{k+1} below T_{k+1}, as a list
     post_nxt = 0.0  # V_{k+1}(r) past its threshold
     t = size  # T_{k+1}; the terminal stage never posts
-    half_q, half_s = 0.5 * q, 0.5 * s
+    half_q = 0.5 * q
     widths = memoryview(np.asarray(widths, np.float64))  # Python floats, no copy
     thresholds = memoryview(np.empty(mp1, np.int64))  # Python ints in and out
     for k in range(mp1 - 1, -1, -1):
-        a = half_s * widths[k]
+        a = 0.5 * widths[k]
         top = r0 + k + 1
         if t < cut:
             if vals is None:

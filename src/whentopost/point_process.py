@@ -1,9 +1,10 @@
-"""Event streams and the point processes that generate feed traffic.
+"""The point processes that generate feed traffic.
 
 Time is measured in abstract seconds; every rate in this package is in
-events per second.  Streams are strictly increasing: simultaneous events
-are resolved at construction time by nudging the later one up by one
-float step (with a warning), so downstream consumers never see ties.
+events per second.  A sampler returns its event times as one strictly
+increasing float64 array: simultaneous events are resolved by nudging
+the later one up by one float step (with a warning), so downstream
+consumers never see ties.
 
 The self-exciting feed model keeps a single scalar of excitation state.
 Its intensity obeys a jump-decay law: each event lifts the intensity by
@@ -27,7 +28,6 @@ import numpy as np
 from .kernels import sample_hawkes_times
 
 __all__ = [
-    "EventStream",
     "PiecewiseRate",
     "HawkesParams",
     "sample_hawkes",
@@ -55,47 +55,6 @@ def _dedupe_increasing(times: np.ndarray) -> tuple[np.ndarray, int]:
             times[i] = np.nextafter(times[i - 1], math.inf)
             nudged += 1
     return times, nudged
-
-
-@dataclass(frozen=True)
-class EventStream:
-    """A strictly increasing sequence of timestamped events.
-
-    ``sources`` carries a parallel id per event ("who produced it");
-    synthetic streams label every event ``"feed"``.
-    """
-
-    times: np.ndarray
-    sources: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        sources = np.asarray(self.sources)
-        if times.ndim != 1:
-            raise ValueError("event times must be a 1-d array")
-        if sources.shape != times.shape:
-            raise ValueError("sources must parallel times")
-        if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("event times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "sources", sources)
-
-    @classmethod
-    def from_times(cls, times) -> "EventStream":
-        times = np.asarray(times, dtype=np.float64)
-        return cls(times, np.full(times.shape, "feed", dtype=object))
-
-    @classmethod
-    def empty(cls) -> "EventStream":
-        return cls(np.empty(0, np.float64), np.empty(0, dtype=object))
-
-    def __len__(self) -> int:
-        return int(self.times.shape[0])
-
-    def window(self, t0: float, tf: float) -> "EventStream":
-        """Events with t0 < t <= tf."""
-        mask = (self.times > t0) & (self.times <= tf)
-        return EventStream(self.times[mask], self.sources[mask])
 
 
 @dataclass(frozen=True)
@@ -161,18 +120,18 @@ def sample_hawkes(
     t0: float,
     tf: float,
     rng: np.random.Generator,
-) -> EventStream:
-    """Draw one feed realization on (t0, tf] by thinning.
+) -> np.ndarray:
+    """Draw one feed realization on (t0, tf] by thinning: its strictly increasing times.
 
     Deterministic in ``rng``: the same generator state yields the same
-    stream.  The intensity starts at the baseline (no pre-window
+    times.  The intensity starts at the baseline (no pre-window
     excitation).  A window holding more than ``MAX_HAWKES_EVENTS`` events
     fails with ``ValueError``.
     """
     if tf < t0:
         raise ValueError("tf must not precede t0")
     if tf == t0:
-        return EventStream.empty()
+        return np.empty(0, np.float64)
     lam0 = float(params.baseline)
     mean_rate = lam0 / (1.0 - params.alpha / params.w)
     cap_hint = min(int(mean_rate * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
@@ -184,7 +143,7 @@ def sample_hawkes(
             f"the feed on ({t0!r}, {tf!r}] holds more than MAX_HAWKES_EVENTS = {MAX_HAWKES_EVENTS} "
             f"events (alpha = {params.alpha!r}, w = {params.w!r}) - shorten the window or lower alpha"
         )
-    return EventStream.from_times(times)
+    return times
 
 
 def sample_piecewise_poisson(
@@ -192,8 +151,8 @@ def sample_piecewise_poisson(
     t0: float,
     tf: float,
     rng: np.random.Generator,
-) -> EventStream:
-    """Draw an inhomogeneous Poisson stream on (t0, tf].
+) -> np.ndarray:
+    """Draw an inhomogeneous Poisson stream on (t0, tf]: its strictly increasing times.
 
     Per segment: a Poisson count, then that many uniform positions,
     sorted.  Segments are visited in order, so the draw sequence (and
@@ -214,9 +173,9 @@ def sample_piecewise_poisson(
         if count:
             pieces.append(np.sort(a + rng.random(count) * (b - a)))
     if not pieces:
-        return EventStream.empty()
+        return np.empty(0, np.float64)
     times = np.concatenate(pieces)
     times, nudged = _dedupe_increasing(times)
     if nudged:
         warnings.warn(f"nudged {nudged} coincident sample(s) apart", stacklevel=2)
-    return EventStream.from_times(times)
+    return times

@@ -60,7 +60,7 @@ from .control_oracle import (
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
-from .point_process import EventStream, HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
+from .point_process import HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
 from .significance import StepSchedule, estimate_significance
 
 __all__ = [
@@ -168,7 +168,7 @@ class _Competition:
     offline_rate: Callable
     significance: StepSchedule | None = None
     initial_ranks: np.ndarray | None = None
-    recorded: EventStream | None = None  # replay only: the broadcaster's true posts
+    recorded: np.ndarray | None = None  # replay only: the broadcaster's true post times
     realized: float = 0.0  # the budget every baseline matches
     ceiling: float = 0.0  # the largest budget tuned to on this competition, for a sweep
     redqueen_q: float = math.nan
@@ -399,7 +399,7 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
     )
     params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
     t0, tf = 0.0, cfg.horizon
-    streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)).times for seed in cfg.seeds}
+    streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)) for seed in cfg.seeds}
     feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
     comp = _Competition(
         t0, tf, feeds_by_seed.__getitem__,
@@ -463,7 +463,7 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
             phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
             total = total + rate.rates  # follower by follower, as _empirical_segment_rate adds
-            feeds.append(sample_piecewise_poisson(rate, t0, tf, rng).times)
+            feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -188,22 +187,22 @@ def estimate_significance(
 ) -> SignificanceProfile:
     """Profiles for each follower from their own events in a shared log.
 
-    ``events`` is an :class:`~whentopost.point_process.EventStream`
-    whose sources include the followers' own activity.  A follower with
-    no events gets the flat fallback (with a warning).
+    ``events`` is a :class:`~whentopost.data_io.EventLog` whose ids
+    include the followers, with their own activity.  A follower with no
+    events gets the flat fallback (with a warning).
 
     One pass over the log counts every follower at once: each event's
-    source maps to its follower's row of one count table, and
-    ``row * b + bucket`` indexes the cell to increment.  The log goes
-    through in fixed-size chunks; a sort (``np.unique``) counts each
-    chunk's distinct cells, and the counts are added to the table by
-    those cells, with no table-sized temporary such as a ``np.bincount``
-    per chunk would make.  Each source's row is looked up by a
-    ``map`` of ``dict.get``, with no Python frame per event.  The counts
-    are exact integers, and the whole table is then normalized at once,
-    each row with the same arithmetic, and so the same bits, as
-    ``bucket_weights`` (``tests/reference.py``) on that follower's events
-    alone.
+    source code maps to its follower's row of one count table, and
+    ``row * b + bucket`` indexes the cell to increment.  The map is one
+    table with a row (or -1) per id of the log, so a chunk gathers its
+    rows with one indexing and no per-event lookup.  The log goes through
+    in fixed-size chunks; a sort (``np.unique``) counts each chunk's
+    distinct cells, and the counts are added to the table by those cells,
+    with no table-sized temporary such as a ``np.bincount`` per chunk
+    would make.  The counts are exact integers, and the whole table is
+    then normalized at once, each row with the same arithmetic, and so
+    the same bits, as ``bucket_weights`` (``tests/reference.py``) on that
+    follower's events alone.
     """
     _check_laplace(laplace)
     if not math.isfinite(epoch):
@@ -212,11 +211,11 @@ def estimate_significance(
     row_of = {}
     for fid in follower_ids:
         row_of.setdefault(fid, len(row_of))
+    row_of_code = np.array([row_of.get(i, -1) for i in events.ids.tolist()], np.int64)
     table = np.zeros((len(row_of), b), np.int32)
     flat = table.reshape(-1)
-    for lo in range(0, events.times.shape[0], _CHUNK):
-        sources = events.sources[lo : lo + _CHUNK].tolist()
-        rows = np.fromiter(map(row_of.get, sources, repeat(-1)), np.int64, len(sources))
+    for lo in range(0, len(events), _CHUNK):
+        rows = row_of_code[events.codes[lo : lo + _CHUNK]]
         keep = rows >= 0
         buckets = bucket_index(epoch + events.times[lo : lo + _CHUNK][keep], granularity)
         cells, counts = np.unique(rows[keep] * b + buckets, return_counts=True)

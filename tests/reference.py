@@ -6,9 +6,10 @@ in ``src/whentopost`` computes, by another route or one step at a time
 per-follower streams into one timeline, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles and
 metrics), or reads back a file a command writes.  A few constructors and
-lookups that only tests need (a stream with a named source, a constant
-rate or schedule, a rate's or schedule's value at a time) live here too,
-so every setting and method in the package is one a command uses.
+lookups that only tests need (an event log coded from a list of string
+sources, a constant rate or schedule, a rate's or schedule's value at a
+time) live here too, so every setting and method in the package is one a
+command uses.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import numpy as np
 
 from whentopost.control_online import RedQueenParams
 from whentopost.control_oracle import OracleInstance, OracleSchedule, schedule_cost
-from whentopost.data_io import REPORT_HEADER, DataFormatError
+from whentopost.data_io import REPORT_HEADER, DataFormatError, EventLog
 from whentopost.feed_sim import Feeds, SimulationTrajectory
 from whentopost.kernels import _clock_first_time
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import (
-    EventStream,
     HawkesParams,
     PiecewiseRate,
     _dedupe_increasing,
@@ -48,7 +48,7 @@ from whentopost.significance import (
 # The oracle: kernels.oracle_decisions and control_oracle.schedule_cost.
 
 
-def _value_table(widths, r0, q, s):
+def _value_table(widths, r0, q):
     """The full ``(m+2) x (r0+m+2)`` value table, one row per stage."""
     mp1 = widths.shape[0]
     size = r0 + mp1 + 1
@@ -59,12 +59,12 @@ def _value_table(widths, r0, q, s):
     for k in range(mp1 - 1, -1, -1):
         post = 0.5 * q + table[k + 1, 0]
         top = r0 + k + 1
-        hold = 0.5 * s * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
+        hold = 0.5 * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
         table[k, :top] = np.minimum(post, hold)
     return table
 
 
-def oracle_decisions_table(widths, r0, q, s):
+def oracle_decisions_table(widths, r0, q):
     """Backward induction over the full ``(m+2) x (r0+m+2)`` value table.
 
     Same problem and tie rule as ``kernels.oracle_decisions``, solved
@@ -74,13 +74,13 @@ def oracle_decisions_table(widths, r0, q, s):
     """
     widths = np.asarray(widths, np.float64)
     mp1 = widths.shape[0]
-    table = _value_table(widths, r0, q, s)
+    table = _value_table(widths, r0, q)
     decisions = np.zeros(mp1, np.int8)
     r = r0
     for k in range(mp1):
         post = 0.5 * q + table[k + 1, 0]
         bumped = r + 1.0
-        hold = 0.5 * s * widths[k] * (bumped * bumped) + table[k + 1, r + 1]
+        hold = 0.5 * widths[k] * (bumped * bumped) + table[k + 1, r + 1]
         if post < hold:
             decisions[k] = 1
             r = 0
@@ -89,20 +89,20 @@ def oracle_decisions_table(widths, r0, q, s):
     return decisions
 
 
-def oracle_thresholds_table(widths, r0, q, s):
+def oracle_thresholds_table(widths, r0, q):
     """Each stage's threshold ``T_k`` read off the full value table.
 
     ``T_k`` is the first reachable rank whose hold cost exceeds the
     post cost, or ``r0 + k + 1`` when no reachable rank posts.
     """
     widths = np.asarray(widths, np.float64)
-    table = _value_table(widths, r0, q, s)
+    table = _value_table(widths, r0, q)
     ranks = np.arange(table.shape[1], dtype=np.float64)
     bumped_sq = (ranks + 1.0) * (ranks + 1.0)
     thresholds = []
     for k in range(widths.shape[0]):
         top = r0 + k + 1
-        hold = 0.5 * s * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
+        hold = 0.5 * widths[k] * bumped_sq[:top] + table[k + 1, 1 : top + 1]
         posts = np.flatnonzero(0.5 * q + table[k + 1, 0] < hold)
         thresholds.append(int(posts[0]) if posts.size else top)
     return thresholds
@@ -120,7 +120,7 @@ def schedule_cost_batch(decisions: np.ndarray, inst: OracleInstance) -> np.ndarr
     cost = np.zeros(u.shape[0])
     for k in range(inst.n_stages):
         r = (r + 1.0) * (1.0 - u[:, k])
-        cost += 0.5 * inst.s * inst.widths[k] * (r * r) + 0.5 * inst.q * u[:, k]
+        cost += 0.5 * inst.widths[k] * (r * r) + 0.5 * inst.q * u[:, k]
     cost += 0.5 * (r * r)
     return cost
 
@@ -143,7 +143,6 @@ def brute_force_schedule_multi(
     t0: float,
     tf: float,
     q: float,
-    s=1.0,
     r0s=None,
 ) -> tuple[np.ndarray, float]:
     """Exhaustive schedule search with one rank per follower (tiny scale).
@@ -151,12 +150,11 @@ def brute_force_schedule_multi(
     Decision stages sit at the window start and after each merged feed
     event; ranks evolve physically (a stage only bumps the followers
     whose feeds fired there).  Returns the best 0/1 decision vector and
-    its cost 0.5*sum_i s_i*integral(r_i^2) + 0.5*q*posts +
+    its cost 0.5*sum_i integral(r_i^2) + 0.5*q*posts +
     0.5*sum_i r_i(tf)^2.
     """
     n = len(feeds)
     feeds = [np.asarray(f, dtype=np.float64) for f in feeds]
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n,))
     r0s = np.zeros(n) if r0s is None else np.asarray(r0s, dtype=np.float64)
     merged = np.concatenate(feeds) if n else np.empty(0)
     merged = np.unique(merged[(merged > t0) & (merged <= tf)])
@@ -177,7 +175,7 @@ def brute_force_schedule_multi(
         cost = 0.0
         for k in range(stages):
             r = (r + bumps[:, k]) * (1.0 - dec[k])
-            cost += 0.5 * widths[k] * float(np.sum(s * r * r)) + 0.5 * q * dec[k]
+            cost += 0.5 * widths[k] * float(np.sum(r * r)) + 0.5 * q * dec[k]
         cost += 0.5 * float(np.sum(r * r))
         if cost < best_cost:
             best_cost = cost
@@ -185,21 +183,18 @@ def brute_force_schedule_multi(
     return np.asarray(best, dtype=np.int8), float(best_cost)
 
 
-def replay_feeds_by_mask(events, network, broadcaster, t0, tf, max_followees=500):
-    """``build_replay_dataset``'s feeds and true posts, one boolean mask over the window per feed.
+def replay_feeds_by_mask(events: EventLog, network, broadcaster, t0, tf, max_followees=500):
+    """``build_replay_dataset``'s feed times and true post times, one boolean mask per feed.
 
-    Each feed masks the windowed log with a table of its followees' codes:
-    a full pass over the window per follower.
+    Each feed masks the whole log with a table of its followees' codes and
+    a mask of the window: a full pass over the log per follower.
     """
-    windowed = events.window(t0, tf)
-    code_of: dict = {}
-    codes = np.array([code_of.setdefault(s, len(code_of)) for s in windowed.sources.tolist()], np.int64)
+    inside = (events.times > t0) & (events.times <= tf)
+    ids = events.ids.tolist()
 
     def from_sources(wanted):
-        table = np.zeros(len(code_of), bool)
-        table[[code_of[s] for s in wanted if s in code_of]] = True
-        mask = table[codes]
-        return EventStream(windowed.times[mask], windowed.sources[mask])
+        table = np.array([i in wanted for i in ids], dtype=bool)
+        return events.times[inside & table[events.codes]]
 
     retained = [
         f for f in network.followers(broadcaster)
@@ -302,28 +297,23 @@ class ScheduledController:
         self._next += 1
 
 
-def merge_feeds(feeds: list[EventStream]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-follower streams into (times, follower_index) arrays.
+def merge_feeds(feeds: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge per-follower feed times into (times, follower_index) arrays.
 
     Cross-follower ties are legitimate simultaneity (one upstream event
     can land in several feeds) and are kept, ordered by follower index.
     """
     if not feeds:
         return np.empty(0, np.float64), np.empty(0, np.int64)
-    times = np.concatenate([f.times for f in feeds])
+    times = np.concatenate(feeds)
     idx = np.concatenate([np.full(len(f), j, dtype=np.int64) for j, f in enumerate(feeds)])
     order = np.argsort(times, kind="stable")
     return times[order], idx[order]
 
 
-def cut_streams(streams, t0: float, tf: float) -> Feeds:
-    """``Feeds.cut`` of one :class:`EventStream` per follower."""
-    return Feeds.cut([s.times for s in streams], t0, tf)
-
-
-def _materialize_feed(feed, t0: float, tf: float, rng: np.random.Generator) -> EventStream:
-    if isinstance(feed, EventStream):
-        return feed.window(t0, tf)
+def _materialize_feed(feed, t0: float, tf: float, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(feed, np.ndarray):
+        return feed[(feed > t0) & (feed <= tf)]
     if isinstance(feed, HawkesParams):
         return sample_hawkes(feed, t0, tf, rng)
     if isinstance(feed, PiecewiseRate):
@@ -341,7 +331,7 @@ def simulate(
 ) -> SimulationTrajectory:
     """Run one window: merged feed events versus the controller's candidate.
 
-    ``feeds`` is one entry per follower: a recorded :class:`EventStream`,
+    ``feeds`` is one entry per follower: recorded times (an array),
     or a generative model (:class:`HawkesParams` / :class:`PiecewiseRate`)
     sampled here with that follower's generator from ``feed_rngs``.  The
     controller is driven through its protocol: ``start``, ``observe_feed``,
@@ -364,7 +354,7 @@ def simulate(
     realized = []
     for j, feed in enumerate(feeds):
         rng_j = None if feed_rngs is None else feed_rngs[j]
-        if not isinstance(feed, EventStream) and rng_j is None:
+        if not isinstance(feed, np.ndarray) and rng_j is None:
             raise ValueError("generative feeds need feed_rngs")
         realized.append(_materialize_feed(feed, t0, tf, rng_j))
     feed_t, feed_j = merge_feeds(realized)
@@ -406,7 +396,7 @@ def simulate(
         t0=t0,
         tf=tf,
         own_posts=np.asarray(posts, dtype=np.float64),
-        feeds=cut_streams(realized, t0, tf),
+        feeds=Feeds.cut(realized, t0, tf),
         rank_times=[np.asarray(ts, dtype=np.float64) for ts in rank_times],
         rank_values=[np.asarray(vs, dtype=np.int64) for vs in rank_values],
     )
@@ -512,14 +502,14 @@ def next_post_time(
 ) -> PolicyDecision:
     """Run the clock sampler over one feed until its first decision commits.
 
-    ``feed`` is an :class:`EventStream` (single follower) or an iterable
+    ``feed`` is an array of times (single follower) or an iterable
     of ``(t, follower_index)`` pairs in time order.  Returns the decision
     with ``post_time == inf`` when no post occurs inside the window; if
     the feed ends first, the pending candidate (already committed, since
     nothing else can precede it) is returned.
     """
-    if isinstance(feed, EventStream):
-        events = ((float(t), 0) for t in feed.times)
+    if isinstance(feed, np.ndarray):
+        events = ((float(t), 0) for t in feed)
         n = 1
     else:
         events = iter(feed)
@@ -537,18 +527,22 @@ def next_post_time(
     return ctl._decision(decided_at=tf)
 
 
-# Constructors and lookups that only tests use: streams, rates, schedules, networks.
+# Constructors and lookups that only tests use: logs, rates, schedules, networks.
 
 
-def labelled_stream(times, source: str) -> EventStream:
-    """``EventStream.from_times`` with every event from ``source`` rather than ``"feed"``."""
-    times = np.asarray(times, dtype=np.float64)
-    return EventStream(times, np.full(times.shape, source, dtype=object))
+def coded_log(times, sources) -> EventLog:
+    """The :class:`EventLog` of ``times`` (strictly increasing) and one source id per event.
+
+    The ids are listed in order of first appearance, as ``load_events`` lists them.
+    """
+    code_of: dict = {}
+    codes = np.array([code_of.setdefault(s, len(code_of)) for s in sources], dtype=np.int32)
+    return EventLog(np.asarray(times, dtype=np.float64), codes, np.array(list(code_of), dtype=object))
 
 
-def from_sources(stream: EventStream, wanted) -> EventStream:
-    mask = np.isin(stream.sources, list(wanted))
-    return EventStream(stream.times[mask], stream.sources[mask])
+def log_sources(log: EventLog) -> list:
+    """Each event's source id, ``ids[codes]``."""
+    return log.ids[log.codes].tolist()
 
 
 def constant_rate(rate: float, t0: float, tf: float) -> PiecewiseRate:
@@ -611,25 +605,18 @@ def apply_jump(state: IntensityState, params: HawkesParams) -> IntensityState:
     return IntensityState(state.current + params.alpha, state.as_of)
 
 
-def superpose(streams) -> EventStream:
-    """Merge streams into one, keeping per-event sources.
+def superpose(streams) -> np.ndarray:
+    """Merge strictly increasing time arrays into one.
 
     Exact time ties across streams are nudged apart by one float step
     (later stream wins the later slot) with a warning; each input is
     already strictly increasing, so the result is too.
     """
-    streams = list(streams)
-    if not streams:
-        return EventStream.empty()
-    times = np.concatenate([s.times for s in streams])
-    sources = np.concatenate([s.sources for s in streams]) if times.shape[0] else np.empty(0, object)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    sources = sources[order]
+    times = np.sort(np.concatenate([np.empty(0), *streams]), kind="stable")
     times, nudged = _dedupe_increasing(times)
     if nudged:
         warnings.warn(f"nudged {nudged} coincident event(s) apart", stacklevel=2)
-    return EventStream(times, sources)
+    return times
 
 
 # Metrics, baselines and profiles.  Per follower: metrics.report_from_trajectory.
@@ -689,19 +676,17 @@ def average_position(trajectory) -> float:
     return total / (trajectory.n_followers * horizon)
 
 
-def quadratic_control_cost(trajectory, q: float, s=1.0) -> float:
-    """0.5*sum_i s_i*integral(r_i^2) + 0.5*q*posts + 0.5*sum_i r_i(tf)^2.
+def quadratic_control_cost(trajectory, q: float) -> float:
+    """0.5*sum_i integral(r_i^2) + 0.5*q*posts + 0.5*sum_i r_i(tf)^2.
 
     The quadratic loss the posting policies trade off, evaluated on the
     realized trajectory.  Exact: rank paths are step functions.
     """
-    n = trajectory.n_followers
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n,))
     total = 0.0
-    for i, (ts, vs) in enumerate(zip(trajectory.rank_times, trajectory.rank_values)):
+    for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
         vs = np.asarray(vs, dtype=np.float64)
         lengths = _segment_lengths(np.asarray(ts, np.float64), trajectory.tf)
-        total += 0.5 * s[i] * float(np.sum(vs * vs * lengths))
+        total += 0.5 * float(np.sum(vs * vs * lengths))
         total += 0.5 * float(vs[-1] * vs[-1])
     total += 0.5 * q * trajectory.post_count
     return total

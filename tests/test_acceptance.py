@@ -20,8 +20,8 @@ from reference import (
     RankState,
     brute_force_schedule,
     constant_rate,
+    coded_log,
     decay_intensity,
-    labelled_stream,
     next_post_time,
     rank_from_history,
     rank_step,
@@ -39,7 +39,6 @@ from whentopost.data_io import (
 from whentopost.feed_sim import Feeds, trajectory_from_posts
 from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import (
-    EventStream,
     HawkesParams,
     sample_hawkes,
     sample_piecewise_poisson,
@@ -86,13 +85,13 @@ def test_01_rank_dynamics_equivalence():
 def test_02_self_exciting_sampler_rate_and_poisson_limit():
     params = HawkesParams(10.0, 1.0, 10.0)
     target = params.stationary_rate()  # 11.11 events/s
-    stream = sample_hawkes(params, 0.0, 1000.0, np.random.default_rng(202))
-    assert len(stream) >= 10_000
-    rate = len(stream) / 1000.0
+    times = sample_hawkes(params, 0.0, 1000.0, np.random.default_rng(202))
+    assert len(times) >= 10_000
+    rate = len(times) / 1000.0
     assert abs(rate - target) / target < 0.05
 
     poisson = sample_hawkes(HawkesParams(10.0, 0.0, 10.0), 0.0, 2000.0, np.random.default_rng(203))
-    gaps = np.diff(poisson.times)
+    gaps = np.diff(poisson)
     assert len(gaps) >= 10_000
     _, p = stats.kstest(gaps, "expon", args=(0, 1.0 / 10.0))
     assert p > 0.01
@@ -140,7 +139,7 @@ def test_04_first_post_distribution_matches_thinning_sampler():
         feed = np.cumsum(feed_rng.exponential(1.0 / feed_rate, size=200))
         feed = feed[feed <= T]
         a[i] = next_post_time(
-            EventStream.from_times(feed), params, np.random.default_rng(np.random.SeedSequence([900, 2, i])), 0.0, T
+            feed, params, np.random.default_rng(np.random.SeedSequence([900, 2, i])), 0.0, T
         ).post_time
         # independent draw: thin a homogeneous proposal at 1.25x the peak rate
         rng = np.random.default_rng(np.random.SeedSequence([900, 3, i]))
@@ -172,9 +171,8 @@ def test_05_backward_induction_matches_exhaustive_search():
         m = int(rng.integers(0, 13))  # up to 12 feed events
         widths = rng.uniform(0.05, 2.0, size=m + 1)
         q = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        s = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         r0 = int(rng.integers(0, 4))
-        inst = OracleInstance(r0=r0, widths=widths, q=q, s=s)
+        inst = OracleInstance(r0=r0, widths=widths, q=q)
         assert oracle_schedule(inst).cost == brute_force_schedule(inst).cost
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -185,7 +183,7 @@ def test_05_backward_induction_matches_exhaustive_search():
 def _hawkes_feed(seed):
     feed = sample_hawkes(HawkesParams(10.0, 1.0, 10.0), 0.0, 90.0,
                          np.random.default_rng(np.random.SeedSequence([606, 1, seed])))
-    return Feeds.cut([feed.times], 0.0, 90.0)
+    return Feeds.cut([feed], 0.0, 90.0)
 
 
 def _mean_posts(q, seeds):
@@ -269,7 +267,7 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
         if bucket_index(abs_day, "weekday") < 5:
             activity.extend(abs_day + 3600.0 * h for h in (9.0, 13.0, 17.0))
     profile = estimate_significance(
-        labelled_stream(np.asarray(activity), "f"), ["f"],
+        coded_log(activity, ["f"] * len(activity)), ["f"],
         epoch=0.0, granularity="weekday", laplace=0.0,
     )
     assert np.all(profile.values["f"][5:] == 0.0)
@@ -282,7 +280,7 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
     for seed in range(50):
         feed = sample_piecewise_poisson(rate, t0, tf, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
         posts = run_redqueen_fast(
-            Feeds.cut([feed.times], t0, tf), RedQueenParams(q=1000.0, significance=schedule),
+            Feeds.cut([feed], t0, tf), RedQueenParams(q=1000.0, significance=schedule),
             np.random.default_rng(np.random.SeedSequence([909, 2, seed])),
             t0, tf, initial_ranks=np.array([2]),
         )
@@ -308,7 +306,7 @@ def test_10_replayed_posts_normalize_to_one_and_online_policy_beats_them():
         traj = trajectory_from_posts(dataset.feeds, np.asarray(posts), 0.0, 240.0)
         return report_from_trajectory(traj, "probe", 0, "probe").position_over_time
 
-    true_pot = mean_position(dataset.true_posts.times)
+    true_pot = mean_position(dataset.true_posts)
     merged = np.unique(dataset.feeds.times)
     candidates = np.concatenate([[np.nextafter(0.0, math.inf)],
                                  np.nextafter(merged, math.inf)])

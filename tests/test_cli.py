@@ -5,6 +5,7 @@ import json
 import shutil
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from reference import read_profile_csv, read_report_csv
@@ -257,6 +258,68 @@ def run_failing(args):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1, result.stderr
     return json.loads(lines[0])
+
+
+#: Each command's required flags, and a flag of each kind a usage error can hit:
+#: (flag, bad type), (flag, bad choice) and (flag, missing file); ``--config``
+#: is the group's file, for a command with none of its own.
+USAGE = {
+    "simulate": (["--scenario", "one-follower-hawkes", "--out", "r.csv"],
+                 ("--feed-events", "abc"), ("--scenario", "bogus"), None),
+    "tune-q": (["--scenario", "one-follower-hawkes", "--target", "5"],
+               ("--target", "abc"), ("--scenario", "bogus"), None),
+    "replay": (["--manifest", str(FIXTURE / "manifest.txt"), "--out", "r.csv"],
+               ("--q", "abc"), ("--significance", "bogus"), ("--manifest", "/nonexistent")),
+    "estimate-significance": (["--events", str(FIXTURE / "events.jsonl"), "--epoch", "0", "--out", "p.csv"],
+                              ("--epoch", "abc"), ("--granularity", "bogus"), ("--events", "/nonexistent")),
+}
+
+
+@pytest.mark.parametrize("kind", ["bad type", "bad choice", "unknown option", "missing file"])
+@pytest.mark.parametrize("command", list(USAGE))
+def test_usage_errors_fail_with_the_json_error(tmp_path, monkeypatch, command, kind):
+    monkeypatch.chdir(tmp_path)
+    required, bad_type, bad_choice, missing_file = USAGE[command]
+    group = []
+    if kind == "unknown option":
+        flag, args = "--bogus", required + ["--bogus", "1"]
+    elif kind == "missing file" and missing_file is None:
+        flag, group, args = "--config", ["--config", "/nonexistent"], required
+    else:
+        flag, value = {"bad type": bad_type, "bad choice": bad_choice, "missing file": missing_file}[kind]
+        args = required + [flag, value]
+    err = run_failing(group + [command, *args])
+    assert sorted(err) == ["error", "message"]
+    assert err["error"] == ("NoSuchOption" if kind == "unknown option" else "BadParameter")
+    assert flag in err["message"]
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+def test_the_group_main_keeps_click_s_calling_conventions(tmp_path):
+    # the benchmark's worker calls main.main(args=..., prog_name=...) and reads SystemExit
+    args = ["estimate-significance", "--events", str(FIXTURE / "events.jsonl"), "--epoch", "0"]
+    with pytest.raises(SystemExit) as done:
+        main.main(args=args + ["--out", str(tmp_path / "p.csv")], prog_name="whentopost")
+    assert done.value.code in (0, None) and (tmp_path / "p.csv").exists()
+    with pytest.raises(SystemExit) as failed:
+        main.main(args=args + ["--bogus"], prog_name="whentopost")
+    assert failed.value.code == 2
+    # without standalone mode click's exception reaches the caller
+    with pytest.raises(click.NoSuchOption):
+        main.main(args=args + ["--bogus"], prog_name="whentopost", standalone_mode=False)
+    # a bare call is a usage error too
+    assert run_failing([]) == {"error": "UsageError", "message": "Missing command."}
+
+
+def test_an_interrupt_fails_with_one_json_line(tmp_path, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.data_io, "load_events", interrupted)
+    result = CliRunner().invoke(main, ["estimate-significance", "--events", str(FIXTURE / "events.jsonl"),
+                                       "--epoch", "0", "--out", str(tmp_path / "p.csv")])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {"error": "Abort", "message": "interrupted"}
 
 
 @pytest.mark.parametrize("bad", ["Infinity", "NaN"])

@@ -8,7 +8,6 @@ from reference import (
     PolicyDecision,
     RedQueenController,
     constant_schedule,
-    cut_streams,
     next_post_time,
     optimal_intensity,
     simulate,
@@ -19,7 +18,6 @@ from scipy import stats
 from whentopost import control_online
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
 from whentopost.feed_sim import Feeds
-from whentopost.point_process import EventStream
 from whentopost.significance import StepSchedule
 
 
@@ -69,13 +67,13 @@ def test_step_schedule_validation():
 
 def test_next_post_time_keeps_silence_with_no_rank():
     # rank 0 and an empty feed spawn no clocks: never posts
-    dec = next_post_time(EventStream.empty(), RedQueenParams(q=1.0),
+    dec = next_post_time(np.empty(0), RedQueenParams(q=1.0),
                          np.random.default_rng(0), 0.0, 100.0)
     assert dec.post_time == math.inf
 
 
 def test_next_post_time_initial_rank_posts():
-    dec = next_post_time(EventStream.empty(), RedQueenParams(q=1.0),
+    dec = next_post_time(np.empty(0), RedQueenParams(q=1.0),
                          np.random.default_rng(1), 0.0, 1e9, initial_ranks=[1])
     assert math.isfinite(dec.post_time)
     assert dec.post_time == dec.clock_origin + dec.clock_delta
@@ -83,7 +81,7 @@ def test_next_post_time_initial_rank_posts():
 
 
 def test_next_post_time_deterministic():
-    feed = EventStream.from_times([1.0, 2.0, 3.0, 4.0])
+    feed = np.array([1.0, 2.0, 3.0, 4.0])
     params = RedQueenParams(q=0.5)
     a = next_post_time(feed, params, np.random.default_rng(7), 0.0, 10.0)
     b = next_post_time(feed, params, np.random.default_rng(7), 0.0, 10.0)
@@ -91,7 +89,7 @@ def test_next_post_time_deterministic():
 
 
 def test_next_post_time_rejects_events_outside_window():
-    feed = EventStream.from_times([20.0])
+    feed = np.array([20.0])
     with pytest.raises(ValueError):
         next_post_time(feed, RedQueenParams(q=1.0), np.random.default_rng(0), 0.0, 10.0)
 
@@ -101,7 +99,7 @@ def test_first_post_is_exponential_for_constant_rank():
     params = RedQueenParams(q=1.0)
     draws = []
     for seed in range(2000):
-        dec = next_post_time(EventStream.empty(), params, np.random.default_rng(seed),
+        dec = next_post_time(np.empty(0), params, np.random.default_rng(seed),
                              0.0, 1e9, initial_ranks=[1])
         draws.append(dec.post_time)
     result = stats.kstest(draws, "expon")
@@ -110,7 +108,7 @@ def test_first_post_is_exponential_for_constant_rank():
 
 def test_scale_invariance_of_significance_and_price():
     # u* depends on s/q only: scaling both leaves every draw's use identical
-    feed = EventStream.from_times(np.linspace(0.5, 9.5, 19))
+    feed = np.asarray(np.linspace(0.5, 9.5, 19))
     for c in (0.25, 4.0):
         base = RedQueenParams(q=2.0, significance=constant_schedule(1.0, 1, 0.0, 10.0))
         scaled = RedQueenParams(q=2.0 * c, significance=constant_schedule(c, 1, 0.0, 10.0))
@@ -124,14 +122,14 @@ def test_controller_matches_fast_path_exactly():
     # must emit identical posts
     rng_feed = np.random.default_rng(11)
     feeds = [
-        EventStream.from_times(np.sort(rng_feed.uniform(0, 40, size=90))),
-        EventStream.from_times(np.sort(rng_feed.uniform(0, 40, size=50))),
+        np.sort(rng_feed.uniform(0, 40, size=90)),
+        np.sort(rng_feed.uniform(0, 40, size=50)),
     ]
     params = RedQueenParams(q=0.7)
     ranks0 = np.array([2, 0])
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(5)),
                     0.0, 40.0, initial_ranks=ranks0)
-    fast = run_redqueen_fast(cut_streams(feeds, 0.0, 40.0), params, np.random.default_rng(5), 0.0, 40.0,
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 40.0), params, np.random.default_rng(5), 0.0, 40.0,
                              initial_ranks=ranks0)
     assert np.array_equal(slow.own_posts, fast)
     assert len(fast) > 0
@@ -143,11 +141,11 @@ def test_controller_matches_fast_path_with_significance():
     params = RedQueenParams(q=0.3, significance=sched)
     rng_feed = np.random.default_rng(13)
     feeds = [
-        EventStream.from_times(np.sort(rng_feed.uniform(0, 30, size=70))),
-        EventStream.from_times(np.sort(rng_feed.uniform(0, 30, size=40))),
+        np.sort(rng_feed.uniform(0, 30, size=70)),
+        np.sort(rng_feed.uniform(0, 30, size=40)),
     ]
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(9)), 0.0, 30.0)
-    fast = run_redqueen_fast(cut_streams(feeds, 0.0, 30.0), params, np.random.default_rng(9), 0.0, 30.0)
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 30.0), params, np.random.default_rng(9), 0.0, 30.0)
     assert np.array_equal(slow.own_posts, fast)
 
 
@@ -180,7 +178,7 @@ def test_posting_resets_clocks():
 
 def test_recorded_decisions_are_consistent():
     rng_feed = np.random.default_rng(17)
-    feeds = [EventStream.from_times(np.sort(rng_feed.uniform(0, 30, size=80)))]
+    feeds = [np.sort(rng_feed.uniform(0, 30, size=80))]
     ctl = RedQueenController(RedQueenParams(q=0.4), np.random.default_rng(2), record=True)
     traj = simulate(feeds, ctl, 0.0, 30.0)
     assert len(ctl.decisions) == traj.post_count > 0
@@ -198,7 +196,7 @@ def test_more_rank_means_faster_posting():
     means = []
     for r in (1, 4):
         ts = [
-            next_post_time(EventStream.empty(), params, np.random.default_rng(seed),
+            next_post_time(np.empty(0), params, np.random.default_rng(seed),
                            0.0, 1e9, initial_ranks=[r]).post_time
             for seed in range(1500)
         ]

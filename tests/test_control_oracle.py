@@ -28,13 +28,12 @@ def random_instance(rng, max_stages=12):
     widths = rng.uniform(0.1, 2.0, size=m1)
     q = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
     r0 = int(rng.integers(0, 4))
-    s = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    return OracleInstance(r0=r0, widths=widths, q=q, s=s)
+    return OracleInstance(r0=r0, widths=widths, q=q)
 
 
 def test_frozen_two_interval_instance():
     # holding through both unit intervals: 0.5*1 + 0.5*4 + terminal 0.5*4
-    inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0]), q=100.0, s=1.0)
+    inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0]), q=100.0)
     got = oracle_schedule(inst)
     assert np.array_equal(got.decisions, [0, 0])
     assert got.cost == 4.5
@@ -42,14 +41,14 @@ def test_frozen_two_interval_instance():
 
 
 def test_free_posting_drives_cost_to_zero():
-    inst = OracleInstance(r0=0, widths=np.array([1.0, 0.5, 2.0]), q=0.0, s=1.0)
+    inst = OracleInstance(r0=0, widths=np.array([1.0, 0.5, 2.0]), q=0.0)
     got = oracle_schedule(inst)
     assert np.array_equal(got.decisions, [1, 1, 1])
     assert got.cost == 0.0
 
 
 def test_moderate_price_matches_enumeration():
-    inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0, 1.0, 1.0]), q=4.0, s=1.0)
+    inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0, 1.0, 1.0]), q=4.0)
     dp = oracle_schedule(inst)
     brute = brute_force_schedule(inst)
     assert dp.cost == brute.cost
@@ -57,7 +56,7 @@ def test_moderate_price_matches_enumeration():
 
 
 def test_single_interval_threshold():
-    # one stage: posting beats holding exactly when q < (s*w + 1) * (r0+1)^2
+    # one stage: posting beats holding exactly when q < (w + 1) * (r0+1)^2
     for r0 in (0, 1, 3):
         for w in (0.5, 1.0, 2.0):
             threshold = (w + 1.0) * (r0 + 1.0) ** 2
@@ -70,7 +69,7 @@ def test_single_interval_threshold():
 
 def test_exact_tie_holds():
     # q = 2 makes posting and holding cost exactly 1.0 on one unit interval
-    inst = OracleInstance(r0=0, widths=np.array([1.0]), q=2.0, s=1.0)
+    inst = OracleInstance(r0=0, widths=np.array([1.0]), q=2.0)
     got = oracle_schedule(inst)
     assert got.decisions[0] == 0
     assert got.cost == 1.0
@@ -92,7 +91,7 @@ def test_zero_width_stages_are_harmless():
         inst = random_instance(rng, max_stages=8)
         widths = inst.widths.copy()
         widths[rng.integers(0, widths.shape[0])] = 0.0
-        patched = OracleInstance(inst.r0, widths, inst.q, inst.s)
+        patched = OracleInstance(inst.r0, widths, inst.q)
         assert oracle_schedule(patched).cost == brute_force_schedule(patched).cost
 
 
@@ -101,7 +100,7 @@ def test_cost_monotone_in_initial_rank():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         costs = [
-            oracle_schedule(OracleInstance(r0, inst.widths, inst.q, inst.s)).cost
+            oracle_schedule(OracleInstance(r0, inst.widths, inst.q)).cost
             for r0 in range(4)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
@@ -113,7 +112,7 @@ def test_cost_monotone_in_price():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         costs = [
-            oracle_schedule(OracleInstance(inst.r0, inst.widths, q, inst.s)).cost
+            oracle_schedule(OracleInstance(inst.r0, inst.widths, q)).cost
             for q in (0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
@@ -124,7 +123,7 @@ def test_post_count_nonincreasing_in_price():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         counts = [
-            oracle_schedule(OracleInstance(inst.r0, inst.widths, q, inst.s)).post_count
+            oracle_schedule(OracleInstance(inst.r0, inst.widths, q)).post_count
             for q in (0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -177,7 +176,7 @@ def test_schedule_cost_matches_trajectory_cost():
             for k in range(len(twin_events)) if sched.decisions[k]
         ])
         traj = trajectory_from_posts(Feeds.cut([twin_events], 0.0, 10.0), posts, 0.0, 10.0)
-        cost = quadratic_control_cost(traj, q=inst.q, s=inst.s)
+        cost = quadratic_control_cost(traj, q=inst.q)
         assert math.isclose(cost, sched.cost, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -197,13 +196,12 @@ def test_validation_rejects_bad_instances():
     [
         ("q", math.nan, "q must be finite, got nan"),
         ("q", math.inf, "q must be finite, got inf"),
-        ("s", math.nan, "s must be finite, got nan"),
         ("widths", np.array([1.0, math.nan]), "widths must be finite, got nan at stage 1"),
         ("widths", np.array([math.inf, 1.0]), "widths must be finite, got inf at stage 0"),
     ],
 )
 def test_validation_rejects_non_finite_inputs(field, value, message):
-    kwargs = dict(r0=0, widths=np.array([1.0, 1.0]), q=1.0, s=1.0)
+    kwargs = dict(r0=0, widths=np.array([1.0, 1.0]), q=1.0)
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
         OracleInstance(**kwargs)
@@ -216,8 +214,7 @@ def test_scalar_cost_equals_batch_cost_bitwise():
         widths = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), m1))
         widths[rng.random(m1) < 0.1] = 0.0
         q = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e8))))
-        s = [0.0, 1, float(rng.uniform(0.01, 100.0))][case % 3]
-        inst = OracleInstance(int(rng.integers(0, 20)), widths, q, s)
+        inst = OracleInstance(int(rng.integers(0, 20)), widths, q)
         rows = np.stack([rng.random(m1) < p for p in (0.0, 0.05, 0.5, 1.0)])
         rows = np.vstack([rows, oracle_schedule(inst).decisions])
         batch = schedule_cost_batch(rows.astype(np.float64), inst)

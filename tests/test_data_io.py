@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import importlib.util
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import re
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from reference import read_profile_csv, read_report_csv
 from whentopost import data_io
 from whentopost.data_io import (
     DataFormatError,
+    EventLog,
     REPORT_HEADER,
     Network,
     build_replay_dataset,
@@ -31,8 +34,9 @@ from whentopost.data_io import (
     write_report_csv,
 )
 from whentopost.metrics import MetricsReport
-from whentopost.point_process import EventStream
 from whentopost.significance import NORMALIZATION, SignificanceProfile
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
 
 
 def write_lines(path, lines):
@@ -52,9 +56,11 @@ def test_load_events_preserves_sorted_input(tmp_path):
         '{"t": 2.5, "src": "b"}',
         '{"t": 3.0, "src": "a"}',
     ])
-    stream = load_events(p)
-    assert np.array_equal(stream.times, [1.0, 2.5, 3.0])
-    assert list(stream.sources) == ["a", "b", "a"]
+    log = load_events(p)
+    assert np.array_equal(log.times, [1.0, 2.5, 3.0])
+    assert log.codes.dtype == np.int32
+    assert log.codes.tolist() == [0, 1, 0]
+    assert log.ids.tolist() == ["a", "b"]
 
 
 def test_load_events_sorts_shuffled_input_with_warning(tmp_path):
@@ -65,9 +71,9 @@ def test_load_events_sorts_shuffled_input_with_warning(tmp_path):
         '{"t": 2.0, "src": "c"}',
     ])
     with pytest.warns(UserWarning, match="out of order"):
-        stream = load_events(p)
-    assert np.array_equal(stream.times, [1.0, 2.0, 3.0])
-    assert list(stream.sources) == ["b", "c", "a"]
+        log = load_events(p)
+    assert np.array_equal(log.times, [1.0, 2.0, 3.0])
+    assert reference.log_sources(log) == ["b", "c", "a"]
 
 
 def test_load_events_nudges_ties_with_warning(tmp_path):
@@ -80,6 +86,30 @@ def test_load_events_nudges_ties_with_warning(tmp_path):
         stream = load_events(p)
     assert len(stream) == 2
     assert stream.times[1] == np.nextafter(1.0, math.inf)
+
+
+def test_event_log_rejects_what_no_parse_gives():
+    times, codes, ids = np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]), np.array(["a", "b"], dtype=object)
+    log = EventLog(times, codes, ids)
+    assert len(log) == 3 and log.codes.dtype == np.int32 and log.ids.dtype == object
+    for bad_codes in ([0, 2, 0], [0, -1, 0], [0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match=r"source codes must be integers in \[0, 2\)"):
+            EventLog(times, np.array(bad_codes), ids)
+    with pytest.raises(ValueError, match="ids must be distinct"):
+        EventLog(times, codes, np.array(["a", "b", "a"], dtype=object))
+    for bad_times in ([1.0, 1.0, 3.0], [2.0, 1.0, 3.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EventLog(np.array(bad_times), codes, ids)
+    for args in ((times[:2], codes, ids), (times, codes[:2], ids), (times[None], codes[None], ids)):
+        with pytest.raises(ValueError, match="parallel 1-d"):
+            EventLog(*args)
+
+
+def test_event_logs_compare_by_identity():
+    log = reference.coded_log([1.0, 2.0], ["a", "b"])
+    twin = reference.coded_log([1.0, 2.0], ["a", "b"])
+    assert log == log and not log != log
+    assert log != twin and not log == twin
 
 
 def test_load_events_reports_bad_line_number(tmp_path):
@@ -97,21 +127,26 @@ def test_load_events_reports_bad_line_number(tmp_path):
 
 def test_events_round_trip_bytes(tmp_path):
     rng = np.random.default_rng(0)
-    stream = EventStream(
-        np.sort(rng.uniform(0, 1000, size=50)),
-        np.asarray([f"u{i % 7}" for i in range(50)], dtype=object),
-    )
+    log = reference.coded_log(np.sort(rng.uniform(0, 1000, size=50)), [f"u{i % 7}" for i in range(50)])
     p1 = tmp_path / "a.jsonl"
     p2 = tmp_path / "b.jsonl"
-    save_events(stream, p1)
+    save_events(log, p1)
     save_events(load_events(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def save_events_per_event(stream, path):
+def test_the_fixture_generator_writes_the_committed_log(tmp_path):
+    spec = importlib.util.spec_from_file_location("generate", FIXTURE / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    save_events(generate.event_log(), tmp_path / "events.jsonl")
+    assert (tmp_path / "events.jsonl").read_bytes() == (FIXTURE / "events.jsonl").read_bytes()
+
+
+def save_events_per_event(log, path):
     """``save_events`` as one ``json.dumps`` per event."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, src in zip(stream.times, stream.sources):
+        for t, src in zip(log.times, reference.log_sources(log)):
             fh.write(json.dumps({"t": float(t), "src": str(src)}) + "\n")
 
 
@@ -127,21 +162,22 @@ def test_save_events_writes_json_dumps_lines(tmp_path, monkeypatch, chunk):
                             np.sort(rng.uniform(1e16, 1e17, 40)), [1e300]])
     sources = np.array(AWKWARD_IDS, dtype=object)[rng.integers(0, len(AWKWARD_IDS), times.shape[0])]
     sources[:len(AWKWARD_IDS)] = AWKWARD_IDS
-    streams = {
-        "finite": EventStream(times, sources),
-        "numpy-str": EventStream(times[:5], np.array(["a", 'b"', "c\\", "d", "\u00e9"])),
-        "empty": EventStream.empty(),
+    logs = {
+        "finite": reference.coded_log(times, sources),
+        "numpy-str": EventLog(times[:5], np.arange(5), np.array(["a", 'b"', "c\\", "d", "\u00e9"])),
+        "unused-ids": EventLog(times[:3], np.array([2, 0, 2]), np.array(["a", "b", 'c"'], dtype=object)),
+        "empty": reference.coded_log([], []),
     }
     for t in (math.inf, -math.inf, math.nan):  # one event: no order to break
-        streams[repr(t)] = EventStream(np.array([t]), np.array(["x"], dtype=object))
-    for name, stream in streams.items():
+        logs[repr(t)] = reference.coded_log([t], ["x"])
+    for name, log in logs.items():
         got, want = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-want.jsonl"
-        save_events(stream, got)
-        save_events_per_event(stream, want)
+        save_events(log, got)
+        save_events_per_event(log, want)
         assert got.read_bytes() == want.read_bytes(), name
     back = load_events(tmp_path / "finite.jsonl")
     assert back.times.tobytes() == times.tobytes()
-    assert back.sources.tolist() == sources.tolist()
+    assert reference.log_sources(back) == sources.tolist()
 
 
 def test_load_network_empty_and_dedup(tmp_path):
@@ -202,12 +238,12 @@ def small_log():
     sources = np.asarray(
         ["b", "x", "y", "b", "x", "z", "y", "x", "b", "z", "x", "y"], dtype=object
     )
-    return EventStream(times, sources)
+    return reference.coded_log(times, sources)
 
 
 def sources_of(log, times):
     """The log's source of each event time: log times strictly increase."""
-    return log.sources[np.searchsorted(log.times, times)].tolist()
+    return log.ids[log.codes[np.searchsorted(log.times, times)]].tolist()
 
 
 def small_network():
@@ -227,7 +263,7 @@ def test_build_replay_dataset_unions_followee_events():
     assert np.array_equal(feeds["f2"], [6.0, 10.0])
     # f3 follows only the broadcaster: empty feed
     assert len(feeds["f3"]) == 0
-    assert np.array_equal(dataset.true_posts.times, [1.0, 4.0, 9.0])
+    assert np.array_equal(dataset.true_posts, [1.0, 4.0, 9.0])
 
 
 def test_build_replay_dataset_excludes_broadcaster_everywhere():
@@ -249,7 +285,7 @@ def test_build_replay_dataset_followee_cap():
 
 def test_build_replay_dataset_window_clips_events():
     dataset = build_replay_dataset(small_log(), small_network(), "b", 0.0, 2.0, 8.0)
-    assert np.array_equal(dataset.true_posts.times, [4.0])
+    assert np.array_equal(dataset.true_posts, [4.0])
     feeds = dict(zip(dataset.follower_ids, dataset.feeds))
     assert np.array_equal(feeds["f1"], [3.0, 5.0, 7.0, 8.0])
 
@@ -258,7 +294,7 @@ def test_build_replay_dataset_matches_per_follower_from_sources():
     rng = np.random.default_rng(5)
     accounts = np.array([f"a{i}" for i in range(40)], dtype=object)
     n = 5000
-    log = EventStream(np.sort(rng.uniform(0.0, 1000.0, n)), accounts[rng.integers(0, 40, n)])
+    log = reference.coded_log(np.sort(rng.uniform(0.0, 1000.0, n)), accounts[rng.integers(0, 40, n)])
     edges = [("a0", f"f{k}") for k in range(20)]
     for k in range(20):
         followees = rng.choice(list(accounts) + ["ghost"], size=int(rng.integers(0, 12)))
@@ -266,24 +302,21 @@ def test_build_replay_dataset_matches_per_follower_from_sources():
     net = Network.from_edges(edges)
     dataset = build_replay_dataset(log, net, "a0", 0.0, 100.0, 700.0, max_followees=9)
     assert 0 < len(dataset.follower_ids) < 20
-    windowed = log.window(100.0, 700.0)
+    inside = (log.times > 100.0) & (log.times <= 700.0)
+    sources = np.array(reference.log_sources(log), dtype=object)
     assert len(dataset.feeds) == len(dataset.follower_ids)
     for fid, feed in zip(dataset.follower_ids, dataset.feeds):
-        want = reference.from_sources(windowed, set(net.followees_of[fid]) - {"a0"})
-        assert feed.tobytes() == want.times.tobytes()
-        assert sources_of(log, feed) == want.sources.tolist()
-    want = reference.from_sources(windowed, {"a0"})
-    assert dataset.true_posts.times.tobytes() == want.times.tobytes()
-    assert dataset.true_posts.sources.tolist() == want.sources.tolist()
+        want = inside & np.isin(sources, list(set(net.followees_of[fid]) - {"a0"}))
+        assert feed.tobytes() == log.times[want].tobytes()
+    assert dataset.true_posts.tobytes() == log.times[inside & (sources == "a0")].tobytes()
 
 
-def assert_same_feeds(got, want, log):
-    """``got``, a ``Feeds``, holds the events of the streams ``want``, sources taken from ``log``."""
+def assert_same_feeds(got, want):
+    """``got``, a ``Feeds``, holds the feed times ``want``."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == w.times.dtype
-        assert g.tobytes() == w.times.tobytes()
-        assert sources_of(log, g) == w.sources.tolist()
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
@@ -294,7 +327,7 @@ def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
     # window (or none at all), and windows with one event or none
     rng = np.random.default_rng(8)
     accounts = np.array([f"a{i}" for i in range(12)], dtype=object)
-    small = EventStream(np.sort(rng.uniform(0.0, 100.0, 400)), accounts[rng.integers(0, 9, 400)])
+    small = reference.coded_log(np.sort(rng.uniform(0.0, 100.0, 400)), accounts[rng.integers(0, 9, 400)])
     edges = [("a0", f"f{k}") for k in range(8)] + [("a0", "f0"), ("a9", "f1"), ("ghost", "f2")]
     edges += [(str(a), f"f{k}") for k in range(8) for a in rng.choice(accounts, 4)]
     small_net = Network.from_edges(edges)
@@ -303,11 +336,9 @@ def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
     for events, network, broadcaster, t0, tf in cases:
         dataset = build_replay_dataset(events, network, broadcaster, 0.0, t0, tf)
         feeds, true_posts = reference.replay_feeds_by_mask(events, network, broadcaster, t0, tf)
-        assert_same_feeds(dataset.feeds, feeds, events)
-        got = dataset.true_posts
-        assert got.times.tobytes() == true_posts.times.tobytes()
-        assert got.sources.dtype == true_posts.sources.dtype
-        assert got.sources.tolist() == true_posts.sources.tolist()
+        assert_same_feeds(dataset.feeds, feeds)
+        assert dataset.true_posts.dtype == true_posts.dtype
+        assert dataset.true_posts.tobytes() == true_posts.tobytes()
 
 
 def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
@@ -535,14 +566,14 @@ def test_profile_csv_requires_metadata(tmp_path):
 
 
 def load_outcome(path):
-    """What loading ``path`` gives: times bytes, sources and warnings, or the error."""
+    """What loading ``path`` gives: times bytes, each event's source id and warnings, or the error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            stream = load_events(path)
+            log = load_events(path)
         except DataFormatError as exc:
             return ("error", str(exc))
-    return (stream.times.tobytes(), stream.sources.tolist(), [str(w.message) for w in caught])
+    return (log.times.tobytes(), reference.log_sources(log), [str(w.message) for w in caught])
 
 
 @contextlib.contextmanager
@@ -726,13 +757,14 @@ def test_load_events_reads_integer_minus_zero_as_positive_zero(tmp_path):
         assert times[0] == 0.0 and bool(np.signbit(times[0])) is negative
 
 
-def test_load_events_keeps_one_string_per_account(tmp_path):
+def test_load_events_codes_each_account_once(tmp_path):
     p = tmp_path / "events.jsonl"
-    write_lines(p, ['{"t": %d.5, "src": "u%d"}' % (k, k % 4) for k in range(50)])
+    write_lines(p, ['{"t": %d.5, "src": "u%d"}' % (k, 3 - k % 4) for k in range(50)])
     for loader in (contextlib.nullcontext, per_line_only):
         with loader():
-            sources = load_events(p).sources
-        assert len({id(s) for s in sources}) == 4
+            log = load_events(p)
+        assert log.ids.tolist() == ["u3", "u2", "u1", "u0"]  # in order of first appearance
+        assert log.codes.tolist() == [k % 4 for k in range(50)]
 
 
 def test_load_events_warnings_agree_on_shuffled_and_tied_logs(tmp_path):
@@ -816,12 +848,21 @@ def test_split_read_matches_one_range_on_canonical_logs(tmp_path):
     accounts = np.array([f"u{k}" for k in range(30)] + ["a,b", "qé", "line sep", ""], dtype=object)
     for n in (0, 1, 2, 5, 300):
         times = np.cumsum(rng.exponential(1.0, n))
-        save_events(EventStream(times, accounts[rng.integers(0, len(accounts), n)]), p)
-        times_bytes, sources, caught = load_split_and_whole(p, cpus=(2, 3, 4))
-        assert times_bytes == times.tobytes() and not caught
-        with split_into(3):
-            stream = load_events(p)
-        assert len({id(s) for s in stream.sources}) == len(set(stream.sources))  # one string per id
+        sources = accounts[rng.integers(0, len(accounts), n)]
+        save_events(reference.coded_log(times, sources), p)
+        times_bytes, got, caught = load_split_and_whole(p, cpus=(2, 3, 4))
+        assert times_bytes == times.tobytes() and got == sources.tolist() and not caught
+        with split_into(1):
+            whole = load_events(p)
+        for cpus in (2, 3, 4):
+            with split_into(cpus):
+                split = load_events(p)
+            assert split.times.tobytes() == whole.times.tobytes()
+            assert reference.log_sources(split) == reference.log_sources(whole)
+            assert len(set(split.ids.tolist())) == len(split.ids)
+            # the ids in order of first appearance, as one range lists them
+            assert split.ids.tolist() == whole.ids.tolist()
+            assert split.codes.tobytes() == whole.codes.tobytes()
 
 
 def test_split_read_matches_one_range_on_fuzzed_logs(tmp_path):
@@ -958,7 +999,7 @@ def test_usable_cpus_respect_a_cgroup_v2_quota():
 def log_300(tmp_path):
     rng = np.random.default_rng(13)
     p = tmp_path / "events.jsonl"
-    save_events(EventStream(np.cumsum(rng.exponential(1.0, 300)), np.array(["a", "b", "c"], object)[rng.integers(0, 3, 300)]), p)
+    save_events(reference.coded_log(np.cumsum(rng.exponential(1.0, 300)), np.array(["a", "b", "c"], object)[rng.integers(0, 3, 300)]), p)
     return p
 
 
@@ -1002,8 +1043,8 @@ def test_split_read_reaps_its_children_when_fork_warnings_are_errors(log_300):
 
     with split_into(3), mock.patch.object(os, "fork", fork), warnings.catch_warnings():
         warnings.simplefilter("error")
-        stream = load_events(log_300)
-    assert (stream.times.tobytes(), stream.sources.tolist(), []) == want
+        log = load_events(log_300)
+    assert (log.times.tobytes(), reference.log_sources(log), []) == want
     assert len(forks) == 2
     no_children_left()
 

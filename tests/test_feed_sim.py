@@ -6,7 +6,6 @@ from reference import (
     RankState,
     ScheduledController,
     constant_rate,
-    cut_streams,
     followees,
     merge_feeds,
     rank_from_history,
@@ -17,7 +16,7 @@ from reference import (
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
 from whentopost.data_io import Network
 from whentopost.feed_sim import Feeds, rank_path, trajectory_from_posts
-from whentopost.point_process import EventStream, HawkesParams
+from whentopost.point_process import HawkesParams
 
 
 def random_histories(rng, max_events=60, tf=100.0):
@@ -146,7 +145,7 @@ def test_feeds_merge_orders_and_labels_once():
     assert np.array_equal(times, [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(idx, [0, 1, 1, 0])
     assert feeds.merged is feeds.merged
-    want = merge_feeds([EventStream.from_times([1.0, 4.0]), EventStream.from_times([2.0, 3.0])])
+    want = merge_feeds([np.array([1.0, 4.0]), np.array([2.0, 3.0])])
     assert all(g.tobytes() == w.tobytes() for g, w in zip(feeds.merged, want))
 
 
@@ -188,9 +187,9 @@ def test_scheduled_playback_matches_vectorized_trajectory():
     rng = np.random.default_rng(2)
     for _ in range(30):
         feed, own = random_histories(rng)
-        feeds = [EventStream.from_times(feed)]
+        feeds = [feed]
         via_loop = simulate(feeds, ScheduledController(own), 0.0, 100.0)
-        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 100.0), own, 0.0, 100.0)
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 100.0), own, 0.0, 100.0)
         assert np.array_equal(via_loop.own_posts, direct.own_posts)
         assert np.array_equal(via_loop.rank_times[0], direct.rank_times[0])
         assert np.array_equal(via_loop.rank_values[0], direct.rank_values[0])
@@ -199,8 +198,8 @@ def test_scheduled_playback_matches_vectorized_trajectory():
 def test_simulate_multi_follower_rank_paths_match_history():
     rng = np.random.default_rng(3)
     feeds = [
-        EventStream.from_times(np.sort(rng.uniform(0, 50, size=30))),
-        EventStream.from_times(np.sort(rng.uniform(0, 50, size=10))),
+        np.sort(rng.uniform(0, 50, size=30)),
+        np.sort(rng.uniform(0, 50, size=10)),
     ]
     posts = np.sort(rng.uniform(0, 50, size=5))
     traj = simulate(feeds, ScheduledController(posts), 0.0, 50.0)
@@ -208,12 +207,12 @@ def test_simulate_multi_follower_rank_paths_match_history():
     assert traj.post_count == 5
     for j in range(2):
         for k in range(len(traj.rank_times[j])):
-            want = rank_from_history(posts, feeds[j].times, traj.rank_times[j][k])
+            want = rank_from_history(posts, feeds[j], traj.rank_times[j][k])
             assert traj.rank_values[j][k] == want
 
 
 def test_simulate_initial_ranks_respected():
-    feeds = [EventStream.from_times([5.0])]
+    feeds = [np.array([5.0])]
     traj = simulate(feeds, ScheduledController([]), 0.0, 10.0, initial_ranks=[3])
     assert np.array_equal(traj.rank_values[0], [3, 4])
     posted = simulate(feeds, ScheduledController([2.0]), 0.0, 10.0, initial_ranks=[3])
@@ -229,7 +228,7 @@ def test_simulate_rejects_posts_in_the_past():
             self._times = np.array([t - 1.0])
             self._next = 0
 
-    feeds = [EventStream.from_times([5.0])]
+    feeds = [np.array([5.0])]
     with pytest.raises(ValueError):
         simulate(feeds, BadController(), 0.0, 10.0)
 
@@ -238,7 +237,7 @@ def test_simulate_conserves_events():
     # every feed event and post lands in the trajectory; nothing invented
     rng = np.random.default_rng(4)
     feed, own = random_histories(rng)
-    feeds = [EventStream.from_times(feed)]
+    feeds = [feed]
     traj = simulate(feeds, ScheduledController(own), 0.0, 100.0)
     assert traj.feeds.times.tobytes() == feed.tobytes()
     assert traj.post_count == len(own)
@@ -321,12 +320,12 @@ def test_one_pass_trajectory_matches_simulate_for_many_followers():
         feeds, used = [], 0
         for _ in range(n):
             size = int(rng.integers(0, 30)) if rng.random() < 0.8 else 0
-            feeds.append(EventStream.from_times(np.sort(times[used : used + size])))
+            feeds.append(np.sort(times[used : used + size]))
             used += size
         posts = np.sort(times[used : used + int(rng.integers(0, 10))])
         r0 = rng.integers(0, 6, size=n)
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 10.0, initial_ranks=r0)
-        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 10.0), posts, 0.0, 10.0, initial_ranks=r0)
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 10.0), posts, 0.0, 10.0, initial_ranks=r0)
         assert direct.own_posts.tobytes() == via_loop.own_posts.tobytes()
         for j in range(n):
             assert direct.rank_times[j].tobytes() == via_loop.rank_times[j].tobytes()

@@ -83,9 +83,8 @@ def test_oracle_flavors_match_bitwise():
         m = int(rng.integers(1, 15))
         widths = rng.uniform(0.05, 2.0, size=m + 1)
         q = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        s = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         r0 = int(rng.integers(0, 4))
-        results = [f(widths, r0, q, s) for f in flavors]
+        results = [f(widths, r0, q) for f in flavors]
         for got in results[1:]:
             assert got.tobytes() == results[0].tobytes()
 
@@ -267,29 +266,27 @@ def test_controller_boundaries_on_exact_draws(feed, draws, want):
 
 
 def random_oracle_case(rng):
-    """Backward-induction input: zero widths, s = 0 and q from 0 to 1e8 included."""
+    """Backward-induction input: zero widths and q from 0 to 1e8 included."""
     m = int(np.exp(rng.uniform(0.0, np.log(401.0)))) - 1  # 0 .. 400 stages, small ones often
     widths = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), m + 1))
     widths[rng.random(m + 1) < rng.choice([0.0, 0.1, 0.5])] = 0.0
     q = 0.0 if rng.random() < 0.05 else float(np.exp(rng.uniform(np.log(1e-3), np.log(1e8))))
-    s = 0.0 if rng.random() < 0.05 else float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-    return widths, int(rng.integers(0, 20)), q, s
+    return widths, int(rng.integers(0, 20)), q
 
 
 def test_oracle_kernel_matches_table_reference():
     rng = np.random.default_rng(61)
-    seen = dict(mixed=0, no_post=0, back_to_back=0, q_zero=0, s_zero=0, zero_width=0, long=0)
+    seen = dict(mixed=0, no_post=0, back_to_back=0, q_zero=0, zero_width=0, long=0)
     for case in range(2000):
-        widths, r0, q, s = random_oracle_case(rng)
-        want = oracle_decisions_table(widths, r0, q, s)
-        got = kernels.oracle_decisions(widths, r0, q, s)
+        widths, r0, q = random_oracle_case(rng)
+        want = oracle_decisions_table(widths, r0, q)
+        got = kernels.oracle_decisions(widths, r0, q)
         assert got.dtype == np.int8
         assert got.tobytes() == want.tobytes(), f"case {case}"
         seen["mixed"] += 0 < want.sum() < want.shape[0]
         seen["no_post"] += want.sum() == 0
         seen["back_to_back"] += bool(np.any(want[1:] & want[:-1]))
         seen["q_zero"] += q == 0.0
-        seen["s_zero"] += s == 0.0
         seen["zero_width"] += bool(np.any(widths == 0.0))
         seen["long"] += widths.shape[0] > 200
     assert min(seen.values()) >= 20, seen
@@ -299,7 +296,7 @@ def hawkes_feed(seed):
     """The seeded feed of ``simulate --scenario one-follower-hawkes --feed-events 3000``."""
     cfg = HawkesScenarioConfig(seeds=(seed,), budget=5.0, target_feed_events=3000.0)
     params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
-    return sample_hawkes(params, 0.0, cfg.horizon, feed_rng(seed, 0)).times, cfg.horizon
+    return sample_hawkes(params, 0.0, cfg.horizon, feed_rng(seed, 0)), cfg.horizon
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -310,45 +307,45 @@ def test_oracle_kernel_matches_table_on_hawkes_feeds(seed):
     for q in (1.0, 16.0, 2.0**23):
         inst = instance_from_feed(times, 0.0, tf, q=q)
         assert inst.n_stages > 2900
-        want = oracle_decisions_table(inst.widths, inst.r0, inst.q, inst.s)
-        got = kernels.oracle_decisions(inst.widths, inst.r0, inst.q, inst.s)
+        want = oracle_decisions_table(inst.widths, inst.r0, inst.q)
+        got = kernels.oracle_decisions(inst.widths, inst.r0, inst.q)
         assert got.tobytes() == want.tobytes(), f"q={q}"
 
 
 def oracle_case(name):
-    """A named backward-induction input ``(widths, r0, q, s)``."""
+    """A named backward-induction input ``(widths, r0, q)``."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "path-switches":
         # wide stages post from rank ~19 on; narrow ones never post, so
         # their thresholds climb with the stage index, past the cutoff in
         # the run at stages 300-399
         wide, narrow = np.full(100, 1.0), np.full(100, 1e-4)
-        return np.concatenate([wide, narrow, wide, narrow, wide]), 0, 4096.0, 1.0
+        return np.concatenate([wide, narrow, wide, narrow, wide]), 0, 4096.0
     if name == "r0-above-cutoff":
-        return rng.uniform(0.0, 2.0, 300), 3 * kernels._ORACLE_SCALAR_RANKS, 64.0, 1.0
+        return rng.uniform(0.0, 2.0, 300), 3 * kernels._ORACLE_SCALAR_RANKS, 64.0
     if name == "r0-above-cutoff-no-posts":
-        return np.full(200, 1e-4), 3 * kernels._ORACLE_SCALAR_RANKS, 2.0**20, 1.0
+        return np.full(200, 1e-4), 3 * kernels._ORACLE_SCALAR_RANKS, 2.0**20
     if name == "q-zero":
-        return rng.uniform(0.0, 2.0, 200), 5, 0.0, 1.0
-    if name == "s-zero":
-        return rng.uniform(0.0, 2.0, 200), 5, 10.0, 0.0
+        return rng.uniform(0.0, 2.0, 200), 5, 0.0
+    if name == "all-zero-widths-priced":
+        return np.zeros(200), 5, 10.0
     if name == "zero-widths":
         widths = rng.uniform(0.0, 2.0, 300)
         widths[rng.random(300) < 0.5] = 0.0
-        return widths, 2, 100.0, 1.0
+        return widths, 2, 100.0
     if name == "all-zero-widths":
-        return np.zeros(150), 0, 1.0, 1.0
+        return np.zeros(150), 0, 1.0
     if name == "single-stage":
-        return np.array([0.7]), 0, 1.0, 1.0
+        return np.array([0.7]), 0, 1.0
     if name == "single-stage-high-rank":
-        return np.array([0.7]), 200, 1.0, 1.0
+        return np.array([0.7]), 200, 1.0
     if name == "single-zero-stage":
-        return np.array([0.0]), 3, 1.0, 1.0
+        return np.array([0.0]), 3, 1.0
     raise KeyError(name)
 
 
 ORACLE_CASES = [
-    "path-switches", "r0-above-cutoff", "r0-above-cutoff-no-posts", "q-zero", "s-zero",
+    "path-switches", "r0-above-cutoff", "r0-above-cutoff-no-posts", "q-zero", "all-zero-widths-priced",
     "zero-widths", "all-zero-widths", "single-stage", "single-stage-high-rank", "single-zero-stage",
 ]
 
@@ -356,10 +353,10 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_oracle_fallback_matches_loop_and_table(name):
     # without numba the loop runs as plain Python, the fallback's reference
-    widths, r0, q, s = oracle_case(name)
-    want = oracle_decisions_table(widths, r0, q, s)
-    assert kernels._oracle_decisions_loop(widths, r0, q, s).tobytes() == want.tobytes()
-    got = kernels._oracle_decisions_numpy(widths, r0, q, s)
+    widths, r0, q = oracle_case(name)
+    want = oracle_decisions_table(widths, r0, q)
+    assert kernels._oracle_decisions_loop(widths, r0, q).tobytes() == want.tobytes()
+    got = kernels._oracle_decisions_numpy(widths, r0, q)
     assert got.dtype == np.int8
     assert got.tobytes() == want.tobytes()
 
@@ -381,14 +378,14 @@ def test_oracle_fallback_matches_loop_at_any_cutoff(monkeypatch, cut):
     monkeypatch.setattr(kernels, "_ORACLE_SCALAR_RANKS", cut)
     rng = np.random.default_rng(90 + cut)
     for case in range(150):
-        widths, r0, q, s = random_oracle_case(rng)
-        want = kernels._oracle_decisions_loop(widths, r0, q, s)
-        got = kernels._oracle_decisions_numpy(widths, r0, q, s)
+        widths, r0, q = random_oracle_case(rng)
+        want = kernels._oracle_decisions_loop(widths, r0, q)
+        got = kernels._oracle_decisions_numpy(widths, r0, q)
         assert got.tobytes() == want.tobytes(), f"case {case}"
     for name in ORACLE_CASES:
-        widths, r0, q, s = oracle_case(name)
-        want = oracle_decisions_table(widths, r0, q, s)
-        assert kernels._oracle_decisions_numpy(widths, r0, q, s).tobytes() == want.tobytes(), name
+        widths, r0, q = oracle_case(name)
+        want = oracle_decisions_table(widths, r0, q)
+        assert kernels._oracle_decisions_numpy(widths, r0, q).tobytes() == want.tobytes(), name
 
 
 def test_oracle_fallback_matches_loop_on_a_hawkes_feed():
@@ -396,8 +393,8 @@ def test_oracle_fallback_matches_loop_on_a_hawkes_feed():
     # the slice path and the plain-Python loop takes about a second
     times, tf = hawkes_feed(0)
     inst = instance_from_feed(times, 0.0, tf, q=2.0**23)
-    want = kernels._oracle_decisions_loop(inst.widths, inst.r0, inst.q, inst.s)
-    got = kernels._oracle_decisions_numpy(inst.widths, inst.r0, inst.q, inst.s)
+    want = kernels._oracle_decisions_loop(inst.widths, inst.r0, inst.q)
+    got = kernels._oracle_decisions_numpy(inst.widths, inst.r0, inst.q)
     assert got.tobytes() == want.tobytes()
     assert 0 < want.sum() < 20
 
@@ -407,7 +404,7 @@ def test_oracle_kernel_memory_is_linear_in_stages():
     widths = np.random.default_rng(8).uniform(0.0, 0.2, 50_001)
     tracemalloc.start()
     try:
-        decisions = kernels.oracle_decisions(widths, 3, 25.0, 1.0)
+        decisions = kernels.oracle_decisions(widths, 3, 25.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,6 @@ import pytest
 from reference import (
     ScheduledController,
     average_position,
-    cut_streams,
     position_over_time,
     quadratic_control_cost,
     report_by_follower,
@@ -24,7 +23,6 @@ from whentopost.metrics import (
     normalize_report,
     report_from_trajectory,
 )
-from whentopost.point_process import EventStream
 
 
 def random_step_path(rng, tf=10.0, grid=1e-4):
@@ -233,10 +231,10 @@ def test_report_scores_list_built_trajectories_like_the_one_pass():
     rng = np.random.default_rng(22)
     for _ in range(20):
         times = rng.permutation(np.arange(1, 300)) * 0.1
-        feeds = [EventStream.from_times(np.sort(times[10 * j : 10 * j + 10])) for j in range(4)]
+        feeds = [np.sort(times[10 * j : 10 * j + 10]) for j in range(4)]
         posts = np.sort(times[40:48])
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
-        direct = trajectory_from_posts(cut_streams(feeds, 0.0, 30.0), posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 30.0), posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
         got = bits(report_from_trajectory(via_loop, "r", 0, "p"))
         assert got == bits(report_by_follower(via_loop, "r", 0, "p"))
         assert got == bits(report_from_trajectory(direct, "r", 0, "p"))

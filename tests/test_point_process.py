@@ -11,7 +11,6 @@ from reference import (
     apply_jump,
     constant_rate,
     decay_intensity,
-    labelled_stream,
     rate_at,
     superpose,
 )
@@ -19,7 +18,6 @@ from reference import (
 from whentopost import kernels, point_process
 from whentopost.cli import main
 from whentopost.point_process import (
-    EventStream,
     HawkesParams,
     PiecewiseRate,
     sample_hawkes,
@@ -101,8 +99,8 @@ def test_hawkes_params_validation():
 def test_sample_hawkes_poisson_reduction_count():
     params = HawkesParams(baseline=10.0, alpha=0.0, w=10.0)
     rng = np.random.default_rng(7)
-    stream = sample_hawkes(params, 0.0, 1000.0, rng)
-    assert abs(len(stream) - 10_000) <= 3 * math.sqrt(10_000)
+    times = sample_hawkes(params, 0.0, 1000.0, rng)
+    assert abs(len(times) - 10_000) <= 3 * math.sqrt(10_000)
 
 
 def test_sample_hawkes_stationary_rate():
@@ -120,16 +118,17 @@ def test_sample_hawkes_stationary_rate():
 
 def test_sample_hawkes_zero_baseline_never_ignites():
     params = HawkesParams(baseline=0.0, alpha=1.0, w=10.0)
-    stream = sample_hawkes(params, 0.0, 1000.0, np.random.default_rng(3))
-    assert len(stream) == 0
+    times = sample_hawkes(params, 0.0, 1000.0, np.random.default_rng(3))
+    assert len(times) == 0
 
 
 def test_sample_hawkes_deterministic_in_seed():
     a = sample_hawkes(PARAMS, 0.0, 50.0, np.random.default_rng(42))
     b = sample_hawkes(PARAMS, 0.0, 50.0, np.random.default_rng(42))
     c = sample_hawkes(PARAMS, 0.0, 50.0, np.random.default_rng(43))
-    assert np.array_equal(a.times, b.times)
-    assert not np.array_equal(a.times, c.times)
+    assert a.dtype == np.float64 and a.ndim == 1
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_hawkes_rejects_bad_horizon():
@@ -141,38 +140,38 @@ def test_sample_hawkes_rejects_bad_horizon():
 
 def test_sample_hawkes_events_inside_window_and_increasing():
     for seed in range(20):
-        stream = sample_hawkes(PARAMS, 2.0, 12.0, np.random.default_rng(seed))
-        assert np.all(stream.times > 2.0)
-        assert np.all(stream.times <= 12.0)
-        assert np.all(np.diff(stream.times) > 0)
+        times = sample_hawkes(PARAMS, 2.0, 12.0, np.random.default_rng(seed))
+        assert np.all(times > 2.0)
+        assert np.all(times <= 12.0)
+        assert np.all(np.diff(times) > 0)
 
 
 def test_sample_piecewise_poisson_zero_rate_empty():
     rate = constant_rate(0.0, 0.0, 100.0)
-    stream = sample_piecewise_poisson(rate, 0.0, 100.0, np.random.default_rng(1))
-    assert len(stream) == 0
+    times = sample_piecewise_poisson(rate, 0.0, 100.0, np.random.default_rng(1))
+    assert len(times) == 0
 
 
 def test_sample_piecewise_poisson_single_segment_count():
     rate = constant_rate(5.0, 0.0, 200.0)
-    stream = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(5))
-    assert abs(len(stream) - 1000) <= 3 * math.sqrt(1000)
+    times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(5))
+    assert abs(len(times) - 1000) <= 3 * math.sqrt(1000)
 
 
 def test_sample_piecewise_poisson_two_segment_counts():
     rate = PiecewiseRate(np.array([0.0, 100.0, 200.0]), np.array([2.0, 8.0]))
-    stream = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(9))
-    n1 = int(np.sum(stream.times <= 100.0))
-    n2 = len(stream) - n1
+    times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(9))
+    n1 = int(np.sum(times <= 100.0))
+    n2 = len(times) - n1
     assert abs(n1 - 200) <= 3 * math.sqrt(200)
     assert abs(n2 - 800) <= 3 * math.sqrt(800)
 
 
 def test_sample_piecewise_poisson_respects_subwindow():
     rate = PiecewiseRate(np.array([0.0, 100.0, 200.0]), np.array([2.0, 8.0]))
-    stream = sample_piecewise_poisson(rate, 50.0, 150.0, np.random.default_rng(2))
-    assert np.all(stream.times > 50.0)
-    assert np.all(stream.times <= 150.0)
+    times = sample_piecewise_poisson(rate, 50.0, 150.0, np.random.default_rng(2))
+    assert np.all(times > 50.0)
+    assert np.all(times <= 150.0)
 
 
 def test_sample_piecewise_poisson_domain_error():
@@ -185,37 +184,37 @@ def test_sample_piecewise_poisson_deterministic():
     rate = PiecewiseRate(np.array([0.0, 10.0, 20.0]), np.array([1.0, 4.0]))
     a = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
     b = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
-    assert np.array_equal(a.times, b.times)
+    assert a.dtype == np.float64 and a.ndim == 1
+    assert np.array_equal(a, b)
 
 
 def test_superpose_identity_and_merge():
-    s = labelled_stream([1.0, 3.0], "a")
-    merged = superpose([EventStream.empty(), s])
-    assert np.array_equal(merged.times, s.times)
-    both = superpose([s, labelled_stream([2.0], "b")])
-    assert np.array_equal(both.times, [1.0, 2.0, 3.0])
-    assert list(both.sources) == ["a", "b", "a"]
+    s = np.array([1.0, 3.0])
+    merged = superpose([np.empty(0), s])
+    assert np.array_equal(merged, s)
+    both = superpose([s, np.array([2.0])])
+    assert np.array_equal(both, [1.0, 2.0, 3.0])
 
 
 def test_superpose_preserves_lengths():
     rng = np.random.default_rng(4)
     streams = [
-        labelled_stream(np.sort(rng.uniform(0, 100, size=rng.integers(0, 40))), str(i))
-        for i in range(6)
+        np.sort(rng.uniform(0, 100, size=rng.integers(0, 40)))
+        for _ in range(6)
     ]
     merged = superpose(streams)
     assert len(merged) == sum(len(s) for s in streams)
-    assert np.all(np.diff(merged.times) > 0)
+    assert np.all(np.diff(merged) > 0)
 
 
 def test_superpose_tie_nudged_with_warning():
-    a = labelled_stream([1.0, 2.0], "a")
-    b = labelled_stream([2.0], "b")
+    a = np.array([1.0, 2.0])
+    b = np.array([2.0])
     with pytest.warns(UserWarning):
         merged = superpose([a, b])
     assert len(merged) == 3
-    assert np.all(np.diff(merged.times) > 0)
-    assert merged.times[2] == np.nextafter(2.0, math.inf)
+    assert np.all(np.diff(merged) > 0)
+    assert merged[2] == np.nextafter(2.0, math.inf)
 
 
 def test_dedupe_increasing_returns_a_copy_and_nudges_only_ties():
@@ -248,19 +247,6 @@ def test_superpose_of_poisson_streams_has_summed_rate():
     assert abs(len(merged) - 2000) <= 3 * math.sqrt(2000)
 
 
-def test_event_stream_rejects_unsorted_times():
-    with pytest.raises(ValueError):
-        EventStream.from_times([2.0, 1.0])
-    with pytest.raises(ValueError):
-        EventStream.from_times([1.0, 1.0])
-
-
-def test_event_stream_window_is_left_open_right_closed():
-    s = EventStream.from_times([1.0, 2.0, 3.0, 4.0])
-    w = s.window(1.0, 3.0)
-    assert np.array_equal(w.times, [2.0, 3.0])
-
-
 def test_piecewise_rate_lookup_and_domain():
     rate = PiecewiseRate(np.array([0.0, 1.0, 3.0]), np.array([5.0, 7.0]))
     assert rate_at(rate, 0.0) == 5.0
@@ -281,16 +267,16 @@ def test_piecewise_rate_lookup_and_domain():
 
 def test_the_event_cap_leaves_stable_samples_unchanged(monkeypatch):
     for seed in range(3):
-        stream = sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))
+        times = sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))
         # the kernel with no cap, as sample_hawkes called it before the cap
         # (the buffer size hint, 16 here, does not change the draws)
         uncapped = kernels.IMPLEMENTATIONS["sample_hawkes_times"]["fallback"](
             0.0, 200.0, 10.0, 1.0, 10.0, np.random.default_rng(seed), 16
         )
-        assert stream.times.tobytes() == uncapped.tobytes()
-        n = len(stream)
+        assert times.tobytes() == uncapped.tobytes()
+        n = len(times)
         monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", n)  # exactly full: still drawn
-        assert sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed)).times.tobytes() == uncapped.tobytes()
+        assert sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed)).tobytes() == uncapped.tobytes()
         monkeypatch.setattr(point_process, "MAX_HAWKES_EVENTS", n - 1)
         with pytest.raises(ValueError, match=f"MAX_HAWKES_EVENTS = {n - 1} events"):
             sample_hawkes(PARAMS, 0.0, 200.0, np.random.default_rng(seed))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from reference import empirical_segment_rates_by_histogram, merge_feeds, segment_totals_by_rate_at
+from reference import coded_log, empirical_segment_rates_by_histogram, merge_feeds, segment_totals_by_rate_at
 
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
@@ -19,7 +19,6 @@ from whentopost.data_io import build_replay_dataset, load_events, load_network
 from whentopost.feed_sim import Feeds
 from whentopost.kernels import redqueen_posts
 from whentopost.metrics import report_from_trajectory
-from whentopost.point_process import EventStream
 from whentopost.significance import estimate_significance
 from whentopost.scenarios import (
     HawkesScenarioConfig,
@@ -284,10 +283,10 @@ def weekday_replay_setup():
     """Three followers over four days, their weekday weights and initial ranks."""
     rng = np.random.default_rng(17)
     t0, tf = 3_600.0, 4 * 86_400.0
-    feeds = [EventStream.from_times(np.sort(rng.uniform(0.0, tf + 7_200.0, 400))) for _ in range(3)]
+    feeds = [np.sort(rng.uniform(0.0, tf + 7_200.0, 400)) for _ in range(3)]
     ids = ["a", "b", "c"]
     own = np.sort(rng.uniform(-8 * 86_400.0, 0.0, 600))
-    log = EventStream(own, np.array(ids, dtype=object)[rng.integers(0, 3, own.shape[0])])
+    log = coded_log(own, np.array(ids, dtype=object)[rng.integers(0, 3, own.shape[0])])
     epoch = 1_700_000_000.0
     schedule = estimate_significance(log, ids, epoch=epoch, granularity="weekday").step_schedule(ids, t0, tf)
     assert schedule.knots.shape[0] > 3  # day edges inside the window
@@ -310,7 +309,7 @@ def count_merges(monkeypatch) -> list:
 def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
     streams, t0, tf, schedule, ranks = weekday_replay_setup()
     merges = count_merges(monkeypatch)
-    feeds_by_seed = {seed: Feeds.cut([f.times for f in streams], t0, tf) for seed in (0, 1)}
+    feeds_by_seed = {seed: Feeds.cut(streams, t0, tf) for seed in (0, 1)}
     comp = scenarios._Competition(
         t0, tf, feeds_by_seed.__getitem__, lambda seed: None, significance=schedule, initial_ranks=ranks
     )
@@ -319,7 +318,7 @@ def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
             params = RedQueenParams(q=q, significance=schedule)
             knots, clock_rates = params.clocks(len(streams), t0, tf)
             # the per-call path: window and merge the followers' streams on every run
-            feed_t, feed_j = merge_feeds([f.window(t0, tf) for f in streams])
+            feed_t, feed_j = merge_feeds([f[(f > t0) & (f <= tf)] for f in streams])
             want = redqueen_posts(feed_t, feed_j, ranks, knots, clock_rates, t0, tf, 2**62,
                                   scenarios.policy_rng(seed))
             assert want.shape[0] > 0
@@ -410,7 +409,7 @@ def test_feeds_merge_and_segment_rate_match_the_per_follower_references(n_follow
         if i % 3 == 0 and n_followers:
             streams[0] = np.empty(0)
         feeds = Feeds.cut(streams, t0, tf)
-        want_t, want_j = merge_feeds([EventStream.from_times(f) for f in feeds])
+        want_t, want_j = merge_feeds([np.asarray(f) for f in feeds])
         got_t, got_j = feeds.merged
         assert got_t.tobytes() == want_t.tobytes() and got_j.tobytes() == want_j.tobytes()
         got = scenarios._empirical_segment_rate(feeds, t0, tf, segments)
@@ -431,9 +430,9 @@ def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
     cfg = ReplayConfig(seeds=seeds, policies=("true-posts", "uniform"), q=100.0)
     dataset = fixture_dataset()
     reports, _ = run_replay(cfg, dataset)
-    recorded = dataset.true_posts.times.tobytes()
+    recorded = dataset.true_posts.tobytes()
     assert calls.count(recorded) == 1 and len(calls) == 1 + len(seeds)
-    reference = report_from_trajectory(scored(dataset.feeds, dataset.true_posts.times, 0.0, 240.0), "", 0, "")
+    reference = report_from_trajectory(scored(dataset.feeds, dataset.true_posts, 0.0, 240.0), "", 0, "")
     for seed, report in zip(seeds, (r for r in reports if r.policy == "true-posts")):
         assert report.seed == seed
         assert (report.position_over_time, report.time_at_top) == (

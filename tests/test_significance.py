@@ -5,12 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import bucket_weights, labelled_stream
+from reference import bucket_weights, coded_log
 
 from whentopost import significance
 from whentopost.control_online import RedQueenParams, run_redqueen_fast
 from whentopost.feed_sim import Feeds
-from whentopost.point_process import EventStream
 from whentopost.significance import (
     GRANULARITIES,
     SignificanceProfile,
@@ -87,11 +86,8 @@ def test_negative_smoothing_rejected():
 
 
 def test_estimate_significance_per_follower():
-    stream = EventStream(
-        np.array([MONDAY + 1.0, MONDAY + 2.0, MONDAY + DAY + 1.0]),
-        np.array(["a", "a", "b"], dtype=object),
-    )
-    profile = estimate_significance(stream, ["a", "b"], epoch=0.0, laplace=0.0)
+    log = coded_log([MONDAY + 1.0, MONDAY + 2.0, MONDAY + DAY + 1.0], ["a", "a", "b"])
+    profile = estimate_significance(log, ["a", "b"], epoch=0.0, laplace=0.0)
     assert profile.values["a"][0] == 1.0
     assert np.sum(profile.values["a"]) == 1.0
     assert profile.values["b"][1] == 1.0
@@ -105,23 +101,21 @@ def test_estimate_significance_matches_per_follower_bucket_weights():
     rng = np.random.default_rng(21)
     names = np.array([f"u{i}" for i in range(30)], dtype=object)
     n = 20_000  # several counting chunks
-    stream = EventStream(
-        np.sort(rng.uniform(0.0, 3 * 7 * DAY, n)),
-        names[np.minimum(rng.zipf(1.5, n), 30) - 1],
-    )
+    sources = names[np.minimum(rng.zipf(1.5, n), 30) - 1]
+    log = coded_log(np.sort(rng.uniform(0.0, 3 * 7 * DAY, n)), sources)
     ids = list(names[:25]) + ["ghost", "u3", "ghost2"]  # absent and repeated ids
     for granularity in GRANULARITIES:
         for laplace in (0.0, 0.5, 1.0):
             epoch = float(rng.uniform(0.0, 1e9))
             with pytest.warns(UserWarning, match="empty activity log") as caught:
-                profile = estimate_significance(stream, ids, epoch, granularity, laplace)
+                profile = estimate_significance(log, ids, epoch, granularity, laplace)
             assert len(caught) == 2  # one per absent follower
             assert list(profile.values) == list(dict.fromkeys(ids))
             for fid in ids:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     want = bucket_weights(
-                        stream.times[stream.sources == fid], epoch, granularity, laplace
+                        log.times[sources == fid], epoch, granularity, laplace
                     )
                 assert profile.values[fid].tobytes() == want.tobytes(), (fid, granularity)
 
@@ -132,20 +126,20 @@ def test_estimate_significance_counts_do_not_depend_on_the_chunk(monkeypatch, ch
     # many events in one cell within a chunk, and cells that recur across chunks
     rng = np.random.default_rng(chunk)
     times = np.unique(np.concatenate([MONDAY + 10.0 + np.arange(50.0), rng.uniform(0.0, 2 * 7 * DAY, 300)]))
-    stream = EventStream(times, np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, times.shape[0])])
+    log = coded_log(times, np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, times.shape[0])])
     with pytest.warns(UserWarning, match="empty activity log"):  # "d" has no events
-        want = estimate_significance(stream, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
+        want = estimate_significance(log, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
     monkeypatch.setattr(significance, "_CHUNK", chunk)
     with pytest.warns(UserWarning, match="empty activity log"):
-        got = estimate_significance(stream, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
+        got = estimate_significance(log, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
     for fid in "abcd":
         assert got.values[fid].tobytes() == want.values[fid].tobytes()
 
 def test_non_finite_smoothing_rejected():
-    stream = EventStream(np.array([1.0]), np.array(["a"], dtype=object))
+    log = coded_log([1.0], ["a"])
     for laplace in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            estimate_significance(stream, ["a"], 0.0, laplace=laplace)
+            estimate_significance(log, ["a"], 0.0, laplace=laplace)
         with pytest.raises(ValueError):
             bucket_weights(np.array([0.0]), 0.0, "weekday", laplace=laplace)
 
@@ -242,7 +236,7 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
         if day < 5:
             weekday_times.append(t)
         t += float(rng.exponential(3 * 3600.0))
-    activity = labelled_stream(np.array(weekday_times), "f")
+    activity = coded_log(weekday_times, ["f"] * len(weekday_times))
     profile = estimate_significance(activity, ["f"], epoch=MONDAY, laplace=1.0)
     sched = profile.step_schedule(["f"], 0.0, 28 * DAY)
 
