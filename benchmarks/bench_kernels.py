@@ -514,7 +514,7 @@ def write_profile_csv_by_rows(profile, path):
             fh.write(row.getvalue()[:-2] + "\n")
 
         writerow(["follower_id", "bucket_index", "value"])
-        for fid, vec in profile.values.items():
+        for fid, vec in zip(profile.ids, profile.values):
             for b in range(vec.shape[0]):
                 writerow([fid, b, repr(float(vec[b]))])
 
@@ -552,14 +552,15 @@ def check_same_read(name, got, want):
 
 
 def check_significance(log, profile):
-    """Exit unless every follower's weights are ``bucket_weights`` of its own events, bit for bit."""
+    """Exit unless every row of the profile is ``bucket_weights`` of its follower's own events, bit for bit."""
+    code_of = {fid: code for code, fid in enumerate(log.ids.tolist())}
     order = np.argsort(log.codes, kind="stable")
-    codes = log.codes[order]
-    bounds = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(codes)]])):
-        fid = log.ids[codes[lo]]
-        want = bucket_weights(log.times[order[lo:hi]], profile.epoch, profile.granularity, profile.laplace)
-        if profile.values[fid].tobytes() != want.tobytes():
+    bounds = np.searchsorted(log.codes[order], np.arange(len(log.ids) + 1))
+    for fid, row in zip(profile.ids, profile.values):
+        code = code_of[fid]
+        own = log.times[order[bounds[code] : bounds[code + 1]]]
+        want = bucket_weights(own, profile.epoch, profile.granularity, profile.laplace)
+        if row.tobytes() != want.tobytes():
             raise SystemExit(f"estimate_significance: {fid!r} differs from its own bucket_weights")
 
 

@@ -304,7 +304,7 @@ def estimate_significance_cmd(events_path, epoch, granularity, laplace, follower
         raise scenarios.ScenarioError("the event log is empty; nothing to profile")
     profile = estimate_significance(events, ids, epoch=epoch, granularity=granularity, laplace=laplace)
     data_io.write_profile_csv(profile, out)
-    click.echo(json.dumps({"written": out, "followers": len(ids)}, sort_keys=True))
+    click.echo(json.dumps({"written": out, "followers": len(profile.ids)}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ reaches a threshold, so the induction keeps O(m) values instead of a
 quadratic table; its time stays quadratic in the worst case, which
 ``MAX_ORACLE_STAGES`` bounds.  ``brute_force_schedule`` in
 ``tests/reference.py`` enumerates every decision vector to cross-check
-the induction; both report the cost through the same forward
-evaluator, ``schedule_cost``.
+the induction; the two are compared through the same forward evaluator,
+``schedule_cost``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .kernels import oracle_decisions
 
 __all__ = [
     "OracleInstance",
-    "OracleSchedule",
     "schedule_cost",
     "oracle_schedule",
     "instance_from_feed",
@@ -72,18 +71,6 @@ class OracleInstance:
         return int(self.widths.shape[0])
 
 
-@dataclass(frozen=True)
-class OracleSchedule:
-    """A 0/1 decision per stage plus the cost of replaying those decisions."""
-
-    decisions: np.ndarray
-    cost: float
-
-    @property
-    def post_count(self) -> int:
-        return int(np.sum(self.decisions))
-
-
 def schedule_cost(decisions, inst: OracleInstance) -> float:
     """Forward objective of one decision vector (the shared evaluator).
 
@@ -101,16 +88,15 @@ def schedule_cost(decisions, inst: OracleInstance) -> float:
     return cost + 0.5 * (r * r)
 
 
-def oracle_schedule(inst: OracleInstance) -> OracleSchedule:
-    """Optimal decisions by backward induction; cost via the forward evaluator."""
+def oracle_schedule(inst: OracleInstance) -> np.ndarray:
+    """Optimal decisions by backward induction: an ``int8`` 0/1 per stage."""
     if inst.n_stages > MAX_ORACLE_STAGES:
         raise ValueError(
             f"{inst.n_stages} stages: the induction's worst-case work grows "
             f"with the square of the stage count and is capped at "
             f"{MAX_ORACLE_STAGES} stages - shrink the window or thin the feed"
         )
-    decisions = oracle_decisions(inst.widths, int(inst.r0), float(inst.q))
-    return OracleSchedule(decisions, schedule_cost(decisions, inst))
+    return oracle_decisions(inst.widths, int(inst.r0), float(inst.q))
 
 
 def instance_from_feed(
@@ -134,10 +120,5 @@ def decisions_to_post_times(decisions, feed_times, t0: float, tf: float) -> np.n
     feed_times = np.asarray(feed_times, dtype=np.float64)
     if decisions.shape[0] != feed_times.shape[0] + 1:
         raise ValueError("need exactly one decision per stage")
-    times = []
-    if decisions[0]:
-        times.append(t0)
-    for k in range(feed_times.shape[0]):
-        if decisions[k + 1]:
-            times.append(min(np.nextafter(feed_times[k], math.inf), tf))
-    return np.asarray(times, dtype=np.float64)
+    after = np.minimum(np.nextafter(feed_times[decisions[1:] != 0], math.inf), tf)
+    return np.concatenate([[t0] if decisions[0] else [], after])

@@ -701,20 +701,18 @@ def write_profile_csv(profile: SignificanceProfile, path) -> None:
         quoted = io.StringIO()
         # a "\r\n" terminator makes csv quote an id holding "\r" as well as "\n"
         quote = csv.writer(quoted, lineterminator="\r\n")
-        fids = list(profile.values)
-        for lo in range(0, len(fids), _PROFILE_BLOCK):
-            block = fids[lo : lo + _PROFILE_BLOCK]
+        for lo in range(0, len(profile.ids), _PROFILE_BLOCK):
             template = []
-            for fid in block:
+            for fid in profile.ids[lo : lo + _PROFILE_BLOCK]:
                 # the id cell exactly as writerow would quote it, before each row
                 quoted.seek(0)
                 quoted.truncate()
                 quote.writerow([fid, ""])
                 head = quoted.getvalue()[:-3].replace("%", "%%")
                 template.append(head + head.join(rows))
-            vecs = np.stack([profile.values[fid] for fid in block])
             # keyed by bits, so 0.0 and -0.0 stay apart
-            distinct, cell = np.unique(vecs.view(np.int64), return_inverse=True)
+            block = profile.values[lo : lo + _PROFILE_BLOCK]
+            distinct, cell = np.unique(block.view(np.int64), return_inverse=True)
             spelled = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), object)
             fh.write("".join(template) % tuple(spelled[cell.reshape(-1)].tolist()))
 

@@ -44,16 +44,22 @@ def _dedupe_increasing(times: np.ndarray) -> tuple[np.ndarray, int]:
     """Nudge equal neighbors up by one ulp so the array strictly increases.
 
     Assumes ``times`` is already sorted (non-strictly).  Returns the fixed
-    array and the number of nudged entries.
+    array and the number of nudged entries.  An entry not above its
+    predecessor goes one float step above it; a nudge only raises an
+    entry, so it can make a tie only with the next one.  Each tie in the
+    input starts a walk that follows its cascade, and the rest of the
+    array is never visited.
     """
     times = np.array(times, dtype=np.float64, copy=True)
-    if np.all(np.diff(times) > 0):
-        return times, 0
-    nudged = 0
-    for i in range(1, times.shape[0]):
-        if times[i] <= times[i - 1]:
+    nudged = end = 0
+    for i in (np.flatnonzero(np.diff(times) <= 0) + 1).tolist():
+        if i < end:  # already walked by an earlier tie's cascade
+            continue
+        while i < times.shape[0] and times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], math.inf)
             nudged += 1
+            i += 1
+        end = i
     return times, nudged
 
 

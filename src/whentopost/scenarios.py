@@ -52,7 +52,6 @@ import numpy as np
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
 from .control_online import RedQueenParams, run_redqueen_fast, tune_q
 from .control_oracle import (
-    OracleSchedule,
     decisions_to_post_times,
     instance_from_feed,
     oracle_schedule,
@@ -195,8 +194,8 @@ class _Competition:
         whole = self.memo.get(key)
         return whole if whole is not None else self.memo[key + (cap,)]
 
-    def oracle(self, q: float, seed: int) -> OracleSchedule:
-        """The clairvoyant schedule at price ``q`` on ``seed``'s (single) feed.
+    def oracle(self, q: float, seed: int) -> np.ndarray:
+        """The clairvoyant decisions at price ``q`` on ``seed``'s (single) feed.
 
         It starts from the follower's initial rank, as the controller does.
         """
@@ -204,8 +203,8 @@ class _Competition:
         if key not in self.memo:
             r0 = 0 if self.initial_ranks is None else int(self.initial_ranks[0])
             inst = instance_from_feed(self.feeds(seed).times, self.t0, self.tf, q=q, r0=r0)
-            self.memo[key] = oracle_schedule(inst)
-            self.memo[key].decisions.flags.writeable = False
+            decisions = self.memo[key] = oracle_schedule(inst)
+            decisions.flags.writeable = False  # shared by every reader of the memo
         return self.memo[key]
 
 
@@ -217,7 +216,7 @@ class _Competition:
 POLICIES = {
     "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
     "oracle": lambda c, seed: decisions_to_post_times(
-        c.oracle(c.oracle_q, seed).decisions, c.feeds(seed).times, c.t0, c.tf
+        c.oracle(c.oracle_q, seed), c.feeds(seed).times, c.t0, c.tf
     ),
     "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
     "segment-offline": lambda c, seed: segment_offline_posts(
@@ -279,7 +278,7 @@ def _compete(cfg, comp: _Competition, label: str, details: dict, target: float |
     if "oracle" in cfg.policies:
         oracle_target = comp.realized if comp.realized > 0 else float(max(n_recorded, 1))
         tuned = details["oracle_tune"] = _tune(
-            cfg, oracle_target, lambda q, s: comp.oracle(q, s).post_count
+            cfg, oracle_target, lambda q, s: int(comp.oracle(q, s).sum())
         )
         comp.oracle_q = tuned.q
 
@@ -518,7 +517,7 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
             granularity=cfg.significance,
             laplace=cfg.laplace,
         )
-        significance = profile.step_schedule(dataset.follower_ids, t0, tf)
+        significance = profile.step_schedule(t0, tf)
 
     # the feeds are the same on every seed, and so is their segment rate
     wanted = "segment-offline" in cfg.policies

@@ -5,9 +5,11 @@ weekday-hour (168).  Bucket values are Laplace-smoothed frequencies,
 then divided by the largest bucket so every profile peaks at exactly 1.
 That max-normalization (``NORMALIZATION``) is a reporting choice, not a
 probability claim, and is stamped into every serialized profile so nobody
-mistakes the values for calibrated probabilities.  A profile unrolls
-into a :class:`StepSchedule`, the per-follower weights over a window
-that the controller reads.
+mistakes the values for calibrated probabilities.  A
+:class:`SignificanceProfile` is one table, the followers' ids and a
+followers x buckets array of weights, from the estimate to the profile
+CSV; it unrolls into a :class:`StepSchedule`, the same rows of weights
+over a window, which the controller reads.
 
 Event times are seconds relative to an epoch (itself UNIX seconds), so
 calendar arithmetic is plain integer math on days-since-1970, which was
@@ -87,11 +89,12 @@ def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepSchedule:
     """Per-follower piecewise-constant weights on a shared time grid.
 
-    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.
+    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.  Schedules
+    compare by identity: a generated ``__eq__`` over arrays raises.
     """
 
     knots: np.ndarray
@@ -116,45 +119,42 @@ class StepSchedule:
         return int(self.values.shape[0])
 
 
-#: Followers whose range :class:`SignificanceProfile` checks at a time.
-_CHECK_BLOCK = 64
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignificanceProfile:
-    """Per-follower bucket weights plus the calendar anchoring them.
+    """Every follower's bucket weights plus the calendar anchoring them.
 
-    ``values[follower_id]`` is a vector of ``bucket_count(granularity)``
-    weights in [0, 1], peaking at 1 (``NORMALIZATION``).
+    Row ``i`` of the ``float64`` table ``values`` holds follower
+    ``ids[i]``'s ``bucket_count(granularity)`` weights in [0, 1], peaking
+    at 1 (``NORMALIZATION``); ``ids`` are distinct.  Profiles compare by
+    identity: a generated ``__eq__`` over arrays raises.
     """
 
     granularity: str
     epoch: float
-    values: dict
+    ids: tuple
+    values: np.ndarray
     laplace: float = 1.0
 
     def __post_init__(self):
-        # the range of a block of followers is checked at a time, up to the
-        # first with the wrong shape; the first follower to fail is named
-        b = bucket_count(self.granularity)
-        fids = list(self.values)
-        vecs = [np.asarray(vec, dtype=np.float64) for vec in self.values.values()]
-        shaped = next((i for i, vec in enumerate(vecs) if vec.shape != (b,)), len(vecs))
-        for lo in range(0, shaped, _CHECK_BLOCK):
-            block = np.concatenate(vecs[lo : min(lo + _CHECK_BLOCK, shaped)]).reshape(-1, b)
-            # written so that NaN is outside too
-            outside = np.flatnonzero((~((block >= 0) & (block <= 1))).any(axis=1))
-            if outside.size:
-                raise ValueError(f"profile for {fids[lo + outside[0]]!r} must lie in [0, 1]")
-        if shaped < len(vecs):
-            raise ValueError(f"profile for {fids[shaped]!r} needs {b} buckets")
-        self.values.update(zip(fids, vecs))
+        ids = tuple(self.ids)
+        values = np.asarray(self.values, dtype=np.float64)
+        shape = (len(ids), bucket_count(self.granularity))
+        if values.shape != shape:
+            raise ValueError(f"values must be a {shape[0]} x {shape[1]} table, got shape {values.shape}")
+        if len(set(ids)) != len(ids):
+            raise ValueError("follower ids must be distinct")
+        # written so that NaN is outside too; the first follower to fail is named
+        outside = np.flatnonzero(~((values >= 0) & (values <= 1)).all(axis=1))
+        if outside.size:
+            raise ValueError(f"profile for {ids[outside[0]]!r} must lie in [0, 1]")
+        self.__dict__.update(ids=ids, values=values)
 
-    def step_schedule(self, follower_ids, t0: float, tf: float) -> StepSchedule:
-        """Unroll bucket weights into window-time step functions.
+    def step_schedule(self, t0: float, tf: float) -> StepSchedule:
+        """Unroll every follower's bucket weights into window-time step functions.
 
-        Knots land on every bucket boundary (day or hour edges in
-        absolute time) that falls inside (t0, tf).
+        Row ``i`` of the schedule is follower ``ids[i]``.  Knots land on
+        every bucket boundary (day or hour edges in absolute time) that
+        falls inside (t0, tf).
         """
         if tf <= t0:
             raise ValueError("window must have positive length")
@@ -163,14 +163,8 @@ class SignificanceProfile:
         first = np.floor(a0 / width) * width + width
         edges_abs = np.arange(first, self.epoch + tf, width)
         knots = np.concatenate([[t0], edges_abs - self.epoch, [tf]])
-        starts_abs = np.concatenate([[a0], edges_abs])
-        buckets = bucket_index(starts_abs, self.granularity)
-        values = np.empty((len(follower_ids), knots.shape[0] - 1))
-        for i, fid in enumerate(follower_ids):
-            if fid not in self.values:
-                raise KeyError(f"no profile for follower {fid!r}")
-            values[i] = self.values[fid][buckets]
-        return StepSchedule(knots, values)
+        buckets = bucket_index(np.concatenate([[a0], edges_abs]), self.granularity)
+        return StepSchedule(knots, self.values[:, buckets])
 
 
 #: Log events bucketed per pass in :func:`estimate_significance`; bounds
@@ -188,8 +182,10 @@ def estimate_significance(
     """Profiles for each follower from their own events in a shared log.
 
     ``events`` is a :class:`~whentopost.data_io.EventLog` whose ids
-    include the followers, with their own activity.  A follower with no
-    events gets the flat fallback (with a warning).
+    include the followers, with their own activity.  The profile has a
+    row per distinct follower, in the order the ids first appear in
+    ``follower_ids``.  A follower with no events gets the flat fallback
+    (with a warning).
 
     One pass over the log counts every follower at once: each event's
     source code maps to its follower's row of one count table, and
@@ -208,11 +204,10 @@ def estimate_significance(
     if not math.isfinite(epoch):
         raise ValueError(f"epoch must be finite, got {epoch!r}")
     b = bucket_count(granularity)
-    row_of = {}
-    for fid in follower_ids:
-        row_of.setdefault(fid, len(row_of))
+    ids = tuple(dict.fromkeys(follower_ids))
+    row_of = dict(zip(ids, range(len(ids))))
     row_of_code = np.array([row_of.get(i, -1) for i in events.ids.tolist()], np.int64)
-    table = np.zeros((len(row_of), b), np.int32)
+    table = np.zeros((len(ids), b), np.int32)
     flat = table.reshape(-1)
     for lo in range(0, len(events), _CHUNK):
         rows = row_of_code[events.codes[lo : lo + _CHUNK]]
@@ -220,11 +215,4 @@ def estimate_significance(
         buckets = bucket_index(epoch + events.times[lo : lo + _CHUNK][keep], granularity)
         cells, counts = np.unique(rows[keep] * b + buckets, return_counts=True)
         flat[cells] += counts
-    weights = _normalize_table(table, laplace)
-    values = dict(zip(row_of, weights))
-    return SignificanceProfile(
-        granularity=granularity,
-        epoch=float(epoch),
-        values=values,
-        laplace=float(laplace),
-    )
+    return SignificanceProfile(granularity, float(epoch), ids, _normalize_table(table, laplace), float(laplace))

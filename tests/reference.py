@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from whentopost.control_online import RedQueenParams
-from whentopost.control_oracle import OracleInstance, OracleSchedule, schedule_cost
+from whentopost.control_oracle import OracleInstance
 from whentopost.data_io import REPORT_HEADER, DataFormatError, EventLog
 from whentopost.feed_sim import Feeds, SimulationTrajectory
 from whentopost.kernels import _clock_first_time
@@ -125,17 +125,15 @@ def schedule_cost_batch(decisions: np.ndarray, inst: OracleInstance) -> np.ndarr
     return cost
 
 
-def brute_force_schedule(inst: OracleInstance) -> OracleSchedule:
-    """Exhaustive minimum over all 2^(m+1) decision vectors (small m only)."""
+def brute_force_schedule(inst: OracleInstance) -> np.ndarray:
+    """Exhaustive minimum over all 2^(m+1) decision vectors (small m only): its ``int8`` decisions."""
     m1 = inst.n_stages
     if m1 > MAX_BRUTE_FORCE_STAGES:
         raise ValueError(f"brute force is capped at {MAX_BRUTE_FORCE_STAGES} stages")
     n = 1 << m1
     rows = (np.arange(n, dtype=np.int64)[:, None] >> np.arange(m1)) & 1
     costs = schedule_cost_batch(rows.astype(np.float64), inst)
-    best = int(np.argmin(costs))
-    decisions = rows[best].astype(np.int8)
-    return OracleSchedule(decisions, schedule_cost(decisions, inst))
+    return rows[int(np.argmin(costs))].astype(np.int8)
 
 
 def brute_force_schedule_multi(
@@ -574,6 +572,17 @@ def followees(network, follower: str) -> list:
 # Intensity state and merged streams: point_process.
 
 
+def dedupe_increasing_loop(times: np.ndarray) -> tuple[np.ndarray, int]:
+    """``point_process._dedupe_increasing`` as one Python step per entry."""
+    times = np.array(times, dtype=np.float64, copy=True)
+    nudged = 0
+    for i in range(1, times.shape[0]):
+        if times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], math.inf)
+            nudged += 1
+    return times, nudged
+
+
 @dataclass(frozen=True)
 class IntensityState:
     """Intensity ``current`` at time ``as_of``; never below the baseline."""
@@ -811,15 +820,16 @@ def read_profile_csv(path) -> SignificanceProfile:
             raise DataFormatError(f"{path}: unexpected profile header {header}")
         granularity = meta["granularity"]
         b = bucket_count(granularity)
-        values: dict = {}
+        rows: dict = {}  # each follower's weights, in the order the file lists them
         for row in reader:
             if len(row) != 3:
                 raise DataFormatError(f"{path}: bad profile row {row}")
             fid, idx, val = row[0], int(row[1]), float(row[2])
-            values.setdefault(fid, np.zeros(b))[idx] = val
+            rows.setdefault(fid, np.zeros(b))[idx] = val
     return SignificanceProfile(
         granularity=granularity,
         epoch=float(meta["epoch"]),
-        values=values,
+        ids=tuple(rows),
+        values=np.array(list(rows.values())).reshape(len(rows), b),
         laplace=float(meta["laplace"]),
     )

@@ -30,7 +30,7 @@ from scipy import stats
 
 from whentopost.cli import main as cli_main
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
-from whentopost.control_oracle import OracleInstance, oracle_schedule
+from whentopost.control_oracle import OracleInstance, oracle_schedule, schedule_cost
 from whentopost.data_io import (
     build_replay_dataset,
     load_events,
@@ -173,7 +173,7 @@ def test_05_backward_induction_matches_exhaustive_search():
         q = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
         r0 = int(rng.integers(0, 4))
         inst = OracleInstance(r0=r0, widths=widths, q=q)
-        assert oracle_schedule(inst).cost == brute_force_schedule(inst).cost
+        assert schedule_cost(oracle_schedule(inst), inst) == schedule_cost(brute_force_schedule(inst), inst)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 5 backward induction equals exhaustive search "
@@ -270,10 +270,10 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
         coded_log(activity, ["f"] * len(activity)), ["f"],
         epoch=0.0, granularity="weekday", laplace=0.0,
     )
-    assert np.all(profile.values["f"][5:] == 0.0)
+    assert profile.ids == ("f",) and np.all(profile.values[0, 5:] == 0.0)
 
     t0, tf = MONDAY, MONDAY + 7 * DAY
-    schedule = profile.step_schedule(["f"], t0, tf)
+    schedule = profile.step_schedule(t0, tf)
     rate = constant_rate(0.002, t0, tf)  # feed active all week
     total = 0
     weekend_hits = 0

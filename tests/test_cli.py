@@ -6,6 +6,7 @@ import shutil
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from reference import read_profile_csv, read_report_csv
@@ -229,10 +230,9 @@ def test_estimate_significance_profiles_all_sources(tmp_path):
     assert payload["followers"] == 4  # alice, local1, local2, wire
     profile = read_profile_csv(out)
     assert profile.granularity == "weekday"
-    assert set(profile.values) == {"alice", "local1", "local2", "wire"}
+    assert profile.ids == ("alice", "local1", "local2", "wire")
     # fixture events all land on the epoch's first day
-    for values in profile.values.values():
-        assert values[0] == 1.0
+    assert np.all(profile.values[:, 0] == 1.0)
 
 
 def test_estimate_significance_follower_filter(tmp_path):
@@ -246,8 +246,23 @@ def test_estimate_significance_follower_filter(tmp_path):
         "--out", str(out),
     ])
     profile = read_profile_csv(out)
-    assert set(profile.values) == {"wire"}
+    assert profile.ids == ("wire",)
     assert profile.laplace == 0.0
+
+
+def test_estimate_significance_counts_a_repeated_follower_once(tmp_path):
+    out = tmp_path / "profile.csv"
+    result = run_ok([
+        "estimate-significance",
+        "--events", str(FIXTURE / "events.jsonl"),
+        "--epoch", "0.0",
+        "--follower", "wire", "--follower", "local1", "--follower", "wire",
+        "--out", str(out),
+    ])
+    assert json.loads(result.output)["followers"] == 2
+    profile = read_profile_csv(out)
+    assert profile.ids == ("wire", "local1")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 4 + 1 + 2 * 7
 
 
 def run_failing(args):

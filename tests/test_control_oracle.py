@@ -35,24 +35,21 @@ def test_frozen_two_interval_instance():
     # holding through both unit intervals: 0.5*1 + 0.5*4 + terminal 0.5*4
     inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0]), q=100.0)
     got = oracle_schedule(inst)
-    assert np.array_equal(got.decisions, [0, 0])
-    assert got.cost == 4.5
-    assert brute_force_schedule(inst).cost == 4.5
+    assert got.dtype == np.int8 and np.array_equal(got, [0, 0])
+    assert schedule_cost(got, inst) == 4.5
+    assert schedule_cost(brute_force_schedule(inst), inst) == 4.5
 
 
 def test_free_posting_drives_cost_to_zero():
     inst = OracleInstance(r0=0, widths=np.array([1.0, 0.5, 2.0]), q=0.0)
     got = oracle_schedule(inst)
-    assert np.array_equal(got.decisions, [1, 1, 1])
-    assert got.cost == 0.0
+    assert np.array_equal(got, [1, 1, 1])
+    assert schedule_cost(got, inst) == 0.0
 
 
 def test_moderate_price_matches_enumeration():
     inst = OracleInstance(r0=0, widths=np.array([1.0, 1.0, 1.0, 1.0]), q=4.0)
-    dp = oracle_schedule(inst)
-    brute = brute_force_schedule(inst)
-    assert dp.cost == brute.cost
-    assert schedule_cost(dp.decisions, inst) == dp.cost
+    assert schedule_cost(oracle_schedule(inst), inst) == schedule_cost(brute_force_schedule(inst), inst)
 
 
 def test_single_interval_threshold():
@@ -63,26 +60,23 @@ def test_single_interval_threshold():
             widths = np.array([w])
             below = oracle_schedule(OracleInstance(r0, widths, q=0.9 * threshold))
             above = oracle_schedule(OracleInstance(r0, widths, q=1.1 * threshold))
-            assert below.decisions[0] == 1
-            assert above.decisions[0] == 0
+            assert below[0] == 1
+            assert above[0] == 0
 
 
 def test_exact_tie_holds():
     # q = 2 makes posting and holding cost exactly 1.0 on one unit interval
     inst = OracleInstance(r0=0, widths=np.array([1.0]), q=2.0)
     got = oracle_schedule(inst)
-    assert got.decisions[0] == 0
-    assert got.cost == 1.0
+    assert got[0] == 0
+    assert schedule_cost(got, inst) == 1.0
 
 
 def test_induction_equals_enumeration_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(150):
         inst = random_instance(rng)
-        dp = oracle_schedule(inst)
-        brute = brute_force_schedule(inst)
-        assert dp.cost == brute.cost
-        assert schedule_cost(dp.decisions, inst) == dp.cost
+        assert schedule_cost(oracle_schedule(inst), inst) == schedule_cost(brute_force_schedule(inst), inst)
 
 
 def test_zero_width_stages_are_harmless():
@@ -92,7 +86,7 @@ def test_zero_width_stages_are_harmless():
         widths = inst.widths.copy()
         widths[rng.integers(0, widths.shape[0])] = 0.0
         patched = OracleInstance(inst.r0, widths, inst.q)
-        assert oracle_schedule(patched).cost == brute_force_schedule(patched).cost
+        assert schedule_cost(oracle_schedule(patched), patched) == schedule_cost(brute_force_schedule(patched), patched)
 
 
 def test_cost_monotone_in_initial_rank():
@@ -100,8 +94,8 @@ def test_cost_monotone_in_initial_rank():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         costs = [
-            oracle_schedule(OracleInstance(r0, inst.widths, inst.q)).cost
-            for r0 in range(4)
+            schedule_cost(oracle_schedule(other), other)
+            for other in (OracleInstance(r0, inst.widths, inst.q) for r0 in range(4))
         ]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -112,8 +106,8 @@ def test_cost_monotone_in_price():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         costs = [
-            oracle_schedule(OracleInstance(inst.r0, inst.widths, q)).cost
-            for q in (0.01, 0.1, 1.0, 10.0, 100.0)
+            schedule_cost(oracle_schedule(other), other)
+            for other in (OracleInstance(inst.r0, inst.widths, q) for q in (0.01, 0.1, 1.0, 10.0, 100.0))
         ]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -123,7 +117,7 @@ def test_post_count_nonincreasing_in_price():
     for _ in range(40):
         inst = random_instance(rng, max_stages=9)
         counts = [
-            oracle_schedule(OracleInstance(inst.r0, inst.widths, q)).post_count
+            int(oracle_schedule(OracleInstance(inst.r0, inst.widths, q)).sum())
             for q in (0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -149,12 +143,33 @@ def test_decisions_to_post_times_lands_after_events():
         decisions_to_post_times([1, 0], feed, t0=0.0, tf=5.0)
 
 
+def test_decisions_to_post_times_matches_one_event_at_a_time():
+    # one post per decision, bit for bit as a loop over the stages places them
+    rng = np.random.default_rng(12)
+    for case in range(200):
+        tf = float(rng.uniform(1.0, 1e6))
+        feed = np.sort(rng.uniform(0.0, tf, int(rng.integers(0, 30))))
+        if case % 3 == 0 and feed.size:
+            feed[-1] = tf  # an event at tf: the post after it is held to tf
+        if case % 5 == 0 and feed.size >= 2:
+            feed[-2:] = np.nextafter(tf, -math.inf), tf
+        decisions = (rng.random(feed.shape[0] + 1) < rng.random()).astype(np.int8)
+        want = [0.0] if decisions[0] else []
+        for k in range(feed.shape[0]):
+            if decisions[k + 1]:
+                want.append(min(np.nextafter(feed[k], math.inf), tf))
+        got = decisions_to_post_times(decisions, feed, 0.0, tf)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want, np.float64).tobytes(), case
+        assert decisions_to_post_times(decisions.astype(bool), feed, 0.0, tf).tobytes() == got.tobytes()
+
+
 def test_a_post_after_a_feed_event_at_tf_stays_in_the_window():
     # the window (0, 10] holds an event at tf, and the schedule posts after it
     feed = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-    schedule = oracle_schedule(instance_from_feed(feed, 0.0, 10.0, q=0.5))
-    assert schedule.post_count == 6 and schedule.decisions[-1] == 1
-    posts = decisions_to_post_times(schedule.decisions, feed, 0.0, 10.0)
+    decisions = oracle_schedule(instance_from_feed(feed, 0.0, 10.0, q=0.5))
+    assert decisions.sum() == 6 and decisions[-1] == 1
+    posts = decisions_to_post_times(decisions, feed, 0.0, 10.0)
     assert posts[-1] == 10.0
     traj = trajectory_from_posts(Feeds.cut([feed], 0.0, 10.0), posts, 0.0, 10.0)
     assert traj.post_count == 6
@@ -169,15 +184,15 @@ def test_schedule_cost_matches_trajectory_cost():
     for _ in range(25):
         feed_times = np.sort(rng.uniform(0.5, 10.0, size=int(rng.integers(0, 8))))
         inst = instance_from_feed(feed_times, 0.0, 10.0, q=float(rng.uniform(0.1, 5.0)))
-        sched = oracle_schedule(inst)
+        decisions = oracle_schedule(inst)
         twin_events = np.concatenate([[np.nextafter(0.0, math.inf)], feed_times])
         posts = np.array([
             np.nextafter(twin_events[k], math.inf)
-            for k in range(len(twin_events)) if sched.decisions[k]
+            for k in range(len(twin_events)) if decisions[k]
         ])
         traj = trajectory_from_posts(Feeds.cut([twin_events], 0.0, 10.0), posts, 0.0, 10.0)
         cost = quadratic_control_cost(traj, q=inst.q)
-        assert math.isclose(cost, sched.cost, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(cost, schedule_cost(decisions, inst), rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_validation_rejects_bad_instances():
@@ -216,7 +231,7 @@ def test_scalar_cost_equals_batch_cost_bitwise():
         q = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e8))))
         inst = OracleInstance(int(rng.integers(0, 20)), widths, q)
         rows = np.stack([rng.random(m1) < p for p in (0.0, 0.05, 0.5, 1.0)])
-        rows = np.vstack([rows, oracle_schedule(inst).decisions])
+        rows = np.vstack([rows, oracle_schedule(inst)])
         batch = schedule_cost_batch(rows.astype(np.float64), inst)
         for row, want in zip(rows, batch):
             got = schedule_cost(row.astype(np.int8), inst)
@@ -251,7 +266,7 @@ def test_multi_follower_enumeration_matches_single_follower_case():
         inst = instance_from_feed(feed_times, 0.0, 10.0, q=q)
         twin = np.concatenate([[np.nextafter(0.0, math.inf)], feed_times])
         dec, cost = brute_force_schedule_multi([twin], 0.0, 10.0, q=q)
-        assert math.isclose(cost, oracle_schedule(inst).cost, rel_tol=1e-9)
+        assert math.isclose(cost, schedule_cost(oracle_schedule(inst), inst), rel_tol=1e-9)
 
 
 def test_multi_follower_enumeration_matches_trajectory_cost():

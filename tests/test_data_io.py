@@ -428,10 +428,7 @@ def test_profile_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     raw = rng.uniform(0.0, 1.0, size=(2, 7))
     raw[:, 0] = 1.0  # peak pinned at 1 as the estimator guarantees
-    profile = SignificanceProfile(
-        "weekday", epoch=123.5, laplace=0.5,
-        values={"f1": raw[0], "f2": raw[1]},
-    )
+    profile = SignificanceProfile("weekday", epoch=123.5, ids=["f1", "f2"], values=raw, laplace=0.5)
     p = tmp_path / "profile.csv"
     write_profile_csv(profile, p)
     text = p.read_text(encoding="utf-8")
@@ -441,8 +438,8 @@ def test_profile_csv_round_trip(tmp_path):
     assert back.granularity == "weekday"
     assert back.epoch == 123.5
     assert back.laplace == 0.5
-    for fid in ("f1", "f2"):
-        assert np.array_equal(back.values[fid], profile.values[fid])
+    assert back.ids == ("f1", "f2")
+    assert np.array_equal(back.values, profile.values)
 
 
 def write_profile_csv_by_rows(profile, path):
@@ -469,8 +466,7 @@ def write_profile_csv_by_rows(profile, path):
             fh.write(row.getvalue()[:-2] + "\n")
 
         writerow(["follower_id", "bucket_index", "value"])
-        for fid in profile.values:
-            vec = profile.values[fid]
+        for fid, vec in zip(profile.ids, profile.values):
             for b in range(vec.shape[0]):
                 writerow([fid, b, repr(float(vec[b]))])
 
@@ -480,18 +476,16 @@ def test_profile_csv_matches_row_by_row_writer(tmp_path):
     special = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 0.1, 1 / 3]
     ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rx", "", " pad ", "é", 7]
     for granularity, width in (("weekday", 7), ("weekday-hour", 168)):
-        values = {}
-        for fid in ids:
-            vec = rng.uniform(0.0, 1.0, width)
+        values = rng.uniform(0.0, 1.0, (len(ids) + 2, width))
+        for vec in values[: len(ids)]:
             vec[rng.integers(0, width, width // 2)] = rng.choice(special, width // 2)
-            values[fid] = vec
-        values["zeros"] = np.zeros(width)
-        values["negzeros"] = -np.zeros(width)
-        profile = SignificanceProfile(granularity, epoch=1.5e9, laplace=0.5, values=values)
+        values[-2] = 0.0
+        values[-1] = -0.0
+        profile = SignificanceProfile(granularity, 1.5e9, ids + ["zeros", "negzeros"], values, laplace=0.5)
         write_profile_csv(profile, tmp_path / "new.csv")
         write_profile_csv_by_rows(profile, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    empty = SignificanceProfile("weekday", epoch=0.0, laplace=1.0, values={})
+    empty = SignificanceProfile("weekday", epoch=0.0, ids=[], values=np.empty((0, 7)))
     write_profile_csv(empty, tmp_path / "new.csv")
     write_profile_csv_by_rows(empty, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -504,21 +498,23 @@ def test_profile_csv_blocks_match_row_by_row_writer(tmp_path, followers):
     rng = np.random.default_rng(followers)
     shared = rng.uniform(0.0, 1.0, 5)
     odd_ids = ["a,b", 'say "hi"', "two\nlines", "cr\rx", "100%", "%s%%", "%(x)s", ""]
-    values = {}
-    for k in range(followers):
-        vec = rng.choice(np.concatenate([shared, [0.0, -0.0, 1.0]]), 168)
-        values[odd_ids[k] if k < len(odd_ids) else f"u{k}"] = vec
-    profile = SignificanceProfile("weekday-hour", epoch=1.5e9, laplace=1.0, values=values)
-    assert sum(np.signbit(v[v == 0.0]).any() for v in profile.values.values()) > 0
+    ids = [odd_ids[k] if k < len(odd_ids) else f"u{k}" for k in range(followers)]
+    values = rng.choice(np.concatenate([shared, [0.0, -0.0, 1.0]]), (followers, 168))
+    profile = SignificanceProfile("weekday-hour", epoch=1.5e9, ids=ids, values=values)
+    assert np.signbit(values[values == 0.0]).any()
     write_profile_csv(profile, tmp_path / "new.csv")
     write_profile_csv_by_rows(profile, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a table laid out column by column, or a strided view, writes the same bytes
+    wide = np.repeat(values, 2, axis=1)
+    for table in (np.asfortranarray(values), wide[:, ::2]):
+        write_profile_csv(SignificanceProfile("weekday-hour", 1.5e9, ids, table), tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_profile_csv_block_size_does_not_change_bytes(tmp_path):
     rng = np.random.default_rng(9)
-    values = {f"f{k}": rng.uniform(0.0, 1.0, 7) for k in range(10)}
-    profile = SignificanceProfile("weekday", epoch=0.0, laplace=1.0, values=values)
+    profile = SignificanceProfile("weekday", 0.0, [f"f{k}" for k in range(10)], rng.uniform(0.0, 1.0, (10, 7)))
     write_profile_csv_by_rows(profile, tmp_path / "old.csv")
     for block in (1, 3, 10, 11):
         with mock.patch.object(data_io, "_PROFILE_BLOCK", block):
@@ -531,22 +527,19 @@ def test_profile_csv_round_trips_ids_csv_must_quote(tmp_path):
     ids = ["cr\rx", "\r", "x\r", "lf\ny", "crlf\r\nz", "\n#not metadata", 'say "hi"', "a,b",
            '"\r,\n"', "#lead", "", "plain"]
     rng = np.random.default_rng(3)
-    profile = SignificanceProfile("weekday", epoch=1.5e9, laplace=1.0,
-                                  values={fid: rng.uniform(0.0, 1.0, 7) for fid in ids})
+    profile = SignificanceProfile("weekday", 1.5e9, ids, rng.uniform(0.0, 1.0, (len(ids), 7)))
     p = tmp_path / "profile.csv"
     write_profile_csv(profile, p)
     write_profile_csv_by_rows(profile, tmp_path / "rows.csv")
     assert p.read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert b'"cr\rx",0,' in p.read_bytes()
     back = read_profile_csv(p)
-    assert list(back.values) == ids
-    for fid in ids:
-        assert back.values[fid].tobytes() == profile.values[fid].tobytes()
+    assert back.ids == tuple(ids)
+    assert back.values.tobytes() == profile.values.tobytes()
 
 
 def test_profile_csv_rejects_a_nan_cell_by_follower(tmp_path):
-    profile = SignificanceProfile("weekday", epoch=0.0, laplace=1.0,
-                                  values={"f1": np.ones(7), "f2": np.full(7, 0.5)})
+    profile = SignificanceProfile("weekday", 0.0, ["f1", "f2"], [np.ones(7), np.full(7, 0.5)])
     p = tmp_path / "profile.csv"
     write_profile_csv(profile, p)
     p.write_text(p.read_text(encoding="utf-8").replace("f2,3,0.5", "f2,3,nan"), encoding="utf-8")

@@ -11,6 +11,7 @@ from reference import (
     apply_jump,
     constant_rate,
     decay_intensity,
+    dedupe_increasing_loop,
     rate_at,
     superpose,
 )
@@ -233,6 +234,37 @@ def test_dedupe_increasing_returns_a_copy_and_nudges_only_ties():
         assert count == nudged
         assert fixed.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
         assert not np.shares_memory(fixed, times)
+
+
+def test_dedupe_increasing_walks_ties_as_one_step_per_entry_does():
+    from whentopost.point_process import _dedupe_increasing
+
+    def ulps(x, n):
+        for _ in range(n):
+            x = np.nextafter(x, math.inf)
+        return x
+
+    cases = [
+        [5.0] * 50,  # one run of equal values
+        [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0],  # several runs
+        [1.0, 1.0, 1.0, ulps(1.0, 1), ulps(1.0, 2), ulps(1.0, 4), 2.0],  # the nudges cascade into neighbours
+        [7.0, 7.0, 8.0, 9.0],  # a tie at the start
+        [6.0, 7.0, 8.0, 9.0, 9.0],  # a tie at the end
+        [7.0, 7.0, 8.0, ulps(8.0, 1), 9.0, 9.0],  # a tie at each end and a cascade between
+        [-0.0, 0.0, 0.0, 5e-324],  # signed zeros and the smallest subnormal
+        [1.0, ulps(1.0, 1), ulps(1.0, 1), ulps(1.0, 2), ulps(1.0, 3), ulps(1.0, 3)],
+    ]
+    rng = np.random.default_rng(31)
+    for _ in range(200):  # few distinct values, each a few ulps from the next
+        base = np.array([ulps(10.0, int(k)) for k in np.cumsum(rng.integers(0, 4, 40))])
+        cases.append(np.sort(base))
+    for times in cases:
+        times = np.asarray(times, dtype=np.float64)
+        fixed, count = _dedupe_increasing(times)
+        want, want_count = dedupe_increasing_loop(times)
+        assert count == want_count
+        assert fixed.tobytes() == want.tobytes(), times
+        assert np.all(np.diff(fixed) > 0)
 
 
 def test_superpose_of_poisson_streams_has_summed_rate():

@@ -272,7 +272,9 @@ def test_the_memo_is_read_only_and_per_competition():
     assert posts.shape[0] > 0
     assert comp.redqueen(0.5, 0) is posts
     assert not posts.flags.writeable
-    assert not comp.oracle(0.5, 0).decisions.flags.writeable
+    decisions = comp.oracle(0.5, 0)
+    assert comp.oracle(0.5, 0) is decisions and decisions.dtype == np.int8
+    assert not decisions.flags.writeable
     other = competition()
     assert other.memo == {}
     assert other.redqueen(0.5, 0) is not posts
@@ -288,7 +290,7 @@ def weekday_replay_setup():
     own = np.sort(rng.uniform(-8 * 86_400.0, 0.0, 600))
     log = coded_log(own, np.array(ids, dtype=object)[rng.integers(0, 3, own.shape[0])])
     epoch = 1_700_000_000.0
-    schedule = estimate_significance(log, ids, epoch=epoch, granularity="weekday").step_schedule(ids, t0, tf)
+    schedule = estimate_significance(log, ids, epoch=epoch, granularity="weekday").step_schedule(t0, tf)
     assert schedule.knots.shape[0] > 3  # day edges inside the window
     return feeds, t0, tf, schedule, np.array([0, 2, 5], dtype=np.int64)
 

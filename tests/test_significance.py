@@ -88,9 +88,10 @@ def test_negative_smoothing_rejected():
 def test_estimate_significance_per_follower():
     log = coded_log([MONDAY + 1.0, MONDAY + 2.0, MONDAY + DAY + 1.0], ["a", "a", "b"])
     profile = estimate_significance(log, ["a", "b"], epoch=0.0, laplace=0.0)
-    assert profile.values["a"][0] == 1.0
-    assert np.sum(profile.values["a"]) == 1.0
-    assert profile.values["b"][1] == 1.0
+    assert profile.ids == ("a", "b") and profile.values.shape == (2, 7)
+    assert profile.values[0, 0] == 1.0
+    assert np.sum(profile.values[0]) == 1.0
+    assert profile.values[1, 1] == 1.0
     assert profile.granularity == "weekday"
     assert "weekday" in GRANULARITIES
 
@@ -110,15 +111,16 @@ def test_estimate_significance_matches_per_follower_bucket_weights():
             with pytest.warns(UserWarning, match="empty activity log") as caught:
                 profile = estimate_significance(log, ids, epoch, granularity, laplace)
             assert len(caught) == 2  # one per absent follower
-            assert list(profile.values) == list(dict.fromkeys(ids))
-            for fid in ids:
+            assert profile.ids == tuple(dict.fromkeys(ids))
+            assert profile.values.dtype == np.float64
+            assert profile.values.shape == (len(profile.ids), bucket_count(granularity))
+            for row, fid in enumerate(profile.ids):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     want = bucket_weights(
                         log.times[sources == fid], epoch, granularity, laplace
                     )
-                assert profile.values[fid].tobytes() == want.tobytes(), (fid, granularity)
-
+                assert profile.values[row].tobytes() == want.tobytes(), (fid, granularity)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
@@ -132,8 +134,9 @@ def test_estimate_significance_counts_do_not_depend_on_the_chunk(monkeypatch, ch
     monkeypatch.setattr(significance, "_CHUNK", chunk)
     with pytest.warns(UserWarning, match="empty activity log"):
         got = estimate_significance(log, ["a", "b", "c", "d"], 0.0, "weekday-hour", laplace=0.0)
-    for fid in "abcd":
-        assert got.values[fid].tobytes() == want.values[fid].tobytes()
+    assert got.ids == want.ids == tuple("abcd")
+    assert got.values.tobytes() == want.values.tobytes()
+
 
 def test_non_finite_smoothing_rejected():
     log = coded_log([1.0], ["a"])
@@ -145,70 +148,107 @@ def test_non_finite_smoothing_rejected():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        SignificanceProfile("weekday", 0.0, {"a": np.ones(6)})
-    with pytest.raises(ValueError):
-        SignificanceProfile("weekday", 0.0, {"a": np.full(7, 2.0)})
+    with pytest.raises(ValueError, match=r"^values must be a 1 x 7 table, got shape \(1, 6\)$"):
+        SignificanceProfile("weekday", 0.0, ["a"], np.ones((1, 6)))
+    with pytest.raises(ValueError, match="must lie in"):
+        SignificanceProfile("weekday", 0.0, ["a"], np.full((1, 7), 2.0))
+    with pytest.raises(ValueError, match="unknown granularity"):
+        SignificanceProfile("minute", 0.0, ["a"], np.ones((1, 7)))
+
+
+def test_profile_rejects_a_table_of_the_wrong_shape():
+    for ids, table in ((["a", "b"], np.ones((2, 168))),  # weekday-hour rows for a weekday profile
+                       (["a", "b"], np.ones((3, 7))),  # a row without an id
+                       (["a", "b"], np.ones((1, 7))),  # an id without a row
+                       (["a"], np.ones(7)),  # one follower's vector, not a table
+                       ([], np.ones((0, 6)))):
+        with pytest.raises(ValueError, match="^values must be a"):
+            SignificanceProfile("weekday", 0.0, ids, table)
+
+
+def test_profile_rejects_a_repeated_id():
+    with pytest.raises(ValueError, match="^follower ids must be distinct$"):
+        SignificanceProfile("weekday", 0.0, ["a", "b", "a"], np.ones((3, 7)))
 
 
 def test_profile_validation_names_the_first_bad_follower():
-    good = {f"f{k}": np.full(7, 0.5) for k in range(200)}
-    for bad in ("f37", "f80", "f150"):  # the followers are checked in blocks
-        for bad_vec, message in ((np.full(7, 1.5), "must lie in"), (-np.ones(7), "must lie in"),
-                                 (np.ones(6), "needs 7 buckets")):
-            values = dict(good)
-            values[bad] = bad_vec
-            values["f199"] = np.full(7, 2.0)  # a later bad follower is not the one named
-            with pytest.raises(ValueError, match=f"^profile for '{bad}' {message}"):
-                SignificanceProfile("weekday", 0.0, values)
-    # a range error before a shape error is the one reported, and the reverse
-    values = dict(good, f10=np.full(7, 2.0), f20=np.ones(5))
-    with pytest.raises(ValueError, match="^profile for 'f10' must lie in"):
-        SignificanceProfile("weekday", 0.0, values)
-    values = dict(good, f10=np.ones(5), f20=np.full(7, 2.0))
-    with pytest.raises(ValueError, match="^profile for 'f10' needs 7 buckets"):
-        SignificanceProfile("weekday", 0.0, values)
-
+    ids = [f"f{k}" for k in range(200)]
+    for bad in (37, 80, 150):
+        for bad_vec in (np.full(7, 1.5), -np.ones(7), np.array([1.0, 0, 0, -1e-300, 0, 0, 0])):
+            table = np.full((200, 7), 0.5)
+            table[bad] = bad_vec
+            table[199] = 2.0  # a later bad follower is not the one named
+            with pytest.raises(ValueError, match=f"^profile for 'f{bad}' must lie in \\[0, 1\\]$"):
+                SignificanceProfile("weekday", 0.0, ids, table)
 
 
 def test_profile_validation_rejects_nan_weights_by_follower():
-    good = {f"f{k}": np.full(7, 0.5) for k in range(100)}
+    ids = [f"f{k}" for k in range(100)]
     for bad_vec in (np.full(7, np.nan), np.array([1.0, np.nan, 0, 0, 0, 0, 0])):
+        table = np.full((100, 7), 0.5)
+        table[70] = bad_vec
         with pytest.raises(ValueError, match="^profile for 'f70' must lie in"):
-            SignificanceProfile("weekday", 0.0, dict(good, f70=bad_vec))
+            SignificanceProfile("weekday", 0.0, ids, table)
     with pytest.raises(ValueError, match="^profile for 'a' must lie in"):
-        SignificanceProfile("weekday", 0.0, {"a": np.full(7, np.nan)})
+        SignificanceProfile("weekday", 0.0, ["a"], np.full((1, 7), np.nan))
 
-def test_profile_validation_converts_every_follower():
-    profile = SignificanceProfile("weekday", 0.0, {"a": [1, 0, 0, 0, 0, 0, 0], "b": np.ones(7, np.float32)})
-    for vec in profile.values.values():
-        assert vec.dtype == np.float64 and vec.shape == (7,)
-    assert SignificanceProfile("weekday", 0.0, {}).values == {}
+
+def test_profile_converts_its_input_without_writing_to_it():
+    ids = ["a", "b"]
+    table = [[1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1]]
+    profile = SignificanceProfile("weekday", 0.0, ids, table)
+    assert ids == ["a", "b"] and table == [[1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1]]
+    assert profile.ids == ("a", "b")
+    assert profile.values.dtype == np.float64 and profile.values.shape == (2, 7)
+    assert np.array_equal(profile.values, table)
+    single = np.ones((2, 7), np.float32)
+    assert SignificanceProfile("weekday", 0.0, ids, single).values.dtype == np.float64
+    assert single.dtype == np.float32
+    empty = SignificanceProfile("weekday", 0.0, [], np.empty((0, 7)))
+    assert empty.ids == () and empty.values.shape == (0, 7)
+
+
+def test_profiles_and_schedules_compare_by_identity():
+    profile = SignificanceProfile("weekday", 0.0, ["a", "b"], np.ones((2, 7)))
+    twin = SignificanceProfile("weekday", 0.0, ["a", "b"], np.ones((2, 7)))
+    assert profile == profile and profile != twin
+    schedule = profile.step_schedule(0.0, 3 * DAY)
+    assert schedule == schedule and schedule != profile.step_schedule(0.0, 3 * DAY)
 
 
 def test_step_schedule_unrolls_buckets_onto_window():
     vec = np.array([1.0, 0.5, 0.0, 0.25, 1.0, 0.75, 0.125])
-    profile = SignificanceProfile("weekday", epoch=MONDAY, values={"f": vec})
-    sched = profile.step_schedule(["f"], 0.0, 3 * DAY)
+    profile = SignificanceProfile("weekday", epoch=MONDAY, ids=["f"], values=[vec])
+    sched = profile.step_schedule(0.0, 3 * DAY)
     assert np.array_equal(sched.knots, [0.0, DAY, 2 * DAY, 3 * DAY])
-    assert np.array_equal(sched.values[0], [1.0, 0.5, 0.0])
+    assert np.array_equal(sched.values, [[1.0, 0.5, 0.0]])
     # window offset inside a day: first knot is the next day boundary
-    shifted = profile.step_schedule(["f"], 1000.0, DAY + 1000.0)
+    shifted = profile.step_schedule(1000.0, DAY + 1000.0)
     assert np.array_equal(shifted.knots, [1000.0, DAY, DAY + 1000.0])
-    assert np.array_equal(shifted.values[0], [1.0, 0.5])
+    assert np.array_equal(shifted.values, [[1.0, 0.5]])
 
 
-def test_step_schedule_requires_known_followers():
-    profile = SignificanceProfile("weekday", 0.0, {"f": np.ones(7)})
-    with pytest.raises(KeyError):
-        profile.step_schedule(["ghost"], 0.0, DAY)
+def test_step_schedule_has_a_row_per_follower_in_profile_order():
+    rng = np.random.default_rng(4)
+    for granularity in GRANULARITIES:
+        b = bucket_count(granularity)
+        table = rng.uniform(0.0, 1.0, (5, b))
+        profile = SignificanceProfile(granularity, 1.5e9 + 1234.5, list("vwxyz"), table)
+        t0, tf = 500.0, 9 * DAY + 77.0
+        sched = profile.step_schedule(t0, tf)
+        assert sched.n_followers == 5
+        # each segment takes its bucket from the absolute time it starts at
+        starts = bucket_index(profile.epoch + sched.knots[:-1], granularity)
+        assert np.array_equal(sched.values, table[:, starts])
+    with pytest.raises(ValueError, match="positive length"):
+        profile.step_schedule(DAY, DAY)
 
 
 def test_weekend_silence_under_zero_weight():
     # a Sat/Sun hard-zero profile silences the poster on weekends entirely
     vec = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-    profile = SignificanceProfile("weekday", epoch=MONDAY, values={"f": vec})
-    sched = profile.step_schedule(["f"], 0.0, 14 * DAY)
+    profile = SignificanceProfile("weekday", epoch=MONDAY, ids=["f"], values=[vec])
+    sched = profile.step_schedule(0.0, 14 * DAY)
     params = RedQueenParams(q=1000.0, significance=sched)
     weekend_hits = 0
     total = 0
@@ -238,7 +278,7 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
         t += float(rng.exponential(3 * 3600.0))
     activity = coded_log(weekday_times, ["f"] * len(weekday_times))
     profile = estimate_significance(activity, ["f"], epoch=MONDAY, laplace=1.0)
-    sched = profile.step_schedule(["f"], 0.0, 28 * DAY)
+    sched = profile.step_schedule(0.0, 28 * DAY)
 
     feed_times = np.sort(rng.uniform(0.0, 28 * DAY, size=600))
     feeds = Feeds.cut([feed_times], 0.0, 28 * DAY)
