@@ -84,7 +84,6 @@ import collections
 import contextlib
 import copy
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -396,11 +395,12 @@ def bench_rank_metrics(repeats):
     for followers in TUNE_FOLLOWERS:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = replay_dataset(followers, tmp)
-        feeds, t0, tf = dataset.feeds, dataset.t0, dataset.tf
+        feeds = dataset.feeds
+        t0, tf = feeds.t0, feeds.tf  # for the feed-blind planner and the references
         budget = len(dataset.true_posts)
 
         def plan():
-            rate = scenarios._empirical_segment_rate(feeds, t0, tf, OFFLINE_SEGMENTS)
+            rate = scenarios._empirical_segment_rate(feeds, OFFLINE_SEGMENTS)
             return segment_offline_posts(rate, budget, t0, tf)
 
         knots = np.linspace(t0, tf, OFFLINE_SEGMENTS + 1)
@@ -408,22 +408,22 @@ def bench_rank_metrics(repeats):
         if plan().tobytes() != segment_offline_posts(PiecewiseRate(knots, summed), budget, t0, tf).tobytes():
             raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
         streams = list(feeds)  # one times array per follower
-        merged = Feeds(feeds.times, feeds.bounds).merged  # a fresh object: the dataset's may be merged already
+        merged = Feeds(feeds.times, feeds.bounds, t0, tf).merged  # a fresh object: the dataset's may be merged already
         if any(g.tobytes() != w.tobytes() for g, w in zip(merged, merge_feeds(streams))):
             raise SystemExit(f"Feeds.merged: {followers} followers: differs from merge_feeds")
         policies = {"true-posts": dataset.true_posts, "segment-offline": plan()}
         for policy, posts in policies.items():
-            traj = trajectory_from_posts(feeds, posts, t0, tf)
+            traj = trajectory_from_posts(feeds, posts)
             got = report_from_trajectory(traj, "bench", 0, policy)
             loop = simulate_loop(streams, ScheduledController(posts), t0, tf)
             if report_bytes([got]) != report_bytes([report_by_follower(loop, "bench", 0, policy)]):
                 raise SystemExit(f"report_from_trajectory: {followers} followers, {policy}: differs from the loop")
         posts = policies["true-posts"]
-        traj = trajectory_from_posts(feeds, posts, t0, tf)
-        t_traj = best_time(lambda: trajectory_from_posts(feeds, posts, t0, tf), repeats)
+        traj = trajectory_from_posts(feeds, posts)
+        t_traj = best_time(lambda: trajectory_from_posts(feeds, posts), repeats)
         t_report = best_time(lambda: report_from_trajectory(traj, "bench", 0, "true-posts"), repeats)
         t_score = best_time(
-            lambda: report_from_trajectory(trajectory_from_posts(feeds, posts, t0, tf), "bench", 0, "true-posts"),
+            lambda: report_from_trajectory(trajectory_from_posts(feeds, posts), "bench", 0, "true-posts"),
             repeats,
         )
         t_plan = best_time(plan, repeats)
@@ -459,16 +459,11 @@ def bench_replay(repeats):
     """Time the 900-follower replay at one seed and at ten, and count the package's lines; return both."""
     with tempfile.TemporaryDirectory() as tmp:
         dataset = replay_dataset(TUNE_FOLLOWERS[-1], tmp)
-
-    def fresh():
-        """The dataset with a new ``Feeds``, which no earlier run has merged."""
-        return dataclasses.replace(dataset, feeds=Feeds(dataset.feeds.times, dataset.feeds.bounds))
-
     results = {}
     click.echo(f"\n{f'replay ({TUNE_FOLLOWERS[-1]} followers)':<22} {'seeds':>7} {'best':>10}")
     for label, seeds in REPLAY_SEEDS.items():
         cfg = scenarios.ReplayConfig(seeds=seeds, policies=REPLAY_POLICIES, significance="weekday")
-        best = best_time(lambda: scenarios.run_replay(cfg, fresh()), min(repeats, 3))
+        best = best_time(lambda: scenarios.run_replay(cfg, dataset), min(repeats, 3))
         click.echo(f"{'run_replay':<22} {label:>7} {best * 1e3:>8.1f}ms")
         results[f"seeds_{label}_s"] = best
     lines = source_lines()
@@ -686,7 +681,7 @@ def write_json(path, repeats, timings, tune, rank_metrics, replay):
         "replay": replay,
         "replay_workload": f"run_replay of the seed-0 genlog log at {TUNE_FOLLOWERS[-1]} followers, policies "
                            f"{', '.join(REPLAY_POLICIES)}, weekday significance, at seeds 0-0 and 0-9 (best of "
-                           "at most 3, a fresh Feeds per run); src_lines counts each module's lines",
+                           "at most 3; each run merges the Feeds it makes with its initial rank); src_lines counts each module's lines",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
         "cpus_usable": usable_cpus(),

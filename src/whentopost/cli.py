@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 
 import click
@@ -52,8 +53,10 @@ def _parse_seeds(text: str) -> tuple:
     """'0-4,7' -> (0, 1, 2, 3, 4, 7)"""
     spans = []
     for part in filter(None, (p.strip() for p in text.split(","))):
-        lo, _, hi = part.partition("-") if "-" in part[1:] else (part, "", part)
-        spans.append((int(lo), int(hi)))
+        span = re.fullmatch(r"([0-9]+)(?:\s*-\s*([0-9]+))?", part)
+        if span is None:
+            raise ValueError(f"bad seed {part!r}: a seed is a nonnegative integer N, or a range N-M")
+        spans.append((int(span[1]), int(span[2] or span[1])))
         if spans[-1][1] < spans[-1][0]:
             raise ValueError(f"bad seed range {part!r}")
     count = sum(hi - lo + 1 for lo, hi in spans)

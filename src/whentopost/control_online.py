@@ -72,38 +72,23 @@ def run_redqueen_fast(
     feeds: Feeds,
     params: RedQueenParams,
     rng: np.random.Generator,
-    t0: float,
-    tf: float,
-    initial_ranks=None,
     max_posts: int = 2**62,
 ) -> np.ndarray:
-    """Post times from the kernel fast path (same draws as ``RedQueenController``).
+    """The controller's post times on the feeds' window, from their initial ranks.
 
-    The kernel reads ``feeds.merged``, the feeds (on ``(t0, tf]``) as one
-    time-ordered stream.
-
-    Without numba the kernel is the vectorized NumPy fallback, which draws
-    its exponentials in bulk: the posts match the controller's (in
-    ``tests/reference.py``) bit for bit, but ``rng`` may end further along
-    than the controller leaves it.
+    The kernel reads ``feeds.merged``, the feeds as one time-ordered
+    stream, and stops after ``max_posts`` posts.  Its posts match, bit for
+    bit, those of ``RedQueenController``, the one-event-at-a-time
+    controller in ``tests/reference.py``.  Without numba the kernel is the
+    vectorized NumPy fallback, which draws its exponentials in bulk, so
+    ``rng`` may end further along than the controller leaves it.
     Pass a generator used for this run only, as every caller in the
     package does (a fresh ``policy_rng(seed)`` per call).
     """
-    n = len(feeds)
-    initial_ranks = np.zeros(n, np.int64) if initial_ranks is None else np.asarray(initial_ranks, np.int64)
-    knots, clock_rates = params.clocks(n, t0, tf)
-    feeds.check_window(t0, tf)
+    knots, clock_rates = params.clocks(len(feeds), feeds.t0, feeds.tf)
     feed_t, feed_j = feeds.merged
     return redqueen_posts(
-        feed_t,
-        feed_j,
-        initial_ranks,
-        knots,
-        clock_rates,
-        float(t0),
-        float(tf),
-        max_posts,
-        rng,
+        feed_t, feed_j, feeds.initial_ranks, knots, clock_rates, feeds.t0, feeds.tf, max_posts, rng
     )
 
 

@@ -14,8 +14,9 @@ objective charges 0.5*widths[k]*r_{k+1}^2 per interval, 0.5*q per
 post, and 0.5*r_{m+1}^2 at the horizon.  ``oracle_schedule`` solves it
 by backward induction (ties hold).  Each stage posts iff its rank
 reaches a threshold, so the induction keeps O(m) values instead of a
-quadratic table; its time stays quadratic in the worst case, which
-``MAX_ORACLE_STAGES`` bounds.  ``brute_force_schedule`` in
+quadratic table.  Its scratch and each stage's scan still reach
+``r0 + m + 2`` ranks, so its time stays quadratic in the worst case:
+``MAX_ORACLE_STAGES`` caps m, and ``MAX_ORACLE_RANK`` caps r0.  ``brute_force_schedule`` in
 ``tests/reference.py`` enumerates every decision vector to cross-check
 the induction; the two are compared through the same forward evaluator,
 ``schedule_cost``.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feed_sim import Feeds
 from .kernels import oracle_decisions
 
 __all__ = [
@@ -39,6 +41,8 @@ __all__ = [
 ]
 
 MAX_ORACLE_STAGES = 20_000
+#: Largest initial rank ``r0`` an instance may start from.
+MAX_ORACLE_RANK = MAX_ORACLE_STAGES
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,10 @@ class OracleInstance:
         if not np.all(np.isfinite(widths)):
             k = int(np.flatnonzero(~np.isfinite(widths))[0])
             raise ValueError(f"widths must be finite, got {float(widths[k])} at stage {k}")
-        if self.r0 < 0:
-            raise ValueError("initial rank cannot be negative")
+        if not 0 <= self.r0 <= MAX_ORACLE_RANK:
+            raise ValueError(
+                f"initial rank must be in [0, MAX_ORACLE_RANK = {MAX_ORACLE_RANK}], got {self.r0!r}"
+            )
         if not math.isfinite(self.q):
             raise ValueError(f"q must be finite, got {float(self.q)}")
         if self.q < 0:
@@ -99,26 +105,27 @@ def oracle_schedule(inst: OracleInstance) -> np.ndarray:
     return oracle_decisions(inst.widths, int(inst.r0), float(inst.q))
 
 
-def instance_from_feed(
-    feed_times: np.ndarray,
-    t0: float,
-    tf: float,
-    q: float,
-    r0: int = 0,
-) -> OracleInstance:
-    """Build the stage widths for a revealed feed, strictly increasing on (t0, tf]."""
-    widths = np.diff(np.concatenate([[t0], feed_times, [tf]]))
-    return OracleInstance(r0=r0, widths=widths, q=q)
+def _one_follower(feeds: Feeds) -> np.ndarray:
+    if len(feeds) != 1:
+        raise ValueError(f"the clairvoyant schedule solves one follower's feed, got {len(feeds)}")
+    return feeds.times
 
 
-def decisions_to_post_times(decisions, feed_times, t0: float, tf: float) -> np.ndarray:
-    """Post times for a decision vector: stage 0 posts at the window start,
-    stage k >= 1 one float step after the k-th feed event (so the post
-    lands on the far side of the event it reacts to), or at ``tf`` when
-    that event is at ``tf``, so the post stays in the window (t0, tf]."""
+def instance_from_feed(feeds: Feeds, q: float) -> OracleInstance:
+    """The stages of one follower's revealed feed, from its initial rank."""
+    widths = np.diff(np.concatenate([[feeds.t0], _one_follower(feeds), [feeds.tf]]))
+    return OracleInstance(r0=int(feeds.initial_ranks[0]), widths=widths, q=q)
+
+
+def decisions_to_post_times(decisions, feeds: Feeds) -> np.ndarray:
+    """Post times for a decision vector on one follower's feed: stage 0
+    posts at the window start, stage k >= 1 one float step after the k-th
+    feed event (so the post lands on the far side of the event it reacts
+    to), or at ``tf`` when that event is at ``tf``, so the post stays in
+    the window."""
     decisions = np.asarray(decisions)
-    feed_times = np.asarray(feed_times, dtype=np.float64)
+    feed_times = _one_follower(feeds)
     if decisions.shape[0] != feed_times.shape[0] + 1:
         raise ValueError("need exactly one decision per stage")
-    after = np.minimum(np.nextafter(feed_times[decisions[1:] != 0], math.inf), tf)
-    return np.concatenate([[t0] if decisions[0] else [], after])
+    after = np.minimum(np.nextafter(feed_times[decisions[1:] != 0], math.inf), feeds.tf)
+    return np.concatenate([[feeds.t0] if decisions[0] else [], after])

@@ -540,8 +540,11 @@ def load_manifest(path) -> Manifest:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-        linenos[key.strip()] = lineno
+        key = key.strip()
+        if key in fields:
+            raise DataFormatError(f"{path}:{lineno}: {key} is set again (first on line {linenos[key]})")
+        fields[key] = value.strip()
+        linenos[key] = lineno
     required = ("events", "network", "epoch", "t0", "tf", "broadcaster")
     missing = [k for k in required if k not in fields]
     if missing:
@@ -575,11 +578,9 @@ class ReplayDataset:
 
     broadcaster: str
     follower_ids: list
-    feeds: Feeds  # one per follower, on (t0, tf], broadcaster's own posts excluded
+    feeds: Feeds  # the window (t0, tf], and one feed per follower without the broadcaster's posts
     true_posts: np.ndarray  # the broadcaster's post times on (t0, tf]
     epoch: float
-    t0: float
-    tf: float
     events: EventLog  # the full log, for significance estimation
 
 
@@ -620,15 +621,13 @@ def build_replay_dataset(
         return np.sort(np.concatenate([order[:0], *runs]))
 
     index = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
-    feeds = Feeds(times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]))
+    feeds = Feeds(times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]), t0, tf)
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,
         feeds=feeds,
         true_posts=times[from_sources({broadcaster})],
         epoch=epoch,
-        t0=t0,
-        tf=tf,
         events=events,
     )
 

@@ -21,12 +21,16 @@ comes out as a view into one flat array.  ``rank_path`` is the same pass
 for one follower.  The causal loop that folds one event at a time
 (``simulate``) is the reference in ``tests/reference.py``.
 
-Every layer reads the feeds as one :class:`Feeds`, made once per feed
-realization; ``Feeds.cut`` is the one place a feed is cut to the window.
+Every layer reads one window as one :class:`Feeds`, made once per feed
+realization: the events on ``(t0, tf]``, the window itself and each
+follower's starting rank, checked once when it is made.  ``Feeds.cut``
+is the one place a feed is cut to the window, and no layer takes the
+window or the ranks beside a ``Feeds``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,33 +46,55 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Feeds:
-    """Every follower's feed events on the window, follower after follower.
+    """One window ``(t0, tf]``: every follower's feed events on it, follower
+    after follower, and the rank each follower starts it at.
 
     Follower ``j`` owns ``times[bounds[j]:bounds[j + 1]]``, strictly
-    increasing.  ``len`` is the follower count, and iterating yields each
-    follower's times in order.
+    increasing, and starts at rank ``initial_ranks[j]`` (``int64``,
+    default 0).  The constructor checks all of it once: finite
+    ``t0 < tf``, every event in the window, and one nonnegative integer
+    rank per follower.  ``len`` is the follower count, and iterating
+    yields each follower's times in order.
     """
 
     times: np.ndarray
     bounds: np.ndarray
+    t0: float
+    tf: float
+    initial_ranks: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=np.int64))
-        times, b = self.times, self.bounds
+        times = np.asarray(self.times, dtype=np.float64)
+        b = np.asarray(self.bounds, dtype=np.int64)
+        t0, tf = float(self.t0), float(self.tf)
         if times.ndim != 1 or b.ndim != 1 or b[:1].tolist() != [0] or b[-1] != times.shape[0] or np.any(b[1:] < b[:-1]):
             raise ValueError("feeds need 1-d times, and bounds rising from 0 to the event count")
+        if not -math.inf < t0 < tf < math.inf:
+            raise ValueError(f"a feed window needs finite t0 < tf, got ({t0!r}, {tf!r}]")
+        if times.shape[0] and not (t0 < times.min() and times.max() <= tf):
+            raise ValueError(f"feed events must lie in the window ({t0!r}, {tf!r}]; cut them with Feeds.cut")
+        n = b.shape[0] - 1
+        ranks = np.zeros(n, np.int64) if self.initial_ranks is None else np.asarray(self.initial_ranks)
+        if ranks.shape != (n,):
+            raise ValueError(f"need one initial rank per feed ({n}), got shape {ranks.shape}")
+        if n and ranks.dtype.kind not in "iu":
+            raise ValueError(f"initial ranks must be nonnegative integers, got dtype {ranks.dtype}")
+        if n and ranks.min() < 0:
+            raise ValueError(f"initial ranks must be nonnegative integers, got {int(ranks.min())}")
+        self.__dict__.update(times=times, bounds=b, t0=t0, tf=tf, initial_ranks=ranks.astype(np.int64))
         if not np.all((np.diff(times) > 0) | (np.diff(self.follower) > 0)):
             raise ValueError("each follower's event times must be strictly increasing")
 
     @classmethod
-    def cut(cls, streams, t0: float, tf: float) -> "Feeds":
-        """The events on ``(t0, tf]`` of one strictly increasing times array per follower."""
+    def cut(cls, streams, t0: float, tf: float, initial_ranks=None) -> "Feeds":
+        """The window ``(t0, tf]`` of one strictly increasing times array per follower,
+        each follower starting at its entry of ``initial_ranks`` (default 0)."""
         streams = [np.asarray(s, dtype=np.float64) for s in streams]
         times = np.concatenate([np.empty(0), *streams])
         inside = (times > t0) & (times <= tf)
         follower = np.repeat(np.arange(len(streams)), [s.shape[0] for s in streams])[inside]
-        return cls(times[inside], np.append(0, np.cumsum(np.bincount(follower, minlength=len(streams)))))
+        bounds = np.append(0, np.cumsum(np.bincount(follower, minlength=len(streams))))
+        return cls(times[inside], bounds, t0, tf, initial_ranks)
 
     def __len__(self) -> int:
         return self.bounds.shape[0] - 1
@@ -91,22 +117,16 @@ class Feeds:
         order = np.argsort(self.times, kind="stable")
         return self.times[order], self.follower[order]
 
-    def check_window(self, t0: float, tf: float) -> None:
-        """Raise ``ValueError`` unless every event lies in ``(t0, tf]``."""
-        if self.times.shape[0] and not (t0 < self.times.min() and self.times.max() <= tf):
-            raise ValueError(f"feed events must lie in the window ({t0!r}, {tf!r}]; cut them with Feeds.cut")
 
-
-def _rank_paths(feeds, posts, t0, initial_ranks):
+def _rank_paths(feeds, posts):
     """Every follower's rank step function in one pass.
 
-    ``feeds`` holds each follower's feed events on ``(t0, tf]``; ``posts``
-    the sorted posts on ``[t0, tf]``.  Returns
+    ``posts`` holds the sorted posts on the feeds' ``[t0, tf]``.  Returns
     ``(times, values, bounds)``: follower ``j``'s path is
     ``times[bounds[j]:bounds[j + 1]]`` (and the same slice of ``values``),
     the step function ``rank_path`` describes.
     """
-    times, values, heads = _merged_entries(feeds, posts, t0, initial_ranks)
+    times, values, heads = _merged_entries(feeds, posts)
     # collapse runs where the value did not change (e.g. a post at rank 0)
     keep = np.empty(times.shape[0], bool)
     keep[1:] = values[1:] != values[:-1]
@@ -116,7 +136,7 @@ def _rank_paths(feeds, posts, t0, initial_ranks):
     return times[keep], values[keep], bounds
 
 
-def _merged_entries(feeds, posts, t0, initial_ranks):
+def _merged_entries(feeds, posts):
     """Every follower's entries before equal neighbours collapse: ``(times, values, heads)``.
 
     Follower ``j``'s entries start at ``heads[j]`` with its head
@@ -139,7 +159,7 @@ def _merged_entries(feeds, posts, t0, initial_ranks):
     nonempty = counts > 0
     starts = first[:-1][nonempty]  # each nonempty follower's first event
     index = np.arange(e, dtype=np.int64)
-    rank, upto = _feed_ranks(feed_times, follower, index, starts, posts, initial_ranks)
+    rank, upto = _feed_ranks(feed_times, follower, index, starts, posts, feeds.initial_ranks)
 
     heads = 2 * (first[:-1] + np.arange(n))
     feed_slot = 2 * (index + follower) + 2  # the slot before each event is feed_slot - 1
@@ -153,8 +173,8 @@ def _merged_entries(feeds, posts, t0, initial_ranks):
 
     times = np.empty(2 * (e + n), np.float64)
     values = np.empty(2 * (e + n), np.int64)
-    times[heads] = t0
-    values[heads] = initial_ranks
+    times[heads] = feeds.t0
+    values[heads] = feeds.initial_ranks
     times[feed_slot] = feed_times
     values[feed_slot] = rank
     times[feed_slot - 1] = padded[after]
@@ -200,7 +220,7 @@ def rank_path(
     sequence, a feed event before an own post at the same time.  Feed
     times must be strictly increasing and own posts sorted.
     """
-    traj = trajectory_from_posts(Feeds.cut([feed_times], t0, tf), own_posts, t0, tf, [initial_rank])
+    traj = trajectory_from_posts(Feeds.cut([feed_times], t0, tf, [initial_rank]), own_posts)
     return traj.rank_times[0], traj.rank_values[0]
 
 
@@ -210,11 +230,9 @@ class SimulationTrajectory:
 
     Rank paths are step functions per follower: ``rank_values[i][k]``
     holds on ``[rank_times[i][k], rank_times[i][k+1])`` and the final
-    value holds through ``tf``.
+    value holds through the window's end, ``feeds.tf``.
     """
 
-    t0: float
-    tf: float
     own_posts: np.ndarray
     feeds: Feeds
     rank_times: list
@@ -229,35 +247,20 @@ class SimulationTrajectory:
         return int(self.own_posts.shape[0])
 
 
-def trajectory_from_posts(
-    feeds: Feeds,
-    post_times: np.ndarray,
-    t0: float,
-    tf: float,
-    initial_ranks=None,
-) -> SimulationTrajectory:
+def trajectory_from_posts(feeds: Feeds, post_times: np.ndarray) -> SimulationTrajectory:
     """Build a trajectory for known post times without running the loop.
 
-    Computes every follower's rank path in one pass (see the module
-    docstring); equivalent to the reference loop ``simulate`` with a
+    Computes every follower's rank path on the feeds' window, from each
+    follower's initial rank, in one pass (see the module docstring);
+    equivalent to the reference loop ``simulate`` with a
     ``ScheduledController`` as long as no post shares a timestamp with a
-    feed event.  ``feeds`` must lie in ``(t0, tf]``; ``initial_ranks``
-    holds one nonnegative rank per follower (default all 0).
+    feed event.  Posts outside ``[t0, tf]`` are dropped.
     """
-    n = len(feeds)
-    initial_ranks = np.zeros(n, np.int64) if initial_ranks is None else np.asarray(initial_ranks)
-    if initial_ranks.shape != (n,):
-        raise ValueError(f"need one initial rank per feed ({n}), got shape {initial_ranks.shape}")
-    if not np.all(initial_ranks >= 0):
-        raise ValueError("initial ranks must be nonnegative")
-    feeds.check_window(t0, tf)
     posts = np.asarray(post_times, dtype=np.float64)
-    posts = np.sort(posts[(posts >= t0) & (posts <= tf)])
-    times, values, bounds = _rank_paths(feeds, posts, t0, initial_ranks.astype(np.int64))
+    posts = np.sort(posts[(posts >= feeds.t0) & (posts <= feeds.tf)])
+    times, values, bounds = _rank_paths(feeds, posts)
     spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     return SimulationTrajectory(
-        t0=t0,
-        tf=tf,
         own_posts=posts,
         feeds=feeds,
         rank_times=[times[a:b] for a, b in spans],

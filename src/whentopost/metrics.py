@@ -57,7 +57,7 @@ def report_from_trajectory(trajectory, run: str, seed: int, policy: str) -> Metr
     n = trajectory.n_followers
     if n == 0:
         raise ValueError("trajectory has no followers")
-    tf = trajectory.tf
+    tf = trajectory.feeds.tf
     sizes = [len(ts) for ts in trajectory.rank_times]
     if sizes != [len(vs) for vs in trajectory.rank_values] or 0 in sizes:
         raise ValueError("need parallel non-empty times and values")

@@ -6,8 +6,8 @@ cut from a recorded log) into one competition; one driver, ``_compete``,
 then runs every policy over every seed and returns per-run metric
 reports plus a details dict (tuned prices, realized budgets).
 ``POLICIES`` maps each policy name to the function placing its posts for
-one seed.  A replay also brings its significance schedule, initial ranks
-and recorded posts, which every replayed report is normalized against.
+one seed.  A replay also brings its significance schedule and recorded
+posts, which every replayed report is normalized against.
 
 Randomness discipline: the feed for (seed, follower j) comes from
 generator ``[seed, 1, j]``, the posting policy for a seed from
@@ -23,8 +23,10 @@ requesting none of ``redqueen``, ``uniform`` and ``segment-offline``
 runs no controller; its budget is the recorded post count.
 
 A synthetic runner samples each seed's feeds into one
-:class:`~whentopost.feed_sim.Feeds`; a replay's one ``Feeds`` serves
-every seed, so it is merged, and its segment rate built, once.  A
+:class:`~whentopost.feed_sim.Feeds`, which carries the window and each
+follower's initial rank to every policy and score; a replay's one
+``Feeds``, made with ``initial_rank``, serves every seed, so it is
+merged, and its segment rate built, once.  A
 runner given ``budgets`` settles every budget of the sweep on one
 competition.  The competition also computes
 each evaluation once: the controller's posts and the clairvoyant
@@ -51,11 +53,7 @@ import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
 from .control_online import RedQueenParams, run_redqueen_fast, tune_q
-from .control_oracle import (
-    decisions_to_post_times,
-    instance_from_feed,
-    oracle_schedule,
-)
+from .control_oracle import MAX_ORACLE_RANK, decisions_to_post_times, instance_from_feed, oracle_schedule
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
@@ -124,8 +122,8 @@ def _check_policies(policies, allowed, scenario: str):
             raise ScenarioError(f"policy {p!r} is not available in the {scenario} scenario")
 
 
-def _empirical_segment_rate(feeds: Feeds, t0, tf, n_segments: int) -> PiecewiseRate:
-    """The feeds' summed event rate on ``n_segments`` equal segments of the window.
+def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> PiecewiseRate:
+    """The feeds' summed event rate on ``n_segments`` equal segments of their window.
 
     Each feed's rate on a segment is its event count there over the
     segment's length, with the counts ``np.histogram(times, bins=knots)``
@@ -135,7 +133,7 @@ def _empirical_segment_rate(feeds: Feeds, t0, tf, n_segments: int) -> PiecewiseR
     ``np.bincount`` adds weights one at a time in that order.  A cell
     without events would add 0.0, which changes no sum of such rates.
     """
-    knots = np.linspace(t0, tf, n_segments + 1)
+    knots = np.linspace(feeds.t0, feeds.tf, n_segments + 1)
     segment = np.searchsorted(knots[1:-1], feeds.times, "right")
     cell, count = np.unique(feeds.follower * n_segments + segment, return_counts=True)
     segment = cell % n_segments
@@ -152,8 +150,9 @@ def _empirical_segment_rate(feeds: Feeds, t0, tf, n_segments: int) -> PiecewiseR
 class _Competition:
     """One scenario's feeds, every evaluation made on them, and one budget's prices.
 
-    ``feeds(seed)`` gives the followers' :class:`Feeds`; ``offline_rate(seed)``
-    the followers' summed rate the segment-offline planner is told.
+    ``feeds(seed)`` gives the followers' :class:`Feeds`, their window and
+    initial ranks; ``offline_rate(seed)`` the followers' summed rate the
+    segment-offline planner is told.
     ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
     ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
     settles ``realized``, ``redqueen_q`` and ``oracle_q`` for one budget
@@ -161,12 +160,9 @@ class _Competition:
     search caps its runs alike and reads the same runs back.
     """
 
-    t0: float
-    tf: float
     feeds: Callable
     offline_rate: Callable
     significance: StepSchedule | None = None
-    initial_ranks: np.ndarray | None = None
     recorded: np.ndarray | None = None  # replay only: the broadcaster's true post times
     realized: float = 0.0  # the budget every baseline matches
     ceiling: float = 0.0  # the largest budget tuned to on this competition, for a sweep
@@ -185,10 +181,7 @@ class _Competition:
         key = ("redqueen", q, seed)
         if key not in self.memo and key + (cap,) not in self.memo:
             params = RedQueenParams(q=q, significance=self.significance)
-            posts = run_redqueen_fast(
-                self.feeds(seed), params, policy_rng(seed), self.t0, self.tf,
-                initial_ranks=self.initial_ranks, max_posts=cap,
-            )
+            posts = run_redqueen_fast(self.feeds(seed), params, policy_rng(seed), max_posts=cap)
             posts.flags.writeable = False  # shared by every reader of the memo
             self.memo[key if posts.shape[0] < cap else key + (cap,)] = posts
         whole = self.memo.get(key)
@@ -201,9 +194,7 @@ class _Competition:
         """
         key = ("oracle", q, seed)
         if key not in self.memo:
-            r0 = 0 if self.initial_ranks is None else int(self.initial_ranks[0])
-            inst = instance_from_feed(self.feeds(seed).times, self.t0, self.tf, q=q, r0=r0)
-            decisions = self.memo[key] = oracle_schedule(inst)
+            decisions = self.memo[key] = oracle_schedule(instance_from_feed(self.feeds(seed), q))
             decisions.flags.writeable = False  # shared by every reader of the memo
         return self.memo[key]
 
@@ -215,12 +206,12 @@ class _Competition:
 #: wrapper, say) sees every call.
 POLICIES = {
     "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
-    "oracle": lambda c, seed: decisions_to_post_times(
-        c.oracle(c.oracle_q, seed), c.feeds(seed).times, c.t0, c.tf
+    "oracle": lambda c, seed: decisions_to_post_times(c.oracle(c.oracle_q, seed), c.feeds(seed)),
+    "uniform": lambda c, seed: uniform_poisson_posts(
+        c.realized, c.feeds(seed).t0, c.feeds(seed).tf, baseline_rng(seed)
     ),
-    "uniform": lambda c, seed: uniform_poisson_posts(c.realized, c.t0, c.tf, baseline_rng(seed)),
     "segment-offline": lambda c, seed: segment_offline_posts(
-        c.offline_rate(seed), int(round(c.realized)), c.t0, c.tf
+        c.offline_rate(seed), int(round(c.realized)), c.feeds(seed).t0, c.feeds(seed).tf
     ),
     "true-posts": lambda c, seed: true_posts_playback(c.recorded),
 }
@@ -284,10 +275,7 @@ def _compete(cfg, comp: _Competition, label: str, details: dict, target: float |
 
     def play(seed, policy):
         posts = POLICIES[policy](comp, seed)
-        traj = trajectory_from_posts(
-            comp.feeds(seed), posts, comp.t0, comp.tf, initial_ranks=comp.initial_ranks
-        )
-        return report_from_trajectory(traj, label, seed, policy)
+        return report_from_trajectory(trajectory_from_posts(comp.feeds(seed), posts), label, seed, policy)
 
     # a replay's feeds and recorded posts are the same for every seed, so
     # its true-posts report is the reference's on each seed
@@ -347,11 +335,9 @@ def _spell(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
-def _synthetic_details(feeds_by_seed: dict, tf: float) -> dict:
-    return {
-        "horizon": tf,
-        "mean_feed_events": float(np.mean([feeds.times.shape[0] for feeds in feeds_by_seed.values()])),
-    }
+def _synthetic_details(feeds_by_seed: dict) -> dict:
+    feeds = list(feeds_by_seed.values())
+    return {"horizon": feeds[0].tf, "mean_feed_events": float(np.mean([f.times.shape[0] for f in feeds]))}
 
 
 @dataclass(frozen=True)
@@ -401,10 +387,10 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
     streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)) for seed in cfg.seeds}
     feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
     comp = _Competition(
-        t0, tf, feeds_by_seed.__getitem__,
-        lambda seed: _empirical_segment_rate(feeds_by_seed[seed], t0, tf, cfg.offline_segments),
+        feeds_by_seed.__getitem__,
+        lambda seed: _empirical_segment_rate(feeds_by_seed[seed], cfg.offline_segments),
     )
-    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
+    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed), budgets)
 
 
 @dataclass(frozen=True)
@@ -466,8 +452,8 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)
-    comp = _Competition(t0, tf, feeds_by_seed.__getitem__, rate_by_seed.__getitem__)
-    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed, tf), budgets)
+    comp = _Competition(feeds_by_seed.__getitem__, rate_by_seed.__getitem__)
+    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +485,20 @@ class ReplayConfig:
 
 def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
     _check_policies(cfg.policies, POLICIES, "replay")
-    t0, tf = dataset.t0, dataset.tf
     n = len(dataset.follower_ids)
-    if "oracle" in cfg.policies and n != 1:
-        raise ScenarioError(
-            "the clairvoyant schedule solves a single follower; this replay has "
-            f"{n} followers - restrict the dataset or drop the oracle policy"
-        )
+    if "oracle" in cfg.policies:
+        if cfg.initial_rank > MAX_ORACLE_RANK:
+            raise ValueError(
+                f"initial_rank must be at most MAX_ORACLE_RANK = {MAX_ORACLE_RANK} "
+                f"for the oracle policy, got {cfg.initial_rank!r}"
+            )
+        if n != 1:
+            raise ScenarioError(
+                "the clairvoyant schedule solves a single follower; this replay has "
+                f"{n} followers - restrict the dataset or drop the oracle policy"
+            )
+    # the one window every seed and policy reads, from the requested rank
+    feeds = dataclasses.replace(dataset.feeds, initial_ranks=np.full(n, cfg.initial_rank, np.int64))
     details: dict = {"followers": n, "true_posts": len(dataset.true_posts)}
 
     significance = None
@@ -517,16 +510,13 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
             granularity=cfg.significance,
             laplace=cfg.laplace,
         )
-        significance = profile.step_schedule(t0, tf)
+        significance = profile.step_schedule(feeds.t0, feeds.tf)
 
     # the feeds are the same on every seed, and so is their segment rate
     wanted = "segment-offline" in cfg.policies
-    rate = _empirical_segment_rate(dataset.feeds, t0, tf, cfg.offline_segments) if wanted else None
+    rate = _empirical_segment_rate(feeds, cfg.offline_segments) if wanted else None
     comp = _Competition(
-        t0, tf, lambda seed: dataset.feeds, lambda seed: rate,
-        significance=significance,
-        initial_ranks=np.full(n, cfg.initial_rank, dtype=np.int64),
-        recorded=dataset.true_posts,
+        lambda seed: feeds, lambda seed: rate, significance=significance, recorded=dataset.true_posts
     )
     target = cfg.target_posts if cfg.target_posts is not None else float(len(dataset.true_posts))
     return _compete(cfg, comp, f"replay:{dataset.broadcaster}", details, target)

@@ -391,10 +391,8 @@ def simulate(
             k += 1
 
     return SimulationTrajectory(
-        t0=t0,
-        tf=tf,
         own_posts=np.asarray(posts, dtype=np.float64),
-        feeds=Feeds.cut(realized, t0, tf),
+        feeds=Feeds.cut(realized, t0, tf, initial_ranks),
         rank_times=[np.asarray(ts, dtype=np.float64) for ts in rank_times],
         rank_values=[np.asarray(vs, dtype=np.int64) for vs in rank_values],
     )
@@ -666,8 +664,8 @@ def report_by_follower(trajectory, run: str, seed: int, policy: str) -> MetricsR
     pot = 0.0
     tat = 0.0
     for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
-        pot += position_over_time(ts, vs, trajectory.tf)
-        tat += time_at_top(ts, vs, trajectory.tf)
+        pot += position_over_time(ts, vs, trajectory.feeds.tf)
+        tat += time_at_top(ts, vs, trajectory.feeds.tf)
     return MetricsReport(
         run=run, seed=seed, policy=policy, posts=trajectory.post_count,
         position_over_time=pot / n, time_at_top=tat / n,
@@ -677,11 +675,11 @@ def report_by_follower(trajectory, run: str, seed: int, policy: str) -> MetricsR
 def average_position(trajectory) -> float:
     """Time-averaged rank, averaged over followers."""
     total = 0.0
-    horizon = trajectory.tf - trajectory.t0
+    horizon = trajectory.feeds.tf - trajectory.feeds.t0
     if horizon <= 0:
         raise ValueError("empty window has no average position")
     for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
-        total += position_over_time(ts, vs, trajectory.tf)
+        total += position_over_time(ts, vs, trajectory.feeds.tf)
     return total / (trajectory.n_followers * horizon)
 
 
@@ -694,7 +692,7 @@ def quadratic_control_cost(trajectory, q: float) -> float:
     total = 0.0
     for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
         vs = np.asarray(vs, dtype=np.float64)
-        lengths = _segment_lengths(np.asarray(ts, np.float64), trajectory.tf)
+        lengths = _segment_lengths(np.asarray(ts, np.float64), trajectory.feeds.tf)
         total += 0.5 * float(np.sum(vs * vs * lengths))
         total += 0.5 * float(vs[-1] * vs[-1])
     total += 0.5 * q * trajectory.post_count

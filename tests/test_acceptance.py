@@ -191,7 +191,7 @@ def _mean_posts(q, seeds):
     for seed in seeds:
         posts = run_redqueen_fast(
             _hawkes_feed(seed), RedQueenParams(q=q),
-            np.random.default_rng(np.random.SeedSequence([606, 2, seed])), 0.0, 90.0,
+            np.random.default_rng(np.random.SeedSequence([606, 2, seed])),
         )
         counts.append(len(posts))
     return float(np.mean(counts))
@@ -280,9 +280,8 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
     for seed in range(50):
         feed = sample_piecewise_poisson(rate, t0, tf, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
         posts = run_redqueen_fast(
-            Feeds.cut([feed], t0, tf), RedQueenParams(q=1000.0, significance=schedule),
+            Feeds.cut([feed], t0, tf, np.array([2])), RedQueenParams(q=1000.0, significance=schedule),
             np.random.default_rng(np.random.SeedSequence([909, 2, seed])),
-            t0, tf, initial_ranks=np.array([2]),
         )
         total += len(posts)
         weekend_hits += int(np.sum(bucket_index(posts, "weekday") >= 5))
@@ -303,7 +302,7 @@ def test_10_replayed_posts_normalize_to_one_and_online_policy_beats_them():
     # the recorded posts are provably suboptimal: some same-size schedule
     # over the revealed feed does strictly better on position over time
     def mean_position(posts):
-        traj = trajectory_from_posts(dataset.feeds, np.asarray(posts), 0.0, 240.0)
+        traj = trajectory_from_posts(dataset.feeds, np.asarray(posts))
         return report_from_trajectory(traj, "probe", 0, "probe").position_over_time
 
     true_pot = mean_position(dataset.true_posts)

@@ -1,7 +1,9 @@
 """End-to-end command line checks on tiny workloads."""
 
+import csv
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -89,6 +91,10 @@ def test_simulate_budgets_close_together_get_distinct_labels(tmp_path):
     "seeds, message",
     [
         ("5-2", "bad seed range '5-2'"),
+        # each malformed part is named, not a parse error of a piece of it
+        ("-1", "bad seed '-1': a seed is a nonnegative integer N, or a range N-M"),
+        ("0,-3-5", "bad seed '-3-5': a seed is a nonnegative integer N, or a range N-M"),
+        ("0-2,x", "bad seed 'x'"),
         # rejected by its count, before a list of that size is built
         ("0-99999999999", "the seed list names 100000000000 seeds, more than MAX_SEEDS = 100000"),
         ("0-60000,0-60000", "names 120002 seeds"),  # repeats count
@@ -459,6 +465,9 @@ SIM_SINUSOID = [
         (REPLAY + ["--target-posts", "-3"], "target_posts must be positive and finite, got -3.0"),
         (REPLAY + ["--tune-tol", "nan"], "tune_tol must be finite and nonnegative, got nan"),
         (REPLAY + ["--offline-segments", "0"], "offline_segments must be at least 1, got 0"),
+        # the oracle's scratch grows with its initial rank: refused before any price search
+        (REPLAY + ["--policy", "oracle", "--initial-rank", "1000000000"],
+         "initial_rank must be at most MAX_ORACLE_RANK = 20000 for the oracle policy, got 1000000000"),
         (SIM_BUDGET + ["--tune-tol", "nan"], "tune_tol must be finite and nonnegative, got nan"),
         (SIM_BUDGET + ["--tune-tol", "-1"], "tune_tol must be finite and nonnegative, got -1.0"),
         (SIM_BUDGET + ["--feed-events", "nan"], "target_feed_events must be positive and finite, got nan"),
@@ -475,6 +484,7 @@ SIM_SINUSOID = [
     ],
     ids=[
         "replay-initial-rank", "replay-target-posts", "replay-tune-tol", "replay-offline-segments",
+        "replay-oracle-initial-rank",
         "simulate-tune-tol-nan", "simulate-tune-tol-negative", "simulate-feed-events-nan",
         "simulate-feed-events-inf", "simulate-feed-lambda0-nan", "simulate-offline-segments",
         "simulate-feed-lambda0-tiny",
@@ -529,3 +539,116 @@ def test_replay_oracle_plans_from_the_initial_rank(tmp_path):
     # planned from rank 0, the four posts would score 376.25 from rank 5
     assert (q5, at5.posts) == (256.0, 4)
     assert at5.position_over_time == pytest.approx(227.0)
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag at values outside or at the edge of its domain
+# ---------------------------------------------------------------------------
+
+SIM_HAWKES_ALL = [
+    "simulate", "--scenario", "one-follower-hawkes", "--budget", "4", "--seeds", "0", "--feed-events", "40",
+    "--policy", "redqueen", "--policy", "oracle", "--policy", "uniform", "--policy", "segment-offline",
+]
+SIM_SINUSOID_SMALL = [
+    "simulate", "--scenario", "multi-follower-sinusoid", "--budget", "3", "--seeds", "0",
+    "--followers", "2", "--horizon", "7200", "--policy", "redqueen", "--policy", "uniform",
+    "--policy", "segment-offline",
+]
+TUNE_HAWKES = ["tune-q", "--scenario", "one-follower-hawkes", "--target", "4", "--seeds", "0", "--feed-events", "40"]
+TUNE_SINUSOID = [
+    "tune-q", "--scenario", "multi-follower-sinusoid", "--target", "3", "--seeds", "0",
+    "--followers", "2", "--horizon", "7200",
+]
+REPLAY_ALL = REPLAY + [
+    "--significance", "weekday", "--policy", "redqueen", "--policy", "uniform",
+    "--policy", "segment-offline", "--policy", "true-posts",
+]
+PROFILE = ["estimate-significance", "--events", str(FIXTURE / "events.jsonl"), "--epoch", "0"]
+_HAWKES_FLAGS = ["--feed-lambda0", "--feed-alpha", "--feed-w", "--feed-events", "--offline-segments"]
+_SINUSOID_FLAGS = ["--followers", "--peak-per-hour", "--horizon"]
+
+#: name -> (small run, the numeric flags it exercises): every numeric flag of
+#: every command, each with a run in which it takes effect.
+NUMERIC_RUNS = {
+    "simulate-hawkes": (SIM_HAWKES_ALL, ["--budget", "--q", "--tune-tol", *_HAWKES_FLAGS]),
+    "simulate-sinusoid": (SIM_SINUSOID_SMALL, _SINUSOID_FLAGS),
+    "tune-q-hawkes": (TUNE_HAWKES, ["--target", "--tol", *_HAWKES_FLAGS]),
+    "tune-q-sinusoid": (TUNE_SINUSOID, _SINUSOID_FLAGS),
+    "replay": (REPLAY_ALL, ["--q", "--target-posts", "--laplace", "--tune-tol", "--initial-rank",
+                            "--offline-segments", "--max-followees"]),
+    "estimate-significance": (PROFILE, ["--epoch", "--laplace"]),
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+
+
+def with_flag(args, flag, value):
+    """``args`` with ``flag`` set to ``value``; a price replaces the budget, which excludes it."""
+    args = list(args)
+    if flag == "--q" and "--budget" in args:
+        del args[args.index("--budget") : args.index("--budget") + 2]
+    if flag in args:
+        args[args.index(flag) + 1] = value
+        return args
+    return args + [flag, value]
+
+
+def assert_finite_json(value, where):
+    if isinstance(value, float):
+        assert math.isfinite(value), where
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            assert_finite_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            assert_finite_json(item, f"{where}[{k}]")
+
+
+def assert_finite_rows(path):
+    """Every number in a report or profile CSV is finite; an empty cell is a missing ratio."""
+    rows = [r for r in path.read_text(encoding="utf-8").splitlines() if not r.startswith("#")]
+    header, *body = list(csv.reader(rows))
+    numeric = [k for k, name in enumerate(header) if name not in ("run", "policy", "follower_id")]
+    for row in body:
+        for k in numeric:
+            assert row[k] == "" or math.isfinite(float(row[k])), (header[k], row)
+
+
+def test_every_numeric_flag_is_in_the_edge_value_table():
+    covered = {}
+    for args, flags in NUMERIC_RUNS.values():
+        covered.setdefault(args[0], set()).update(flags)
+    for name, command in main.commands.items():
+        numeric = {
+            opt.opts[0] for opt in command.params
+            if isinstance(opt.type, (click.types.FloatParamType, click.types.IntParamType))
+            or opt.name == "budget"
+        }
+        assert covered[name] == numeric, name
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize(
+    "args, flag",
+    [(args, flag) for args, flags in NUMERIC_RUNS.values() for flag in flags],
+    ids=[f"{name}{flag}" for name, (_, flags) in NUMERIC_RUNS.items() for flag in flags],
+)
+def test_every_numeric_flag_at_an_edge_value_runs_clean_or_fails_with_one_json_line(
+    tmp_path, args, flag, value
+):
+    # exit 0 with finite numbers everywhere, or a nonzero exit with exactly
+    # one JSON object on stderr; tune-q's documented exit 3 (no converged
+    # price) prints its finite result on stdout
+    out = tmp_path / "out.csv"
+    argv = with_flag(args, flag, value) + ([] if args[0] == "tune-q" else ["--out", str(out)])
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    if result.exit_code == 0 or (args[0] == "tune-q" and result.exit_code == 3):
+        assert_finite_json(json.loads(result.stdout), "stdout")
+        if args[0] != "tune-q":
+            assert_finite_rows(out)
+    else:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        err = json.loads(lines[0])
+        assert sorted(err) == ["error", "message"] and result.stdout == ""
+        assert not out.exists()

@@ -133,7 +133,7 @@ def test_offline_sums_rates_across_followers():
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 11.0, 12.0, 13.0, 14.0],
         [1.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0],
     ], 0.0, 20.0)
-    rate = _empirical_segment_rate(feeds, 0.0, 20.0, 2)
+    rate = _empirical_segment_rate(feeds, 2)
     assert np.allclose(rate.rates, [0.7, 1.2])
     assert np.array_equal(segment_offline_posts(rate, 1, 0.0, 20.0), [10.0])
 

@@ -129,8 +129,7 @@ def test_controller_matches_fast_path_exactly():
     ranks0 = np.array([2, 0])
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(5)),
                     0.0, 40.0, initial_ranks=ranks0)
-    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 40.0), params, np.random.default_rng(5), 0.0, 40.0,
-                             initial_ranks=ranks0)
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 40.0, ranks0), params, np.random.default_rng(5))
     assert np.array_equal(slow.own_posts, fast)
     assert len(fast) > 0
 
@@ -145,7 +144,7 @@ def test_controller_matches_fast_path_with_significance():
         np.sort(rng_feed.uniform(0, 30, size=40)),
     ]
     slow = simulate(feeds, RedQueenController(params, np.random.default_rng(9)), 0.0, 30.0)
-    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 30.0), params, np.random.default_rng(9), 0.0, 30.0)
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 30.0), params, np.random.default_rng(9))
     assert np.array_equal(slow.own_posts, fast)
 
 
@@ -156,9 +155,8 @@ def test_zero_significance_segments_get_zero_posts():
     params = RedQueenParams(q=100.0, significance=sched)
     landed_after_gap = 0
     for seed in range(200):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
-                                  np.random.default_rng(seed), 0.0, 15.0,
-                                  initial_ranks=[3], max_posts=1)
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 15.0, [3]), params,
+                                  np.random.default_rng(seed), max_posts=1)
         for p in posts:
             assert not (5.0 <= p < 10.0)
             if p >= 10.0:
@@ -170,9 +168,8 @@ def test_posting_resets_clocks():
     # with no feed events after the reset, rank stays 0: exactly one post
     params = RedQueenParams(q=0.5)
     for seed in range(50):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
-                                  np.random.default_rng(seed), 0.0, 1e9,
-                                  initial_ranks=[4])
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 1e9, [4]), params,
+                                  np.random.default_rng(seed))
         assert len(posts) == 1
 
 
@@ -205,11 +202,10 @@ def test_more_rank_means_faster_posting():
     assert abs(means[1] - 0.25) < 0.03
 
 
-def mean_posts_over_seeds(q, feeds_by_seed, t0, tf):
+def mean_posts_over_seeds(q, feeds_by_seed):
     total = 0
     for seed, feeds in feeds_by_seed.items():
-        posts = run_redqueen_fast(feeds, RedQueenParams(q=q),
-                                  np.random.default_rng(seed), t0, tf)
+        posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed))
         total += len(posts)
     return total / len(feeds_by_seed)
 
@@ -221,8 +217,8 @@ def test_post_count_nonincreasing_in_q():
         for seed in range(10)
     }
     for q in (0.05, 0.2, 1.0, 5.0):
-        low = mean_posts_over_seeds(q, feeds_by_seed, 0.0, 60.0)
-        high = mean_posts_over_seeds(4.0 * q, feeds_by_seed, 0.0, 60.0)
+        low = mean_posts_over_seeds(q, feeds_by_seed)
+        high = mean_posts_over_seeds(4.0 * q, feeds_by_seed)
         assert low >= high
 
 
@@ -262,7 +258,7 @@ def test_tune_q_on_simulated_posts():
         for seed in range(8)
     }
     target = 25.0
-    result = tune_q(target, lambda q: mean_posts_over_seeds(q, feeds_by_seed, 0.0, 60.0))
+    result = tune_q(target, lambda q: mean_posts_over_seeds(q, feeds_by_seed))
     assert result.converged
     assert abs(result.mean_posts - target) <= 0.1 * target
 
@@ -361,12 +357,11 @@ def simulated_curves(feeds_by_seed, target, tolerance=0.1):
     def capped(q):
         total = 0
         for seed, feeds in feeds_by_seed.items():
-            posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed), 0.0, 60.0,
-                                      max_posts=cap)
+            posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed), max_posts=cap)
             total += min(len(posts), cap)
         return total / len(feeds_by_seed)
 
-    return lambda q: mean_posts_over_seeds(q, feeds_by_seed, 0.0, 60.0), capped
+    return lambda q: mean_posts_over_seeds(q, feeds_by_seed), capped
 
 
 def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts(monkeypatch):
@@ -375,7 +370,7 @@ def test_tune_q_with_lower_bounds_matches_exact_means_on_simulated_posts(monkeyp
         seed: Feeds.cut([np.sort(rng_feed.uniform(0, 60, size=200))], 0.0, 60.0)
         for seed in range(4)
     }
-    at_q0 = mean_posts_over_seeds(1.0, feeds_by_seed, 0.0, 60.0)
+    at_q0 = mean_posts_over_seeds(1.0, feeds_by_seed)
     cases = {
         "first evaluation": (at_q0, None, "", True),
         "upward bracketing": (at_q0 / 8.0, None, "", True),

@@ -13,6 +13,7 @@ from reference import (
 )
 
 from whentopost.control_oracle import (
+    MAX_ORACLE_RANK,
     MAX_ORACLE_STAGES,
     OracleInstance,
     decisions_to_post_times,
@@ -124,23 +125,34 @@ def test_post_count_nonincreasing_in_price():
 
 
 def test_instance_from_feed_builds_gap_widths():
-    inst = instance_from_feed(np.array([1.0, 4.0]), 0.0, 10.0, q=1.0)
-    assert np.array_equal(inst.widths, [1.0, 3.0, 6.0])
-    empty = instance_from_feed(np.array([]), 0.0, 10.0, q=1.0)
-    assert np.array_equal(empty.widths, [10.0])
-    # a feed must be cut to the window first: an event outside it leaves a negative width
-    for outside in ([-1.0, 1.0], [1.0, 11.0]):
-        with pytest.raises(ValueError, match="negative"):
-            instance_from_feed(np.array(outside), 0.0, 10.0, q=1.0)
+    inst = instance_from_feed(Feeds.cut([[1.0, 4.0]], 0.0, 10.0), q=1.0)
+    assert np.array_equal(inst.widths, [1.0, 3.0, 6.0]) and inst.r0 == 0
+    empty = instance_from_feed(Feeds.cut([[]], 0.0, 10.0, [3]), q=1.0)
+    assert np.array_equal(empty.widths, [10.0]) and empty.r0 == 3
+    # the stages are one follower's
+    for streams in ([], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match="one follower"):
+            instance_from_feed(Feeds.cut(streams, 0.0, 10.0), q=1.0)
+        with pytest.raises(ValueError, match="one follower"):
+            decisions_to_post_times([1], Feeds.cut(streams, 0.0, 10.0))
+
+
+def test_the_initial_rank_is_bounded():
+    # the induction keeps and scans r0 + m + 2 ranks, so r0 is capped like m
+    widths = np.array([1.0])
+    assert OracleInstance(MAX_ORACLE_RANK, widths, 1.0).r0 == MAX_ORACLE_RANK
+    for r0 in (-1, MAX_ORACLE_RANK + 1, 10**9):
+        with pytest.raises(ValueError, match="initial rank must be in"):
+            OracleInstance(r0, widths, 1.0)
 
 
 def test_decisions_to_post_times_lands_after_events():
-    feed = np.array([1.0, 4.0])
-    times = decisions_to_post_times([1, 0, 1], feed, t0=0.0, tf=5.0)
+    feeds = Feeds.cut([[1.0, 4.0]], 0.0, 5.0)
+    times = decisions_to_post_times([1, 0, 1], feeds)
     assert times[0] == 0.0
     assert times[1] == np.nextafter(4.0, math.inf)
     with pytest.raises(ValueError):
-        decisions_to_post_times([1, 0], feed, t0=0.0, tf=5.0)
+        decisions_to_post_times([1, 0], feeds)
 
 
 def test_decisions_to_post_times_matches_one_event_at_a_time():
@@ -158,20 +170,21 @@ def test_decisions_to_post_times_matches_one_event_at_a_time():
         for k in range(feed.shape[0]):
             if decisions[k + 1]:
                 want.append(min(np.nextafter(feed[k], math.inf), tf))
-        got = decisions_to_post_times(decisions, feed, 0.0, tf)
+        feeds = Feeds.cut([feed], 0.0, tf)
+        got = decisions_to_post_times(decisions, feeds)
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(want, np.float64).tobytes(), case
-        assert decisions_to_post_times(decisions.astype(bool), feed, 0.0, tf).tobytes() == got.tobytes()
+        assert decisions_to_post_times(decisions.astype(bool), feeds).tobytes() == got.tobytes()
 
 
 def test_a_post_after_a_feed_event_at_tf_stays_in_the_window():
     # the window (0, 10] holds an event at tf, and the schedule posts after it
-    feed = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-    decisions = oracle_schedule(instance_from_feed(feed, 0.0, 10.0, q=0.5))
+    feeds = Feeds.cut([[1.0, 2.0, 3.0, 4.0, 10.0]], 0.0, 10.0)
+    decisions = oracle_schedule(instance_from_feed(feeds, q=0.5))
     assert decisions.sum() == 6 and decisions[-1] == 1
-    posts = decisions_to_post_times(decisions, feed, 0.0, 10.0)
+    posts = decisions_to_post_times(decisions, feeds)
     assert posts[-1] == 10.0
-    traj = trajectory_from_posts(Feeds.cut([feed], 0.0, 10.0), posts, 0.0, 10.0)
+    traj = trajectory_from_posts(feeds, posts)
     assert traj.post_count == 6
     assert traj.rank_values[0][-1] == 0
 
@@ -183,14 +196,14 @@ def test_schedule_cost_matches_trajectory_cost():
     rng = np.random.default_rng(5)
     for _ in range(25):
         feed_times = np.sort(rng.uniform(0.5, 10.0, size=int(rng.integers(0, 8))))
-        inst = instance_from_feed(feed_times, 0.0, 10.0, q=float(rng.uniform(0.1, 5.0)))
+        inst = instance_from_feed(Feeds.cut([feed_times], 0.0, 10.0), q=float(rng.uniform(0.1, 5.0)))
         decisions = oracle_schedule(inst)
         twin_events = np.concatenate([[np.nextafter(0.0, math.inf)], feed_times])
         posts = np.array([
             np.nextafter(twin_events[k], math.inf)
             for k in range(len(twin_events)) if decisions[k]
         ])
-        traj = trajectory_from_posts(Feeds.cut([twin_events], 0.0, 10.0), posts, 0.0, 10.0)
+        traj = trajectory_from_posts(Feeds.cut([twin_events], 0.0, 10.0), posts)
         cost = quadratic_control_cost(traj, q=inst.q)
         assert math.isclose(cost, schedule_cost(decisions, inst), rel_tol=1e-9, abs_tol=1e-9)
 
@@ -263,7 +276,7 @@ def test_multi_follower_enumeration_matches_single_follower_case():
     for _ in range(20):
         feed_times = np.sort(rng.uniform(0.5, 10.0, size=int(rng.integers(0, 7))))
         q = float(rng.uniform(0.1, 10.0))
-        inst = instance_from_feed(feed_times, 0.0, 10.0, q=q)
+        inst = instance_from_feed(Feeds.cut([feed_times], 0.0, 10.0), q=q)
         twin = np.concatenate([[np.nextafter(0.0, math.inf)], feed_times])
         dec, cost = brute_force_schedule_multi([twin], 0.0, 10.0, q=q)
         assert math.isclose(cost, schedule_cost(oracle_schedule(inst), inst), rel_tol=1e-9)
@@ -279,7 +292,7 @@ def test_multi_follower_enumeration_matches_trajectory_cost():
         merged = np.unique(np.concatenate(feeds))
         q = float(rng.uniform(0.1, 5.0))
         dec, cost = brute_force_schedule_multi(feeds, 0.0, 8.0, q=q)
-        posts = decisions_to_post_times(dec, merged, 0.0, 8.0)
-        traj = trajectory_from_posts(Feeds.cut(feeds, 0.0, 8.0), posts, 0.0, 8.0)
+        posts = decisions_to_post_times(dec, Feeds.cut([merged], 0.0, 8.0))
+        traj = trajectory_from_posts(Feeds.cut(feeds, 0.0, 8.0), posts)
         assert math.isclose(quadratic_control_cost(traj, q=q), cost,
                             rel_tol=1e-9, abs_tol=1e-9)

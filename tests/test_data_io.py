@@ -378,6 +378,20 @@ def test_manifest_rejects_non_finite_numbers_with_line_number(tmp_path):
             load_manifest(m)
 
 
+def test_manifest_rejects_a_repeated_key_at_its_line(tmp_path):
+    # a second t0 would silently move the replay window
+    m = tmp_path / "manifest.txt"
+    write_lines(m, [
+        "events = e", "network = n", "epoch = 0", "t0 = 0", "tf = 240", "broadcaster = b", "",
+        "# a later edit", "t0 = 100.0",
+    ])
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(m))}:9: t0 is set again \(first on line 4\)$"):
+        load_manifest(m)
+    write_lines(m, ["events = e", "network = n", "events=e", "epoch = 0", "t0 = 0", "tf = 1", "broadcaster = b"])
+    with pytest.raises(DataFormatError, match=r":3: events is set again \(first on line 1\)"):
+        load_manifest(m)
+
+
 def sample_reports():
     return [
         MetricsReport("runB", 1, "p2", 4, 2.5, 0.5, None, None),

@@ -155,7 +155,7 @@ def test_feeds_lay_followers_out_one_after_another():
     assert len(feeds) == 3 and feeds.follower.tolist() == [0, 2, 2]
     assert [f.tolist() for f in feeds] == [[1.0], [], [2.0, 4.0]]
     # one follower's events may tie with or precede another's
-    assert Feeds(np.array([2.0, 3.0, 1.0, 2.0]), [0, 2, 2, 4]).follower.tolist() == [0, 0, 2, 2]
+    assert Feeds(np.array([2.0, 3.0, 1.0, 2.0]), [0, 2, 2, 4], 0.0, 4.0).follower.tolist() == [0, 0, 2, 2]
     assert len(Feeds.cut([], 0.0, 4.0)) == 0
 
 
@@ -173,7 +173,7 @@ def test_feeds_lay_followers_out_one_after_another():
 )
 def test_feeds_reject_a_layout_they_cannot_hold(times, bounds, message):
     with pytest.raises(ValueError, match=message):
-        Feeds(np.asarray(times), np.asarray(bounds, np.int64))
+        Feeds(np.asarray(times), np.asarray(bounds, np.int64), 0.0, 4.0)
 
 
 def test_network_edges_dedup_and_lookup():
@@ -189,7 +189,7 @@ def test_scheduled_playback_matches_vectorized_trajectory():
         feed, own = random_histories(rng)
         feeds = [feed]
         via_loop = simulate(feeds, ScheduledController(own), 0.0, 100.0)
-        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 100.0), own, 0.0, 100.0)
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 100.0), own)
         assert np.array_equal(via_loop.own_posts, direct.own_posts)
         assert np.array_equal(via_loop.rank_times[0], direct.rank_times[0])
         assert np.array_equal(via_loop.rank_values[0], direct.rank_values[0])
@@ -276,7 +276,7 @@ def test_simulate_piecewise_feed_and_window_check():
 
 def test_trajectory_final_ranks():
     feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 10.0)
-    traj = trajectory_from_posts(feeds, np.array([2.5]), 0.0, 10.0)
+    traj = trajectory_from_posts(feeds, np.array([2.5]))
     assert traj.rank_values[0][-1] == 1
 
 
@@ -325,7 +325,7 @@ def test_one_pass_trajectory_matches_simulate_for_many_followers():
         posts = np.sort(times[used : used + int(rng.integers(0, 10))])
         r0 = rng.integers(0, 6, size=n)
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 10.0, initial_ranks=r0)
-        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 10.0), posts, 0.0, 10.0, initial_ranks=r0)
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 10.0, r0), posts)
         assert direct.own_posts.tobytes() == via_loop.own_posts.tobytes()
         for j in range(n):
             assert direct.rank_times[j].tobytes() == via_loop.rank_times[j].tobytes()
@@ -341,7 +341,7 @@ def test_one_pass_trajectory_with_ties_matches_direct_counts_and_one_follower_pa
     for trial in range(60):
         n = 1 if trial % 10 == 0 else int(rng.integers(2, 8))
         feeds, posts, r0 = grid_case(rng, n, t0, tf, r0_max)
-        traj = trajectory_from_posts(Feeds.cut(feeds, t0, tf), posts, t0, tf, initial_ranks=r0)
+        traj = trajectory_from_posts(Feeds.cut(feeds, t0, tf, r0), posts)
         kept = np.sort(posts[(posts >= t0) & (posts <= tf)])
         assert traj.own_posts.tobytes() == kept.tobytes()
         for j, got in enumerate(traj.feeds):
@@ -357,40 +357,74 @@ def test_one_pass_trajectory_with_ties_matches_direct_counts_and_one_follower_pa
 
 
 def test_one_pass_trajectory_edge_cases():
-    feeds = Feeds.cut([[1.0, 2.0], [], [2.0, 3.0]], 0.0, 4.0)
+    streams = [[1.0, 2.0], [], [2.0, 3.0]]
     # no posts: each path counts up from its initial rank
-    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0, initial_ranks=[1, 2, 0])
+    traj = trajectory_from_posts(Feeds.cut(streams, 0.0, 4.0, [1, 2, 0]), np.empty(0))
     assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 1.0, 2.0], [0.0], [0.0, 2.0, 3.0]]
     assert [vs.tolist() for vs in traj.rank_values] == [[1, 2, 3], [2], [0, 1, 2]]
     # a post at t0 resets a nonzero initial rank at once; a post tied with a
     # feed event leaves rank 0; a repeated post adds nothing
-    traj = trajectory_from_posts(feeds, np.array([0.0, 2.0, 2.0]), 0.0, 4.0, initial_ranks=[3, 0, 1])
+    traj = trajectory_from_posts(Feeds.cut(streams, 0.0, 4.0, [3, 0, 1]), np.array([0.0, 2.0, 2.0]))
     assert [ts.tolist() for ts in traj.rank_times] == [[0.0, 0.0, 1.0, 2.0], [0.0], [0.0, 0.0, 3.0]]
     assert [vs.tolist() for vs in traj.rank_values] == [[3, 0, 1, 0], [0], [1, 0, 1]]
     # a post at tf closes the path at rank 0
-    traj = trajectory_from_posts(Feeds.cut([[1.0, 2.0]], 0.0, 4.0), np.array([4.0]), 0.0, 4.0)
+    traj = trajectory_from_posts(Feeds.cut([[1.0, 2.0]], 0.0, 4.0), np.array([4.0]))
     assert traj.rank_times[0].tolist() == [0.0, 1.0, 2.0, 4.0]
     assert traj.rank_values[0].tolist() == [0, 1, 2, 0]
     # no followers
-    empty = trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.array([1.0]), 0.0, 4.0)
+    empty = trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.array([1.0]))
     assert empty.rank_times == [] and empty.rank_values == [] and empty.post_count == 1
 
 
-def test_trajectory_and_controller_read_only_feeds_cut_to_their_window():
-    feeds = Feeds.cut([[1.0, 2.0], [0.0, 1.0, 5.0]], 0.0, 4.0)
-    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
+def test_a_trajectory_scores_the_window_and_ranks_its_feeds_carry():
+    feeds = Feeds.cut([[1.0, 2.0], [0.0, 1.0, 5.0]], 0.0, 4.0, [2, 0])
+    assert feeds.initial_ranks.dtype == np.int64 and feeds.initial_ranks.tolist() == [2, 0]
+    assert (feeds.t0, feeds.tf) == (0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.array([-1.0, 3.0, 5.0]))
     assert traj.feeds is feeds
     assert [f.tolist() for f in traj.feeds] == [[1.0, 2.0], [1.0]]
-    assert [vs.tolist() for vs in traj.rank_values] == [[0, 1, 2], [0, 1]]
-    for t0, tf in ((1.0, 4.0), (0.0, 1.5), (0.5, 1.0)):
-        with pytest.raises(ValueError, match="window"):
-            trajectory_from_posts(feeds, np.empty(0), t0, tf)
-        with pytest.raises(ValueError, match="window"):
-            run_redqueen_fast(feeds, RedQueenParams(q=1.0), np.random.default_rng(0), t0, tf)
+    assert traj.own_posts.tolist() == [3.0]  # only posts on [t0, tf] count
+    assert [vs.tolist() for vs in traj.rank_values] == [[2, 3, 4, 0], [0, 1, 0]]
+    assert Feeds.cut([[1.0]], 0.0, 4.0).initial_ranks.tolist() == [0]
 
 
-@pytest.mark.parametrize("initial_ranks", [[0], [0, 0, 0], [0, -1], np.zeros((2, 1), np.int64)])
-def test_trajectory_rejects_initial_ranks_not_one_nonnegative_per_feed(initial_ranks):
-    feeds = Feeds.cut([[1.0], [2.0]], 0.0, 4.0)
-    with pytest.raises(ValueError, match="initial rank"):
-        trajectory_from_posts(feeds, np.array([1.5]), 0.0, 4.0, initial_ranks=initial_ranks)
+@pytest.mark.parametrize(
+    "t0, tf, initial_ranks, message",
+    [
+        (1.0, 4.0, None, "window"),  # an event at t0
+        (0.0, 1.5, None, "window"),  # an event past tf
+        (0.5, 1.0, None, "window"),
+        (4.0, 4.0, None, "finite t0 < tf"),
+        (5.0, 4.0, None, "finite t0 < tf"),
+        (-np.inf, 4.0, None, "finite t0 < tf"),
+        (0.0, np.inf, None, "finite t0 < tf"),
+        (np.nan, 4.0, None, "finite t0 < tf"),
+        (0.0, 4.0, [0], "one initial rank per feed"),
+        (0.0, 4.0, [0, 0, 0], "one initial rank per feed"),
+        (0.0, 4.0, np.zeros((2, 1), np.int64), "one initial rank per feed"),
+        (0.0, 4.0, [0, -1], "nonnegative integers"),
+        (0.0, 4.0, [1.5, 0.0], "nonnegative integers"),
+        (0.0, 4.0, [np.nan, 0.0], "nonnegative integers"),
+        (0.0, 4.0, ["1", "0"], "nonnegative integers"),
+    ],
+)
+def test_feeds_reject_a_window_or_initial_ranks_they_cannot_hold(t0, tf, initial_ranks, message):
+    times, bounds = np.array([1.0, 2.0, 0.75, 1.0]), [0, 2, 4]
+    with pytest.raises(ValueError, match=message):
+        Feeds(times, bounds, t0, tf, initial_ranks)
+    if message != "window":  # a cut drops what lies outside the window
+        with pytest.raises(ValueError, match=message):
+            Feeds.cut([times[:2], times[2:]], t0, tf, initial_ranks)
+
+
+def test_a_window_or_rank_the_feeds_do_not_hold_cannot_reach_the_scores():
+    # the window is the feeds' own, so no call can score it past their cut
+    feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 4.0)
+    with pytest.raises(TypeError):
+        trajectory_from_posts(feeds, [], 0.0, 5.0)
+    with pytest.raises(TypeError):
+        run_redqueen_fast(feeds, RedQueenParams(q=1.0), np.random.default_rng(0), 0.0, 5.0)
+    # a fractional rank fails rather than rounding down, in the scorer and
+    # in the controller, which both read it from the feeds
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        rank_path(np.array([1.0]), np.empty(0), 0.0, 4.0, 1.5)

@@ -11,6 +11,7 @@ from reference import oracle_decisions_table, oracle_thresholds_table
 
 from whentopost import kernels
 from whentopost.control_oracle import instance_from_feed
+from whentopost.feed_sim import Feeds
 from whentopost.point_process import HawkesParams, sample_hawkes
 from whentopost.scenarios import HawkesScenarioConfig, feed_rng
 
@@ -296,16 +297,16 @@ def hawkes_feed(seed):
     """The seeded feed of ``simulate --scenario one-follower-hawkes --feed-events 3000``."""
     cfg = HawkesScenarioConfig(seeds=(seed,), budget=5.0, target_feed_events=3000.0)
     params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
-    return sample_hawkes(params, 0.0, cfg.horizon, feed_rng(seed, 0)), cfg.horizon
+    return Feeds.cut([sample_hawkes(params, 0.0, cfg.horizon, feed_rng(seed, 0))], 0.0, cfg.horizon)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_oracle_kernel_matches_table_on_hawkes_feeds(seed):
     # q = 16 and q = 2**23 are where the oracle tunes settle for budgets
     # 400 and 5 on seed 0; q = 1 starts every tune
-    times, tf = hawkes_feed(seed)
+    feeds = hawkes_feed(seed)
     for q in (1.0, 16.0, 2.0**23):
-        inst = instance_from_feed(times, 0.0, tf, q=q)
+        inst = instance_from_feed(feeds, q=q)
         assert inst.n_stages > 2900
         want = oracle_decisions_table(inst.widths, inst.r0, inst.q)
         got = kernels.oracle_decisions(inst.widths, inst.r0, inst.q)
@@ -391,8 +392,7 @@ def test_oracle_fallback_matches_loop_at_any_cutoff(monkeypatch, cut):
 def test_oracle_fallback_matches_loop_on_a_hawkes_feed():
     # q = 2**23: thresholds grow to thousands of ranks, so long stages take
     # the slice path and the plain-Python loop takes about a second
-    times, tf = hawkes_feed(0)
-    inst = instance_from_feed(times, 0.0, tf, q=2.0**23)
+    inst = instance_from_feed(hawkes_feed(0), q=2.0**23)
     want = kernels._oracle_decisions_loop(inst.widths, inst.r0, inst.q)
     got = kernels._oracle_decisions_numpy(inst.widths, inst.r0, inst.q)
     assert got.tobytes() == want.tobytes()

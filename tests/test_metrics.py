@@ -120,7 +120,7 @@ def test_path_must_cover_horizon():
 
 def test_report_from_trajectory_single_follower():
     feeds = Feeds.cut([[1.0, 2.0]], 0.0, 4.0)
-    traj = trajectory_from_posts(feeds, np.array([3.0]), 0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.array([3.0]))
     rep = report_from_trajectory(traj, run="r", seed=0, policy="p")
     # rank: 0 on [0,1), 1 on [1,2), 2 on [2,3), 0 on [3,4]
     assert rep.position_over_time == 3.0
@@ -132,8 +132,8 @@ def test_report_from_trajectory_single_follower():
 def test_identical_followers_average_to_single_follower_values():
     feed = [1.0, 2.0, 3.5]
     posts = np.array([2.5])
-    one = trajectory_from_posts(Feeds.cut([feed], 0.0, 5.0), posts, 0.0, 5.0)
-    two = trajectory_from_posts(Feeds.cut([feed, feed], 0.0, 5.0), posts, 0.0, 5.0)
+    one = trajectory_from_posts(Feeds.cut([feed], 0.0, 5.0), posts)
+    two = trajectory_from_posts(Feeds.cut([feed, feed], 0.0, 5.0), posts)
     rep1 = report_from_trajectory(one, "r", 0, "p")
     rep2 = report_from_trajectory(two, "r", 0, "p")
     assert rep1.position_over_time == rep2.position_over_time
@@ -143,7 +143,7 @@ def test_identical_followers_average_to_single_follower_values():
 
 def test_average_position_is_time_mean():
     feeds = Feeds.cut([[1.0, 2.0]], 0.0, 4.0)
-    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.empty(0))
     # ranks 0,1,2 over [0,1),[1,2),[2,4]: integral 0+1+4=5 over length 4
     assert average_position(traj) == 5.0 / 4.0
 
@@ -164,12 +164,12 @@ def test_normalize_report_ratios_and_guard():
 
 def test_quadratic_control_cost_hand_check():
     feeds = Feeds.cut([[1.0]], 0.0, 3.0)
-    traj = trajectory_from_posts(feeds, np.array([2.0]), 0.0, 3.0)
+    traj = trajectory_from_posts(feeds, np.array([2.0]))
     # rank 0 on [0,1), 1 on [1,2), 0 after; integral r^2 = 1
     cost = quadratic_control_cost(traj, q=4.0)
     assert cost == 0.5 * 1.0 + 0.5 * 4.0 * 1
     # terminal rank contributes when no post clears it
-    held = trajectory_from_posts(feeds, np.empty(0), 0.0, 3.0)
+    held = trajectory_from_posts(feeds, np.empty(0))
     assert quadratic_control_cost(held, q=4.0) == 0.5 * (1.0 * 2.0) + 0.5 * 1.0
 
 
@@ -215,14 +215,12 @@ def test_report_matches_per_follower_sums_bit_for_bit():
     for trial in range(150):
         n = 1 if trial % 10 == 0 else int(rng.integers(2, 12))
         t0, tf = (0.0, 50.0) if trial % 3 else (7.3, 41.9)
-        feeds = Feeds.cut(
-            [np.sort(rng.choice(grid, size=int(rng.integers(0, 60)), replace=False)) for _ in range(n)], t0, tf
-        )
+        streams = [np.sort(rng.choice(grid, size=int(rng.integers(0, 60)), replace=False)) for _ in range(n)]
         posts = rng.choice(np.concatenate([grid, rng.uniform(0.0, 50.0, 50)]), size=int(rng.integers(0, 30)))
         if trial % 4 == 0:
             posts = np.concatenate([posts, [t0, tf, tf]])
         r0 = rng.integers(0, 6, size=n) if trial % 2 else None
-        traj = trajectory_from_posts(feeds, posts, t0, tf, initial_ranks=r0)
+        traj = trajectory_from_posts(Feeds.cut(streams, t0, tf, r0), posts)
         want = report_by_follower(traj, "r", trial, "p")
         assert bits(report_from_trajectory(traj, "r", trial, "p")) == bits(want)
 
@@ -234,7 +232,7 @@ def test_report_scores_list_built_trajectories_like_the_one_pass():
         feeds = [np.sort(times[10 * j : 10 * j + 10]) for j in range(4)]
         posts = np.sort(times[40:48])
         via_loop = simulate(feeds, ScheduledController(posts), 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
-        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 30.0), posts, 0.0, 30.0, initial_ranks=[0, 1, 2, 3])
+        direct = trajectory_from_posts(Feeds.cut(feeds, 0.0, 30.0, [0, 1, 2, 3]), posts)
         got = bits(report_from_trajectory(via_loop, "r", 0, "p"))
         assert got == bits(report_by_follower(via_loop, "r", 0, "p"))
         assert got == bits(report_from_trajectory(direct, "r", 0, "p"))
@@ -242,16 +240,16 @@ def test_report_scores_list_built_trajectories_like_the_one_pass():
 
 def test_report_rejects_paths_it_cannot_score():
     feeds = Feeds.cut([[1.0]], 0.0, 4.0)
-    traj = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
+    traj = trajectory_from_posts(feeds, np.empty(0))
     for times, values in (
         ([np.array([0.0, 1.0])], [np.array([0])]),  # not parallel
         ([np.empty(0)], [np.empty(0, np.int64)]),  # empty
         ([np.array([0.0, 5.0])], [np.array([0, 1])]),  # past tf
     ):
-        bad = trajectory_from_posts(feeds, np.empty(0), 0.0, 4.0)
+        bad = trajectory_from_posts(feeds, np.empty(0))
         bad.rank_times, bad.rank_values = times, values
         with pytest.raises(ValueError):
             report_from_trajectory(bad, "r", 0, "p")
     assert report_from_trajectory(traj, "r", 0, "p").position_over_time == 3.0
     with pytest.raises(ValueError, match="no followers"):
-        report_from_trajectory(trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.empty(0), 0.0, 4.0), "r", 0, "p")
+        report_from_trajectory(trajectory_from_posts(Feeds.cut([], 0.0, 4.0), np.empty(0)), "r", 0, "p")

@@ -265,7 +265,7 @@ def test_the_memo_is_read_only_and_per_competition():
     feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 4.0)
 
     def competition():
-        return scenarios._Competition(0.0, 4.0, lambda seed: feeds, lambda seed: None)
+        return scenarios._Competition(lambda seed: feeds, lambda seed: None)
 
     comp = competition()
     posts = comp.redqueen(0.5, 0)
@@ -311,10 +311,8 @@ def count_merges(monkeypatch) -> list:
 def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
     streams, t0, tf, schedule, ranks = weekday_replay_setup()
     merges = count_merges(monkeypatch)
-    feeds_by_seed = {seed: Feeds.cut(streams, t0, tf) for seed in (0, 1)}
-    comp = scenarios._Competition(
-        t0, tf, feeds_by_seed.__getitem__, lambda seed: None, significance=schedule, initial_ranks=ranks
-    )
+    feeds_by_seed = {seed: Feeds.cut(streams, t0, tf, ranks) for seed in (0, 1)}
+    comp = scenarios._Competition(feeds_by_seed.__getitem__, lambda seed: None, significance=schedule)
     for seed in (0, 1):
         for q in (0.25, 4.0, 64.0):
             params = RedQueenParams(q=q, significance=schedule)
@@ -325,8 +323,7 @@ def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
                                   scenarios.policy_rng(seed))
             assert want.shape[0] > 0
             assert comp.redqueen(q, seed).tobytes() == want.tobytes()
-            direct = run_redqueen_fast(feeds_by_seed[seed], params, scenarios.policy_rng(seed), t0, tf,
-                                       initial_ranks=ranks)
+            direct = run_redqueen_fast(feeds_by_seed[seed], params, scenarios.policy_rng(seed))
             assert direct.tobytes() == want.tobytes()
     # once per Feeds, not once per price
     assert len(merges) == 2 and all(m is feeds_by_seed[seed] for m, seed in zip(merges, (0, 1)))
@@ -347,8 +344,9 @@ def test_a_replay_merges_its_feeds_and_builds_their_segment_rate_once(monkeypatc
     reports, details = run_replay(cfg, dataset)
     assert details["redqueen_tune"].iterations > 1
     assert [r.policy for r in reports].count("segment-offline") == 3
-    assert len(merges) == 1 and merges[0] is dataset.feeds
-    assert len(rates) == 1 and rates[0] is dataset.feeds
+    # the one window the replay made from the dataset's feeds and its initial rank
+    assert len(merges) == 1 and merges[0].times is dataset.feeds.times
+    assert len(rates) == 1 and rates[0] is merges[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,7 @@ def test_feeds_merge_and_segment_rate_match_the_per_follower_references(n_follow
         want_t, want_j = merge_feeds([np.asarray(f) for f in feeds])
         got_t, got_j = feeds.merged
         assert got_t.tobytes() == want_t.tobytes() and got_j.tobytes() == want_j.tobytes()
-        got = scenarios._empirical_segment_rate(feeds, t0, tf, segments)
+        got = scenarios._empirical_segment_rate(feeds, segments)
         want = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
         assert got.knots.tobytes() == knots.tobytes() and got.rates.tobytes() == want.tobytes()
 
@@ -423,9 +421,9 @@ def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
     calls = []
     scored = feed_sim.trajectory_from_posts
 
-    def counted(feeds, posts, *args, **kwargs):
+    def counted(feeds, posts):
         calls.append(posts.tobytes())
-        return scored(feeds, posts, *args, **kwargs)
+        return scored(feeds, posts)
 
     monkeypatch.setattr(scenarios, "trajectory_from_posts", counted)
     seeds = (0, 1, 2)
@@ -434,7 +432,7 @@ def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
     reports, _ = run_replay(cfg, dataset)
     recorded = dataset.true_posts.tobytes()
     assert calls.count(recorded) == 1 and len(calls) == 1 + len(seeds)
-    reference = report_from_trajectory(scored(dataset.feeds, dataset.true_posts, 0.0, 240.0), "", 0, "")
+    reference = report_from_trajectory(scored(dataset.feeds, dataset.true_posts), "", 0, "")
     for seed, report in zip(seeds, (r for r in reports if r.policy == "true-posts")):
         assert report.seed == seed
         assert (report.position_over_time, report.time_at_top) == (

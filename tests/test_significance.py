@@ -253,9 +253,8 @@ def test_weekend_silence_under_zero_weight():
     weekend_hits = 0
     total = 0
     for seed in range(100):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0]), params,
-                                  np.random.default_rng(seed), 0.0, 14 * DAY,
-                                  initial_ranks=[2])
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 14 * DAY, [2]), params,
+                                  np.random.default_rng(seed))
         for p in posts:
             total += 1
             day = int(p // DAY) % 7
@@ -284,8 +283,7 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
     feeds = Feeds.cut([feed_times], 0.0, 28 * DAY)
 
     def weekend_share(params, seed):
-        posts = run_redqueen_fast(feeds, params, np.random.default_rng(seed),
-                                  0.0, 28 * DAY)
+        posts = run_redqueen_fast(feeds, params, np.random.default_rng(seed))
         if len(posts) == 0:
             return 0.0, 0
         days = (posts // DAY).astype(np.int64) % 7
