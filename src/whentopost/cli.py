@@ -7,14 +7,18 @@ JSON file of the shape ``{"simulate": {"scenario": ...}, ...}`` whose
 entries become flag defaults (explicit flags win).
 
 Runs are pure functions of their flags and seeds: rerunning a command
-writes byte-identical output.  Failures exit nonzero with a single JSON
-object on stderr.
+writes byte-identical output.  Every failure exits nonzero with one JSON
+object ``{"error": kind, "message": ...}`` on stderr: exit code 2 for a
+usage error or an error a command raises, 1 for an interrupt, and 3 when
+a price search of ``simulate`` or ``replay`` missed its budget (before
+any file is written).  ``tune-q`` exits 3 with its result on stdout.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -27,22 +31,14 @@ from .significance import GRANULARITIES, estimate_significance
 __all__ = ["main"]
 
 
+def _json(payload) -> str:
+    """``payload`` as sorted JSON; a dataclass (a ``TuneResult``) is written as its fields."""
+    return json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
+
+
 def _fail(kind: str, message: str, code: int = 2):
-    click.echo(json.dumps({"error": kind, "message": message}, sort_keys=True), err=True)
+    click.echo(_json({"error": kind, "message": message}), err=True)
     sys.exit(code)
-
-
-def _guarded(fn):
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, LookupError, ArithmeticError, TypeError, RuntimeError,
-                MemoryError, OSError) as exc:
-            _fail(type(exc).__name__, str(exc))
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
 #: Most seeds a seed list may name, repeats included, counted before any list is built.
@@ -70,36 +66,35 @@ def _parse_seeds(text: str) -> tuple:
 def _parse_budgets(text: str) -> tuple:
     """'5,400,5' -> (5.0, 400.0): repeats dropped, first order kept."""
     values = tuple(dict.fromkeys(float(p) for p in text.split(",") if p.strip()))
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("budgets must be positive numbers")
+    bad = [v for v in values if not 0 < v < math.inf]
+    if bad or not values:
+        raise ValueError(f"budget must be positive and finite, got {bad[0] if bad else text!r}")
     return values
 
 
-def _tune_payload(details: dict) -> dict:
-    out = {}
-    for key, value in details.items():
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            out[key] = dataclasses.asdict(value)
-        else:
-            out[key] = value
-    return out
+def _check_converged(label: str, details: dict) -> None:
+    """Fail with exit code 3 unless every price search of a run reached its budget."""
+    for tuned in (details.get("redqueen_tune"), details.get("oracle_tune")):
+        if tuned is not None and not tuned.converged:
+            _fail("NotConverged", f"{label}: {tuned.message}", 3)
 
 
 class _Group(click.Group):
-    """The command group: a usage error (a bad type or choice, an unknown or
-    missing option or command, a missing file) fails with ``_fail``'s JSON
-    line, exit code 2, and an interrupt with exit code 1.  Asked for no
-    standalone mode, it raises click's exceptions as click does."""
+    """The command group, the one place where a usage error (a bad type or choice, an unknown or
+    missing option or command, a missing file), an error a command raises or an interrupt becomes
+    ``_fail``'s JSON line.  Asked for no standalone mode, it lets them reach the caller, as click
+    does."""
 
     def main(self, *args, standalone_mode=True, **kwargs):
         try:
             code = super().main(*args, standalone_mode=False, **kwargs)
-        except (click.UsageError, click.Abort) as exc:
+        except (click.UsageError, click.Abort, ValueError, LookupError, ArithmeticError, TypeError,
+                RuntimeError, MemoryError, OSError) as exc:
             if not standalone_mode:
                 raise
             if isinstance(exc, click.Abort):
                 _fail("Abort", "interrupted", 1)
-            _fail(type(exc).__name__, exc.format_message())
+            _fail(type(exc).__name__, exc.format_message() if isinstance(exc, click.UsageError) else str(exc))
         if standalone_mode:
             sys.exit(code)
         return code
@@ -187,7 +182,6 @@ def _run_scenario(scenario, seeds, policies, budgets, q, **kw):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Report CSV path.")
 @click.option("--tune-tol", default=0.1, show_default=True, help="Relative budget tolerance.")
 @_add_options(_COMMON_SIM)
-@_guarded
 def simulate(scenario, policies, budget, q, out, seeds, **kw):
     """Run a synthetic scenario and write one metrics row per policy and seed."""
     seed_list = _parse_seeds(seeds)
@@ -197,11 +191,11 @@ def simulate(scenario, policies, budget, q, out, seeds, **kw):
     reports = []
     infos = {}
     for cfg, got, details in _run_scenario(scenario, seed_list, tuple(policies), budgets, q, **kw):
+        _check_converged(cfg.run_label, details)
         reports.extend(got)
-        infos[cfg.run_label] = _tune_payload(details)
+        infos[cfg.run_label] = details
     data_io.write_report_csv(reports, out)
-    click.echo(json.dumps({"written": out, "rows": len(reports), "details": infos},
-                          sort_keys=True, default=str))
+    click.echo(_json({"written": out, "rows": len(reports), "details": infos}))
 
 
 @main.command(name="tune-q")
@@ -209,16 +203,13 @@ def simulate(scenario, policies, budget, q, out, seeds, **kw):
 @click.option("--target", required=True, type=float, help="Desired mean post count.")
 @click.option("--tol", default=0.1, show_default=True, help="Relative tolerance on the target.")
 @_add_options(_COMMON_SIM)
-@_guarded
 def tune_q_cmd(scenario, target, tol, seeds, **kw):
     """Search the post price q whose mean post count matches the target."""
     seed_list = _parse_seeds(seeds)
     kw["tune_tol"] = tol
     [(_, _, details)] = _run_scenario(scenario, seed_list, ("redqueen",), (target,), None, **kw)
     tuned = details["redqueen_tune"]
-    payload = dataclasses.asdict(tuned)
-    payload["realized_budget"] = details["realized_budget"]
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(_json({**dataclasses.asdict(tuned), "realized_budget": details["realized_budget"]}))
     if not tuned.converged:
         sys.exit(3)
 
@@ -241,7 +232,6 @@ def tune_q_cmd(scenario, target, tol, seeds, **kw):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--summary", type=click.Path(dir_okay=False), default=None,
               help="Also write per-policy aggregate stats to this CSV.")
-@_guarded
 def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
            max_followees, initial_rank, offline_segments, tune_tol, out, summary):
     """Replay a recorded window and compare policies against the true posts."""
@@ -264,11 +254,11 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
         initial_rank=initial_rank,
     )
     reports, details = scenarios.run_replay(cfg, dataset)
+    _check_converged(f"replay:{dataset.broadcaster}", details)
     data_io.write_report_csv(reports, out)
     if summary:
         _write_summary(reports, summary)
-    click.echo(json.dumps({"written": out, "rows": len(reports), "details": _tune_payload(details)},
-                          sort_keys=True, default=str))
+    click.echo(_json({"written": out, "rows": len(reports), "details": details}))
 
 
 def _write_summary(reports, path):
@@ -298,7 +288,6 @@ def _write_summary(reports, path):
 @click.option("--follower", "followers", multiple=True,
               help="Profile only these ids (default: every source in the log).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_guarded
 def estimate_significance_cmd(events_path, epoch, granularity, laplace, followers, out):
     """Estimate per-follower activity profiles from an event log."""
     events = data_io.load_events(events_path)
@@ -307,7 +296,7 @@ def estimate_significance_cmd(events_path, epoch, granularity, laplace, follower
         raise scenarios.ScenarioError("the event log is empty; nothing to profile")
     profile = estimate_significance(events, ids, epoch=epoch, granularity=granularity, laplace=laplace)
     data_io.write_profile_csv(profile, out)
-    click.echo(json.dumps({"written": out, "followers": len(profile.ids)}, sort_keys=True))
+    click.echo(_json({"written": out, "followers": len(profile.ids)}))
 
 
 if __name__ == "__main__":

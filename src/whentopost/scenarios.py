@@ -2,12 +2,12 @@
 
 Each runner takes a config dataclass, checks the requested policies
 against the ones its scenario allows and builds its feeds (sampled, or
-cut from a recorded log) into one competition; one driver, ``_compete``,
-then runs every policy over every seed and returns per-run metric
-reports plus a details dict (tuned prices, realized budgets).
-``POLICIES`` maps each policy name to the function placing its posts for
-one seed.  A replay also brings its significance schedule and recorded
-posts, which every replayed report is normalized against.
+cut from a recorded log) into one competition, which ``_compete``
+settles: it returns per-run metric reports plus a details dict (tuned
+prices, realized budgets).  ``POLICIES`` maps each policy name to the
+function placing its posts for one seed.  A replay also brings its
+significance schedule and recorded posts, which every replayed report is
+normalized against.
 
 Randomness discipline: the feed for (seed, follower j) comes from
 generator ``[seed, 1, j]``, the posting policy for a seed from
@@ -22,24 +22,21 @@ schedule gets its own price search against the same budget.  A replay
 requesting none of ``redqueen``, ``uniform`` and ``segment-offline``
 runs no controller; its budget is the recorded post count.
 
-A synthetic runner samples each seed's feeds into one
-:class:`~whentopost.feed_sim.Feeds`, which carries the window and each
-follower's initial rank to every policy and score; a replay's one
-``Feeds``, made with ``initial_rank``, serves every seed, so it is
-merged, and its segment rate built, once.  A
-runner given ``budgets`` settles every budget of the sweep on one
-competition.  The competition also computes
-each evaluation once: the controller's posts and the clairvoyant
-schedule are kept per ``(policy, q, seed)``, and the price searches, the
-run at the settled price and every later budget read them back.  That
-changes no output: each controller run draws from a fresh
-``policy_rng(seed)`` and the backward induction is deterministic, so a
-second run at the same price would repeat the first bit for bit.  The
-memo lives and dies with its competition, one command's worth.  A price
-search runs the controller capped a little above the largest budget
-tuned on the competition: a run that reaches the cap shows the price
-too cheap without its exact count, and one that ends short of it is the
-whole run, kept for every later reader.
+A competition holds only what is fixed for one command: per seed, the
+:class:`~whentopost.feed_sim.Feeds` (window and initial ranks included)
+and the rate the offline planner is told; a replay's significance
+schedule and recorded posts; and a memo.  ``_compete`` settles a list of
+runs on it (a single run, every budget of a sweep, a replay), each run
+keeping its realized budget and prices to itself.  A replay's one
+``Feeds`` serves every seed, so it is merged, and its segment rate
+built, once.  The memo keeps the controller's posts and the clairvoyant
+schedule per ``(policy, q, seed)`` for the price searches, the run at
+the settled price and every later budget.  That changes no output: each
+controller run draws from a fresh ``policy_rng(seed)`` and the backward
+induction is deterministic.  A price search runs the controller capped a
+little above the largest budget of its sweep: a run that reaches the cap
+shows the price too cheap without its exact count, and one that ends
+short of it is the whole run, kept for every later reader.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -148,26 +144,19 @@ def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> PiecewiseRate:
 
 @dataclass
 class _Competition:
-    """One scenario's feeds, every evaluation made on them, and one budget's prices.
+    """What is fixed for one command: its feeds and every evaluation made on them.
 
-    ``feeds(seed)`` gives the followers' :class:`Feeds`, their window and
-    initial ranks; ``offline_rate(seed)`` the followers' summed rate the
-    segment-offline planner is told.
-    ``redqueen(q, seed)`` and ``oracle(q, seed)`` compute each
-    ``(policy, q, seed)`` once and keep it in ``memo``.  ``_compete``
-    settles ``realized``, ``redqueen_q`` and ``oracle_q`` for one budget
-    at a time; a sweep sets ``ceiling`` first, so that every budget's
-    search caps its runs alike and reads the same runs back.
+    ``feeds[seed]`` holds the followers' :class:`Feeds`, their window and
+    initial ranks; ``offline_rate[seed]`` the followers' summed rate the
+    segment-offline planner is told.  ``redqueen(q, seed)`` and
+    ``oracle(q, seed)`` compute each ``(policy, q, seed)`` once and keep
+    it in ``memo``.
     """
 
-    feeds: Callable
-    offline_rate: Callable
+    feeds: dict
+    offline_rate: dict
     significance: StepSchedule | None = None
     recorded: np.ndarray | None = None  # replay only: the broadcaster's true post times
-    realized: float = 0.0  # the budget every baseline matches
-    ceiling: float = 0.0  # the largest budget tuned to on this competition, for a sweep
-    redqueen_q: float = math.nan
-    oracle_q: float = math.nan
     memo: dict = field(default_factory=dict)
 
     def redqueen(self, q: float, seed: int, cap: int = 2**62) -> np.ndarray:
@@ -181,7 +170,7 @@ class _Competition:
         key = ("redqueen", q, seed)
         if key not in self.memo and key + (cap,) not in self.memo:
             params = RedQueenParams(q=q, significance=self.significance)
-            posts = run_redqueen_fast(self.feeds(seed), params, policy_rng(seed), max_posts=cap)
+            posts = run_redqueen_fast(self.feeds[seed], params, policy_rng(seed), max_posts=cap)
             posts.flags.writeable = False  # shared by every reader of the memo
             self.memo[key if posts.shape[0] < cap else key + (cap,)] = posts
         whole = self.memo.get(key)
@@ -194,26 +183,27 @@ class _Competition:
         """
         key = ("oracle", q, seed)
         if key not in self.memo:
-            decisions = self.memo[key] = oracle_schedule(instance_from_feed(self.feeds(seed), q))
+            decisions = self.memo[key] = oracle_schedule(instance_from_feed(self.feeds[seed], q))
             decisions.flags.writeable = False  # shared by every reader of the memo
         return self.memo[key]
 
 
-#: Policy name -> post times for one seed of a competition.  The controller
-#: and the clairvoyant schedule come from the competition's memo, whose
-#: misses (like every other entry) look their functions up as module
-#: globals at call time, so a rebound module attribute (a tracer's
-#: wrapper, say) sees every call.
+#: Policy name -> post times for one seed of a competition, given by name
+#: one run's settled prices and ``realized``, the budget every baseline
+#: matches.  The controller and the clairvoyant schedule come from the
+#: competition's memo, whose misses (like every other entry) look their
+#: functions up as module globals at call time, so a rebound module
+#: attribute (a tracer's wrapper, say) sees every call.
 POLICIES = {
-    "redqueen": lambda c, seed: c.redqueen(c.redqueen_q, seed),
-    "oracle": lambda c, seed: decisions_to_post_times(c.oracle(c.oracle_q, seed), c.feeds(seed)),
-    "uniform": lambda c, seed: uniform_poisson_posts(
-        c.realized, c.feeds(seed).t0, c.feeds(seed).tf, baseline_rng(seed)
+    "redqueen": lambda c, seed, redqueen_q, **_: c.redqueen(redqueen_q, seed),
+    "oracle": lambda c, seed, oracle_q, **_: decisions_to_post_times(c.oracle(oracle_q, seed), c.feeds[seed]),
+    "uniform": lambda c, seed, realized, **_: uniform_poisson_posts(
+        realized, c.feeds[seed].t0, c.feeds[seed].tf, baseline_rng(seed)
     ),
-    "segment-offline": lambda c, seed: segment_offline_posts(
-        c.offline_rate(seed), int(round(c.realized)), c.feeds(seed).t0, c.feeds(seed).tf
+    "segment-offline": lambda c, seed, realized, **_: segment_offline_posts(
+        c.offline_rate[seed], int(round(realized)), c.feeds[seed].t0, c.feeds[seed].tf
     ),
-    "true-posts": lambda c, seed: true_posts_playback(c.recorded),
+    "true-posts": lambda c, seed, **_: true_posts_playback(c.recorded),
 }
 
 
@@ -227,81 +217,78 @@ def _tune(cfg, target: float, count, at_most=None):
     def mean(count):
         return lambda q: sum(count(q, seed) for seed in cfg.seeds) / len(cfg.seeds)
 
-    return tune_q(
-        target,
-        mean(count),
-        tolerance=cfg.tune_tol,
-        lower_bound_fn=None if at_most is None else mean(at_most),
-    )
+    bound = None if at_most is None else mean(at_most)
+    return tune_q(target, mean(count), tolerance=cfg.tune_tol, lower_bound_fn=bound)
 
 
-def _compete(cfg, comp: _Competition, label: str, details: dict, target: float | None):
-    """Settle one budget's prices on ``comp``, then report every policy on every seed.
+def _compete(comp: _Competition, runs, details: dict, ceiling: float = 0.0) -> list:
+    """Settle each run ``(cfg, label, target)`` on ``comp``, and report every policy on every seed.
 
-    The controller runs with ``cfg.q``, or with the price tuned so its
-    mean post count hits ``target``; synthetic scenarios always run it.
+    Returns one ``(cfg, reports, details)`` per run, each run's details
+    being ``details`` plus its prices.  The controller runs with
+    ``cfg.q``, or with the price tuned so its mean post count hits
+    ``target``; synthetic scenarios always run it.  Each price search
+    caps its controller runs for a budget of at least ``ceiling`` (a
+    sweep's largest), so the searches of a sweep read the same runs back.
     """
     n_recorded = 0 if comp.recorded is None else len(comp.recorded)
-    comp.realized = float(n_recorded)
-    comp.redqueen_q = comp.oracle_q = math.nan
-    budgeted = any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies)
-    if comp.recorded is None or budgeted:
-        q = cfg.q
-        if q is None:
-            if target <= 0:
-                raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
-            # a seed that reaches ``cap`` posts puts the mean above the
-            # tolerance band of every budget tuned on this competition
-            band = len(cfg.seeds) * max(target, comp.ceiling) * (1 + cfg.tune_tol)
-            cap = math.floor(min(band, 2.0**62)) + 1
-            tuned = details["redqueen_tune"] = _tune(
-                cfg, target, lambda q, s: comp.redqueen(q, s).shape[0],
-                lambda q, s: min(comp.redqueen(q, s, cap).shape[0], cap),
-            )
-            q = tuned.q
-        comp.redqueen_q = q
-        comp.realized = float(
-            np.mean([comp.redqueen(q, seed).shape[0] for seed in dict.fromkeys(cfg.seeds)])
-        )
-        details["redqueen_q"] = q
-        details["realized_budget"] = comp.realized
+    settled = []
+    for cfg, label, target in runs:
+        info = dict(details)
+        realized, redqueen_q, oracle_q = float(n_recorded), math.nan, math.nan
+        if comp.recorded is None or any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies):
+            redqueen_q = cfg.q
+            if redqueen_q is None:
+                if target <= 0:
+                    raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
+                # a seed that reaches ``cap`` posts puts the mean above the
+                # tolerance band of every budget tuned on this competition
+                band = len(cfg.seeds) * max(target, ceiling) * (1 + cfg.tune_tol)
+                cap = math.floor(min(band, 2.0**62)) + 1
+                tuned = info["redqueen_tune"] = _tune(
+                    cfg, target, lambda q, s: comp.redqueen(q, s).shape[0],
+                    lambda q, s: min(comp.redqueen(q, s, cap).shape[0], cap),
+                )
+                redqueen_q = tuned.q
+            realized = float(np.mean([comp.redqueen(redqueen_q, seed).shape[0] for seed in comp.feeds]))
+            info["redqueen_q"] = redqueen_q
+            info["realized_budget"] = realized
 
-    if "oracle" in cfg.policies:
-        oracle_target = comp.realized if comp.realized > 0 else float(max(n_recorded, 1))
-        tuned = details["oracle_tune"] = _tune(
-            cfg, oracle_target, lambda q, s: int(comp.oracle(q, s).sum())
-        )
-        comp.oracle_q = tuned.q
+        if "oracle" in cfg.policies:
+            oracle_target = realized if realized > 0 else float(max(n_recorded, 1))
+            info["oracle_tune"] = _tune(cfg, oracle_target, lambda q, s: int(comp.oracle(q, s).sum()))
+            oracle_q = info["oracle_tune"].q
 
-    def play(seed, policy):
-        posts = POLICIES[policy](comp, seed)
-        return report_from_trajectory(trajectory_from_posts(comp.feeds(seed), posts), label, seed, policy)
+        def play(seed, policy):
+            posts = POLICIES[policy](comp, seed, realized=realized, redqueen_q=redqueen_q, oracle_q=oracle_q)
+            return report_from_trajectory(trajectory_from_posts(comp.feeds[seed], posts), label, seed, policy)
 
-    # a replay's feeds and recorded posts are the same for every seed, so
-    # its true-posts report is the reference's on each seed
-    reference = None if comp.recorded is None else play(0, "true-posts")
-    reports = []
-    for seed in cfg.seeds:
-        for policy in cfg.policies:
-            if reference is not None and policy == "true-posts":
-                report = dataclasses.replace(reference, seed=seed)
-            else:
-                report = play(seed, policy)
-            reports.append(report if reference is None else normalize_report(report, reference))
-    return reports, details
+        # a replay's feeds and recorded posts are the same for every seed, so
+        # its true-posts report is the reference's on each seed
+        reference = None if comp.recorded is None else play(cfg.seeds[0], "true-posts")
+        reports = []
+        for seed in cfg.seeds:
+            for policy in cfg.policies:
+                if reference is not None and policy == "true-posts":
+                    report = dataclasses.replace(reference, seed=seed)
+                else:
+                    report = play(seed, policy)
+                reports.append(report if reference is None else normalize_report(report, reference))
+        settled.append((cfg, reports, info))
+    return settled
 
 
 def _sweep(cfg, comp: _Competition, details: dict, budgets):
-    """``_compete`` on ``cfg``; with ``budgets``, once per budget on the one competition.
+    """``_compete`` on ``cfg``: ``(reports, details)``, or with ``budgets`` one run per budget.
 
     A sweep checks every budget's config before it runs any, and returns
     one ``(config, reports, details)`` per budget, in order.
     """
     if budgets is None:
-        return _compete(cfg, comp, cfg.run_label, details, cfg.budget)
+        [(_, reports, details)] = _compete(comp, [(cfg, cfg.run_label, cfg.budget)], details)
+        return reports, details
     configs = [dataclasses.replace(cfg, budget=b) for b in budgets]
-    comp.ceiling = max(c.budget for c in configs)
-    return [(c, *_compete(c, comp, c.run_label, dict(details), c.budget)) for c in configs]
+    return _compete(comp, [(c, c.run_label, c.budget) for c in configs], details, max(budgets))
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +373,8 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
     t0, tf = 0.0, cfg.horizon
     streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)) for seed in cfg.seeds}
     feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
-    comp = _Competition(
-        feeds_by_seed.__getitem__,
-        lambda seed: _empirical_segment_rate(feeds_by_seed[seed], cfg.offline_segments),
-    )
-    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed), budgets)
+    rates = {seed: _empirical_segment_rate(f, cfg.offline_segments) for seed, f in feeds_by_seed.items()}
+    return _sweep(cfg, _Competition(feeds_by_seed, rates), _synthetic_details(feeds_by_seed), budgets)
 
 
 @dataclass(frozen=True)
@@ -452,8 +436,7 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)
-    comp = _Competition(feeds_by_seed.__getitem__, rate_by_seed.__getitem__)
-    return _sweep(cfg, comp, _synthetic_details(feeds_by_seed), budgets)
+    return _sweep(cfg, _Competition(feeds_by_seed, rate_by_seed), _synthetic_details(feeds_by_seed), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +499,8 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
     wanted = "segment-offline" in cfg.policies
     rate = _empirical_segment_rate(feeds, cfg.offline_segments) if wanted else None
     comp = _Competition(
-        lambda seed: feeds, lambda seed: rate, significance=significance, recorded=dataset.true_posts
+        dict.fromkeys(cfg.seeds, feeds), dict.fromkeys(cfg.seeds, rate), significance, dataset.true_posts
     )
     target = cfg.target_posts if cfg.target_posts is not None else float(len(dataset.true_posts))
-    return _compete(cfg, comp, f"replay:{dataset.broadcaster}", details, target)
+    [(_, reports, details)] = _compete(comp, [(cfg, f"replay:{dataset.broadcaster}", target)], details)
+    return reports, details

@@ -179,6 +179,31 @@ def test_tune_q_unreachable_target_exits_3():
     assert payload["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "args, label",
+    [
+        (["simulate", "--scenario", "multi-follower-sinusoid", "--budget", "3", "--seeds", "0",
+          "--followers", "2", "--horizon", "7200", "--peak-per-hour", "0"],
+         "multi-follower-sinusoid:followers=2:budget=3"),
+        (["replay", "--manifest", str(FIXTURE / "manifest.txt"), "--seeds", "0", "--target-posts", "1e6",
+          "--summary", "s.csv"], "replay:alice"),
+    ],
+    ids=["simulate", "replay"],
+)
+def test_an_unconverged_price_search_fails_before_writing(tmp_path, monkeypatch, args, label):
+    # no feed events to react to, or more posts than any price gives: tune-q
+    # would exit 3 with its result; these commands write nothing and exit 3
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, args + ["--out", "r.csv"])
+    assert result.exit_code == 3 and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "NotConverged",
+        "message": f"{label}: target unreachable: post count stays below target down to q_min",
+    }
+    assert not any(tmp_path.iterdir())
+
+
 def test_replay_normalizes_true_posts_to_one(tmp_path):
     out = tmp_path / "replay.csv"
     summary = tmp_path / "summary.csv"
@@ -328,6 +353,15 @@ def test_the_group_main_keeps_click_s_calling_conventions(tmp_path):
     # without standalone mode click's exception reaches the caller
     with pytest.raises(click.NoSuchOption):
         main.main(args=args + ["--bogus"], prog_name="whentopost", standalone_mode=False)
+    # so does a command's own error, which standalone mode turns into the JSON line
+    bad_budget = with_flag(SIM_BUDGET, "--budget", "nan") + ["--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as failed:
+        main.main(args=bad_budget, prog_name="whentopost")
+    assert failed.value.code == 2
+    assert run_failing(bad_budget) == {"error": "ValueError", "message": "budget must be positive and finite, got nan"}
+    with pytest.raises(ValueError, match="budget must be positive and finite, got nan"):
+        main.main(args=bad_budget, prog_name="whentopost", standalone_mode=False)
+    assert not (tmp_path / "r.csv").exists()
     # a bare call is a usage error too
     assert run_failing([]) == {"error": "UsageError", "message": "Missing command."}
 
@@ -479,6 +513,9 @@ SIM_SINUSOID = [
          "got inf (lambda0=1e-320, target_feed_events=40.0)"),
         (SIM_SINUSOID + ["--horizon", "nan"], "horizon must be positive and finite, got nan"),
         (SIM_SINUSOID + ["--horizon", "inf"], "horizon must be positive and finite, got inf"),
+        # one message for a bad budget, whichever bad value it is
+        *[(SIM_BUDGET[:4] + [f"4,{v}"] + SIM_BUDGET[5:], f"budget must be positive and finite, got {float(v)!r}")
+          for v in ("nan", "inf", "-inf", "0", "-1")],
         (["tune-q", "--scenario", "one-follower-hawkes", "--target", "4", "--tol", "nan"],
          "tune_tol must be finite and nonnegative, got nan"),
     ],
@@ -488,7 +525,9 @@ SIM_SINUSOID = [
         "simulate-tune-tol-nan", "simulate-tune-tol-negative", "simulate-feed-events-nan",
         "simulate-feed-events-inf", "simulate-feed-lambda0-nan", "simulate-offline-segments",
         "simulate-feed-lambda0-tiny",
-        "simulate-horizon-nan", "simulate-horizon-inf", "tune-q-tol-nan",
+        "simulate-horizon-nan", "simulate-horizon-inf",
+        "simulate-budget-nan", "simulate-budget-inf", "simulate-budget--inf", "simulate-budget-0",
+        "simulate-budget--1", "tune-q-tol-nan",
     ],
 )
 def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):

@@ -265,7 +265,7 @@ def test_the_memo_is_read_only_and_per_competition():
     feeds = Feeds.cut([[1.0, 2.0, 3.0]], 0.0, 4.0)
 
     def competition():
-        return scenarios._Competition(lambda seed: feeds, lambda seed: None)
+        return scenarios._Competition({0: feeds}, {0: None})
 
     comp = competition()
     posts = comp.redqueen(0.5, 0)
@@ -312,7 +312,7 @@ def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
     streams, t0, tf, schedule, ranks = weekday_replay_setup()
     merges = count_merges(monkeypatch)
     feeds_by_seed = {seed: Feeds.cut(streams, t0, tf, ranks) for seed in (0, 1)}
-    comp = scenarios._Competition(feeds_by_seed.__getitem__, lambda seed: None, significance=schedule)
+    comp = scenarios._Competition(feeds_by_seed, dict.fromkeys(feeds_by_seed), significance=schedule)
     for seed in (0, 1):
         for q in (0.25, 4.0, 64.0):
             params = RedQueenParams(q=q, significance=schedule)
