@@ -28,7 +28,7 @@ from . import data_io, scenarios
 from .metrics import aggregate
 from .significance import GRANULARITIES, estimate_significance
 
-__all__ = ["main"]
+__all__ = ["main", "ConfigError", "NotConverged"]
 
 
 def _json(payload) -> str:
@@ -36,9 +36,14 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
 
 
-def _fail(kind: str, message: str, code: int = 2):
-    click.echo(_json({"error": kind, "message": message}), err=True)
-    sys.exit(code)
+class ConfigError(ValueError):
+    """A ``--config`` file that cannot be read, or is not an object of flag defaults per command."""
+
+
+class NotConverged(RuntimeError):
+    """A price search of ``simulate`` or ``replay`` missed its budget."""
+
+    exit_code = 3
 
 
 #: Most seeds a seed list may name, repeats included, counted before any list is built.
@@ -73,17 +78,17 @@ def _parse_budgets(text: str) -> tuple:
 
 
 def _check_converged(label: str, details: dict) -> None:
-    """Fail with exit code 3 unless every price search of a run reached its budget."""
+    """Raise ``NotConverged`` unless every price search of a run reached its budget."""
     for tuned in (details.get("redqueen_tune"), details.get("oracle_tune")):
         if tuned is not None and not tuned.converged:
-            _fail("NotConverged", f"{label}: {tuned.message}", 3)
+            raise NotConverged(f"{label}: {tuned.message}")
 
 
 class _Group(click.Group):
     """The command group, the one place where a usage error (a bad type or choice, an unknown or
     missing option or command, a missing file), an error a command raises or an interrupt becomes
-    ``_fail``'s JSON line.  Asked for no standalone mode, it lets them reach the caller, as click
-    does."""
+    the JSON line and the exit code: the error's ``exit_code``, 1 for an interrupt, else 2.  Asked
+    for no standalone mode, it lets them reach the caller, as click does."""
 
     def main(self, *args, standalone_mode=True, **kwargs):
         try:
@@ -92,9 +97,11 @@ class _Group(click.Group):
                 RuntimeError, MemoryError, OSError) as exc:
             if not standalone_mode:
                 raise
+            message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+            code = getattr(exc, "exit_code", 2)
             if isinstance(exc, click.Abort):
-                _fail("Abort", "interrupted", 1)
-            _fail(type(exc).__name__, exc.format_message() if isinstance(exc, click.UsageError) else str(exc))
+                message, code = "interrupted", 1
+            click.echo(_json({"error": type(exc).__name__, "message": message}), err=True)
         if standalone_mode:
             sys.exit(code)
         return code
@@ -115,9 +122,9 @@ def main(ctx, config):
             with open(config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            _fail("ConfigError", f"{config}: {exc}")
+            raise ConfigError(f"{config}: {exc}") from exc
         if not isinstance(loaded, dict) or not all(isinstance(v, dict) for v in loaded.values()):
-            _fail("ConfigError", f"{config}: must be an object keyed by command, of objects of flag defaults")
+            raise ConfigError(f"{config}: must be an object keyed by command, of objects of flag defaults")
         ctx.default_map = loaded
 
 
@@ -203,7 +210,8 @@ def simulate(scenario, policies, budget, q, out, seeds, **kw):
 @click.option("--target", required=True, type=float, help="Desired mean post count.")
 @click.option("--tol", default=0.1, show_default=True, help="Relative tolerance on the target.")
 @_add_options(_COMMON_SIM)
-def tune_q_cmd(scenario, target, tol, seeds, **kw):
+@click.pass_context
+def tune_q_cmd(ctx, scenario, target, tol, seeds, **kw):
     """Search the post price q whose mean post count matches the target."""
     seed_list = _parse_seeds(seeds)
     kw["tune_tol"] = tol
@@ -211,7 +219,7 @@ def tune_q_cmd(scenario, target, tol, seeds, **kw):
     tuned = details["redqueen_tune"]
     click.echo(_json({**dataclasses.asdict(tuned), "realized_budget": details["realized_budget"]}))
     if not tuned.converged:
-        sys.exit(3)
+        ctx.exit(3)
 
 
 @main.command()

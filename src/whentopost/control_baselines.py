@@ -86,12 +86,6 @@ def segment_offline_posts(
         g, k = heapq.heappop(heap)
         alloc[k] += 1
         heapq.heappush(heap, (-gain(k), k))
-    times = []
-    for k in range(nseg):
-        n = int(alloc[k])
-        if n == 0:
-            continue
-        step = lengths[k] / n
-        for j in range(n):
-            times.append(edges[k] + j * step)
-    return np.asarray(times, dtype=np.float64)
+    # post j of segment k sits at edges[k] + j * (lengths[k] / alloc[k]); empty segments repeat nothing
+    j = np.arange(alloc.sum()) - np.repeat(np.cumsum(alloc) - alloc, alloc)
+    return np.repeat(edges[:-1], alloc) + j * np.repeat(lengths / np.maximum(alloc, 1), alloc)

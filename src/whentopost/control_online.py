@@ -123,9 +123,10 @@ def tune_q(
     ``mean_posts_fn(q)`` must average enough seeded runs to be stable;
     calling it with the same q must return the same value (use common
     seeds), which makes the bracketing/bisection on log q well behaved.
-    Post counts fall as q rises.  The search starts at ``Q_START``; when
-    the target is unreachable within ``[Q_MIN, Q_MAX]`` it stops at a
-    bracket bound and reports ``converged=False``.
+    Post counts fall as q rises.  From ``Q_START`` the search steps q by
+    4 in the direction its first count calls for until the count crosses
+    the target, then bisects; a step past ``Q_MIN`` or ``Q_MAX`` returns
+    the last price evaluated with ``converged=False``.
 
     ``lower_bound_fn(q)``, if given, returns a cheaper value no greater
     than ``mean_posts_fn(q)``, such as the mean of post counts capped a
@@ -134,11 +135,11 @@ def tune_q(
     as far above the band (``abs(c - target)`` rises with ``c`` above the
     target, in floats too), so the search takes the same step.  Any other
     bound is dropped and ``mean_posts_fn`` called.  Bounds never reach
-    the result: the "unreachable up to q_max" return makes the last
-    bracket bound exact, and the ``MAX_ITER`` return makes every bound
-    exact before picking the first closest evaluation.  The result,
-    ``iterations`` included, is the same as without ``lower_bound_fn``;
-    an exact re-evaluation is not an iteration.
+    the result: the unreachable return makes the last price's count
+    exact, and the ``MAX_ITER`` return makes every bound exact before
+    picking the first closest evaluation.  The result, ``iterations``
+    included, is the same as without ``lower_bound_fn``; an exact
+    re-evaluation is not an iteration.
     """
     if not 0 < target_posts < math.inf:
         raise ValueError(f"target_posts must be positive and finite, got {target_posts!r}")
@@ -166,50 +167,26 @@ def tune_q(
 
     q = Q_START
     c = evaluate(q)
-    if close(c):
-        return TuneResult(q, c, target_posts, True, len(trace))
-    if c > target_posts:
-        q_lo = q
-        while True:
-            q = q * 4.0
-            if q > Q_MAX:
-                return TuneResult(
-                    q_lo, exact(trace[-1]), target_posts, False, len(trace),
-                    "target unreachable: post count stays above target up to q_max",
-                )
-            c = evaluate(q)
-            if close(c):
-                return TuneResult(q, c, target_posts, True, len(trace))
-            if c <= target_posts:
-                q_hi = q
-                break
-            q_lo = q
-    else:
-        q_hi, c_hi = q, c
-        while True:
-            q = q / 4.0
-            if q < Q_MIN:
-                return TuneResult(
-                    q_hi, c_hi, target_posts, False, len(trace),
-                    "target unreachable: post count stays below target down to q_min",
-                )
-            c = evaluate(q)
-            if close(c):
-                return TuneResult(q, c, target_posts, True, len(trace))
-            if c >= target_posts:
-                q_lo = q
-                break
-            q_hi, c_hi = q, c
-
-    while len(trace) < MAX_ITER:
+    up = c > target_posts  # too many posts: raise q until the count falls below the target
+    while not close(c) and (c > target_posts) == up:
+        q = q * 4.0 if up else q / 4.0
+        if not Q_MIN <= q <= Q_MAX:
+            end = "above target up to q_max" if up else "below target down to q_min"
+            return TuneResult(
+                trace[-1][0], exact(trace[-1]), target_posts, False, len(trace),
+                f"target unreachable: post count stays {end}",
+            )
+        c = evaluate(q)
+    q_lo, q_hi = (q / 4.0, q) if up else (q, q * 4.0)  # the last step crossed the target
+    while not close(c) and len(trace) < MAX_ITER:
         q = math.sqrt(q_lo * q_hi)
         c = evaluate(q)
-        if close(c):
-            return TuneResult(q, c, target_posts, True, len(trace))
         if c > target_posts:
             q_lo = q
         else:
             q_hi = q
+    if close(c):
+        return TuneResult(q, c, target_posts, True, len(trace))
     # the first evaluation closest to the target, as strict-< updates in order pick it
     q_best, c_best, _ = min(trace, key=lambda entry: abs(exact(entry) - target_posts))
     return TuneResult(

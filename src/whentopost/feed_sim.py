@@ -16,9 +16,9 @@ of the feed events plus the followers, whatever the number of posts.  A
 feed event's rank is its index in its feed, less the follower's feed
 events at or before the last post.  A post only enters a follower's
 path where it can take the rank back to 0: the window's first post, and
-the first post after each of the follower's feed events.  Each path
-comes out as a view into one flat array.  ``rank_path`` is the same pass
-for one follower.  The causal loop that folds one event at a time
+the first post after each of the follower's feed events.  The paths
+come out as one flat table, as :class:`Feeds` lays out events, and
+``rank_path`` is the same pass for one follower.  The causal loop
 (``simulate``) is the reference in ``tests/reference.py``.
 
 Every layer reads one window as one :class:`Feeds`, made once per feed
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -100,8 +101,7 @@ class Feeds:
         return self.bounds.shape[0] - 1
 
     def __iter__(self):
-        edges = self.bounds.tolist()
-        return (self.times[a:b] for a, b in zip(edges[:-1], edges[1:]))
+        return (self.times[a:b] for a, b in pairwise(self.bounds.tolist()))
 
     @property
     def follower(self) -> np.ndarray:
@@ -221,30 +221,38 @@ def rank_path(
     times must be strictly increasing and own posts sorted.
     """
     traj = trajectory_from_posts(Feeds.cut([feed_times], t0, tf, [initial_rank]), own_posts)
-    return traj.rank_times[0], traj.rank_values[0]
+    return traj.times, traj.values
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimulationTrajectory:
     """Everything one simulated window produced.
 
-    Rank paths are step functions per follower: ``rank_values[i][k]``
-    holds on ``[rank_times[i][k], rank_times[i][k+1])`` and the final
-    value holds through the window's end, ``feeds.tf``.
+    Rank paths are step functions laid out as ``Feeds`` lays out events:
+    follower ``j``'s rank is ``values[k]`` from ``times[k]`` to its next
+    change point, for ``k`` in ``bounds[j]:bounds[j + 1]``, the last
+    through the window's end, ``feeds.tf``.
     """
 
     own_posts: np.ndarray
     feeds: Feeds
-    rank_times: list
-    rank_values: list
-
-    @property
-    def n_followers(self) -> int:
-        return len(self.feeds)
+    times: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
 
     @property
     def post_count(self) -> int:
         return int(self.own_posts.shape[0])
+
+    @property
+    def rank_times(self) -> list:
+        """Each follower's change points, as views into ``times``."""
+        return [self.times[a:b] for a, b in pairwise(self.bounds.tolist())]
+
+    @property
+    def rank_values(self) -> list:
+        """Each follower's ranks, as views into ``values``."""
+        return [self.values[a:b] for a, b in pairwise(self.bounds.tolist())]
 
 
 def trajectory_from_posts(feeds: Feeds, post_times: np.ndarray) -> SimulationTrajectory:
@@ -258,11 +266,4 @@ def trajectory_from_posts(feeds: Feeds, post_times: np.ndarray) -> SimulationTra
     """
     posts = np.asarray(post_times, dtype=np.float64)
     posts = np.sort(posts[(posts >= feeds.t0) & (posts <= feeds.tf)])
-    times, values, bounds = _rank_paths(feeds, posts)
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    return SimulationTrajectory(
-        own_posts=posts,
-        feeds=feeds,
-        rank_times=[times[a:b] for a, b in spans],
-        rank_values=[values[a:b] for a, b in spans],
-    )
+    return SimulationTrajectory(posts, feeds, *_rank_paths(feeds, posts))

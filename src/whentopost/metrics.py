@@ -7,8 +7,8 @@ approximation error beyond float arithmetic.
 For runs with several followers the reported position-over-time and
 time-at-top are per-follower means, so the numbers stay comparable as
 the audience grows.  ``report_from_trajectory`` computes every
-follower's segment lengths and weighted ranks with whole-array
-operations, then reduces each follower's slice with ``np.add.reduce``
+follower's segment lengths and weighted ranks from the trajectory's
+flat table, then reduces each follower's slice with ``np.add.reduce``
 and adds the per-follower sums in follower order: the same floats, in
 the same order, as summing each follower on its own, so every bit of the
 report stays.  The per-follower functions (``position_over_time``,
@@ -49,21 +49,20 @@ class MetricsReport:
 def report_from_trajectory(trajectory, run: str, seed: int, policy: str) -> MetricsReport:
     """Per-follower mean position-over-time and time-at-top for one run.
 
-    Every follower's path is scored in one pass over the concatenated
-    paths; only the per-follower sums run follower by follower, each the
-    NumPy reduction of that follower's own segments, added up in follower
-    order.
+    Every follower's path is scored in one pass over the trajectory's
+    flat table; only the per-follower sums run follower by follower,
+    each the NumPy reduction of that follower's own segments, added up
+    in follower order.
     """
-    n = trajectory.n_followers
+    n = len(trajectory.feeds)
     if n == 0:
         raise ValueError("trajectory has no followers")
     tf = trajectory.feeds.tf
-    sizes = [len(ts) for ts in trajectory.rank_times]
-    if sizes != [len(vs) for vs in trajectory.rank_values] or 0 in sizes:
-        raise ValueError("need parallel non-empty times and values")
-    times = np.concatenate(trajectory.rank_times, dtype=np.float64)
-    values = np.concatenate(trajectory.rank_values, dtype=np.float64)
-    ends = np.cumsum(sizes)
+    times, values, bounds = trajectory.times, trajectory.values, trajectory.bounds
+    if (times.shape != values.shape or bounds.shape != (n + 1,) or bounds[0] != 0
+            or bounds[-1] != times.shape[0] or np.any(bounds[1:] <= bounds[:-1])):
+        raise ValueError("need parallel times and values, cut into one non-empty path per follower")
+    ends = bounds[1:]
     last = ends - 1
     if np.any(times[last] > tf):
         raise ValueError("tf precedes the last change point")

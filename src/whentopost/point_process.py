@@ -138,11 +138,10 @@ def sample_hawkes(
         raise ValueError("tf must not precede t0")
     if tf == t0:
         return np.empty(0, np.float64)
-    lam0 = float(params.baseline)
-    mean_rate = lam0 / (1.0 - params.alpha / params.w)
-    cap_hint = min(int(mean_rate * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
+    cap_hint = min(int(params.stationary_rate() * (tf - t0) * 1.5) + 16, MAX_HAWKES_EVENTS + 1)
     times = sample_hawkes_times(
-        float(t0), float(tf), lam0, float(params.alpha), float(params.w), rng, cap_hint, MAX_HAWKES_EVENTS
+        float(t0), float(tf), float(params.baseline), float(params.alpha), float(params.w),
+        rng, cap_hint, MAX_HAWKES_EVENTS,
     )
     if times.shape[0] > MAX_HAWKES_EVENTS:
         raise ValueError(

@@ -393,8 +393,9 @@ def simulate(
     return SimulationTrajectory(
         own_posts=np.asarray(posts, dtype=np.float64),
         feeds=Feeds.cut(realized, t0, tf, initial_ranks),
-        rank_times=[np.asarray(ts, dtype=np.float64) for ts in rank_times],
-        rank_values=[np.asarray(vs, dtype=np.int64) for vs in rank_values],
+        times=np.array([t for ts in rank_times for t in ts], dtype=np.float64),
+        values=np.array([v for vs in rank_values for v in vs], dtype=np.int64),
+        bounds=np.cumsum([0] + [len(ts) for ts in rank_times], dtype=np.int64),
     )
 
 
@@ -658,7 +659,7 @@ def time_at_top(times: np.ndarray, values: np.ndarray, tf: float) -> float:
 
 def report_by_follower(trajectory, run: str, seed: int, policy: str) -> MetricsReport:
     """``report_from_trajectory`` one follower at a time: the sums in follower order."""
-    n = trajectory.n_followers
+    n = len(trajectory.feeds)
     if n == 0:
         raise ValueError("trajectory has no followers")
     pot = 0.0
@@ -680,7 +681,7 @@ def average_position(trajectory) -> float:
         raise ValueError("empty window has no average position")
     for ts, vs in zip(trajectory.rank_times, trajectory.rank_values):
         total += position_over_time(ts, vs, trajectory.feeds.tf)
-    return total / (trajectory.n_followers * horizon)
+    return total / (len(trajectory.feeds) * horizon)
 
 
 def quadratic_control_cost(trajectory, q: float) -> float:
@@ -720,6 +721,32 @@ def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments
     """
     knots = np.linspace(t0, tf, n_segments + 1)
     return [PiecewiseRate(knots, np.histogram(times, bins=knots)[0] / np.diff(knots)) for times in feeds]
+
+
+def segment_offline_posts_loop(rate: PiecewiseRate, budget: int, t0: float, tf: float) -> np.ndarray:
+    """``segment_offline_posts`` one post at a time.
+
+    Each budget unit goes to the first segment of the largest marginal
+    gain, recomputed for every segment; then each segment's posts are
+    appended one by one, post ``j`` at ``edges[k] + j * step``.
+    """
+    knots = rate.knots
+    edges = np.concatenate([[t0], knots[(knots > t0) & (knots < tf)], [tf]])
+    lengths = np.diff(edges)
+    seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
+    base = rate.rates[seg] * lengths * lengths / 2.0
+    alloc = np.zeros(lengths.shape[0], dtype=np.int64)
+    for _ in range(int(budget)):
+        alloc[np.argmax(base * (1.0 / (alloc + 1.0) - 1.0 / (alloc + 2.0)))] += 1
+    times = []
+    for k in range(lengths.shape[0]):
+        n = int(alloc[k])
+        if n == 0:
+            continue
+        step = lengths[k] / n
+        for j in range(n):
+            times.append(edges[k] + j * step)
+    return np.asarray(times, dtype=np.float64)
 
 
 def segment_cost_model(total_rates: np.ndarray, lengths: np.ndarray, alloc: np.ndarray) -> float:

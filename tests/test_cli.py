@@ -204,6 +204,29 @@ def test_an_unconverged_price_search_fails_before_writing(tmp_path, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+def test_without_standalone_mode_a_bad_config_and_a_missed_budget_raise_and_tune_q_returns_3(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+
+    def call(args):
+        return main.main(args=args, prog_name="whentopost", standalone_mode=False)
+
+    (tmp_path / "cfg.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match="must be an object keyed by command") as bad_config:
+        call(["--config", "cfg.json", "simulate", "--scenario", "one-follower-hawkes", "--out", "r.csv"])
+    assert isinstance(bad_config.value, ValueError)
+    with pytest.raises(cli.NotConverged, match="stays below target down to q_min") as missed:
+        call(["simulate", "--scenario", "multi-follower-sinusoid", "--budget", "3", "--seeds", "0",
+              "--followers", "2", "--horizon", "7200", "--peak-per-hour", "0", "--out", "r.csv"])
+    assert isinstance(missed.value, RuntimeError) and missed.value.exit_code == 3
+    assert call(["tune-q", "--scenario", "one-follower-hawkes", "--target", "100000", "--seeds", "0",
+                 "--feed-events", "30"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["converged"] is False and err == ""  # no JSON error line: the caller reports
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_replay_normalizes_true_posts_to_one(tmp_path):
     out = tmp_path / "replay.csv"
     summary = tmp_path / "summary.csv"

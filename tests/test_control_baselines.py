@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import segment_cost_model, segment_totals_by_rate_at
+from reference import segment_cost_model, segment_offline_posts_loop, segment_totals_by_rate_at
 
 from whentopost.control_baselines import (
     segment_offline_posts,
@@ -169,3 +169,19 @@ def test_offline_plan_reads_one_rate_lookup_per_segment():
         budget = int(rng.integers(0, 12))
         got = segment_offline_posts(rate, budget, lo, hi)
         assert got.tobytes() == segment_offline_posts(clipped, budget, lo, hi).tobytes()
+
+
+def test_offline_plan_places_posts_like_the_loop():
+    # budget 0, segments given no posts (zero rates, budgets below the
+    # segment count) and windows cut inside the knots, bit for bit
+    rng = np.random.default_rng(47)
+    for trial in range(400):
+        knots = np.cumsum(rng.uniform(0.1, 5.0, size=int(rng.integers(2, 12))))
+        rates = rng.uniform(0.0, 3.0, knots.shape[0] - 1)
+        rates[rng.random(rates.shape[0]) < 0.3] = 0.0
+        rate = PiecewiseRate(knots, rates)
+        lo, hi = np.sort(rng.uniform(knots[0], knots[-1], 2)) if trial % 2 else (knots[0], knots[-1])
+        budget = 0 if trial % 5 == 0 else int(rng.integers(1, 3 * knots.shape[0]))
+        got = segment_offline_posts(rate, budget, lo, hi)
+        want = segment_offline_posts_loop(rate, budget, lo, hi)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -307,31 +307,41 @@ def step_curve(high, low, edge=256.0):
 
 
 ANALYTIC_TUNES = {
-    # name: (target, curve, MAX_ITER or None for the default, converged, message part)
-    "first evaluation": (100.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
-    "after upward bracketing": (10.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
-    "within upward bracketing": (12.5, lambda q: 100.0 / math.sqrt(q), None, True, ""),
-    "after downward bracketing": (300.0, lambda q: 100.0 / math.sqrt(q), None, True, ""),
+    # name: (target, curve, MAX_ITER or None for the default, converged, message part,
+    #        the result's exact (q, iterations, mean_posts), pinned so a search that
+    #        moves a step fails here)
+    "first evaluation": (100.0, lambda q: 100.0 / math.sqrt(q), None, True, "", (1.0, 1, 100.0)),
+    "after upward bracketing": (10.0, lambda q: 100.0 / math.sqrt(q), None, True, "",
+                                (90.50966799187809, 7, 10.511205190671433)),
+    "within upward bracketing": (12.5, lambda q: 100.0 / math.sqrt(q), None, True, "", (64.0, 4, 12.5)),
+    "after downward bracketing": (300.0, lambda q: 100.0 / math.sqrt(q), None, True, "",
+                                  (0.125, 4, 282.84271247461896)),
+    # down to q = 4**-4, then two bisection steps between 4**-4 and 4**-3
+    "bisected after downward bracketing": (1000.0, lambda q: 100.0 / math.sqrt(q), None, True, "",
+                                           (0.011048543456039806, 7, 951.3656920021767)),
     # every count is capped to 1, and the reported c_lo is the exact 5
-    "unreachable at q_max": (0.001, lambda q: max(5.0, 100.0 / math.sqrt(q)), None, False, "q_max"),
-    "unreachable at q_min": (50.0, lambda q: min(5.0, 100.0 / (1.0 + math.sqrt(q))), None, False, "q_min"),
+    "unreachable at q_max": (0.001, lambda q: max(5.0, 100.0 / math.sqrt(q)), None, False, "q_max",
+                             (4.0**24, 25, 5.0)),
+    "unreachable at q_min": (50.0, lambda q: min(5.0, 100.0 / (1.0 + math.sqrt(q))), None, False, "q_min",
+                             (4.0**-19, 20, 5.0)),
     # never within tolerance: 13 (capped to 12) below the edge, 1 above it;
     # the closest is the first exact 13
-    "out of max_iter": (10.0, step_curve(13.0, 1.0), 30, False, "max_iter"),
+    "out of max_iter": (10.0, step_curve(13.0, 1.0), 30, False, "max_iter", (1.0, 30, 13.0)),
     # a capped 12 would win against every exact 100 and 1; the closest is 1
-    "out of max_iter, capped closer": (10.0, step_curve(100.0, 1.0), 30, False, "max_iter"),
+    "out of max_iter, capped closer": (10.0, step_curve(100.0, 1.0), 30, False, "max_iter", (1024.0, 30, 1.0)),
     # bracketing does not stop at MAX_ITER: the search returns right after it
-    "out of max_iter before bisecting": (10.0, step_curve(100.0, 1.0), 3, False, "max_iter"),
+    "out of max_iter before bisecting": (10.0, step_curve(100.0, 1.0), 3, False, "max_iter", (1024.0, 6, 1.0)),
 }
 
 
 @pytest.mark.parametrize("case", ANALYTIC_TUNES)
 def test_tune_q_with_lower_bounds_matches_exact_means_on_analytic_curves(case, monkeypatch):
-    target, curve, max_iter, converged, message = ANALYTIC_TUNES[case]
+    target, curve, max_iter, converged, message, pinned = ANALYTIC_TUNES[case]
     if max_iter is not None:
         monkeypatch.setattr(control_online, "MAX_ITER", max_iter)
     result, exact_calls = tune_with_and_without_bounds(target, curve, capped_curve(curve, target))
     assert result.converged is converged and message in result.message
+    assert (result.q, result.iterations, result.mean_posts) == pinned
     if case == "first evaluation":
         assert result.iterations == 1
     if case == "unreachable at q_max":  # every price decided by its bound, c_lo made exact

@@ -203,7 +203,7 @@ def test_simulate_multi_follower_rank_paths_match_history():
     ]
     posts = np.sort(rng.uniform(0, 50, size=5))
     traj = simulate(feeds, ScheduledController(posts), 0.0, 50.0)
-    assert traj.n_followers == 2
+    assert len(traj.feeds) == 2
     assert traj.post_count == 5
     for j in range(2):
         for k in range(len(traj.rank_times[j])):

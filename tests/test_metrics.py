@@ -16,7 +16,7 @@ from reference import (
     time_at_top,
 )
 
-from whentopost.feed_sim import Feeds, trajectory_from_posts
+from whentopost.feed_sim import Feeds, SimulationTrajectory, trajectory_from_posts
 from whentopost.metrics import (
     MetricsReport,
     aggregate,
@@ -241,13 +241,14 @@ def test_report_scores_list_built_trajectories_like_the_one_pass():
 def test_report_rejects_paths_it_cannot_score():
     feeds = Feeds.cut([[1.0]], 0.0, 4.0)
     traj = trajectory_from_posts(feeds, np.empty(0))
-    for times, values in (
-        ([np.array([0.0, 1.0])], [np.array([0])]),  # not parallel
-        ([np.empty(0)], [np.empty(0, np.int64)]),  # empty
-        ([np.array([0.0, 5.0])], [np.array([0, 1])]),  # past tf
+    for times, values, bounds in (
+        ([0.0, 1.0], [0], [0, 2]),  # not parallel
+        ([], [], [0, 0]),  # empty
+        ([0.0, 5.0], [0, 1], [0, 2]),  # past tf
+        ([0.0, 1.0], [0, 1], [0, 1, 2]),  # more paths than followers
     ):
-        bad = trajectory_from_posts(feeds, np.empty(0))
-        bad.rank_times, bad.rank_values = times, values
+        bad = SimulationTrajectory(traj.own_posts, feeds, np.array(times), np.array(values, np.int64),
+                                   np.array(bounds))
         with pytest.raises(ValueError):
             report_from_trajectory(bad, "r", 0, "p")
     assert report_from_trajectory(traj, "r", 0, "p").position_over_time == 3.0
