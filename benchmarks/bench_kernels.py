@@ -6,10 +6,10 @@ if the outputs ever diverge.  Run:
 
     python3 benchmarks/bench_kernels.py [--repeats 5]
 
-The compiled flavor is only present when numba is importable and
-WHENTOPOST_NUMBA is not 0/false/off.  The controller's fallback is a
-vectorized twin of its loop, so the script also times that loop run as
-plain Python against the fallback: that speed-up shows without numba.
+The compiled flavor is only present when numba is importable.  The
+controller's fallback is a vectorized twin of its loop, so the script
+also times that loop run as plain Python against the fallback: that
+speed-up shows without numba.
 
 An oracle section times the backward induction's fallback at 3k, 20k
 and 100k stages, at a low and a high price, and prints each call's
@@ -702,7 +702,7 @@ def write_json(path, repeats, timings, tune, rank_metrics, replay):
               help="Also write the I/O, tune, rank_metrics and replay sections' numbers and the run's environment here.")
 def main(repeats, json_path):
     if not NUMBA_ENABLED:
-        click.echo("compiled flavor disabled (numba missing or WHENTOPOST_NUMBA off); "
+        click.echo("compiled flavor absent (numba not importable); "
                    "timing the fallback only")
     click.echo(f"{'kernel':<22} {'fallback':>12} {'compiled':>12} {'speedup':>9}")
     for name, run in WORKLOADS.items():

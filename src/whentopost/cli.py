@@ -243,15 +243,8 @@ def tune_q_cmd(ctx, scenario, target, tol, seeds, **kw):
 def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
            max_followees, initial_rank, offline_segments, tune_tol, out, summary):
     """Replay a recorded window and compare policies against the true posts."""
-    seed_list = _parse_seeds(seeds)
-    man = data_io.load_manifest(manifest)
-    events = data_io.load_events(man.events_path)
-    network = data_io.load_network(man.network_path)
-    dataset = data_io.build_replay_dataset(
-        events, network, man.broadcaster, man.epoch, man.t0, man.tf, max_followees=max_followees
-    )
     cfg = scenarios.ReplayConfig(
-        seeds=seed_list,
+        seeds=_parse_seeds(seeds),
         policies=tuple(policies),
         q=q,
         target_posts=target_posts,
@@ -260,6 +253,12 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
         tune_tol=tune_tol,
         offline_segments=offline_segments,
         initial_rank=initial_rank,
+    )
+    man = data_io.load_manifest(manifest)
+    events = data_io.load_events(man.events_path)
+    network = data_io.load_network(man.network_path)
+    dataset = data_io.build_replay_dataset(
+        events, network, man.broadcaster, man.epoch, man.t0, man.tf, max_followees=max_followees
     )
     reports, details = scenarios.run_replay(cfg, dataset)
     _check_converged(f"replay:{dataset.broadcaster}", details)

@@ -1,30 +1,29 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, compiled with numba when it imports.
 
 Every kernel is written once as a scalar loop in nopython-compatible
-Python and compiled with ``numba.njit`` when numba is importable and
-the ``WHENTOPOST_NUMBA`` environment variable is not
-``0``/``false``/``off``.  Otherwise a fallback runs.  The feed
-sampler (a self-exciting feed with a constant baseline, by thinning)
-falls back to its loop run as plain Python.  The online
-controller and the backward induction keep separate fallbacks, since
-their loops are slow in plain Python: the controller's is a vectorized
-NumPy twin, and the induction's scans short stages in plain Python and
-long ones in NumPy slices.  Tests hold both to their loops.
+Python.  When numba imports, ``numba.njit`` compiles the loop and it
+runs; otherwise a fallback does.  The feed sampler (a self-exciting feed
+with a constant baseline, by thinning) falls back to its loop run as
+plain Python.  The online controller and the backward induction keep
+separate fallbacks, since their loops are slow in plain Python: the
+controller's is a vectorized NumPy twin, and the induction's scans short
+stages in plain Python and long ones in NumPy slices.  Tests hold both
+to their loops.
 
 Both flavors of a kernel return bitwise-identical results; the
 controller's consume ``numpy.random.Generator`` streams and draw the
-same values in the same order.  The flag therefore only changes speed,
-never output.  One difference remains: the vectorized controller draws
-its exponentials in bulk, a chunk of feed events at a time, so it can
-leave the generator further along than the loop does.  Its callers pass
-a fresh generator per run and never reuse it.  The benchmark in
-``benchmarks/bench_kernels.py`` times the flavors against each other.
+same values in the same order.  Whether numba imports therefore only
+changes speed, never output.  One difference remains: the vectorized
+controller draws its exponentials in bulk, a chunk of feed events at a
+time, so it can leave the generator further along than the loop does.
+Its callers pass a fresh generator per run and never reuse it.  The
+benchmark in ``benchmarks/bench_kernels.py`` times the flavors against
+each other.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from itertools import islice
 
 import numpy as np
@@ -37,28 +36,13 @@ __all__ = [
     "IMPLEMENTATIONS",
 ]
 
-_ENV_FLAG = "WHENTOPOST_NUMBA"
+try:
+    from numba import njit
+except ImportError:  # numba absent or broken: the fallbacks run
+    njit = None
 
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in ("0", "false", "off")
-
-
-NUMBA_ENABLED = False
-_njit = None
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba absent or broken: the NumPy fallback runs
-        _njit = None
-
-
-def _maybe_jit(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
+#: Whether the kernels bound below are the compiled flavors.
+NUMBA_ENABLED = njit is not None
 
 
 # ---------------------------------------------------------------------------
@@ -501,30 +485,20 @@ def _oracle_decisions_numpy(widths, r0, q):
     return np.frombuffer(decisions, np.int8)
 
 
-sample_hawkes_times = _maybe_jit(_sample_hawkes_loop)
-_clock_first_time = _maybe_jit(_clock_first_time)
-
 if NUMBA_ENABLED:
-    redqueen_posts = _njit(cache=True)(_redqueen_posts_loop)
-    oracle_decisions = _njit(cache=True)(_oracle_decisions_loop)
-else:
-    redqueen_posts = _redqueen_posts_numpy
-    oracle_decisions = _oracle_decisions_numpy
+    _clock_first_time = njit(cache=True)(_clock_first_time)
 
-#: Both flavors of every kernel, keyed by kernel name then flavor name.
-#: The fallback flavor is always callable; the "numba" flavor is None when
-#: numba is disabled.  Used by equivalence tests and the benchmark.
+#: Both flavors of every kernel, by kernel then flavor name, from one
+#: ``(name, loop, fallback)`` table; the "numba" flavor is None without
+#: numba.  Used by equivalence tests and the benchmark.
 IMPLEMENTATIONS = {
-    "sample_hawkes_times": {
-        "numba": sample_hawkes_times if NUMBA_ENABLED else None,
-        "fallback": _sample_hawkes_loop,
-    },
-    "redqueen_posts": {
-        "numba": redqueen_posts if NUMBA_ENABLED else None,
-        "fallback": _redqueen_posts_numpy,
-    },
-    "oracle_decisions": {
-        "numba": oracle_decisions if NUMBA_ENABLED else None,
-        "fallback": _oracle_decisions_numpy,
-    },
+    name: {"numba": njit(cache=True)(loop) if NUMBA_ENABLED else None, "fallback": fallback}
+    for name, loop, fallback in (
+        ("sample_hawkes_times", _sample_hawkes_loop, _sample_hawkes_loop),
+        ("redqueen_posts", _redqueen_posts_loop, _redqueen_posts_numpy),
+        ("oracle_decisions", _oracle_decisions_loop, _oracle_decisions_numpy),
+    )
 }
+sample_hawkes_times, redqueen_posts, oracle_decisions = (
+    impls["numba" if NUMBA_ENABLED else "fallback"] for impls in IMPLEMENTATIONS.values()
+)

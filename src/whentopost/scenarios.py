@@ -53,7 +53,7 @@ from .control_oracle import MAX_ORACLE_RANK, decisions_to_post_times, instance_f
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
-from .point_process import HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
+from .point_process import MAX_HAWKES_EVENTS, HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
 from .significance import StepSchedule, estimate_significance
 
 __all__ = [
@@ -94,6 +94,11 @@ class ScenarioError(ValueError):
 _POSITIVE = ("budget", "q", "target_posts", "lambda0", "w", "target_feed_events", "horizon")
 _NONNEGATIVE = ("alpha", "peak_per_hour", "tune_tol")
 _LEAST = {"offline_segments": 1, "initial_rank": 0}
+#: Largest sizes a user sets, checked with the domains before any sampling or allocation.
+MAX_OFFLINE_SEGMENTS = 100_000
+MAX_FOLLOWERS = 10_000  # of the sinusoid scenario
+MAX_HORIZON = 366 * 86_400.0  # the sinusoid scenario's window, seconds
+_MOST = {"offline_segments": MAX_OFFLINE_SEGMENTS, "followers": MAX_FOLLOWERS, "horizon": MAX_HORIZON}
 
 
 def _check_domain(cfg) -> None:
@@ -108,6 +113,8 @@ def _check_domain(cfg) -> None:
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if name in _LEAST and value < _LEAST[name]:
             raise ValueError(f"{name} must be at least {_LEAST[name]}, got {value!r}")
+        if name in _MOST and value > _MOST[name]:
+            raise ValueError(f"{name} must be at most {_MOST[name]!r}, got {value!r}")
 
 
 def _check_policies(policies, allowed, scenario: str):
@@ -394,6 +401,13 @@ class SinusoidScenarioConfig(_SyntheticConfig):
         super().__post_init__()
         if self.followers < 1:
             raise ScenarioError("need at least one follower")
+        # the feed events a seed holds if every follower stays at the peak rate
+        peak_events = self.followers * self.peak_per_hour * self.horizon / 3600.0
+        if peak_events > MAX_HAWKES_EVENTS:
+            raise ValueError(
+                f"followers x peak_per_hour x horizon / 3600 must be at most MAX_HAWKES_EVENTS = "
+                f"{MAX_HAWKES_EVENTS}, got {peak_events!r}"
+            )
 
     @property
     def _scenario(self) -> str:

@@ -33,38 +33,36 @@ __all__ = [
     "estimate_significance",
 ]
 
-GRANULARITIES = ("weekday", "weekday-hour")
-_SECONDS_PER_DAY = 86_400
-_SECONDS_PER_HOUR = 3_600
+#: Seconds per calendar bucket of each granularity; a week is 7 days of
+#: whole buckets, counted from Monday 00:00.
+_BUCKET_SECONDS = {"weekday": 86_400, "weekday-hour": 3_600}
+GRANULARITIES = tuple(_BUCKET_SECONDS)
 _EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; Monday is 0
+#: Largest absolute time (UNIX seconds, either sign) taken into a calendar
+#: bucket: up to it every whole second is a float64.
+MAX_ABS_SECONDS = 2.0**53
 #: How every profile is scaled: each follower's peak bucket is 1.
 NORMALIZATION = "max"
 
 
 def bucket_count(granularity: str) -> int:
-    if granularity == "weekday":
-        return 7
-    if granularity == "weekday-hour":
-        return 7 * 24
-    raise ValueError(f"unknown granularity {granularity!r}; choose from {GRANULARITIES}")
+    if granularity not in _BUCKET_SECONDS:
+        raise ValueError(f"unknown granularity {granularity!r}; choose from {GRANULARITIES}")
+    return 7 * 86_400 // _BUCKET_SECONDS[granularity]
 
 
 def bucket_index(abs_seconds, granularity: str):
     """Bucket of an absolute time (UNIX seconds); vectorized."""
-    abs_seconds = np.asarray(abs_seconds, dtype=np.float64)
-    days = np.floor_divide(abs_seconds, _SECONDS_PER_DAY).astype(np.int64)
-    weekday = (days + _EPOCH_WEEKDAY) % 7
-    if granularity == "weekday":
-        return weekday
-    if granularity == "weekday-hour":
-        hour = (np.floor_divide(abs_seconds, _SECONDS_PER_HOUR).astype(np.int64)) % 24
-        return weekday * 24 + hour
-    raise ValueError(f"unknown granularity {granularity!r}; choose from {GRANULARITIES}")
+    count = bucket_count(granularity)
+    w = _BUCKET_SECONDS[granularity]
+    buckets = np.floor_divide(np.asarray(abs_seconds, dtype=np.float64), w).astype(np.int64)
+    return (buckets + _EPOCH_WEEKDAY * (86_400 // w)) % count
 
 
-def _check_laplace(laplace: float) -> None:
-    if not (0 <= laplace < math.inf):
-        raise ValueError("laplace smoothing must be finite and nonnegative")
+def _check_calendar(epoch: float, *times: float) -> None:
+    """Reject an ``epoch`` that puts one of ``times`` (Python floats) past ``MAX_ABS_SECONDS``."""
+    if not all(abs(epoch + t) <= MAX_ABS_SECONDS for t in times):
+        raise ValueError(f"epoch {epoch!r} puts a time outside +-MAX_ABS_SECONDS = 2**53 UNIX seconds")
 
 
 def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
@@ -158,7 +156,8 @@ class SignificanceProfile:
         """
         if tf <= t0:
             raise ValueError("window must have positive length")
-        width = _SECONDS_PER_DAY if self.granularity == "weekday" else _SECONDS_PER_HOUR
+        _check_calendar(self.epoch, t0, tf)
+        width = _BUCKET_SECONDS[self.granularity]
         a0 = self.epoch + t0
         first = np.floor(a0 / width) * width + width
         edges_abs = np.arange(first, self.epoch + tf, width)
@@ -200,10 +199,13 @@ def estimate_significance(
     the same bits, as ``bucket_weights`` (``tests/reference.py``) on that
     follower's events alone.
     """
-    _check_laplace(laplace)
+    b = bucket_count(granularity)
+    if not (0 <= laplace and laplace * b < math.inf):
+        raise ValueError(f"laplace must be finite, nonnegative and times {b} buckets finite, got {laplace!r}")
     if not math.isfinite(epoch):
         raise ValueError(f"epoch must be finite, got {epoch!r}")
-    b = bucket_count(granularity)
+    if len(events):  # log times are sorted
+        _check_calendar(epoch, float(events.times[0]), float(events.times[-1]))
     ids = tuple(dict.fromkeys(follower_ids))
     row_of = dict(zip(ids, range(len(ids))))
     row_of_code = np.array([row_of.get(i, -1) for i in events.ids.tolist()], np.int64)

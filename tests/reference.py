@@ -36,13 +36,7 @@ from whentopost.point_process import (
     sample_hawkes,
     sample_piecewise_poisson,
 )
-from whentopost.significance import (
-    SignificanceProfile,
-    StepSchedule,
-    _check_laplace,
-    bucket_count,
-    bucket_index,
-)
+from whentopost.significance import SignificanceProfile, StepSchedule, bucket_count
 
 
 # The oracle: kernels.oracle_decisions and control_oracle.schedule_cost.
@@ -779,6 +773,21 @@ def _normalize_counts(counts: np.ndarray, laplace: float) -> np.ndarray:
     return counts
 
 
+def bucket_index(abs_seconds, granularity: str):
+    """Bucket of an absolute time (UNIX seconds), from its weekday and its hour.
+
+    1970-01-01, day 0, was a Thursday; Monday is weekday 0.  The package
+    takes both granularities from one formula on whole buckets since 1970.
+    """
+    abs_seconds = np.asarray(abs_seconds, dtype=np.float64)
+    weekday = (np.floor_divide(abs_seconds, 86_400).astype(np.int64) + 3) % 7
+    if granularity == "weekday":
+        return weekday
+    if granularity == "weekday-hour":
+        return weekday * 24 + np.floor_divide(abs_seconds, 3_600).astype(np.int64) % 24
+    raise ValueError(f"unknown granularity {granularity!r}")
+
+
 def bucket_weights(
     times: np.ndarray,
     epoch: float,
@@ -791,7 +800,8 @@ def bucket_weights(
     unvisited bucket is exactly 0 (useful for hard quiet periods); an
     entirely empty log yields a flat all-ones profile with a warning.
     """
-    _check_laplace(laplace)
+    if not 0 <= laplace < math.inf:
+        raise ValueError("laplace smoothing must be finite and nonnegative")
     b = bucket_count(granularity)
     times = np.asarray(times, dtype=np.float64)
     counts = np.bincount(bucket_index(epoch + times, granularity), minlength=b)

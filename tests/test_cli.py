@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import click
@@ -448,6 +449,37 @@ def test_non_finite_epoch_flag_fails(tmp_path, epoch):
     assert not (tmp_path / "profile.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--epoch", "1e300"], "epoch"), (["--epoch", "-1e300"], "epoch"),
+     (["--epoch", str(2.0**53 + 2**30)], "epoch"), (["--epoch", "0", "--laplace", "1e308"], "laplace")],
+)
+def test_out_of_range_calendar_input_fails_up_front(tmp_path, flags, named):
+    # no time past 2**53 s is bucketed, and no smoothing overflows its sum
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = run_failing([
+            "estimate-significance", "--events", str(FIXTURE / "events.jsonl"),
+            *flags, "--out", str(tmp_path / "profile.csv"),
+        ])
+    assert err["error"] == "ValueError" and err["message"].startswith(named), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "profile.csv").exists()
+
+
+def test_a_replay_manifest_epoch_out_of_calendar_range_fails(tmp_path):
+    for name in ("events.jsonl", "network.csv"):
+        shutil.copy(FIXTURE / name, tmp_path / name)
+    text = (FIXTURE / "manifest.txt").read_text(encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text(text.replace("epoch = 345600.0", "epoch = 1e300"), encoding="utf-8")
+    err = run_failing([
+        "replay", "--manifest", str(tmp_path / "manifest.txt"), "--seeds", "0",
+        "--significance", "weekday", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert err["error"] == "ValueError" and err["message"].startswith("epoch 1e+300 puts a time outside"), err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("target", ["nan", "inf"])
 def test_non_finite_target_posts_fails(tmp_path, target):
     err = run_failing([
@@ -560,6 +592,42 @@ def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):
     err = run_failing(args)
     assert err == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, field, cap, args",
+    [
+        (scenarios.HawkesScenarioConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, SIM_BUDGET),
+        (scenarios.ReplayConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, REPLAY),
+        (scenarios.SinusoidScenarioConfig, "followers", scenarios.MAX_FOLLOWERS, SIM_SINUSOID),
+        (scenarios.SinusoidScenarioConfig, "horizon", scenarios.MAX_HORIZON, SIM_SINUSOID),
+    ],
+    ids=["simulate-offline-segments", "replay-offline-segments", "simulate-followers", "simulate-horizon"],
+)
+def test_a_size_is_accepted_at_its_cap_and_refused_past_it(tmp_path, config, field, cap, args):
+    knob = {} if config is scenarios.ReplayConfig else {"q": 1.0}
+    assert getattr(config(seeds=(0,), **knob, **{field: cap}), field) == cap
+    flag = "--" + field.replace("_", "-")
+    for value in (cap + 1, 10**18):
+        out = tmp_path / "r.csv"
+        err = run_failing(with_flag(args, flag, str(value)) + ["--out", str(out)])
+        got = type(cap)(value)  # as click reads the flag
+        assert err == {"error": "ValueError", "message": f"{field} must be at most {cap!r}, got {got!r}"}
+        assert not out.exists()
+
+
+def test_the_sinusoid_feed_at_its_peak_rate_is_capped(tmp_path):
+    # 5000 followers x 100 events an hour x 10 hours is MAX_HAWKES_EVENTS exactly
+    limit = scenarios.MAX_HAWKES_EVENTS
+    assert 5000 * 100.0 * 36_000.0 / 3600 == limit
+    scenarios.SinusoidScenarioConfig(seeds=(0,), q=1.0, followers=5000, peak_per_hour=100.0, horizon=36_000.0)
+    err = run_failing(SIM_SINUSOID + [
+        "--followers", "5000", "--peak-per-hour", "100.5", "--horizon", "36000", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert err == {"error": "ValueError", "message": (
+        f"followers x peak_per_hour x horizon / 3600 must be at most MAX_HAWKES_EVENTS = {limit}, got 5025000.0"
+    )}
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Both kernel flavors must return bitwise-identical results."""
 
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from whentopost.point_process import HawkesParams, sample_hawkes
 from whentopost.scenarios import HawkesScenarioConfig, feed_rng
 
 needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba flavor disabled in this process"
+    not kernels.NUMBA_ENABLED, reason="numba not importable"
 )
 
 
@@ -90,33 +92,46 @@ def test_oracle_flavors_match_bitwise():
             assert got.tobytes() == results[0].tobytes()
 
 
-_SUBPROCESS_SCRIPT = """
-import numpy as np
-from whentopost import kernels
+#: A stand-in ``numba``: ``njit(**options)`` records each function it
+#: wraps and returns a plain-Python wrapper, so the binding that a real
+#: numba gets can be checked where numba is not installed.
+_STUB_NUMBA = """
+WRAPPED = {}
 
-print(int(kernels.NUMBA_ENABLED))
-out = kernels.sample_hawkes_times(0.0, 100.0, 8.0, 0.8, 5.0, np.random.default_rng(42), 64)
-print(out.tobytes().hex())
+
+def njit(**options):
+    def wrap(fn):
+        def compiled(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        WRAPPED[fn.__name__] = options, compiled
+        return compiled
+
+    return wrap
 """
 
+_STUB_PROBE = """
+import json
 
-def run_with_flag(flag_value):
-    env = dict(os.environ)
-    if flag_value is None:
-        env.pop("WHENTOPOST_NUMBA", None)
-    else:
-        env["WHENTOPOST_NUMBA"] = flag_value
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, (
-        f"flag={flag_value!r}: child exited {proc.returncode}\n{proc.stderr}"
-    )
-    enabled_line, hex_line = proc.stdout.split()
-    return int(enabled_line), hex_line
+import numba
+from whentopost import kernels
+
+loops = {
+    "sample_hawkes_times": "_sample_hawkes_loop",
+    "redqueen_posts": "_redqueen_posts_loop",
+    "oracle_decisions": "_oracle_decisions_loop",
+}
+print(json.dumps({
+    "enabled": kernels.NUMBA_ENABLED,
+    "wrapped": {name: options for name, (options, _) in numba.WRAPPED.items()},
+    "clock": kernels._clock_first_time is numba.WRAPPED["_clock_first_time"][1],
+    "bound": {
+        k: [kernels.IMPLEMENTATIONS[k]["numba"] is numba.WRAPPED[loop][1],
+            getattr(kernels, k) is numba.WRAPPED[loop][1]]
+        for k, loop in loops.items()
+    },
+}))
+"""
 
 
 def numba_importable():
@@ -133,16 +148,28 @@ def numba_importable():
     return True
 
 
-def test_env_flag_selects_flavor_and_output_is_flag_invariant():
-    # the compiled flavor runs iff the flag is on and numba imports
-    on = int(numba_importable())
-    expected = kernels.IMPLEMENTATIONS["sample_hawkes_times"]["fallback"](
-        0.0, 100.0, 8.0, 0.8, 5.0, np.random.default_rng(42), 64
-    ).tobytes().hex()
-    for flag, want_enabled in [("0", 0), ("off", 0), ("false", 0), ("1", on), (None, on)]:
-        enabled, got_hex = run_with_flag(flag)
-        assert enabled == want_enabled, f"flag={flag!r}"
-        assert got_hex == expected, f"flag={flag!r}"
+def test_the_compiled_flavor_is_bound_exactly_when_numba_imports(tmp_path):
+    assert kernels.NUMBA_ENABLED == numba_importable()
+    if not kernels.NUMBA_ENABLED:
+        for name, impls in kernels.IMPLEMENTATIONS.items():
+            assert impls["numba"] is None
+            assert getattr(kernels, name) is impls["fallback"]
+    # with an importable numba (here a stub ahead of the package) every
+    # loop is jitted with an on-disk cache and bound as its kernel
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text(_STUB_NUMBA, encoding="utf-8")
+    src = Path(kernels.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STUB_PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["enabled"] is True
+    loops = ["_clock_first_time", "_oracle_decisions_loop", "_redqueen_posts_loop", "_sample_hawkes_loop"]
+    assert got["wrapped"] == dict.fromkeys(loops, {"cache": True})
+    assert got["clock"] is True
+    assert got["bound"] == dict.fromkeys(kernels.IMPLEMENTATIONS, [True, True])
 
 
 def fuzz_redqueen_case(rng):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 from reference import bucket_weights, coded_log
 
 from whentopost import significance
@@ -43,6 +44,27 @@ def test_bucket_index_weekday_hour():
     assert bucket_index(MONDAY + DAY + 3600.0, "weekday-hour") == 25
     got = bucket_index(np.array([0.0, MONDAY]), "weekday")
     assert np.array_equal(got, [3, 0])
+
+
+def test_bucket_index_matches_the_weekday_and_hour_formulas():
+    # one formula on whole buckets since 1970 against weekday and hour apart
+    rng = np.random.default_rng(2026)
+    n = 50_000
+    hours = rng.integers(-2.7e11, 2.7e11, n) * 3600.0  # whole hours, |t| up to ~1e15
+    near = rng.integers(-1e6, 1e6, n) * 3600.0
+    times = np.concatenate([
+        rng.uniform(-2e9, 2e9, n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 15.0, n),
+        hours,
+        np.nextafter(hours, -np.inf),  # the float just before an hour
+        near - 1e-6,
+        np.nextafter(near, -np.inf),
+        [0.0, -0.0, 1e15, -1e15],
+    ])
+    for granularity in GRANULARITIES:
+        assert np.array_equal(
+            bucket_index(times, granularity), reference.bucket_index(times, granularity)
+        ), granularity
 
 
 def test_all_monday_log_concentrates():
@@ -145,6 +167,15 @@ def test_non_finite_smoothing_rejected():
             estimate_significance(log, ["a"], 0.0, laplace=laplace)
         with pytest.raises(ValueError):
             bucket_weights(np.array([0.0]), 0.0, "weekday", laplace=laplace)
+
+
+def test_a_schedule_past_the_calendar_range_is_refused():
+    profile = SignificanceProfile("weekday", 2.0**53, ["a"], np.ones((1, 7)))
+    assert profile.step_schedule(-DAY, 0.0).knots[-1] == 0.0  # a window ending on the edge
+    with pytest.raises(ValueError, match=r"^epoch 9007199254740992.0 puts a time outside"):
+        profile.step_schedule(0.0, 2.0)
+    with pytest.raises(ValueError, match="^epoch"):
+        estimate_significance(coded_log([-2.0, 1.0], ["a", "a"]), ["a"], -(2.0**53))
 
 
 def test_profile_validation():
