@@ -1,11 +1,12 @@
 """Canned experiment setups: synthetic feeds and log replays.
 
-Each runner takes a config dataclass, checks the requested policies
-against the ones its scenario allows and builds its feeds (sampled, or
-cut from a recorded log) into one competition, which ``_compete``
-settles: it returns per-run metric reports plus a details dict (tuned
-prices, realized budgets).  ``POLICIES`` maps each policy name to the
-function placing its posts for one seed.  A replay also brings its
+Each runner takes a config dataclass, which checked its fields and its
+policies when it was built, and builds its feeds (sampled, or cut from
+a recorded log) into one competition.  ``_compete`` settles it into one
+``(config, reports, details)`` per run, the details holding tuned prices
+and realized budgets: both synthetic runners return that list, a replay
+its one ``(reports, details)``.  ``POLICIES`` maps each policy name to
+the function placing its posts for one seed.  A replay also brings its
 significance schedule and recorded posts, which every replayed report is
 normalized against.
 
@@ -93,16 +94,19 @@ class ScenarioError(ValueError):
 #: Domains of the numeric config fields, whichever configs have them.
 _POSITIVE = ("budget", "q", "target_posts", "lambda0", "w", "target_feed_events", "horizon")
 _NONNEGATIVE = ("alpha", "peak_per_hour", "tune_tol")
-_LEAST = {"offline_segments": 1, "initial_rank": 0}
+_LEAST = {"offline_segments": 1, "initial_rank": 0, "followers": 1}
 #: Largest sizes a user sets, checked with the domains before any sampling or allocation.
 MAX_OFFLINE_SEGMENTS = 100_000
 MAX_FOLLOWERS = 10_000  # of the sinusoid scenario
 MAX_HORIZON = 366 * 86_400.0  # the sinusoid scenario's window, seconds
-_MOST = {"offline_segments": MAX_OFFLINE_SEGMENTS, "followers": MAX_FOLLOWERS, "horizon": MAX_HORIZON}
+_MOST = {"offline_segments": MAX_OFFLINE_SEGMENTS, "followers": MAX_FOLLOWERS, "horizon": MAX_HORIZON,
+         "target_feed_events": MAX_HAWKES_EVENTS}
 
 
 def _check_domain(cfg) -> None:
-    """Reject the first numeric field of ``cfg`` outside its domain, by name."""
+    """Reject an empty seed list, then the first numeric field of ``cfg`` outside its domain, by name."""
+    if not cfg.seeds:
+        raise ScenarioError("need at least one seed")
     for f in fields(cfg):
         name, value = f.name, getattr(cfg, f.name)
         if value is None:
@@ -117,12 +121,13 @@ def _check_domain(cfg) -> None:
             raise ValueError(f"{name} must be at most {_MOST[name]!r}, got {value!r}")
 
 
-def _check_policies(policies, allowed, scenario: str):
-    for p in policies:
+def _check_policies(cfg) -> None:
+    """Reject the first policy of ``cfg`` not in ``POLICIES``, or not among its scenario's."""
+    for p in cfg.policies:
         if p not in POLICIES:
             raise ScenarioError(f"unknown policy {p!r}; choose from {', '.join(POLICIES)}")
-        if p not in allowed:
-            raise ScenarioError(f"policy {p!r} is not available in the {scenario} scenario")
+        if p not in cfg.allowed_policies:
+            raise ScenarioError(f"policy {p!r} is not available in the {cfg.scenario} scenario")
 
 
 def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> PiecewiseRate:
@@ -228,15 +233,15 @@ def _tune(cfg, target: float, count, at_most=None):
     return tune_q(target, mean(count), tolerance=cfg.tune_tol, lower_bound_fn=bound)
 
 
-def _compete(comp: _Competition, runs, details: dict, ceiling: float = 0.0) -> list:
+def _compete(comp: _Competition, runs: list, details: dict) -> list:
     """Settle each run ``(cfg, label, target)`` on ``comp``, and report every policy on every seed.
 
     Returns one ``(cfg, reports, details)`` per run, each run's details
     being ``details`` plus its prices.  The controller runs with
     ``cfg.q``, or with the price tuned so its mean post count hits
     ``target``; synthetic scenarios always run it.  Each price search
-    caps its controller runs for a budget of at least ``ceiling`` (a
-    sweep's largest), so the searches of a sweep read the same runs back.
+    caps its controller runs for the largest target in ``runs``, so the
+    searches of a sweep read the same runs back.
     """
     n_recorded = 0 if comp.recorded is None else len(comp.recorded)
     settled = []
@@ -250,7 +255,8 @@ def _compete(comp: _Competition, runs, details: dict, ceiling: float = 0.0) -> l
                     raise ScenarioError("no recorded posts to match: pass q or target_posts explicitly")
                 # a seed that reaches ``cap`` posts puts the mean above the
                 # tolerance band of every budget tuned on this competition
-                band = len(cfg.seeds) * max(target, ceiling) * (1 + cfg.tune_tol)
+                ceiling = max(t for _, _, t in runs if t is not None)
+                band = len(cfg.seeds) * ceiling * (1 + cfg.tune_tol)
                 cap = math.floor(min(band, 2.0**62)) + 1
                 tuned = info["redqueen_tune"] = _tune(
                     cfg, target, lambda q, s: comp.redqueen(q, s).shape[0],
@@ -285,17 +291,10 @@ def _compete(comp: _Competition, runs, details: dict, ceiling: float = 0.0) -> l
     return settled
 
 
-def _sweep(cfg, comp: _Competition, details: dict, budgets):
-    """``_compete`` on ``cfg``: ``(reports, details)``, or with ``budgets`` one run per budget.
-
-    A sweep checks every budget's config before it runs any, and returns
-    one ``(config, reports, details)`` per budget, in order.
-    """
-    if budgets is None:
-        [(_, reports, details)] = _compete(comp, [(cfg, cfg.run_label, cfg.budget)], details)
-        return reports, details
-    configs = [dataclasses.replace(cfg, budget=b) for b in budgets]
-    return _compete(comp, [(c, c.run_label, c.budget) for c in configs], details, max(budgets))
+def _sweep(cfg, budgets) -> list:
+    """The runs ``_compete`` settles for ``cfg``, or for ``cfg`` at each of ``budgets``, every config checked."""
+    configs = [cfg] if budgets is None else [dataclasses.replace(cfg, budget=b) for b in budgets]
+    return [(c, c.run_label, c.budget) for c in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +303,18 @@ def _sweep(cfg, comp: _Competition, details: dict, budgets):
 
 
 class _SyntheticConfig:
-    """The ``budget``/``q``/``seeds`` checks and run label both synthetic configs share."""
+    """The ``budget``/``q``, domain and policy checks and run label both synthetic configs share."""
 
     def __post_init__(self):
         if (self.budget is None) == (self.q is None):
             raise ScenarioError("set exactly one of budget or q")
-        if not self.seeds:
-            raise ScenarioError("need at least one seed")
         _check_domain(self)
+        _check_policies(self)
 
     @property
     def run_label(self) -> str:
         knob = f"budget={_spell(self.budget)}" if self.budget is not None else f"q={_spell(self.q)}"
-        return f"{self._scenario}:{knob}"
+        return f"{self._label}:{knob}"
 
 
 def _spell(x: float) -> str:
@@ -349,7 +347,8 @@ class HawkesScenarioConfig(_SyntheticConfig):
     tune_tol: float = 0.1
     offline_segments: int = 10
 
-    _scenario = "one-follower-hawkes"
+    scenario = _label = "one-follower-hawkes"  # _label: what its run labels start with
+    allowed_policies = ("redqueen", "oracle", "uniform", "segment-offline")
 
     def __post_init__(self):
         super().__post_init__()
@@ -366,22 +365,15 @@ class HawkesScenarioConfig(_SyntheticConfig):
         return self.target_feed_events / params.stationary_rate()
 
 
-def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None):
-    """``(reports, details)`` of ``cfg``.
-
-    With ``budgets`` the run is a sweep over one set of feeds: one
-    ``(config, reports, details)`` per budget, each config being ``cfg``
-    with that budget.
-    """
-    _check_policies(
-        cfg.policies, ("redqueen", "oracle", "uniform", "segment-offline"), "one-follower-hawkes"
-    )
+def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None) -> list:
+    """One ``(config, reports, details)``, for ``cfg`` or for each of ``budgets`` on one set of feeds."""
+    runs = _sweep(cfg, budgets)  # a bad budget fails before any sampling
     params = HawkesParams(cfg.lambda0, cfg.alpha, cfg.w)
     t0, tf = 0.0, cfg.horizon
     streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)) for seed in cfg.seeds}
     feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
     rates = {seed: _empirical_segment_rate(f, cfg.offline_segments) for seed, f in feeds_by_seed.items()}
-    return _sweep(cfg, _Competition(feeds_by_seed, rates), _synthetic_details(feeds_by_seed), budgets)
+    return _compete(_Competition(feeds_by_seed, rates), runs, _synthetic_details(feeds_by_seed))
 
 
 @dataclass(frozen=True)
@@ -397,10 +389,11 @@ class SinusoidScenarioConfig(_SyntheticConfig):
     horizon: float = 86_400.0
     tune_tol: float = 0.1
 
+    scenario = "multi-follower-sinusoid"
+    allowed_policies = ("redqueen", "uniform", "segment-offline")
+
     def __post_init__(self):
         super().__post_init__()
-        if self.followers < 1:
-            raise ScenarioError("need at least one follower")
         # the feed events a seed holds if every follower stays at the peak rate
         peak_events = self.followers * self.peak_per_hour * self.horizon / 3600.0
         if peak_events > MAX_HAWKES_EVENTS:
@@ -410,8 +403,8 @@ class SinusoidScenarioConfig(_SyntheticConfig):
             )
 
     @property
-    def _scenario(self) -> str:
-        return f"multi-follower-sinusoid:followers={self.followers}"
+    def _label(self) -> str:
+        return f"{self.scenario}:followers={self.followers}"
 
 
 #: Segments of one day in the sinusoid scenario's piecewise rates: hours.
@@ -430,11 +423,9 @@ def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> PiecewiseRate:
     return PiecewiseRate(knots, rates)
 
 
-def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
-    """``(reports, details)`` of ``cfg``; a sweep over ``budgets`` as in ``run_one_follower_hawkes``."""
-    _check_policies(
-        cfg.policies, ("redqueen", "uniform", "segment-offline"), "multi-follower-sinusoid"
-    )
+def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None) -> list:
+    """As ``run_one_follower_hawkes``, on the sinusoid scenario's feeds."""
+    runs = _sweep(cfg, budgets)
     t0, tf = 0.0, cfg.horizon
     rate_by_seed = {}
     feeds_by_seed = {}
@@ -450,7 +441,7 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None):
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)
-    return _sweep(cfg, _Competition(feeds_by_seed, rate_by_seed), _synthetic_details(feeds_by_seed), budgets)
+    return _compete(_Competition(feeds_by_seed, rate_by_seed), runs, _synthetic_details(feeds_by_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +463,28 @@ class ReplayConfig:
     offline_segments: int = 10
     initial_rank: int = 0
 
+    scenario = "replay"
+    allowed_policies = tuple(POLICIES)  # the oracle on a one-follower dataset only
+
     def __post_init__(self):
-        if not self.seeds:
-            raise ScenarioError("need at least one seed")
         if self.q is not None and self.target_posts is not None:
             raise ScenarioError("set at most one of q and target_posts")
         _check_domain(self)
+        _check_policies(self)
+        if "oracle" in self.policies and self.initial_rank > MAX_ORACLE_RANK:
+            raise ValueError(
+                f"initial_rank must be at most MAX_ORACLE_RANK = {MAX_ORACLE_RANK} "
+                f"for the oracle policy, got {self.initial_rank!r}"
+            )
 
 
 def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
-    _check_policies(cfg.policies, POLICIES, "replay")
     n = len(dataset.follower_ids)
-    if "oracle" in cfg.policies:
-        if cfg.initial_rank > MAX_ORACLE_RANK:
-            raise ValueError(
-                f"initial_rank must be at most MAX_ORACLE_RANK = {MAX_ORACLE_RANK} "
-                f"for the oracle policy, got {cfg.initial_rank!r}"
-            )
-        if n != 1:
-            raise ScenarioError(
-                "the clairvoyant schedule solves a single follower; this replay has "
-                f"{n} followers - restrict the dataset or drop the oracle policy"
-            )
+    if "oracle" in cfg.policies and n != 1:
+        raise ScenarioError(
+            "the clairvoyant schedule solves a single follower; this replay has "
+            f"{n} followers - restrict the dataset or drop the oracle policy"
+        )
     # the one window every seed and policy reads, from the requested rank
     feeds = dataclasses.replace(dataset.feeds, initial_ranks=np.full(n, cfg.initial_rank, np.int64))
     details: dict = {"followers": n, "true_posts": len(dataset.true_posts)}

@@ -219,7 +219,7 @@ def test_07_online_policy_tracks_clairvoyant_schedule():
         cfg = HawkesScenarioConfig(
             seeds=tuple(range(10)), policies=("redqueen", "oracle"), budget=budget,
         )
-        reports, details = run_one_follower_hawkes(cfg)
+        [(_, reports, details)] = run_one_follower_hawkes(cfg)
         assert details["mean_feed_events"] > 900  # ~1000-event feeds
         assert budget < 0.30 * details["mean_feed_events"]
         by = {}
@@ -247,7 +247,7 @@ def test_08_per_follower_position_flat_in_follower_count():
             seeds=tuple(range(20)), followers=n, policies=("redqueen",),
             budget=30.0, horizon=2 * DAY, tune_tol=0.02,
         )
-        reports, details = run_multi_follower_sinusoid(cfg)
+        [(_, reports, details)] = run_multi_follower_sinusoid(cfg)
         assert details["redqueen_tune"].converged
         means.append(float(np.mean([r.position_over_time for r in reports])))
     means = np.asarray(means)

@@ -56,12 +56,14 @@ def test_simulate_reruns_byte_identical(tmp_path):
 
 
 def test_simulate_rejects_budget_with_q(tmp_path):
+    # the config's message: the command does not check the pair itself
     result = CliRunner().invoke(
         main, SMALL_SIM + ["--budget", "5", "--out", str(tmp_path / "r.csv")]
     )
     assert result.exit_code == 2
     err = json.loads(result.stderr)
-    assert "exactly one" in err["message"]
+    assert err == {"error": "ScenarioError", "message": "set exactly one of budget or q"}
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_simulate_repeated_budget_writes_one_row(tmp_path):
@@ -491,6 +493,31 @@ def test_non_finite_target_posts_fails(tmp_path, target):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--policy", "bogus"], {
+            "error": "ScenarioError",
+            "message": "unknown policy 'bogus'; choose from redqueen, oracle, uniform, segment-offline, true-posts",
+        }),
+        (["--policy", "oracle", "--initial-rank", "1000000000"], {
+            "error": "ValueError",
+            "message": "initial_rank must be at most MAX_ORACLE_RANK = 20000 for the oracle policy, got 1000000000",
+        }),
+    ],
+    ids=["unknown-policy", "oracle-initial-rank"],
+)
+def test_replay_refuses_its_config_before_it_reads_the_manifest(tmp_path, flags, error):
+    # the manifest names an events file that is not there: reading it would fail
+    shutil.copy(FIXTURE / "manifest.txt", tmp_path / "manifest.txt")
+    out = tmp_path / "r.csv"
+    err = run_failing([
+        "replay", "--manifest", str(tmp_path / "manifest.txt"), "--seeds", "0", *flags, "--out", str(out),
+    ])
+    assert err == error
+    assert not out.exists()
+
+
 def test_non_finite_manifest_window_fails_with_line_number(tmp_path):
     manifest = tmp_path / "manifest.txt"
     text = (FIXTURE / "manifest.txt").read_text(encoding="utf-8")
@@ -595,23 +622,27 @@ def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):
 
 
 @pytest.mark.parametrize(
-    "config, field, cap, args",
+    "config, field, cap, args, flag",
     [
-        (scenarios.HawkesScenarioConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, SIM_BUDGET),
-        (scenarios.ReplayConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, REPLAY),
-        (scenarios.SinusoidScenarioConfig, "followers", scenarios.MAX_FOLLOWERS, SIM_SINUSOID),
-        (scenarios.SinusoidScenarioConfig, "horizon", scenarios.MAX_HORIZON, SIM_SINUSOID),
+        (scenarios.HawkesScenarioConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, SIM_BUDGET,
+         "--offline-segments"),
+        (scenarios.ReplayConfig, "offline_segments", scenarios.MAX_OFFLINE_SEGMENTS, REPLAY, "--offline-segments"),
+        (scenarios.SinusoidScenarioConfig, "followers", scenarios.MAX_FOLLOWERS, SIM_SINUSOID, "--followers"),
+        (scenarios.SinusoidScenarioConfig, "horizon", scenarios.MAX_HORIZON, SIM_SINUSOID, "--horizon"),
+        (scenarios.HawkesScenarioConfig, "target_feed_events", scenarios.MAX_HAWKES_EVENTS, SIM_BUDGET,
+         "--feed-events"),
     ],
-    ids=["simulate-offline-segments", "replay-offline-segments", "simulate-followers", "simulate-horizon"],
+    ids=["simulate-offline-segments", "replay-offline-segments", "simulate-followers", "simulate-horizon",
+         "simulate-feed-events"],
 )
-def test_a_size_is_accepted_at_its_cap_and_refused_past_it(tmp_path, config, field, cap, args):
+def test_a_size_is_accepted_at_its_cap_and_refused_past_it(tmp_path, config, field, cap, args, flag):
     knob = {} if config is scenarios.ReplayConfig else {"q": 1.0}
     assert getattr(config(seeds=(0,), **knob, **{field: cap}), field) == cap
-    flag = "--" + field.replace("_", "-")
+    [option] = [p for p in main.commands[args[0]].params if flag in p.opts]
     for value in (cap + 1, 10**18):
         out = tmp_path / "r.csv"
         err = run_failing(with_flag(args, flag, str(value)) + ["--out", str(out)])
-        got = type(cap)(value)  # as click reads the flag
+        got = option.type(str(value))  # as click reads the flag
         assert err == {"error": "ValueError", "message": f"{field} must be at most {cap!r}, got {got!r}"}
         assert not out.exists()
 
@@ -708,7 +739,8 @@ NUMERIC_RUNS = {
                             "--offline-segments", "--max-followees"]),
     "estimate-significance": (PROFILE, ["--epoch", "--laplace"]),
 }
-EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+#: "huge" is an integer literal, so that int flags parse it too.
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1000000000000000000"]
 
 
 def with_flag(args, flag, value):

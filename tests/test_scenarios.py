@@ -54,15 +54,17 @@ def one_follower(tmp_path):
 
 
 def run_hawkes(policies):
-    return run_one_follower_hawkes(
+    [(_, reports, details)] = run_one_follower_hawkes(
         HawkesScenarioConfig(seeds=(0,), policies=policies, q=2.0, target_feed_events=40.0)
     )
+    return reports, details
 
 
 def run_sinusoid(policies):
-    return run_multi_follower_sinusoid(
+    [(_, reports, details)] = run_multi_follower_sinusoid(
         SinusoidScenarioConfig(seeds=(0,), policies=policies, q=1e9, followers=2, horizon=7200.0)
     )
+    return reports, details
 
 
 def run_fixture_replay(policies):
@@ -160,6 +162,7 @@ DOMAIN_ERRORS = [
     (SinusoidScenarioConfig, {"budget": 3.0, "tune_tol": math.inf}, "tune_tol must be finite and nonnegative"),
     (ReplayConfig, {"offline_segments": 0}, "offline_segments must be at least 1"),
     (ReplayConfig, {"q": math.nan}, "q must be positive and finite"),
+    (SinusoidScenarioConfig, {"q": 1.0, "followers": 0}, "followers must be at least 1, got 0"),
 ]
 
 
@@ -176,8 +179,6 @@ def test_config_combination_errors_keep_their_messages():
         SinusoidScenarioConfig(seeds=(0,))
     with pytest.raises(ScenarioError, match="need at least one seed"):
         HawkesScenarioConfig(seeds=(), q=1.0)
-    with pytest.raises(ScenarioError, match="need at least one follower"):
-        SinusoidScenarioConfig(seeds=(0,), q=1.0, followers=0)
     with pytest.raises(ScenarioError, match="set at most one of q and target_posts"):
         ReplayConfig(seeds=(0,), q=1.0, target_posts=3.0)
 
@@ -248,7 +249,7 @@ def test_a_library_sweep_matches_single_budget_runs():
     assert [c.budget for c, _, _ in runs] == [3.0, 6.0]
     for c, reports, details in runs:
         assert c == dataclasses.replace(cfg, budget=c.budget)
-        assert (reports, details) == run_one_follower_hawkes(c)
+        assert [(c, reports, details)] == run_one_follower_hawkes(c)
 
 
 def test_a_sweep_checks_every_budget_before_it_runs(monkeypatch):
@@ -259,6 +260,21 @@ def test_a_sweep_checks_every_budget_before_it_runs(monkeypatch):
     cfg = SinusoidScenarioConfig(seeds=(0,), budget=3.0, followers=2, horizon=7200.0)
     with pytest.raises(ValueError, match="budget must be positive and finite, got nan"):
         run_multi_follower_sinusoid(cfg, budgets=(3.0, math.nan))
+
+
+def test_a_sweep_checks_every_budget_before_it_samples(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a feed was sampled")
+
+    monkeypatch.setattr(scenarios, "sample_hawkes", no_sampling)
+    monkeypatch.setattr(scenarios, "sample_piecewise_poisson", no_sampling)
+    runs = [
+        (run_one_follower_hawkes, HawkesScenarioConfig(seeds=(0,), budget=3.0)),
+        (run_multi_follower_sinusoid, SinusoidScenarioConfig(seeds=(0,), budget=3.0)),
+    ]
+    for run, cfg in runs:
+        with pytest.raises(ValueError, match="budget must be positive and finite, got nan"):
+            run(cfg, budgets=(3.0, math.nan))
 
 
 def test_the_memo_is_read_only_and_per_competition():
