@@ -42,7 +42,7 @@ segments), each through ``trajectory_from_posts`` and
 dataset's ``Feeds``.  It times that scoring and segment-offline's
 planning (estimating the followers' summed rate included).  It fails
 unless the plan's bytes equal a plan from the per-follower histogram
-rates summed one ``rate_at`` at a time, the merged timeline's bytes equal
+rates summed one ``value_at`` at a time, the merged timeline's bytes equal
 ``merge_feeds`` of one times array per follower, and each report's bytes equal
 those of the reference loop ``simulate`` scored follower by follower
 (all four references in ``tests/reference.py``).
@@ -114,8 +114,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.metrics import report_from_trajectory
-from whentopost.point_process import PiecewiseRate
-from whentopost.significance import NORMALIZATION, estimate_significance
+from whentopost.significance import NORMALIZATION, StepSchedule, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -126,7 +125,7 @@ from reference import (  # noqa: E402  (the per-follower references the tests ch
     empirical_segment_rates_by_histogram,
     merge_feeds,
     report_by_follower,
-    segment_totals_by_rate_at,
+    segment_totals_by_value_at,
 )
 from reference import simulate as simulate_loop  # noqa: E402  (``simulate`` here runs the CLI command)
 
@@ -404,8 +403,8 @@ def bench_rank_metrics(repeats):
             return segment_offline_posts(rate, budget, t0, tf)
 
         knots = np.linspace(t0, tf, OFFLINE_SEGMENTS + 1)
-        summed = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
-        if plan().tobytes() != segment_offline_posts(PiecewiseRate(knots, summed), budget, t0, tf).tobytes():
+        summed = segment_totals_by_value_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
+        if plan().tobytes() != segment_offline_posts(StepSchedule(knots, [summed]), budget, t0, tf).tobytes():
             raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
         streams = list(feeds)  # one times array per follower
         merged = Feeds(feeds.times, feeds.bounds, t0, tf).merged  # a fresh object: the dataset's may be merged already

@@ -24,7 +24,6 @@ import sys
 import click
 
 from . import data_io, scenarios
-from .metrics import aggregate
 from .significance import GRANULARITIES, estimate_significance
 
 __all__ = ["main", "ConfigError", "NotConverged"]
@@ -258,27 +257,8 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
     _check_converged(f"replay:{dataset.broadcaster}", details)
     data_io.write_report_csv(reports, out)
     if summary:
-        _write_summary(reports, summary)
+        data_io.write_summary_csv(reports, summary)
     click.echo(_json({"written": out, "rows": len(reports), "details": details}))
-
-
-def _write_summary(reports, path):
-    import csv as _csv
-
-    by_policy: dict = {}
-    for r in reports:
-        by_policy.setdefault((r.run, r.policy), []).append(r)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "policy", "metric", "n", "mean", "stderr", "median", "q25", "q75"])
-        for (run, policy) in sorted(by_policy):
-            rows = by_policy[(run, policy)]
-            for metric in ("position_over_time", "time_at_top"):
-                stats = aggregate(getattr(r, metric) for r in rows)
-                writer.writerow(
-                    [run, policy, metric, stats["n"], repr(stats["mean"]), repr(stats["stderr"]),
-                     repr(stats["median"]), repr(stats["q25"]), repr(stats["q75"])]
-                )
 
 
 @main.command(name="estimate-significance")

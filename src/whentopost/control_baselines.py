@@ -15,7 +15,7 @@ import heapq
 
 import numpy as np
 
-from .point_process import PiecewiseRate
+from .significance import StepSchedule
 
 __all__ = [
     "uniform_poisson_posts",
@@ -45,14 +45,15 @@ def true_posts_playback(recorded: np.ndarray) -> np.ndarray:
 
 
 def segment_offline_posts(
-    rate: PiecewiseRate,
+    rate: StepSchedule,
     budget: int,
     t0: float,
     tf: float,
 ) -> np.ndarray:
     """Greedy budget split across segments, posts evenly spaced within each.
 
-    ``rate`` is the followers' summed feed rate, covering the window.
+    ``rate`` is the followers' summed feed rate, a one-row table covering
+    the window.
     Each budget unit goes to the segment whose modeled cost drops the
     most (ties: earliest segment); a segment of length L and total feed
     rate R modeled with n evenly spaced posts costs R * L^2 / (2 * (n + 1))
@@ -62,6 +63,8 @@ def segment_offline_posts(
     """
     if budget < 0:
         raise ValueError("budget cannot be negative")
+    if rate.values.shape[0] != 1:
+        raise ValueError(f"the summed feed rate is a one-row table, got {rate.values.shape[0]} rows")
     if not rate.covers(t0, tf):
         raise ValueError("rate does not cover the posting window")
     # clip the grid to the window; each segment reads the rate it starts in
@@ -70,7 +73,7 @@ def segment_offline_posts(
     edges = np.concatenate([[t0], inner, [tf]])
     lengths = np.diff(edges)
     seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
-    total = rate.rates[seg]
+    total = rate.values[0, seg]
     nseg = lengths.shape[0]
     alloc = np.zeros(nseg, dtype=np.int64)
     # max-heap on marginal gain; index breaks ties toward earlier segments

@@ -58,14 +58,10 @@ class RedQueenParams:
         """Knots and per-follower clock rates ``sqrt(s_i / q)`` between them."""
         sched = self.significance
         if sched is None:
-            knots = np.array([t0, tf], dtype=np.float64)
-            values = np.ones((n_followers, 1))
-        else:
-            if sched.n_followers != n_followers:
-                raise ValueError("significance schedule covers the wrong follower count")
-            knots = sched.knots
-            values = sched.values
-        return knots, np.sqrt(values / self.q)
+            sched = StepSchedule(np.array([t0, tf]), np.ones((n_followers, 1)))
+        if sched.values.shape[0] != n_followers:
+            raise ValueError("significance schedule covers the wrong follower count")
+        return sched.knots, np.sqrt(sched.values / self.q)
 
 
 def run_redqueen_fast(

@@ -1,4 +1,4 @@
-"""File formats: event logs, follower graphs, manifests, reports, profiles.
+"""File formats: event logs, follower graphs, manifests, reports, summaries, profiles.
 
 * Events: JSON lines, one object per event: ``{"t": <seconds>, "src": "<id>"}``.
   Times are seconds relative to the manifest's epoch.  The log is read
@@ -31,6 +31,10 @@
   that is not UTF-8 fails with its ``file:line`` and column.
 * Reports: CSV with the fixed header
   ``run,seed,policy,posts,position_over_time,time_at_top,normalized_position,normalized_time_at_top``.
+* Summaries: CSV with the fixed header
+  ``run,policy,metric,n,mean,stderr,median,q25,q75``, one row per run,
+  policy and metric (``position_over_time``, then ``time_at_top``),
+  sorted by (run, policy): each metric's ``aggregate`` over the seeds.
 * Profiles: CSV of ``follower_id,bucket_index,value`` rows, preceded by
   ``#``-comment metadata lines (granularity, epoch, normalization).  The
   rows of 64 followers are built as one string: each id is quoted once
@@ -74,6 +78,7 @@ __all__ = [
     "build_replay_dataset",
     "REPORT_HEADER",
     "write_report_csv",
+    "write_summary_csv",
     "write_profile_csv",
 ]
 
@@ -666,6 +671,29 @@ def write_report_csv(reports, path_or_buffer) -> None:
     finally:
         if own:
             fh.close()
+
+
+#: The ``aggregate`` statistics a summary row spells as floats, after its count.
+_SUMMARY_STATS = ("mean", "stderr", "median", "q25", "q75")
+
+
+def write_summary_csv(reports, path) -> None:
+    """Write each (run, policy)'s ``aggregate`` of both metrics over its seeds; reruns are byte-identical."""
+    # imported here, not with the module: importing metrics while data_io
+    # loads put 2-4 ms (10 of 10 pairs) on every estimate-significance
+    # command of the benchmark's profile-log workload, which never summarizes
+    from .metrics import aggregate
+
+    by_policy: dict = {}
+    for r in reports:
+        by_policy.setdefault((r.run, r.policy), []).append(r)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "policy", "metric", "n", *_SUMMARY_STATS])
+        for run, policy in sorted(by_policy):
+            for metric in ("position_over_time", "time_at_top"):
+                stats = aggregate(getattr(r, metric) for r in by_policy[run, policy])
+                writer.writerow([run, policy, metric, stats["n"], *(_fmt(stats[k]) for k in _SUMMARY_STATS)])
 
 
 # ---------------------------------------------------------------------------

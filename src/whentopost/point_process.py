@@ -13,8 +13,8 @@ the constant baseline ``lam0`` at speed ``w``:
 
     lam(t) = lam0 + (lam(s) - lam0) * exp(-w * (t - s))
 
-A :class:`PiecewiseRate` drives the inhomogeneous Poisson feeds of
-``sample_piecewise_poisson``.
+A one-row :class:`~whentopost.significance.StepSchedule` drives the
+inhomogeneous Poisson feeds of ``sample_piecewise_poisson``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import sample_hawkes_times
+from .significance import StepSchedule
 
 __all__ = [
-    "PiecewiseRate",
     "HawkesParams",
     "sample_hawkes",
     "sample_piecewise_poisson",
@@ -61,36 +61,6 @@ def _dedupe_increasing(times: np.ndarray) -> tuple[np.ndarray, int]:
             i += 1
         end = i
     return times, nudged
-
-
-@dataclass(frozen=True)
-class PiecewiseRate:
-    """A nonnegative piecewise-constant rate: ``rates[k]`` on ``[knots[k], knots[k+1])``."""
-
-    knots: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        rates = np.asarray(self.rates, dtype=np.float64)
-        if knots.ndim != 1 or rates.ndim != 1:
-            raise ValueError("knots and rates must be 1-d arrays")
-        if knots.shape[0] != rates.shape[0] + 1:
-            raise ValueError("need exactly one more knot than rate segments")
-        if knots.shape[0] < 2 or not np.all(np.diff(knots) > 0):
-            raise ValueError("knots must be strictly increasing")
-        if np.any(rates < 0):
-            raise ValueError("rates must be nonnegative")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-    def covers(self, t0: float, tf: float) -> bool:
-        lo, hi = self.domain
-        return lo <= t0 and tf <= hi
 
 
 @dataclass(frozen=True)
@@ -152,28 +122,31 @@ def sample_hawkes(
 
 
 def sample_piecewise_poisson(
-    rate: PiecewiseRate,
+    rate: StepSchedule,
     t0: float,
     tf: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw an inhomogeneous Poisson stream on (t0, tf]: its strictly increasing times.
 
-    Per segment: a Poisson count, then that many uniform positions,
-    sorted.  Segments are visited in order, so the draw sequence (and
-    hence the stream) is a pure function of the generator state.
+    ``rate`` is a one-row table.  Per segment: a Poisson count, then that
+    many uniform positions, sorted.  Segments are visited in order, so the
+    draw sequence (and hence the stream) is a pure function of the
+    generator state.
     """
+    if rate.values.shape[0] != 1:
+        raise ValueError(f"a feed rate is a one-row table, got {rate.values.shape[0]} rows")
     if not rate.covers(t0, tf):
         raise ValueError("sampling window falls outside the rate's knots")
     if tf < t0:
         raise ValueError("tf must not precede t0")
     pieces = []
-    for k in range(rate.rates.shape[0]):
+    for k in range(rate.values.shape[1]):
         a = max(float(rate.knots[k]), t0)
         b = min(float(rate.knots[k + 1]), tf)
         if b <= a:
             continue
-        lam = float(rate.rates[k])
+        lam = float(rate.values[0, k])
         count = int(rng.poisson(lam * (b - a)))
         if count:
             pieces.append(np.sort(a + rng.random(count) * (b - a)))

@@ -25,19 +25,21 @@ runs no controller; its budget is the recorded post count.
 
 A competition holds only what is fixed for one command: per seed, the
 :class:`~whentopost.feed_sim.Feeds` (window and initial ranks included)
-and the rate the offline planner is told; a replay's significance
-schedule and recorded posts; and a memo.  ``_compete`` settles a list of
-runs on it (a single run, every budget of a sweep, a replay), each run
-keeping its realized budget and prices to itself.  A replay's one
-``Feeds`` serves every seed, so it is merged, and its segment rate
-built, once.  The memo keeps the controller's posts and the clairvoyant
-schedule per ``(policy, q, seed)`` for the price searches, the run at
-the settled price and every later budget.  That changes no output: each
-controller run draws from a fresh ``policy_rng(seed)`` and the backward
-induction is deterministic.  A price search runs the controller capped a
-little above the largest budget of its sweep: a run that reaches the cap
-shows the price too cheap without its exact count, and one that ends
-short of it is the whole run, kept for every later reader.
+and, where ``segment-offline`` is requested, the rate the offline planner
+is told; a replay's significance schedule and recorded posts; and a
+memo.  ``_compete`` settles a list of runs on it (a single run, every
+budget of a sweep, a replay), each run keeping its realized budget and
+prices to itself.  A replay's one ``Feeds`` serves every seed, so it is
+merged, and its segment rate built, once.  The memo keeps the
+controller's posts per ``(q, seed)`` and the clairvoyant schedule per
+``(q, Feeds)`` for the price searches, the run at the settled price and
+every later budget; a replay's seeds, sharing one ``Feeds``, share its
+schedules.  That changes no output: each controller run draws from a
+fresh ``policy_rng(seed)`` and the backward induction is deterministic.
+A price search runs the controller capped a little above the largest
+budget of its sweep: a run that reaches the cap shows the price too
+cheap without its exact count, and one that ends short of it is the
+whole run, kept for every later reader.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .control_oracle import MAX_ORACLE_RANK, decisions_to_post_times, instance_f
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
-from .point_process import MAX_HAWKES_EVENTS, HawkesParams, PiecewiseRate, sample_hawkes, sample_piecewise_poisson
+from .point_process import MAX_HAWKES_EVENTS, HawkesParams, sample_hawkes, sample_piecewise_poisson
 from .significance import StepSchedule, estimate_significance
 
 __all__ = [
@@ -130,8 +132,8 @@ def _check_policies(cfg) -> None:
             raise ScenarioError(f"policy {p!r} is not available in the {cfg.scenario} scenario")
 
 
-def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> PiecewiseRate:
-    """The feeds' summed event rate on ``n_segments`` equal segments of their window.
+def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> StepSchedule:
+    """The feeds' summed event rate on ``n_segments`` equal segments of their window, one row.
 
     Each feed's rate on a segment is its event count there over the
     segment's length, with the counts ``np.histogram(times, bins=knots)``
@@ -146,7 +148,7 @@ def _empirical_segment_rate(feeds: Feeds, n_segments: int) -> PiecewiseRate:
     cell, count = np.unique(feeds.follower * n_segments + segment, return_counts=True)
     segment = cell % n_segments
     rates = count / np.diff(knots)[segment]
-    return PiecewiseRate(knots, np.bincount(segment, weights=rates, minlength=n_segments))
+    return StepSchedule(knots, np.bincount(segment, weights=rates, minlength=n_segments)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +162,10 @@ class _Competition:
 
     ``feeds[seed]`` holds the followers' :class:`Feeds`, their window and
     initial ranks; ``offline_rate[seed]`` the followers' summed rate the
-    segment-offline planner is told.  ``redqueen(q, seed)`` and
-    ``oracle(q, seed)`` compute each ``(policy, q, seed)`` once and keep
-    it in ``memo``.
+    segment-offline planner is told, ``None`` where no policy reads it.
+    ``redqueen(q, seed)`` computes each ``(q, seed)`` once and
+    ``oracle(q, seed)`` each ``(q, feeds[seed])``, and both keep it in
+    ``memo``.
     """
 
     feeds: dict
@@ -192,8 +195,10 @@ class _Competition:
         """The clairvoyant decisions at price ``q`` on ``seed``'s (single) feed.
 
         It starts from the follower's initial rank, as the controller does.
+        The induction draws nothing, so it is kept per ``Feeds``: seeds
+        sharing one (a replay's) solve it once.
         """
-        key = ("oracle", q, seed)
+        key = ("oracle", q, self.feeds[seed])
         if key not in self.memo:
             decisions = self.memo[key] = oracle_schedule(instance_from_feed(self.feeds[seed], q))
             decisions.flags.writeable = False  # shared by every reader of the memo
@@ -372,7 +377,9 @@ def run_one_follower_hawkes(cfg: HawkesScenarioConfig, budgets=None) -> list:
     t0, tf = 0.0, cfg.horizon
     streams = {seed: sample_hawkes(params, t0, tf, feed_rng(seed, 0)) for seed in cfg.seeds}
     feeds_by_seed = {seed: Feeds.cut([times], t0, tf) for seed, times in streams.items()}
-    rates = {seed: _empirical_segment_rate(f, cfg.offline_segments) for seed, f in feeds_by_seed.items()}
+    wanted = "segment-offline" in cfg.policies
+    rates = {seed: _empirical_segment_rate(f, cfg.offline_segments) if wanted else None
+             for seed, f in feeds_by_seed.items()}
     return _compete(_Competition(feeds_by_seed, rates), runs, _synthetic_details(feeds_by_seed))
 
 
@@ -411,16 +418,15 @@ class SinusoidScenarioConfig(_SyntheticConfig):
 _SEGMENTS_PER_DAY = 24
 
 
-def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> PiecewiseRate:
-    """Hourly piecewise rate tracing one day's half sinusoid from ``phase``."""
+def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> StepSchedule:
+    """Hourly piecewise rate, one row, tracing one day's half sinusoid from ``phase``."""
     seg_len = 86_400.0 / _SEGMENTS_PER_DAY
     n_total = int(math.ceil(cfg.horizon / seg_len))
     knots = np.arange(n_total + 1) * seg_len
     knots[-1] = max(knots[-1], cfg.horizon)
     peak = cfg.peak_per_hour / 3600.0
     segs = (np.arange(n_total) + phase) % _SEGMENTS_PER_DAY
-    rates = peak * np.sin(math.pi * segs / _SEGMENTS_PER_DAY)
-    return PiecewiseRate(knots, rates)
+    return StepSchedule(knots, peak * np.sin(math.pi * segs / _SEGMENTS_PER_DAY)[None])
 
 
 def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None) -> list:
@@ -436,10 +442,10 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None) -> li
             rng = feed_rng(seed, j)
             phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
-            total = total + rate.rates  # follower by follower, as _empirical_segment_rate adds
+            total = total + rate.values  # follower by follower, as _empirical_segment_rate adds
             feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
         # the offline planner is told the followers' true summed rate here
-        rate_by_seed[seed] = PiecewiseRate(rate.knots, total)
+        rate_by_seed[seed] = StepSchedule(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)
     return _compete(_Competition(feeds_by_seed, rate_by_seed), runs, _synthetic_details(feeds_by_seed))
 

@@ -9,7 +9,9 @@ mistakes the values for calibrated probabilities.  A
 :class:`SignificanceProfile` is one table, the followers' ids and a
 followers x buckets array of weights, from the estimate to the profile
 CSV; it unrolls into a :class:`StepSchedule`, the same rows of weights
-over a window, which the controller reads.
+over a window, which the controller reads.  A ``StepSchedule`` is the
+package's one step table: a feed rate, and the summed rate the offline
+planner is told, are one-row schedules.
 
 Event times are seconds relative to an epoch (itself UNIX seconds), so
 calendar arithmetic is plain integer math on days-since-1970, which was
@@ -89,10 +91,13 @@ def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StepSchedule:
-    """Per-follower piecewise-constant weights on a shared time grid.
+    """Rows of nonnegative piecewise-constant values on a shared time grid.
 
-    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.  Schedules
-    compare by identity: a generated ``__eq__`` over arrays raises.
+    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.  The
+    controller's attention weights hold a row per follower; a feed rate,
+    and the summed rate the offline planner is told, are one-row tables.
+    Schedules compare by identity: a generated ``__eq__`` over arrays
+    raises.
     """
 
     knots: np.ndarray
@@ -101,20 +106,17 @@ class StepSchedule:
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        if knots.ndim != 1 or values.ndim != 2:
-            raise ValueError("knots must be 1-d and values 2-d")
-        if knots.shape[0] != values.shape[1] + 1:
-            raise ValueError("need one more knot than value columns")
-        if not np.all(np.diff(knots) > 0):
-            raise ValueError("knots must be strictly increasing")
-        if np.any(values < 0):
-            raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
+        if knots.ndim != 1 or values.ndim != 2 or knots.shape[0] != values.shape[1] + 1:
+            raise ValueError("need 1-d knots and a 2-d values table with one more knot than columns")
+        # written so that NaN fails both checks
+        if knots.shape[0] < 2 or not np.all(np.diff(knots) > 0):
+            raise ValueError("need at least two strictly increasing knots")
+        if not np.all(values >= 0):
+            raise ValueError("values must be nonnegative")
+        self.__dict__.update(knots=knots, values=values)
 
-    @property
-    def n_followers(self) -> int:
-        return int(self.values.shape[0])
+    def covers(self, t0: float, tf: float) -> bool:
+        return bool(self.knots[0] <= t0 and tf <= self.knots[-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,9 @@ per-follower streams into one timeline, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles and
 metrics), or reads back a file a command writes.  A few constructors and
 lookups that only tests need (an event log coded from a list of string
-sources, a constant rate or schedule, a rate's or schedule's value at a
-time) live here too, so every setting and method in the package is one a
-command uses.
+sources, a constant step table, a step table's value at a time) live
+here too, so every setting and method in the package is one a command
+uses.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from whentopost.data_io import REPORT_HEADER, DataFormatError, EventLog
 from whentopost.feed_sim import Feeds, SimulationTrajectory
 from whentopost.kernels import _clock_first_time
 from whentopost.metrics import MetricsReport
-from whentopost.point_process import (
-    HawkesParams,
-    PiecewiseRate,
-    _dedupe_increasing,
-    sample_hawkes,
-    sample_piecewise_poisson,
-)
+from whentopost.point_process import HawkesParams, _dedupe_increasing, sample_hawkes, sample_piecewise_poisson
 from whentopost.significance import SignificanceProfile, StepSchedule, bucket_count
 
 
@@ -308,7 +302,7 @@ def _materialize_feed(feed, t0: float, tf: float, rng: np.random.Generator) -> n
         return feed[(feed > t0) & (feed <= tf)]
     if isinstance(feed, HawkesParams):
         return sample_hawkes(feed, t0, tf, rng)
-    if isinstance(feed, PiecewiseRate):
+    if isinstance(feed, StepSchedule):
         return sample_piecewise_poisson(feed, t0, tf, rng)
     raise TypeError(f"cannot build a feed from {type(feed).__name__}")
 
@@ -324,7 +318,7 @@ def simulate(
     """Run one window: merged feed events versus the controller's candidate.
 
     ``feeds`` is one entry per follower: recorded times (an array),
-    or a generative model (:class:`HawkesParams` / :class:`PiecewiseRate`)
+    or a generative model (:class:`HawkesParams`, or a one-row :class:`StepSchedule` of rates)
     sampled here with that follower's generator from ``feed_rngs``.  The
     controller is driven through its protocol: ``start``, ``observe_feed``,
     ``observe_own_post``, and the ``candidate`` property.  Feed streams
@@ -402,7 +396,7 @@ def optimal_intensity(ranks, params: RedQueenParams, t: float = 0.0) -> float:
     if params.significance is None:
         s = np.ones(ranks.shape[0])
     else:
-        s = np.array([value_at(params.significance, i, t) for i in range(ranks.shape[0])])
+        s = np.array([value_at(params.significance, t, i) for i in range(ranks.shape[0])])
     return float(np.sum(np.sqrt(s / params.q) * ranks))
 
 
@@ -518,7 +512,7 @@ def next_post_time(
     return ctl._decision(decided_at=tf)
 
 
-# Constructors and lookups that only tests use: logs, rates, schedules, networks.
+# Constructors and lookups that only tests use: logs, step tables, networks.
 
 
 def coded_log(times, sources) -> EventLog:
@@ -536,26 +530,18 @@ def log_sources(log: EventLog) -> list:
     return log.ids[log.codes].tolist()
 
 
-def constant_rate(rate: float, t0: float, tf: float) -> PiecewiseRate:
-    return PiecewiseRate(np.array([t0, tf]), np.array([float(rate)]))
+def constant_schedule(value: float, t0: float, tf: float, rows: int = 1) -> StepSchedule:
+    """``value`` on ``[t0, tf]`` in each of ``rows`` rows: a constant feed rate, or constant weights."""
+    return StepSchedule(np.array([t0, tf]), np.full((rows, 1), float(value)))
 
 
-def rate_at(rate: PiecewiseRate, t: float) -> float:
-    lo, hi = rate.domain
+def value_at(schedule: StepSchedule, t: float, row: int = 0) -> float:
+    """Row ``row``'s value at ``t``; the last segment includes the last knot, and other times outside fail."""
+    lo, hi = schedule.knots[0], schedule.knots[-1]
     if t < lo or t > hi:
-        raise ValueError(f"time {t} outside rate domain [{lo}, {hi}]")
-    k = int(np.searchsorted(rate.knots, t, side="right")) - 1  # >= 0, as t >= lo
-    return float(rate.rates[min(k, rate.rates.shape[0] - 1)])
-
-
-def constant_schedule(value: float, n_followers: int, t0: float, tf: float) -> StepSchedule:
-    return StepSchedule(np.array([t0, tf]), np.full((n_followers, 1), float(value)))
-
-
-def value_at(schedule: StepSchedule, i: int, t: float) -> float:
-    k = int(np.searchsorted(schedule.knots, t, side="right")) - 1
-    k = min(max(k, 0), schedule.values.shape[1] - 1)
-    return float(schedule.values[i, k])
+        raise ValueError(f"time {t} outside the knots [{lo}, {hi}]")
+    k = int(np.searchsorted(schedule.knots, t, side="right")) - 1  # >= 0, as t >= lo
+    return float(schedule.values[row, min(k, schedule.values.shape[1] - 1)])
 
 
 def followees(network, follower: str) -> list:
@@ -694,8 +680,8 @@ def quadratic_control_cost(trajectory, q: float) -> float:
     return total
 
 
-def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
-    """The rates' sum on each segment ``[edges[k], edges[k+1])``: one ``rate_at`` per rate and segment.
+def segment_totals_by_value_at(rates, edges: np.ndarray) -> np.ndarray:
+    """The one-row rates' sum on each segment ``[edges[k], edges[k+1])``: one ``value_at`` per rate and segment.
 
     Added rate by rate from zero, as ``scenarios._empirical_segment_rate``
     adds its followers' rates.
@@ -703,7 +689,7 @@ def segment_totals_by_rate_at(rates, edges: np.ndarray) -> np.ndarray:
     total = np.zeros(edges.shape[0] - 1)
     for r in rates:
         for k in range(total.shape[0]):
-            total[k] += rate_at(r, edges[k])
+            total[k] += value_at(r, edges[k])
     return total
 
 
@@ -714,10 +700,10 @@ def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments
     ``scenarios._empirical_segment_rate`` is their sum.
     """
     knots = np.linspace(t0, tf, n_segments + 1)
-    return [PiecewiseRate(knots, np.histogram(times, bins=knots)[0] / np.diff(knots)) for times in feeds]
+    return [StepSchedule(knots, [np.histogram(times, bins=knots)[0] / np.diff(knots)]) for times in feeds]
 
 
-def segment_offline_posts_loop(rate: PiecewiseRate, budget: int, t0: float, tf: float) -> np.ndarray:
+def segment_offline_posts_loop(rate: StepSchedule, budget: int, t0: float, tf: float) -> np.ndarray:
     """``segment_offline_posts`` one post at a time.
 
     Each budget unit goes to the first segment of the largest marginal
@@ -728,7 +714,7 @@ def segment_offline_posts_loop(rate: PiecewiseRate, budget: int, t0: float, tf: 
     edges = np.concatenate([[t0], knots[(knots > t0) & (knots < tf)], [tf]])
     lengths = np.diff(edges)
     seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
-    base = rate.rates[seg] * lengths * lengths / 2.0
+    base = rate.values[0, seg] * lengths * lengths / 2.0
     alloc = np.zeros(lengths.shape[0], dtype=np.int64)
     for _ in range(int(budget)):
         alloc[np.argmax(base * (1.0 / (alloc + 1.0) - 1.0 / (alloc + 2.0)))] += 1

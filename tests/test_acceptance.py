@@ -19,8 +19,8 @@ from reference import (
     IntensityState,
     RankState,
     brute_force_schedule,
-    constant_rate,
     coded_log,
+    constant_schedule,
     decay_intensity,
     next_post_time,
     rank_from_history,
@@ -274,7 +274,7 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
 
     t0, tf = MONDAY, MONDAY + 7 * DAY
     schedule = profile.step_schedule(t0, tf)
-    rate = constant_rate(0.002, t0, tf)  # feed active all week
+    rate = constant_schedule(0.002, t0, tf)  # feed active all week
     total = 0
     weekend_hits = 0
     for seed in range(50):

@@ -60,9 +60,23 @@ def test_step_schedule_validation():
         StepSchedule(np.array([1.0, 0.0]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         StepSchedule(np.array([0.0, 1.0]), np.array([[-1.0]]))
-    sched = constant_schedule(2.0, 3, 0.0, 5.0)
-    assert sched.n_followers == 3
-    assert value_at(sched, 1, 2.5) == 2.0
+    sched = constant_schedule(2.0, 0.0, 5.0, rows=3)
+    assert sched.values.shape[0] == 3
+    assert value_at(sched, 2.5, row=1) == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_a_nan_or_negative_rate_or_weight_fails_when_its_table_is_built(bad):
+    # a sampler's feed rate, the planner's summed rate, the controller's
+    # weights per follower: one table type, refused before any reader sees it
+    knots = np.array([0.0, 1.0, 2.0, 3.0])
+    for values in ([[1.0, bad, 5.0]], [[bad, 2.0, 0.0]], [[1.0, 0.0, 1.0], [0.5, 1.0, bad]]):
+        with pytest.raises(ValueError, match="values must be nonnegative"):
+            StepSchedule(knots, values)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StepSchedule(np.array([0.0, math.nan, 3.0]), [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="at least two"):
+        StepSchedule(np.array([0.0]), np.empty((1, 0)))
 
 
 def test_next_post_time_keeps_silence_with_no_rank():
@@ -110,8 +124,8 @@ def test_scale_invariance_of_significance_and_price():
     # u* depends on s/q only: scaling both leaves every draw's use identical
     feed = np.asarray(np.linspace(0.5, 9.5, 19))
     for c in (0.25, 4.0):
-        base = RedQueenParams(q=2.0, significance=constant_schedule(1.0, 1, 0.0, 10.0))
-        scaled = RedQueenParams(q=2.0 * c, significance=constant_schedule(c, 1, 0.0, 10.0))
+        base = RedQueenParams(q=2.0, significance=constant_schedule(1.0, 0.0, 10.0))
+        scaled = RedQueenParams(q=2.0 * c, significance=constant_schedule(c, 0.0, 10.0))
         a = next_post_time(feed, base, np.random.default_rng(3), 0.0, 10.0)
         b = next_post_time(feed, scaled, np.random.default_rng(3), 0.0, 10.0)
         assert a.post_time == b.post_time

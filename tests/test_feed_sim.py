@@ -5,7 +5,7 @@ import pytest
 from reference import (
     RankState,
     ScheduledController,
-    constant_rate,
+    constant_schedule,
     followees,
     merge_feeds,
     rank_from_history,
@@ -263,7 +263,7 @@ def test_simulate_generative_feed_volume():
 
 
 def test_simulate_piecewise_feed_and_window_check():
-    rate = constant_rate(2.0, 0.0, 10.0)
+    rate = constant_schedule(2.0, 0.0, 10.0)
     traj = simulate([rate], ScheduledController([]), 0.0, 10.0,
                     feed_rngs=[np.random.default_rng(0)])
     assert np.all(traj.feeds.times > 0.0)

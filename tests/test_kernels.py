@@ -1,5 +1,6 @@
 """Both kernel flavors must return bitwise-identical results."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -111,6 +112,7 @@ def njit(**options):
 """
 
 _STUB_PROBE = """
+import importlib.util
 import json
 
 import numba
@@ -444,3 +446,14 @@ def test_oracle_fallback_is_the_numpy_kernel():
     assert impls["fallback"] is kernels._oracle_decisions_numpy
     if not kernels.NUMBA_ENABLED:
         assert kernels.oracle_decisions is kernels._oracle_decisions_numpy
+
+
+def test_the_kernel_benchmark_script_loads(monkeypatch):
+    # the script imports private kernels and test references by name: a
+    # rename fails here rather than at its next (minute-long) run
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends perfbench/ and tests/
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert set(bench.WORKLOADS) <= set(kernels.IMPLEMENTATIONS)

@@ -9,21 +9,17 @@ from click.testing import CliRunner
 from reference import (
     IntensityState,
     apply_jump,
-    constant_rate,
+    constant_schedule,
     decay_intensity,
     dedupe_increasing_loop,
-    rate_at,
     superpose,
+    value_at,
 )
 
 from whentopost import kernels, point_process
 from whentopost.cli import main
-from whentopost.point_process import (
-    HawkesParams,
-    PiecewiseRate,
-    sample_hawkes,
-    sample_piecewise_poisson,
-)
+from whentopost.point_process import HawkesParams, sample_hawkes, sample_piecewise_poisson
+from whentopost.significance import StepSchedule
 
 PARAMS = HawkesParams(baseline=10.0, alpha=1.0, w=10.0)
 
@@ -148,19 +144,19 @@ def test_sample_hawkes_events_inside_window_and_increasing():
 
 
 def test_sample_piecewise_poisson_zero_rate_empty():
-    rate = constant_rate(0.0, 0.0, 100.0)
+    rate = constant_schedule(0.0, 0.0, 100.0)
     times = sample_piecewise_poisson(rate, 0.0, 100.0, np.random.default_rng(1))
     assert len(times) == 0
 
 
 def test_sample_piecewise_poisson_single_segment_count():
-    rate = constant_rate(5.0, 0.0, 200.0)
+    rate = constant_schedule(5.0, 0.0, 200.0)
     times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(5))
     assert abs(len(times) - 1000) <= 3 * math.sqrt(1000)
 
 
 def test_sample_piecewise_poisson_two_segment_counts():
-    rate = PiecewiseRate(np.array([0.0, 100.0, 200.0]), np.array([2.0, 8.0]))
+    rate = StepSchedule(np.array([0.0, 100.0, 200.0]), np.array([[2.0, 8.0]]))
     times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(9))
     n1 = int(np.sum(times <= 100.0))
     n2 = len(times) - n1
@@ -169,20 +165,22 @@ def test_sample_piecewise_poisson_two_segment_counts():
 
 
 def test_sample_piecewise_poisson_respects_subwindow():
-    rate = PiecewiseRate(np.array([0.0, 100.0, 200.0]), np.array([2.0, 8.0]))
+    rate = StepSchedule(np.array([0.0, 100.0, 200.0]), np.array([[2.0, 8.0]]))
     times = sample_piecewise_poisson(rate, 50.0, 150.0, np.random.default_rng(2))
     assert np.all(times > 50.0)
     assert np.all(times <= 150.0)
 
 
 def test_sample_piecewise_poisson_domain_error():
-    rate = constant_rate(5.0, 0.0, 10.0)
+    rate = constant_schedule(5.0, 0.0, 10.0)
     with pytest.raises(ValueError):
         sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="one-row table"):
+        sample_piecewise_poisson(constant_schedule(5.0, 0.0, 10.0, rows=2), 0.0, 10.0, np.random.default_rng(0))
 
 
 def test_sample_piecewise_poisson_deterministic():
-    rate = PiecewiseRate(np.array([0.0, 10.0, 20.0]), np.array([1.0, 4.0]))
+    rate = StepSchedule(np.array([0.0, 10.0, 20.0]), np.array([[1.0, 4.0]]))
     a = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
     b = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
     assert a.dtype == np.float64 and a.ndim == 1
@@ -272,7 +270,7 @@ def test_superpose_of_poisson_streams_has_summed_rate():
     rng = np.random.default_rng(12)
     horizon = 200.0
     streams = [
-        sample_piecewise_poisson(constant_rate(2.0, 0.0, horizon), 0.0, horizon, rng)
+        sample_piecewise_poisson(constant_schedule(2.0, 0.0, horizon), 0.0, horizon, rng)
         for _ in range(5)
     ]
     merged = superpose(streams)
@@ -280,21 +278,21 @@ def test_superpose_of_poisson_streams_has_summed_rate():
 
 
 def test_piecewise_rate_lookup_and_domain():
-    rate = PiecewiseRate(np.array([0.0, 1.0, 3.0]), np.array([5.0, 7.0]))
-    assert rate_at(rate, 0.0) == 5.0
-    assert rate_at(rate, 0.999) == 5.0
-    assert rate_at(rate, 1.0) == 7.0
-    assert rate_at(rate, 3.0) == 7.0
+    rate = StepSchedule(np.array([0.0, 1.0, 3.0]), np.array([[5.0, 7.0]]))
+    assert value_at(rate, 0.0) == 5.0
+    assert value_at(rate, 0.999) == 5.0
+    assert value_at(rate, 1.0) == 7.0
+    assert value_at(rate, 3.0) == 7.0
     assert rate.covers(0.0, 3.0)
     assert not rate.covers(0.0, 3.5)
     with pytest.raises(ValueError):
-        rate_at(rate, -0.1)
+        value_at(rate, -0.1)
     with pytest.raises(ValueError):
-        rate_at(rate, 3.1)
+        value_at(rate, 3.1)
     with pytest.raises(ValueError):
-        PiecewiseRate(np.array([0.0, 1.0]), np.array([-2.0]))
+        StepSchedule(np.array([0.0, 1.0]), np.array([[-2.0]]))
     with pytest.raises(ValueError):
-        PiecewiseRate(np.array([1.0, 0.0]), np.array([2.0]))
+        StepSchedule(np.array([1.0, 0.0]), np.array([[2.0]]))
 
 
 def test_the_event_cap_leaves_stable_samples_unchanged(monkeypatch):

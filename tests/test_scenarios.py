@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from reference import coded_log, empirical_segment_rates_by_histogram, merge_feeds, segment_totals_by_rate_at
+from reference import coded_log, empirical_segment_rates_by_histogram, merge_feeds, segment_totals_by_value_at
 
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
@@ -242,6 +242,31 @@ def test_a_budget_sweep_evaluates_each_policy_price_and_seed_once(tmp_path, monk
     assert status["details"] == {k: v for _, details in singles for k, v in details.items()}
 
 
+def test_a_replay_solves_the_oracle_once_per_price_for_all_its_seeds(one_follower, monkeypatch):
+    # a replay's seeds share one Feeds, and the induction draws nothing
+    calls = Counter()
+    oracle = scenarios.oracle_schedule
+
+    def counted(inst):
+        calls[inst.q] += 1
+        return oracle(inst)
+
+    monkeypatch.setattr(scenarios, "oracle_schedule", counted)
+    _, details = run_replay(ReplayConfig(seeds=(0, 1, 2), policies=("oracle", "true-posts")), one_follower)
+    assert set(calls.values()) == {1}
+    assert len(calls) == details["oracle_tune"].iterations
+
+
+def test_the_hawkes_runner_builds_the_planner_rate_only_for_segment_offline(monkeypatch):
+    built = []
+    rate = scenarios._empirical_segment_rate
+    monkeypatch.setattr(scenarios, "_empirical_segment_rate", lambda *args: built.append(args) or rate(*args))
+    for policies, count in ((("redqueen", "uniform"), 0), (("uniform", "segment-offline"), 2)):
+        built.clear()
+        run_one_follower_hawkes(HawkesScenarioConfig(seeds=(0, 1), policies=policies, q=2.0, target_feed_events=40.0))
+        assert len(built) == count
+
+
 def test_a_library_sweep_matches_single_budget_runs():
     cfg = HawkesScenarioConfig(seeds=(0, 1), budget=3.0, target_feed_events=60.0,
                                policies=("redqueen", "oracle", "uniform"))
@@ -412,7 +437,7 @@ def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, t
 def test_feeds_merge_and_segment_rate_match_the_per_follower_references(n_followers):
     # the merged timeline is the reference merge of one stream per follower;
     # the segment rate is the histogram rate of each feed, summed one
-    # rate_at per follower and segment in follower order
+    # value_at per follower and segment in follower order
     rng = np.random.default_rng(41 + n_followers)
     for i in range(40):
         t0, tf = sorted(rng.uniform(0.0, 100.0, 2))
@@ -429,8 +454,8 @@ def test_feeds_merge_and_segment_rate_match_the_per_follower_references(n_follow
         got_t, got_j = feeds.merged
         assert got_t.tobytes() == want_t.tobytes() and got_j.tobytes() == want_j.tobytes()
         got = scenarios._empirical_segment_rate(feeds, segments)
-        want = segment_totals_by_rate_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
-        assert got.knots.tobytes() == knots.tobytes() and got.rates.tobytes() == want.tobytes()
+        want = segment_totals_by_value_at(empirical_segment_rates_by_histogram(feeds, t0, tf, segments), knots)
+        assert got.knots.tobytes() == knots.tobytes() and got.values.tobytes() == want.tobytes()
 
 
 def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
