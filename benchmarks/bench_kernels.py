@@ -70,7 +70,16 @@ id or codes outside its ids, if the file bytes differ, or if any follower's weig
 differ in a bit from ``bucket_weights`` (the reference in
 ``tests/reference.py``) on that follower's events alone.
 
-``--json PATH`` also writes the I/O, tune, rank_metrics and replay sections' numbers to PATH,
+The I/O section also measures memory.  For each read of the 100k-event
+and 1M-event logs, one range and default, it prints ``load_events``'
+``tracemalloc`` peak over the bytes of the times and codes it returns.
+It then runs the benchmark's ``replay-week`` and ``profile-log`` commands
+(seed 0: ``replay --significance weekday`` and ``estimate-significance``)
+on ``genlog`` logs of 100k and 1M events, by patching ``genlog.EVENTS``
+here, each in a fresh interpreter, and prints the command's peak RSS (its
+own ``VmHWM``; the children ``load_events`` forks are not counted).
+
+``--json PATH`` also writes the I/O (seconds and memory), tune, rank_metrics and replay sections' numbers to PATH,
 with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
 SHA of the package's checkout, and the Python and NumPy versions.  The
 package is imported from ``PYTHONPATH``, so the same script times
@@ -119,6 +128,7 @@ from whentopost.significance import NORMALIZATION, StepSchedule, estimate_signif
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import genlog  # noqa: E402  (the benchmark's log generator, read as is)
+import workloads  # noqa: E402  (the benchmark's commands, read as is)
 from reference import (  # noqa: E402  (the per-follower references the tests check against)
     ScheduledController,
     bucket_weights,
@@ -558,8 +568,19 @@ def check_significance(log, profile):
             raise SystemExit(f"estimate_significance: {fid!r} differs from its own bucket_weights")
 
 
+def load_peak_ratio(log):
+    """``load_events``' ``tracemalloc`` peak on ``log`` over the bytes of the times and codes it returns."""
+    tracemalloc.start()
+    try:
+        got = data_io.load_events(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (got.times.nbytes + got.codes.nbytes)
+
+
 def bench_load(log, repeats, per_line):
-    """Time and check ``load_events`` on ``log``; return the read and its timings in seconds."""
+    """Time and check ``load_events`` on ``log``; return the read, its timings in seconds and its peak ratios."""
     timings = {}
     with one_range():
         timings["load_events_one_range"] = best_time(lambda: data_io.load_events(log), repeats)
@@ -568,10 +589,48 @@ def bench_load(log, repeats, per_line):
             with per_line_events():
                 timings["load_events_per_line"] = best_time(lambda: data_io.load_events(log), repeats)
                 check_same_read("the per-line path", data_io.load_events(log), want)
+        peaks = {"load_events_one_range": load_peak_ratio(log)}
     timings["load_events"] = best_time(lambda: data_io.load_events(log), repeats)
     got = data_io.load_events(log)
     check_same_read("the default read", got, want)
-    return got, timings
+    peaks["load_events"] = load_peak_ratio(log)
+    return got, timings, peaks
+
+
+#: Reads a CLI command's own peak RSS (``VmHWM``, kB), written last on stderr, in a fresh interpreter.
+PEAK_RSS_SCRIPT = """
+import sys
+from whentopost import cli
+cli.main.main(args=sys.argv[1:], prog_name="whentopost", standalone_mode=False)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+#: Events in the ``genlog`` logs the replay-week and profile-log commands' peak RSS is read on.
+RSS_EVENTS = (100_000, 1_000_000)
+
+
+def command_peak_rss(argv):
+    """Peak RSS, in MiB, of the CLI command ``argv`` run in a fresh interpreter on the imported package."""
+    src = str(Path(whentopost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True, text=True, env=env)
+    if out.returncode != 0:
+        raise SystemExit(f"{argv[0]} exited {out.returncode}: {out.stderr[-2000:]}")
+    return int(out.stderr.split()[-1]) / 1024
+
+
+def bench_peak_rss():
+    """Peak RSS of the benchmark's replay-week and profile-log commands (seed 0) on logs of ``RSS_EVENTS`` events."""
+    results = {}
+    click.echo(f"\n{'peak RSS (seed 0)':<22} {'events':>12} {'MiB':>12}")
+    for events in RSS_EVENTS:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(genlog, "EVENTS", events):
+            for name in ("replay-week", "profile-log"):
+                prepared = workloads.WORKLOADS[name].prepare(0, Path(tmp) / name)
+                results[f"{name}_{events // 1000}k"] = mib = command_peak_rss(prepared.argv)
+                click.echo(f"{name:<22} {events:>12} {mib:>12.1f}")
+    return results
 
 
 def bench_split_cost(log, repeats, per_byte):
@@ -611,11 +670,11 @@ def bench_io(repeats):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "events_1m.jsonl"
         data_io.save_events(synthetic_log(1_000_000), log)
-        _, timings_1m = bench_load(log, repeats, per_line=False)
+        _, timings_1m, peaks_1m = bench_load(log, repeats, per_line=False)
         log.unlink()
         log = Path(tmp) / "events.jsonl"
         data_io.save_events(synthetic_log(), log)
-        got, timings = bench_load(log, repeats, per_line=True)
+        got, timings, peaks = bench_load(log, repeats, per_line=True)
         timings.update(bench_split_cost(log, repeats, timings["load_events_one_range"] / log.stat().st_size))
 
         ids = sorted(got.ids.tolist())
@@ -642,11 +701,17 @@ def bench_io(repeats):
     for scale, t in (("100k events", timings), ("1M events", timings_1m)):
         one, default = t["load_events_one_range"], t["load_events"]
         click.echo(f"{scale:<22} {one * 1e3:>10.2f}ms {default * 1e3:>10.2f}ms {one / default:>8.1f}x")
+    click.echo(f"\n{'load_events peak':<22} {'one range':>12} {'default':>12}   (tracemalloc peak / array bytes)")
+    for scale, p in (("100k events", peaks), ("1M events", peaks_1m)):
+        click.echo(f"{scale:<22} {p['load_events_one_range']:>11.2f}x {p['load_events']:>11.2f}x")
     timings.update({f"{name}_1m": t for name, t in timings_1m.items()})
     timings.update(
         {"estimate_significance": t_estimate, "write_profile_csv": t_write, "write_profile_csv_by_rows": t_rows}
     )
-    return timings
+    memory = {f"{name}_peak_ratio": r for name, r in peaks.items()}
+    memory.update({f"{name}_peak_ratio_1m": r for name, r in peaks_1m.items()})
+    memory.update({f"{name}_peak_rss_mib": mib for name, mib in bench_peak_rss().items()})
+    return timings, memory
 
 
 def git_sha():
@@ -660,7 +725,7 @@ def git_sha():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def write_json(path, repeats, timings, tune, rank_metrics, replay):
+def write_json(path, repeats, timings, memory, tune, rank_metrics, replay):
     sha, dirty = git_sha()
     record = {
         "section": ["io", "tune", "rank_metrics", "replay"],
@@ -691,6 +756,12 @@ def write_json(path, repeats, timings, tune, rank_metrics, replay):
         "repeats": repeats,
         "statistic": "best of repeats",
         "seconds": timings,
+        "memory": memory,
+        "memory_workload": "load_events_*_peak_ratio: load_events' tracemalloc peak over the bytes of the times "
+                           "and codes it returns, on the 100k-event synthetic_log() (_1m: 1M events), as one "
+                           "range and default; *_peak_rss_mib: VmHWM of perfbench's replay-week and "
+                           "profile-log commands at seed 0, each in a fresh interpreter, on genlog logs of "
+                           f"{' and '.join(f'{n // 1000}k' for n in RSS_EVENTS)} events (forked parsers not counted)",
     }
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -735,9 +806,9 @@ def main(repeats, json_path):
     tune = bench_tune(repeats)
     rank_metrics = bench_rank_metrics(repeats)
     replay = bench_replay(repeats)
-    timings = bench_io(repeats)
+    timings, memory = bench_io(repeats)
     if json_path:
-        write_json(json_path, repeats, timings, tune, rank_metrics, replay)
+        write_json(json_path, repeats, timings, memory, tune, rank_metrics, replay)
 
 
 if __name__ == "__main__":

@@ -248,10 +248,10 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
         initial_rank=initial_rank,
     )
     man = data_io.load_manifest(manifest)
-    events = data_io.load_events(man.events_path)
-    network = data_io.load_network(man.network_path)
+    # no name holds the log or the graph: both go once the dataset is cut
     dataset = data_io.build_replay_dataset(
-        events, network, man.broadcaster, man.epoch, man.t0, man.tf, max_followees=max_followees
+        data_io.load_events(man.events_path), data_io.load_network(man.network_path),
+        man.broadcaster, man.epoch, man.t0, man.tf, max_followees=max_followees,
     )
     reports, details = scenarios.run_replay(cfg, dataset)
     _check_converged(f"replay:{dataset.broadcaster}", details)
@@ -276,6 +276,7 @@ def estimate_significance_cmd(events_path, epoch, granularity, laplace, follower
     if not ids:
         raise scenarios.ScenarioError("the event log is empty; nothing to profile")
     profile = estimate_significance(events, ids, epoch=epoch, granularity=granularity, laplace=laplace)
+    del events  # the writer reads the profile only
     data_io.write_profile_csv(profile, out)
     click.echo(_json({"written": out, "followers": len(profile.ids)}))
 

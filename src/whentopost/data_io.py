@@ -16,10 +16,11 @@
   parses the first range, and a forked child parses each other one; the
   parse's text and scratch then live in the child, and only 12 bytes an
   event (the time, and the id's code in the child's list of distinct
-  ids) come back through a pipe.  The ranges are joined in file order,
-  each range's codes remapped through one table of the ids in order of
-  first appearance, so times, codes, ids, warnings and errors are those
-  of one range.  Python 3.12 and later warn when a process that runs
+  ids) come back through a pipe.  The ranges are copied in file order
+  into one times and one codes array, each allocated once, each range's
+  codes remapped through one table of the ids in order of first
+  appearance, so times, codes, ids, warnings and errors are those of one
+  range.  Python 3.12 and later warn when a process that runs
   threads forks, and importing NumPy starts OpenBLAS threads: the read
   ignores that warning, since the children only parse text and run no
   BLAS.
@@ -139,7 +140,7 @@ class EventLog:
         ids = np.asarray(self.ids, dtype=object)
         if times.ndim != 1 or codes.shape != times.shape or ids.ndim != 1:
             raise ValueError("times and codes must be parallel 1-d arrays, and ids 1-d")
-        if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
+        if not _increasing(times):
             raise ValueError("event times must be strictly increasing")
         if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= ids.shape[0]):
             raise ValueError(f"source codes must be integers in [0, {ids.shape[0]})")
@@ -149,6 +150,11 @@ class EventLog:
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
+
+
+def _increasing(times: np.ndarray) -> bool:
+    """Whether ``times`` strictly increases; compares neighbours with no ``np.diff`` temporary."""
+    return bool(np.all(times[1:] > times[:-1]))
 
 
 def load_events(path) -> EventLog:
@@ -163,26 +169,39 @@ def load_events(path) -> EventLog:
     parsed in byte ranges on up to one CPU each (see :func:`_ranges`);
     each range's codes are remapped through one table of the ids, so the
     result is the same as from one range.
+
+    Each range comes back as a list of chunk arrays.  ``times`` and
+    ``codes`` are then allocated once each and filled range by range,
+    each range dropped once copied, so the read peaks near twice the
+    bytes it returns.  A log that is in order and has no tie is only
+    compared with itself shifted by one event.
     """
     parts = _parse_ranges(path, _ranges(path))
-    times = np.concatenate([part[0] for part in parts])
+    n = sum(t.shape[0] for chunk_times, _, _ in parts for t in chunk_times)
+    times = np.empty(n)
+    codes = np.empty(n, np.int32)
     code_of = _Codes()  # each range's codes through one table of every range's ids
-    codes = np.concatenate(
-        [np.fromiter(map(code_of.__getitem__, vocab), np.int32, len(vocab))[part] for _, vocab, part in parts]
-    )
-    if times.shape[0] > 1:
-        if np.any(np.diff(times) < 0):
+    at = 0
+    for k, (chunk_times, vocab, chunk_codes) in enumerate(parts):
+        parts[k] = None  # the range's arrays go once copied
+        table = np.fromiter(map(code_of.__getitem__, vocab), np.int32, len(vocab))
+        for t, c in zip(chunk_times, chunk_codes):
+            times[at : at + t.shape[0]] = t
+            codes[at : at + t.shape[0]] = table[c]
+            at += t.shape[0]
+        del chunk_times, chunk_codes  # the last range too, before any sort
+    if not _increasing(times):
+        if np.any(times[1:] < times[:-1]):
             warnings.warn(f"{path}: events out of order; sorting", stacklevel=2)
             order = np.argsort(times, kind="stable")
             times = times[order]
             codes = codes[order]
-        fixed, nudged = _dedupe_increasing(times)
-        if nudged:
+        if not _increasing(times):  # a tie
+            times, nudged = _dedupe_increasing(times)
             warnings.warn(
                 f"{path}: nudged {nudged} coincident event(s) one float step apart",
                 stacklevel=2,
             )
-            times = fixed
     return EventLog(times, codes, np.array(list(code_of), dtype=object))
 
 
@@ -237,7 +256,9 @@ def _parse_ranges(path, ranges) -> list[tuple]:
 
     This process parses the first range; a forked child parses each other
     one and sends back its times and codes as raw bytes and its distinct
-    ids as JSON.  A child does not know the line its range starts on, so
+    ids as JSON.  Each range is ``(times, vocab, codes)``, with ``times``
+    and ``codes`` lists of parallel chunk arrays.  A child does
+    not know the line its range starts on, so
     when it fails (or cannot be forked, or sends a short payload) this
     process parses its range again, counting lines from the ranges before
     it: a bad line fails with the same ``file:line`` error as in one range.
@@ -307,9 +328,9 @@ def _fork_parser(path, start, stop) -> tuple:
             times, vocab, codes, lines = _parse_range(path, start, stop, 1)
             vocab = json.dumps(vocab).encode("ascii")
             with open(wfd, "wb") as out:
-                out.write(np.array([times.shape[0], lines, len(vocab)], np.int64).tobytes())
-                out.write(times)
-                out.write(codes)
+                out.write(np.array([sum(map(len, times)), lines, len(vocab)], np.int64).tobytes())
+                for chunk in times + codes:
+                    out.write(chunk)
                 out.write(vocab)
             code = 0
         finally:
@@ -319,7 +340,10 @@ def _fork_parser(path, start, stop) -> tuple:
 
 
 def _receive(pipe):
-    """The ``_parse_range`` result a child wrote to ``pipe``, or None if it is short."""
+    """The ``_parse_range`` result a child wrote to ``pipe``, or None if it is short.
+
+    The times and codes are one chunk each, views of the bytes read.
+    """
     head = pipe.read(24)
     if len(head) < 24:
         return None
@@ -329,7 +353,7 @@ def _receive(pipe):
         return None
     times = np.frombuffer(body, np.float64, n)
     codes = np.frombuffer(body, np.int32, n, 8 * n)
-    return times, json.loads(body[12 * n :]), codes, lines
+    return [times], json.loads(body[12 * n :]), [codes], lines
 
 
 def _parse_range(path, start, stop, first_lineno) -> tuple:
@@ -341,8 +365,10 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
     UTF-8 (invalid bytes fail with their line), with ``\\r\\n`` and a bare
     ``\\r`` read as ``\\n``, as a text-mode read does, and each chunk goes to
     ``_parse_chunk``; the first line is line ``first_lineno``.  Returns
-    ``(times, vocab, codes, lines)``: the ``i``-th event's id is
-    ``vocab[codes[i]]``, and ``lines`` counts the newlines read.
+    ``(times, vocab, codes, lines)``: ``times`` and ``codes`` are lists of
+    each chunk's arrays, not joined, the ``i``-th event's id is
+    ``vocab[codes[i]]`` over their concatenation, and ``lines`` counts the
+    newlines read.
     """
     times = []
     codes = []
@@ -361,9 +387,7 @@ def _parse_range(path, start, stop, first_lineno) -> tuple:
             times.append(part)
             codes.append(np.fromiter(map(code_of.__getitem__, ids), np.int32, len(ids)))
             lineno += text.count("\n")  # only the last chunk can end without one
-    if not times:
-        return np.empty(0), [], np.empty(0, np.int32), 0
-    return np.concatenate(times), list(code_of), np.concatenate(codes), lineno - first_lineno
+    return times, list(code_of), codes, lineno - first_lineno
 
 
 def _decode(data: bytes, path, first_lineno: int, what: str) -> str:
@@ -579,14 +603,22 @@ def load_manifest(path) -> Manifest:
 
 @dataclass(eq=False)
 class ReplayDataset:
-    """Everything a replay run needs, cut out of one event log; compares by identity."""
+    """Everything a replay run needs, cut out of one event log; compares by identity.
+
+    It keeps no reference to the log or the follower graph it was cut
+    from, so a caller that drops them frees them before the run.
+    ``follower_events`` holds the retained followers' own events at every
+    time in the log (not only the window), which is all that significance
+    estimation reads; its ids are the retained followers that have events,
+    in ``follower_ids`` order.
+    """
 
     broadcaster: str
     follower_ids: list
     feeds: Feeds  # the window (t0, tf], and one feed per follower without the broadcaster's posts
     true_posts: np.ndarray  # the broadcaster's post times on (t0, tf]
     epoch: float
-    events: EventLog  # the full log, for significance estimation
+    follower_events: EventLog
 
 
 def build_replay_dataset(
@@ -604,7 +636,8 @@ def build_replay_dataset(
     followees inside (t0, tf].  Followers following more than
     ``max_followees`` accounts are dropped (their feeds drown everyone
     out and bloat the replay).  A broadcaster with no retained
-    followers cannot be replayed.
+    followers cannot be replayed.  Every array of the dataset is a copy,
+    so it holds neither ``events`` nor ``network``.
     """
     followers = network.followers(broadcaster)
     retained = [f for f in followers if len(network.followees_of.get(f, ())) <= max_followees]
@@ -627,13 +660,20 @@ def build_replay_dataset(
 
     index = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
     feeds = Feeds(times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]), t0, tf)
+    # the followers' own events over the whole log, coded by their rank in ``own``
+    own = np.array([c for c in map(code_of.get, retained) if c is not None], np.int64)
+    mine = np.zeros(len(events.ids), bool)
+    mine[own] = True
+    mine = mine[events.codes]
+    renumber = np.zeros(len(events.ids), np.int32)
+    renumber[own] = np.arange(own.shape[0])
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,
         feeds=feeds,
         true_posts=times[from_sources({broadcaster})],
         epoch=epoch,
-        events=events,
+        follower_events=EventLog(events.times[mine], renumber[events.codes[mine]], events.ids[own]),
     )
 
 

@@ -498,7 +498,7 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
     significance = None
     if cfg.significance is not None:
         profile = estimate_significance(
-            dataset.events,
+            dataset.follower_events,
             dataset.follower_ids,
             epoch=dataset.epoch,
             granularity=cfg.significance,

@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import shutil
 import warnings
+import weakref
 from pathlib import Path
 
 import click
@@ -14,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from reference import read_profile_csv, read_report_csv
 
-from whentopost import cli, scenarios
+from whentopost import cli, data_io, scenarios
 from whentopost.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
@@ -265,6 +267,30 @@ def test_replay_reruns_byte_identical(tmp_path):
     run_ok(args + ["--out", str(out1)])
     run_ok(args + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_replay_frees_the_log_and_the_graph_before_the_run(tmp_path, monkeypatch):
+    loaded = []
+    for name in ("load_events", "load_network"):
+        def load(path, real=getattr(data_io, name)):
+            result = real(path)
+            loaded.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(data_io, name, load)
+    alive = []
+
+    def run_replay(cfg, dataset, real=scenarios.run_replay):
+        gc.collect()
+        alive.extend(ref() is not None for ref in loaded)
+        return real(cfg, dataset)
+
+    monkeypatch.setattr(scenarios, "run_replay", run_replay)
+    run_ok([
+        "replay", "--manifest", str(FIXTURE / "manifest.txt"), "--significance", "weekday",
+        "--seeds", "0", "--q", "1000.0", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert len(loaded) == 2 and alive == [False, False]
 
 
 def test_replay_missing_manifest_is_usage_error(tmp_path):

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -34,7 +35,7 @@ from whentopost.data_io import (
     write_report_csv,
 )
 from whentopost.metrics import MetricsReport
-from whentopost.significance import NORMALIZATION, SignificanceProfile
+from whentopost.significance import NORMALIZATION, SignificanceProfile, estimate_significance
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
 
@@ -339,6 +340,32 @@ def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
         assert_same_feeds(dataset.feeds, feeds)
         assert dataset.true_posts.dtype == true_posts.dtype
         assert dataset.true_posts.tobytes() == true_posts.tobytes()
+
+
+def test_follower_events_profile_the_followers_as_the_whole_log_does(genlog_manifest):
+    man = load_manifest(genlog_manifest)
+    log, net = load_events(man.events_path), load_network(man.network_path)
+    # a retained follower with no event in the log: still one flat fallback
+    edges = [(b, f) for b, fs in net.followers_of.items() for f in fs] + [(man.broadcaster, "silent")]
+    dataset = build_replay_dataset(log, Network.from_edges(edges), man.broadcaster, man.epoch, man.t0, man.tf)
+    assert "silent" in dataset.follower_ids
+    own = dataset.follower_events
+    sources = np.array(reference.log_sources(log), dtype=object)
+    mine = np.isin(sources, dataset.follower_ids)
+    assert own.times.tobytes() == log.times[mine].tobytes()
+    assert reference.log_sources(own) == sources[mine].tolist()
+    assert own.ids.tolist() == [f for f in dataset.follower_ids if f in set(sources[mine])]
+    assert 0 < len(own) < len(log) // 10
+    for granularity in ("weekday", "weekday-hour"):
+        profiles, warned = [], []
+        for events in (log, own):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                profiles.append(estimate_significance(events, dataset.follower_ids, man.epoch, granularity))
+            warned.append([str(w.message) for w in caught])
+        assert profiles[1].ids == profiles[0].ids == tuple(dataset.follower_ids)
+        assert profiles[1].values.tobytes() == profiles[0].values.tobytes()
+        assert warned[1] == warned[0] == ["empty activity log: falling back to a flat profile"]
 
 
 def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
@@ -908,7 +935,8 @@ def test_range_parse_reads_line_ends_as_text_mode_does(tmp_path):
             with mock.patch.object(data_io, "_CHUNK_BYTES", chunk_bytes):
                 try:
                     times, vocab, codes, lines_read = data_io._parse_range(p, 0, None, 1)
-                    got = (times.tobytes(), [vocab[c] for c in codes], lines_read)
+                    assert [t.shape for t in times] == [c.shape for c in codes]
+                    got = (b"".join(map(bytes, times)), [vocab[c] for chunk in codes for c in chunk], lines_read)
                 except DataFormatError as exc:
                     got = str(exc)
             assert got == want, text
@@ -944,6 +972,55 @@ def test_split_read_sorts_and_nudges_across_the_split(tmp_path):
     times_bytes, sources, caught = load_split_and_whole(p)
     assert len(caught) == 2
     assert "out of order" in caught[0] and "nudged 3 coincident" in caught[1]
+
+
+def test_only_a_log_with_a_tie_is_deduped(tmp_path):
+    p = tmp_path / "events.jsonl"
+    sorting, nudged = f"{p}: events out of order; sorting", f"{p}: nudged 1 coincident event(s) one float step apart"
+    cases = (
+        ([1.0, 2.0, 3.0, 4.0], []),
+        ([3.0, 1.0, 4.0, 2.0], [sorting]),
+        ([1.0, 2.0, 2.0, 3.0], [nudged]),
+        ([2.0, 1.0, 3.0, 2.0], [sorting, nudged]),
+    )
+    real = data_io._dedupe_increasing
+    for times, want in cases:
+        write_lines(p, ['{"t": %r, "src": "u%d"}' % (t, k) for k, t in enumerate(times)])
+        calls = []
+        with mock.patch.object(data_io, "_dedupe_increasing", lambda t: calls.append(1) or real(t)), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log = load_events(p)
+        assert [str(w.message) for w in caught] == want
+        assert len(calls) == (nudged in want)
+        order = np.argsort(times, kind="stable")
+        assert log.times.tobytes() == reference.dedupe_increasing_loop(np.asarray(times)[order])[0].tobytes()
+        assert reference.log_sources(log) == [f"u{k}" for k in order]
+
+
+def test_load_events_peaks_below_two_and_a_half_times_its_arrays(tmp_path):
+    # times and codes are each allocated once and filled range by range, so
+    # the read holds the parsed chunks and the result, and little else
+    rng = np.random.default_rng(15)
+    accounts = np.array([f"u{k:04d}" for k in range(1000)], dtype=object)
+    p = tmp_path / "events.jsonl"
+    n = 200_000
+    save_events(reference.coded_log(np.cumsum(rng.exponential(6.0, n)), accounts[rng.integers(0, 1000, n)]), p)
+    one_range = mock.patch.object(data_io, "_ranges", lambda path: [(0, None)])
+    two_ranges = mock.patch.object(data_io, "_usable_cpus", lambda: 2)
+    for how in (one_range, two_ranges):
+        with how:
+            ranges = len(data_io._ranges(p))
+            tracemalloc.start()
+            try:
+                log = load_events(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(log) == n and ranges == (1 if how is one_range else 2)
+        assert peak <= 2.5 * (log.times.nbytes + log.codes.nbytes), (ranges, peak / (12 * n))
+        del log
+    no_children_left()
 
 
 @pytest.mark.parametrize("sep, breaks", [("\r\n", 1), ("\r", 1), ("\n\n\n", 3), ("\r\n\r\n", 2)])
@@ -1093,7 +1170,7 @@ def test_split_read_parses_a_failed_childs_range_here(log_300):
 
     def truncated(*args):  # writing the codes fails once the header and times went out
         times, vocab, codes, lines = real(*args)
-        return times, vocab, codes.tolist(), lines
+        return times, vocab, [chunk.tolist() for chunk in codes], lines
 
     def exits_nonzero(*args):  # a whole payload, then exit status 3
         real_exit = os._exit
