@@ -11,6 +11,12 @@ controller's fallback is a vectorized twin of its loop, so the script
 also times that loop run as plain Python against the fallback: that
 speed-up shows without numba.
 
+A sampling section draws the sinusoid scenario's feeds (one seed, 20
+followers, a leap year of hourly segments) with ``sample_piecewise_poisson``
+and with the segment loop it replaced (``tests/reference.py``), and
+fails if the two differ in any bit of the times or of the generators'
+end states.
+
 An oracle section times the backward induction's fallback at 3k, 20k
 and 100k stages, at a low and a high price, and prints each call's
 ``tracemalloc`` peak.  Next to it, wherever that finishes in seconds,
@@ -79,7 +85,8 @@ on ``genlog`` logs of 100k and 1M events, by patching ``genlog.EVENTS``
 here, each in a fresh interpreter, and prints the command's peak RSS (its
 own ``VmHWM``; the children ``load_events`` forks are not counted).
 
-``--json PATH`` also writes the I/O (seconds and memory), tune, rank_metrics and replay sections' numbers to PATH,
+``--json PATH`` also writes the I/O (seconds and memory), tune, rank_metrics, replay and sampling sections'
+numbers to PATH,
 with the kernel flavor, ``nproc`` and the CPUs ``load_events`` may use, the git
 SHA of the package's checkout, and the Python and NumPy versions.  The
 package is imported from ``PYTHONPATH``, so the same script times
@@ -123,6 +130,7 @@ from whentopost.kernels import (
     _redqueen_posts_loop,
 )
 from whentopost.metrics import report_from_trajectory
+from whentopost.point_process import sample_piecewise_poisson
 from whentopost.significance import NORMALIZATION, StepSchedule, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -135,6 +143,7 @@ from reference import (  # noqa: E402  (the per-follower references the tests ch
     empirical_segment_rates_by_histogram,
     merge_feeds,
     report_by_follower,
+    sample_piecewise_poisson_loop,
     segment_totals_by_value_at,
 )
 from reference import simulate as simulate_loop  # noqa: E402  (``simulate`` here runs the CLI command)
@@ -179,6 +188,49 @@ def best_time(call, repeats):
         call()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+#: The sampling section's feeds: one seed of the sinusoid scenario at a peak of
+#: 2 events an hour over a leap year of hourly segments.
+SAMPLING_CONFIG = scenarios.SinusoidScenarioConfig(
+    seeds=(0,), q=1.0, followers=20, peak_per_hour=2.0, horizon=8784 * 3600.0
+)
+
+
+def bench_sampling(repeats):
+    """Time the sinusoid feeds' sampler against the segment loop; return seconds and sizes."""
+    cfg = SAMPLING_CONFIG
+    seed = cfg.seeds[0]
+    follower_rngs = []  # each follower's rate and its generator after the phase draw, as the scenario makes them
+    for j in range(cfg.followers):
+        rng = scenarios.feed_rng(seed, j)
+        follower_rngs.append((scenarios._sinusoid_rate(cfg, rng.uniform(0.0, scenarios._SEGMENTS_PER_DAY)), rng))
+
+    def sample_all(sampler):
+        """Every follower's feed from a copy of its generator, and the copies' end states."""
+        copies = [(rate, copy.deepcopy(rng)) for rate, rng in follower_rngs]
+        return [sampler(rate, rng) for rate, rng in copies], [rng.bit_generator.state for _, rng in copies]
+
+    got, got_states = sample_all(sample_piecewise_poisson)
+    want, want_states = sample_all(sample_piecewise_poisson_loop)
+    if [g.tobytes() for g in got] != [w.tobytes() for w in want] or got_states != want_states:
+        raise SystemExit("sample_piecewise_poisson: differs from the segment loop")
+    t_loop = best_time(lambda: sample_all(sample_piecewise_poisson_loop), repeats)
+    t_fast = best_time(lambda: sample_all(sample_piecewise_poisson), repeats)
+    segments = follower_rngs[0][0].values.shape[1]
+    events = sum(g.shape[0] for g in got)
+    click.echo(f"\n{'sampling (sinusoid)':<22} {'segment loop':>12} {'sampler':>12} {'speedup':>9}")
+    click.echo(
+        f"{f'{cfg.followers} x {segments} segs':<22} {t_loop * 1e3:>10.2f}ms {t_fast * 1e3:>10.2f}ms "
+        f"{t_loop / t_fast:>8.1f}x"
+    )
+    return {
+        "followers": cfg.followers,
+        "segments": segments,
+        "feed_events": events,
+        "segment_loop_s": t_loop,
+        "sampler_s": t_fast,
+    }
 
 
 def bench_oracle(repeats):
@@ -405,16 +457,15 @@ def bench_rank_metrics(repeats):
         with tempfile.TemporaryDirectory() as tmp:
             dataset = replay_dataset(followers, tmp)
         feeds = dataset.feeds
-        t0, tf = feeds.t0, feeds.tf  # for the feed-blind planner and the references
+        t0, tf = feeds.t0, feeds.tf  # for the references
         budget = len(dataset.true_posts)
 
         def plan():
-            rate = scenarios._empirical_segment_rate(feeds, OFFLINE_SEGMENTS)
-            return segment_offline_posts(rate, budget, t0, tf)
+            return segment_offline_posts(scenarios._empirical_segment_rate(feeds, OFFLINE_SEGMENTS), budget)
 
         knots = np.linspace(t0, tf, OFFLINE_SEGMENTS + 1)
         summed = segment_totals_by_value_at(empirical_segment_rates_by_histogram(feeds, t0, tf, OFFLINE_SEGMENTS), knots)
-        if plan().tobytes() != segment_offline_posts(StepSchedule(knots, [summed]), budget, t0, tf).tobytes():
+        if plan().tobytes() != segment_offline_posts(StepSchedule(knots, [summed]), budget).tobytes():
             raise SystemExit(f"segment_offline_posts: {followers} followers: differs from the per-follower rate sum")
         streams = list(feeds)  # one times array per follower
         merged = Feeds(feeds.times, feeds.bounds, t0, tf).merged  # a fresh object: the dataset's may be merged already
@@ -725,10 +776,10 @@ def git_sha():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def write_json(path, repeats, timings, memory, tune, rank_metrics, replay):
+def write_json(path, repeats, timings, memory, tune, rank_metrics, replay, sampling):
     sha, dirty = git_sha()
     record = {
-        "section": ["io", "tune", "rank_metrics", "replay"],
+        "section": ["io", "tune", "rank_metrics", "replay", "sampling"],
         "workload": "synthetic_log(): 100k events (1M for the _1m reads, 20k for the _20k ones), 1000 accounts, "
                     "weekday-hour profiles",
         "tune": tune,
@@ -746,6 +797,12 @@ def write_json(path, repeats, timings, memory, tune, rank_metrics, replay):
         "replay_workload": f"run_replay of the seed-0 genlog log at {TUNE_FOLLOWERS[-1]} followers, policies "
                            f"{', '.join(REPLAY_POLICIES)}, weekday significance, at seeds 0-0 and 0-9 (best of "
                            "at most 3; each run merges the Feeds it makes with its initial rank); src_lines counts each module's lines",
+        "sampling": sampling,
+        "sampling_workload": f"the feeds of run_multi_follower_sinusoid at seed 0, {SAMPLING_CONFIG.followers} "
+                             f"followers, {SAMPLING_CONFIG.peak_per_hour} events/hour at the peak, "
+                             f"{SAMPLING_CONFIG.horizon:.0f} s of hourly segments: segment_loop_s is "
+                             "sample_piecewise_poisson_loop (tests/reference.py, one segment at a time), "
+                             "sampler_s sample_piecewise_poisson, each over every follower",
         "kernel_flavor": "numba" if NUMBA_ENABLED else "fallback",
         "nproc": len(os.sched_getaffinity(0)),
         "cpus_usable": usable_cpus(),
@@ -769,7 +826,8 @@ def write_json(path, repeats, timings, memory, tune, rank_metrics, replay):
 @click.command()
 @click.option("--repeats", default=5, show_default=True, help="Timed repetitions; best counts.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the I/O, tune, rank_metrics and replay sections' numbers and the run's environment here.")
+              help="Also write the I/O, tune, rank_metrics, replay and sampling sections' numbers and the run's "
+                   "environment here.")
 def main(repeats, json_path):
     if not NUMBA_ENABLED:
         click.echo("compiled flavor absent (numba not importable); "
@@ -801,6 +859,7 @@ def main(repeats, json_path):
         f"{'redqueen_posts':<22} {t_loop * 1e3:>10.2f}ms {t_base * 1e3:>10.2f}ms "
         f"{t_loop / t_base:>8.1f}x"
     )
+    sampling = bench_sampling(repeats)
     bench_oracle(repeats)
     bench_sweep(repeats)
     tune = bench_tune(repeats)
@@ -808,7 +867,7 @@ def main(repeats, json_path):
     replay = bench_replay(repeats)
     timings, memory = bench_io(repeats)
     if json_path:
-        write_json(json_path, repeats, timings, memory, tune, rank_metrics, replay)
+        write_json(json_path, repeats, timings, memory, tune, rank_metrics, replay, sampling)
 
 
 if __name__ == "__main__":

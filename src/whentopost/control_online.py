@@ -57,18 +57,18 @@ class RedQueenParams:
     def clocks(self, n_followers: int, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
         """Knots and per-follower clock rates ``sqrt(s_i / q)`` between them.
 
-        The schedule must cover the window: the kernels read a clock rate
-        at every time in ``(t0, tf]`` from the columns between its knots.
+        The schedule's knots must run from ``t0`` to ``tf`` exactly: the
+        kernels read a clock rate in ``(t0, tf]`` from the columns between its knots.
         """
         sched = self.significance
         if sched is None:
             sched = StepSchedule(np.array([t0, tf]), np.ones((n_followers, 1)))
         if sched.values.shape[0] != n_followers:
             raise ValueError("significance schedule covers the wrong follower count")
-        if not sched.covers(t0, tf):
+        if not (sched.knots[0] == t0 and sched.knots[-1] == tf):
             raise ValueError(
-                f"significance schedule on [{sched.knots[0]!r}, {sched.knots[-1]!r}] "
-                f"does not cover the window ({t0!r}, {tf!r}]"
+                f"significance schedule on [{float(sched.knots[0])!r}, {float(sched.knots[-1])!r}] "
+                f"does not span the window ({t0!r}, {tf!r}]"
             )
         return sched.knots, np.sqrt(sched.values / self.q)
 

@@ -124,7 +124,7 @@ _LINE_SEP = '"}\n{"t": '
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """A parsed log: event ``i`` at ``times[i]`` (strictly increasing), from ``ids[codes[i]]``.
+    """A parsed log: event ``i`` at ``times[i]`` (finite, strictly increasing), from ``ids[codes[i]]``.
 
     ``codes`` is ``int32`` and ``ids`` the distinct ids, an object array.
     Logs compare by identity: a generated ``__eq__`` over arrays raises.
@@ -142,6 +142,8 @@ class EventLog:
             raise ValueError("times and codes must be parallel 1-d arrays, and ids 1-d")
         if not _increasing(times):
             raise ValueError("event times must be strictly increasing")
+        if times.size and not np.isfinite(times[[0, -1]]).all():  # increasing: any NaN or inf is at an end
+            raise ValueError("event times must be finite")
         if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= ids.shape[0]):
             raise ValueError(f"source codes must be integers in [0, {ids.shape[0]})")
         if len(set(ids.tolist())) != ids.shape[0]:
@@ -476,17 +478,14 @@ def save_events(log: EventLog, path) -> None:
 
     Each event's id is ``ids[codes]``, escaped as ``json.dumps`` escapes
     it (ASCII only); each distinct id is escaped once.  A chunk of events
-    is formatted in one pass and written with one call.  A finite time is
-    its float ``repr``, which is what ``json.dumps`` writes; a chunk
-    holding a non-finite time has ``json.dumps`` spell its times
-    (``NaN``, ``Infinity``).
+    is formatted in one pass and written with one call.  Each time is its
+    float ``repr``, which is what ``json.dumps`` writes for the finite
+    times an ``EventLog`` holds.
     """
     spelled = np.array([encode_basestring_ascii(str(i)) for i in log.ids.tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(log), _SAVE_CHUNK):
-            times = log.times[lo : lo + _SAVE_CHUNK]
-            spell = float.__repr__ if np.isfinite(times).all() else json.dumps
-            ts = map(spell, times.tolist())
+            ts = map(float.__repr__, log.times[lo : lo + _SAVE_CHUNK].tolist())
             ids = spelled[log.codes[lo : lo + _SAVE_CHUNK]].tolist()
             fh.write("".join(map('{{"t": {}, "src": {}}}\n'.format, ts, ids)))
 

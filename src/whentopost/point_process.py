@@ -14,7 +14,8 @@ the constant baseline ``lam0`` at speed ``w``:
     lam(t) = lam0 + (lam(s) - lam0) * exp(-w * (t - s))
 
 A one-row :class:`~whentopost.significance.StepSchedule` drives the
-inhomogeneous Poisson feeds of ``sample_piecewise_poisson``.
+inhomogeneous Poisson feeds of ``sample_piecewise_poisson``, on the
+window its knots span.
 """
 
 from __future__ import annotations
@@ -121,38 +122,29 @@ def sample_hawkes(
     return times
 
 
-def sample_piecewise_poisson(
-    rate: StepSchedule,
-    t0: float,
-    tf: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw an inhomogeneous Poisson stream on (t0, tf]: its strictly increasing times.
+def sample_piecewise_poisson(rate: StepSchedule, rng: np.random.Generator) -> np.ndarray:
+    """Draw an inhomogeneous Poisson stream on the rate's knots: its strictly increasing times.
 
-    ``rate`` is a one-row table.  Per segment: a Poisson count, then that
-    many uniform positions, sorted.  Segments are visited in order, so the
-    draw sequence (and hence the stream) is a pure function of the
-    generator state.
+    ``rate`` is a one-row table spanning the window.  Segment by segment,
+    in order, a Poisson count of mean rate x width, then that many
+    uniforms: the stream is a pure function of the generator state.  A
+    segment of mean 0 draws nothing, as ``poisson(0.0)`` would.  Then
+    every draw lands at once at its segment's start plus uniform x width.
     """
     if rate.values.shape[0] != 1:
         raise ValueError(f"a feed rate is a one-row table, got {rate.values.shape[0]} rows")
-    if not rate.covers(t0, tf):
-        raise ValueError("sampling window falls outside the rate's knots")
-    if tf < t0:
-        raise ValueError("tf must not precede t0")
-    pieces = []
-    for k in range(rate.values.shape[1]):
-        a = max(float(rate.knots[k]), t0)
-        b = min(float(rate.knots[k + 1]), tf)
-        if b <= a:
-            continue
-        lam = float(rate.values[0, k])
-        count = int(rng.poisson(lam * (b - a)))
+    widths = np.diff(rate.knots)
+    means = rate.values[0] * widths
+    live = np.flatnonzero(means)
+    counts = np.zeros(widths.shape[0], np.int64)
+    draws = []
+    for k, mean in zip(live.tolist(), means[live].tolist()):
+        count = counts[k] = rng.poisson(mean)
         if count:
-            pieces.append(np.sort(a + rng.random(count) * (b - a)))
-    if not pieces:
+            draws.append(rng.random(count))
+    if not draws:
         return np.empty(0, np.float64)
-    times = np.concatenate(pieces)
+    times = np.sort(np.repeat(rate.knots[:-1], counts) + np.concatenate(draws) * np.repeat(widths, counts))
     times, nudged = _dedupe_increasing(times)
     if nudged:
         warnings.warn(f"nudged {nudged} coincident sample(s) apart", stacklevel=2)

@@ -217,9 +217,7 @@ POLICIES = {
     "uniform": lambda c, seed, realized, **_: uniform_poisson_posts(
         realized, c.feeds[seed].t0, c.feeds[seed].tf, baseline_rng(seed)
     ),
-    "segment-offline": lambda c, seed, realized, **_: segment_offline_posts(
-        c.offline_rate[seed], int(round(realized)), c.feeds[seed].t0, c.feeds[seed].tf
-    ),
+    "segment-offline": lambda c, seed, realized, **_: segment_offline_posts(c.offline_rate[seed], int(round(realized))),
     "true-posts": lambda c, seed, **_: true_posts_playback(c.recorded),
 }
 
@@ -419,11 +417,11 @@ _SEGMENTS_PER_DAY = 24
 
 
 def _sinusoid_rate(cfg: SinusoidScenarioConfig, phase: float) -> StepSchedule:
-    """Hourly piecewise rate, one row, tracing one day's half sinusoid from ``phase``."""
+    """Hourly rate on ``[0, horizon]``, one row, tracing one day's half sinusoid from ``phase``."""
     seg_len = 86_400.0 / _SEGMENTS_PER_DAY
     n_total = int(math.ceil(cfg.horizon / seg_len))
     knots = np.arange(n_total + 1) * seg_len
-    knots[-1] = max(knots[-1], cfg.horizon)
+    knots[-1] = cfg.horizon
     peak = cfg.peak_per_hour / 3600.0
     segs = (np.arange(n_total) + phase) % _SEGMENTS_PER_DAY
     return StepSchedule(knots, peak * np.sin(math.pi * segs / _SEGMENTS_PER_DAY)[None])
@@ -443,7 +441,7 @@ def run_multi_follower_sinusoid(cfg: SinusoidScenarioConfig, budgets=None) -> li
             phase = rng.uniform(0.0, _SEGMENTS_PER_DAY)
             rate = _sinusoid_rate(cfg, phase)
             total = total + rate.values  # follower by follower, as _empirical_segment_rate adds
-            feeds.append(sample_piecewise_poisson(rate, t0, tf, rng))
+            feeds.append(sample_piecewise_poisson(rate, rng))
         # the offline planner is told the followers' true summed rate here
         rate_by_seed[seed] = StepSchedule(rate.knots, total)
         feeds_by_seed[seed] = Feeds.cut(feeds, t0, tf)

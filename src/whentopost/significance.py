@@ -11,7 +11,8 @@ followers x buckets array of weights, from the estimate to the profile
 CSV; it unrolls into a :class:`StepSchedule`, the same rows of weights
 over a window, which the controller reads.  A ``StepSchedule`` is the
 package's one step table: a feed rate, and the summed rate the offline
-planner is told, are one-row schedules.
+planner is told, are one-row schedules.  A table's knots span exactly
+the window it is read on, so no function takes a window beside one.
 
 Event times are seconds relative to an epoch (itself UNIX seconds), so
 calendar arithmetic is plain integer math on days-since-1970, which was
@@ -93,7 +94,8 @@ def _normalize_table(table: np.ndarray, laplace: float) -> np.ndarray:
 class StepSchedule:
     """Rows of nonnegative piecewise-constant values on a shared time grid.
 
-    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``.  The
+    ``values[i, k]`` applies on ``[knots[k], knots[k+1])``, and the
+    window a reader reads is ``knots[0]`` to ``knots[-1]``.  The
     controller's attention weights hold a row per follower; a feed rate,
     and the summed rate the offline planner is told, are one-row tables.
     Schedules compare by identity: a generated ``__eq__`` over arrays
@@ -114,9 +116,6 @@ class StepSchedule:
         if not np.all(values >= 0):
             raise ValueError("values must be nonnegative")
         self.__dict__.update(knots=knots, values=values)
-
-    def covers(self, t0: float, tf: float) -> bool:
-        return bool(self.knots[0] <= t0 and tf <= self.knots[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +151,9 @@ class SignificanceProfile:
     def step_schedule(self, t0: float, tf: float) -> StepSchedule:
         """Unroll every follower's bucket weights into window-time step functions.
 
-        Row ``i`` of the schedule is follower ``ids[i]``.  Knots land on
-        every bucket boundary (day or hour edges in absolute time) that
-        falls inside (t0, tf).
+        Row ``i`` of the schedule is follower ``ids[i]``.  Its knots run
+        from ``t0`` to ``tf`` and land on every bucket boundary (day or
+        hour edges in absolute time) that falls inside (t0, tf).
         """
         if tf <= t0:
             raise ValueError("window must have positive length")

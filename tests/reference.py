@@ -3,7 +3,8 @@
 No command runs this code.  Each piece computes what a production path
 in ``src/whentopost`` computes, by another route or one step at a time
 (the causal simulation loop and its controller class, the merge of
-per-follower streams into one timeline, rank folding, the
+per-follower streams into one timeline, the step-rate feed sampler
+segment by segment, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles and
 metrics), or reads back a file a command writes.  A few constructors and
 lookups that only tests need (an event log coded from a list of string
@@ -303,7 +304,8 @@ def _materialize_feed(feed, t0: float, tf: float, rng: np.random.Generator) -> n
     if isinstance(feed, HawkesParams):
         return sample_hawkes(feed, t0, tf, rng)
     if isinstance(feed, StepSchedule):
-        return sample_piecewise_poisson(feed, t0, tf, rng)
+        times = sample_piecewise_poisson(feed, rng)
+        return times[(times > t0) & (times <= tf)]
     raise TypeError(f"cannot build a feed from {type(feed).__name__}")
 
 
@@ -548,7 +550,7 @@ def followees(network, follower: str) -> list:
     return sorted(network.followees_of.get(follower, ()))
 
 
-# Intensity state and merged streams: point_process.
+# Intensity state, merged streams and the step-rate sampler: point_process.
 
 
 def dedupe_increasing_loop(times: np.ndarray) -> tuple[np.ndarray, int]:
@@ -560,6 +562,27 @@ def dedupe_increasing_loop(times: np.ndarray) -> tuple[np.ndarray, int]:
             times[i] = np.nextafter(times[i - 1], math.inf)
             nudged += 1
     return times, nudged
+
+
+def sample_piecewise_poisson_loop(rate: StepSchedule, rng: np.random.Generator) -> np.ndarray:
+    """``point_process.sample_piecewise_poisson`` one segment at a time.
+
+    Every segment, zero-rate ones included, draws its Poisson count and
+    then that many uniforms, and its sorted times are appended in turn.
+    """
+    pieces = []
+    for k in range(rate.values.shape[1]):
+        a = float(rate.knots[k])
+        b = float(rate.knots[k + 1])
+        count = int(rng.poisson(float(rate.values[0, k]) * (b - a)))
+        if count:
+            pieces.append(np.sort(a + rng.random(count) * (b - a)))
+    if not pieces:
+        return np.empty(0, np.float64)
+    times, nudged = _dedupe_increasing(np.concatenate(pieces))
+    if nudged:
+        warnings.warn(f"nudged {nudged} coincident sample(s) apart", stacklevel=2)
+    return times
 
 
 @dataclass(frozen=True)
@@ -703,18 +726,16 @@ def empirical_segment_rates_by_histogram(feeds, t0: float, tf: float, n_segments
     return [StepSchedule(knots, [np.histogram(times, bins=knots)[0] / np.diff(knots)]) for times in feeds]
 
 
-def segment_offline_posts_loop(rate: StepSchedule, budget: int, t0: float, tf: float) -> np.ndarray:
+def segment_offline_posts_loop(rate: StepSchedule, budget: int) -> np.ndarray:
     """``segment_offline_posts`` one post at a time.
 
     Each budget unit goes to the first segment of the largest marginal
     gain, recomputed for every segment; then each segment's posts are
     appended one by one, post ``j`` at ``edges[k] + j * step``.
     """
-    knots = rate.knots
-    edges = np.concatenate([[t0], knots[(knots > t0) & (knots < tf)], [tf]])
+    edges = rate.knots
     lengths = np.diff(edges)
-    seg = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, knots.shape[0] - 2)
-    base = rate.values[0, seg] * lengths * lengths / 2.0
+    base = rate.values[0] * lengths * lengths / 2.0
     alloc = np.zeros(lengths.shape[0], dtype=np.int64)
     for _ in range(int(budget)):
         alloc[np.argmax(base * (1.0 / (alloc + 1.0) - 1.0 / (alloc + 2.0)))] += 1

@@ -278,7 +278,7 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
     total = 0
     weekend_hits = 0
     for seed in range(50):
-        feed = sample_piecewise_poisson(rate, t0, tf, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
+        feed = sample_piecewise_poisson(rate, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
         posts = run_redqueen_fast(
             Feeds.cut([feed], t0, tf, np.array([2])), RedQueenParams(q=1000.0, significance=schedule),
             np.random.default_rng(np.random.SeedSequence([909, 2, seed])),

@@ -43,6 +43,10 @@ RUNS = {
         "--policy", "redqueen", "--policy", "uniform", "--policy", "segment-offline",
         "--budget", "4",
     ], False),
+    # a horizon that is not a whole number of hours: the rate's last hour is cut short
+    "sinusoid-partial-hour": (SINUSOID[:-1] + [
+        "5400", "--policy", "redqueen", "--policy", "segment-offline", "--budget", "2",
+    ], False),
     "replay": (["replay", "--seeds", "0-2", *ALL_REPLAY], True),
     "replay-weekday-hour": (["replay", "--seeds", "0-1", "--significance", "weekday-hour",
                              "--policy", "redqueen", "--policy", "true-posts"], False),
@@ -64,6 +68,8 @@ GOLDEN = {
     "hawkes-q/details": "1aac1400570a7ffd3ce02e6b1e431b7a3b7da143d3ba0ca69e0487cd7333c4dd",
     "sinusoid/out": "72e0e3de847d25d2bbdcb62ea26f84c9b99848cfcf7d5fe8b25a6f6f42ff13ab",
     "sinusoid/details": "983478e2b9ef8f1b2b4e44f7395874fd1bc29e976985e20d480aaff3152449e1",
+    "sinusoid-partial-hour/out": "7d73ff3b5ca79ff5b9b6a87136a3669692817754c5f2cd711b949c1edcc2f958",
+    "sinusoid-partial-hour/details": "bf723d4b8a0d97bd50d5835ec560d6a10d5f9eeac4d1cae30cde5cd0c492c30a",
     "replay/out": "fbf69f7ef1ef6842b0daa8861371064b23b6c633906237ac445f2a385f4c613d",
     "replay/details": "7e4b0cdfcc90945f27e83ada4c3ea7d7d7b4484d58fff8e598974e6b16c0e994",
     "replay/summary": "652667ceda04da882209f76bc637d31d10b29dac16dc7a5d766e216241fd3c9c",

@@ -12,6 +12,7 @@ from reference import (
     constant_schedule,
     decay_intensity,
     dedupe_increasing_loop,
+    sample_piecewise_poisson_loop,
     superpose,
     value_at,
 )
@@ -19,6 +20,7 @@ from reference import (
 from whentopost import kernels, point_process
 from whentopost.cli import main
 from whentopost.point_process import HawkesParams, sample_hawkes, sample_piecewise_poisson
+from whentopost.scenarios import SinusoidScenarioConfig, _sinusoid_rate
 from whentopost.significance import StepSchedule
 
 PARAMS = HawkesParams(baseline=10.0, alpha=1.0, w=10.0)
@@ -145,46 +147,98 @@ def test_sample_hawkes_events_inside_window_and_increasing():
 
 def test_sample_piecewise_poisson_zero_rate_empty():
     rate = constant_schedule(0.0, 0.0, 100.0)
-    times = sample_piecewise_poisson(rate, 0.0, 100.0, np.random.default_rng(1))
+    times = sample_piecewise_poisson(rate, np.random.default_rng(1))
     assert len(times) == 0
 
 
 def test_sample_piecewise_poisson_single_segment_count():
     rate = constant_schedule(5.0, 0.0, 200.0)
-    times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(5))
+    times = sample_piecewise_poisson(rate, np.random.default_rng(5))
     assert abs(len(times) - 1000) <= 3 * math.sqrt(1000)
 
 
 def test_sample_piecewise_poisson_two_segment_counts():
     rate = StepSchedule(np.array([0.0, 100.0, 200.0]), np.array([[2.0, 8.0]]))
-    times = sample_piecewise_poisson(rate, 0.0, 200.0, np.random.default_rng(9))
+    times = sample_piecewise_poisson(rate, np.random.default_rng(9))
     n1 = int(np.sum(times <= 100.0))
     n2 = len(times) - n1
     assert abs(n1 - 200) <= 3 * math.sqrt(200)
     assert abs(n2 - 800) <= 3 * math.sqrt(800)
 
 
-def test_sample_piecewise_poisson_respects_subwindow():
-    rate = StepSchedule(np.array([0.0, 100.0, 200.0]), np.array([[2.0, 8.0]]))
-    times = sample_piecewise_poisson(rate, 50.0, 150.0, np.random.default_rng(2))
-    assert np.all(times > 50.0)
+def test_sample_piecewise_poisson_draws_inside_its_knots():
+    rate = StepSchedule(np.array([50.0, 100.0, 150.0]), np.array([[2.0, 8.0]]))
+    times = sample_piecewise_poisson(rate, np.random.default_rng(2))
+    assert times.shape[0] > 0
+    assert np.all(times >= 50.0)
     assert np.all(times <= 150.0)
 
 
 def test_sample_piecewise_poisson_domain_error():
-    rate = constant_schedule(5.0, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one-row table"):
-        sample_piecewise_poisson(constant_schedule(5.0, 0.0, 10.0, rows=2), 0.0, 10.0, np.random.default_rng(0))
+        sample_piecewise_poisson(constant_schedule(5.0, 0.0, 10.0, rows=2), np.random.default_rng(0))
 
 
 def test_sample_piecewise_poisson_deterministic():
     rate = StepSchedule(np.array([0.0, 10.0, 20.0]), np.array([[1.0, 4.0]]))
-    a = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
-    b = sample_piecewise_poisson(rate, 0.0, 20.0, np.random.default_rng(8))
+    a = sample_piecewise_poisson(rate, np.random.default_rng(8))
+    b = sample_piecewise_poisson(rate, np.random.default_rng(8))
     assert a.dtype == np.float64 and a.ndim == 1
     assert np.array_equal(a, b)
+
+
+def test_sample_piecewise_poisson_matches_the_segment_loop():
+    # zero-rate segments, widths from 1e-2 to 3600 s, first knots below zero
+    # and the sinusoid scenario's hourly tables (the last hour cut short on
+    # some horizons), bit for bit, with the generator left where the loop
+    # leaves it
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        if trial % 3 == 0:
+            horizon = float(rng.choice([3600.0, 5400.0, 43200.0, 86400.0 + rng.uniform(1.0, 3600.0)]))
+            cfg = SinusoidScenarioConfig(seeds=(0,), q=1.0, followers=1, peak_per_hour=60.0, horizon=horizon)
+            rate = _sinusoid_rate(cfg, rng.uniform(0.0, 24.0))
+        else:
+            n = int(rng.integers(1, 40))
+            widths = 10.0 ** rng.uniform(-2.0, math.log10(3600.0), n)
+            knots = rng.uniform(-5000.0, 5000.0) + np.concatenate([[0.0], np.cumsum(widths)])
+            means = rng.uniform(0.0, 20.0, n)
+            means[rng.random(n) < 0.3] = 0.0
+            rate = StepSchedule(knots, [means / np.diff(knots)])
+        seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_piecewise_poisson(rate, got_rng)
+        want = sample_piecewise_poisson_loop(rate, want_rng)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), trial
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, trial
+
+
+class _Recorder:
+    """A generator stand-in that records the means it draws counts for."""
+
+    def __init__(self, seed):
+        self.rng, self.means = np.random.default_rng(seed), []
+
+    def poisson(self, mean):
+        self.means.append(mean)
+        return self.rng.poisson(mean)
+
+    def random(self, count):
+        return self.rng.random(count)
+
+
+def test_zero_rate_segments_draw_nothing():
+    hours = np.arange(8785) * 3600.0
+    rng = np.random.default_rng(7)
+    assert sample_piecewise_poisson(StepSchedule(hours, np.zeros((1, 8784))), rng).shape == (0,)
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+    recorder = _Recorder(7)
+    sample_piecewise_poisson(StepSchedule(hours, np.zeros((1, 8784))), recorder)
+    assert recorder.means == []
+    values = np.zeros(8784)
+    values[[3, 4, 100]] = [0.001, 0.002, 0.003]
+    sample_piecewise_poisson(StepSchedule(hours, [values]), recorder)
+    assert recorder.means == [3.6, 7.2, 0.003 * 3600.0]
 
 
 def test_superpose_identity_and_merge():
@@ -270,7 +324,7 @@ def test_superpose_of_poisson_streams_has_summed_rate():
     rng = np.random.default_rng(12)
     horizon = 200.0
     streams = [
-        sample_piecewise_poisson(constant_schedule(2.0, 0.0, horizon), 0.0, horizon, rng)
+        sample_piecewise_poisson(constant_schedule(2.0, 0.0, horizon), rng)
         for _ in range(5)
     ]
     merged = superpose(streams)
@@ -283,8 +337,6 @@ def test_piecewise_rate_lookup_and_domain():
     assert value_at(rate, 0.999) == 5.0
     assert value_at(rate, 1.0) == 7.0
     assert value_at(rate, 3.0) == 7.0
-    assert rate.covers(0.0, 3.0)
-    assert not rate.covers(0.0, 3.5)
     with pytest.raises(ValueError):
         value_at(rate, -0.1)
     with pytest.raises(ValueError):

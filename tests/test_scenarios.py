@@ -480,3 +480,12 @@ def test_a_replay_scores_its_recorded_posts_once(monkeypatch):
             reference.position_over_time, reference.time_at_top
         )
         assert report.normalized_position == report.normalized_time_at_top == 1.0
+
+
+def test_the_sinusoid_rate_spans_the_horizon():
+    # hourly knots from 0, the last one on the horizon, whole hour or not
+    for horizon in (1.0, 3600.0, 5400.0, 43200.0, 86400.5):
+        rate = scenarios._sinusoid_rate(SinusoidScenarioConfig(seeds=(0,), q=1.0, horizon=horizon), 3.5)
+        n = rate.values.shape[1]
+        assert n == math.ceil(horizon / 3600.0)
+        assert rate.knots.tolist() == [3600.0 * k for k in range(n)] + [horizon]
