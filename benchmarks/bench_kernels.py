@@ -57,7 +57,8 @@ A replay section runs the 900-follower replay in this process as the
 ``replay`` command runs it (policies redqueen, uniform, segment-offline
 and true-posts, weekday significance) at seeds ``0-0`` and at the
 command's default ``0-9``, best of at most 3, and prints the line count
-of each module in ``src/whentopost``.
+of each module in ``src/whentopost``.  The dataset, with the followers'
+weekday profile, is built once, outside the timed ``run_replay``.
 
 An I/O section then writes 100k-event and 1M-event logs with
 ``save_events`` and times ``load_events`` on each: as one byte range
@@ -99,12 +100,10 @@ same read twice):
 import collections
 import contextlib
 import copy
-import csv
 import io
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import tempfile
@@ -131,7 +130,7 @@ from whentopost.kernels import (
 )
 from whentopost.metrics import report_from_trajectory
 from whentopost.point_process import sample_piecewise_poisson
-from whentopost.significance import NORMALIZATION, StepSchedule, estimate_significance
+from whentopost.significance import StepSchedule, estimate_significance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -142,9 +141,11 @@ from reference import (  # noqa: E402  (the per-follower references the tests ch
     bucket_weights,
     empirical_segment_rates_by_histogram,
     merge_feeds,
+    per_line_only,
     report_by_follower,
     sample_piecewise_poisson_loop,
     segment_totals_by_value_at,
+    write_profile_csv_by_rows,
 )
 from reference import simulate as simulate_loop  # noqa: E402  (``simulate`` here runs the CLI command)
 
@@ -335,17 +336,21 @@ def bench_sweep(repeats):
 #: Followers of the replayed broadcaster in the tune section's two logs: the
 #: ``replay-week`` benchmark's ``genlog`` log, and one with 15 times as many.
 TUNE_FOLLOWERS = (60, 900)
-TUNE_CONFIG = scenarios.ReplayConfig(seeds=(0,), policies=("redqueen", "true-posts"), significance="weekday")
+TUNE_CONFIG = scenarios.ReplayConfig(seeds=(0,), policies=("redqueen", "true-posts"))
 
 
-def replay_dataset(followers, workdir):
-    """The seed-0 ``genlog`` replay with ``followers`` followers (and twice as many accounts, at least 1000)."""
+def replay_dataset(followers, workdir, granularity=None):
+    """The seed-0 ``genlog`` replay with ``followers`` followers (and twice as many accounts, at least 1000).
+
+    With ``granularity``, the dataset carries its followers' significance profile, as ``replay
+    --significance`` builds it.
+    """
     with mock.patch.multiple(genlog, FOLLOWERS=followers, ACCOUNTS=max(genlog.ACCOUNTS, 2 * followers)):
         genlog.generate(0, workdir)
     man = data_io.load_manifest(Path(workdir) / "manifest.txt")
     return data_io.build_replay_dataset(
         data_io.load_events(man.events_path), data_io.load_network(man.network_path),
-        man.broadcaster, man.epoch, man.t0, man.tf,
+        man.broadcaster, man.epoch, man.t0, man.tf, granularity=granularity,
     )
 
 
@@ -408,7 +413,7 @@ def bench_tune(repeats):
     )
     for followers in TUNE_FOLLOWERS:
         with tempfile.TemporaryDirectory() as tmp:
-            dataset = replay_dataset(followers, tmp)
+            dataset = replay_dataset(followers, tmp, "weekday")
         modes = {
             "package": contextlib.nullcontext(),
             "uncapped": mock.patch.object(scenarios, "tune_q", uncapped_tune_q),
@@ -518,11 +523,11 @@ def source_lines():
 def bench_replay(repeats):
     """Time the 900-follower replay at one seed and at ten, and count the package's lines; return both."""
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = replay_dataset(TUNE_FOLLOWERS[-1], tmp)
+        dataset = replay_dataset(TUNE_FOLLOWERS[-1], tmp, "weekday")
     results = {}
     click.echo(f"\n{f'replay ({TUNE_FOLLOWERS[-1]} followers)':<22} {'seeds':>7} {'best':>10}")
     for label, seeds in REPLAY_SEEDS.items():
-        cfg = scenarios.ReplayConfig(seeds=seeds, policies=REPLAY_POLICIES, significance="weekday")
+        cfg = scenarios.ReplayConfig(seeds=seeds, policies=REPLAY_POLICIES)
         best = best_time(lambda: scenarios.run_replay(cfg, dataset), min(repeats, 3))
         click.echo(f"{'run_replay':<22} {label:>7} {best * 1e3:>8.1f}ms")
         results[f"seeds_{label}_s"] = best
@@ -543,42 +548,6 @@ def synthetic_log(n=100_000):
     codes = rng.integers(0, 1000, times.shape[0])
     used = np.unique(codes)  # the accounts with events, as a parsed log lists them
     return data_io.EventLog(times, np.searchsorted(used, codes), accounts[used])
-
-
-def write_profile_csv_by_rows(profile, path):
-    """``write_profile_csv`` as one ``csv.writerow`` and one ``repr`` per row.
-
-    Each row is written with a ``"\\r\\n"`` terminator, so that csv quotes
-    an id holding ``"\\r"``, and is then ended with ``"\\n"``.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# granularity = {profile.granularity}\n")
-        fh.write(f"# epoch = {float(profile.epoch)!r}\n")
-        fh.write(f"# laplace = {float(profile.laplace)!r}\n")
-        fh.write(
-            f"# normalization = {NORMALIZATION} "
-            "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
-        )
-        row = io.StringIO()
-        writer = csv.writer(row, lineterminator="\r\n")
-
-        def writerow(cells):
-            row.seek(0)
-            row.truncate()
-            writer.writerow(cells)
-            fh.write(row.getvalue()[:-2] + "\n")
-
-        writerow(["follower_id", "bucket_index", "value"])
-        for fid, vec in zip(profile.ids, profile.values):
-            for b in range(vec.shape[0]):
-                writerow([fid, b, repr(float(vec[b]))])
-
-
-@contextlib.contextmanager
-def per_line_events():
-    """Make ``load_events`` read every line with ``json.loads``."""
-    with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
-        yield
 
 
 @contextlib.contextmanager
@@ -637,7 +606,7 @@ def bench_load(log, repeats, per_line):
         timings["load_events_one_range"] = best_time(lambda: data_io.load_events(log), repeats)
         want = data_io.load_events(log)
         if per_line:
-            with per_line_events():
+            with per_line_only():
                 timings["load_events_per_line"] = best_time(lambda: data_io.load_events(log), repeats)
                 check_same_read("the per-line path", data_io.load_events(log), want)
         peaks = {"load_events_one_range": load_peak_ratio(log)}

@@ -241,8 +241,6 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
         policies=tuple(policies),
         q=q,
         target_posts=target_posts,
-        significance=None if significance == "none" else significance,
-        laplace=laplace,
         tune_tol=tune_tol,
         offline_segments=offline_segments,
         initial_rank=initial_rank,
@@ -252,6 +250,7 @@ def replay(manifest, policies, seeds, q, target_posts, significance, laplace,
     dataset = data_io.build_replay_dataset(
         data_io.load_events(man.events_path), data_io.load_network(man.network_path),
         man.broadcaster, man.epoch, man.t0, man.tf, max_followees=max_followees,
+        granularity=None if significance == "none" else significance, laplace=laplace,
     )
     reports, details = scenarios.run_replay(cfg, dataset)
     _check_converged(f"replay:{dataset.broadcaster}", details)

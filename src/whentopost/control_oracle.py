@@ -94,14 +94,19 @@ def schedule_cost(decisions, inst: OracleInstance) -> float:
     return cost + 0.5 * (r * r)
 
 
-def oracle_schedule(inst: OracleInstance) -> np.ndarray:
-    """Optimal decisions by backward induction: an ``int8`` 0/1 per stage."""
-    if inst.n_stages > MAX_ORACLE_STAGES:
+def check_stages(n_stages: int) -> None:
+    """Reject an instance of more than ``MAX_ORACLE_STAGES`` stages."""
+    if n_stages > MAX_ORACLE_STAGES:
         raise ValueError(
-            f"{inst.n_stages} stages: the induction's worst-case work grows "
+            f"{n_stages} stages: the induction's worst-case work grows "
             f"with the square of the stage count and is capped at "
             f"{MAX_ORACLE_STAGES} stages - shrink the window or thin the feed"
         )
+
+
+def oracle_schedule(inst: OracleInstance) -> np.ndarray:
+    """Optimal decisions by backward induction: an ``int8`` 0/1 per stage."""
+    check_stages(inst.n_stages)
     return oracle_decisions(inst.widths, int(inst.r0), float(inst.q))
 
 

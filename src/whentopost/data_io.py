@@ -65,7 +65,7 @@ import numpy as np
 
 from .feed_sim import Feeds
 from .point_process import _dedupe_increasing
-from .significance import NORMALIZATION, SignificanceProfile, bucket_count
+from .significance import NORMALIZATION, SignificanceProfile, bucket_count, estimate_significance
 
 __all__ = [
     "EventLog",
@@ -606,18 +606,13 @@ class ReplayDataset:
 
     It keeps no reference to the log or the follower graph it was cut
     from, so a caller that drops them frees them before the run.
-    ``follower_events`` holds the retained followers' own events at every
-    time in the log (not only the window), which is all that significance
-    estimation reads; its ids are the retained followers that have events,
-    in ``follower_ids`` order.
     """
 
     broadcaster: str
     follower_ids: list
     feeds: Feeds  # the window (t0, tf], and one feed per follower without the broadcaster's posts
     true_posts: np.ndarray  # the broadcaster's post times on (t0, tf]
-    epoch: float
-    follower_events: EventLog
+    profile: SignificanceProfile | None  # from the followers' own events in the whole log; None without a granularity
 
 
 def build_replay_dataset(
@@ -628,6 +623,8 @@ def build_replay_dataset(
     t0: float,
     tf: float,
     max_followees: int = 500,
+    granularity: str | None = None,
+    laplace: float = 1.0,
 ) -> ReplayDataset:
     """Cut one broadcaster's replay problem out of a shared event log.
 
@@ -636,7 +633,9 @@ def build_replay_dataset(
     ``max_followees`` accounts are dropped (their feeds drown everyone
     out and bloat the replay).  A broadcaster with no retained
     followers cannot be replayed.  Every array of the dataset is a copy,
-    so it holds neither ``events`` nor ``network``.
+    so it holds neither ``events`` nor ``network``.  With a
+    ``granularity``, the retained followers' profile is estimated from
+    ``events`` as ``estimate-significance --follower`` estimates it.
     """
     followers = network.followers(broadcaster)
     retained = [f for f in followers if len(network.followees_of.get(f, ())) <= max_followees]
@@ -659,20 +658,12 @@ def build_replay_dataset(
 
     index = [from_sources(set(network.followees_of.get(f, ())) - {broadcaster}) for f in retained]
     feeds = Feeds(times[np.concatenate(index)], np.cumsum([0] + [i.shape[0] for i in index]), t0, tf)
-    # the followers' own events over the whole log, coded by their rank in ``own``
-    own = np.array([c for c in map(code_of.get, retained) if c is not None], np.int64)
-    mine = np.zeros(len(events.ids), bool)
-    mine[own] = True
-    mine = mine[events.codes]
-    renumber = np.zeros(len(events.ids), np.int32)
-    renumber[own] = np.arange(own.shape[0])
     return ReplayDataset(
         broadcaster=broadcaster,
         follower_ids=retained,
         feeds=feeds,
         true_posts=times[from_sources({broadcaster})],
-        epoch=epoch,
-        follower_events=EventLog(events.times[mine], renumber[events.codes[mine]], events.ids[own]),
+        profile=None if granularity is None else estimate_significance(events, retained, epoch, granularity, laplace),
     )
 
 

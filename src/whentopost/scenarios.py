@@ -7,8 +7,8 @@ a recorded log) into one competition.  ``_compete`` settles it into one
 and realized budgets: both synthetic runners return that list, a replay
 its one ``(reports, details)``.  ``POLICIES`` maps each policy name to
 the function placing its posts for one seed.  A replay also brings its
-significance schedule and recorded posts, which every replayed report is
-normalized against.
+recorded posts, which every replayed report is normalized against, and
+its dataset's significance profile, unrolled on the window.
 
 Randomness discipline: the feed for (seed, follower j) comes from
 generator ``[seed, 1, j]``, the posting policy for a seed from
@@ -52,12 +52,12 @@ import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
 from .control_online import RedQueenParams, run_redqueen_fast, tune_q
-from .control_oracle import MAX_ORACLE_RANK, decisions_to_post_times, instance_from_feed, oracle_schedule
+from .control_oracle import MAX_ORACLE_RANK, check_stages, decisions_to_post_times, instance_from_feed, oracle_schedule
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
 from .metrics import normalize_report, report_from_trajectory
 from .point_process import MAX_HAWKES_EVENTS, HawkesParams, sample_hawkes, sample_piecewise_poisson
-from .significance import StepSchedule, estimate_significance
+from .significance import StepSchedule
 
 __all__ = [
     "POLICIES",
@@ -251,6 +251,8 @@ def _compete(comp: _Competition, runs: list, details: dict) -> list:
     for cfg, label, target in runs:
         info = dict(details)
         realized, redqueen_q, oracle_q = float(n_recorded), math.nan, math.nan
+        if "oracle" in cfg.policies:  # before any controller run: stage 0, and one per feed event
+            check_stages(max(f.times.shape[0] for f in comp.feeds.values()) + 1)
         if comp.recorded is None or any(p in ("redqueen", "uniform", "segment-offline") for p in cfg.policies):
             redqueen_q = cfg.q
             if redqueen_q is None:
@@ -461,8 +463,6 @@ class ReplayConfig:
     policies: tuple = ("redqueen", "true-posts")
     q: float | None = None  # None: tune to the recorded post count
     target_posts: float | None = None
-    significance: str | None = None  # None, "weekday" or "weekday-hour"
-    laplace: float = 1.0
     tune_tol: float = 0.1
     offline_segments: int = 10
     initial_rank: int = 0
@@ -493,16 +493,7 @@ def run_replay(cfg: ReplayConfig, dataset: ReplayDataset):
     feeds = dataclasses.replace(dataset.feeds, initial_ranks=np.full(n, cfg.initial_rank, np.int64))
     details: dict = {"followers": n, "true_posts": len(dataset.true_posts)}
 
-    significance = None
-    if cfg.significance is not None:
-        profile = estimate_significance(
-            dataset.follower_events,
-            dataset.follower_ids,
-            epoch=dataset.epoch,
-            granularity=cfg.significance,
-            laplace=cfg.laplace,
-        )
-        significance = profile.step_schedule(feeds.t0, feeds.tf)
+    significance = None if dataset.profile is None else dataset.profile.step_schedule(feeds.t0, feeds.tf)
 
     # the feeds are the same on every seed, and so is their segment rate
     wanted = "segment-offline" in cfg.policies

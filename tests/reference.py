@@ -6,7 +6,8 @@ in ``src/whentopost`` computes, by another route or one step at a time
 per-follower streams into one timeline, the step-rate feed sampler
 segment by segment, rank folding, the
 oracle's value table and exhaustive search, per-follower profiles and
-metrics), or reads back a file a command writes.  A few constructors and
+metrics, a profile written one row at a time, an event log read one line
+at a time), or reads back a file a command writes.  A few constructors and
 lookups that only tests need (an event log coded from a list of string
 sources, a constant step table, a step table's value at a time) live
 here too, so every setting and method in the package is one a command
@@ -15,15 +16,20 @@ uses.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import product
+from unittest import mock
 
 import numpy as np
 
+from whentopost import data_io
 from whentopost.control_online import RedQueenParams
 from whentopost.control_oracle import OracleInstance
 from whentopost.data_io import REPORT_HEADER, DataFormatError, EventLog
@@ -31,7 +37,7 @@ from whentopost.feed_sim import Feeds, SimulationTrajectory
 from whentopost.kernels import _clock_first_time
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import HawkesParams, _dedupe_increasing, sample_hawkes, sample_piecewise_poisson
-from whentopost.significance import SignificanceProfile, StepSchedule, bucket_count
+from whentopost.significance import NORMALIZATION, SignificanceProfile, StepSchedule, bucket_count
 
 
 # The oracle: kernels.oracle_decisions and control_oracle.schedule_cost.
@@ -875,3 +881,39 @@ def read_profile_csv(path) -> SignificanceProfile:
         values=np.array(list(rows.values())).reshape(len(rows), b),
         laplace=float(meta["laplace"]),
     )
+
+
+def write_profile_csv_by_rows(profile, path):
+    """``write_profile_csv`` as one ``csv.writerow`` and one ``repr`` per row; the bytes must match.
+
+    Each row is written with a ``"\\r\\n"`` terminator, so that csv quotes
+    an id holding ``"\\r"``, and is then ended with ``"\\n"``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# granularity = {profile.granularity}\n")
+        fh.write(f"# epoch = {float(profile.epoch)!r}\n")
+        fh.write(f"# laplace = {float(profile.laplace)!r}\n")
+        fh.write(
+            f"# normalization = {NORMALIZATION} "
+            "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
+        )
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\r\n")
+
+        def writerow(cells):
+            row.seek(0)
+            row.truncate()
+            writer.writerow(cells)
+            fh.write(row.getvalue()[:-2] + "\n")
+
+        writerow(["follower_id", "bucket_index", "value"])
+        for fid, vec in zip(profile.ids, profile.values):
+            for b in range(vec.shape[0]):
+                writerow([fid, b, repr(float(vec[b]))])
+
+
+@contextlib.contextmanager
+def per_line_only():
+    """Make ``load_events`` read every chunk with one ``json.loads`` a line, as if no line were canonical."""
+    with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
+        yield

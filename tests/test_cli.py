@@ -293,6 +293,53 @@ def test_replay_frees_the_log_and_the_graph_before_the_run(tmp_path, monkeypatch
     assert len(loaded) == 2 and alive == [False, False]
 
 
+def warned_run(args):
+    """``run_ok(args)``'s warning messages, every one recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ok(args)
+    return [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("granularity", ["weekday", "weekday-hour"])
+def test_replay_weighs_its_followers_by_the_profile_estimate_significance_writes(
+    genlog_manifest, tmp_path, monkeypatch, granularity
+):
+    man = data_io.load_manifest(genlog_manifest)
+    # a retained follower with no event in the log: one flat fallback in each command
+    network = tmp_path / "network.csv"
+    network.write_text(man.network_path.read_text(encoding="utf-8") + f"{man.broadcaster},silent\n",
+                       encoding="utf-8")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"events = {man.events_path}\nnetwork = {network}\nepoch = {man.epoch!r}\n"
+        f"t0 = {man.t0!r}\ntf = {man.tf!r}\nbroadcaster = {man.broadcaster}\n", encoding="utf-8",
+    )
+    datasets = []
+
+    def run_replay(cfg, dataset, real=scenarios.run_replay):
+        datasets.append(dataset)
+        return real(cfg, dataset)
+
+    monkeypatch.setattr(scenarios, "run_replay", run_replay)
+    replay_warned = warned_run([
+        "replay", "--manifest", str(manifest), "--significance", granularity, "--policy", "true-posts",
+        "--seeds", "0", "--out", str(tmp_path / "r.csv"),
+    ])
+    [dataset] = datasets
+    assert "silent" in dataset.follower_ids and len(dataset.follower_ids) > 1
+    followers = [arg for f in dataset.follower_ids for arg in ("--follower", f)]
+    profile_warned = warned_run([
+        "estimate-significance", "--events", str(man.events_path), "--epoch", repr(man.epoch),
+        "--granularity", granularity, *followers, "--out", str(tmp_path / "p.csv"),
+    ])
+    got, want = dataset.profile, read_profile_csv(tmp_path / "p.csv")
+    assert got.ids == want.ids == tuple(dataset.follower_ids)
+    assert (got.granularity, got.epoch, got.laplace) == (want.granularity, want.epoch, want.laplace)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert replay_warned == profile_warned == ["empty activity log: falling back to a flat profile"]
+
+
 def test_replay_missing_manifest_is_usage_error(tmp_path):
     result = CliRunner().invoke(main, [
         "replay", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "r.csv"),

@@ -1,10 +1,8 @@
 """Log, graph, manifest, report and profile serialization round trips."""
 
 import contextlib
-import csv
 import errno
 import importlib.util
-import io
 import json
 import math
 import os
@@ -18,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import reference
-from reference import read_profile_csv, read_report_csv
+from reference import per_line_only, read_profile_csv, read_report_csv, write_profile_csv_by_rows
 
 from whentopost import data_io
 from whentopost.data_io import (
@@ -35,7 +33,7 @@ from whentopost.data_io import (
     write_report_csv,
 )
 from whentopost.metrics import MetricsReport
-from whentopost.significance import NORMALIZATION, SignificanceProfile, estimate_significance
+from whentopost.significance import SignificanceProfile
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "replay_small"
 
@@ -350,32 +348,6 @@ def test_build_replay_dataset_matches_the_mask_path(genlog_manifest):
         assert dataset.true_posts.tobytes() == true_posts.tobytes()
 
 
-def test_follower_events_profile_the_followers_as_the_whole_log_does(genlog_manifest):
-    man = load_manifest(genlog_manifest)
-    log, net = load_events(man.events_path), load_network(man.network_path)
-    # a retained follower with no event in the log: still one flat fallback
-    edges = [(b, f) for b, fs in net.followers_of.items() for f in fs] + [(man.broadcaster, "silent")]
-    dataset = build_replay_dataset(log, Network.from_edges(edges), man.broadcaster, man.epoch, man.t0, man.tf)
-    assert "silent" in dataset.follower_ids
-    own = dataset.follower_events
-    sources = np.array(reference.log_sources(log), dtype=object)
-    mine = np.isin(sources, dataset.follower_ids)
-    assert own.times.tobytes() == log.times[mine].tobytes()
-    assert reference.log_sources(own) == sources[mine].tolist()
-    assert own.ids.tolist() == [f for f in dataset.follower_ids if f in set(sources[mine])]
-    assert 0 < len(own) < len(log) // 10
-    for granularity in ("weekday", "weekday-hour"):
-        profiles, warned = [], []
-        for events in (log, own):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                profiles.append(estimate_significance(events, dataset.follower_ids, man.epoch, granularity))
-            warned.append([str(w.message) for w in caught])
-        assert profiles[1].ids == profiles[0].ids == tuple(dataset.follower_ids)
-        assert profiles[1].values.tobytes() == profiles[0].values.tobytes()
-        assert warned[1] == warned[0] == ["empty activity log: falling back to a flat profile"]
-
-
 def test_load_events_rejects_non_finite_times_with_line_number(tmp_path):
     p = tmp_path / "events.jsonl"
     shown = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan", '"inf"': "inf"}
@@ -491,35 +463,6 @@ def test_profile_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, profile.values)
 
 
-def write_profile_csv_by_rows(profile, path):
-    """The one-``writerow``-per-row writer; ``write_profile_csv`` must match its bytes.
-
-    Each row is written with a ``"\\r\\n"`` terminator, so that csv quotes
-    an id holding ``"\\r"``, and is then ended with ``"\\n"``.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# granularity = {profile.granularity}\n")
-        fh.write(f"# epoch = {float(profile.epoch)!r}\n")
-        fh.write(f"# laplace = {float(profile.laplace)!r}\n")
-        fh.write(
-            f"# normalization = {NORMALIZATION} "
-            "(each follower's peak bucket is scaled to 1; values are not probabilities)\n"
-        )
-        row = io.StringIO()
-        writer = csv.writer(row, lineterminator="\r\n")
-
-        def writerow(cells):
-            row.seek(0)
-            row.truncate()
-            writer.writerow(cells)
-            fh.write(row.getvalue()[:-2] + "\n")
-
-        writerow(["follower_id", "bucket_index", "value"])
-        for fid, vec in zip(profile.ids, profile.values):
-            for b in range(vec.shape[0]):
-                writerow([fid, b, repr(float(vec[b]))])
-
-
 def test_profile_csv_matches_row_by_row_writer(tmp_path):
     rng = np.random.default_rng(8)
     special = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 0.1, 1 / 3]
@@ -616,13 +559,6 @@ def load_outcome(path):
         except DataFormatError as exc:
             return ("error", str(exc))
     return (log.times.tobytes(), reference.log_sources(log), [str(w.message) for w in caught])
-
-
-@contextlib.contextmanager
-def per_line_only():
-    """Read every chunk line by line, as if no line were canonical."""
-    with mock.patch.object(data_io, "_CANONICAL_EVENT", re.compile(r"(?!)")):
-        yield
 
 
 def load_both_ways(path, chunk_bytes=1 << 18):

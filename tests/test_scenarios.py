@@ -15,7 +15,7 @@ from reference import coded_log, empirical_segment_rates_by_histogram, merge_fee
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
 from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
-from whentopost.data_io import build_replay_dataset, load_events, load_network
+from whentopost.data_io import Network, build_replay_dataset, load_events, load_network
 from whentopost.feed_sim import Feeds
 from whentopost.kernels import redqueen_posts
 from whentopost.metrics import report_from_trajectory
@@ -142,6 +142,38 @@ def test_oracle_falls_back_to_the_recorded_count_when_the_controller_never_posts
     _, details = run_replay(cfg, one_follower)
     assert details["realized_budget"] == 0.0
     assert details["oracle_tune"].target == 4.0  # recorded posts, not 1
+
+
+def too_many_stages(run, monkeypatch):
+    """The oracle's stage error from ``run()``, and the controller runs made before it."""
+    runs = []
+    controller = scenarios.run_redqueen_fast
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return controller(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_redqueen_fast", counted)
+    with pytest.raises(ValueError, match=r"stages: .* capped at 20000 stages") as err:
+        run()
+    return str(err.value), len(runs)
+
+
+def test_the_oracle_stage_cap_fails_a_hawkes_run_before_the_controller(monkeypatch):
+    cfg = HawkesScenarioConfig(seeds=(0,), policies=("redqueen", "oracle"), budget=50.0, target_feed_events=25000.0)
+    message, runs = too_many_stages(lambda: run_one_follower_hawkes(cfg), monkeypatch)
+    assert message.startswith("24836 stages: ") and runs == 0
+
+
+def test_the_oracle_stage_cap_fails_a_replay_before_the_controller(monkeypatch):
+    rng = np.random.default_rng(4)
+    sources = rng.permutation(["wire"] * 20_000 + ["alice"] * 10)
+    log = coded_log(np.sort(rng.uniform(0.0, 1000.0, sources.shape[0])), sources)
+    dataset = build_replay_dataset(log, Network.from_edges([("alice", "bob"), ("wire", "bob")]),
+                                   "alice", 0.0, 0.0, 1000.0)
+    cfg = ReplayConfig(seeds=(0,), policies=("oracle", "redqueen", "true-posts"))
+    message, runs = too_many_stages(lambda: run_replay(cfg, dataset), monkeypatch)
+    assert message.startswith("20001 stages: ") and runs == 0
 
 
 @pytest.mark.parametrize("initial_rank", [2, 5])
