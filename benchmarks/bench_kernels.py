@@ -100,7 +100,6 @@ same read twice):
 import collections
 import contextlib
 import copy
-import io
 import json
 import os
 import platform
@@ -164,8 +163,7 @@ def redqueen_workload():
     clock_rates = rng.uniform(0.05, 0.4, size=(5, 3))
     init_ranks = np.array([0, 2, 0, 5, 1], dtype=np.int64)
     return lambda fn, seed: fn(
-        feed_times, feed_followers, init_ranks, knots, clock_rates,
-        0.0, 5000.0, 1 << 62, np.random.default_rng(seed),
+        feed_times, feed_followers, init_ranks, knots, clock_rates, 1 << 62, np.random.default_rng(seed)
     )
 
 
@@ -298,9 +296,9 @@ def counted_evaluations():
         calls["oracle", inst.q, inst.widths.tobytes()] += 1
         return oracle(inst)
 
-    def counted_controller(feeds, params, *args, **kwargs):
-        calls["redqueen", params.q, feeds.times.tobytes()] += 1
-        return controller(feeds, params, *args, **kwargs)
+    def counted_controller(feeds, q, *args, **kwargs):
+        calls["redqueen", q, feeds.times.tobytes()] += 1
+        return controller(feeds, q, *args, **kwargs)
 
     with mock.patch.object(scenarios, "oracle_schedule", counted_oracle), \
             mock.patch.object(scenarios, "run_redqueen_fast", counted_controller):
@@ -399,9 +397,10 @@ def tune_counts(runs):
 
 
 def report_bytes(reports):
-    buffer = io.StringIO()
-    data_io.write_report_csv(reports, buffer)
-    return buffer.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        data_io.write_report_csv(reports, path)
+        return path.read_bytes()
 
 
 def bench_tune(repeats):

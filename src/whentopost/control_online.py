@@ -17,6 +17,11 @@ clock spawned later can tick earlier, so the decision is final and
 causal.  State per follower is O(1): the rank and the shared candidate.
 It reads the followers' events as one timeline, ``Feeds.merged``, which
 each :class:`~whentopost.feed_sim.Feeds` computes once for every run.
+
+The controller takes the feeds, the price q and one step table of the
+weights s_i(t), whose knots span the feeds' window.  Its kernel reads
+the clock rates sqrt(s_i / q) from that table, and the window from the
+table's knots alone.
 """
 
 from __future__ import annotations
@@ -31,70 +36,47 @@ from .kernels import redqueen_posts
 from .significance import StepSchedule
 
 __all__ = [
-    "RedQueenParams",
     "run_redqueen_fast",
     "TuneResult",
     "tune_q",
 ]
 
 
-@dataclass(frozen=True)
-class RedQueenParams:
-    """Controller parameters: post price ``q`` and attention weights.
-
-    ``significance`` of ``None`` means every follower weighs 1 at all
-    times.  A scalar would scale ``q`` equivalently; the schedule form
-    exists for time-varying weights.
-    """
-
-    q: float
-    significance: StepSchedule | None = None
-
-    def __post_init__(self):
-        if not (self.q > 0) or not math.isfinite(self.q):
-            raise ValueError("q must be positive and finite")
-
-    def clocks(self, n_followers: int, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray]:
-        """Knots and per-follower clock rates ``sqrt(s_i / q)`` between them.
-
-        The schedule's knots must run from ``t0`` to ``tf`` exactly: the
-        kernels read a clock rate in ``(t0, tf]`` from the columns between its knots.
-        """
-        sched = self.significance
-        if sched is None:
-            sched = StepSchedule(np.array([t0, tf]), np.ones((n_followers, 1)))
-        if sched.values.shape[0] != n_followers:
-            raise ValueError("significance schedule covers the wrong follower count")
-        if not (sched.knots[0] == t0 and sched.knots[-1] == tf):
-            raise ValueError(
-                f"significance schedule on [{float(sched.knots[0])!r}, {float(sched.knots[-1])!r}] "
-                f"does not span the window ({t0!r}, {tf!r}]"
-            )
-        return sched.knots, np.sqrt(sched.values / self.q)
-
-
 def run_redqueen_fast(
     feeds: Feeds,
-    params: RedQueenParams,
+    q: float,
     rng: np.random.Generator,
+    significance: StepSchedule | None = None,
     max_posts: int = 2**62,
 ) -> np.ndarray:
     """The controller's post times on the feeds' window, from their initial ranks.
 
-    The kernel reads ``feeds.merged``, the feeds as one time-ordered
-    stream, and stops after ``max_posts`` posts.  Its posts match, bit for
-    bit, those of ``RedQueenController``, the one-event-at-a-time
-    controller in ``tests/reference.py``.  Without numba the kernel is the
-    vectorized NumPy fallback, which draws its exponentials in bulk, so
-    ``rng`` may end further along than the controller leaves it.
-    Pass a generator used for this run only, as every caller in the
-    package does (a fresh ``policy_rng(seed)`` per call).
+    ``q`` prices each post.  ``significance`` holds a row of attention
+    weights per follower on knots from the feeds' ``t0`` to their ``tf``
+    exactly; ``None`` weighs every follower 1 at all times.  The kernel
+    stops after ``max_posts`` posts.  Its posts match, bit for bit, those
+    of ``RedQueenController``, the one-event-at-a-time controller in
+    ``tests/reference.py``.  Without numba the kernel is the vectorized
+    NumPy fallback, which draws its exponentials in bulk, so ``rng`` may
+    end further along than the controller leaves it.  Pass a generator
+    used for this run only, as every caller in the package does (a fresh
+    ``policy_rng(seed)`` per call).
     """
-    knots, clock_rates = params.clocks(len(feeds), feeds.t0, feeds.tf)
+    if not (q > 0) or not math.isfinite(q):
+        raise ValueError("q must be positive and finite")
+    t0, tf = feeds.t0, feeds.tf
+    if significance is None:
+        significance = StepSchedule(np.array([t0, tf]), np.ones((len(feeds), 1)))
+    knots, values = significance.knots, significance.values
+    if values.shape[0] != len(feeds):
+        raise ValueError("significance schedule covers the wrong follower count")
+    if not (knots[0] == t0 and knots[-1] == tf):
+        raise ValueError(
+            f"significance schedule on [{float(knots[0])!r}, {float(knots[-1])!r}] "
+            f"does not span the window ({t0!r}, {tf!r}]"
+        )
     feed_t, feed_j = feeds.merged
-    return redqueen_posts(
-        feed_t, feed_j, feeds.initial_ranks, knots, clock_rates, feeds.t0, feeds.tf, max_posts, rng
-    )
+    return redqueen_posts(feed_t, feed_j, feeds.initial_ranks, knots, np.sqrt(values / q), max_posts, rng)
 
 
 #: ``tune_q``'s first price, the prices past which it calls a target

@@ -677,12 +677,10 @@ REPORT_HEADER = (
 )
 
 
-def write_report_csv(reports, path_or_buffer) -> None:
+def write_report_csv(reports, path) -> None:
     """Write reports sorted by (run, policy, seed); reruns are byte-identical."""
     rows = sorted(reports, key=lambda r: (r.run, r.policy, r.seed))
-    own = isinstance(path_or_buffer, (str, Path))
-    fh = open(path_or_buffer, "w", encoding="utf-8", newline="") if own else path_or_buffer
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER.split(","))
         for r in rows:
@@ -698,9 +696,6 @@ def write_report_csv(reports, path_or_buffer) -> None:
                     "" if r.normalized_time_at_top is None else _fmt(r.normalized_time_at_top),
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 #: The ``aggregate`` statistics a summary row spells as floats, after its count.

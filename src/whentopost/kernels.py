@@ -8,7 +8,8 @@ plain Python.  The online controller and the backward induction keep
 separate fallbacks, since their loops are slow in plain Python: the
 controller's is a vectorized NumPy twin, and the induction's scans short
 stages in plain Python and long ones in NumPy slices.  Tests hold both
-to their loops.
+to their loops.  The controller's kernels take no window: it is the
+span of their clock-rate table, from its first knot to its last.
 
 Both flavors of a kernel return bitwise-identical results; the
 controller's consume ``numpy.random.Generator`` streams and draw the
@@ -100,68 +101,55 @@ def _sample_hawkes_loop(t0, tf, lam0, alpha, w, rng, cap_hint, max_events=2**62)
 # ---------------------------------------------------------------------------
 
 
-def _clock_first_time(tau, i, mult, knots, clock_rates, tf, e_draw):
+def _clock_first_time(tau, i, mult, knots, clock_rates, e_draw):
     """First tick of a clock spawned at ``tau`` for follower ``i``.
 
     The clock rate over time is the piecewise-constant row
     ``clock_rates[i]``, scaled by ``mult`` (a bulk of ``mult`` identical
     clocks ticks like one clock at ``mult`` times the rate).  ``e_draw``
     is a unit-exponential variate; the tick time inverts the cumulative
-    rate against it.  Returns ``inf`` when the tick falls beyond ``tf``.
+    rate against it.  Returns ``inf`` when the tick falls beyond the last
+    knot, the window's end.
     """
     nseg = clock_rates.shape[1]
     seg = np.searchsorted(knots, tau, side="right") - 1
-    if seg < 0:
-        seg = 0
     if seg > nseg - 1:
         seg = nseg - 1
     t = tau
     rem = e_draw
     while True:
         seg_end = knots[seg + 1]
-        if seg_end > tf:
-            seg_end = tf
         rate = clock_rates[i, seg] * mult
         if rate > 0.0:
             cap = rate * (seg_end - t)
             if rem <= cap:
                 return t + rem / rate
             rem -= cap
-        if seg_end >= tf:
+        if seg + 1 == nseg:
             return math.inf
         t = seg_end
         seg += 1
 
 
-def _redqueen_posts_loop(
-    feed_times,
-    feed_followers,
-    init_ranks,
-    knots,
-    clock_rates,
-    t0,
-    tf,
-    max_posts,
-    rng,
-):
+def _redqueen_posts_loop(feed_times, feed_followers, init_ranks, knots, clock_rates, max_posts, rng):
     """Run the online posting policy over a merged feed, returning post times.
 
-    One exponential clock is spawned per observed feed event (and one
-    bulk clock per follower with a nonzero initial rank); the pending
-    candidate is the minimum tick.  A candidate commits once the next
-    feed event falls at or after it; posting resets every rank and
-    discards all clocks.  Draw order: initial ranks by follower index,
-    then one unit-exponential per feed event.
+    The window runs from ``knots[0]`` to ``knots[-1]``, the span of the
+    clock-rate table.  One exponential clock is spawned per observed feed
+    event (and one bulk clock per follower with a nonzero initial rank);
+    the pending candidate is the minimum tick.  A candidate commits once
+    the next feed event falls at or after it; posting resets every rank
+    and discards all clocks.  Draw order: initial ranks by follower
+    index, then one unit-exponential per feed event.
     """
     n_followers = clock_rates.shape[0]
     m = feed_times.shape[0]
+    tf = knots[-1]
     cand = math.inf
     for i in range(n_followers):
         if init_ranks[i] > 0:
             e = rng.standard_exponential()
-            tick = _clock_first_time(
-                t0, i, float(init_ranks[i]), knots, clock_rates, tf, e
-            )
+            tick = _clock_first_time(knots[0], i, float(init_ranks[i]), knots, clock_rates, e)
             if tick < cand:
                 cand = tick
     cap = 64
@@ -187,7 +175,7 @@ def _redqueen_posts_loop(
         else:
             j = feed_followers[k]
             e = rng.standard_exponential()
-            tick = _clock_first_time(t_feed, j, 1.0, knots, clock_rates, tf, e)
+            tick = _clock_first_time(t_feed, j, 1.0, knots, clock_rates, e)
             if tick < cand:
                 cand = tick
             k += 1
@@ -206,7 +194,7 @@ _REDQUEEN_CHUNK = 1 << 12
 _REDQUEEN_FIRST_CHUNK = 1 << 10
 
 
-def _clock_first_times(tau, rows, mult, knots, clock_rates, tf, e_draw):
+def _clock_first_times(tau, rows, mult, knots, clock_rates, e_draw):
     """Array twin of :func:`_clock_first_time`, one clock per element.
 
     Clock ``n`` is spawned at ``tau[n]`` for follower ``rows[n]`` with
@@ -217,19 +205,19 @@ def _clock_first_times(tau, rows, mult, knots, clock_rates, tf, e_draw):
     """
     nseg = clock_rates.shape[1]
     out = np.full(tau.shape[0], math.inf)
-    seg = np.clip(np.searchsorted(knots, tau, side="right") - 1, 0, nseg - 1)
+    seg = np.minimum(np.searchsorted(knots, tau, side="right") - 1, nseg - 1)
     live = np.arange(tau.shape[0])
     t = tau
     rem = e_draw
     while live.shape[0]:
-        seg_end = np.minimum(knots[seg + 1], tf)
+        seg_end = knots[seg + 1]
         rate = clock_rates[rows, seg] * mult
         cap = rate * (seg_end - t)
         pos = rate > 0.0
         hit = pos & (rem <= cap)
         out[live[hit]] = t[hit] + rem[hit] / rate[hit]
         rem = np.where(pos, rem - cap, rem)
-        going = ~hit & ~(seg_end >= tf)
+        going = ~hit & (seg + 1 < nseg)
         live = live[going]
         t = seg_end[going]
         seg = seg[going] + 1
@@ -240,17 +228,7 @@ def _clock_first_times(tau, rows, mult, knots, clock_rates, tf, e_draw):
     return out
 
 
-def _redqueen_posts_numpy(
-    feed_times,
-    feed_followers,
-    init_ranks,
-    knots,
-    clock_rates,
-    t0,
-    tf,
-    max_posts,
-    rng,
-):
+def _redqueen_posts_numpy(feed_times, feed_followers, init_ranks, knots, clock_rates, max_posts, rng):
     """Vectorized twin of :func:`_redqueen_posts_loop` (same bits out).
 
     Exponentials are drawn in bulk, first the initial-rank clocks and
@@ -266,14 +244,15 @@ def _redqueen_posts_numpy(
     init_ranks = np.asarray(init_ranks)
     knots = np.asarray(knots, np.float64)
     clock_rates = np.asarray(clock_rates, np.float64)
+    tf = float(knots[-1])
     inf = math.inf
     cand = inf
     starters = np.flatnonzero(init_ranks[: clock_rates.shape[0]] > 0)
     if starters.shape[0]:
         e = rng.standard_exponential(starters.shape[0])
-        tau = np.full(starters.shape[0], t0, np.float64)
+        tau = np.full(starters.shape[0], knots[0])
         mult = init_ranks[starters].astype(np.float64)
-        for tick in _clock_first_times(tau, starters, mult, knots, clock_rates, tf, e).tolist():
+        for tick in _clock_first_times(tau, starters, mult, knots, clock_rates, e).tolist():
             if tick < cand:
                 cand = tick
     posts = []
@@ -283,7 +262,7 @@ def _redqueen_posts_numpy(
     while lo < m:
         times = feed_times[lo:hi]
         e = rng.standard_exponential(times.shape[0])
-        ticks = _clock_first_times(times, feed_followers[lo:hi], 1.0, knots, clock_rates, tf, e)
+        ticks = _clock_first_times(times, feed_followers[lo:hi], 1.0, knots, clock_rates, e)
         lo, hi = hi, hi + _REDQUEEN_CHUNK
         for t_feed, tick in zip(times.tolist(), ticks.tolist()):
             if cand <= t_feed:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .control_baselines import segment_offline_posts, true_posts_playback, uniform_poisson_posts
-from .control_online import RedQueenParams, run_redqueen_fast, tune_q
+from .control_online import run_redqueen_fast, tune_q
 from .control_oracle import MAX_ORACLE_RANK, check_stages, decisions_to_post_times, instance_from_feed, oracle_schedule
 from .data_io import ReplayDataset
 from .feed_sim import Feeds, trajectory_from_posts
@@ -184,8 +184,7 @@ class _Competition:
         """
         key = ("redqueen", q, seed)
         if key not in self.memo and key + (cap,) not in self.memo:
-            params = RedQueenParams(q=q, significance=self.significance)
-            posts = run_redqueen_fast(self.feeds[seed], params, policy_rng(seed), max_posts=cap)
+            posts = run_redqueen_fast(self.feeds[seed], q, policy_rng(seed), self.significance, max_posts=cap)
             posts.flags.writeable = False  # shared by every reader of the memo
             self.memo[key if posts.shape[0] < cap else key + (cap,)] = posts
         whole = self.memo.get(key)

@@ -153,7 +153,9 @@ class SignificanceProfile:
 
         Row ``i`` of the schedule is follower ``ids[i]``.  Its knots run
         from ``t0`` to ``tf`` and land on every bucket boundary (day or
-        hour edges in absolute time) that falls inside (t0, tf).
+        hour edges in absolute time) that falls inside (t0, tf) in window
+        time.  An edge that rounds onto an end or outside is dropped; one
+        dropped at ``t0`` gives the first segment its bucket.
         """
         if tf <= t0:
             raise ValueError("window must have positive length")
@@ -162,8 +164,10 @@ class SignificanceProfile:
         a0 = self.epoch + t0
         first = np.floor(a0 / width) * width + width
         edges_abs = np.arange(first, self.epoch + tf, width)
-        knots = np.concatenate([[t0], edges_abs - self.epoch, [tf]])
-        buckets = bucket_index(np.concatenate([[a0], edges_abs]), self.granularity)
+        edges = edges_abs - self.epoch
+        lo, hi = np.searchsorted(edges, t0, "right"), np.searchsorted(edges, tf, "left")
+        knots = np.concatenate([[t0], edges[lo:hi], [tf]])
+        buckets = bucket_index(np.concatenate([[a0], edges_abs])[lo : hi + 1], self.granularity)
         return StepSchedule(knots, self.values[:, buckets])
 
 

@@ -30,11 +30,9 @@ from unittest import mock
 import numpy as np
 
 from whentopost import data_io
-from whentopost.control_online import RedQueenParams
 from whentopost.control_oracle import OracleInstance
 from whentopost.data_io import REPORT_HEADER, DataFormatError, EventLog
 from whentopost.feed_sim import Feeds, SimulationTrajectory
-from whentopost.kernels import _clock_first_time
 from whentopost.metrics import MetricsReport
 from whentopost.point_process import HawkesParams, _dedupe_increasing, sample_hawkes, sample_piecewise_poisson
 from whentopost.significance import NORMALIZATION, SignificanceProfile, StepSchedule, bucket_count
@@ -398,14 +396,14 @@ def simulate(
 # The controller, one event at a time: control_online.run_redqueen_fast.
 
 
-def optimal_intensity(ranks, params: RedQueenParams, t: float = 0.0) -> float:
-    """Posting intensity sum_i sqrt(s_i(t)/q) * r_i(t) for the given ranks."""
+def optimal_intensity(ranks, q: float, significance: StepSchedule | None = None, t: float = 0.0) -> float:
+    """Posting intensity sum_i sqrt(s_i(t)/q) * r_i(t) for the given ranks; no schedule weighs 1."""
     ranks = np.asarray(ranks, dtype=np.float64)
-    if params.significance is None:
+    if significance is None:
         s = np.ones(ranks.shape[0])
     else:
-        s = np.array([value_at(params.significance, t, i) for i in range(ranks.shape[0])])
-    return float(np.sum(np.sqrt(s / params.q) * ranks))
+        s = np.array([value_at(significance, t, i) for i in range(ranks.shape[0])])
+    return float(np.sum(np.sqrt(s / q) * ranks))
 
 
 @dataclass(frozen=True)
@@ -427,14 +425,19 @@ class PolicyDecision:
 class RedQueenController:
     """Event-driven controller implementing the clock sampler.
 
-    Draw order is fixed: one unit exponential per follower with a
-    nonzero initial rank (by index), then one per observed feed event.
-    The kernel fast path consumes the same order, so both produce
-    identical posts from identical generator states.
+    It posts at price ``q`` with attention weights ``significance``, a
+    step table on exactly the window ``start`` is given, or 1 for every
+    follower when ``None``.  Draw order is fixed: one unit exponential
+    per follower with a nonzero initial rank (by index), then one per
+    observed feed event.  The kernel fast path consumes the same order,
+    so both produce identical posts from identical generator states.
     """
 
-    def __init__(self, params: RedQueenParams, rng: np.random.Generator, record: bool = False):
-        self.params = params
+    def __init__(
+        self, q: float, rng: np.random.Generator, significance: StepSchedule | None = None, record: bool = False
+    ):
+        self.q = q
+        self.significance = significance
         self.rng = rng
         self.record = record
         self.decisions: list[PolicyDecision] = []
@@ -443,7 +446,11 @@ class RedQueenController:
     def start(self, t0: float, tf: float, n_followers: int, initial_ranks) -> None:
         self.t0 = float(t0)
         self.tf = float(tf)
-        self._knots, self._clock_rates = self.params.clocks(n_followers, t0, tf)
+        if self.significance is None:
+            self._knots, weights = [self.t0, self.tf], np.ones((n_followers, 1))
+        else:
+            self._knots, weights = self.significance.knots.tolist(), self.significance.values
+        self._clock_rates = np.sqrt(weights / self.q).tolist()
         self.ranks = np.asarray(initial_ranks, dtype=np.int64).copy()
         self._candidate = math.inf
         self._winner = (math.nan, math.nan)  # (spawn time, delta) of the min tick
@@ -452,9 +459,30 @@ class RedQueenController:
             if self.ranks[i] > 0:
                 self._spawn(self.t0, i, float(self.ranks[i]))
 
+    def _first_tick(self, tau: float, i: int, mult: float, e: float) -> float:
+        """When ``mult`` clocks of follower ``i`` spawned at ``tau`` first tick, given unit draw ``e``.
+
+        The cumulative rate from ``tau`` is inverted one segment at a time,
+        from the one holding ``tau`` (the last one for ``tau`` at its end);
+        ``inf`` if it stays below ``e`` through the last knot.
+        """
+        knots, rates = self._knots, self._clock_rates[i]
+        k = 0
+        while k + 1 < len(rates) and knots[k + 1] <= tau:
+            k += 1
+        t = tau
+        for k in range(k, len(rates)):
+            rate = rates[k] * mult
+            if rate > 0.0:
+                cap = rate * (knots[k + 1] - t)
+                if e <= cap:
+                    return t + e / rate
+                e -= cap
+            t = knots[k + 1]
+        return math.inf
+
     def _spawn(self, tau: float, i: int, mult: float) -> None:
-        e = self.rng.standard_exponential()
-        tick = _clock_first_time(tau, i, mult, self._knots, self._clock_rates, self.tf, e)
+        tick = self._first_tick(tau, i, mult, self.rng.standard_exponential())
         if tick < self._candidate:
             self._candidate = tick
             self._winner = (tau, tick - tau)
@@ -486,17 +514,19 @@ class RedQueenController:
 
 def next_post_time(
     feed,
-    params: RedQueenParams,
+    q: float,
     rng: np.random.Generator,
     t0: float,
     tf: float,
     initial_ranks=None,
     n_followers: int | None = None,
+    significance: StepSchedule | None = None,
 ) -> PolicyDecision:
     """Run the clock sampler over one feed until its first decision commits.
 
-    ``feed`` is an array of times (single follower) or an iterable
-    of ``(t, follower_index)`` pairs in time order.  Returns the decision
+    The controller posts at price ``q`` with weights ``significance``.
+    ``feed`` is an array of times (single follower) or an iterable of
+    ``(t, follower_index)`` pairs in time order.  Returns the decision
     with ``post_time == inf`` when no post occurs inside the window; if
     the feed ends first, the pending candidate (already committed, since
     nothing else can precede it) is returned.
@@ -509,7 +539,7 @@ def next_post_time(
         n = n_followers if n_followers is not None else 1
     if initial_ranks is None:
         initial_ranks = np.zeros(n, dtype=np.int64)
-    ctl = RedQueenController(params, rng, record=False)
+    ctl = RedQueenController(q, rng, significance)
     ctl.start(t0, tf, n, initial_ranks)
     for t, j in events:
         if not (t0 < t <= tf):

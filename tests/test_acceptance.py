@@ -29,7 +29,7 @@ from reference import (
 from scipy import stats
 
 from whentopost.cli import main as cli_main
-from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
+from whentopost.control_online import run_redqueen_fast, tune_q
 from whentopost.control_oracle import OracleInstance, oracle_schedule, schedule_cost
 from whentopost.data_io import (
     build_replay_dataset,
@@ -131,15 +131,14 @@ def test_04_first_post_distribution_matches_thinning_sampler():
     n_runs = 10_000
     T = 5.0
     feed_rate = 10.0
-    params = RedQueenParams(q=1.0)  # posting rate = rank
     a = np.empty(n_runs)
     b = np.empty(n_runs)
     for i in range(n_runs):
         feed_rng = np.random.default_rng(np.random.SeedSequence([900, 1, i]))
         feed = np.cumsum(feed_rng.exponential(1.0 / feed_rate, size=200))
         feed = feed[feed <= T]
-        a[i] = next_post_time(
-            feed, params, np.random.default_rng(np.random.SeedSequence([900, 2, i])), 0.0, T
+        a[i] = next_post_time(  # q = 1: posting rate = rank
+            feed, 1.0, np.random.default_rng(np.random.SeedSequence([900, 2, i])), 0.0, T
         ).post_time
         # independent draw: thin a homogeneous proposal at 1.25x the peak rate
         rng = np.random.default_rng(np.random.SeedSequence([900, 3, i]))
@@ -190,7 +189,7 @@ def _mean_posts(q, seeds):
     counts = []
     for seed in seeds:
         posts = run_redqueen_fast(
-            _hawkes_feed(seed), RedQueenParams(q=q),
+            _hawkes_feed(seed), q,
             np.random.default_rng(np.random.SeedSequence([606, 2, seed])),
         )
         counts.append(len(posts))
@@ -280,8 +279,8 @@ def test_09_zero_weight_weekend_buckets_get_zero_posts():
     for seed in range(50):
         feed = sample_piecewise_poisson(rate, np.random.default_rng(np.random.SeedSequence([909, 1, seed])))
         posts = run_redqueen_fast(
-            Feeds.cut([feed], t0, tf, np.array([2])), RedQueenParams(q=1000.0, significance=schedule),
-            np.random.default_rng(np.random.SeedSequence([909, 2, seed])),
+            Feeds.cut([feed], t0, tf, np.array([2])), 1000.0,
+            np.random.default_rng(np.random.SeedSequence([909, 2, seed])), schedule,
         )
         total += len(posts)
         weekend_hits += int(np.sum(bucket_index(posts, "weekday") >= 5))

@@ -555,6 +555,27 @@ def test_a_replay_manifest_epoch_out_of_calendar_range_fails(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("window", [
+    # the day edge just before tf rounds onto tf in window time; the one just after t0 onto t0
+    "epoch = -52501.620103042675\nt0 = 52501.62010304269\ntf = 138901.6201030427",
+    "epoch = 5361.042261382834\nt0 = -264561.04226138286\ntf = -178161.04226138286",
+])
+def test_a_weekday_replay_runs_on_a_window_whose_end_rounds_onto_a_day_edge(tmp_path, window):
+    for name in ("events.jsonl", "network.csv"):
+        shutil.copy(FIXTURE / name, tmp_path / name)
+    text = (FIXTURE / "manifest.txt").read_text(encoding="utf-8")
+    text = text.replace("epoch = 345600.0\nt0 = 0.0\ntf = 240.0", window)
+    assert window in text
+    (tmp_path / "manifest.txt").write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the followers have no activity in the log: flat profiles
+        run_ok([
+            "replay", "--manifest", str(tmp_path / "manifest.txt"), "--q", "1.0", "--policy", "redqueen",
+            "--seeds", "0", "--significance", "weekday", "--out", str(tmp_path / "r.csv"),
+        ])
+    assert [r.policy for r in read_report_csv(tmp_path / "r.csv")] == ["redqueen"]
+
+
 @pytest.mark.parametrize("target", ["nan", "inf"])
 def test_non_finite_target_posts_fails(tmp_path, target):
     err = run_failing([

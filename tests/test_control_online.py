@@ -16,41 +16,39 @@ from reference import (
 from scipy import stats
 
 from whentopost import control_online
-from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
+from whentopost.control_online import run_redqueen_fast, tune_q
 from whentopost.feed_sim import Feeds
 from whentopost.significance import StepSchedule
 
 
 def test_optimal_intensity_zero_rank_is_silent():
-    assert optimal_intensity([0], RedQueenParams(q=1.0)) == 0.0
-    assert optimal_intensity([0, 0, 0], RedQueenParams(q=0.5)) == 0.0
+    assert optimal_intensity([0], 1.0) == 0.0
+    assert optimal_intensity([0, 0, 0], 0.5) == 0.0
 
 
 def test_optimal_intensity_single_follower():
-    assert optimal_intensity([3], RedQueenParams(q=1.0)) == 3.0
-    assert optimal_intensity([3], RedQueenParams(q=4.0)) == 1.5
+    assert optimal_intensity([3], 1.0) == 3.0
+    assert optimal_intensity([3], 4.0) == 1.5
 
 
 def test_optimal_intensity_weighted_sum():
     sched = StepSchedule(np.array([0.0, 1.0]), np.array([[1.0], [4.0]]))
-    params = RedQueenParams(q=1.0, significance=sched)
-    assert optimal_intensity([2, 1], params) == 4.0
+    assert optimal_intensity([2, 1], 1.0, sched) == 4.0
 
 
 def test_optimal_intensity_time_varying_weight():
     sched = StepSchedule(np.array([0.0, 1.0, 2.0]), np.array([[1.0, 0.0]]))
-    params = RedQueenParams(q=1.0, significance=sched)
-    assert optimal_intensity([2], params, t=0.5) == 2.0
-    assert optimal_intensity([2], params, t=1.5) == 0.0
+    assert optimal_intensity([2], 1.0, sched, t=0.5) == 2.0
+    assert optimal_intensity([2], 1.0, sched, t=1.5) == 0.0
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RedQueenParams(q=0.0)
-    with pytest.raises(ValueError):
-        RedQueenParams(q=-1.0)
-    with pytest.raises(ValueError):
-        RedQueenParams(q=math.inf)
+    feeds = Feeds(np.array([20.0]), np.array([0, 1]), 0.0, 100.0)
+    for q in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            run_redqueen_fast(feeds, q, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="wrong follower count"):
+        run_redqueen_fast(feeds, 1.0, np.random.default_rng(0), constant_schedule(1.0, 0.0, 100.0, rows=2))
 
 
 def test_a_significance_schedule_must_cover_the_feeds_window():
@@ -60,11 +58,10 @@ def test_a_significance_schedule_must_cover_the_feeds_window():
     # command builds its table on exactly the window
     feeds = Feeds(np.array([20.0, 60.0, 90.0]), np.array([0, 3]), 0.0, 100.0)
     for knots in ([0.0, 10.0], [50.0, 100.0], [-5.0, 200.0]):
-        params = RedQueenParams(q=1.0, significance=StepSchedule(np.array(knots), np.ones((1, 1))))
+        sched = StepSchedule(np.array(knots), np.ones((1, 1)))
         with pytest.raises(ValueError, match=r"does not span the window \(0.0, 100.0\]"):
-            run_redqueen_fast(feeds, params, np.random.default_rng(0))
-    params = RedQueenParams(q=1.0, significance=StepSchedule(np.array([0.0, 100.0]), np.ones((1, 1))))
-    run_redqueen_fast(feeds, params, np.random.default_rng(0))
+            run_redqueen_fast(feeds, 1.0, np.random.default_rng(0), sched)
+    run_redqueen_fast(feeds, 1.0, np.random.default_rng(0), StepSchedule(np.array([0.0, 100.0]), np.ones((1, 1))))
 
 
 def test_step_schedule_validation():
@@ -95,14 +92,12 @@ def test_a_nan_or_negative_rate_or_weight_fails_when_its_table_is_built(bad):
 
 def test_next_post_time_keeps_silence_with_no_rank():
     # rank 0 and an empty feed spawn no clocks: never posts
-    dec = next_post_time(np.empty(0), RedQueenParams(q=1.0),
-                         np.random.default_rng(0), 0.0, 100.0)
+    dec = next_post_time(np.empty(0), 1.0, np.random.default_rng(0), 0.0, 100.0)
     assert dec.post_time == math.inf
 
 
 def test_next_post_time_initial_rank_posts():
-    dec = next_post_time(np.empty(0), RedQueenParams(q=1.0),
-                         np.random.default_rng(1), 0.0, 1e9, initial_ranks=[1])
+    dec = next_post_time(np.empty(0), 1.0, np.random.default_rng(1), 0.0, 1e9, initial_ranks=[1])
     assert math.isfinite(dec.post_time)
     assert dec.post_time == dec.clock_origin + dec.clock_delta
     assert dec.ranks == (1,)
@@ -110,24 +105,22 @@ def test_next_post_time_initial_rank_posts():
 
 def test_next_post_time_deterministic():
     feed = np.array([1.0, 2.0, 3.0, 4.0])
-    params = RedQueenParams(q=0.5)
-    a = next_post_time(feed, params, np.random.default_rng(7), 0.0, 10.0)
-    b = next_post_time(feed, params, np.random.default_rng(7), 0.0, 10.0)
+    a = next_post_time(feed, 0.5, np.random.default_rng(7), 0.0, 10.0)
+    b = next_post_time(feed, 0.5, np.random.default_rng(7), 0.0, 10.0)
     assert a == b
 
 
 def test_next_post_time_rejects_events_outside_window():
     feed = np.array([20.0])
     with pytest.raises(ValueError):
-        next_post_time(feed, RedQueenParams(q=1.0), np.random.default_rng(0), 0.0, 10.0)
+        next_post_time(feed, 1.0, np.random.default_rng(0), 0.0, 10.0)
 
 
 def test_first_post_is_exponential_for_constant_rank():
     # frozen rank 1, s=1, q=1: the clock is a unit exponential
-    params = RedQueenParams(q=1.0)
     draws = []
     for seed in range(2000):
-        dec = next_post_time(np.empty(0), params, np.random.default_rng(seed),
+        dec = next_post_time(np.empty(0), 1.0, np.random.default_rng(seed),
                              0.0, 1e9, initial_ranks=[1])
         draws.append(dec.post_time)
     result = stats.kstest(draws, "expon")
@@ -138,10 +131,10 @@ def test_scale_invariance_of_significance_and_price():
     # u* depends on s/q only: scaling both leaves every draw's use identical
     feed = np.asarray(np.linspace(0.5, 9.5, 19))
     for c in (0.25, 4.0):
-        base = RedQueenParams(q=2.0, significance=constant_schedule(1.0, 0.0, 10.0))
-        scaled = RedQueenParams(q=2.0 * c, significance=constant_schedule(c, 0.0, 10.0))
-        a = next_post_time(feed, base, np.random.default_rng(3), 0.0, 10.0)
-        b = next_post_time(feed, scaled, np.random.default_rng(3), 0.0, 10.0)
+        base = constant_schedule(1.0, 0.0, 10.0)
+        scaled = constant_schedule(c, 0.0, 10.0)
+        a = next_post_time(feed, 2.0, np.random.default_rng(3), 0.0, 10.0, significance=base)
+        b = next_post_time(feed, 2.0 * c, np.random.default_rng(3), 0.0, 10.0, significance=scaled)
         assert a.post_time == b.post_time
 
 
@@ -153,11 +146,10 @@ def test_controller_matches_fast_path_exactly():
         np.sort(rng_feed.uniform(0, 40, size=90)),
         np.sort(rng_feed.uniform(0, 40, size=50)),
     ]
-    params = RedQueenParams(q=0.7)
     ranks0 = np.array([2, 0])
-    slow = simulate(feeds, RedQueenController(params, np.random.default_rng(5)),
+    slow = simulate(feeds, RedQueenController(0.7, np.random.default_rng(5)),
                     0.0, 40.0, initial_ranks=ranks0)
-    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 40.0, ranks0), params, np.random.default_rng(5))
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 40.0, ranks0), 0.7, np.random.default_rng(5))
     assert np.array_equal(slow.own_posts, fast)
     assert len(fast) > 0
 
@@ -165,14 +157,13 @@ def test_controller_matches_fast_path_exactly():
 def test_controller_matches_fast_path_with_significance():
     sched = StepSchedule(np.array([0.0, 10.0, 20.0, 30.0]),
                          np.array([[1.0, 0.0, 0.5], [0.2, 1.0, 0.0]]))
-    params = RedQueenParams(q=0.3, significance=sched)
     rng_feed = np.random.default_rng(13)
     feeds = [
         np.sort(rng_feed.uniform(0, 30, size=70)),
         np.sort(rng_feed.uniform(0, 30, size=40)),
     ]
-    slow = simulate(feeds, RedQueenController(params, np.random.default_rng(9)), 0.0, 30.0)
-    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 30.0), params, np.random.default_rng(9))
+    slow = simulate(feeds, RedQueenController(0.3, np.random.default_rng(9), sched), 0.0, 30.0)
+    fast = run_redqueen_fast(Feeds.cut(feeds, 0.0, 30.0), 0.3, np.random.default_rng(9), sched)
     assert np.array_equal(slow.own_posts, fast)
 
 
@@ -180,11 +171,10 @@ def test_zero_significance_segments_get_zero_posts():
     # hard-zero weight forces u* = 0: no clock can tick inside the gap,
     # but mass beyond the gap stays reachable
     sched = StepSchedule(np.array([0.0, 5.0, 10.0, 15.0]), np.array([[1.0, 0.0, 1.0]]))
-    params = RedQueenParams(q=100.0, significance=sched)
     landed_after_gap = 0
     for seed in range(200):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 15.0, [3]), params,
-                                  np.random.default_rng(seed), max_posts=1)
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 15.0, [3]), 100.0,
+                                  np.random.default_rng(seed), sched, max_posts=1)
         for p in posts:
             assert not (5.0 <= p < 10.0)
             if p >= 10.0:
@@ -194,17 +184,15 @@ def test_zero_significance_segments_get_zero_posts():
 
 def test_posting_resets_clocks():
     # with no feed events after the reset, rank stays 0: exactly one post
-    params = RedQueenParams(q=0.5)
     for seed in range(50):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 1e9, [4]), params,
-                                  np.random.default_rng(seed))
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 1e9, [4]), 0.5, np.random.default_rng(seed))
         assert len(posts) == 1
 
 
 def test_recorded_decisions_are_consistent():
     rng_feed = np.random.default_rng(17)
     feeds = [np.sort(rng_feed.uniform(0, 30, size=80))]
-    ctl = RedQueenController(RedQueenParams(q=0.4), np.random.default_rng(2), record=True)
+    ctl = RedQueenController(0.4, np.random.default_rng(2), record=True)
     traj = simulate(feeds, ctl, 0.0, 30.0)
     assert len(ctl.decisions) == traj.post_count > 0
     for dec, t_post in zip(ctl.decisions, traj.own_posts):
@@ -217,11 +205,10 @@ def test_recorded_decisions_are_consistent():
 
 def test_more_rank_means_faster_posting():
     # mean first-post time scales like 1/r for constant significance
-    params = RedQueenParams(q=1.0)
     means = []
     for r in (1, 4):
         ts = [
-            next_post_time(np.empty(0), params, np.random.default_rng(seed),
+            next_post_time(np.empty(0), 1.0, np.random.default_rng(seed),
                            0.0, 1e9, initial_ranks=[r]).post_time
             for seed in range(1500)
         ]
@@ -233,7 +220,7 @@ def test_more_rank_means_faster_posting():
 def mean_posts_over_seeds(q, feeds_by_seed):
     total = 0
     for seed, feeds in feeds_by_seed.items():
-        posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed))
+        posts = run_redqueen_fast(feeds, q, np.random.default_rng(seed))
         total += len(posts)
     return total / len(feeds_by_seed)
 
@@ -395,7 +382,7 @@ def simulated_curves(feeds_by_seed, target, tolerance=0.1):
     def capped(q):
         total = 0
         for seed, feeds in feeds_by_seed.items():
-            posts = run_redqueen_fast(feeds, RedQueenParams(q=q), np.random.default_rng(seed), max_posts=cap)
+            posts = run_redqueen_fast(feeds, q, np.random.default_rng(seed), max_posts=cap)
             total += min(len(posts), cap)
         return total / len(feeds_by_seed)
 

@@ -13,7 +13,7 @@ from reference import (
     simulate,
 )
 
-from whentopost.control_online import RedQueenParams, run_redqueen_fast
+from whentopost.control_online import run_redqueen_fast
 from whentopost.data_io import Network
 from whentopost.feed_sim import Feeds, rank_path, trajectory_from_posts
 from whentopost.point_process import HawkesParams
@@ -423,7 +423,7 @@ def test_a_window_or_rank_the_feeds_do_not_hold_cannot_reach_the_scores():
     with pytest.raises(TypeError):
         trajectory_from_posts(feeds, [], 0.0, 5.0)
     with pytest.raises(TypeError):
-        run_redqueen_fast(feeds, RedQueenParams(q=1.0), np.random.default_rng(0), 0.0, 5.0)
+        run_redqueen_fast(feeds, 1.0, np.random.default_rng(0), t0=0.0, tf=5.0)
     # a fractional rank fails rather than rounding down, in the scorer and
     # in the controller, which both read it from the feeds
     with pytest.raises(ValueError, match="nonnegative integers"):

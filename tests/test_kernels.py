@@ -38,8 +38,6 @@ def redqueen_args(rng):
         init_ranks=np.array([3, 0], dtype=np.int64),
         knots=knots,
         clock_rates=clock_rates,
-        t0=0.0,
-        tf=50.0,
         max_posts=1_000_000,
     )
 
@@ -181,8 +179,6 @@ def fuzz_redqueen_case(rng):
     t0 = float(rng.uniform(-10.0, 10.0))
     tf = t0 + float(rng.uniform(0.5, 200.0))
     knots = np.concatenate([[t0], np.sort(rng.uniform(t0, tf, nseg - 1)), [tf]])
-    if rng.random() < 0.2:  # schedule reaching past the window
-        knots[-1] = tf + float(rng.uniform(0.1, 50.0))
     values = rng.uniform(0.0, 1.0, (n, nseg))
     values[rng.random((n, nseg)) < 0.3] = 0.0  # zero-rate segments
     log_q = float(rng.choice([-280.0, 280.0])) if rng.random() < 0.3 else rng.uniform(-6, 6)
@@ -199,8 +195,6 @@ def fuzz_redqueen_case(rng):
         init_ranks=rng.integers(0, 5, n) * (rng.random(n) < 0.5),
         knots=knots,
         clock_rates=np.sqrt(values / 10.0**log_q),
-        t0=t0,
-        tf=tf,
         max_posts=[1, 3, 2**62][int(rng.integers(3))],
     )
 
@@ -286,8 +280,6 @@ def test_controller_boundaries_on_exact_draws(feed, draws, want):
         init_ranks=np.array([0]),
         knots=np.array([0.0, 5.0]),
         clock_rates=np.array([[1.0]]),
-        t0=0.0,
-        tf=5.0,
         max_posts=2**62,
     )
     for kernel in (kernels._redqueen_posts_loop, kernels._redqueen_posts_numpy):

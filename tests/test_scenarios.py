@@ -14,7 +14,7 @@ from reference import coded_log, empirical_segment_rates_by_histogram, merge_fee
 
 from whentopost import feed_sim, scenarios
 from whentopost.cli import main
-from whentopost.control_online import RedQueenParams, run_redqueen_fast, tune_q
+from whentopost.control_online import run_redqueen_fast, tune_q
 from whentopost.data_io import Network, build_replay_dataset, load_events, load_network
 from whentopost.feed_sim import Feeds
 from whentopost.kernels import redqueen_posts
@@ -237,9 +237,9 @@ def counted_cli_run(monkeypatch, argv, out):
         calls["oracle", inst.q, inst.widths.tobytes()] += 1
         return oracle(inst)
 
-    def counted_controller(feeds, params, *args, **kwargs):
-        calls["redqueen", params.q, feeds.times.tobytes()] += 1
-        return controller(feeds, params, *args, **kwargs)
+    def counted_controller(feeds, q, *args, **kwargs):
+        calls["redqueen", q, feeds.times.tobytes()] += 1
+        return controller(feeds, q, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(scenarios, "oracle_schedule", counted_oracle)
@@ -388,15 +388,13 @@ def test_the_controller_reads_a_feed_merged_once_per_competition(monkeypatch):
     comp = scenarios._Competition(feeds_by_seed, dict.fromkeys(feeds_by_seed), significance=schedule)
     for seed in (0, 1):
         for q in (0.25, 4.0, 64.0):
-            params = RedQueenParams(q=q, significance=schedule)
-            knots, clock_rates = params.clocks(len(streams), t0, tf)
             # the per-call path: window and merge the followers' streams on every run
             feed_t, feed_j = merge_feeds([f[(f > t0) & (f <= tf)] for f in streams])
-            want = redqueen_posts(feed_t, feed_j, ranks, knots, clock_rates, t0, tf, 2**62,
-                                  scenarios.policy_rng(seed))
+            clock_rates = np.sqrt(schedule.values / q)
+            want = redqueen_posts(feed_t, feed_j, ranks, schedule.knots, clock_rates, 2**62, scenarios.policy_rng(seed))
             assert want.shape[0] > 0
             assert comp.redqueen(q, seed).tobytes() == want.tobytes()
-            direct = run_redqueen_fast(feeds_by_seed[seed], params, scenarios.policy_rng(seed))
+            direct = run_redqueen_fast(feeds_by_seed[seed], q, scenarios.policy_rng(seed), schedule)
             assert direct.tobytes() == want.tobytes()
     # once per Feeds, not once per price
     assert len(merges) == 2 and all(m is feeds_by_seed[seed] for m, seed in zip(merges, (0, 1)))
@@ -434,9 +432,9 @@ def test_a_replay_runs_each_price_and_seed_whole_at_most_once(genlog_manifest, t
     runs = Counter()
     controller = scenarios.run_redqueen_fast
 
-    def counted(feeds, params, rng, *args, max_posts=2**62, **kwargs):
-        runs[params.q, str(rng.bit_generator.state), max_posts < 2**62] += 1
-        return controller(feeds, params, rng, *args, max_posts=max_posts, **kwargs)
+    def counted(feeds, q, rng, *args, max_posts=2**62, **kwargs):
+        runs[q, str(rng.bit_generator.state), max_posts < 2**62] += 1
+        return controller(feeds, q, rng, *args, max_posts=max_posts, **kwargs)
 
     def replay(out):
         argv = REPLAY_WEEK + ["--manifest", str(genlog_manifest), "--out", str(out)]

@@ -9,7 +9,7 @@ import reference
 from reference import bucket_weights, coded_log
 
 from whentopost import significance
-from whentopost.control_online import RedQueenParams, run_redqueen_fast
+from whentopost.control_online import run_redqueen_fast
 from whentopost.feed_sim import Feeds
 from whentopost.significance import (
     GRANULARITIES,
@@ -275,17 +275,61 @@ def test_step_schedule_has_a_row_per_follower_in_profile_order():
         profile.step_schedule(DAY, DAY)
 
 
+#: (epoch, t0, tf) of weekday windows with an end within rounding of a day
+#: edge: in the first the edge just before ``tf`` rounds onto it in window
+#: time, in the second the edge just after ``t0`` rounds onto ``t0``.
+EDGE_WINDOWS = [
+    (-52501.620103042675, 52501.62010304269, 138901.6201030427),
+    (5361.042261382834, -264561.04226138286, -178161.04226138286),
+]
+
+
+def assert_spans_with_midpoint_buckets(profile, t0, tf):
+    """The schedule's knots run strictly from ``t0`` to ``tf``, and each segment wider
+    than rounding takes the bucket of its midpoint."""
+    sched = profile.step_schedule(t0, tf)
+    knots = sched.knots
+    assert knots[0] == t0 and knots[-1] == tf and np.all(np.diff(knots) > 0)
+    wide = np.diff(knots) > 1e-9 * (abs(profile.epoch) + np.abs(knots[1:]) + np.abs(knots[:-1]))
+    mid = bucket_index(profile.epoch + 0.5 * (knots[:-1] + knots[1:]), profile.granularity)
+    assert np.array_equal(sched.values[:, wide], profile.values[:, mid][:, wide])
+
+
+def test_step_schedule_spans_a_window_whose_end_rounds_onto_a_bucket_edge():
+    for epoch, t0, tf in EDGE_WINDOWS:
+        profile = SignificanceProfile("weekday", epoch, ["f"], [np.linspace(0.1, 1.0, 7)])
+        assert_spans_with_midpoint_buckets(profile, t0, tf)
+    # windows whose ends are bucket edges in absolute time, maybe nudged by an ulp
+    rng = np.random.default_rng(28)
+    onto_an_end = 0
+    for case in range(4000):
+        granularity = GRANULARITIES[case % 2]
+        width = DAY if granularity == "weekday" else 3600.0
+        scale = 10.0 ** rng.uniform(0.0, 9.0)
+        epoch = float(rng.uniform(-scale, scale))
+        edge0 = math.floor(rng.uniform(-scale, scale) / width) * width
+        edge1 = edge0 + int(rng.integers(1, 20)) * width
+        t0, tf = edge0 - epoch, edge1 - epoch
+        if rng.random() < 0.5:
+            t0, tf = (float(np.nextafter(t, rng.choice([-math.inf, math.inf]))) for t in (t0, tf))
+        # an edge inside the window in absolute time, yet on one of its ends in window time
+        onto_an_end += (epoch + t0 < edge0 and edge0 - epoch == t0) or (epoch + tf > edge1 and edge1 - epoch == tf)
+        if tf > t0:
+            table = rng.uniform(0.0, 1.0, (1, bucket_count(granularity)))
+            assert_spans_with_midpoint_buckets(SignificanceProfile(granularity, epoch, ["f"], table), t0, tf)
+    assert onto_an_end >= 20
+
+
 def test_weekend_silence_under_zero_weight():
     # a Sat/Sun hard-zero profile silences the poster on weekends entirely
     vec = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     profile = SignificanceProfile("weekday", epoch=MONDAY, ids=["f"], values=[vec])
     sched = profile.step_schedule(0.0, 14 * DAY)
-    params = RedQueenParams(q=1000.0, significance=sched)
     weekend_hits = 0
     total = 0
     for seed in range(100):
-        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 14 * DAY, [2]), params,
-                                  np.random.default_rng(seed))
+        posts = run_redqueen_fast(Feeds(np.empty(0), [0, 0], 0.0, 14 * DAY, [2]), 1000.0,
+                                  np.random.default_rng(seed), sched)
         for p in posts:
             total += 1
             day = int(p // DAY) % 7
@@ -313,8 +357,8 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
     feed_times = np.sort(rng.uniform(0.0, 28 * DAY, size=600))
     feeds = Feeds.cut([feed_times], 0.0, 28 * DAY)
 
-    def weekend_share(params, seed):
-        posts = run_redqueen_fast(feeds, params, np.random.default_rng(seed))
+    def weekend_share(significance, seed):
+        posts = run_redqueen_fast(feeds, 9000.0, np.random.default_rng(seed), significance)
         if len(posts) == 0:
             return 0.0, 0
         days = (posts // DAY).astype(np.int64) % 7
@@ -322,8 +366,8 @@ def test_weekend_light_cohort_shifts_posts_off_weekends():
 
     flat_share = weighted_share = 0.0
     for seed in range(10):
-        fs, _ = weekend_share(RedQueenParams(q=9000.0), seed)
-        ws, n = weekend_share(RedQueenParams(q=9000.0, significance=sched), seed)
+        fs, _ = weekend_share(None, seed)
+        ws, n = weekend_share(sched, seed)
         flat_share += fs
         weighted_share += ws
     assert weighted_share < flat_share
