@@ -27,6 +27,7 @@ table's knots alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,19 +52,21 @@ def run_redqueen_fast(
 ) -> np.ndarray:
     """The controller's post times on the feeds' window, from their initial ranks.
 
-    ``q`` prices each post.  ``significance`` holds a row of attention
-    weights per follower on knots from the feeds' ``t0`` to their ``tf``
-    exactly; ``None`` weighs every follower 1 at all times.  The kernel
-    stops after ``max_posts`` posts.  Its posts match, bit for bit, those
-    of ``RedQueenController``, the one-event-at-a-time controller in
-    ``tests/reference.py``.  Without numba the kernel is the vectorized
-    NumPy fallback, which draws its exponentials in bulk, so ``rng`` may
-    end further along than the controller leaves it.  Pass a generator
-    used for this run only, as every caller in the package does (a fresh
-    ``policy_rng(seed)`` per call).
+    ``q`` prices each post: finite and normal, since below
+    ``sys.float_info.min`` the rates sqrt(s / q) overflow.
+    ``significance`` holds a row of attention weights per follower on
+    knots from the feeds' ``t0`` to their ``tf`` exactly; ``None`` weighs
+    every follower 1 at all times.  The kernel stops after ``max_posts``
+    posts.  Its posts match, bit for bit, those of ``RedQueenController``,
+    the one-event-at-a-time controller in ``tests/reference.py``.  Without
+    numba the kernel is the vectorized NumPy fallback, which draws its
+    exponentials in bulk, so ``rng`` may end further along than the
+    controller leaves it.  Pass a generator used for this run only, as
+    every caller in the package does (a fresh ``policy_rng(seed)`` per
+    call).
     """
-    if not (q > 0) or not math.isfinite(q):
-        raise ValueError("q must be positive and finite")
+    if not sys.float_info.min <= q < math.inf:
+        raise ValueError(f"q must be positive and finite, at least {sys.float_info.min!r}, got {q!r}")
     t0, tf = feeds.t0, feeds.tf
     if significance is None:
         significance = StepSchedule(np.array([t0, tf]), np.ones((len(feeds), 1)))

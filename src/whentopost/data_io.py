@@ -14,16 +14,15 @@
   file of at least 1 MiB is cut into byte ranges of at least 0.5 MiB, at
   most one per usable CPU, each starting after a newline.  This process
   parses the first range, and a forked child parses each other one; the
-  parse's text and scratch then live in the child, and only 12 bytes an
-  event (the time, and the id's code in the child's list of distinct
-  ids) come back through a pipe.  The ranges are copied in file order
-  into one times and one codes array, each allocated once, each range's
-  codes remapped through one table of the ids in order of first
-  appearance, so times, codes, ids, warnings and errors are those of one
-  range.  Python 3.12 and later warn when a process that runs
-  threads forks, and importing NumPy starts OpenBLAS threads: the read
-  ignores that warning, since the children only parse text and run no
-  BLAS.
+  parse's text and scratch then live in the child, and only its pickled
+  result (each event's time and id code, and the child's distinct ids)
+  comes back through a pipe.  The ranges are copied in file order into
+  one times and one codes array, each allocated once, each range's codes
+  remapped through one table of the ids in order of first appearance,
+  so times, codes, ids, warnings and errors are those of one range.
+  Python 3.12 and later warn when a process that runs threads forks, and
+  importing NumPy starts OpenBLAS threads: the read ignores that warning,
+  since the children only parse text and run no BLAS.
 * Network: headerless CSV, one ``broadcaster_id,follower_id`` edge per line.
 * Manifest: ``key = value`` text pointing at the two files and fixing the
   epoch, window and broadcaster.
@@ -55,6 +54,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import warnings
 from dataclasses import dataclass
@@ -257,15 +257,15 @@ def _parse_ranges(path, ranges) -> list[tuple]:
     """``_parse_range`` of each range in ``ranges``, in order, without its line count.
 
     This process parses the first range; a forked child parses each other
-    one and sends back its times and codes as raw bytes and its distinct
-    ids as JSON.  Each range is ``(times, vocab, codes)``, with ``times``
-    and ``codes`` lists of parallel chunk arrays.  A child does
-    not know the line its range starts on, so
-    when it fails (or cannot be forked, or sends a short payload) this
-    process parses its range again, counting lines from the ranges before
-    it: a bad line fails with the same ``file:line`` error as in one range.
-    Every child is reaped before this returns or raises, and killed first
-    when it raises.
+    one and pickles back what ``_parse_range`` returns, so each range is
+    ``(times, vocab, codes)``, with ``times`` and ``codes`` lists of
+    parallel chunk arrays, wherever it was parsed.  A child does not know
+    the line its range starts on, so when it fails (or cannot be forked,
+    or its pickle is cut short) this process parses its range again,
+    counting lines from the ranges before it: a bad line fails with the
+    same ``file:line`` error as in one range.  Only this process's own
+    children write to the pipes it unpickles.  Every child is reaped
+    before this returns or raises, and killed first when it raises.
     """
     children: dict = {}
     done = False
@@ -282,11 +282,13 @@ def _parse_ranges(path, ranges) -> list[tuple]:
             if k in children:
                 pid, pipe = children[k]
                 with pipe:
-                    part = _receive(pipe)
-                status = os.waitpid(pid, 0)[1]
-                del children[k]
-                if status != 0:
+                    try:
+                        part = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # a payload cut short, or none
+                        pass
+                if os.waitpid(pid, 0)[1] != 0:
                     part = None
+                del children[k]
             if part is None:
                 part = _parse_range(path, start, stop, lineno)
             lineno += part[3]
@@ -304,7 +306,7 @@ def _parse_ranges(path, ranges) -> list[tuple]:
 
 
 def _fork_parser(path, start, stop) -> tuple:
-    """Fork a child that sends ``_parse_range(path, start, stop, 1)`` down a pipe.
+    """Fork a child that pickles ``_parse_range(path, start, stop, 1)`` down a pipe.
 
     Returns the child's pid and the pipe's read end.  The child writes
     nothing else, runs no BLAS and always ends with ``os._exit``: nonzero
@@ -327,35 +329,13 @@ def _fork_parser(path, start, stop) -> tuple:
         code = 1
         try:
             os.close(rfd)
-            times, vocab, codes, lines = _parse_range(path, start, stop, 1)
-            vocab = json.dumps(vocab).encode("ascii")
             with open(wfd, "wb") as out:
-                out.write(np.array([sum(map(len, times)), lines, len(vocab)], np.int64).tobytes())
-                for chunk in times + codes:
-                    out.write(chunk)
-                out.write(vocab)
+                pickle.dump(_parse_range(path, start, stop, 1), out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(wfd)
     return pid, open(rfd, "rb")
-
-
-def _receive(pipe):
-    """The ``_parse_range`` result a child wrote to ``pipe``, or None if it is short.
-
-    The times and codes are one chunk each, views of the bytes read.
-    """
-    head = pipe.read(24)
-    if len(head) < 24:
-        return None
-    n, lines, vocab_bytes = np.frombuffer(head, np.int64).tolist()
-    body = pipe.read(12 * n + vocab_bytes)
-    if len(body) < 12 * n + vocab_bytes:
-        return None
-    times = np.frombuffer(body, np.float64, n)
-    codes = np.frombuffer(body, np.int32, n, 8 * n)
-    return [times], json.loads(body[12 * n :]), [codes], lines
 
 
 def _parse_range(path, start, stop, first_lineno) -> tuple:

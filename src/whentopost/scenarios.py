@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -93,10 +94,11 @@ class ScenarioError(ValueError):
     """The requested scenario/policy combination cannot run."""
 
 
-#: Domains of the numeric config fields, whichever configs have them.
+#: Domains of the numeric config fields, whichever configs have them.  A
+#: subnormal q would overflow the controller's clock rates sqrt(s / q).
 _POSITIVE = ("budget", "q", "target_posts", "lambda0", "w", "target_feed_events", "horizon")
 _NONNEGATIVE = ("alpha", "peak_per_hour", "tune_tol")
-_LEAST = {"offline_segments": 1, "initial_rank": 0, "followers": 1}
+_LEAST = {"offline_segments": 1, "initial_rank": 0, "followers": 1, "q": sys.float_info.min}
 #: Largest sizes a user sets, checked with the domains before any sampling or allocation.
 MAX_OFFLINE_SEGMENTS = 100_000
 MAX_FOLLOWERS = 10_000  # of the sinusoid scenario

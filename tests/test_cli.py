@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import shutil
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -657,6 +658,17 @@ def test_unexpected_errors_keep_the_json_error_contract(tmp_path, monkeypatch, e
     assert err == {"error": exc_type.__name__, "message": "boom"}
 
 
+def with_flag(args, flag, value):
+    """``args`` with ``flag`` set to ``value``; a price replaces the budget, which excludes it."""
+    args = list(args)
+    if flag == "--q" and "--budget" in args:
+        del args[args.index("--budget") : args.index("--budget") + 2]
+    if flag in args:
+        args[args.index(flag) + 1] = value
+        return args
+    return args + [flag, value]
+
+
 REPLAY = ["replay", "--manifest", str(FIXTURE / "manifest.txt"), "--seeds", "0"]
 SIM_BUDGET = [
     "simulate", "--scenario", "one-follower-hawkes", "--budget", "4", "--seeds", "0",
@@ -694,6 +706,9 @@ SIM_SINUSOID = [
           for v in ("nan", "inf", "-inf", "0", "-1")],
         (["tune-q", "--scenario", "one-follower-hawkes", "--target", "4", "--tol", "nan"],
          "tune_tol must be finite and nonnegative, got nan"),
+        # a subnormal price overflowed sqrt(s / q): a warning, a post at every feed event, exit 0
+        *[(with_flag(run, "--q", q), f"q must be at least {sys.float_info.min!r}, got {q}")
+          for run in (SIM_BUDGET, SIM_SINUSOID, REPLAY) for q in ("5e-324", "1e-310")],
     ],
     ids=[
         "replay-initial-rank", "replay-target-posts", "replay-tune-tol", "replay-offline-segments",
@@ -704,6 +719,7 @@ SIM_SINUSOID = [
         "simulate-horizon-nan", "simulate-horizon-inf",
         "simulate-budget-nan", "simulate-budget-inf", "simulate-budget--inf", "simulate-budget-0",
         "simulate-budget--1", "tune-q-tol-nan",
+        *[f"{run}-q-{q}" for run in ("simulate", "simulate-sinusoid", "replay") for q in ("5e-324", "1e-310")],
     ],
 )
 def test_out_of_domain_scenario_input_names_the_field(tmp_path, args, message):
@@ -837,17 +853,6 @@ NUMERIC_RUNS = {
 EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1000000000000000000"]
 
 
-def with_flag(args, flag, value):
-    """``args`` with ``flag`` set to ``value``; a price replaces the budget, which excludes it."""
-    args = list(args)
-    if flag == "--q" and "--budget" in args:
-        del args[args.index("--budget") : args.index("--budget") + 2]
-    if flag in args:
-        args[args.index(flag) + 1] = value
-        return args
-    return args + [flag, value]
-
-
 def assert_finite_json(value, where):
     if isinstance(value, float):
         assert math.isfinite(value), where
@@ -867,6 +872,18 @@ def assert_finite_rows(path):
     for row in body:
         for k in numeric:
             assert row[k] == "" or math.isfinite(float(row[k])), (header[k], row)
+
+
+@pytest.mark.parametrize(
+    "args", [SIM_HAWKES_ALL, SIM_SINUSOID_SMALL, REPLAY_ALL], ids=["simulate-hawkes", "simulate-sinusoid", "replay"]
+)
+def test_the_smallest_normal_price_runs_without_a_runtime_warning(tmp_path, args):
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ok(with_flag(args, "--q", repr(sys.float_info.min)) + ["--out", str(out)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_finite_rows(out)
 
 
 def test_every_numeric_flag_is_in_the_edge_value_table():

@@ -1,6 +1,7 @@
 """Online controller: intensity formula, clock sampler, q tuning."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,9 +45,10 @@ def test_optimal_intensity_time_varying_weight():
 
 def test_params_validation():
     feeds = Feeds(np.array([20.0]), np.array([0, 1]), 0.0, 100.0)
-    for q in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="q must be positive and finite"):
+    for q in (0.0, -1.0, math.inf, math.nan, 5e-324, 1e-310):  # a subnormal q overflows sqrt(1 / q)
+        with pytest.raises(ValueError, match="q must be positive and finite, at least 2.2250738585072014e-308"):
             run_redqueen_fast(feeds, q, np.random.default_rng(0))
+    assert run_redqueen_fast(feeds, sys.float_info.min, np.random.default_rng(0)).shape == (1,)
     with pytest.raises(ValueError, match="wrong follower count"):
         run_redqueen_fast(feeds, 1.0, np.random.default_rng(0), constant_schedule(1.0, 0.0, 100.0, rows=2))
 

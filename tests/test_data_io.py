@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import re
 import time
 import tracemalloc
@@ -1112,9 +1113,13 @@ def test_split_read_parses_a_failed_childs_range_here(log_300):
     def silent(*args):  # the child sends nothing
         os._exit(0)
 
-    def truncated(*args):  # writing the codes fails once the header and times went out
+    class Unpicklable:
+        def __reduce__(self):
+            raise pickle.PicklingError("not this one")
+
+    def truncated(*args):  # pickling fails at the codes, once a MiB of times went down the pipe
         times, vocab, codes, lines = real(*args)
-        return times, vocab, [chunk.tolist() for chunk in codes], lines
+        return times + [np.zeros(1 << 17)], vocab, [Unpicklable()], lines
 
     def exits_nonzero(*args):  # a whole payload, then exit status 3
         real_exit = os._exit
